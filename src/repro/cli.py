@@ -218,7 +218,6 @@ def _multiquery_config() -> HeavenConfig:
         disk_cache_bytes=48 * MB,
         memory_cache_bytes=64 * MB,
         retain_payload=False,
-        admission_aging_bound_s=3600.0,
     )
 
 
@@ -260,7 +259,7 @@ def _run_multiquery_scenario(heaven: Heaven):
         )
         for name, region, offset, weight in _multiquery_queries(mdd, 4)
     ]
-    return AdmissionController(heaven).run(specs)
+    return AdmissionController(heaven, aging_bound_s=3600.0).run(specs)
 
 
 def _chaos_config() -> HeavenConfig:
@@ -670,7 +669,9 @@ def cmd_multiquery(args: argparse.Namespace) -> int:
                   arrival_s=now + offset, weight=weight, name=name)
         for name, region, offset, weight in queries
     ]
-    controller = AdmissionController(heaven, holdback_s=args.holdback)
+    controller = AdmissionController(
+        heaven, holdback_s=args.holdback, aging_bound_s=3600.0
+    )
     _outputs, fused = controller.run(specs)
 
     per_query = ResultTable(

@@ -8,13 +8,13 @@ overlapping super-tile runs **across queries** into single elevator
 sweeps.  Three policies shape the sweeps:
 
 * **anticipatory hold-back** — a dispatch can wait a bounded virtual-time
-  window (``admission_holdback_s``) so queries arriving inside the window
+  window (``holdback_s``) so queries arriving inside the window
   are absorbed into the same mount instead of paying their own exchange;
 * **weighted-fair picking** — the next medium served is the one whose
   neediest demanding query has received the least attributed service per
   unit weight, so a PB-scale scan cannot monopolise the robot;
 * **aging escalation** — once the oldest pending demand has waited more
-  than half the configured ``admission_aging_bound_s``, scheduling
+  than half the configured ``aging_bound_s``, scheduling
   degenerates to strict oldest-first until the backlog drains, bounding
   every demand's wait.
 
@@ -41,16 +41,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..errors import CacheError, HeavenError
-from .heaven import Heaven, RetrievalReport, StagingTicket, _SegmentNeed
+from .heaven import Heaven, RetrievalReport, _SegmentNeed
 from .scheduler import TapeRequest, attribute_request_bytes
-from .units import SubReadRequest, SubReadResponse, SubReadStats, TilePayload, _as_payload
+from .units import SubReadRequest, SubReadResponse, _answer_nbytes, _unit_response
 
 __all__ = [
     "QuerySpec",
@@ -63,6 +63,15 @@ __all__ = [
 ADMISSION_DEVICE = "admission"
 
 
+def _drive_read_bytes(events) -> int:
+    """Bytes the drives streamed off tape within an event-log window."""
+    return sum(
+        e.bytes
+        for e in events
+        if e.kind == "read" and e.device.startswith("drive")
+    )
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """One independent query submitted to the admission layer.
@@ -71,14 +80,13 @@ class QuerySpec:
         collection / object_name / region: the read itself.
         arrival_s: virtual time the query enters the system (open-loop
             arrivals; queries are admitted once the clock reaches it).
-        weight: fair-share weight (``None`` uses the config default);
-            higher weight means a larger share of sweep service.
+        weight: fair-share weight (``None`` uses the controller's
+            default); higher weight means a larger share of sweep service.
         name: display label in reports (defaults to the object name).
         tile_ids: explicit tile subset instead of the region's full tile
             cover — the sharded form a data node serves.  The query then
-            answers with per-tile cells (``tile_cells`` on the task)
-            rather than one assembled region, since the region's other
-            tiles belong to other shards.
+            answers with ``{tile_id: cells}`` rather than one assembled
+            region, since the region's other tiles belong to other shards.
     """
 
     collection: str
@@ -140,7 +148,6 @@ class _QueryTask:
     admitted: bool = False
     done: bool = False
     mdd: Optional[MDD] = None
-    tiles_needed: int = 0
     demands: Dict[str, _Demand] = field(default_factory=dict)
     pending: Set[str] = field(default_factory=set)
     #: segment keys this task holds disk-cache leases on
@@ -155,9 +162,8 @@ class _QueryTask:
     enqueued_s: float = 0.0
     finished_s: float = 0.0
     max_wait_s: float = 0.0
-    cells: Optional[np.ndarray] = None
-    #: per-tile cells of a tile-subset query (``spec.tile_ids`` set)
-    tile_cells: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: the answer: region cells, or ``{tile_id: cells}`` for a tile subset
+    cells: Union[None, np.ndarray, Dict[int, np.ndarray]] = None
     report: Optional[RetrievalReport] = None
 
     @property
@@ -224,30 +230,36 @@ class AdmissionController:
         self,
         heaven: Heaven,
         *,
-        holdback_s: Optional[float] = None,
+        holdback_s: float = 0.0,
         aging_bound_s: Optional[float] = None,
-        default_weight: Optional[float] = None,
+        default_weight: float = 1.0,
         schedule_seed: Optional[int] = None,
     ) -> None:
-        self.heaven = heaven
-        config = heaven.config
-        self.holdback_s = (
-            config.admission_holdback_s if holdback_s is None else holdback_s
-        )
-        self.aging_bound_s = (
-            config.admission_aging_bound_s
-            if aging_bound_s is None
-            else aging_bound_s
-        )
-        self.default_weight = (
-            config.admission_default_weight
-            if default_weight is None
-            else default_weight
-        )
-        if self.holdback_s < 0:
+        """
+        Args:
+            holdback_s: anticipatory hold-back window: a fused sweep's
+                dispatch is delayed by exactly this many virtual seconds so
+                queries arriving inside the window are absorbed into the
+                same mount.  ``0.0`` dispatches immediately.
+            aging_bound_s: fairness bound: once the oldest pending staging
+                demand has waited more than half this many virtual seconds,
+                scheduling escalates to strict oldest-first dispatch until
+                the backlog is drained.  ``None`` disables aging escalation
+                (pure weighted-fair picking).
+            default_weight: fair-share weight of queries that do not
+                specify their own.
+            schedule_seed: shuffles the round-robin stepping order.
+        """
+        if holdback_s < 0:
             raise HeavenError("holdback_s must be >= 0")
-        if self.aging_bound_s is not None and self.aging_bound_s <= 0:
+        if aging_bound_s is not None and aging_bound_s <= 0:
             raise HeavenError("aging_bound_s must be positive or None")
+        if default_weight <= 0:
+            raise HeavenError("default_weight must be positive")
+        self.heaven = heaven
+        self.holdback_s = holdback_s
+        self.aging_bound_s = aging_bound_s
+        self.default_weight = default_weight
         self.schedule_seed = schedule_seed
         self._tasks: List[_QueryTask] = []
         self._order: List[_QueryTask] = []
@@ -294,12 +306,13 @@ class AdmissionController:
         report.makespan_s = clock.now - start_s
         window = clock.log.window(report.log_cursor_start)
         report.exchanges = sum(1 for e in window if e.kind == "load")
-        report.bytes_from_tape = sum(
-            e.bytes
-            for e in window
-            if e.kind == "read" and e.device.startswith("drive")
-        )
+        report.bytes_from_tape = _drive_read_bytes(window)
         report.queries = [task.report for task in self._tasks]  # type: ignore[misc]
+        # Counted here, not as each query finishes: a run that raises hands
+        # out no report, and its units are served (and counted) again.
+        for query in report.queries:
+            heaven.read_tiles_needed += query.tiles_needed
+            heaven.read_bytes_useful += query.bytes_useful
         report.latencies_s = [
             task.finished_s - task.spec.arrival_s for task in self._tasks
         ]
@@ -332,52 +345,20 @@ class AdmissionController:
             QuerySpec(
                 collection=unit.collection,
                 object_name=unit.object_name,
-                region=MInterval.parse(unit.region),
+                region=unit.parsed_region(),
                 arrival_s=now,
                 name=unit.request_id,
-                tile_ids=(
-                    None
-                    if unit.tile_ids is None
-                    else tuple(sorted(unit.tile_ids))
-                ),
+                tile_ids=unit.tile_ids,
             )
             for unit in units
         ]
         outputs, report = self.run(specs)
-        responses: List[SubReadResponse] = []
-        for unit, task, cells, query_report in zip(
-            units, self._tasks, outputs, report.queries
-        ):
-            mdd = task.mdd
-            assert mdd is not None
-            tiles = [
-                TilePayload.from_cells(
-                    tile_id, mdd.tiles[tile_id].domain, mdd.cell_type, tile_cells
-                )
-                for tile_id, tile_cells in sorted(task.tile_cells.items())
-            ]
-            responses.append(
-                SubReadResponse(
-                    request_id=unit.request_id,
-                    object_name=unit.object_name,
-                    region=unit.region,
-                    dtype=mdd.cell_type.name,
-                    tiles=tiles,
-                    region_cells=(
-                        _as_payload(cells) if unit.tile_ids is None else None
-                    ),
-                    stats=SubReadStats(
-                        bytes_useful=query_report.bytes_useful,
-                        bytes_from_tape=query_report.bytes_from_tape,
-                        exchanges=query_report.exchanges,
-                        virtual_seconds=query_report.virtual_seconds,
-                        faults=query_report.faults,
-                        restages=query_report.restages,
-                        super_tiles_staged=query_report.super_tiles_staged,
-                        shared=False,
-                    ),
-                )
+        responses = [
+            _unit_response(unit, task.mdd, cells, query_report, shared=False)
+            for unit, task, cells, query_report in zip(
+                units, self._tasks, outputs, report.queries
             )
+        ]
         return responses, report
 
     def _loop(self) -> None:
@@ -429,20 +410,11 @@ class AdmissionController:
         heaven = self.heaven
         clock = heaven.clock
         spec = task.spec
-        mdd = heaven.storage.collection(spec.collection).get(spec.object_name)
-        heaven._record_access(mdd, spec.region)
-        task.mdd = mdd
-        if spec.tile_ids is None:
-            tile_ids = [t.tile_id for t in mdd.tiles_for(spec.region)]
-        else:
-            for tile_id in spec.tile_ids:
-                if tile_id not in mdd.tiles:
-                    raise HeavenError(
-                        f"object {spec.object_name!r} has no tile {tile_id}"
-                    )
-            tile_ids = sorted(spec.tile_ids)
-        task.tiles_needed = len(tile_ids)
-        needs = heaven.collect_needs([(mdd, tile_ids)])
+        unit = heaven._resolve_unit(
+            spec.collection, spec.object_name, spec.region, spec.tile_ids
+        )
+        task.mdd = unit.mdd
+        needs = heaven.collect_needs([(unit.mdd, unit.cover)])
         task.enqueued_s = clock.now
         for key, need in sorted(needs.items()):
             medium_id, _segment = heaven.library.segment(key)
@@ -463,46 +435,27 @@ class AdmissionController:
         with heaven.tracer.span(
             "admission.assemble", query=task.qid, object=spec.object_name
         ) as span:
-            if spec.tile_ids is None:
-                cells = mdd.read(spec.region)
-                bytes_useful = int(cells.nbytes)
-            else:
-                # Sharded form: materialise the subset tile by tile — the
-                # region's remaining tiles belong to other shards, so
-                # there is no whole region to assemble here.
-                for tile_id in tile_ids:
-                    task.tile_cells[tile_id] = mdd.materialize_tile(
-                        mdd.tiles[tile_id]
-                    )
-                cells = np.empty(0, dtype=mdd.cell_type.dtype)
-                bytes_useful = sum(
-                    int(c.nbytes) for c in task.tile_cells.values()
-                )
+            task.cells = heaven._assemble_unit(unit)
         heaven._observe_assemble_wall(span)
         self._release_leases(task)
         window = clock.log.window(cursor)
-        assembly_tape_bytes = sum(
-            e.bytes
-            for e in window
-            if e.kind == "read" and e.device.startswith("drive")
-        )
-        task.cells = cells
         task.finished_s = clock.now
+        # Not Heaven._report_from_span: this query's tape bytes are its
+        # attributed share of fused sweeps plus its own assembly window,
+        # its pins are leases, and its latency runs from its arrival.
         task.report = RetrievalReport(
             object_name=spec.label,
             region=str(spec.region),
-            tiles_needed=task.tiles_needed,
+            tiles_needed=len(unit.cover),
             super_tiles_staged=len(task.demands),
-            bytes_from_tape=task.tape_byte_share + assembly_tape_bytes,
-            bytes_useful=bytes_useful,
+            bytes_from_tape=task.tape_byte_share + _drive_read_bytes(window),
+            bytes_useful=_answer_nbytes(task.cells),
             exchanges=sum(1 for e in window if e.kind == "load"),
             virtual_seconds=clock.now - spec.arrival_s,
             restages=sum(1 for e in window if e.kind == "restage"),
             pins=task.lease_count,
             waves=task.sweeps,
         )
-        heaven.read_tiles_needed += task.tiles_needed
-        heaven.read_bytes_useful += bytes_useful
         task.done = True
         yield "done"
 
@@ -612,10 +565,11 @@ class AdmissionController:
             key: heaven._required_run(need.super_tile, need.tile_ids)
             for key, need in fused.items()
         }
-        ticket = StagingTicket(cache=heaven.disk_cache)
         sweep_start = clock.now
         cursor = clock.log.cursor()
-        try:
+        # An empty batch yields the empty ticket this sweep fills itself:
+        # its needs are fused per medium, not per (object, tiles) pair.
+        with heaven._staged([]) as ticket:
             with heaven.tracer.span(
                 "admission.sweep",
                 always=True,
@@ -642,8 +596,6 @@ class AdmissionController:
                 if requests:
                     heaven.execute_staging(requests, fused, ticket)
             self._grant_leases(fused, by_key)
-        finally:
-            ticket.release()
         self._settle_sweep(
             medium_id,
             by_key,
@@ -651,11 +603,7 @@ class AdmissionController:
             demanded_unions,
             requests,
             sweep_elapsed=clock.now - sweep_start,
-            window_bytes=sum(
-                e.bytes
-                for e in clock.log.window(cursor)
-                if e.kind == "read" and e.device.startswith("drive")
-            ),
+            window_bytes=_drive_read_bytes(clock.log.window(cursor)),
         )
         report.sweeps += 1
         report.fused_segments += len(demanded_unions)

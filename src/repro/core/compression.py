@@ -32,28 +32,19 @@ Buffer = Union[bytes, bytearray, memoryview]
 class Codec:
     """Compression codec interface.
 
-    Besides the classic ``compress``/``decompress`` pair, codecs expose the
-    two zero-copy entry points the staged-run read path is built on:
+    Besides the classic ``compress``/``decompress`` pair, codecs expose
+    two zero-copy entry points:
 
     * :meth:`decompress_view` — a **read-only view** of the raw cells,
       avoiding any materialisation the codec does not strictly require
       (the identity codec returns a view of the stored buffer itself);
-    * :meth:`decompress_into` — decompression into a caller-owned buffer,
-      so a whole super-tile run can be decoded into one reusable
-      allocation instead of one fresh ``bytes`` per tile.
+      this is what the staged-run read path decodes through;
+    * :meth:`decompress_into` — decompression into a caller-owned buffer.
     """
 
     name = "abstract"
     #: fallback compressed/uncompressed ratio for size-only accounting
     estimated_ratio = 1.0
-    #: True when routing a wave's decodes through a shared caller-owned
-    #: buffer (:meth:`decompress_into` + the read path's wave arena) beats
-    #: :meth:`decompress_view`.  Only codecs whose decompressor writes
-    #: *natively* into the output buffer qualify; Python's ``zlib`` cannot
-    #: (it always materialises an intermediate ``bytes``, so buffer reuse
-    #: just adds the copy back — measured slower than the view path), and
-    #: the identity codec's view is already zero-copy.
-    wants_decode_arena = False
 
     def compress(self, raw: bytes) -> bytes:
         raise NotImplementedError

@@ -82,21 +82,6 @@ class HeavenConfig:
             offline (graceful degradation; the ``repro_degraded_reads_total``
             metric).  Reads that *need* tape still raise the typed
             ``RetryExhaustedError`` either way.
-        admission_holdback_s: anticipatory hold-back window of the
-            admission layer (:mod:`repro.core.admission`): a fused sweep's
-            dispatch is delayed by exactly this many virtual seconds so
-            queries arriving inside the window are absorbed into the same
-            mount.  ``0.0`` (the default) dispatches immediately — the
-            byte-identical legacy behaviour.
-        admission_aging_bound_s: fairness bound of the admission layer:
-            once the oldest pending staging demand has waited more than
-            half this many virtual seconds, scheduling escalates to strict
-            oldest-first dispatch until the backlog is drained, so no
-            demand can wait unboundedly behind a heavier query.  ``None``
-            disables aging escalation (pure weighted-fair picking).
-        admission_default_weight: fair-share weight assigned to admitted
-            queries that do not specify their own (service received is
-            normalised by weight when picking the next sweep).
     """
 
     tape_profile: TapeProfile = DLT_7000
@@ -125,9 +110,6 @@ class HeavenConfig:
     fault_plan: Optional[FaultPlan] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     degraded_reads: bool = True
-    admission_holdback_s: float = 0.0
-    admission_aging_bound_s: Optional[float] = None
-    admission_default_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.attachment not in ("drive", "hsm"):
@@ -148,12 +130,3 @@ class HeavenConfig:
             raise ValueError("num_drives must be >= 1")
         if self.parallel_drives < 1:
             raise ValueError("parallel_drives must be >= 1")
-        if self.admission_holdback_s < 0:
-            raise ValueError("admission_holdback_s must be >= 0")
-        if (
-            self.admission_aging_bound_s is not None
-            and self.admission_aging_bound_s <= 0
-        ):
-            raise ValueError("admission_aging_bound_s must be positive or None")
-        if self.admission_default_weight <= 0:
-            raise ValueError("admission_default_weight must be positive")

@@ -20,8 +20,10 @@ disk-resident one, only the simulated clock knows the difference.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .scheduler import (
     TapeRequest,
 )
 from .super_tile import SuperTile, star_partition, tiles_to_super_tiles
-from .units import ObjectDescriptor, SubReadRequest, SubReadResponse, SubReadStats, TilePayload
+from .units import ObjectDescriptor, SubReadRequest, SubReadResponse, _answer_nbytes, _unit_response
 
 
 @dataclass
@@ -137,7 +139,7 @@ class StagingTicket:
     batch) can evict those bytes.  ``release`` is idempotent.
     """
 
-    cache: Optional[DiskCache] = None
+    cache: DiskCache
     #: super-tile runs streamed from tape for this batch
     staged: int = 0
     #: bytes those runs moved off tape
@@ -151,9 +153,6 @@ class StagingTicket:
 
     def release(self) -> None:
         """Drop every pin still held by this ticket."""
-        if self.cache is None:
-            self.pinned.clear()
-            return
         held, self.pinned = self.pinned, []
         for key in held:
             try:
@@ -164,35 +163,16 @@ class StagingTicket:
                 pass
 
 
-class _DecodeArena:
-    """One wave-scoped decompression buffer shared by that wave's tiles.
+class _Unit(NamedTuple):
+    """A resolved read unit — the vocabulary of :mod:`.units`."""
 
-    Compressed tiles must materialise their raw cells somewhere; instead
-    of one fresh ``bytes`` per tile, a wave allocates ONE buffer sized to
-    its decoded total and each tile carves a disjoint slice to decompress
-    into.  Cached tile arrays become read-only views of those slices.
-
-    Aliasing safety: an arena is **never reused** across waves — carving
-    is monotonic within one wave and the arena is dropped when the wave
-    ends, so a view handed to the memory tile cache can never be
-    overwritten by a later decode.  (The underlying ``bytearray`` stays
-    alive exactly as long as some view references it.)
-    """
-
-    __slots__ = ("_buf", "_offset")
-
-    def __init__(self, nbytes: int) -> None:
-        self._buf = bytearray(nbytes)
-        self._offset = 0
-
-    def carve(self, nbytes: int) -> Optional[memoryview]:
-        """Claim the next *nbytes* slice; ``None`` when exhausted."""
-        end = self._offset + nbytes
-        if end > len(self._buf):
-            return None
-        view = memoryview(self._buf)[self._offset : end]
-        self._offset = end
-        return view
+    mdd: MDD
+    region: MInterval
+    #: tile ids to stage
+    cover: List[int]
+    #: answer with the assembled region, or with the cover's tiles one by one
+    #: (the sharded form: the region's other tiles live on other shards)
+    whole: bool
 
 
 @dataclass
@@ -326,17 +306,14 @@ class Heaven:
         #: straight into the result array.  Any increment marks a
         #: defensive-copy fallback that re-appeared.
         self.assembly_bytes_copied = 0
-        #: active wave-scoped decompression arena (see :class:`_DecodeArena`);
-        #: ``None`` outside wave drains, where decode allocates per tile.
-        self._decode_arena: Optional[_DecodeArena] = None
-        #: ticket of the read whose assembly is currently running.  Pins
-        #: taken on that read's behalf by OTHER tickets — the
-        #: ``prepare_read`` hook's nested ticket, the resolver's restage
-        #: fallbacks — are added onto it, so reports attribute exactly
-        #: the pins a query owns.  Nested reads swap in their own ticket
-        #: for their assembly window, so nothing is double-counted (the
-        #: old ``stats.pins`` delta charged a read for every pin any
-        #: query took between its two samples).
+        #: ticket of the read whose assembly is currently running (see
+        #: :meth:`_staged`).  Pins taken on that read's behalf by OTHER
+        #: tickets — the ``prepare_read`` hook's nested ticket, the
+        #: resolver's restage fallbacks — are added onto it by
+        #: :meth:`_stage_many`, so reports attribute exactly the pins a
+        #: query owns.  Nested reads swap in their own ticket for their
+        #: window, so nothing is double-counted (a ``stats.pins`` delta
+        #: would charge a read for every pin any query took meanwhile).
         self._active_ticket: Optional[StagingTicket] = None
         #: instrument catalog; installed only when observability is on, so a
         #: disabled instance allocates nothing per operation.
@@ -486,9 +463,9 @@ class Heaven:
         mdd.resolver = self._resolve_tile
         # The hook returns the ticket's release: MDD.read drops the pins
         # only after it assembled the region's tiles.
-        mdd.prepare_read = (
-            lambda region, _mdd=mdd: self._prepare_for_assembly(_mdd, region)
-        )
+        mdd.prepare_read = lambda region, _mdd=mdd: self._stage_many(
+            [(_mdd, [t.tile_id for t in _mdd.tiles_for(region)])]
+        ).release
         mdd.drop_payloads()
         if not keep_disk_copy:
             self._release_disk_copy(entry)
@@ -524,75 +501,136 @@ class Heaven:
         return sizes
 
     # ------------------------------------------------------------------ retrieval
+    #
+    # One pipeline serves every read.  Its input is the resolved unit (see
+    # ``_Unit``); ``read_with_report`` is a batch of one.
 
     def read(self, collection_name: str, object_name: str, region: MInterval) -> np.ndarray:
         """Read a region across the hierarchy; returns the assembled cells."""
         cells, _report = self.read_with_report(collection_name, object_name, region)
         return cells
 
-    def _prepare_for_assembly(self, mdd: MDD, region: MInterval):
-        """``MDD.prepare_read`` hook: stage *region*, return the release.
+    def _resolve_unit(
+        self,
+        collection_name: str,
+        object_name: str,
+        region: MInterval,
+        tile_ids: Optional[Sequence[int]] = None,
+    ) -> _Unit:
+        """Look one unit up and validate it, THEN record the access: a
+        rejected unit leaves the access statistics (eSTAR's input) alone."""
+        mdd = self.storage.collection(collection_name).get(object_name)
+        if tile_ids is None:
+            cover = [t.tile_id for t in mdd.tiles_for(region)]
+        else:
+            for tile_id in tile_ids:
+                if tile_id not in mdd.tiles:
+                    raise HeavenError(
+                        f"object {object_name!r} has no tile {tile_id}"
+                    )
+            cover = sorted(tile_ids)
+        self._record_access(mdd, region)
+        return _Unit(mdd, region, cover, tile_ids is None)
 
-        The hook's ticket is created on behalf of whichever read is
-        currently assembling, so its pins are attributed to that read's
-        ticket (reports tally pin *events*, which outlive the release
-        MDD.read performs after assembly).
+    @staticmethod
+    def _assemble_unit(unit: _Unit) -> Union[np.ndarray, Dict[int, np.ndarray]]:
+        """Answer a staged unit: region cells, or ``{tile_id: cells}``."""
+        mdd = unit.mdd
+        if unit.whole:
+            return mdd.read(unit.region)
+        return {t: mdd.materialize_tile(mdd.tiles[t]) for t in unit.cover}
+
+    def _read_units(
+        self,
+        units: Sequence[_Unit],
+        span_name: str,
+        label: Optional[Tuple[str, str]] = None,
+        **span_attributes: object,
+    ) -> Tuple[List, RetrievalReport]:
+        """Stage, assemble and report a batch of resolved units.
+
+        Inter-query scheduling (Kapitel 3.4.3): the tape requests of every
+        unit are merged and ordered together, so each medium is exchanged
+        at most once per batch even when the units interleave objects.
+        *label* overrides the report's ``(object_name, region)``.
         """
-        ticket = self.prepare_region(mdd, region)
-        owner = self._active_ticket
-        if owner is not None and owner is not ticket:
-            owner.pins += ticket.pins
-        return ticket.release
+        with self.tracer.span(span_name, always=True, **span_attributes) as span:
+            with self._staged([(u.mdd, u.cover) for u in units]) as ticket:
+                with self.tracer.span(
+                    "heaven.assemble", batch=len(units)
+                ) as assemble_span:
+                    answers = [self._assemble_unit(unit) for unit in units]
+                self._observe_assemble_wall(assemble_span)
+        mdds = [unit.mdd for unit in units]
+        object_name, region = label or (
+            ",".join(sorted({mdd.name for mdd in mdds})),
+            f"batch of {len(units)}",
+        )
+        report = self._report_from_span(
+            span,
+            ticket,
+            object_name=object_name,
+            region=region,
+            tiles_needed=sum(len(unit.cover) for unit in units),
+            bytes_useful=sum(_answer_nbytes(answer) for answer in answers),
+        )
+        self._note_degradation(report, mdds)
+        return answers, report
 
     def read_with_report(
         self, collection_name: str, object_name: str, region: MInterval
     ) -> Tuple[np.ndarray, RetrievalReport]:
         """Like :meth:`read` but also returns the cost report."""
-        collection = self.storage.collection(collection_name)
-        mdd = collection.get(object_name)
-        # Pin attribution: this read owns exactly its ticket's pins plus
-        # the pins taken on its behalf mid-assembly (the prepare hook's
-        # nested ticket, resolver restage-fallbacks) — those land on the
-        # ticket via ``_active_ticket``.  (A raw ``stats.pins`` delta
-        # would also count pins other queries take between the two
-        # samples under the admission layer.)
-        with self.tracer.span(
-            "heaven.read", always=True, object=object_name, region=str(region)
-        ) as span:
-            self._record_access(mdd, region)
-            ticket = self.prepare_region(mdd, region)
-            outer, self._active_ticket = self._active_ticket, ticket
-            try:
-                with self.tracer.span(
-                    "heaven.assemble", object=object_name
-                ) as assemble_span:
-                    cells = mdd.read(region)
-                self._observe_assemble_wall(assemble_span)
-            finally:
-                self._active_ticket = outer
-                ticket.release()
-        report = self._report_from_span(
-            span,
-            object_name=object_name,
-            region=str(region),
-            tiles_needed=len(mdd.tiles_for(region)),
-            ticket=ticket,
-            bytes_useful=int(cells.nbytes),
-            pins=ticket.pins,
+        unit = self._resolve_unit(collection_name, object_name, region)
+        label = (object_name, str(region))
+        (cells,), report = self._read_units(
+            [unit], "heaven.read", label, object=object_name, region=str(region)
         )
-        self._note_degradation(report, [mdd])
         return cells, report
+
+    def read_many(
+        self, requests: Sequence[Tuple[str, str, MInterval]]
+    ) -> Tuple[List[np.ndarray], RetrievalReport]:
+        """Answer several (collection, object, region) reads as ONE batch.
+
+        Returns the per-request cell arrays and one combined cost report.
+        """
+        units = [self._resolve_unit(*request) for request in requests]
+        return self._read_units(units, "heaven.read_many", batch=len(units))
+
+    def serve_sub_reads(
+        self, requests: Sequence[SubReadRequest]
+    ) -> List[SubReadResponse]:
+        """Answer a batch of sub-read units over ONE scheduled staging pass.
+
+        The returned stats carry the batch-wide staging totals on every
+        member (``shared=True`` for batches of more than one unit); exact
+        per-unit attribution is the admission layer's job
+        (:meth:`AdmissionController.run_units`).
+        """
+        units = [
+            self._resolve_unit(
+                r.collection, r.object_name, r.parsed_region(), r.tile_ids
+            )
+            for r in requests
+        ]
+        answers, report = self._read_units(
+            units, "heaven.serve_units", batch=len(units)
+        )
+        return [
+            _unit_response(request, unit.mdd, answer, report, shared=len(units) > 1)
+            for request, unit, answer in zip(requests, units, answers)
+        ]
 
     def _report_from_span(
         self,
         span: Span,
+        ticket: StagingTicket,
         *,
         object_name: str,
         region: str,
         tiles_needed: int,
-        ticket: StagingTicket,
         bytes_useful: int,
-        pins: Optional[int] = None,
     ) -> RetrievalReport:
         """Derive a :class:`RetrievalReport` from a finished read span.
 
@@ -617,7 +655,7 @@ class Heaven:
             faults=span.count("fault"),
             backoffs=span.count("backoff"),
             restages=span.count("restage"),
-            pins=ticket.pins if pins is None else pins,
+            pins=ticket.pins,
             pin_evictions_blocked=span.count("pin-blocked"),
             waves=ticket.waves,
         )
@@ -635,11 +673,6 @@ class Heaven:
         """Feed a finished assemble span's host latency to the histograms."""
         if self.instruments is not None and span.enabled:
             self.instruments.observe_assemble_wall(span.wall_elapsed)
-
-    def _observe_stage_wall(self, span: Span) -> None:
-        """Feed a finished stage span's host latency to the histograms."""
-        if self.instruments is not None and span.enabled:
-            self.instruments.observe_stage_wall(span.wall_elapsed)
 
     def _note_degradation(
         self, report: RetrievalReport, mdds: Sequence[MDD]
@@ -666,117 +699,19 @@ class Heaven:
         self, collection_name: str, object_name: str, frame: Frame, fill: float = 0.0
     ) -> Tuple[MArray, np.ndarray]:
         """Framed read (Object Framing): fetch only tiles inside the frame."""
-        collection = self.storage.collection(collection_name)
-        mdd = collection.get(object_name)
+        mdd = self.storage.collection(collection_name).get(object_name)
         needed = tiles_in_frame(mdd, frame)
         with self.tracer.span(
             "heaven.read_frame", object=object_name, tiles=len(needed)
         ):
-            ticket: Optional[StagingTicket] = None
             if needed:
                 self._record_access(mdd, frame.bounding_box().intersection(mdd.domain) or mdd.domain)
-                ticket = self._stage_tiles(mdd, [t.tile_id for t in needed])
-            try:
+            with self._staged([(mdd, [t.tile_id for t in needed])]):
                 return _read_frame(mdd, frame, fill=fill)
-            finally:
-                if ticket is not None:
-                    ticket.release()
 
     def query(self, text: str) -> List[QueryResult]:
         """Run a RasQL query transparently over the whole hierarchy."""
         return self.executor.execute(text)
-
-    def read_many(
-        self, requests: Sequence[Tuple[str, str, MInterval]]
-    ) -> Tuple[List[np.ndarray], RetrievalReport]:
-        """Answer several (collection, object, region) reads as ONE batch.
-
-        Inter-query scheduling (Kapitel 3.4.3): the tape requests of every
-        query are merged and ordered together, so each medium is exchanged
-        at most once per batch even when the queries interleave objects.
-        Returns the per-request cell arrays and one combined cost report.
-        """
-        resolved: List[Tuple[MDD, MInterval]] = []
-        for collection_name, object_name, region in requests:
-            mdd = self.storage.collection(collection_name).get(object_name)
-            self._record_access(mdd, region)
-            resolved.append((mdd, region))
-        # Same owned-pin attribution as read_with_report: pins taken on
-        # the batch's behalf mid-assembly land on the batch's ticket.
-        with self.tracer.span(
-            "heaven.read_many", always=True, batch=len(requests)
-        ) as span:
-            ticket = self._stage_many(
-                [
-                    (mdd, [t.tile_id for t in mdd.tiles_for(region)])
-                    for mdd, region in resolved
-                ]
-            )
-            outer, self._active_ticket = self._active_ticket, ticket
-            try:
-                with self.tracer.span(
-                    "heaven.assemble", batch=len(requests)
-                ) as assemble_span:
-                    outputs = [mdd.read(region) for mdd, region in resolved]
-                self._observe_assemble_wall(assemble_span)
-            finally:
-                self._active_ticket = outer
-                ticket.release()
-        report = self._report_from_span(
-            span,
-            object_name=",".join(sorted({m.name for m, _r in resolved})),
-            region=f"batch of {len(requests)}",
-            tiles_needed=sum(
-                len(mdd.tiles_for(region)) for mdd, region in resolved
-            ),
-            ticket=ticket,
-            bytes_useful=sum(int(cells.nbytes) for cells in outputs),
-            pins=ticket.pins,
-        )
-        self._note_degradation(report, [mdd for mdd, _region in resolved])
-        return outputs, report
-
-    def read_concurrent(
-        self,
-        requests: Sequence[Tuple[str, str, MInterval]],
-        **controller_kwargs,
-    ):
-        """Answer several reads as *concurrent queries* through admission.
-
-        Unlike :meth:`read_many` (one caller, one batch, one combined
-        report) this spins up one query task per request, runs them under
-        the cooperative round-robin stepper of
-        :class:`~repro.core.admission.AdmissionController`, and returns
-        per-query cell arrays plus a
-        :class:`~repro.core.admission.MultiQueryReport` with per-query
-        cost reports and fusion accounting.  Keyword arguments are passed
-        to the controller (``holdback_s``, ``aging_bound_s``,
-        ``schedule_seed``, …).
-        """
-        from .admission import AdmissionController, QuerySpec
-
-        controller = AdmissionController(self, **controller_kwargs)
-        specs = [
-            QuerySpec(collection=c, object_name=o, region=r)
-            for c, o, r in requests
-        ]
-        return controller.run(specs)
-
-    def prepare_region(self, mdd: MDD, region: MInterval) -> StagingTicket:
-        """Batch-stage every super-tile the region needs.
-
-        Returns the batch's :class:`StagingTicket`; the caller must
-        :meth:`~StagingTicket.release` it after assembling the region.
-        Objects not archived need no staging (their tiles live on disk)
-        and get an empty ticket.
-        """
-        entry = self._archived.get(mdd.name)
-        if entry is None:
-            return StagingTicket(cache=self.disk_cache)
-        needed_tiles = [t.tile_id for t in mdd.tiles_for(region)]
-        return self._stage_tiles(mdd, needed_tiles)
-
-    # ------------------------------------------------------------------ service units
 
     def describe_object(
         self, collection_name: str, object_name: str
@@ -807,111 +742,27 @@ class Heaven:
             archived=entry is not None,
         )
 
-    def serve_sub_read(self, request: SubReadRequest) -> SubReadResponse:
-        """Answer one serializable sub-read unit (see :mod:`.units`)."""
-        return self.serve_sub_reads([request])[0]
-
-    def serve_sub_reads(
-        self, requests: Sequence[SubReadRequest]
-    ) -> List[SubReadResponse]:
-        """Answer a batch of sub-read units over ONE scheduled staging pass.
-
-        This is the data-node entry of the service tier: the batch's tile
-        demands are merged into a single :meth:`_stage_many` pass (fused
-        sweeps, pinned segments, capacity waves), then each unit's tiles
-        are materialised into zero-copy payload views.  The returned stats
-        carry batch-wide staging totals on every member (``shared=True``
-        for batches of more than one unit); exact per-unit attribution is
-        the admission layer's job (:meth:`AdmissionController.run_units`).
-        """
-        resolved: List[Tuple[SubReadRequest, MDD, List[int]]] = []
-        for request in requests:
-            mdd = self.storage.collection(request.collection).get(
-                request.object_name
-            )
-            region = request.parsed_region()
-            self._record_access(mdd, region)
-            if request.tile_ids is None:
-                tile_ids = [t.tile_id for t in mdd.tiles_for(region)]
-            else:
-                for tile_id in request.tile_ids:
-                    if tile_id not in mdd.tiles:
-                        raise HeavenError(
-                            f"object {request.object_name!r} has no tile "
-                            f"{tile_id}"
-                        )
-                tile_ids = sorted(request.tile_ids)
-            resolved.append((request, mdd, tile_ids))
-        with self.tracer.span(
-            "heaven.serve_units", always=True, batch=len(requests)
-        ) as span:
-            ticket = self._stage_many(
-                [(mdd, tile_ids) for _req, mdd, tile_ids in resolved]
-            )
-            outer, self._active_ticket = self._active_ticket, ticket
-            responses: List[SubReadResponse] = []
-            try:
-                with self.tracer.span(
-                    "heaven.assemble", batch=len(requests)
-                ) as assemble_span:
-                    for request, mdd, tile_ids in resolved:
-                        tiles = [
-                            TilePayload.from_cells(
-                                tile_id,
-                                mdd.tiles[tile_id].domain,
-                                mdd.cell_type,
-                                mdd.materialize_tile(mdd.tiles[tile_id]),
-                            )
-                            for tile_id in tile_ids
-                        ]
-                        responses.append(
-                            SubReadResponse(
-                                request_id=request.request_id,
-                                object_name=request.object_name,
-                                region=request.region,
-                                dtype=mdd.cell_type.name,
-                                tiles=tiles,
-                            )
-                        )
-                self._observe_assemble_wall(assemble_span)
-            finally:
-                self._active_ticket = outer
-                ticket.release()
-        stats = SubReadStats(
-            bytes_from_tape=max(span.bytes_in("read"), ticket.bytes_from_tape),
-            exchanges=span.count("load"),
-            virtual_seconds=span.virtual_elapsed,
-            faults=span.count("fault"),
-            restages=span.count("restage"),
-            super_tiles_staged=ticket.staged,
-            shared=len(requests) > 1,
-        )
-        tiles_needed = 0
-        bytes_useful = 0
-        for response in responses:
-            per_unit = SubReadStats(**{**stats.__dict__})
-            per_unit.bytes_useful = sum(t.nbytes for t in response.tiles)
-            response.stats = per_unit
-            tiles_needed += len(response.tiles)
-            bytes_useful += per_unit.bytes_useful
-        self.read_tiles_needed += tiles_needed
-        self.read_bytes_useful += bytes_useful
-        if self.instruments is not None:
-            self.instruments.observe_read(
-                stats.virtual_seconds,
-                stats.bytes_from_tape,
-                wall_seconds=span.wall_elapsed,
-            )
-        return responses
-
     # ------------------------------------------------------------------ staging
 
-    def _stage_tiles(self, mdd: MDD, tile_ids: Sequence[int]) -> StagingTicket:
-        """Stage and pin the super-tiles backing *tile_ids*.
+    @contextmanager
+    def _staged(
+        self, pairs: Sequence[Tuple[MDD, Sequence[int]]]
+    ) -> Iterator[StagingTicket]:
+        """Stage *pairs* and hold their pins for the ``with`` body.
 
-        The returned ticket must be released once the tiles were read.
+        The body runs with the batch's ticket as the active one; the
+        batch's own staging runs with none, so a read nested in another's
+        assembly never charges the outer read.
         """
-        return self._stage_many([(mdd, tile_ids)])
+        outer, self._active_ticket = self._active_ticket, None
+        ticket: Optional[StagingTicket] = None
+        try:
+            ticket = self._active_ticket = self._stage_many(pairs)
+            yield ticket
+        finally:
+            self._active_ticket = outer
+            if ticket is not None:
+                ticket.release()
 
     def _stage_many(
         self, pairs: Sequence[Tuple[MDD, Sequence[int]]]
@@ -949,10 +800,16 @@ class Heaven:
                     waves=ticket.waves,
                     pins=ticket.pins,
                 )
-            self._observe_stage_wall(stage_span)
+            if self.instruments is not None and stage_span.enabled:
+                self.instruments.observe_stage_wall(stage_span.wall_elapsed)
         except BaseException:
             ticket.release()
             raise
+        finally:
+            # Staged while another ticket's batch is assembling: the pins
+            # were taken on that batch's behalf (see ``_staged``).
+            if self._active_ticket is not None:
+                self._active_ticket.pins += ticket.pins
         return ticket
 
     # The three resumable staging units below used to be one private
@@ -1050,18 +907,6 @@ class Heaven:
         here unchanged; per-query attribution of the shared bytes happens
         on their side via
         :func:`~repro.core.scheduler.attribute_request_bytes`.
-        """
-        with self.tracer.span("scheduler.plan", requests=len(requests)):
-            ordered = self.scheduler.order(list(requests), self.library)
-        self._stage_in_waves(ordered, needs, ticket)
-
-    def _stage_in_waves(
-        self,
-        ordered: Sequence[TapeRequest],
-        needs: Dict[str, _SegmentNeed],
-        ticket: StagingTicket,
-    ) -> None:
-        """Execute scheduler-ordered requests in capacity-sized waves.
 
         Waves cut the ordered request stream greedily at the cache's free
         budget (capacity minus currently pinned bytes), preserving the
@@ -1071,6 +916,8 @@ class Heaven:
         space; the final wave's pins ride on the ticket until the caller
         assembled its tiles.
         """
+        with self.tracer.span("scheduler.plan", requests=len(requests)):
+            ordered = self.scheduler.order(list(requests), self.library)
         capacity = self.disk_cache.capacity_bytes
         index, total = 0, len(ordered)
         with self.tracer.span("library.stage", requests=total):
@@ -1201,21 +1048,14 @@ class Heaven:
         be cached on disk.
         """
         run_start, _run_length = need.run
-        arena = self._arena_for([need])
-        self._decode_arena, outer_arena = arena, self._decode_arena
-        try:
-            for tile_id in need.tile_ids:
-                tile = need.mdd.tiles[tile_id]
-                offset, length = need.super_tile.tile_extents[tile_id]
-                raw = None
-                if payload is not None:
-                    raw = payload[
-                        offset - run_start : offset - run_start + length
-                    ]
-                cells = self._decode_tile(need.entry, need.mdd, tile, raw)
-                self._cache_tile(need.mdd, tile, cells)
-        finally:
-            self._decode_arena = outer_arena
+        for tile_id in need.tile_ids:
+            tile = need.mdd.tiles[tile_id]
+            offset, length = need.super_tile.tile_extents[tile_id]
+            raw = None
+            if payload is not None:
+                raw = payload[offset - run_start : offset - run_start + length]
+            cells = self._decode_tile(need.entry, need.mdd, tile, raw)
+            self._cache_tile(need.mdd, tile, cells)
 
     def _drain_wave(
         self,
@@ -1223,55 +1063,18 @@ class Heaven:
         needs: Dict[str, _SegmentNeed],
         ticket: StagingTicket,
     ) -> None:
-        """Materialise a finished wave's tiles, then release its pins.
-
-        With a codec that decodes natively into caller buffers, the
-        whole wave decompresses into one wave-scoped arena
-        (:class:`_DecodeArena`) instead of a fresh allocation per tile;
-        the arena dies with the wave, so the cached views can never alias
-        a reused buffer.  The shipped codecs skip the arena (see
-        :meth:`_arena_for`) and serve read-only views instead.
-        """
+        """Materialise a finished wave's tiles, then release its pins."""
         with self.tracer.span("heaven.drain", segments=len(staged_keys)):
-            arena = self._arena_for([needs[key] for key in staged_keys])
-            self._decode_arena, outer_arena = arena, self._decode_arena
-            try:
-                for key in staged_keys:
-                    need = needs[key]
-                    for tile_id in need.tile_ids:
-                        self._resolve_tile(need.mdd, need.mdd.tiles[tile_id])
-                    try:
-                        self.disk_cache.unpin(key)
-                    except CacheError:
-                        pass  # invalidated while draining (shouldn't happen)
-                    if key in ticket.pinned:
-                        ticket.pinned.remove(key)
-            finally:
-                self._decode_arena = outer_arena
-
-    def _arena_for(
-        self, needs: Sequence[_SegmentNeed]
-    ) -> Optional["_DecodeArena"]:
-        """Size one decode arena for the compressed tiles of *needs*.
-
-        ``None`` unless the codec decodes natively into caller buffers
-        (``wants_decode_arena``) and something in the wave actually
-        decompresses.  For the shipped codecs the view path wins
-        everywhere: uncompressed payloads (and zlib stored frames) decode
-        as views straight over the cached segment, and Python's zlib
-        cannot inflate into an existing buffer — routing it through an
-        arena was measured *slower* than ``decompress_view``.
-        """
-        if not self.codec.wants_decode_arena:
-            return None
-        total = 0
-        for need in needs:
-            if need.entry.stored_sizes is None:
-                continue
-            for tile_id in need.tile_ids:
-                if not self.memory_cache.peek(need.mdd.name, tile_id):
-                    total += need.mdd.tiles[tile_id].size_bytes
-        return _DecodeArena(total) if total > 0 else None
+            for key in staged_keys:
+                need = needs[key]
+                for tile_id in need.tile_ids:
+                    self._resolve_tile(need.mdd, need.mdd.tiles[tile_id])
+                try:
+                    self.disk_cache.unpin(key)
+                except CacheError:
+                    pass  # invalidated while draining (shouldn't happen)
+                if key in ticket.pinned:
+                    ticket.pinned.remove(key)
 
     def _required_run(
         self, super_tile: SuperTile, needed: Sequence[int]
@@ -1372,33 +1175,24 @@ class Heaven:
         if entry is None:
             raise HeavenError(f"resolver called for unarchived object {mdd.name!r}")
         if entry.disk_copy:
-            # Dual residence (keep_disk_copy=True): the faster copy wins.
+            # Dual residence (keep_disk_copy=True): the faster copy wins,
+            # read by the storage manager's own BLOB resolver.
             assert mdd.oid is not None
-            raw = self.db.blobs.get(self.storage.blob_oid_of(mdd.oid, tile.tile_id))
-            if raw is not None:
-                # Zero-copy: ``bytes`` BLOBs are immutable, so the
-                # frombuffer view is read-only by construction.
-                cells = np.frombuffer(raw, dtype=mdd.cell_type.dtype).reshape(
-                    tile.domain.shape
-                )
-            elif mdd.source is not None:
-                cells = mdd.source.region(tile.domain, mdd.cell_type)
-            else:
-                raise HeavenError(
-                    f"tile {tile.tile_id} of {mdd.name!r}: disk copy holds no "
-                    "payload and no source exists"
-                )
+            cells = self.storage._make_resolver(mdd.oid)(mdd, tile)
             return self._cache_tile(mdd, tile, cells)
         super_tile = entry.super_tile_of(tile.tile_id)
         key = super_tile.segment_name
         assert key is not None
-        run = entry.staged_runs.get(key)
-        tile_offset, tile_length = super_tile.tile_extents[tile.tile_id]
-        in_cache = key in self.disk_cache and run is not None and self._covers(
-            run, (tile_offset, tile_length)
-        )
-        ticket: Optional[StagingTicket] = None
-        if not in_cache:
+        extent = tile_offset, tile_length = super_tile.tile_extents[tile.tile_id]
+
+        def covering_run() -> Optional[Tuple[int, int]]:
+            run = entry.staged_runs.get(key)
+            if key in self.disk_cache and run is not None and self._covers(run, extent):
+                return run
+            return None
+
+        run = covering_run()
+        if run is None:
             # Fallback: the segment is gone (or its run too narrow) even
             # though batch staging ran — the thrash class the pinned
             # pipeline exists to prevent.  Count it and leave a marker
@@ -1408,33 +1202,21 @@ class Heaven:
                 0.0, "restage", "heaven-cache",
                 detail=f"{key}:{tile.tile_id}",
             )
-            # Pins this fallback takes belong to the read being assembled;
-            # the stats delta is exact because nothing else can run inside
-            # this synchronous call.
-            repin_base = self.disk_cache.stats.pins
             try:
-                ticket = self._stage_tiles(mdd, [tile.tile_id])
+                # Nothing can insert into the cache between this call and
+                # the read below, so the pins are not held across it.
+                self._stage_many([(mdd, [tile.tile_id])]).release()
             except CachePinnedError:
-                ticket = None
-            else:
-                run = entry.staged_runs.get(key)
-                if run is None or not self._covers(
-                    run, (tile_offset, tile_length)
-                ):
-                    # Either the staging wave degraded (cache fully pinned,
-                    # tile materialised straight into the memory cache) or
-                    # the re-staged run landed narrower/shifted — e.g. an
-                    # interleaved batch re-planned the segment around its
-                    # own tiles.  Reading through a non-covering run would
-                    # compute a negative in-run offset (CacheError) or,
-                    # worse, silently decode the wrong bytes.
-                    ticket.release()
-                    ticket = None
-            finally:
-                owner = self._active_ticket
-                if owner is not None:
-                    owner.pins += self.disk_cache.stats.pins - repin_base
-            if ticket is None:
+                pass
+            run = covering_run()
+            if run is None:
+                # Either the staging wave degraded (cache fully pinned,
+                # tile materialised straight into the memory cache) or the
+                # re-staged run landed narrower/shifted — e.g. an
+                # interleaved batch re-planned the segment around its own
+                # tiles.  Reading through a non-covering run would compute
+                # a negative in-run offset (CacheError) or, worse, silently
+                # decode the wrong bytes.
                 cached = self.memory_cache.get(mdd.name, tile.tile_id)
                 if cached is not None:
                     return cached
@@ -1447,14 +1229,8 @@ class Heaven:
                 raw = self._segment_payload(key, tile_offset, tile_length)
                 cells = self._decode_tile(entry, mdd, tile, raw)
                 return self._cache_tile(mdd, tile, cells)
-        try:
-            assert run is not None
-            raw = self.disk_cache.read(key, tile_offset - run[0], tile_length)
-            cells = self._decode_tile(entry, mdd, tile, raw)
-        finally:
-            if ticket is not None:
-                ticket.release()
-        return self._cache_tile(mdd, tile, cells)
+        raw = self.disk_cache.read(key, tile_offset - run[0], tile_length)
+        return self._cache_tile(mdd, tile, self._decode_tile(entry, mdd, tile, raw))
 
     def _cache_tile(
         self, mdd: MDD, tile: Tile, cells: np.ndarray
@@ -1482,22 +1258,14 @@ class Heaven:
 
         Zero-copy: the returned array is a **read-only view** — over the
         cache-owned segment bytes for uncompressed payloads, over the
-        codec's freshly-decompressed buffer (or the active wave arena)
-        otherwise.  No defensive copy: the buffers underneath are either
-        immutable (``bytes``/read-only ``memoryview``) or exclusively
-        owned by this decode.
+        codec's freshly-decompressed buffer otherwise.  No defensive copy:
+        the buffers underneath are either immutable (``bytes``/read-only
+        ``memoryview``) or exclusively owned by this decode.
         """
         if raw is not None:
+            view: Union[bytes, memoryview]
             if entry.stored_sizes is not None:
-                arena = self._decode_arena
-                out = (
-                    arena.carve(tile.size_bytes) if arena is not None else None
-                )
-                if out is not None:
-                    self.codec.decompress_into(raw, out)
-                    view: Union[bytes, memoryview] = out.toreadonly()
-                else:
-                    view = self.codec.decompress_view(raw, tile.size_bytes)
+                view = self.codec.decompress_view(raw, tile.size_bytes)
             elif isinstance(raw, memoryview):
                 view = raw.toreadonly()
             else:
@@ -1518,17 +1286,23 @@ class Heaven:
         """Delete an object everywhere: caches, tape segments, catalogs."""
         entry = self._archived.pop(object_name, None)
         if entry is not None:
-            for super_tile in entry.super_tiles:
-                if super_tile.segment_name is not None:
-                    if super_tile.segment_name in self.disk_cache:
-                        self.disk_cache.invalidate(super_tile.segment_name)
-                    self.library.delete_segment(super_tile.segment_name)
-            self.memory_cache.invalidate_object(object_name)
+            self._detach_from_tape(entry)
             self.precomputed.drop_object(object_name)
             self.pyramids.drop_object(object_name)
             entry.mdd.resolver = None
-            entry.mdd.prepare_read = None
         self.storage.delete_object(collection_name, object_name)
+
+    def _detach_from_tape(self, entry: ArchivedObject) -> None:
+        """Release *entry*'s tape segments, cached runs, tiles and read hook."""
+        for super_tile in entry.super_tiles:
+            if super_tile.segment_name is not None:
+                if super_tile.segment_name in self.disk_cache:
+                    self.disk_cache.invalidate(super_tile.segment_name)
+                self.library.delete_segment(super_tile.segment_name)
+                super_tile.segment_name = None
+                super_tile.medium_id = None
+        self.memory_cache.invalidate_object(entry.mdd.name)
+        entry.mdd.prepare_read = None
 
     def update(
         self,
@@ -1563,15 +1337,12 @@ class Heaven:
             for st_index in affected_sts
             for tile_id in entry.super_tiles[st_index].tile_ids
         ]
-        ticket = self._stage_tiles(mdd, tiles_to_load)
-        try:
+        with self._staged([(mdd, tiles_to_load)]):
             for tile_id in tiles_to_load:
                 tile = mdd.tiles[tile_id]
                 # The resolver's arrays are frozen; set_payload snapshots
                 # non-writable input itself, so no defensive copy here.
                 tile.set_payload(self._resolve_tile(mdd, tile))
-        finally:
-            ticket.release()
         mdd.write(region, cells)
         # Re-export affected super-tiles as fresh segments.
         compressing = entry.stored_sizes is not None
@@ -1635,15 +1406,21 @@ class Heaven:
             mdd.tiles[tile_id].drop_payload()
         return len(affected_sts)
 
-    def _refresh_disk_blobs(self, mdd: MDD, tile_ids: Sequence[int]) -> None:
-        """Rewrite the tile BLOBs of *tile_ids* from their current payloads."""
+    def _refresh_disk_blobs(
+        self,
+        mdd: MDD,
+        tile_ids: Sequence[int],
+        cells_of: Callable[[Tile], np.ndarray] = attrgetter("payload"),
+    ) -> None:
+        """Rewrite the tile BLOBs of *tile_ids* from ``cells_of(tile)``."""
         assert mdd.oid is not None
         for tile_id in tile_ids:
             tile = mdd.tiles[tile_id]
+            cells = cells_of(tile)
             blob_payload = None
             if self.db.blobs.retain_payload:
                 blob_payload = np.ascontiguousarray(
-                    tile.payload, dtype=mdd.cell_type.dtype
+                    cells, dtype=mdd.cell_type.dtype
                 ).tobytes()
             new_blob = self.db.put_blob(blob_payload, size=tile.size_bytes)
             row = self.db.table("ras_tiles").find_pk(f"{mdd.oid}:{tile_id}")
@@ -1661,40 +1438,17 @@ class Heaven:
         hierarchy — so it can later be re-archived (possibly with fresher
         access statistics).  Returns the number of tiles re-imported.
         """
-        collection = self.storage.collection(collection_name)
-        mdd = collection.get(object_name)
-        entry = self._archived.get(object_name)
-        if entry is None:
-            raise HeavenError(f"object {object_name!r} is not archived")
+        mdd = self.storage.collection(collection_name).get(object_name)
+        entry = self.archived(object_name)
         all_tiles = sorted(mdd.tiles)
-        ticket = self._stage_tiles(mdd, all_tiles)
+        with self._staged([(mdd, all_tiles)]):
+            self._refresh_disk_blobs(
+                mdd, all_tiles, lambda tile: self._resolve_tile(mdd, tile)
+            )
         assert mdd.oid is not None
-        try:
-            for tile_id in all_tiles:
-                tile = mdd.tiles[tile_id]
-                cells = self._resolve_tile(mdd, tile)
-                payload = None
-                if self.db.blobs.retain_payload:
-                    payload = np.ascontiguousarray(
-                        cells, dtype=mdd.cell_type.dtype
-                    ).tobytes()
-                new_blob = self.db.put_blob(payload, size=tile.size_bytes)
-                row = self.db.table("ras_tiles").find_pk(f"{mdd.oid}:{tile_id}")
-                assert row is not None
-                self.db.update("ras_tiles", row[0], {"blob_oid": new_blob})
-        finally:
-            ticket.release()
-        for super_tile in entry.super_tiles:
-            if super_tile.segment_name is not None:
-                if super_tile.segment_name in self.disk_cache:
-                    self.disk_cache.invalidate(super_tile.segment_name)
-                self.library.delete_segment(super_tile.segment_name)
-                super_tile.segment_name = None
-                super_tile.medium_id = None
+        self._detach_from_tape(entry)
         del self._archived[object_name]
         mdd.resolver = self.storage._make_resolver(mdd.oid)
-        mdd.prepare_read = None
-        self.memory_cache.invalidate_object(object_name)
         return len(all_tiles)
 
     # ------------------------------------------------------------------ hooks
@@ -1721,7 +1475,7 @@ class Heaven:
         return self.precomputed.try_answer(
             name,
             ref,
-            prepare=lambda mdd, tile_ids: self._stage_tiles(mdd, tile_ids).release,
+            prepare=lambda mdd, tile_ids: self._stage_many([(mdd, tile_ids)]).release,
         )
 
     def _frame_extension(self, _executor: QueryExecutor, args: List) -> MArray:
@@ -1730,16 +1484,9 @@ class Heaven:
             raise HeavenError('frame() expects (object, "box; box; ...")')
         ref: MDDRef = args[0]
         frame = MultiBoxFrame.parse(args[1])
-        entry = self._archived.get(ref.mdd.name)
-        ticket: Optional[StagingTicket] = None
-        if entry is not None:
-            needed = tiles_in_frame(ref.mdd, frame)
-            ticket = self._stage_tiles(ref.mdd, [t.tile_id for t in needed])
-        try:
+        needed = tiles_in_frame(ref.mdd, frame)
+        with self._staged([(ref.mdd, [t.tile_id for t in needed])]):
             framed, _mask = _read_frame(ref.mdd, frame)
-        finally:
-            if ticket is not None:
-                ticket.release()
         return framed
 
     # ------------------------------------------------------------------ statistics

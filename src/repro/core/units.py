@@ -23,20 +23,25 @@ a remote node tomorrow without changing shape.
 it answers a batch of units over one staging pass, and
 :meth:`repro.core.admission.AdmissionController.run_units` answers them
 as concurrent queries with fused sweeps and exact per-unit byte
-attribution.
+attribution.  Both resolve and assemble units through the same code and
+shape their responses with :func:`_unit_response`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..arrays.celltype import CellType, lookup as lookup_cell_type
+from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..errors import CellTypeError, WireFormatError
+
+if TYPE_CHECKING:
+    from .heaven import RetrievalReport
 
 __all__ = [
     "SubReadRequest",
@@ -292,8 +297,8 @@ class SubReadResponse:
     """The answer to one :class:`SubReadRequest`.
 
     Either ``error`` is set (typed failure inside the serving node) or the
-    unit carries its tiles — and, for region-form requests answered by the
-    admission layer, optionally the pre-assembled region cells.
+    unit carries its answer: the tiles of a tile-subset request, or the
+    pre-assembled region cells of a region-form one (``tile_ids=None``).
     """
 
     request_id: str
@@ -380,6 +385,56 @@ class SubReadResponse:
             error=None if error is None else WireError.from_dict(dict(error)),
             completion_v=float(header.get("completion_v", 0.0)),
         )
+
+
+def _answer_nbytes(answer: Union[np.ndarray, Dict[int, np.ndarray]]) -> int:
+    """Cell bytes of one assembled unit (region cells or per-tile cells)."""
+    parts = answer.values() if isinstance(answer, dict) else (answer,)
+    return sum(int(cells.nbytes) for cells in parts)
+
+
+def _unit_response(
+    request: SubReadRequest,
+    mdd: MDD,
+    answer: Union[np.ndarray, Dict[int, np.ndarray]],
+    report: "RetrievalReport",
+    *,
+    shared: bool,
+) -> SubReadResponse:
+    """Shape one assembled unit and the cost report covering it as a response.
+
+    A whole-region unit (*answer* is the region's cells) travels as
+    ``region_cells``; a tile-subset unit (``{tile_id: cells}``) as tiles.
+    """
+    tiles: List[TilePayload] = []
+    region_cells = None
+    if isinstance(answer, dict):
+        tiles = [
+            TilePayload.from_cells(
+                tile_id, mdd.tiles[tile_id].domain, mdd.cell_type, cells
+            )
+            for tile_id, cells in sorted(answer.items())
+        ]
+    else:
+        region_cells = _as_payload(answer)
+    return SubReadResponse(
+        request_id=request.request_id,
+        object_name=request.object_name,
+        region=request.region,
+        dtype=mdd.cell_type.name,
+        tiles=tiles,
+        region_cells=region_cells,
+        stats=SubReadStats(
+            bytes_useful=_answer_nbytes(answer),
+            bytes_from_tape=report.bytes_from_tape,
+            exchanges=report.exchanges,
+            virtual_seconds=report.virtual_seconds,
+            faults=report.faults,
+            restages=report.restages,
+            super_tiles_staged=report.super_tiles_staged,
+            shared=shared,
+        ),
+    )
 
 
 @dataclass(frozen=True)

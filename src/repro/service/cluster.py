@@ -44,15 +44,12 @@ class ServiceCluster:
         heavens: Sequence[Heaven],
         *,
         objects: Iterable[Tuple[str, str]],
-        fusion: str = "admission",
-        wire: str = "frames",
         fault_plan: Optional[ServiceFaultPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
         timeout_s: float = 30.0,
         retries: int = 1,
         partial_results: bool = False,
         replicas: int = 64,
-        controller_kwargs: Optional[Dict[str, object]] = None,
     ) -> None:
         if not heavens:
             raise ServiceError("a service cluster needs at least one data node")
@@ -64,14 +61,7 @@ class ServiceCluster:
         for index, heaven in enumerate(self.heavens):
             node_id = f"dn{index}"
             self.ring.add_node(node_id)
-            self.nodes[node_id] = DataNode(
-                node_id,
-                heaven,
-                fusion=fusion,
-                wire=wire,
-                fault_plan=fault_plan,
-                controller_kwargs=controller_kwargs,
-            )
+            self.nodes[node_id] = DataNode(node_id, heaven, fault_plan=fault_plan)
         # Every data node holds the same schema (build mode runs the same
         # setup everywhere; over mode shares one instance), so any node
         # can describe the catalog.

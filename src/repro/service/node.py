@@ -5,18 +5,14 @@ and a whole :class:`~repro.core.heaven.Heaven` instance (its own clock,
 disk cache, drive pool).  Requests arrive through an inbox queue; the
 worker task drains the queue in **batches**, so sub-reads from many
 concurrent tenants that land while the node is busy are answered in one
-fused staging pass:
+fused staging pass through
+:meth:`~repro.core.admission.AdmissionController.run_units` — per-unit
+leases and EXACT per-unit tape-byte attribution (no cross-tenant
+leakage).
 
-* ``fusion="admission"`` (default) runs the batch through
-  :meth:`~repro.core.admission.AdmissionController.run_units` — per-unit
-  leases and EXACT per-unit tape-byte attribution (no cross-tenant
-  leakage);
-* ``fusion="serial"`` serves units one at a time via
-  :meth:`~repro.core.heaven.Heaven.serve_sub_read` (baseline).
-
-With ``wire="frames"`` every response round-trips through the binary
-wire format before being handed back — the local dispatch exercises the
-exact bytes a remote deployment would ship.
+Every response round-trips through the binary wire format before being
+handed back — the local dispatch exercises the exact bytes a remote
+deployment would ship.
 
 Virtual throughput model: the node keeps a *virtual frontier* — the
 cluster-timeline instant it becomes free.  A batch starts at
@@ -31,7 +27,7 @@ in this repo).
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.admission import AdmissionController
 from ..core.heaven import Heaven
@@ -50,21 +46,11 @@ class DataNode:
         node_id: str,
         heaven: Heaven,
         *,
-        fusion: str = "admission",
-        wire: str = "frames",
         fault_plan: Optional[ServiceFaultPlan] = None,
-        controller_kwargs: Optional[Dict[str, object]] = None,
     ) -> None:
-        if fusion not in ("admission", "serial"):
-            raise ServiceError(f"unknown fusion mode {fusion!r}")
-        if wire not in ("frames", "none"):
-            raise ServiceError(f"unknown wire mode {wire!r}")
         self.node_id = node_id
         self.heaven = heaven
-        self.fusion = fusion
-        self.wire = wire
         self.fault_plan = fault_plan
-        self.controller_kwargs = dict(controller_kwargs or {})
         # Created per start(): an asyncio.Queue binds to the loop it is
         # first used in, and a cluster may be run() more than once (each
         # run a fresh event loop).
@@ -178,23 +164,19 @@ class DataNode:
                 self.bytes_served += response.stats.bytes_useful
             else:
                 self.requests_failed += 1
-            if self.wire == "frames":
-                encoded = response.encode()
-                self.wire_bytes += len(encoded)
-                response = SubReadResponse.decode(encoded)
+            encoded = response.encode()
+            self.wire_bytes += len(encoded)
+            response = SubReadResponse.decode(encoded)
             if not future.cancelled():
                 future.set_result(response)
 
     def _serve_requests(
         self, requests: List[SubReadRequest]
     ) -> List[SubReadResponse]:
-        if self.fusion == "serial":
-            return [self._serve_one(request) for request in requests]
         try:
-            controller = AdmissionController(
-                self.heaven, **self.controller_kwargs
+            responses, _report = AdmissionController(self.heaven).run_units(
+                requests
             )
-            responses, _report = controller.run_units(requests)
             return responses
         except (StorageError, HeavenError):
             # A poisoned batch (one unit hitting an exhausted retry
@@ -205,12 +187,9 @@ class DataNode:
 
     def _serve_one(self, request: SubReadRequest) -> SubReadResponse:
         try:
-            if self.fusion == "serial":
-                return self.heaven.serve_sub_read(request)
-            controller = AdmissionController(
-                self.heaven, **self.controller_kwargs
+            responses, _report = AdmissionController(self.heaven).run_units(
+                [request]
             )
-            responses, _report = controller.run_units([request])
             return responses[0]
         except (StorageError, HeavenError) as error:
             return SubReadResponse(

@@ -193,15 +193,3 @@ class TestSingleQuery:
         assert stats.leases > 0
         assert stats.leases == stats.lease_releases
         heaven.assert_quiescent()
-
-    def test_read_concurrent_facade(self):
-        heaven = make_heaven()
-        archive_object(heaven)
-        region = MInterval.of((0, 31), (0, 31))
-        outputs, report = heaven.read_concurrent(
-            [("col", "o0", region), ("col", "o0", region)]
-        )
-        assert len(outputs) == 2
-        assert np.array_equal(outputs[0], outputs[1])
-        assert report.sweeps >= 1
-        heaven.assert_quiescent()

@@ -1,0 +1,142 @@
+"""The read path is one pipeline whose only input is the unit.
+
+``read_with_report``, ``read_many`` and ``serve_sub_reads`` resolve their
+arguments to units and run the same stage → assemble → report function,
+so a read is a batch of one: on twin instances the three entry points
+return the same cells, the same cost numbers and the same event log.
+The admission layer resolves units through the same code, so a rejected
+unit leaves no trace whichever way it came in.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.arrays import DOUBLE, MDD, MInterval, RegularTiling
+from repro.core import Heaven, HeavenConfig
+from repro.core.admission import AdmissionController
+from repro.core.units import SubReadRequest
+from repro.errors import HeavenError
+
+SIDE = 128
+REGION = MInterval.of((8, 119), (0, 127))
+
+#: cost fields a report and a unit's stats share ...
+STAT_FIELDS = (
+    "bytes_useful", "bytes_from_tape", "exchanges", "virtual_seconds",
+    "restages", "super_tiles_staged",
+)
+#: ... and the ones only a report carries
+REPORT_FIELDS = STAT_FIELDS + ("tiles_needed", "pins", "waves")
+
+
+def make_twin() -> Heaven:
+    """Archived zlib object four times the disk cache: waves and evictions."""
+    heaven = Heaven(
+        HeavenConfig(
+            compression="zlib",
+            super_tile_bytes=8 * 1024,
+            min_super_tile_bytes=4 * 1024,
+            disk_cache_bytes=32 * 1024,
+            memory_cache_bytes=16 * 1024,
+        )
+    )
+    heaven.create_collection("col")
+    rng = np.random.default_rng(20040314)
+    cells = np.round(rng.normal(size=(SIDE, SIDE)).cumsum(axis=0), 1)
+    heaven.insert(
+        "col", MDD.from_array("obj", cells, tiling=RegularTiling((16, 16)))
+    )
+    heaven.archive("col", "obj")
+    heaven.library.unmount_all()
+    return heaven
+
+
+def unit(region: MInterval, tile_ids=None) -> SubReadRequest:
+    return SubReadRequest(
+        request_id="u", tenant="t", collection="col", object_name="obj",
+        region=str(region), tile_ids=tile_ids,
+    )
+
+
+def events_since(heaven: Heaven, cursor: int):
+    return [
+        (e.time, e.duration, e.kind, e.device, e.detail, e.bytes)
+        for e in heaven.clock.log.window(cursor)
+    ]
+
+
+class TestReadIsABatchOfOne:
+    def test_three_entry_points_agree(self):
+        single, batch, served = make_twin(), make_twin(), make_twin()
+        cursors = [h.clock.log.cursor() for h in (single, batch, served)]
+
+        cells, report = single.read_with_report("col", "obj", REGION)
+        (batch_cells,), batch_report = batch.read_many([("col", "obj", REGION)])
+        (response,) = served.serve_sub_reads([unit(REGION)])
+
+        np.testing.assert_array_equal(batch_cells, cells)
+        assert not response.tiles
+        np.testing.assert_array_equal(response.assembled(), cells)
+
+        # The scenario really exercises waves and evictions.
+        assert report.waves > 1
+        assert single.disk_cache.stats.evictions > 0
+        for name in REPORT_FIELDS:
+            assert getattr(batch_report, name) == getattr(report, name), name
+        for name in STAT_FIELDS:
+            assert getattr(response.stats, name) == getattr(report, name), name
+        assert not response.stats.shared
+
+        logs = [
+            events_since(h, cursor)
+            for h, cursor in zip((single, batch, served), cursors)
+        ]
+        assert logs[0] == logs[1] == logs[2]
+        for heaven in (single, batch, served):
+            heaven.assert_quiescent()
+
+    def test_tile_subset_unit_is_exactly_those_tiles(self):
+        heaven, twin = make_twin(), make_twin()
+        mdd = heaven.collection("col").get("obj")
+        wanted = tuple(t.tile_id for t in mdd.tiles_for(REGION))[1::3]
+        # Unsorted on purpose: the resolver sorts the subset.
+        (response,) = heaven.serve_sub_reads([unit(REGION, wanted[::-1])])
+        assert response.region_cells is None
+        assert [t.tile_id for t in response.tiles] == sorted(wanted)
+        twin_mdd = twin.collection("col").get("obj")
+        for tile in response.tiles:
+            np.testing.assert_array_equal(
+                tile.cells(),
+                twin_mdd.materialize_tile(twin_mdd.tiles[tile.tile_id]),
+            )
+        assert response.stats.bytes_useful == sum(
+            t.nbytes for t in response.tiles
+        )
+
+
+class TestRejectedUnitLeavesNoTrace:
+    """Tile ids are validated before the access is recorded."""
+
+    @pytest.mark.parametrize("via", ["serve_sub_reads", "run_units"])
+    def test_unknown_tile_id(self, via):
+        heaven = make_twin()
+        heaven.read("col", "obj", MInterval.of((0, 15), (0, 15)))
+        stats_before = copy.deepcopy(heaven.access_stats)
+        now, cursor = heaven.clock.now, heaven.clock.log.cursor()
+        counters = (heaven.read_tiles_needed, heaven.read_bytes_useful)
+
+        bad = unit(REGION, (0, 9999))
+        with pytest.raises(HeavenError, match="no tile 9999"):
+            if via == "serve_sub_reads":
+                heaven.serve_sub_reads([bad])
+            else:
+                AdmissionController(heaven).run_units([bad])
+
+        assert heaven.access_stats == stats_before
+        assert heaven.clock.now == now
+        assert not heaven.clock.log.window(cursor)
+        assert heaven.disk_cache.pinned_keys() == []
+        assert (heaven.read_tiles_needed, heaven.read_bytes_useful) == counters
+        heaven.assert_quiescent()

@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
-from repro.core.heaven import StagingTicket, _DecodeArena
+from repro.core.admission import AdmissionController, QuerySpec
+from repro.core.heaven import StagingTicket
 from repro.tertiary import MB
 
 
@@ -92,7 +93,7 @@ class TestRestageCoverageRecheck:
         )
         assert other_offset > tile_offset
 
-        def hostile_stage(mdd_arg, tile_ids):
+        def hostile_stage(pairs):
             # Every staging attempt (prepare, hook, resolver fallback)
             # lands the same non-covering run and pins nothing.
             if key not in heaven.disk_cache:
@@ -102,7 +103,7 @@ class TestRestageCoverageRecheck:
                 entry.staged_runs[key] = run
             return StagingTicket(cache=heaven.disk_cache)
 
-        monkeypatch.setattr(heaven, "_stage_tiles", hostile_stage)
+        monkeypatch.setattr(heaven, "_stage_many", hostile_stage)
         cells = heaven.read("col", mdd.name, tile.domain)
         np.testing.assert_array_equal(cells, expected_cells(mdd, tile.domain))
         assert heaven.restages >= 1
@@ -118,7 +119,7 @@ class TestRestageCoverageRecheck:
         assert len(extents) >= 2
         second_offset, second_length = extents[1]
 
-        def hostile_stage(mdd_arg, tile_ids):
+        def hostile_stage(pairs):
             # Covers only the second tile's extent; same length as the
             # target's, so the old code read the neighbour's bytes.
             if key not in heaven.disk_cache:
@@ -128,7 +129,7 @@ class TestRestageCoverageRecheck:
                 entry.staged_runs[key] = run
             return StagingTicket(cache=heaven.disk_cache)
 
-        monkeypatch.setattr(heaven, "_stage_tiles", hostile_stage)
+        monkeypatch.setattr(heaven, "_stage_many", hostile_stage)
         cells = heaven.read("col", mdd.name, tile.domain)
         np.testing.assert_array_equal(cells, expected_cells(mdd, tile.domain))
 
@@ -252,7 +253,9 @@ class TestPinAttribution:
             ("col", "o0", MInterval.of((0, 15), (0, 15))),
         ]
         leases_before = heaven.disk_cache.stats.leases
-        _outputs, multi = heaven.read_concurrent(requests, schedule_seed=3)
+        _outputs, multi = AdmissionController(heaven, schedule_seed=3).run(
+            [QuerySpec(collection=c, object_name=o, region=r) for c, o, r in requests]
+        )
         lease_delta = heaven.disk_cache.stats.leases - leases_before
         assert sum(r.pins for r in multi.queries) == lease_delta
         assert all(r.pins >= 0 for r in multi.queries)
@@ -321,22 +324,3 @@ class TestZeroCopyPipeline:
         np.testing.assert_array_equal(
             heaven.read("col", mdd.name, region), patch
         )
-
-
-class TestDecodeArena:
-    """Wave-scoped decompression arena mechanics."""
-
-    def test_carve_is_monotonic_and_bounded(self):
-        arena = _DecodeArena(10)
-        a = arena.carve(4)
-        b = arena.carve(6)
-        assert a is not None and b is not None
-        assert arena.carve(1) is None
-        a[:] = b"aaaa"
-        b[:] = b"bbbbbb"
-        assert bytes(a) == b"aaaa" and bytes(b) == b"bbbbbb"
-
-    def test_zero_request_on_exhausted_arena(self):
-        arena = _DecodeArena(0)
-        assert arena.carve(1) is None
-        assert arena.carve(0) is not None

@@ -16,14 +16,15 @@ import pytest
 
 from repro.arrays import DOUBLE, MDD, HashedNoiseSource, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
+from repro.core.units import SubReadRequest
 from repro.errors import (
     DataNodeError,
     ServiceError,
     ShardUnavailableError,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.service import ServiceCluster, ServiceFaultPlan, ServiceFaultSpec
-from repro.tertiary import MB
+from repro.service import DataNode, ServiceCluster, ServiceFaultPlan, ServiceFaultSpec
+from repro.tertiary import DLT_7000, MB, scaled_profile
 
 SIDE = 64
 TILE = 16
@@ -293,3 +294,68 @@ class TestHardwareFaults:
         result = cluster.read("token-alice", "c", "obj", FULL)
         expected = reference.read("c", "obj", MInterval.parse(FULL))
         np.testing.assert_array_equal(result.cells, expected)
+
+
+class TestPoisonedBatchAccounting:
+    def test_reserved_units_are_counted_once(self):
+        """One unit's medium exhausts the retry budget in a 3-unit batch:
+        the node re-serves every unit alone, and the units that had
+        already finished inside the failed batch must not be counted
+        twice — the read counters reconcile with the responses handed
+        out."""
+        # One object per medium, so the healthy objects' sweeps finish
+        # before the poisoned medium is mounted.
+        heaven = Heaven(
+            _make_config(
+                min_super_tile_bytes=4 * 1024,
+                tape_profile=scaled_profile(DLT_7000, SIDE * SIDE * 8),
+                fault_plan=FaultPlan(seed=1),
+            )
+        )
+        heaven.create_collection("c")
+        for index in range(3):
+            heaven.insert(
+                "c",
+                MDD(
+                    f"o{index}",
+                    MInterval.of((0, SIDE - 1), (0, SIDE - 1)),
+                    DOUBLE,
+                    tiling=RegularTiling((TILE, TILE)),
+                    source=HashedNoiseSource(index, -5.0, 5.0),
+                ),
+            )
+            heaven.archive("c", f"o{index}")
+        heaven.library.unmount_all()
+        media = [
+            {st.medium_id for st in heaven.archived(f"o{index}").super_tiles}
+            for index in range(3)
+        ]
+        assert all(len(m) == 1 for m in media) and len(set.union(*media)) == 3
+        for super_tile in heaven.archived("o1").super_tiles:
+            medium_id, segment = heaven.library.segment(super_tile.segment_name)
+            heaven.library.medium(medium_id).add_bad_spot(
+                segment.offset, segment.length, transient=False
+            )
+
+        node = DataNode("dn0", heaven)
+        tiles_before = heaven.read_tiles_needed
+        bytes_before = heaven.read_bytes_useful
+        responses = node._serve_requests(
+            [
+                SubReadRequest(
+                    request_id=f"r{index}", tenant="t", collection="c",
+                    object_name=f"o{index}", region=FULL,
+                )
+                for index in range(3)
+            ]
+        )
+        assert [r.ok for r in responses] == [True, False, True]
+        assert responses[1].error.type == "RetryExhaustedError"
+        served = [r for r in responses if r.ok]
+        assert heaven.read_bytes_useful - bytes_before == sum(
+            r.stats.bytes_useful for r in served
+        )
+        assert heaven.read_tiles_needed - tiles_before == len(served) * (
+            SIDE // TILE
+        ) ** 2
+        heaven.assert_quiescent()

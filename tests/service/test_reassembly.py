@@ -95,12 +95,12 @@ class TestServeSubReads:
         mdd = reference.collection("c").get("obj")
         region = MInterval.parse("0:47,0:47")
         tile_ids = tuple(t.tile_id for t in mdd.tiles_for(region))
-        response = reference.serve_sub_read(
+        (response,) = reference.serve_sub_reads([
             SubReadRequest(
                 request_id="q", tenant="t", collection="c",
                 object_name="obj", region=str(region), tile_ids=tile_ids,
             )
-        )
+        ])
         assert response.ok
         assert sorted(t.tile_id for t in response.tiles) == sorted(tile_ids)
         for tile in response.tiles:
@@ -111,12 +111,12 @@ class TestServeSubReads:
         from repro.core.units import SubReadRequest
 
         with pytest.raises(HeavenError):
-            reference.serve_sub_read(
+            reference.serve_sub_reads([
                 SubReadRequest(
                     request_id="q", tenant="t", collection="c",
                     object_name="obj", region="0:1,0:1", tile_ids=(9999,),
                 )
-            )
+            ])
 
 
 class TestShadowObject:
