@@ -8,7 +8,8 @@ payload path is covered by the test suite.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import random
+from typing import List, Optional, Tuple
 
 from repro.arrays import ArrayStorage, DOUBLE, MDD, MInterval, RegularTiling, ZeroSource
 from repro.core import Heaven, HeavenConfig
@@ -80,3 +81,26 @@ def make_object(object_mb: int, tile_kb: int = 256, dims: int = 3, name: str = "
         tiling=RegularTiling((tile_side,) * dims),
         source=ZeroSource(),
     )
+
+
+def poisson_slabs(
+    domain: MInterval, count: int, rate: float, seed: int, start: float = 0.0
+) -> List[Tuple[MInterval, float]]:
+    """Open-loop stream: *count* ``(region, arrival)`` pairs after *start*.
+
+    Arrivals are a seeded Poisson process at *rate* per virtual second;
+    each region is a quarter-extent slab of the first axis at a random
+    offset, full on every other axis.
+    """
+    rng = random.Random(seed)
+    first, *rest = domain.axes
+    span = max(1, first.extent // 4)
+    arrival = start
+    stream = []
+    for _ in range(count):
+        arrival += rng.expovariate(rate)
+        lo = rng.randrange(first.lo, max(first.lo + 1, first.hi - span))
+        hi = min(first.hi, lo + span - 1)
+        region = MInterval.of((lo, hi), *((a.lo, a.hi) for a in rest))
+        stream.append((region, arrival))
+    return stream

@@ -2,9 +2,9 @@
 
 Replays the same popularity-skewed (Zipf + locality) query stream against
 the HEAVEN disk cache under every eviction policy.  Series: hit ratio,
-bytes staged from tape and mean query time per policy — LRU-family
-policies should clearly beat FIFO/SIZE on a skewed stream, with the
-tape-cost-aware GDS competitive with LRU.
+bytes staged from tape and mean query time per policy — LRU beats FIFO
+on a skewed stream, the tape-cost-aware GDS is competitive, and pinned
+staging keeps every policy's tape traffic within a narrow band.
 """
 
 import numpy as np
@@ -70,12 +70,14 @@ def test_e10_caching(benchmark, report_table):
     table = build_table(results)
     report_table("e10_caching", table)
 
-    # Shape: recency-aware policies beat FIFO/LFU on a locality-heavy
-    # stream where the cost that matters is bytes re-staged from tape.
+    # Shape: recency beats insertion order on a locality-heavy stream —
+    # more hits, fewer bytes re-staged from tape, shorter queries.
     assert results["lru"][0] > results["fifo"][0]
     assert results["lru"][1] < results["fifo"][1]
     assert results["lru"][2] < results["fifo"][2]
-    # The tape-cost-aware GDS policy is competitive with LRU ...
+    # The tape-cost-aware GDS policy is competitive ...
     assert results["gds"][2] < results["fifo"][2] * 1.05
-    # ... and frequency-only LFU ages badly (stuck entries force restages).
-    assert results["lfu"][1] > results["lru"][1]
+    # ... and with staged runs pinned until assembled no policy restages
+    # its own working set: all five land within 10 % on tape traffic.
+    staged = [result[1] for result in results.values()]
+    assert max(staged) <= min(staged) * 1.10

@@ -32,9 +32,9 @@ from repro.workloads import ClimateGrid, climate_object, subcube
 
 MAX_OVERHEAD = 0.05  # fraction of the baseline wall time
 
-#: enough work that per-run timing noise stays well under MAX_OVERHEAD
-OBJECT = ClimateGrid(180, 90, 8, 6)
-QUERIES = 6
+#: enough work (~2 s per run) that timing noise stays well under MAX_OVERHEAD
+OBJECT = ClimateGrid(360, 180, 16, 12)
+QUERIES = 12
 SELECTIVITY = 0.05
 
 

@@ -1,44 +1,13 @@
-"""Benchmark harness utilities and the wall-clock suite.
-
-:mod:`repro.bench.suite` holds the curated wall-clock benchmarks behind
-``python -m repro bench``; its symbols are imported lazily here because
-``repro.obs.exporters`` pulls in this package for chart rendering and the
-suite's benchmarks build on :mod:`repro.core`.
-"""
+"""Result tables and ASCII charts shared by the experiments, CLI and exporters."""
 
 from .chart import bar_chart, series_chart, sparkline
 from .runner import ResultTable, geometric_mean, speedup
 
 __all__ = [
-    "BenchDef",
-    "BenchResult",
     "ResultTable",
-    "SUITE",
     "bar_chart",
-    "environment_fingerprint",
     "geometric_mean",
-    "run_benchmark",
-    "run_suite",
     "series_chart",
     "sparkline",
     "speedup",
-    "suite_names",
 ]
-
-_SUITE_EXPORTS = {
-    "BenchDef",
-    "BenchResult",
-    "SUITE",
-    "environment_fingerprint",
-    "run_benchmark",
-    "run_suite",
-    "suite_names",
-}
-
-
-def __getattr__(name):
-    if name in _SUITE_EXPORTS:
-        from . import suite
-
-        return getattr(suite, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,6 @@
     python -m repro trace demo --wall     # plus wall flamegraph + divergence
     python -m repro stats demo            # Prometheus-style metrics dump
     python -m repro profile demo          # wall-clock hot functions + phases
-    python -m repro bench                 # wall-clock benchmark suite
     python -m repro export    --object-mb 256 --tile-kb 512 --super-tile-mb 16
     python -m repro retrieval --object-mb 256 --selectivity 0.05 --queries 5 \\
                               --policy lru --profile DLT-7000
@@ -157,7 +156,7 @@ def _run_thrash_scenario(heaven: Heaven):
     """One ``read_many`` batch whose staged bytes exceed the disk cache.
 
     The wave-admitted, pinned staging pipeline must serve the batch without
-    a single per-tile restage; the CI staging-regression job gates on
+    a single per-tile restage; ``tests/test_cli.py`` asserts
     ``repro_restages_total 0`` over this scenario's metrics dump.
     """
     heaven.create_collection("c")
@@ -486,46 +485,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(render_profile_flamegraph(profile))
     print()
     print(render_divergence(heaven.tracer.roots))
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the wall-clock benchmark suite and write BENCH_<name>.json."""
-    from .bench.suite import run_suite, suite_names
-
-    names = args.benchmarks or None
-    try:
-        results = run_suite(
-            names,
-            repetitions=args.repetitions,
-            warmup=args.warmup,
-            scale=args.scale,
-            out_dir=args.out_dir,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-    except ValueError as error:
-        print(f"bench: {error}", file=sys.stderr)
-        return 2
-    table = ResultTable(
-        f"Wall-clock benchmarks ({args.repetitions} reps, warmup "
-        f"{args.warmup}, scale {args.scale})",
-        ["benchmark", "median [ms]", "p95 [ms]", "IQR [ms]", "MB/s"],
-    )
-    for result in results:
-        stats = result.stats
-        throughput = result.throughput_mb_s
-        table.add(
-            result.name,
-            f"{stats['median_s'] * 1000:.2f}",
-            f"{stats['p95_s'] * 1000:.2f}",
-            f"{stats['iqr_s'] * 1000:.2f}",
-            f"{throughput:.1f}" if throughput is not None else "-",
-        )
-    table.print()
-    calibration = results[0].environment["calibration_s"] if results else 0.0
-    print(f"\ncalibration workload: {calibration * 1000:.1f} ms "
-          f"(normalises scores across machines)")
-    print(f"known benchmarks: {', '.join(suite_names())}")
     return 0
 
 
@@ -958,22 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=10,
                          help="hot functions to list")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the curated wall-clock benchmark suite and write "
-             "BENCH_<name>.json result files",
-    )
-    bench.add_argument("benchmarks", nargs="*",
-                       help="subset of benchmarks to run (default: all)")
-    bench.add_argument("--repetitions", type=int, default=5,
-                       help="timed repetitions per benchmark")
-    bench.add_argument("--warmup", type=int, default=1,
-                       help="discarded warmup repetitions")
-    bench.add_argument("--scale", default="full", choices=("full", "smoke"),
-                       help="workload size (smoke is for fast self-tests)")
-    bench.add_argument("--out-dir", default=".",
-                       help="directory for BENCH_<name>.json files")
-
     chaos = sub.add_parser(
         "chaos", help="run a scenario under seeded fault injection"
     )
@@ -1069,7 +1012,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": cmd_trace,
         "stats": cmd_stats,
         "profile": cmd_profile,
-        "bench": cmd_bench,
         "chaos": cmd_chaos,
         "parallel": cmd_parallel,
         "multiquery": cmd_multiquery,

@@ -31,7 +31,6 @@ from typing import (
     AbstractSet,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -272,34 +271,6 @@ class ParallelPlan:
         if self.makespan_seconds <= 0:
             return 1.0
         return self.serial_seconds / self.makespan_seconds
-
-
-_NO_MOUNTED: FrozenSet[str] = frozenset()
-
-
-def _medium_cost(
-    requests: Sequence[TapeRequest],
-    library: TapeLibrary,
-    mounted: AbstractSet[str] = _NO_MOUNTED,
-    head: int = 0,
-) -> float:
-    """Estimated seconds to serve one medium's requests with one sweep.
-
-    Media in *mounted* are already sitting in a drive (head at *head*), so
-    they are not charged an exchange — mirroring the executor, which serves
-    mounted media first on their holding drive precisely to skip that
-    exchange.  Runs are coalesced exactly as execution coalesces them.
-    """
-    profile = library.profile
-    ordered = sorted(requests, key=lambda r: (r.offset, r.key))
-    runs = coalesce_requests(ordered)
-    seconds = 0.0
-    position = head
-    if not ordered or ordered[0].medium_id not in mounted:
-        seconds += profile.full_exchange_time()
-        position = 0
-    sweep, _end = _sweep_seconds(profile, runs, position)
-    return seconds + sweep
 
 
 # -- shared cost/dispatch core (planner and executor run the same loop) ------
@@ -587,21 +558,20 @@ def _check_estimate(
     planned: float,
     events,
     devices: AbstractSet[str],
-    tolerance: float,
 ) -> Optional[float]:
     """Relative drift of executed vs planned service for one medium.
 
     Returns None when no meaningful comparison exists (zero-cost plan or a
     fault/backoff inside the window — recovery time is rightly absent from
-    the estimate).  Raises :class:`HeavenError` beyond *tolerance*: a bad
-    estimate silently skews every plan-driven decision, so drifting is a
-    bug, not a warning.
+    the estimate).  Raises :class:`HeavenError` beyond
+    :data:`ESTIMATE_TOLERANCE`: a bad estimate silently skews every
+    plan-driven decision, so drifting is a bug, not a warning.
     """
     if planned <= 0 or any(e.kind in _FAULT_KINDS for e in events):
         return None
     actual = _window_device_seconds(events, devices)
     drift = abs(actual - planned) / planned
-    if drift > tolerance:
+    if drift > ESTIMATE_TOLERANCE:
         raise HeavenError(
             f"medium cost estimate drifted {drift:.1%} on {medium_id}: "
             f"planned {planned:.3f}s, executed {actual:.3f}s"
@@ -614,7 +584,6 @@ def execute_batch(
     library: TapeLibrary,
     scheduler: Optional[Scheduler] = None,
     tracer=None,
-    validate_estimates: bool = False,
 ) -> ScheduleReport:
     """Run a request batch against the library; returns its cost report.
 
@@ -623,12 +592,6 @@ def execute_batch(
     compared in isolation.  Consecutive requests whose extents touch are
     coalesced into one seek+stream (the report still counts the original
     requests).
-
-    With ``validate_estimates`` every contiguous same-medium block is
-    pre-costed with :func:`_medium_cost`'s machinery and checked against
-    the event-log-derived actual after it ran; drift beyond
-    :data:`ESTIMATE_TOLERANCE` raises.  Only meaningful for orders that
-    visit each medium once (e.g. the elevator's).
     """
     scheduler = scheduler if scheduler is not None else ElevatorScheduler()
     tracer = tracer if tracer is not None else null_tracer
@@ -640,41 +603,13 @@ def execute_batch(
             f"({len(ordered)} of {len(requests)})"
         )
     clock = library.clock
-    profile = library.profile
     watch = Stopwatch(clock)
     stats_before = library.stats()
     log_start = clock.log.cursor()
     runs = coalesce_requests(ordered)
     with tracer.span("library.stage", requests=len(ordered)):
         for run in runs:
-            if validate_estimates:
-                holder = library.mounted_drive(run.medium_id)
-                if holder is not None:
-                    planned = _sweep_seconds(
-                        profile, [run], holder.head_position
-                    )[0]
-                else:
-                    target = library._pick_drive(set())
-                    planned = (
-                        _mount_seconds(
-                            profile,
-                            target.medium.medium_id if target.medium else None,
-                            target.head_position,
-                        )
-                        + _sweep_seconds(profile, [run], 0)[0]
-                    )
-                block_start = clock.log.cursor()
-                library.read_extent(run.medium_id, run.offset, run.length)
-                _check_estimate(
-                    run.medium_id,
-                    planned,
-                    clock.log.window(block_start, clock.log.cursor()),
-                    {d.drive_id for d in library.drives}
-                    | {library.robot.robot_id},
-                    ESTIMATE_TOLERANCE,
-                )
-            else:
-                library.read_extent(run.medium_id, run.offset, run.length)
+            library.read_extent(run.medium_id, run.offset, run.length)
     stats_after = library.stats()
     return ScheduleReport(
         requests=len(ordered),
@@ -754,7 +689,8 @@ class ParallelExecutor:
     run (the overlap E4 shows dominating TCT export, now on the read path).
 
     Every medium's executed service time is validated against the plan's
-    estimate (fault windows excluded); drift beyond *tolerance* raises.
+    estimate (fault windows excluded); drift beyond
+    :data:`ESTIMATE_TOLERANCE` raises.
     """
 
     def __init__(
@@ -762,8 +698,6 @@ class ParallelExecutor:
         library: TapeLibrary,
         num_drives: Optional[int] = None,
         tracer=None,
-        validate_estimates: bool = True,
-        tolerance: float = ESTIMATE_TOLERANCE,
     ) -> None:
         available = len(library.drives)
         wanted = num_drives if num_drives is not None else available
@@ -772,8 +706,6 @@ class ParallelExecutor:
         self.library = library
         self.num_drives = min(wanted, available)
         self.tracer = tracer if tracer is not None else null_tracer
-        self.validate_estimates = validate_estimates
-        self.tolerance = tolerance
 
     def execute(
         self,
@@ -898,12 +830,9 @@ class ParallelExecutor:
             window_end = clock.log.cursor()
         share.media.append(job.medium_id)
         share.requests += len(job.requests)
-        if not self.validate_estimates:
-            return None
         return _check_estimate(
             job.medium_id,
             planned,
             clock.log.window(window_start, window_end),
             {drive.drive_id, self.library.robot.robot_id},
-            self.tolerance,
         )

@@ -1,5 +1,7 @@
 """Tests for MDD objects, cell sources, tiles and collections."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,21 @@ class TestCellSources:
         whole = src.region(MInterval.of((0, 99), (0, 99)), DOUBLE)
         part = src.region(MInterval.of((37, 61), (13, 88)), DOUBLE)
         assert np.array_equal(part, whole[37:62, 13:89])
+
+    @pytest.mark.parametrize(
+        "seed, low, high, box, crc32",
+        [
+            (5, 0.0, 1.0, ((37, 140), (-13, 88)), 0x4F98A0A7),
+            (11, -2.0, 3.0, ((60, 70), (-5, 3), (120, 130)), 0x6D9460E1),
+            (3, 0.0, 9.0, ((62, 65), (126, 129), (-2, 1), (63, 64)), 0x87C90AA6),
+        ],
+    )
+    def test_hashed_noise_field_is_pinned(self, seed, low, high, box, crc32):
+        """The generated values are part of every seeded scenario's output:
+        boxes straddling block boundaries on every axis must keep the
+        digests recorded from the draw-the-full-block implementation."""
+        cells = HashedNoiseSource(seed, low, high).region(MInterval.of(*box), DOUBLE)
+        assert zlib.crc32(cells.tobytes()) == crc32
 
     def test_hashed_noise_seed_changes_field(self):
         a = HashedNoiseSource(1).region(self.DOMAIN, DOUBLE)

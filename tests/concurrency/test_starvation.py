@@ -10,8 +10,9 @@ regression is diagnosable from the CI log alone.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.arrays import MInterval
-from repro.bench.suite import percentile
 
 from .conftest import SIDE, run_concurrent
 
@@ -49,7 +50,7 @@ class TestStarvation:
         assert all(out is not None for out in outputs)
         names = ["scan"] + [f"inter{i}" for i in range(len(interactive))]
         interactive_latencies = report.latencies_s[1:]
-        p95 = percentile(sorted(interactive_latencies), 95.0)
+        p95 = np.percentile(interactive_latencies, 95.0)
         assert p95 <= INTERACTIVE_P95_BOUND_S, (
             f"interactive p95 sojourn {p95:.1f} s exceeds the committed "
             f"{INTERACTIVE_P95_BOUND_S:.0f} s bound — interactive queries "

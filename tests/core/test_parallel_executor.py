@@ -101,7 +101,7 @@ class TestExecutorProperties:
     def test_executed_matches_plan_within_tolerance(self, batch, drives):
         library = build_library(4)
         plan = plan_parallel(batch, library, drives)
-        # validate_estimates=True: per-medium drift beyond 10 % raises.
+        # The executor always validates: per-medium drift beyond 10 % raises.
         report = ParallelExecutor(library, num_drives=drives).execute(batch)
         assert report.estimate_drift <= 0.10
         assert report.makespan_seconds == pytest.approx(

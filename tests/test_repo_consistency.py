@@ -34,7 +34,7 @@ class TestExperimentIndex:
         modules = [
             name for name in os.listdir(bench_dir) if name.startswith("bench_")
         ]
-        assert len(modules) >= 18
+        assert len(modules) >= 20
         for name in modules:
             tree = ast.parse(read(os.path.join("benchmarks", name)))
             test_functions = [
@@ -43,6 +43,26 @@ class TestExperimentIndex:
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
             ]
             assert test_functions, f"{name} has no test function"
+
+    def test_result_tables_match_experiments_and_docs(self):
+        """Every table an experiment writes is committed (CI diffs the
+        directory after running them all), none is an orphan, and
+        EXPERIMENTS.md cites exactly the committed set."""
+        bench_dir = os.path.join(REPO_ROOT, "benchmarks")
+        sources = "".join(
+            read(os.path.join("benchmarks", name))
+            for name in os.listdir(bench_dir)
+            if name.startswith("bench_") and name.endswith(".py")
+        )
+        reported = set(re.findall(r'report_table\(\s*"([a-z0-9_]+)"', sources))
+        committed = {
+            name[: -len(".txt")]
+            for name in os.listdir(os.path.join(bench_dir, "results"))
+            if name.endswith(".txt")
+        }
+        cited = set(re.findall(r"`([a-z0-9_]+)\.txt`", read("EXPERIMENTS.md")))
+        assert reported == committed
+        assert cited == committed
 
     def test_experiments_md_covers_e1_to_e13(self):
         experiments = read("EXPERIMENTS.md")
