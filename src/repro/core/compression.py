@@ -10,23 +10,67 @@ Codecs implement both paths the simulator needs:
 
 * real bytes (``retain_payload=True``): actual zlib compression, preserving
   end-to-end fidelity through compress/decompress round-trips;
-* size-only mode: a deterministic ratio estimate, so huge virtual
-  experiments still account transfer times correctly.
+* size-only mode: a deterministic ratio estimate
+  (:meth:`Codec.estimated_size`), so huge virtual experiments still account
+  transfer times correctly.
 
-(De)compression CPU time is not charged: the modelled drives compress in
-hardware at line speed, as DLT/LTO drives do.
+Each tile frame is encoded **once per content version**: ``archive``
+encodes every tile in one batch and exports those frames, and ``update``
+re-encodes only the tiles its region touches, carrying the other frames
+of a rewritten super-tile over verbatim from the old segment.  A batch
+(:meth:`Codec.compress_all`) runs on a small module-level thread pool —
+``zlib`` releases the GIL while it deflates, so tiles compress in
+parallel on the host.
+
+(De)compression CPU time is not charged on the virtual clock, pooled or
+not: the modelled drives compress in hardware at line speed, as DLT/LTO
+drives do.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import zlib
-from typing import Optional, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional, Sequence, Union
 
 from ..errors import HeavenError
 
 #: anything the zero-copy read path may hand a codec: staged segment bytes
 #: or a ``memoryview`` slice of them (no intermediate ``bytes`` copies).
 Buffer = Union[bytes, bytearray, memoryview]
+
+#: upper bound on encode threads: enough to use a small host's cores,
+#: few enough that a batch never floods a shared machine
+_MAX_ENCODE_WORKERS = 4
+_encode_executor: Optional[ThreadPoolExecutor] = None
+_encode_lock = threading.Lock()
+
+
+def _encode_pool() -> Optional[ThreadPoolExecutor]:
+    """The shared encode pool, created on first use; None on one-CPU hosts."""
+    global _encode_executor
+    workers = min(_MAX_ENCODE_WORKERS, os.cpu_count() or 1)
+    if workers < 2:
+        return None
+    with _encode_lock:
+        if _encode_executor is None:
+            _encode_executor = ThreadPoolExecutor(
+                workers, thread_name_prefix="repro-encode"
+            )
+        return _encode_executor
+
+
+def _forget_encode_pool() -> None:
+    # A forked child inherits the pool object but none of its threads, and
+    # the lock in whatever state another thread left it.
+    global _encode_executor, _encode_lock
+    _encode_executor = None
+    _encode_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_encode_pool)
 
 
 class Codec:
@@ -48,6 +92,22 @@ class Codec:
 
     def compress(self, raw: bytes) -> bytes:
         raise NotImplementedError
+
+    def compress_all(self, raws: Sequence[bytes]) -> List[bytes]:
+        """Frames of *raws* in input order.
+
+        Byte-identical to ``[self.compress(raw) for raw in raws]``; batches
+        of two or more map :meth:`compress` over the shared encode pool.
+        """
+        pool = _encode_pool() if len(raws) > 1 else None
+        if pool is None:
+            return [self.compress(raw) for raw in raws]
+        return list(pool.map(self.compress, raws))
+
+    def estimated_size(self, logical_size: int) -> int:
+        """Size-only accounting: bytes a tile of *logical_size* occupies on
+        tape (never zero)."""
+        return max(1, int(logical_size * self.estimated_ratio))
 
     def decompress(self, stored: bytes, expected_size: int) -> bytes:
         raise NotImplementedError
@@ -80,13 +140,6 @@ class Codec:
         out[: len(raw)] = raw
         return len(raw)
 
-    def stored_size(self, logical_size: int, raw: Optional[bytes]) -> int:
-        """Bytes a tile occupies on tape: real when *raw* given, estimated
-        otherwise (never zero)."""
-        if raw is not None:
-            return max(1, len(self.compress(raw)))
-        return max(1, int(logical_size * self.estimated_ratio))
-
 
 class NoneCodec(Codec):
     """Identity codec (the default)."""
@@ -96,6 +149,9 @@ class NoneCodec(Codec):
 
     def compress(self, raw: bytes) -> bytes:
         return raw
+
+    def compress_all(self, raws: Sequence[bytes]) -> List[bytes]:
+        return [self.compress(raw) for raw in raws]  # nothing to parallelise
 
     def decompress(self, stored: bytes, expected_size: int) -> bytes:
         if len(stored) != expected_size:

@@ -190,7 +190,7 @@ class TCTExporter:
         placements: Sequence[Placement],
         pipelined: bool = True,
         stored_sizes: Optional[Dict[int, int]] = None,
-        codec=None,
+        frames: Optional[Dict[int, bytes]] = None,
     ) -> ExportReport:
         """Stream each super-tile as one segment per its placement.
 
@@ -204,7 +204,8 @@ class TCTExporter:
             stored_sizes: per-tile on-tape sizes when compression is on
                 (the caller must already have set each super-tile's
                 ``size_bytes`` to the matching sum); None = logical sizes.
-            codec: per-tile codec applied while assembling payloads.
+            frames: per-tile encoded bytes, already compressed by the
+                caller (one encode per tile); None = the raw tile BLOBs.
 
         Side effects: fills in each super-tile's ``medium_id``,
         ``segment_name`` and ``tile_extents``.
@@ -228,7 +229,7 @@ class TCTExporter:
                 "export.tct", object=mdd.name, pipelined=pipelined
             ) as export_span:
                 self._export_segments(
-                    mdd, placements, pipelined, stored_sizes, codec,
+                    mdd, placements, pipelined, stored_sizes, frames,
                     report, export_span, txn_id,
                 )
         except Exception:
@@ -274,7 +275,7 @@ class TCTExporter:
         placements: Sequence[Placement],
         pipelined: bool,
         stored_sizes: Optional[Dict[int, int]],
-        codec,
+        frames: Optional[Dict[int, bytes]],
         report: ExportReport,
         export_span,
         txn_id: Optional[int],
@@ -291,8 +292,8 @@ class TCTExporter:
             super_tile.assign_extents(sizes)
 
             # --- assembly: N random BLOB reads into the staging buffer ----
-            # (reads are of the *logical* tiles; compression happens while
-            # streaming to the drive)
+            # (reads are of the *logical* tiles; encoding costs no virtual
+            # time, as in a drive that compresses in hardware)
             assembly_seconds = sum(
                 blobs.disk.profile.io_time(mdd.tiles[t].size_bytes)
                 for t in super_tile.tile_ids
@@ -322,7 +323,7 @@ class TCTExporter:
                     )
                 report.stall_seconds += stall
 
-            payload = self._assemble_payload(mdd, super_tile, codec)
+            payload = self._assemble_payload(mdd, super_tile, frames)
 
             # --- one streamed segment write --------------------------------
             write_watch = Stopwatch(clock)
@@ -368,18 +369,23 @@ class TCTExporter:
         )
 
     def _assemble_payload(
-        self, mdd: MDD, super_tile: SuperTile, codec=None
+        self,
+        mdd: MDD,
+        super_tile: SuperTile,
+        frames: Optional[Dict[int, bytes]] = None,
     ) -> Optional[bytes]:
-        """Concatenate member tile bytes (per-tile compressed) in intra-
-        cluster order.
+        """Concatenate member tile frames in intra-cluster order.
 
-        Uses uncharged peeks — the charged assembly cost is modelled above
-        (pipelined); double-charging through the resolver would count every
-        byte twice.
+        The frames are the caller's encoded tiles, or else the raw tile
+        BLOBs, read with uncharged peeks — the charged assembly cost is
+        modelled above (pipelined); double-charging through the resolver
+        would count every byte twice.
         """
         blobs = self.storage.db.blobs
         if not blobs.retain_payload:
             return None
+        if frames is not None:
+            return b"".join(frames[t] for t in super_tile.tile_ids)
         parts: List[bytes] = []
         for tile_id in super_tile.tile_ids:
             blob_oid = self.storage.blob_oid_of(mdd.oid, tile_id)
@@ -388,7 +394,5 @@ class TCTExporter:
                 tile = mdd.tiles[tile_id]
                 cells = mdd.materialize_tile(tile)
                 raw = np.ascontiguousarray(cells, dtype=mdd.cell_type.dtype).tobytes()
-            if codec is not None:
-                raw = codec.compress(raw)
             parts.append(raw)
         return b"".join(parts)

@@ -23,7 +23,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -415,8 +415,16 @@ class Heaven:
             self.pyramids.build(mdd, self.config.pyramid_factors)
 
         stored_sizes: Optional[Dict[int, int]] = None
+        frames: Optional[Dict[int, bytes]] = None
         if self.codec.name != "none":
-            stored_sizes = self._stored_tile_sizes(mdd)
+            if self.config.retain_payload:
+                frames = self._encode_tiles(mdd)
+                stored_sizes = {t: len(frame) for t, frame in frames.items()}
+            else:
+                stored_sizes = {
+                    t: self.codec.estimated_size(tile.size_bytes)
+                    for t, tile in mdd.tiles.items()
+                }
             for super_tile in super_tiles:
                 super_tile.size_bytes = sum(
                     stored_sizes[t] for t in super_tile.tile_ids
@@ -426,10 +434,7 @@ class Heaven:
                 "heaven.archive", object=object_name, super_tiles=len(super_tiles)
             ):
                 report = self.exporter.export(
-                    mdd,
-                    plan,
-                    stored_sizes=stored_sizes,
-                    codec=self.codec if self.codec.name != "none" else None,
+                    mdd, plan, stored_sizes=stored_sizes, frames=frames
                 )
         except Exception:
             # A failed migration (e.g. out of media) must not leave orphan
@@ -489,16 +494,16 @@ class Heaven:
         self.db.delete_rows("ras_collections", lambda r: r["name"] == name)
         self.storage._collections.pop(name, None)
 
-    def _stored_tile_sizes(self, mdd: MDD) -> Dict[int, int]:
-        """On-tape (compressed) size of every tile of *mdd*."""
+    def _encode_tiles(self, mdd: MDD) -> Dict[int, bytes]:
+        """The on-tape frame of every tile of *mdd*, encoded in one batch
+        from its BLOB (an uncharged peek, as in the exporter's assembly)."""
         assert mdd.oid is not None
-        sizes: Dict[int, int] = {}
-        for tile_id, tile in mdd.tiles.items():
-            raw = None
-            if self.db.blobs.retain_payload:
-                raw = self.db.blobs.peek(self.storage.blob_oid_of(mdd.oid, tile_id))
-            sizes[tile_id] = self.codec.stored_size(tile.size_bytes, raw)
-        return sizes
+        tile_ids = list(mdd.tiles)
+        raws = [
+            self.db.blobs.peek(self.storage.blob_oid_of(mdd.oid, tile_id))
+            for tile_id in tile_ids
+        ]
+        return dict(zip(tile_ids, self.codec.compress_all(raws)))
 
     # ------------------------------------------------------------------ retrieval
     #
@@ -1313,9 +1318,12 @@ class Heaven:
     ) -> int:
         """Update a region of an archived object; returns re-exported count.
 
-        Affected super-tiles are staged, patched in memory, re-exported as
-        fresh segments (tape is append-only; old segments become dead
-        space), and all cache levels plus the aggregate catalog refresh.
+        Affected super-tiles are staged, patched in memory and re-exported
+        as fresh segments (tape is append-only; old segments become dead
+        space) by :meth:`_rewrite_segments`.  A failure anywhere leaves the
+        object readable with its old bytes: in-memory payloads are dropped
+        either way, and the caches, aggregates and pyramids refresh only
+        after every new segment is on tape.
         """
         collection = self.storage.collection(collection_name)
         mdd = collection.get(object_name)
@@ -1337,74 +1345,109 @@ class Heaven:
             for st_index in affected_sts
             for tile_id in entry.super_tiles[st_index].tile_ids
         ]
-        with self._staged([(mdd, tiles_to_load)]):
+        try:
+            with self._staged([(mdd, tiles_to_load)]):
+                for tile_id in tiles_to_load:
+                    tile = mdd.tiles[tile_id]
+                    # The resolver's arrays are frozen; set_payload snapshots
+                    # non-writable input itself, so no defensive copy here.
+                    tile.set_payload(self._resolve_tile(mdd, tile))
+            mdd.write(region, cells)
+            self._rewrite_segments(
+                entry, [entry.super_tiles[i] for i in sorted(affected_sts)], affected
+            )
+            if entry.disk_copy:
+                # Dual residence: refresh the disk copy's tile BLOBs too.
+                self._refresh_disk_blobs(mdd, tiles_to_load)
+            # Pyramid levels over the old cells are stale now.
+            self.pyramids.invalidate(object_name)
+            # Refresh caches and aggregates.
             for tile_id in tiles_to_load:
-                tile = mdd.tiles[tile_id]
-                # The resolver's arrays are frozen; set_payload snapshots
-                # non-writable input itself, so no defensive copy here.
-                tile.set_payload(self._resolve_tile(mdd, tile))
-        mdd.write(region, cells)
-        # Re-export affected super-tiles as fresh segments.
-        compressing = entry.stored_sizes is not None
-        entry.version += 1
-        for st_index in sorted(affected_sts):
-            super_tile = entry.super_tiles[st_index]
+                self.memory_cache.put(
+                    mdd.name, tile_id, mdd.tiles[tile_id].payload
+                )
+                if self.config.precompute_aggregates and mdd.cell_type.dtype.fields is None:
+                    self.precomputed.refresh_tile(mdd, tile_id)
+        finally:
+            for tile_id in tiles_to_load:
+                mdd.tiles[tile_id].drop_payload()
+        return len(affected_sts)
+
+    def _rewrite_segments(
+        self, entry: ArchivedObject, super_tiles: List[SuperTile], dirty: Set[int]
+    ) -> None:
+        """Re-export *super_tiles* of *entry* from their patched payloads.
+
+        Only the *dirty* tiles are encoded, all in one batch; every clean
+        tile's frame is sliced verbatim out of its old segment with the old
+        extents (an uncharged peek: the update paid for that tape read when
+        it staged the super-tile).  Order: write every new segment, then
+        switch the catalog to it, then delete the old one — a failed write
+        deletes the new segments already written and changes nothing else.
+        """
+        mdd = entry.mdd
+        retain = self.config.retain_payload
+        dirty_ids = [t for st in super_tiles for t in st.tile_ids if t in dirty]
+        frames: Dict[int, Union[bytes, memoryview]] = {}
+        if retain:
+            raws = [
+                np.ascontiguousarray(mdd.tiles[t].payload, dtype=mdd.cell_type.dtype).tobytes()
+                for t in dirty_ids
+            ]
+            frames = dict(zip(dirty_ids, self.codec.compress_all(raws)))
+        version = entry.version + 1
+        written: List[Tuple[SuperTile, str, str, Dict[int, int]]] = []
+        try:
+            for super_tile in super_tiles:
+                old_key = super_tile.segment_name
+                assert old_key is not None and super_tile.medium_id is not None
+                sizes: Dict[int, int] = {}
+                if retain:
+                    old = memoryview(
+                        self.library.medium(super_tile.medium_id).payload(old_key)
+                    )
+                    for tile_id in super_tile.tile_ids:
+                        if tile_id not in dirty:
+                            offset, length = super_tile.tile_extents[tile_id]
+                            frames[tile_id] = old[offset : offset + length]
+                        sizes[tile_id] = len(frames[tile_id])
+                    payload: Optional[bytes] = b"".join(
+                        frames[t] for t in super_tile.tile_ids
+                    )
+                else:
+                    for tile_id in super_tile.tile_ids:
+                        sizes[tile_id] = (
+                            self.codec.estimated_size(mdd.tiles[tile_id].size_bytes)
+                            if tile_id in dirty
+                            else super_tile.tile_extents[tile_id][1]
+                        )
+                    payload = None
+                # Version the name off the object's monotonic update counter:
+                # stable length, collision-free even with zero elapsed
+                # virtual time between exports.
+                new_key = f"{_VERSION_RE.sub('', old_key)}.v{version}"
+                medium_id, _segment = self.library.write_segment(
+                    new_key, sum(sizes.values()), payload=payload
+                )
+                written.append((super_tile, new_key, medium_id, sizes))
+        except BaseException:
+            for _super_tile, new_key, _medium_id, _sizes in written:
+                self.library.delete_segment(new_key)
+            raise
+        entry.version = version
+        for super_tile, new_key, medium_id, sizes in written:
             old_key = super_tile.segment_name
             assert old_key is not None
+            super_tile.size_bytes = sum(sizes.values())
+            super_tile.assign_extents(sizes)
+            super_tile.segment_name = new_key
+            super_tile.medium_id = medium_id
+            if entry.stored_sizes is not None:
+                entry.stored_sizes.update(sizes)
             if old_key in self.disk_cache:
                 self.disk_cache.invalidate(old_key)
             entry.staged_runs.pop(old_key, None)
             self.library.delete_segment(old_key)
-            parts: List[bytes] = []
-            sizes: Dict[int, int] = {}
-            for tile_id in super_tile.tile_ids:
-                tile = mdd.tiles[tile_id]
-                raw = None
-                if self.config.retain_payload:
-                    raw = np.ascontiguousarray(
-                        tile.payload, dtype=mdd.cell_type.dtype
-                    ).tobytes()
-                if compressing:
-                    if raw is not None:
-                        raw = self.codec.compress(raw)
-                        sizes[tile_id] = len(raw)
-                    else:
-                        sizes[tile_id] = self.codec.stored_size(
-                            tile.size_bytes, None
-                        )
-                    assert entry.stored_sizes is not None
-                    entry.stored_sizes[tile_id] = sizes[tile_id]
-                else:
-                    sizes[tile_id] = tile.size_bytes
-                if raw is not None:
-                    parts.append(raw)
-            super_tile.size_bytes = sum(sizes.values())
-            super_tile.assign_extents(sizes)
-            payload = b"".join(parts) if parts else None
-            # Version the name off the object's monotonic update counter:
-            # stable length, collision-free even with zero elapsed
-            # virtual time between exports.
-            new_key = f"{_VERSION_RE.sub('', old_key)}.v{entry.version}"
-            medium_id, _segment = self.library.write_segment(
-                new_key, super_tile.size_bytes, payload=payload
-            )
-            super_tile.segment_name = new_key
-            super_tile.medium_id = medium_id
-        if entry.disk_copy:
-            # Dual residence: refresh the disk copy's tile BLOBs too.
-            self._refresh_disk_blobs(mdd, tiles_to_load)
-        # Pyramid levels over the old cells are stale now.
-        self.pyramids.invalidate(object_name)
-        # Refresh caches and aggregates.
-        for tile_id in tiles_to_load:
-            self.memory_cache.put(
-                mdd.name, tile_id, mdd.tiles[tile_id].payload
-            )
-            if self.config.precompute_aggregates and mdd.cell_type.dtype.fields is None:
-                self.precomputed.refresh_tile(mdd, tile_id)
-        for tile_id in tiles_to_load:
-            mdd.tiles[tile_id].drop_payload()
-        return len(affected_sts)
 
     def _refresh_disk_blobs(
         self,
