@@ -153,6 +153,8 @@ class _QueryTask:
     #: segment keys this task holds disk-cache leases on
     leases: List[str] = field(default_factory=list)
     lease_count: int = 0
+    #: resident tiles pinned in the memory cache instead of being staged
+    tile_pins: List[Tuple[str, int]] = field(default_factory=list)
     #: attributed sweep service (virtual seconds, weighted-fair currency)
     service_s: float = 0.0
     #: exact share of fused sweep tape bytes (no double counting)
@@ -414,7 +416,7 @@ class AdmissionController:
             spec.collection, spec.object_name, spec.region, spec.tile_ids
         )
         task.mdd = unit.mdd
-        needs = heaven.collect_needs([(unit.mdd, unit.cover)])
+        needs = heaven.collect_needs([(unit.mdd, unit.cover)], task.tile_pins)
         task.enqueued_s = clock.now
         for key, need in sorted(needs.items()):
             medium_id, _segment = heaven.library.segment(key)
@@ -460,6 +462,9 @@ class AdmissionController:
         yield "done"
 
     def _release_leases(self, task: _QueryTask) -> None:
+        tiles, task.tile_pins = task.tile_pins, []
+        for key in tiles:
+            self.heaven.memory_cache.unpin(*key)
         held, task.leases = task.leases, []
         for key in held:
             try:

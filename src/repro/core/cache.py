@@ -5,20 +5,30 @@ Two levels above tape:
 * a **disk cache** holding super-tile segments staged from tape — the level
   that turns repeated tape mounts into disk reads;
 * a **memory tile cache** holding decoded tile payloads — the level that
-  turns repeated disk reads into pointer lookups.
+  turns repeated disk reads (and, above all, repeated inflates) into
+  pointer lookups.
 
-Eviction is pluggable (Kapitel 3.6.3 Verdrängungsstrategien): LRU, FIFO,
-LFU, SIZE (largest first) and GDS (GreedyDual-Size, which weighs the tape
-cost of re-fetching a segment against its size — tailored to tertiary
-storage where re-fetch cost varies with media placement).
+Disk-cache eviction is pluggable (Kapitel 3.6.3 Verdrängungsstrategien):
+LRU, FIFO, LFU, SIZE (largest first) and GDS (GreedyDual-Size, which weighs
+the tape cost of re-fetching a segment against its size — tailored to
+tertiary storage where re-fetch cost varies with media placement).
+
+The memory tile cache has one fixed rule in the same cost-aware spirit:
+a tile's rank is its rebuild-cost class (a *free* zero-copy view over
+disk-cache bytes below a *decoded* tile that cost an inflate, a BLOB read
+or a regeneration), then its access count — remembered across evictions
+and halved every :data:`AGING_PERIOD_CAPACITIES` × capacity lookups — then
+recency.  The lowest rank is evicted first, and a tile that could only get
+in by displacing an equal or higher rank is not admitted at all.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -236,6 +246,8 @@ class CacheStats:
     #: owner-tagged lease acquisitions/releases (lifetime)
     leases: int = 0
     lease_releases: int = 0
+    #: puts refused by the memory tile cache's admission rule
+    rejections: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -529,8 +541,56 @@ class DiskCache:
 # -- memory tile cache -----------------------------------------------------------------
 
 
+#: Access counts of the memory tile cache halve once every this many
+#: multiples of its capacity in tiles (counted in lookups).  Long enough to
+#: remember a tile that comes back a few hundred tiles later — which is
+#: exactly the reuse plain LRU loses — and short enough to keep the
+#: remembered history at O(capacity) keys and let a hot set that went cold
+#: age out.
+AGING_PERIOD_CAPACITIES = 64
+
+_TileKey = Tuple[str, int]
+#: ``(cost class, access count, recency tick)`` — lower is evicted first
+_Rank = Tuple[int, int, int]
+
+
+@dataclass
+class _CachedTile:
+    cells: np.ndarray
+    #: 0 for a free view over disk-cache bytes, 1 for a decoded tile
+    cost_class: int
+    #: logical time of the last access: the final tie-breaker
+    tick: int
+    #: the rank carried by this entry's one live heap item
+    queued: _Rank = (0, 0, 0)
+
+
 class MemoryTileCache:
-    """LRU cache of decoded tile payloads (the top of the hierarchy).
+    """Cost- and frequency-aware cache of decoded tiles (top of the hierarchy).
+
+    Each tile ranks by its rebuild-cost class, then by its access count,
+    then by recency:
+
+    * **cost class** — a *free* tile (``put(..., free=True)``) is a
+      zero-copy view over disk-cache bytes: an uncompressed payload or a
+      stored frame.  Any other tile was *decoded* (inflated, read from a
+      BLOB, regenerated from its source) and costs that work again on a
+      miss, so a free tile never displaces a decoded one;
+    * **access count** — :meth:`get` calls per tile, remembered across
+      evictions and halved every :data:`AGING_PERIOD_CAPACITIES` ×
+      capacity-in-tiles lookups.  The memory is what keeps a tile that
+      returns a few hundred tiles later;
+    * **recency** breaks ties among equal classes and counts.
+
+    Eviction takes the lowest rank first (a heap with lazy re-ranking, no
+    scan per eviction).  A ``put`` that could only make room by displacing
+    an entry of equal or higher class and count is **refused**
+    (``stats.rejections``); ``put(..., force=True)`` admits whatever the
+    ranks.  Either way ``put`` returns the frozen array, so callers see no
+    difference.  :meth:`peek` is the probe for planners: it counts nothing.
+    A planner that skips staging because a tile is resident holds a
+    :meth:`pin` on it until the tile was assembled: pinned tiles are never
+    evicted.
 
     Cached arrays are held and handed out **read-only**: ``put`` flips the
     array's write flag off, so a caller mutating a returned array (or a
@@ -543,7 +603,18 @@ class MemoryTileCache:
         if capacity_bytes <= 0:
             raise CacheError("memory cache capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
+        self._entries: Dict[_TileKey, _CachedTile] = {}
+        #: lookups per tile, resident or not (aged, see AGING_PERIOD_CAPACITIES)
+        self._counts: Dict[_TileKey, int] = {}
+        #: min-heap of ``rank + (key,)``, one live item per entry.  Ranks
+        #: only rise between agings, so an item whose entry was touched
+        #: since is re-pushed when it surfaces; items of dropped entries
+        #: are skipped.
+        self._heap: List[Tuple[int, int, int, _TileKey]] = []
+        #: pin references per tile (see :meth:`pin`)
+        self._pins: Dict[_TileKey, int] = {}
+        self._tick = 0
+        self._lookups_to_aging = AGING_PERIOD_CAPACITIES
         self._used = 0
         self.stats = CacheStats()
 
@@ -552,29 +623,69 @@ class MemoryTileCache:
         return self._used
 
     def get(self, object_name: str, tile_id: int) -> Optional[np.ndarray]:
+        """The cached cells of one tile, or None; counts as an access."""
         key = (object_name, tile_id)
         self.stats.lookups += 1
-        cells = self._entries.get(key)
-        if cells is None:
+        self._counts[key] = self._counts.get(key, 0) + 1
+        self._lookups_to_aging -= 1
+        if self._lookups_to_aging <= 0:
+            self._age()
+        tile = self._entries.get(key)
+        if tile is None:
             self.stats.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self._tick += 1
+        tile.tick = self._tick
         self.stats.hits += 1
-        return cells
+        return tile.cells
 
     def peek(self, object_name: str, tile_id: int) -> bool:
-        """Presence probe that touches neither stats nor LRU order."""
+        """Presence probe that touches neither stats nor rank."""
         return (object_name, tile_id) in self._entries
 
+    def pin(self, object_name: str, tile_id: int) -> None:
+        """Take a reference that keeps a resident tile from being evicted."""
+        key = (object_name, tile_id)
+        if key not in self._entries:
+            raise CacheError(f"cannot pin absent memory cache tile {key!r}")
+        self._pins[key] = self._pins.get(key, 0) + 1
+
+    def unpin(self, object_name: str, tile_id: int) -> None:
+        """Drop one :meth:`pin` reference."""
+        key = (object_name, tile_id)
+        count = self._pins.pop(key, 0)
+        if count == 0:
+            raise CacheError(f"memory cache tile {key!r} is not pinned")
+        if count > 1:
+            self._pins[key] = count - 1
+
+    @property
+    def pinned_tiles(self) -> int:
+        """Tiles holding at least one pin reference."""
+        return len(self._pins)
+
     def put(
-        self, object_name: str, tile_id: int, cells: np.ndarray
+        self,
+        object_name: str,
+        tile_id: int,
+        cells: np.ndarray,
+        *,
+        free: bool = False,
+        force: bool = False,
     ) -> np.ndarray:
-        """Cache *cells* frozen; returns the (read-only) array now shared.
+        """Offer *cells* to the cache frozen; returns the read-only array.
+
+        *free* marks a zero-copy view over disk-cache bytes (cheap to
+        rebuild); *force* admits the tile whatever its rank — for tiles the
+        staging pipeline relies on finding here after it released their
+        disk-cache pins.
 
         Callers must continue with the **returned** array: when a writable
         view of a foreign buffer has to be snapshotted to freeze safely,
         the snapshot is what got cached.  Zero-copy decode hands in arrays
-        that are already read-only views, which are stored as-is.
+        that are already read-only views, which are stored as-is.  A
+        previous entry of the same tile is dropped even when the new cells
+        are refused, so :meth:`get` never returns superseded cells.
         """
         key = (object_name, tile_id)
         size = int(cells.nbytes)
@@ -590,26 +701,108 @@ class MemoryTileCache:
             # in place (the base stays writable anyway); snapshot it.
             cells = cells.copy()
             cells.setflags(write=False)
+        stale = self._entries.pop(key, None)
+        if stale is not None:
+            self._used -= int(stale.cells.nbytes)
         if size > self.capacity_bytes:
             return cells  # larger than the whole cache: bypass (still frozen)
-        if key in self._entries:
-            self._used -= int(self._entries[key].nbytes)
-            del self._entries[key]
-        while self._used + size > self.capacity_bytes:
-            _victim, evicted = self._entries.popitem(last=False)
-            self._used -= int(evicted.nbytes)
-            self.stats.evictions += 1
-            self.stats.bytes_evicted += int(evicted.nbytes)
-        self._entries[key] = cells
+        self._tick += 1
+        tile = _CachedTile(cells, 0 if free else 1, self._tick)
+        rank = self._rank(key, tile)
+        if not self._make_room(size, None if force else rank[:2]):
+            self.stats.rejections += 1
+            return cells
+        tile.queued = rank
+        heapq.heappush(self._heap, rank + (key,))
+        self._entries[key] = tile
         self._used += size
         self.stats.insertions += 1
         self.stats.bytes_inserted += size
+        if len(self._heap) > 2 * len(self._entries) + 64:
+            self._rebuild_heap()  # shed items of replaced entries
         return cells
 
     def invalidate_object(self, object_name: str) -> int:
-        """Drop every tile of one object (on update/delete); returns count."""
+        """Drop every tile of one object and its access history (on
+        update/delete); returns the number of tiles dropped."""
         victims = [k for k in self._entries if k[0] == object_name]
         for key in victims:
-            self._used -= int(self._entries[key].nbytes)
-            del self._entries[key]
+            self._used -= int(self._entries.pop(key).cells.nbytes)
+        self._counts = {
+            k: c for k, c in self._counts.items() if k[0] != object_name
+        }
+        if victims:
+            self._rebuild_heap()
         return len(victims)
+
+    # -- policy internals ------------------------------------------------------------
+
+    def _rank(self, key: _TileKey, tile: _CachedTile) -> _Rank:
+        return (tile.cost_class, self._counts.get(key, 0), tile.tick)
+
+    def _make_room(self, size: int, floor: Optional[Tuple[int, int]]) -> bool:
+        """Evict lowest-ranked entries until *size* more bytes fit.
+
+        Pinned entries are passed over.  Nothing is evicted, and False is
+        returned, when the unpinned entries cannot free enough or — given a
+        *floor* (the newcomer's cost class and count) — a needed victim
+        ranks at or above it.
+        """
+        needed = self._used + size - self.capacity_bytes
+        victims: List[Tuple[int, int, int, _TileKey]] = []
+        skipped: List[Tuple[int, int, int, _TileKey]] = []
+        freed = 0
+        while freed < needed:
+            item = self._pop_lowest()
+            if item is None or (floor is not None and item[:2] >= floor):
+                for kept in victims + skipped + ([item] if item else []):
+                    heapq.heappush(self._heap, kept)
+                return False
+            if item[3] in self._pins:
+                skipped.append(item)
+                continue
+            victims.append(item)
+            freed += int(self._entries[item[3]].cells.nbytes)
+        for kept in skipped:
+            heapq.heappush(self._heap, kept)
+        for item in victims:
+            evicted = int(self._entries.pop(item[3]).cells.nbytes)
+            self._used -= evicted
+            self.stats.evictions += 1
+            self.stats.bytes_evicted += evicted
+        return True
+
+    def _pop_lowest(self) -> Optional[Tuple[int, int, int, _TileKey]]:
+        """Pop the live heap item of the lowest-ranked resident entry."""
+        while self._heap:
+            item = heapq.heappop(self._heap)
+            key = item[3]
+            tile = self._entries.get(key)
+            if tile is None or tile.queued != item[:3]:
+                continue  # item of a dropped or replaced entry
+            rank = self._rank(key, tile)
+            if rank != tile.queued:
+                tile.queued = rank  # touched since it was queued
+                heapq.heappush(self._heap, rank + (key,))
+                continue
+            return item
+        return None
+
+    def _age(self) -> None:
+        """Halve every access count, forget the zeros, re-rank the heap."""
+        self._counts = {k: c >> 1 for k, c in self._counts.items() if c > 1}
+        capacity_tiles = (
+            self.capacity_bytes * len(self._entries) // self._used
+            if self._used
+            else 1
+        )
+        self._lookups_to_aging = AGING_PERIOD_CAPACITIES * max(1, capacity_tiles)
+        self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        heap = []
+        for key, tile in self._entries.items():
+            tile.queued = self._rank(key, tile)
+            heap.append(tile.queued + (key,))
+        heapq.heapify(heap)
+        self._heap = heap

@@ -123,6 +123,11 @@ class Codec:
         raw = self.decompress(bytes(stored), expected_size)
         return memoryview(raw).toreadonly()
 
+    def decodes_to_view(self, stored: Buffer) -> bool:
+        """Whether :meth:`decompress_view` serves *stored* as a view over
+        its own bytes — no decode work, so the cells are free to rebuild."""
+        return False
+
     def decompress_into(self, stored: Buffer, out: memoryview) -> int:
         """Decompress *stored* into the writable buffer *out*.
 
@@ -170,6 +175,9 @@ class NoneCodec(Codec):
                 "for uncompressed data"
             )
         return memoryview(stored).toreadonly()
+
+    def decodes_to_view(self, stored: Buffer) -> bool:
+        return True
 
     def decompress_into(self, stored: Buffer, out: memoryview) -> int:
         if len(stored) != len(out):
@@ -257,6 +265,9 @@ class ZlibCodec(Codec):
                 f"decompressed to {len(raw)} B, expected {expected_size} B"
             )
         return memoryview(raw).toreadonly()
+
+    def decodes_to_view(self, stored: Buffer) -> bool:
+        return self._frame(stored)[0] == _Z_STORED
 
     def decompress_into(self, stored: Buffer, out: memoryview) -> int:
         marker, body = self._frame(stored)

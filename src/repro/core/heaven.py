@@ -134,12 +134,15 @@ class StagingTicket:
 
     :meth:`Heaven._stage_many` pins every segment a batch needs — cache
     hits at planning time, fresh insertions at staging time — and hands
-    the pins back in a ticket.  The caller releases the ticket once the
-    tiles were assembled; until then no insertion (even of the same
-    batch) can evict those bytes.  ``release`` is idempotent.
+    the pins back in a ticket, together with memory-cache pins on the
+    tiles the batch will assemble from there: resident tiles it skipped
+    staging for, and tiles it drained or salvaged.  The caller releases the
+    ticket once the tiles were assembled; until then no insertion (even of
+    the same batch) can evict those bytes.  ``release`` is idempotent.
     """
 
     cache: DiskCache
+    memory: Optional[MemoryTileCache] = None
     #: super-tile runs streamed from tape for this batch
     staged: int = 0
     #: bytes those runs moved off tape
@@ -150,9 +153,15 @@ class StagingTicket:
     waves: int = 0
     #: segment keys still holding a pin reference
     pinned: List[str] = field(default_factory=list)
+    #: ``(object, tile)`` keys pinned in the memory tile cache
+    tile_pins: List[Tuple[str, int]] = field(default_factory=list)
 
     def release(self) -> None:
         """Drop every pin still held by this ticket."""
+        tiles, self.tile_pins = self.tile_pins, []
+        for key in tiles:
+            assert self.memory is not None
+            self.memory.unpin(*key)
         held, self.pinned = self.pinned, []
         for key in held:
             try:
@@ -791,11 +800,11 @@ class Heaven:
           tile cache → unpin) instead of thrashing through per-tile
           restages.
         """
-        ticket = StagingTicket(cache=self.disk_cache)
+        ticket = StagingTicket(cache=self.disk_cache, memory=self.memory_cache)
         try:
             with self.tracer.span("heaven.stage") as stage_span:
                 with self.tracer.span("cache.lookup"):
-                    needs = self.collect_needs(pairs)
+                    needs = self.collect_needs(pairs, ticket.tile_pins)
                     requests = self.plan_requests(needs, ticket)
                 if requests:
                     self.execute_staging(requests, needs, ticket)
@@ -824,7 +833,9 @@ class Heaven:
     # sweep — without duplicating the pin/wave machinery.
 
     def collect_needs(
-        self, pairs: Sequence[Tuple[MDD, Sequence[int]]]
+        self,
+        pairs: Sequence[Tuple[MDD, Sequence[int]]],
+        tile_pins: List[Tuple[str, int]],
     ) -> Dict[str, _SegmentNeed]:
         """Merge the needed tiles of the whole batch per tape segment.
 
@@ -837,7 +848,12 @@ class Heaven:
         already decoded in memory.  A partially-cached segment keeps all
         its needed tiles in the merged run — the memory cache is volatile
         (an eviction mid-assemble would narrow-miss the staged run and
-        defeat the pin guarantee), the pinned disk run is not.
+        defeat the pin guarantee), the pinned disk run is not.  The tiles
+        of a skipped segment are pinned in the memory cache instead and
+        their keys appended to *tile_pins*; the caller unpins them once it
+        assembled them.  The probe is a ``peek``: planning is not an
+        access, so it neither counts in the memory cache's statistics nor
+        raises a tile's rank.
         """
         needs: Dict[str, _SegmentNeed] = {}
         stageable: set = set()
@@ -854,9 +870,22 @@ class Heaven:
                     need = needs[key] = _SegmentNeed(super_tile, entry, mdd)
                 if tile_id not in need.tile_ids:
                     need.tile_ids.append(tile_id)
-                    if self.memory_cache.get(mdd.name, tile_id) is None:
+                    if not self.memory_cache.peek(mdd.name, tile_id):
                         stageable.add(key)
+        for key, need in needs.items():
+            if key not in stageable:
+                for tile_id in need.tile_ids:
+                    self._pin_resident(tile_pins, need.mdd.name, tile_id)
         return {key: need for key, need in needs.items() if key in stageable}
+
+    def _pin_resident(
+        self, tile_pins: List[Tuple[str, int]], object_name: str, tile_id: int
+    ) -> None:
+        """Pin a tile a batch will assemble from the memory cache, recording
+        the key in *tile_pins*; a no-op when the cache did not admit it."""
+        if self.memory_cache.peek(object_name, tile_id):
+            self.memory_cache.pin(object_name, tile_id)
+            tile_pins.append((object_name, tile_id))
 
     def plan_requests(
         self, needs: Dict[str, _SegmentNeed], ticket: StagingTicket
@@ -1036,7 +1065,7 @@ class Heaven:
             # capacity.  It is already streamed, so decode its tiles
             # straight into the memory cache instead of dropping the
             # bytes.
-            self._materialize_from_run(need, payload)
+            self._materialize_from_run(need, payload, ticket)
             return
         ticket.pinned.append(request.key)
         ticket.pins += 1
@@ -1044,13 +1073,17 @@ class Heaven:
         staged_keys.append(request.key)
 
     def _materialize_from_run(
-        self, need: _SegmentNeed, payload: Optional[Union[bytes, memoryview]]
+        self,
+        need: _SegmentNeed,
+        payload: Optional[Union[bytes, memoryview]],
+        ticket: StagingTicket,
     ) -> None:
         """Decode a streamed run's tiles directly into the memory cache.
 
         Degraded path for a fully-pinned disk cache: the tape bytes were
         paid for, so the tiles are salvaged even though the segment cannot
-        be cached on disk.
+        be cached on disk — force-admitted and pinned on *ticket*, as the
+        memory cache is now their only copy above tape.
         """
         run_start, _run_length = need.run
         for tile_id in need.tile_ids:
@@ -1059,8 +1092,8 @@ class Heaven:
             raw = None
             if payload is not None:
                 raw = payload[offset - run_start : offset - run_start + length]
-            cells = self._decode_tile(need.entry, need.mdd, tile, raw)
-            self._cache_tile(need.mdd, tile, cells)
+            self._decode_and_cache(need.entry, need.mdd, tile, raw, force=True)
+            self._pin_resident(ticket.tile_pins, need.mdd.name, tile_id)
 
     def _drain_wave(
         self,
@@ -1068,12 +1101,18 @@ class Heaven:
         needs: Dict[str, _SegmentNeed],
         ticket: StagingTicket,
     ) -> None:
-        """Materialise a finished wave's tiles, then release its pins."""
+        """Materialise a finished wave's tiles, then release its pins.
+
+        The tiles are force-admitted to the memory cache and pinned there
+        on *ticket*: once the disk pins are gone, that is where the batch's
+        assembly will look for them.
+        """
         with self.tracer.span("heaven.drain", segments=len(staged_keys)):
             for key in staged_keys:
                 need = needs[key]
                 for tile_id in need.tile_ids:
-                    self._resolve_tile(need.mdd, need.mdd.tiles[tile_id])
+                    self._resolve_tile(need.mdd, need.mdd.tiles[tile_id], force=True)
+                    self._pin_resident(ticket.tile_pins, need.mdd.name, tile_id)
                 try:
                     self.disk_cache.unpin(key)
                 except CacheError:
@@ -1167,11 +1206,12 @@ class Heaven:
 
     # ------------------------------------------------------------------ resolver
 
-    def _resolve_tile(self, mdd: MDD, tile: Tile) -> np.ndarray:
+    def _resolve_tile(self, mdd: MDD, tile: Tile, force: bool = False) -> np.ndarray:
         """Tile resolver installed on archived objects.
 
         Memory cache → (disk copy, when dual-resident) → disk cache →
-        (stage from tape, then disk cache).
+        (stage from tape, then disk cache).  A tile it had to build is
+        offered to the memory cache (*force* admits it unconditionally).
         """
         cached = self.memory_cache.get(mdd.name, tile.tile_id)
         if cached is not None:
@@ -1184,7 +1224,7 @@ class Heaven:
             # read by the storage manager's own BLOB resolver.
             assert mdd.oid is not None
             cells = self.storage._make_resolver(mdd.oid)(mdd, tile)
-            return self._cache_tile(mdd, tile, cells)
+            return self._cache_tile(mdd, tile, cells, free=False, force=force)
         super_tile = entry.super_tile_of(tile.tile_id)
         key = super_tile.segment_name
         assert key is not None
@@ -1232,22 +1272,38 @@ class Heaven:
                     medium_id, _segment.offset + tile_offset, tile_length
                 )
                 raw = self._segment_payload(key, tile_offset, tile_length)
-                cells = self._decode_tile(entry, mdd, tile, raw)
-                return self._cache_tile(mdd, tile, cells)
+                return self._decode_and_cache(entry, mdd, tile, raw, force)
         raw = self.disk_cache.read(key, tile_offset - run[0], tile_length)
-        return self._cache_tile(mdd, tile, self._decode_tile(entry, mdd, tile, raw))
+        return self._decode_and_cache(entry, mdd, tile, raw, force)
+
+    def _decode_and_cache(
+        self,
+        entry: ArchivedObject,
+        mdd: MDD,
+        tile: Tile,
+        raw: Optional[Union[bytes, memoryview]],
+        force: bool,
+    ) -> np.ndarray:
+        """Decode *raw* (see :meth:`_decode_tile`) and offer the cells to
+        the memory cache — as a free tile when they are a view over *raw*."""
+        cells = self._decode_tile(entry, mdd, tile, raw)
+        free = raw is not None and self.codec.decodes_to_view(raw)
+        return self._cache_tile(mdd, tile, cells, free=free, force=force)
 
     def _cache_tile(
-        self, mdd: MDD, tile: Tile, cells: np.ndarray
+        self, mdd: MDD, tile: Tile, cells: np.ndarray, *, free: bool, force: bool
     ) -> np.ndarray:
-        """Freeze *cells* into the memory tile cache; return the frozen array.
+        """Offer *cells* to the memory tile cache; return the frozen array.
 
-        The cache owns freezing (see :meth:`MemoryTileCache.put`); when it
-        had to snapshot a writable view to freeze safely, the snapshot —
-        not the caller's writable alias — is what resolver callers must
-        see, and the copied bytes are charged to the zero-copy counter.
+        The cache owns freezing and admission (see
+        :meth:`MemoryTileCache.put`); when it had to snapshot a writable
+        view to freeze safely, the snapshot — not the caller's writable
+        alias — is what resolver callers must see, and the copied bytes are
+        charged to the zero-copy counter.
         """
-        stored = self.memory_cache.put(mdd.name, tile.tile_id, cells)
+        stored = self.memory_cache.put(
+            mdd.name, tile.tile_id, cells, free=free, force=force
+        )
         if stored is not cells:
             self.assembly_bytes_copied += int(stored.nbytes)
         return stored
@@ -1598,11 +1654,12 @@ class Heaven:
     def assert_quiescent(self) -> None:
         """Raise :class:`HeavenError` unless the instance is at rest.
 
-        Quiescence means no operation is in flight: every staging pin has
-        been released (a leaked pin would silently shrink the evictable
-        cache forever), no parallel-staging timeline is still active on
-        the clock, and neither cache tier holds more bytes than its
-        capacity.  The simulation harness checks this between operations;
+        Quiescence means no operation is in flight: every staging pin (disk
+        segment or memory tile) has been released (a leaked pin would
+        silently shrink the evictable cache forever), no parallel-staging
+        timeline is still active on the clock, and neither cache tier holds
+        more bytes than its capacity.  The simulation harness checks this
+        between operations;
         it is also a useful sanity probe after any synchronous API call.
         """
         pinned = self.disk_cache.pinned_keys()
@@ -1610,6 +1667,11 @@ class Heaven:
             raise HeavenError(
                 f"not quiescent: {len(pinned)} disk-cache key(s) still "
                 f"pinned: {pinned[:5]}"
+            )
+        if self.memory_cache.pinned_tiles:
+            raise HeavenError(
+                f"not quiescent: {self.memory_cache.pinned_tiles} memory-cache "
+                "tile(s) still pinned"
             )
         if self.clock.active_timeline is not None:
             raise HeavenError(

@@ -27,6 +27,7 @@ parallel_speedup                gauge   executed speedup of parallel staging (de
 cache_lookups_total             counter cache probes {tier=memory|disk}
 cache_hits_total                counter cache hits {tier}
 cache_evictions_total           counter cache evictions {tier}
+cache_admissions_rejected_total counter puts refused by the admission rule {tier=memory}
 cache_used_bytes                gauge   bytes resident {tier}
 cache_pins_total                counter disk-cache pin references taken
 cache_pinned_bytes              gauge   disk-cache bytes currently pinned
@@ -150,6 +151,10 @@ class HeavenInstruments:
         )
         self.cache_evictions: Counter = registry.counter(
             "repro_cache_evictions_total", "cache evictions by tier"
+        )
+        self.cache_admissions_rejected: Counter = registry.counter(
+            "repro_cache_admissions_rejected_total",
+            "tiles the memory cache's cost/frequency rule declined to admit",
         )
         self.cache_used: Gauge = registry.gauge(
             "repro_cache_used_bytes", "bytes resident by tier", "B"
@@ -345,6 +350,7 @@ class HeavenInstruments:
         self.cache_hits.set(memory.hits, tier="memory")
         self.cache_evictions.set(disk.evictions, tier="disk")
         self.cache_evictions.set(memory.evictions, tier="memory")
+        self.cache_admissions_rejected.set(memory.rejections, tier="memory")
         self.cache_used.set(heaven.disk_cache.used_bytes, tier="disk")
         self.cache_used.set(heaven.memory_cache.used_bytes, tier="memory")
         self.cache_pins.set(disk.pins)

@@ -95,10 +95,10 @@ def check_global_clock(now_before: float, now_after: float) -> Optional[str]:
 def check_no_restage_growth(before: int, after: int) -> Optional[str]:
     """Batch staging must not thrash: zero restage fallbacks per op.
 
-    The workload generator keeps the memory tile cache large relative to
-    the object set, so a drained wave's tiles always survive until
-    assembly — any restage therefore means the pinned-wave admission
-    machinery dropped bytes it promised to hold.
+    A drained wave's tiles stay pinned in the memory tile cache until the
+    batch assembled them, and the workload generator keeps that cache
+    large enough to hold them — any restage therefore means the
+    pinned-wave admission machinery dropped bytes it promised to hold.
     """
     if after > before:
         return (

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 KB = 1024
@@ -47,6 +47,12 @@ FAULT_MIXINS: Tuple[str, ...] = ("mount", "media", "stall")
 
 #: one-shot fault sites the ``fault`` op may schedule
 FAULT_SITES: Tuple[str, ...] = ("mount", "robot", "media", "stall")
+
+#: memory tile cache sizes a program may draw (KiB).  Tiles are 2 KiB, an
+#: object up to 72 KiB: the small sizes make the tile cache evict and
+#: refuse admissions (and hold a batch's drained tiles pinned); 4096 never
+#: evicts.
+MEMORY_CACHE_KB: Tuple[int, ...] = (32, 64, 4096)
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,6 @@ def _draw_config(rng: random.Random) -> SimConfig:
         media_kb=rng.choice([96, 128, 256]),
         super_tile_kb=rng.choice([16, 24, 32]),
         disk_cache_kb=rng.choice([64, 96, 160, 256]),
-        memory_cache_kb=4096,
         policy=rng.choice(["lru", "fifo", "lfu", "size", "gds"]),
         compression=rng.choice(["none", "none", "none", "zlib"]),
         partial_reads=rng.random() < 0.8,
@@ -414,4 +419,6 @@ def generate_program(seed: int, num_ops: int) -> WorkloadProgram:
 
     if offline:
         ops.append(Op("offline", {"offline": False}))
+    # Drawn after everything else, so a seed keeps its knobs and op stream.
+    config = replace(config, memory_cache_kb=rng.choice(MEMORY_CACHE_KB))
     return WorkloadProgram(seed=seed, config=config, ops=ops)

@@ -14,6 +14,7 @@ from repro.core import (
     make_policy,
     policy_names,
 )
+from repro.core.cache import AGING_PERIOD_CAPACITIES
 from repro.errors import CacheError
 from repro.tertiary import DISK_ARRAY, MB, SimClock
 
@@ -165,18 +166,6 @@ class TestMemoryTileCache:
         assert cache.get("obj", 0) is None
         assert cache.stats.misses == 1
 
-    def test_lru_eviction_by_bytes(self):
-        cache = MemoryTileCache(2048)
-        a = np.zeros(128, dtype=np.float64)  # 1024 B
-        b = np.zeros(128, dtype=np.float64)
-        c = np.zeros(128, dtype=np.float64)
-        cache.put("o", 0, a)
-        cache.put("o", 1, b)
-        cache.get("o", 0)  # refresh 0
-        cache.put("o", 2, c)  # evicts 1
-        assert cache.get("o", 1) is None
-        assert cache.get("o", 0) is not None
-
     def test_oversized_tile_bypasses(self):
         cache = MemoryTileCache(100)
         cache.put("o", 0, np.zeros(1000, dtype=np.float64))
@@ -218,3 +207,152 @@ class TestMemoryTileCache:
         cache.put("obj", 0, cells)
         with pytest.raises(ValueError):
             cells[3] = -1.0  # put() took ownership; the name is frozen too
+
+
+TILE_BYTES = 1024
+
+
+def tile(value: float) -> np.ndarray:
+    return np.full(TILE_BYTES // 8, value, dtype=np.float64)
+
+
+def access(cache: MemoryTileCache, tile_id: int, free: bool = False) -> bool:
+    """One resolver access: get, and put on a miss; True on a hit."""
+    if cache.get("o", tile_id) is not None:
+        return True
+    cache.put("o", tile_id, tile(tile_id), free=free)
+    return False
+
+
+class TestMemoryTilePolicy:
+    """The admission-and-eviction rule: cost class, count, recency."""
+
+    def test_free_view_never_displaces_a_decoded_tile(self):
+        cache = MemoryTileCache(2 * TILE_BYTES)
+        access(cache, 0)
+        access(cache, 1)
+        for _ in range(5):
+            access(cache, 2, free=True)  # hot, but free to rebuild
+        assert not cache.peek("o", 2)
+        assert cache.peek("o", 0) and cache.peek("o", 1)
+        assert cache.stats.rejections == 5
+
+    def test_decoded_tile_displaces_a_hotter_free_view(self):
+        cache = MemoryTileCache(2 * TILE_BYTES)
+        for _ in range(5):
+            access(cache, 0, free=True)
+        access(cache, 1)
+        access(cache, 2)
+        assert not cache.peek("o", 0)
+        assert cache.peek("o", 1) and cache.peek("o", 2)
+        assert cache.stats.evictions == 1
+
+    def test_equal_rank_newcomer_is_refused(self):
+        cache = MemoryTileCache(2 * TILE_BYTES)
+        access(cache, 0)
+        access(cache, 1)
+        access(cache, 2)  # count 1 == the residents' counts
+        assert cache.peek("o", 0) and cache.peek("o", 1)
+        assert not cache.peek("o", 2)
+        assert access(cache, 0)  # a hit raises tile 0's count ...
+        access(cache, 2)  # ... and tile 2, now at 2, displaces tile 1
+        assert cache.peek("o", 2) and not cache.peek("o", 1)
+
+    def test_one_pass_cold_scan_leaves_the_hot_set_resident(self):
+        cache = MemoryTileCache(4 * TILE_BYTES)
+        hot = [0, 1, 2, 3]
+        for _ in range(3):
+            for tile_id in hot:
+                access(cache, tile_id)
+        for tile_id in range(100, 200):
+            access(cache, tile_id)
+        assert all(cache.peek("o", tile_id) for tile_id in hot)
+        assert all(access(cache, tile_id) for tile_id in hot)
+
+    def test_remembered_count_readmits_a_returning_tile(self):
+        # Tile 9 (3 accesses) is pushed out by two hotter tiles (4 each),
+        # then returns after cold traffic: its remembered count gets it
+        # back in on its second access, not after five fresh ones.
+        cache = MemoryTileCache(2 * TILE_BYTES)
+        for _ in range(3):
+            access(cache, 9)
+        for _ in range(4):
+            access(cache, 10)
+            access(cache, 11)
+        assert not cache.peek("o", 9)
+        for tile_id in range(12, 40):
+            access(cache, tile_id)  # cold traffic, all refused
+        access(cache, 9)
+        access(cache, 9)
+        assert cache.peek("o", 9)
+
+    def test_refused_put_still_returns_a_frozen_array(self):
+        cache = MemoryTileCache(TILE_BYTES)
+        access(cache, 0)
+        access(cache, 0)
+        owned = tile(1.0)
+        assert cache.put("o", 1, owned, free=True) is owned
+        assert not owned.flags.writeable
+        base = np.zeros(2 * TILE_BYTES // 8)
+        view = base[: TILE_BYTES // 8]  # writable view of a foreign buffer
+        frozen = cache.put("o", 2, view)
+        assert frozen is not view and not frozen.flags.writeable
+        assert base.flags.writeable
+        assert not cache.peek("o", 1) and not cache.peek("o", 2)
+        assert cache.stats.rejections == 2
+
+    def test_refused_replacement_drops_the_superseded_cells(self):
+        cache = MemoryTileCache(2 * TILE_BYTES)
+        access(cache, 0)
+        access(cache, 0)
+        access(cache, 1)
+        cache.put("o", 1, np.full(256, 1.0))  # 2 KiB: needs tile 0's room
+        assert cache.get("o", 1) is None
+
+    def test_history_stays_bounded(self):
+        capacity_tiles = 4
+        cache = MemoryTileCache(capacity_tiles * TILE_BYTES)
+        for tile_id in range(50_000):
+            access(cache, tile_id)
+        bound = 2 * AGING_PERIOD_CAPACITIES * capacity_tiles
+        assert len(cache._counts) <= bound  # remembered keys, not 50 000
+
+    def test_forced_admissions_always_land(self):
+        cache = MemoryTileCache(2 * TILE_BYTES)
+        for _ in range(4):
+            access(cache, 0)
+            access(cache, 1)
+        for tile_id in range(2, 10):
+            cache.put("o", tile_id, tile(tile_id), free=True, force=True)
+            assert cache.peek("o", tile_id)
+        assert cache.used_bytes <= cache.capacity_bytes
+
+    def test_pinned_tile_is_never_evicted(self):
+        cache = MemoryTileCache(2 * TILE_BYTES)
+        access(cache, 0)
+        cache.pin("o", 0)
+        access(cache, 1)
+        for tile_id in range(2, 6):
+            cache.put("o", tile_id, tile(tile_id), force=True)
+        assert cache.peek("o", 0) and cache.peek("o", 5)
+        cache.pin("o", 5)
+        cache.put("o", 6, tile(6), force=True)  # nothing evictable left
+        assert not cache.peek("o", 6)
+        assert cache.pinned_tiles == 2
+        cache.unpin("o", 0)
+        cache.unpin("o", 5)
+        assert cache.pinned_tiles == 0
+        with pytest.raises(CacheError):
+            cache.unpin("o", 0)
+        with pytest.raises(CacheError):
+            cache.pin("o", 6)  # absent: nothing to shield
+
+    def test_invalidate_object_forgets_its_history(self):
+        cache = MemoryTileCache(TILE_BYTES)
+        for _ in range(3):
+            access(cache, 0)
+        cache.invalidate_object("o")
+        cache.get("p", 0)
+        cache.put("p", 0, tile(1.0))
+        access(cache, 0)  # count 1 again: ties with p/0, refused
+        assert not cache.peek("o", 0) and cache.peek("p", 0)
