@@ -5,6 +5,13 @@ At export time HEAVEN records, per tile, the decomposable aggregates
 answered by combining the per-tile partials of fully covered tiles and
 reading only the *partial edge tiles* of the query region — usually turning
 a tape-touching aggregation into pure catalog arithmetic.
+
+The first reduction of an edge tile's overlap is remembered as an *edge
+partial* keyed by ``(object, tile_id, overlap box)``, so a repeated
+condenser over the same box decodes nothing at all.  Edge partials are
+dropped with the tile's aggregate (:meth:`PrecomputedCatalog.refresh_tile`)
+and with the object's (:meth:`PrecomputedCatalog.register_object`,
+:meth:`PrecomputedCatalog.drop_object`).
 """
 
 from __future__ import annotations
@@ -17,12 +24,16 @@ import numpy as np
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..arrays.query.executor import MDDRef
+from ..arrays.tile import Tile
 from ..errors import HeavenError
 
 Scalar = Union[int, float, bool]
 
 #: Condensers answerable from (count, sum, min, max) partials.
 DECOMPOSABLE = ("add_cells", "avg_cells", "max_cells", "min_cells")
+
+#: Edge partials remembered per tile; the oldest is dropped first.
+EDGE_PARTIALS_PER_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -52,8 +63,10 @@ class PrecomputedStats:
 
     lookups: int = 0
     answered_pure: int = 0      # all tiles fully covered: zero cell reads
-    answered_hybrid: int = 0    # edge tiles read, interior from partials
+    answered_hybrid: int = 0    # edge tiles involved, interior from partials
     declined: int = 0           # not decomposable / no entry
+    edge_reused: int = 0        # edge overlaps answered from a remembered partial
+    edge_read: int = 0          # edge overlaps read and reduced from cells
 
     @property
     def answered(self) -> int:
@@ -65,6 +78,8 @@ class PrecomputedCatalog:
 
     def __init__(self) -> None:
         self._tiles: Dict[str, Dict[int, TileAggregate]] = {}
+        # object -> tile_id -> overlap box -> partial, oldest first
+        self._edges: Dict[str, Dict[int, Dict[MInterval, TileAggregate]]] = {}
         self.stats = PrecomputedStats()
 
     def register_object(self, mdd: MDD) -> int:
@@ -82,23 +97,18 @@ class PrecomputedCatalog:
             cells = mdd.materialize_tile(tile)
             entries[tile_id] = TileAggregate.of(cells)
         self._tiles[mdd.name] = entries
+        self._edges.pop(mdd.name, None)
         return len(entries)
 
     def drop_object(self, object_name: str) -> None:
         self._tiles.pop(object_name, None)
-
-    def invalidate_tiles(self, object_name: str, tile_ids: List[int]) -> None:
-        """Remove partials of updated tiles (they are re-registered on export)."""
-        entries = self._tiles.get(object_name)
-        if entries is None:
-            return
-        for tile_id in tile_ids:
-            entries.pop(tile_id, None)
+        self._edges.pop(object_name, None)
 
     def refresh_tile(self, mdd: MDD, tile_id: int) -> None:
-        """Recompute one tile's partials after an update."""
+        """Recompute one tile's partials after an update; forget its edges."""
         entries = self._tiles.setdefault(mdd.name, {})
         entries[tile_id] = TileAggregate.of(mdd.materialize_tile(mdd.tiles[tile_id]))
+        self._edges.get(mdd.name, {}).pop(tile_id, None)
 
     def has_object(self, object_name: str) -> bool:
         return object_name in self._tiles
@@ -115,12 +125,14 @@ class PrecomputedCatalog:
 
         Interior tiles (fully inside the query region) contribute their
         precomputed partials; edge tiles contribute an aggregate over only
-        their overlap, read through the normal hierarchy.  *prepare*, when
-        given, is called once with ``(mdd, edge_tile_ids)`` before any edge
-        read so the storage layer can batch-stage them (one scheduled tape
-        pass instead of one stage per tile); a callable returned by
-        *prepare* is invoked after the edge reads (HEAVEN releases its
-        staging pins there).
+        their overlap — a remembered edge partial when this overlap was
+        reduced before, else one computed from the tile's cells and then
+        remembered.  *prepare*, when given, is called once with
+        ``(mdd, edge_tile_ids)`` for the edge tiles still unknown, before
+        any of them is read, so the storage layer can batch-stage them (one
+        scheduled tape pass instead of one stage per tile); a callable
+        returned by *prepare* is invoked after the edge reads (HEAVEN
+        releases its staging pins there).
         """
         self.stats.lookups += 1
         entries = self._tiles.get(ref.mdd.name)
@@ -133,7 +145,8 @@ class PrecomputedCatalog:
         total = 0.0
         minimum = float("inf")
         maximum = float("-inf")
-        edges = []
+        known = self._edges.get(mdd.name, {})
+        edges: List[Tuple[Tile, MInterval, Optional[TileAggregate]]] = []
         for tile in mdd.tiles_for(region):
             if region.contains(tile.domain):
                 partial = entries.get(tile.tile_id)
@@ -147,25 +160,30 @@ class PrecomputedCatalog:
             else:
                 overlap = tile.domain.intersection(region)
                 assert overlap is not None
-                edges.append((tile, overlap))
-        edge_tiles = len(edges)
+                edges.append((tile, overlap, known.get(tile.tile_id, {}).get(overlap)))
+        missing = [tile.tile_id for tile, _overlap, partial in edges if partial is None]
+        self.stats.edge_reused += len(edges) - len(missing)
+        self.stats.edge_read += len(missing)
         release = None
-        if edges and prepare is not None:
-            release = prepare(mdd, [tile.tile_id for tile, _overlap in edges])
+        if missing and prepare is not None:
+            release = prepare(mdd, missing)
         try:
-            for _tile, overlap in edges:
-                cells = mdd.read(overlap)
-                count += int(cells.size)
-                total += float(cells.sum(dtype=np.float64))
-                minimum = min(minimum, float(cells.min()))
-                maximum = max(maximum, float(cells.max()))
+            # Interior first, then edges in tile order: the same float
+            # summation order as reducing every edge from its cells.
+            for tile, overlap, partial in edges:
+                if partial is None:
+                    partial = self._reduce_edge(mdd, tile, overlap)
+                count += partial.count
+                total += partial.total
+                minimum = min(minimum, partial.minimum)
+                maximum = max(maximum, partial.maximum)
         finally:
             if callable(release):
                 release()
         if count == 0:
             self.stats.declined += 1
             return None
-        if edge_tiles:
+        if edges:
             self.stats.answered_hybrid += 1
         else:
             self.stats.answered_pure += 1
@@ -178,3 +196,21 @@ class PrecomputedCatalog:
         if condenser == "min_cells":
             return minimum
         raise HeavenError(f"unreachable condenser {condenser!r}")
+
+    def _reduce_edge(self, mdd: MDD, tile: Tile, overlap: MInterval) -> TileAggregate:
+        """Aggregate *overlap* from *tile*'s cells and remember the result.
+
+        The overlap is copied contiguous — the same bytes ``mdd.read``
+        assembles — so the sum is bit-identical to reducing a read of it.
+        """
+        cells = mdd.materialize_tile(tile)
+        slices = tuple(
+            slice(o.lo - t.lo, o.hi - t.lo + 1)
+            for o, t in zip(overlap.axes, tile.domain.axes)
+        )
+        partial = TileAggregate.of(np.ascontiguousarray(cells[slices]))
+        remembered = self._edges.setdefault(mdd.name, {}).setdefault(tile.tile_id, {})
+        if len(remembered) >= EDGE_PARTIALS_PER_TILE:
+            del remembered[next(iter(remembered))]
+        remembered[overlap] = partial
+        return partial

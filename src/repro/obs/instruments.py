@@ -38,6 +38,7 @@ segments_staged_total           counter super-tile segment runs staged from tape
 read_tiles_needed_total         counter tiles demanded by reported reads
 read_bytes_useful_total         counter bytes returned to read callers
 assembly_bytes_copied_total     counter redundant bytes copied on the decode/assembly path (0 = zero-copy)
+precomputed_edges_total         counter condenser edge overlaps {source=reused|read}
 wal_records_total               counter WAL appends
 wal_syncs_total                 counter WAL commit/checkpoint syncs
 txns_total                      counter transactions {outcome=committed|rolled_back}
@@ -198,6 +199,11 @@ class HeavenInstruments:
             "redundant bytes copied on the decode/assembly path "
             "(the zero-copy pipeline keeps this at 0)",
             "B",
+        )
+        self.precomputed_edges: Counter = registry.counter(
+            "repro_precomputed_edges_total",
+            "condenser edge overlaps answered from a remembered partial "
+            "(reused) or reduced from decoded cells (read)",
         )
         self.wal_records: Counter = registry.counter(
             "repro_wal_records_total", "write-ahead-log appends"
@@ -363,6 +369,9 @@ class HeavenInstruments:
         self.read_bytes_useful.set(heaven.read_bytes_useful)
         self.assembly_bytes_copied.set(heaven.assembly_bytes_copied)
         self.tiles_materialised.set(memory.insertions)
+        precomputed = heaven.precomputed.stats
+        self.precomputed_edges.set(precomputed.edge_reused, source="reused")
+        self.precomputed_edges.set(precomputed.edge_read, source="read")
         self.admission_sweeps.set(heaven.admission_sweeps)
         self.admission_fusion_saved_bytes.set(
             heaven.admission_fusion_saved_bytes

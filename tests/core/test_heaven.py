@@ -144,3 +144,4 @@ class TestSnapshot:
         assert snap["archived_objects"] == ["cube"]
         assert snap["virtual_seconds"] > 0
         assert "exchange" in snap["time_breakdown"]
+        assert (snap["precomputed"].edge_reused, snap["precomputed"].edge_read) == (0, 0)

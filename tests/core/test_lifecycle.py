@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import FaultPlan, RetryExhaustedError
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
 from repro.errors import HeavenError
@@ -96,6 +97,77 @@ class TestUpdate:
         assert np.array_equal(
             heaven.read("d", "plain", MInterval.of((0, 3), (0, 3))), np.ones((4, 4))
         )
+
+
+#: Unaligned in both axes: 10 edge tiles around 2 interior tiles.
+EDGE_BOX = MInterval.of((5, 70), (9, 100))
+CONDENSER = "select add_cells(c[5:70, 9:100]) from col as c"
+
+
+def condense(heaven):
+    return heaven.query(CONDENSER)[0].scalar()
+
+
+def numpy_sum(heaven):
+    return float(heaven.read("col", "obj", EDGE_BOX).sum(dtype=np.float64))
+
+
+class TestEdgePartials:
+    """A repeated condenser answers its edge tiles from remembered partials;
+    every path that changes an archived object's cells forgets them."""
+
+    def test_repeated_condenser_touches_no_cache(self):
+        heaven, _ = build_heaven(compression="zlib")
+        first = condense(heaven)
+        assert heaven.precomputed.stats.edge_read == 10
+        lookups = heaven.memory_cache.stats.lookups
+        disk_reads = heaven.disk_cache.disk.stats.reads
+        assert condense(heaven) == first
+        assert heaven.memory_cache.stats.lookups == lookups
+        assert heaven.disk_cache.disk.stats.reads == disk_reads
+        assert heaven.precomputed.stats.edge_reused == 10
+        assert first == pytest.approx(numpy_sum(heaven))
+
+    def test_update_of_an_edge_overlap(self):
+        heaven, _ = build_heaven(compression="zlib")
+        before = condense(heaven)
+        heaven.update("col", "obj", MInterval.of((5, 9), (9, 12)), np.full((5, 4), 1e4))
+        after = condense(heaven)
+        assert after != before
+        assert after == pytest.approx(numpy_sum(heaven))
+
+    def test_failed_update_keeps_old_partials(self):
+        plan = FaultPlan()
+        heaven, _ = build_heaven(compression="zlib", fault_plan=plan)
+        before = condense(heaven)
+        old = numpy_sum(heaven)
+        heaven.library.unmount_all()
+        plan.fail_next("mount", count=50)
+        with pytest.raises(RetryExhaustedError):
+            heaven.update(
+                "col", "obj", MInterval.of((5, 9), (9, 12)), np.full((5, 4), 1e4)
+            )
+        plan.reset()
+        reused = heaven.precomputed.stats.edge_reused
+        assert condense(heaven) == before
+        assert heaven.precomputed.stats.edge_reused == reused + 10
+        assert numpy_sum(heaven) == old
+
+    def test_delete_and_rearchive_under_the_same_name(self):
+        heaven, _ = build_heaven(compression="zlib")
+        before = condense(heaven)
+        heaven.delete("col", "obj")
+        heaven.insert("col", MDD(
+            "obj",
+            MInterval.of((0, 127), (0, 127)),
+            DOUBLE,
+            tiling=RegularTiling((32, 32)),
+            source=HashedNoiseSource(4, 0.0, 50.0),
+        ))
+        heaven.archive("col", "obj")
+        after = condense(heaven)
+        assert after != before
+        assert after == pytest.approx(numpy_sum(heaven))
 
 
 class TestReimport:

@@ -6,6 +6,7 @@ import pytest
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling, RGB
 from repro.arrays.query.executor import MDDRef
 from repro.core import PrecomputedCatalog, TileAggregate
+from repro.core.precomputed import EDGE_PARTIALS_PER_TILE
 from repro.errors import HeavenError
 
 
@@ -107,11 +108,6 @@ class TestTryAnswer:
 
 
 class TestInvalidation:
-    def test_invalidate_then_decline(self, mdd, catalog):
-        catalog.invalidate_tiles("m", [0])
-        ref = MDDRef(mdd).subset([(0, 19, False), (0, 19, False)])
-        assert catalog.try_answer("avg_cells", ref) is None
-
     def test_refresh_tile_after_update(self, mdd, catalog):
         region = MInterval.of((0, 19), (0, 19))
         mdd.write(region, np.full((20, 20), 5.0))
@@ -119,5 +115,80 @@ class TestInvalidation:
         ref = MDDRef(mdd).subset([(0, 19, False), (0, 19, False)])
         assert catalog.try_answer("avg_cells", ref) == pytest.approx(5.0)
 
-    def test_invalidate_unknown_object_is_noop(self, catalog):
-        catalog.invalidate_tiles("ghost", [0])
+
+UNALIGNED = [(5, 33, False), (2, 37, False)]
+
+
+def edge_partials(catalog, tile_id):
+    return len(catalog._edges.get("m", {}).get(tile_id, ()))
+
+
+class TestEdgePartials:
+    def test_repeated_condenser_reuses_every_edge(self, mdd, catalog):
+        ref = MDDRef(mdd).subset(UNALIGNED)
+        first = catalog.try_answer("add_cells", ref)
+        assert (catalog.stats.edge_read, catalog.stats.edge_reused) == (4, 0)
+        reads = []
+        original = mdd.materialize_tile
+        mdd.materialize_tile = lambda tile: (reads.append(tile), original(tile))[1]
+        assert catalog.try_answer("add_cells", ref) == first
+        assert reads == []
+        assert (catalog.stats.edge_read, catalog.stats.edge_reused) == (4, 4)
+        assert catalog.stats.answered_hybrid == 2
+
+    def test_answers_bit_identical_to_reading_the_overlaps(self, mdd, catalog):
+        region = MInterval.of((5, 33), (2, 37))
+        ref = MDDRef(mdd).subset(UNALIGNED)
+        total = 0.0
+        for tile in mdd.tiles_for(region):
+            overlap = mdd.read(tile.domain.intersection(region))
+            total += float(overlap.sum(dtype=np.float64))
+        for _ in range(2):
+            assert catalog.try_answer("add_cells", ref) == total
+
+    def test_prepare_sees_only_unknown_edges(self, mdd, catalog):
+        staged = []
+
+        def prepare(_mdd, tile_ids):
+            staged.append(list(tile_ids))
+
+        # Tiles 0 and 2 share this box's overlaps with UNALIGNED's.
+        catalog.try_answer(
+            "max_cells", MDDRef(mdd).subset([(5, 33, False), (2, 19, False)]), prepare
+        )
+        catalog.try_answer("max_cells", MDDRef(mdd).subset(UNALIGNED), prepare)
+        assert staged == [[0, 2], [1, 3]]
+        catalog.try_answer("max_cells", MDDRef(mdd).subset(UNALIGNED), prepare)
+        assert staged == [[0, 2], [1, 3]]
+
+    def test_refresh_tile_drops_its_edge_partials(self, mdd, catalog):
+        ref = MDDRef(mdd).subset(UNALIGNED)
+        catalog.try_answer("add_cells", ref)
+        mdd.write(MInterval.of((0, 19), (0, 19)), np.full((20, 20), 5.0))
+        catalog.refresh_tile(mdd, 0)
+        assert edge_partials(catalog, 0) == 0
+        assert edge_partials(catalog, 1) == 1
+        expect = mdd.read(MInterval.of((5, 33), (2, 37)))
+        assert catalog.try_answer("add_cells", ref) == pytest.approx(expect.sum())
+        assert catalog.stats.edge_read == 5
+
+    def test_register_and_drop_forget_edge_partials(self, mdd, catalog):
+        ref = MDDRef(mdd).subset(UNALIGNED)
+        catalog.try_answer("add_cells", ref)
+        catalog.register_object(mdd)
+        assert edge_partials(catalog, 0) == 0
+        catalog.try_answer("add_cells", ref)
+        catalog.drop_object("m")
+        assert edge_partials(catalog, 0) == 0
+
+    def test_partials_per_tile_are_bounded_oldest_first(self, mdd, catalog):
+        def column(hi):
+            return MDDRef(mdd).subset([(0, hi, False), (0, 0, False)])
+
+        for hi in range(1, 10):  # nine distinct overlaps of tile 0
+            catalog.try_answer("add_cells", column(hi))
+        assert edge_partials(catalog, 0) == EDGE_PARTIALS_PER_TILE < 9
+        catalog.try_answer("add_cells", column(9))  # newest: kept
+        assert catalog.stats.edge_reused == 1
+        catalog.try_answer("add_cells", column(1))  # oldest: dropped
+        assert catalog.stats.edge_read == 10

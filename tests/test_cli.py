@@ -242,6 +242,17 @@ class TestScenarioMatrix:
         assert main(["stats", scenario]) == 0
         out = capsys.readouterr().out
         assert "repro_virtual_seconds" in out
+        edges = {
+            source: int(line.rsplit(" ", 1)[1])
+            for line in out.splitlines()
+            for source in ("reused", "read")
+            if line.startswith(f'repro_precomputed_edges_total{{source="{source}"}} ')
+        }
+        assert set(edges) == {"reused", "read"}
+        if scenario == "demo":
+            # One unaligned condenser: every edge overlap is read, none reused.
+            assert edges["read"] > 0
+            assert edges["reused"] == 0
         if scenario == "thrash":
             # Pinned wave staging under cache pressure: nothing is staged
             # twice, no pin outlives its read, assembly copies no bytes.
