@@ -5,7 +5,7 @@ requests of one caller's batch.  This layer takes it to its production
 limit: *independent* queries run as cooperative tasks, their staging
 demands land in a shared per-medium queue, and the controller fuses
 overlapping super-tile runs **across queries** into single elevator
-sweeps.  Three policies shape the sweeps:
+sweeps.  Four policies shape the sweeps:
 
 * **anticipatory hold-back** — a dispatch can wait a bounded virtual-time
   window (``holdback_s``) so queries arriving inside the window
@@ -13,10 +13,14 @@ sweeps.  Three policies shape the sweeps:
 * **weighted-fair picking** — the next medium served is the one whose
   neediest demanding query has received the least attributed service per
   unit weight, so a PB-scale scan cannot monopolise the robot;
+* **work conservation** — the sweep for the picked medium also serves
+  the pending demands on media already sitting in a drive (as many as the
+  disk cache's free bytes hold): those cost no exchange now, and a later
+  sweep would often find them exchanged out;
 * **aging escalation** — once the oldest pending demand has waited more
   than half the configured ``aging_bound_s``, scheduling
-  degenerates to strict oldest-first until the backlog drains, bounding
-  every demand's wait.
+  degenerates to strict oldest-first (the oldest demand's medium alone,
+  no ride-alongs) until the backlog drains, bounding every demand's wait.
 
 Correctness is anchored on three invariants the test layer proves:
 
@@ -29,7 +33,10 @@ Correctness is anchored on three invariants the test layer proves:
 Shared staged segments are pinned with **per-query leases**
 (:meth:`~repro.core.cache.DiskCache.acquire_lease`): one lease per
 demanding query, so one query's assembly releasing its references can
-never unpin bytes another query still needs.  Shared tape bytes are split
+never unpin bytes another query still needs.  Tiles a sweep had to drain
+into the memory tile cache, once their segment left the disk cache, are
+pinned there once per demanding query until that query assembled.
+Shared tape bytes are split
 across queries without double counting
 (:func:`~repro.core.scheduler.split_shared_bytes`); the sum of the
 per-query reports plus the explicit unattributed remainder equals the
@@ -85,8 +92,9 @@ class QuerySpec:
         name: display label in reports (defaults to the object name).
         tile_ids: explicit tile subset instead of the region's full tile
             cover — the sharded form a data node serves.  The query then
-            answers with ``{tile_id: cells}`` rather than one assembled
-            region, since the region's other tiles belong to other shards.
+            answers with ``{tile_id: cells}``, each tile clipped to its
+            overlap with *region*, rather than one assembled region, since
+            the region's other tiles belong to other shards.
     """
 
     collection: str
@@ -112,6 +120,7 @@ class FusionAudit:
     """
 
     key: str
+    #: the medium this segment lives on (one sweep may span several)
     medium_id: str
     #: union of the demanding queries' byte runs on this segment
     demanded_run: Tuple[int, int]
@@ -153,7 +162,8 @@ class _QueryTask:
     #: segment keys this task holds disk-cache leases on
     leases: List[str] = field(default_factory=list)
     lease_count: int = 0
-    #: resident tiles pinned in the memory cache instead of being staged
+    #: tiles pinned in the memory cache for this task's assembly: resident
+    #: ones it skipped staging for, and ones a sweep drained or salvaged
     tile_pins: List[Tuple[str, int]] = field(default_factory=list)
     #: attributed sweep service (virtual seconds, weighted-fair currency)
     service_s: float = 0.0
@@ -164,7 +174,8 @@ class _QueryTask:
     enqueued_s: float = 0.0
     finished_s: float = 0.0
     max_wait_s: float = 0.0
-    #: the answer: region cells, or ``{tile_id: cells}`` for a tile subset
+    #: the answer: region cells, or ``{tile_id: clipped cells}`` for a
+    #: tile subset
     cells: Union[None, np.ndarray, Dict[int, np.ndarray]] = None
     report: Optional[RetrievalReport] = None
 
@@ -194,7 +205,8 @@ class MultiQueryReport:
     unattributed_tape_bytes: int = 0
     #: tape bytes fusion avoided vs. each query staging its own run
     fusion_saved_bytes: int = 0
-    #: media exchanges fusion avoided (demanding queries - 1 per sweep)
+    #: media exchanges fusion avoided (demanding queries - 1 per medium a
+    #: sweep streamed from)
     fusion_saved_exchanges: int = 0
     #: virtual seconds spent inside anticipatory hold-back windows
     holdback_seconds: float = 0.0
@@ -483,19 +495,26 @@ class AdmissionController:
                 out.append((task, task.demands[key]))
         return out
 
+    def _overdue(
+        self, pending: Sequence[Tuple[_QueryTask, _Demand]]
+    ) -> Optional[_Demand]:
+        """The oldest pending demand while aging escalation is active."""
+        if self.aging_bound_s is None:
+            return None
+        _task, oldest = min(pending, key=lambda td: (td[1].enqueued_s, td[0].qid))
+        if self.heaven.clock.now - oldest.enqueued_s > self.aging_bound_s / 2.0:
+            return oldest
+        return None
+
     def _pick_medium(
         self, pending: Sequence[Tuple[_QueryTask, _Demand]]
     ) -> str:
         """Weighted-fair medium choice with aging escalation."""
-        now = self.heaven.clock.now
-        oldest = min(pending, key=lambda td: (td[1].enqueued_s, td[0].qid))
-        if (
-            self.aging_bound_s is not None
-            and now - oldest[1].enqueued_s > self.aging_bound_s / 2.0
-        ):
+        overdue = self._overdue(pending)
+        if overdue is not None:
             # Aging escalation: serve the oldest demand's medium next, no
             # matter how much service its query already received.
-            return oldest[1].medium_id
+            return overdue.medium_id
         best: Optional[Tuple[float, str]] = None
         for task, demand in pending:
             need = task.service_s / task.weight
@@ -506,7 +525,8 @@ class AdmissionController:
         return best[1]
 
     def _dispatch_sweep(self) -> None:
-        """Fuse all pending demands on one medium into a single sweep."""
+        """Fuse all pending demands on the picked medium, plus the ones on
+        media already in a drive that fit the disk cache, into one sweep."""
         heaven = self.heaven
         clock = heaven.clock
         report = self._report
@@ -514,6 +534,7 @@ class AdmissionController:
         report.max_queue_depth = max(report.max_queue_depth, len(pending))
         if heaven.instruments is not None:
             heaven.instruments.observe_admission_queue_depth(len(pending))
+        escalated = self._overdue(pending) is not None
         medium_id = self._pick_medium(pending)
         # Anticipatory hold-back: wait out the window so queries arriving
         # inside it join this very sweep instead of paying their own mount.
@@ -537,9 +558,39 @@ class AdmissionController:
             for task, demand in pending
             if demand.medium_id == medium_id
         ]
-        if not chosen:  # pragma: no cover - pick always comes from pending
-            return
+        if not escalated:
+            self._add_ride_alongs(medium_id, pending, chosen)
         self._execute_sweep(medium_id, chosen)
+
+    def _add_ride_alongs(
+        self,
+        medium_id: str,
+        pending: Sequence[Tuple[_QueryTask, _Demand]],
+        chosen: List[Tuple[_QueryTask, _Demand]],
+    ) -> None:
+        """Work conservation: add to *chosen* the pending demands on media
+        already in a drive, which cost no exchange now.
+
+        Only demands that fit the disk cache's free bytes next to the ones
+        already chosen ride along (first fit, overlapping runs counted
+        twice): a ride-along that forced the sweep into capacity waves
+        would drain tiles the memory cache may have no room for, trading
+        the saved exchange for restages.  Aging escalation never calls
+        this, so the oldest demand's medium is served alone and the
+        waiting bound is unchanged.
+        """
+        cache = self.heaven.disk_cache
+        mounted = {
+            drive.medium.medium_id
+            for drive in self.heaven.library.drives
+            if drive.medium is not None and drive.medium.medium_id != medium_id
+        }
+        budget = cache.capacity_bytes - cache.pinned_bytes
+        budget -= sum(demand.run[1] for _task, demand in chosen)
+        for task, demand in pending:
+            if demand.medium_id in mounted and demand.run[1] <= budget:
+                budget -= demand.run[1]
+                chosen.append((task, demand))
 
     def _execute_sweep(
         self,
@@ -579,6 +630,7 @@ class AdmissionController:
                 "admission.sweep",
                 always=True,
                 medium=medium_id,
+                media=len({demand.medium_id for _t, demand in chosen}),
                 segments=len(fused),
                 queries=len({task.qid for task, _d in chosen}),
             ):
@@ -600,9 +652,8 @@ class AdmissionController:
                 ]
                 if requests:
                     heaven.execute_staging(requests, fused, ticket)
-            self._grant_leases(fused, by_key)
+            self._hand_over_pins(fused, by_key, ticket.tile_pins)
         self._settle_sweep(
-            medium_id,
             by_key,
             fused,
             demanded_unions,
@@ -614,32 +665,51 @@ class AdmissionController:
         report.fused_segments += len(demanded_unions)
         heaven.admission_sweeps += 1
 
-    def _grant_leases(
+    def _hand_over_pins(
         self,
         fused: Dict[str, _SegmentNeed],
         by_key: Dict[str, List[Tuple[_QueryTask, _Demand]]],
+        drained: Sequence[Tuple[str, int]],
     ) -> None:
-        """One lease per demanding query per disk-cached fused segment.
+        """Pin what the sweep staged for each demanding query until it
+        assembled.
 
-        Segments that degraded to the memory tile cache (drained waves,
-        fully-pinned cache) need no lease: their tiles are already
-        decoded, and :meth:`Heaven.collect_needs` will skip them at
-        assembly time.
+        One lease per demanding query per disk-cached fused segment, and
+        one memory-cache pin per demanding query per tile in *drained*
+        whose segment left the disk cache: the tiles non-final waves
+        drained (or a fully-pinned disk cache salvaged) into the memory
+        tile cache.  The sweep's own ticket pins those only until the sweep
+        ends, and a query still waiting on another sweep would otherwise
+        find them evicted and restage.  A drained segment still on disk is
+        leased instead, which leaves the memory cache room for later
+        sweeps.
         """
-        cache = self.heaven.disk_cache
+        heaven = self.heaven
+        cache = heaven.disk_cache
         # plan_requests may have grown *fused* with sequential-prefetch
         # segments; nobody demanded those, so nobody leases them.
-        for key in sorted(fused):
-            if key not in by_key or key not in cache:
-                continue
+        leased = [key for key in sorted(fused) if key in by_key and key in cache]
+        for key in leased:
             for task, _demand in by_key[key]:
                 cache.acquire_lease(key, task.owner)
                 task.leases.append(key)
                 task.lease_count += 1
+        demanders: Dict[Tuple[str, int], List[_QueryTask]] = {}
+        for key, pairs in by_key.items():
+            if key in leased:
+                continue
+            for task, demand in pairs:
+                for tile_id in demand.tile_ids:
+                    demanders.setdefault(
+                        (fused[key].mdd.name, tile_id), []
+                    ).append(task)
+        for tile_key in drained:
+            for task in demanders.get(tile_key, ()):
+                heaven.memory_cache.pin(*tile_key)
+                task.tile_pins.append(tile_key)
 
     def _settle_sweep(
         self,
-        medium_id: str,
         by_key: Dict[str, List[Tuple[_QueryTask, _Demand]]],
         fused: Dict[str, _SegmentNeed],
         demanded_unions: Dict[str, Tuple[int, int]],
@@ -698,7 +768,7 @@ class AdmissionController:
             demanded = demanded_unions[key]
             audit = FusionAudit(
                 key=key,
-                medium_id=medium_id,
+                medium_id=demanders[0][1].medium_id,
                 demanded_run=demanded,
                 staged_run=staged_run,
                 queries=qids,
@@ -711,11 +781,20 @@ class AdmissionController:
                 saved = max(0, separate - staged_run[1])
                 report.fusion_saved_bytes += saved
                 heaven.admission_fusion_saved_bytes += saved
-        distinct_queries = len(sweep_tasks)
-        if requests and distinct_queries > 1:
-            saved_exchanges = distinct_queries - 1
-            report.fusion_saved_exchanges += saved_exchanges
-            heaven.admission_fusion_saved_exchanges += saved_exchanges
+        # One exchange saved per extra query on each medium the sweep
+        # streamed from: unfused, each would have mounted it itself.
+        streamed_media = {r.medium_id for r in requests}
+        media_queries: Dict[str, Set[int]] = {}
+        for demanders in by_key.values():
+            for task, demand in demanders:
+                media_queries.setdefault(demand.medium_id, set()).add(task.qid)
+        saved_exchanges = sum(
+            len(qids) - 1
+            for medium_id, qids in media_queries.items()
+            if medium_id in streamed_media
+        )
+        report.fusion_saved_exchanges += saved_exchanges
+        heaven.admission_fusion_saved_exchanges += saved_exchanges
         # -- demands satisfied: wake the waiting tasks.
         now = clock.now
         for key, demanders in by_key.items():

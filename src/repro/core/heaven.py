@@ -542,17 +542,32 @@ class Heaven:
                     raise HeavenError(
                         f"object {object_name!r} has no tile {tile_id}"
                     )
+                if not mdd.tiles[tile_id].domain.intersects(region):
+                    raise HeavenError(
+                        f"tile {tile_id} of {object_name!r} does not "
+                        f"intersect {region}"
+                    )
             cover = sorted(tile_ids)
         self._record_access(mdd, region)
         return _Unit(mdd, region, cover, tile_ids is None)
 
     @staticmethod
     def _assemble_unit(unit: _Unit) -> Union[np.ndarray, Dict[int, np.ndarray]]:
-        """Answer a staged unit: region cells, or ``{tile_id: cells}``."""
+        """Answer a staged unit: region cells, or ``{tile_id: cells}`` with
+        each tile clipped to its overlap with the region."""
         mdd = unit.mdd
         if unit.whole:
             return mdd.read(unit.region)
-        return {t: mdd.materialize_tile(mdd.tiles[t]) for t in unit.cover}
+        answer = {}
+        for tile_id in unit.cover:
+            tile = mdd.tiles[tile_id]
+            cells = mdd.materialize_tile(tile)
+            clip = tile.domain.intersection(unit.region)
+            assert clip is not None  # _resolve_unit rejects disjoint tiles
+            if clip != tile.domain:
+                cells = cells[clip.to_slices(tile.domain)]
+            answer[tile_id] = cells
+        return answer
 
     def _read_units(
         self,

@@ -158,8 +158,8 @@ class SubReadRequest:
     ``tile_ids=None`` means "every tile intersecting *region*" — the form
     a single-node deployment or an admission-level query uses.  A service
     node sends the sharded form: the explicit tile subset its hash ring
-    assigned to the addressed data node (*region* then only records the
-    originating query window for access statistics).
+    assigned to the addressed data node, each of which must intersect
+    *region*; the node answers every tile clipped to that overlap.
     """
 
     request_id: str
@@ -216,7 +216,11 @@ class SubReadRequest:
 
 @dataclass(frozen=True)
 class TilePayload:
-    """One decoded tile riding in a response: geometry + raw cell bytes."""
+    """One decoded tile riding in a response: geometry + raw cell bytes.
+
+    ``domain`` is the box the cells cover: the tile's overlap with the
+    request's region, so only cells the query asked for cross the wire.
+    """
 
     tile_id: int
     domain: str
@@ -404,14 +408,19 @@ def _unit_response(
     """Shape one assembled unit and the cost report covering it as a response.
 
     A whole-region unit (*answer* is the region's cells) travels as
-    ``region_cells``; a tile-subset unit (``{tile_id: cells}``) as tiles.
+    ``region_cells``; a tile-subset unit (``{tile_id: clipped cells}``) as
+    tiles whose domains are the clip boxes.
     """
     tiles: List[TilePayload] = []
     region_cells = None
     if isinstance(answer, dict):
+        region = request.parsed_region()
         tiles = [
             TilePayload.from_cells(
-                tile_id, mdd.tiles[tile_id].domain, mdd.cell_type, cells
+                tile_id,
+                mdd.tiles[tile_id].domain.intersection(region),
+                mdd.cell_type,
+                cells,
             )
             for tile_id, cells in sorted(answer.items())
         ]

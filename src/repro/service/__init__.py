@@ -2,8 +2,8 @@
 
 Service nodes (:class:`~repro.service.sn.ServiceNode`) parse and
 authenticate tenant reads, split them by a consistent-hash ring into
-per-shard sub-read units, and reassemble the shard responses with the
-repo's zero-copy scatter path.  Data nodes
+per-shard sub-read units, and paste the shard responses (tiles clipped
+to the query region) into the answer.  Data nodes
 (:class:`~repro.service.node.DataNode`) each own a shard of the
 super-tile space backed by their own :class:`~repro.core.heaven.Heaven`
 instance and serve drained request batches fused through the admission

@@ -5,11 +5,11 @@ A service node holds no cells — only :class:`~repro.core.units
 *shadow MDD*: same domain, same cell type, and — via
 :class:`ExplicitTiling` — the exact tile geometry of the data nodes'
 object, so tile ids line up with the descriptor's ``tile_domains``
-order.  Reassembly installs a resolver that serves each tile from the
-received :class:`~repro.core.units.TilePayload` byte views and runs the
-ordinary ``MDD.read``: the existing vectorized zero-copy scatter
-(pointer-adjacent run merging included) does the rest, so the service
-tier adds no second assembly code path.
+order.  Data nodes answer each tile clipped to its overlap with the
+query region (:class:`~repro.core.units.TilePayload` ``domain`` is that
+clip box), so reassembly is one paste per tile: the shadow's tile index
+names the clip box each tile must cover, and the received byte view is
+copied straight into the region array.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..arrays.minterval import MInterval
 from ..arrays.tile import Tile
 from ..arrays.tiling import TilingScheme
 from ..core.units import ObjectDescriptor, TilePayload, _dtype_for
-from ..errors import ShardUnavailableError
+from ..errors import DomainError, ShardUnavailableError, WireFormatError
 
 __all__ = ["ExplicitTiling", "ShadowObject"]
 
@@ -64,8 +64,7 @@ class ShadowObject:
                 [MInterval.parse(d) for d in descriptor.tile_domains]
             ),
         )
-        # No local cells, ever: tiles resolve only during an assemble()
-        # call with that read's payloads installed.
+        # No local cells, ever: only geometry.
         self.mdd.source = None
 
     @property
@@ -89,18 +88,33 @@ class ShadowObject:
         *,
         missing_fill: Optional[float] = None,
     ) -> np.ndarray:
-        """Scatter the received tile payloads into one region array.
+        """Paste the received tile clips into one region array.
 
         Args:
-            payloads: tile id -> received payload (byte views decode to
-                read-only cell arrays, zero-copy).
+            payloads: tile id -> received payload covering that tile's
+                overlap with *region* (byte views decode to read-only cell
+                arrays, zero-copy).
             missing_fill: with ``None`` (default) a tile no shard
                 delivered raises :class:`ShardUnavailableError`; a float
                 fills such tiles instead — the degraded partial-result
                 mode.
         """
-
-        def resolve(_mdd: MDD, tile: Tile) -> np.ndarray:
+        if not self.domain.contains(region):
+            raise DomainError(
+                f"read region {region} outside object domain {self.domain}"
+            )
+        dtype = self.mdd.cell_type.dtype
+        out = np.empty(region.shape, dtype=dtype)
+        bounds = [(axis.lo, axis.hi) for axis in region.axes]
+        for tile in self.tiles_for(region):
+            # The tile's overlap with the region, by integer arithmetic.
+            window, shape, box = [], [], []
+            for (r_lo, r_hi), axis in zip(bounds, tile.domain.axes):
+                lo, hi = max(axis.lo, r_lo), min(axis.hi, r_hi)
+                window.append(slice(lo - r_lo, hi - r_lo + 1))
+                shape.append(hi - lo + 1)
+                box.append(f"{lo}:{hi}")
+            clip = ",".join(box)
             payload = payloads.get(tile.tile_id)
             if payload is None:
                 if missing_fill is None:
@@ -108,15 +122,14 @@ class ShadowObject:
                         f"no shard delivered tile {tile.tile_id} of "
                         f"{self.descriptor.name!r}"
                     )
-                return np.full(
-                    tile.domain.shape,
-                    missing_fill,
-                    dtype=self.mdd.cell_type.dtype,
+                out[tuple(window)] = missing_fill
+            elif payload.domain != clip:
+                raise WireFormatError(
+                    f"tile {tile.tile_id} of {self.descriptor.name!r} arrived "
+                    f"as {payload.domain}, expected its overlap {clip}"
                 )
-            return payload.cells()
-
-        self.mdd.resolver = resolve
-        try:
-            return self.mdd.read(region)
-        finally:
-            self.mdd.resolver = None
+            else:
+                out[tuple(window)] = np.frombuffer(
+                    payload.payload, dtype=dtype
+                ).reshape(shape)
+        return out

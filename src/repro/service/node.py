@@ -33,6 +33,7 @@ from ..core.admission import AdmissionController
 from ..core.heaven import Heaven
 from ..core.units import SubReadRequest, SubReadResponse, WireError
 from ..errors import HeavenError, ServiceError, StorageError
+from ..obs.reconcile import event_window_bytes
 from .faults import ServiceFaultPlan
 
 __all__ = ["DataNode"]
@@ -66,6 +67,9 @@ class DataNode:
         self.batches = 0
         self.bytes_served = 0
         self.wire_bytes = 0
+        #: drive-read bytes no answered unit was charged: a sweep's
+        #: unattributed remainder, and everything a failed batch read
+        self.unattributed_tape_bytes = 0
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -174,10 +178,7 @@ class DataNode:
         self, requests: List[SubReadRequest]
     ) -> List[SubReadResponse]:
         try:
-            responses, _report = AdmissionController(self.heaven).run_units(
-                requests
-            )
-            return responses
+            return self._run_units(requests)
         except (StorageError, HeavenError):
             # A poisoned batch (one unit hitting an exhausted retry
             # budget, an offline library) must not take down its
@@ -185,12 +186,25 @@ class DataNode:
             # the genuinely failing ones answer typed errors.
             return [self._serve_one(request) for request in requests]
 
+    def _run_units(self, requests: List[SubReadRequest]) -> List[SubReadResponse]:
+        """One fused admission run, keeping the tape-byte books exact: the
+        answered units carry their attributed shares, the rest is counted
+        in :attr:`unattributed_tape_bytes`."""
+        log = self.heaven.clock.log
+        cursor = log.cursor()
+        try:
+            responses, report = AdmissionController(self.heaven).run_units(
+                requests
+            )
+        except (StorageError, HeavenError):
+            self.unattributed_tape_bytes += event_window_bytes(log, cursor)
+            raise
+        self.unattributed_tape_bytes += report.unattributed_tape_bytes
+        return responses
+
     def _serve_one(self, request: SubReadRequest) -> SubReadResponse:
         try:
-            responses, _report = AdmissionController(self.heaven).run_units(
-                [request]
-            )
-            return responses[0]
+            return self._run_units([request])[0]
         except (StorageError, HeavenError) as error:
             return SubReadResponse(
                 request_id=request.request_id,

@@ -17,8 +17,9 @@ handles to the data nodes.  One read runs the full service pipeline:
    (:class:`~repro.errors.ShardUnavailableError`) or — with
    ``partial_results`` — degrades it (missing tiles zero-filled,
    flagged);
-5. **reassemble** the shard payloads through the shadow object's
-   zero-copy scatter and settle the quota to the bytes actually served.
+5. **reassemble** the shard payloads (each tile clipped to its overlap
+   with the region) through the shadow object and settle the quota to the
+   bytes returned, which equal the pre-charge when nothing is missing.
 
 Per-tenant served bytes, requests, rejections and retries are reported
 through ``repro.obs`` metrics; the fault suite reconciles those series

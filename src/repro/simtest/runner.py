@@ -423,8 +423,9 @@ class SimRunner:
 
         The data nodes share this run's HEAVEN instance (oracle mode), so
         every service answer must be byte-identical to the reference
-        model, and the tenant registry's byte charges must reconcile
-        exactly with the per-result reports (no cross-tenant leakage).
+        model, and the tenant registry's byte charges must equal the cell
+        bytes of each tenant's own answers (no cross-tenant leakage, no
+        charge for cells outside the region).
         """
         from ..errors import ServiceError
         from ..service import ServiceCluster
@@ -465,12 +466,13 @@ class SimRunner:
             if problem:
                 self._violate(index, Op("service", p), "oracle", problem)
         # Byte-attribution reconciliation: what each tenant was charged
-        # must equal the useful bytes of exactly its own results.
+        # must equal the cell bytes of exactly its own answers (data nodes
+        # clip tiles to the region, so a tenant pays for nothing else).
         charged_per_tenant: Dict[str, int] = {}
         for (token, _c, _o, _r, _a), result in zip(plan, results):
             name = token.removeprefix("token-")
             charged_per_tenant[name] = (
-                charged_per_tenant.get(name, 0) + result.bytes_useful
+                charged_per_tenant.get(name, 0) + int(result.cells.nbytes)
             )
         for name, want_bytes in sorted(charged_per_tenant.items()):
             usage = cluster.tenants.usage(name)

@@ -105,15 +105,39 @@ class TestReadIsABatchOfOne:
         (response,) = heaven.serve_sub_reads([unit(REGION, wanted[::-1])])
         assert response.region_cells is None
         assert [t.tile_id for t in response.tiles] == sorted(wanted)
+        # Each tile travels clipped to its overlap with the region: the
+        # payload's domain is the clip box, its cells the tile's cells there.
         twin_mdd = twin.collection("col").get("obj")
+        clipped = 0
         for tile in response.tiles:
+            domain = twin_mdd.tiles[tile.tile_id].domain
+            clip = domain.intersection(REGION)
+            assert tile.domain == str(clip)
+            clipped += clip != domain
             np.testing.assert_array_equal(
                 tile.cells(),
-                twin_mdd.materialize_tile(twin_mdd.tiles[tile.tile_id]),
+                twin_mdd.materialize_tile(twin_mdd.tiles[tile.tile_id])[
+                    clip.to_slices(domain)
+                ],
             )
+        assert clipped > 0, "the region must cut through some wanted tile"
         assert response.stats.bytes_useful == sum(
             t.nbytes for t in response.tiles
         )
+        assert response.stats.bytes_useful == 8 * sum(
+            twin_mdd.tiles[t].domain.intersection(REGION).cell_count
+            for t in wanted
+        )
+
+    def test_tile_outside_the_region_is_rejected(self):
+        heaven = make_twin()
+        mdd = heaven.collection("col").get("obj")
+        corner = MInterval.of((0, 15), (0, 15))
+        outside = next(
+            t for t in mdd.tiles.values() if not t.domain.intersects(corner)
+        )
+        with pytest.raises(HeavenError, match="does not intersect"):
+            heaven.serve_sub_reads([unit(corner, (outside.tile_id,))])
 
 
 class TestRejectedUnitLeavesNoTrace:

@@ -23,6 +23,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.faults import FaultPlan, FaultSpec
+from repro.obs import event_window_bytes
 from repro.service import DataNode, ServiceCluster, ServiceFaultPlan, ServiceFaultSpec
 from repro.tertiary import DLT_7000, MB, scaled_profile
 
@@ -146,6 +147,37 @@ class TestConcurrentUnderTransportFaults:
             # failed reads settle to zero, so nothing leaks anywhere.
             assert bytes_metric.value(tenant=name) == served[name]
             assert cluster.tenants.usage(name).bytes_charged == served[name]
+
+
+class TestTapeByteAccounting:
+    def test_tenant_tape_bytes_reconcile_with_the_data_nodes_event_logs(self):
+        """Multi-unit data-node batches: each unit carries only its share
+        of the fused sweeps, so the per-tenant tape-byte series plus the
+        data nodes' unattributed bytes equal what their drives read."""
+        cluster = ServiceCluster.build(
+            _make_config, _setup, nodes=2, objects=[("c", "obj")]
+        )
+        tenants = ["alice", "bob", "carol"]
+        for name in tenants:
+            cluster.register_tenant(name)
+        cursors = [heaven.clock.log.cursor() for heaven in cluster.heavens]
+        requests = [
+            (f"token-{tenants[i % 3]}", "c", "obj", REGIONS[i % len(REGIONS)], 0.0)
+            for i in range(9)
+        ]
+        results = cluster.read_many(requests)
+        nodes = list(cluster.nodes.values())
+        served = sum(node.requests_served for node in nodes)
+        assert sum(node.batches for node in nodes) < served, "no multi-unit batch"
+        tape_metric = cluster.sn.metrics.get("repro_service_tape_bytes_total")
+        charged = sum(tape_metric.value(tenant=name) for name in tenants)
+        assert charged == sum(result.bytes_from_tape for result in results)
+        drive_reads = sum(
+            event_window_bytes(heaven.clock.log, cursor)
+            for heaven, cursor in zip(cluster.heavens, cursors)
+        )
+        assert drive_reads > 0
+        assert charged + sum(n.unattributed_tape_bytes for n in nodes) == drive_reads
 
 
 class TestRetryAndTypedFailures:

@@ -130,11 +130,12 @@ class TestServiceQuotaEnforcement:
             _make_config, _setup, nodes=2, objects=[("c", "obj")]
         )
         cluster.register_tenant("alice")
-        # The region clips to one 16x16 tile: the estimate (pre-charge)
-        # is the clipped region's cells, the settlement the served tiles.
+        # The region lies inside one 16x16 tile: the data node answers
+        # only the 8x8 overlap, so the settlement (returned bytes) equals
+        # the pre-charge estimate (the region's cells), not the tile.
         result = cluster.read("token-alice", "c", "obj", "0:7,0:7")
-        assert result.bytes_useful == 2048  # one whole tile served
-        assert cluster.tenants.usage("alice").bytes_charged == 2048
+        assert result.bytes_useful == 8 * 8 * 8 == result.cells.nbytes
+        assert cluster.tenants.usage("alice").bytes_charged == 512
 
     def test_rejection_metric_counts_per_tenant(self):
         cluster = ServiceCluster.build(

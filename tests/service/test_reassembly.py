@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.arrays import DOUBLE, MDD, HashedNoiseSource, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
-from repro.errors import HeavenError, ShardUnavailableError
+from repro.core.units import TilePayload
+from repro.errors import HeavenError, ShardUnavailableError, WireFormatError
 from repro.service import ServiceCluster, ShadowObject
 from repro.tertiary import MB
 
@@ -131,10 +132,45 @@ class TestShadowObject:
         for tile_id, tile in mdd.tiles.items():
             assert str(shadow.mdd.tiles[tile_id].domain) == str(tile.domain)
 
+    def _clips(self, reference, region):
+        """Tile id -> payload of the tile's overlap with *region*."""
+        mdd = reference.collection("c").get("obj")
+        payloads = {}
+        for tile in mdd.tiles_for(region):
+            clip = tile.domain.intersection(region)
+            cells = mdd.materialize_tile(tile)[clip.to_slices(tile.domain)]
+            payloads[tile.tile_id] = TilePayload.from_cells(
+                tile.tile_id, clip, mdd.cell_type, cells
+            )
+        return payloads
+
+    def test_clips_paste_into_the_region(self, reference):
+        shadow = ShadowObject(self._descriptor(reference))
+        region = MInterval.parse("5:40,9:20")
+        cells = shadow.assemble(region, self._clips(reference, region))
+        np.testing.assert_array_equal(cells, reference.read("c", "obj", region))
+
     def test_missing_tile_raises_typed(self, reference):
         shadow = ShadowObject(self._descriptor(reference))
+        region = MInterval.parse("5:40,9:20")
+        payloads = self._clips(reference, region)
+        lost = sorted(payloads)[1]
+        del payloads[lost]
+        with pytest.raises(ShardUnavailableError, match=f"tile {lost} "):
+            shadow.assemble(region, payloads)
         with pytest.raises(ShardUnavailableError):
             shadow.assemble(MInterval.parse("0:31,0:31"), payloads={})
+
+    def test_payload_that_is_not_the_clip_is_rejected(self, reference):
+        shadow = ShadowObject(self._descriptor(reference))
+        region = MInterval.parse("5:40,9:20")
+        payloads = self._clips(reference, region)
+        # A whole tile where its overlap with the region was expected.
+        whole = self._clips(reference, MInterval.parse(f"0:{SIDE - 1},0:{SIDE - 1}"))
+        first = sorted(payloads)[0]
+        payloads[first] = whole[first]
+        with pytest.raises(WireFormatError, match=f"tile {first} "):
+            shadow.assemble(region, payloads)
 
     def test_missing_fill_degrades_instead(self, reference):
         shadow = ShadowObject(self._descriptor(reference))
