@@ -58,12 +58,6 @@ class MDD:
         )
         self.source: Optional[CellSource] = source if source is not None else ZeroSource()
         self.resolver: Optional[TileResolver] = None
-        #: hook called with the region before any assembled read; storage
-        #: layers use it to batch-stage all needed tiles in one pass.  It
-        #: may return a zero-argument *release* callable, invoked after the
-        #: read assembled — HEAVEN uses this to keep staged segments pinned
-        #: in its disk cache until their tiles were actually consumed.
-        self.prepare_read: Optional[Callable[[MInterval], Optional[Callable[[], None]]]] = None
         #: set by the storage manager when the object is persisted
         self.oid: Optional[int] = None
 
@@ -168,16 +162,9 @@ class MDD:
             raise DomainError(
                 f"read region {region} outside object domain {self.domain}"
             )
-        release = None
-        if self.prepare_read is not None:
-            release = self.prepare_read(region)
-        try:
-            out = np.empty(region.shape, dtype=self.cell_type.dtype)
-            self._scatter_into(out, region)
-            return out
-        finally:
-            if callable(release):
-                release()
+        out = np.empty(region.shape, dtype=self.cell_type.dtype)
+        self._scatter_into(out, region)
+        return out
 
     def _scatter_into(self, out: np.ndarray, region: MInterval) -> None:
         """Copy every tile's overlap with *region* into *out* (vectorized)."""

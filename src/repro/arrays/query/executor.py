@@ -4,8 +4,9 @@ The executor keeps MDD references *lazy* while trims and sections accumulate,
 and only materialises cells when an operation truly needs them.  That is the
 hook HEAVEN plugs into twice:
 
-* reads of a lazy reference fetch only the tiles intersecting the final
-  region — through cache and tape when the object is archived;
+* reads of a lazy reference go through a *materialize* hook, so HEAVEN
+  stages only the tiles intersecting the final region — through cache and
+  tape when the object is archived — in one scheduled pass;
 * condensers over a lazy reference are first offered to a *condenser hook*
   so HEAVEN's precomputed-results catalog can answer them without touching
   tape at all (Kapitel 3.8).
@@ -188,6 +189,7 @@ class QueryExecutor:
         collections: Callable[[str], Collection],
         condenser_hook: Optional[CondenserHook] = None,
         scale_hook: Optional[Callable[["MDDRef", List[int]], Optional[MArray]]] = None,
+        materialize: Callable[[MDDRef], MArray] = MDDRef.materialize,
         mutations: Optional[MutationHooks] = None,
         tracer=None,
     ) -> None:
@@ -196,6 +198,7 @@ class QueryExecutor:
         self._collections = collections
         self.condenser_hook = condenser_hook
         self.scale_hook = scale_hook
+        self.materialize = materialize
         self.mutations = mutations
         #: span tracer; HEAVEN swaps in its own so query spans parent the
         #: staging spans opened further down the hierarchy
@@ -286,9 +289,7 @@ class QueryExecutor:
                 keep = self._to_bool(self.evaluate(query.where, env))
                 if not keep:
                     return
-            value = self.evaluate(query.select, env)
-            if isinstance(value, MDDRef):
-                value = value.materialize()
+            value = self._dense(self.evaluate(query.select, env))
             results.append(
                 QueryResult(
                     value=value,
@@ -443,11 +444,10 @@ class QueryExecutor:
 
     # -- coercion helpers -----------------------------------------------------------
 
-    @staticmethod
-    def _dense(value: Value) -> Union[MArray, int, float, bool, str]:
+    def _dense(self, value: Value) -> Union[MArray, int, float, bool, str]:
         """Materialise lazy references; leave everything else alone."""
         if isinstance(value, MDDRef):
-            return value.materialize()
+            return self.materialize(value)
         return value  # type: ignore[return-value]
 
     @staticmethod
@@ -466,10 +466,8 @@ class QueryExecutor:
             return int(value)
         return value
 
-    @staticmethod
-    def _to_bool(value: Value) -> bool:
-        if isinstance(value, MDDRef):
-            value = value.materialize()
+    def _to_bool(self, value: Value) -> bool:
+        value = self._dense(value)
         if isinstance(value, MArray):
             raise QueryError("WHERE condition must be scalar; use a condenser")
         if isinstance(value, (bool, np.bool_)):

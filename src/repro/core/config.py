@@ -77,11 +77,6 @@ class HeavenConfig:
             nothing and leaves every simulated cost byte-identical).
         retry_policy: bounded exponential-backoff recovery for faulted
             mounts and reads; only engaged when a fault fires.
-        degraded_reads: count reads of tape-resident objects that were
-            served entirely from the cache hierarchy while the library is
-            offline (graceful degradation; the ``repro_degraded_reads_total``
-            metric).  Reads that *need* tape still raise the typed
-            ``RetryExhaustedError`` either way.
     """
 
     tape_profile: TapeProfile = DLT_7000
@@ -109,7 +104,6 @@ class HeavenConfig:
     event_log_max_events: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    degraded_reads: bool = True
 
     def __post_init__(self) -> None:
         if self.attachment not in ("drive", "hsm"):

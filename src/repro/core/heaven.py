@@ -267,6 +267,7 @@ class Heaven:
             scale_hook=(
                 self._scale_hook if self.config.pyramid_factors else None
             ),
+            materialize=self._materialize_ref,
             mutations=MutationHooks(
                 create_collection=self.create_collection,
                 drop_collection=self._drop_collection_everywhere,
@@ -315,14 +316,10 @@ class Heaven:
         #: straight into the result array.  Any increment marks a
         #: defensive-copy fallback that re-appeared.
         self.assembly_bytes_copied = 0
-        #: ticket of the read whose assembly is currently running (see
-        #: :meth:`_staged`).  Pins taken on that read's behalf by OTHER
-        #: tickets — the ``prepare_read`` hook's nested ticket, the
-        #: resolver's restage fallbacks — are added onto it by
-        #: :meth:`_stage_many`, so reports attribute exactly the pins a
-        #: query owns.  Nested reads swap in their own ticket for their
-        #: window, so nothing is double-counted (a ``stats.pins`` delta
-        #: would charge a read for every pin any query took meanwhile).
+        #: ticket of the :meth:`_staged` body currently running.  The
+        #: resolver's restage fallback adds the pins it takes onto it, so a
+        #: report counts exactly the pins its read caused (a global
+        #: ``stats.pins`` delta would charge it for any query's pins).
         self._active_ticket: Optional[StagingTicket] = None
         #: instrument catalog; installed only when observability is on, so a
         #: disabled instance allocates nothing per operation.
@@ -475,11 +472,6 @@ class Heaven:
         self._archived[object_name] = entry
         self.super_tiles_built += len(super_tiles)
         mdd.resolver = self._resolve_tile
-        # The hook returns the ticket's release: MDD.read drops the pins
-        # only after it assembled the region's tiles.
-        mdd.prepare_read = lambda region, _mdd=mdd: self._stage_many(
-            [(_mdd, [t.tile_id for t in _mdd.tiles_for(region)])]
-        ).release
         mdd.drop_payloads()
         if not keep_disk_copy:
             self._release_disk_copy(entry)
@@ -713,7 +705,7 @@ class Heaven:
         succeed — they never reach the robot.  Those are counted so
         operators can see how long the caches carried the workload.
         """
-        if not self.config.degraded_reads or report.bytes_from_tape:
+        if report.bytes_from_tape:
             return
         if not self.library.faults.offline:
             return
@@ -777,21 +769,17 @@ class Heaven:
     def _staged(
         self, pairs: Sequence[Tuple[MDD, Sequence[int]]]
     ) -> Iterator[StagingTicket]:
-        """Stage *pairs* and hold their pins for the ``with`` body.
-
-        The body runs with the batch's ticket as the active one; the
-        batch's own staging runs with none, so a read nested in another's
-        assembly never charges the outer read.
+        """Stage *pairs* in one scheduled pass and hold their pins for the
+        ``with`` body — the one staging protocol of every read, mutation
+        and admission sweep.  The body runs with the batch's ticket active.
         """
-        outer, self._active_ticket = self._active_ticket, None
-        ticket: Optional[StagingTicket] = None
+        ticket = self._stage_many(pairs)
+        outer, self._active_ticket = self._active_ticket, ticket
         try:
-            ticket = self._active_ticket = self._stage_many(pairs)
             yield ticket
         finally:
             self._active_ticket = outer
-            if ticket is not None:
-                ticket.release()
+            ticket.release()
 
     def _stage_many(
         self, pairs: Sequence[Tuple[MDD, Sequence[int]]]
@@ -834,11 +822,6 @@ class Heaven:
         except BaseException:
             ticket.release()
             raise
-        finally:
-            # Staged while another ticket's batch is assembling: the pins
-            # were taken on that batch's behalf (see ``_staged``).
-            if self._active_ticket is not None:
-                self._active_ticket.pins += ticket.pins
         return ticket
 
     # The three resumable staging units below used to be one private
@@ -1263,11 +1246,16 @@ class Heaven:
                 detail=f"{key}:{tile.tile_id}",
             )
             try:
-                # Nothing can insert into the cache between this call and
-                # the read below, so the pins are not held across it.
-                self._stage_many([(mdd, [tile.tile_id])]).release()
+                restaged = self._stage_many([(mdd, [tile.tile_id])])
             except CachePinnedError:
                 pass
+            else:
+                # Nothing can insert into the cache between this release
+                # and the read below, so the pins are not held across it;
+                # they were taken on behalf of the batch being assembled.
+                restaged.release()
+                if self._active_ticket is not None:
+                    self._active_ticket.pins += restaged.pins
             run = covering_run()
             if run is None:
                 # Either the staging wave degraded (cache fully pinned,
@@ -1369,7 +1357,7 @@ class Heaven:
         self.storage.delete_object(collection_name, object_name)
 
     def _detach_from_tape(self, entry: ArchivedObject) -> None:
-        """Release *entry*'s tape segments, cached runs, tiles and read hook."""
+        """Release *entry*'s tape segments, cached runs and tiles."""
         for super_tile in entry.super_tiles:
             if super_tile.segment_name is not None:
                 if super_tile.segment_name in self.disk_cache:
@@ -1378,7 +1366,6 @@ class Heaven:
                 super_tile.segment_name = None
                 super_tile.medium_id = None
         self.memory_cache.invalidate_object(entry.mdd.name)
-        entry.mdd.prepare_read = None
 
     def update(
         self,
@@ -1587,10 +1574,17 @@ class Heaven:
         if not self.is_archived(ref.mdd.name):
             return None
         return self.precomputed.try_answer(
-            name,
-            ref,
-            prepare=lambda mdd, tile_ids: self._stage_many([(mdd, tile_ids)]).release,
+            name, ref, prepare=lambda mdd, tile_ids: self._staged([(mdd, tile_ids)])
         )
+
+    def _materialize_ref(self, ref: MDDRef) -> MArray:
+        """Query-executor hook: read a trim or section of an archived object
+        with its tiles staged in one scheduled pass."""
+        if not self.is_archived(ref.mdd.name):
+            return ref.materialize()
+        cover = [t.tile_id for t in ref.mdd.tiles_for(ref.full_region())]
+        with self._staged([(ref.mdd, cover)]):
+            return ref.materialize()
 
     def _frame_extension(self, _executor: QueryExecutor, args: List) -> MArray:
         """``frame(obj, "lo:hi,lo:hi; lo:hi,lo:hi")`` query function."""

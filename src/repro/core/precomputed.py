@@ -16,6 +16,7 @@ and with the object's (:meth:`PrecomputedCatalog.register_object`,
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -128,11 +129,11 @@ class PrecomputedCatalog:
         their overlap — a remembered edge partial when this overlap was
         reduced before, else one computed from the tile's cells and then
         remembered.  *prepare*, when given, is called once with
-        ``(mdd, edge_tile_ids)`` for the edge tiles still unknown, before
-        any of them is read, so the storage layer can batch-stage them (one
-        scheduled tape pass instead of one stage per tile); a callable
-        returned by *prepare* is invoked after the edge reads (HEAVEN
-        releases its staging pins there).
+        ``(mdd, edge_tile_ids)`` for the edge tiles still unknown and must
+        return a context manager; the edge reads run inside it, so the
+        storage layer can batch-stage them (one scheduled tape pass instead
+        of one stage per tile) and release its pins on exit — HEAVEN passes
+        its ``_staged``.
         """
         self.stats.lookups += 1
         entries = self._tiles.get(ref.mdd.name)
@@ -164,10 +165,10 @@ class PrecomputedCatalog:
         missing = [tile.tile_id for tile, _overlap, partial in edges if partial is None]
         self.stats.edge_reused += len(edges) - len(missing)
         self.stats.edge_read += len(missing)
-        release = None
-        if missing and prepare is not None:
-            release = prepare(mdd, missing)
-        try:
+        staged = (
+            prepare(mdd, missing) if missing and prepare is not None else nullcontext()
+        )
+        with staged:
             # Interior first, then edges in tile order: the same float
             # summation order as reducing every edge from its cells.
             for tile, overlap, partial in edges:
@@ -177,9 +178,6 @@ class PrecomputedCatalog:
                 total += partial.total
                 minimum = min(minimum, partial.minimum)
                 maximum = max(maximum, partial.maximum)
-        finally:
-            if callable(release):
-                release()
         if count == 0:
             self.stats.declined += 1
             return None

@@ -1,5 +1,7 @@
 """Tests for the precomputed-results catalog."""
 
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,7 @@ class TestEdgePartials:
 
         def prepare(_mdd, tile_ids):
             staged.append(list(tile_ids))
+            return nullcontext()
 
         # Tiles 0 and 2 share this box's overlaps with UNALIGNED's.
         catalog.try_answer(
@@ -160,6 +163,34 @@ class TestEdgePartials:
         assert staged == [[0, 2], [1, 3]]
         catalog.try_answer("max_cells", MDDRef(mdd).subset(UNALIGNED), prepare)
         assert staged == [[0, 2], [1, 3]]
+
+    def test_prepare_context_wraps_edge_reads_and_exits_on_error(
+        self, mdd, catalog, monkeypatch
+    ):
+        events = []
+
+        @contextmanager
+        def prepare(_mdd, tile_ids):
+            events.append(("enter", list(tile_ids)))
+            try:
+                yield
+            finally:
+                events.append(("exit",))
+
+        # Tiles 0 and 2 share this box's overlaps with UNALIGNED's.
+        catalog.try_answer(
+            "add_cells", MDDRef(mdd).subset([(5, 33, False), (2, 19, False)]), prepare
+        )
+        assert events == [("enter", [0, 2]), ("exit",)]
+
+        def failing_read(_tile):
+            assert events[-1] == ("enter", [1, 3])  # edge reads run inside it
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(mdd, "materialize_tile", failing_read)
+        with pytest.raises(RuntimeError, match="decode failed"):
+            catalog.try_answer("add_cells", MDDRef(mdd).subset(UNALIGNED), prepare)
+        assert events[2:] == [("enter", [1, 3]), ("exit",)]
 
     def test_refresh_tile_drops_its_edge_partials(self, mdd, catalog):
         ref = MDDRef(mdd).subset(UNALIGNED)

@@ -94,7 +94,7 @@ class TestRestageCoverageRecheck:
         assert other_offset > tile_offset
 
         def hostile_stage(pairs):
-            # Every staging attempt (prepare, hook, resolver fallback)
+            # Every staging attempt (the read's batch, resolver fallback)
             # lands the same non-covering run and pins nothing.
             if key not in heaven.disk_cache:
                 run = (other_offset, super_tile.size_bytes - other_offset)
@@ -133,15 +133,14 @@ class TestRestageCoverageRecheck:
         cells = heaven.read("col", mdd.name, tile.domain)
         np.testing.assert_array_equal(cells, expected_cells(mdd, tile.domain))
 
-    def test_organic_restage_with_covering_run_reads_through(self, monkeypatch):
+    def test_organic_restage_with_covering_run_reads_through(self):
         """The legitimate fallback ladder (resolver restages after an
         eviction, the run covers) keeps working unchanged."""
         heaven = make_heaven()
         mdd = archive_object(heaven)
         entry, tile, _super_tile, _key = self._prime_fallback(heaven, mdd)
-        # Neuter the prepare hook and read the MDD directly: the resolver
+        # Read the MDD directly, outside any staging batch: the resolver
         # hits the fallback cold and must restage for real.
-        monkeypatch.setattr(mdd, "prepare_read", lambda region: (lambda: None))
         cells = mdd.read(tile.domain)
         np.testing.assert_array_equal(cells, expected_cells(mdd, tile.domain))
         assert heaven.restages >= 1

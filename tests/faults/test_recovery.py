@@ -170,16 +170,6 @@ class TestOfflineDegradation:
         plan.set_offline(False)
         heaven.read("c", "t", REGION_B)
 
-    def test_degradation_counting_can_be_disabled(self):
-        plan = FaultPlan()
-        heaven = faulty_heaven(plan, degraded_reads=False)
-        heaven.read("c", "t", REGION_A)
-        heaven.library.unmount_all()
-        plan.set_offline(True)
-        _cells, report = heaven.read_with_report("c", "t", REGION_A)
-        assert report.degraded is False
-        assert heaven.degraded_reads_served == 0
-
 
 class TestFaultMetrics:
     def test_fault_and_retry_metrics_nonzero(self):
