@@ -2,10 +2,12 @@
 
 The paper's inter-query scheduling (Kapitel 3.4.3) merges the tape
 requests of one caller's batch.  This layer takes it to its production
-limit: *independent* queries run as cooperative tasks, their staging
-demands land in a shared per-medium queue, and the controller fuses
-overlapping super-tile runs **across queries** into single elevator
-sweeps.  Four policies shape the sweeps:
+limit: *independent* queries post their staging demands into a shared
+per-medium queue, and the controller fuses overlapping super-tile runs
+**across queries** into single elevator sweeps.  Every sweep is one
+:meth:`~repro.core.heaven.Heaven._staged` pass, the staging pass of every
+read: admission only decides which demands share a pass.  Four policies
+shape the sweeps:
 
 * **anticipatory hold-back** — a dispatch can wait a bounded virtual-time
   window (``holdback_s``) so queries arriving inside the window
@@ -25,17 +27,19 @@ sweeps.  Four policies shape the sweeps:
 Correctness is anchored on three invariants the test layer proves:
 
 1. any admissible interleaving returns byte-identical cells to serial
-   execution (the caches and leases make staging order invisible);
+   execution (the caches and per-query tickets make staging order
+   invisible);
 2. no demand waits longer than the aging bound in virtual time;
 3. a fused sweep never stages a byte no query demanded (audited per
    segment in :class:`FusionAudit` entries).
 
-Shared staged segments are pinned with **per-query leases**
-(:meth:`~repro.core.cache.DiskCache.acquire_lease`): one lease per
-demanding query, so one query's assembly releasing its references can
-never unpin bytes another query still needs.  Tiles a sweep had to drain
-into the memory tile cache, once their segment left the disk cache, are
-pinned there once per demanding query until that query assembled.
+Each query owns one :class:`~repro.core.heaven.StagingTicket` from
+enqueue to assembly.  Before a sweep's own ticket is released, every
+demanding query's ticket takes one pin on each fused segment still in the
+disk cache, and one on each tile the sweep had to drain into the memory
+tile cache once its segment left the disk cache.  So one query's release
+can never unpin bytes another query still needs, and the pins a restage
+fallback takes while a query assembles are charged to that query.
 Shared tape bytes are split
 across queries without double counting
 (:func:`~repro.core.scheduler.split_shared_bytes`); the sum of the
@@ -47,15 +51,14 @@ event log's drive-read bytes exactly
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
-from ..errors import CacheError, HeavenError
-from .heaven import Heaven, RetrievalReport, _SegmentNeed
+from ..errors import HeavenError
+from .heaven import Heaven, RetrievalReport, StagingTicket, _SegmentNeed, _Unit
 from .scheduler import TapeRequest, attribute_request_bytes
 from .units import SubReadRequest, SubReadResponse, _answer_nbytes, _unit_response
 
@@ -87,8 +90,8 @@ class QuerySpec:
         collection / object_name / region: the read itself.
         arrival_s: virtual time the query enters the system (open-loop
             arrivals; queries are admitted once the clock reaches it).
-        weight: fair-share weight (``None`` uses the controller's
-            default); higher weight means a larger share of sweep service.
+        weight: fair-share weight (``None`` weighs 1.0); higher weight
+            means a larger share of sweep service.
         name: display label in reports (defaults to the object name).
         tile_ids: explicit tile subset instead of the region's full tile
             cover — the sharded form a data node serves.  The query then
@@ -140,7 +143,6 @@ class _Demand:
 
     key: str
     medium_id: str
-    tile_ids: List[int]
     #: byte run this query alone would stage
     run: Tuple[int, int]
     enqueued_s: float = 0.0
@@ -148,23 +150,21 @@ class _Demand:
 
 @dataclass
 class _QueryTask:
-    """Controller-side state of one cooperative query task."""
+    """Controller-side state of one query: enqueue -> wait -> assemble."""
 
     qid: int
     spec: QuerySpec
     weight: float
-    gen: Optional[Generator[str, None, None]] = None
     admitted: bool = False
     done: bool = False
-    mdd: Optional[MDD] = None
+    unit: Optional[_Unit] = None
+    #: pins held for this query from enqueue until it assembled: resident
+    #: tiles it skipped staging for, and what its sweeps handed over
+    ticket: Optional[StagingTicket] = None
+    #: staging needs collected at enqueue, per segment
+    needs: Dict[str, _SegmentNeed] = field(default_factory=dict)
     demands: Dict[str, _Demand] = field(default_factory=dict)
     pending: Set[str] = field(default_factory=set)
-    #: segment keys this task holds disk-cache leases on
-    leases: List[str] = field(default_factory=list)
-    lease_count: int = 0
-    #: tiles pinned in the memory cache for this task's assembly: resident
-    #: ones it skipped staging for, and ones a sweep drained or salvaged
-    tile_pins: List[Tuple[str, int]] = field(default_factory=list)
     #: attributed sweep service (virtual seconds, weighted-fair currency)
     service_s: float = 0.0
     #: exact share of fused sweep tape bytes (no double counting)
@@ -178,10 +178,6 @@ class _QueryTask:
     #: tile subset
     cells: Union[None, np.ndarray, Dict[int, np.ndarray]] = None
     report: Optional[RetrievalReport] = None
-
-    @property
-    def owner(self) -> str:
-        return f"q{self.qid}"
 
 
 @dataclass
@@ -232,11 +228,12 @@ class MultiQueryReport:
 
 
 class AdmissionController:
-    """Cooperative round-robin stepper + fused-sweep scheduler.
+    """Round-robin query driver + fused-sweep scheduler.
 
-    Queries run as generator tasks stepped in a seeded, fixed round-robin
-    order; every step is deterministic under the SimClock, so a
-    ``schedule_seed`` fully determines the interleaving (the property
+    Queries are visited in a seeded, fixed round-robin order: each
+    enqueues its demands on arrival and assembles once a sweep satisfied
+    the last of them.  Every step is deterministic under the SimClock, so
+    a ``schedule_seed`` fully determines the interleaving (the property
     suite exploits this to enumerate interleavings).
     """
 
@@ -246,7 +243,6 @@ class AdmissionController:
         *,
         holdback_s: float = 0.0,
         aging_bound_s: Optional[float] = None,
-        default_weight: float = 1.0,
         schedule_seed: Optional[int] = None,
     ) -> None:
         """
@@ -260,20 +256,15 @@ class AdmissionController:
                 scheduling escalates to strict oldest-first dispatch until
                 the backlog is drained.  ``None`` disables aging escalation
                 (pure weighted-fair picking).
-            default_weight: fair-share weight of queries that do not
-                specify their own.
-            schedule_seed: shuffles the round-robin stepping order.
+            schedule_seed: shuffles the round-robin visiting order.
         """
         if holdback_s < 0:
             raise HeavenError("holdback_s must be >= 0")
         if aging_bound_s is not None and aging_bound_s <= 0:
             raise HeavenError("aging_bound_s must be positive or None")
-        if default_weight <= 0:
-            raise HeavenError("default_weight must be positive")
         self.heaven = heaven
         self.holdback_s = holdback_s
         self.aging_bound_s = aging_bound_s
-        self.default_weight = default_weight
         self.schedule_seed = schedule_seed
         self._tasks: List[_QueryTask] = []
         self._order: List[_QueryTask] = []
@@ -294,9 +285,7 @@ class AdmissionController:
             _QueryTask(
                 qid=index + 1,
                 spec=spec,
-                weight=(
-                    spec.weight if spec.weight is not None else self.default_weight
-                ),
+                weight=1.0 if spec.weight is None else spec.weight,
             )
             for index, spec in enumerate(specs)
         ]
@@ -311,10 +300,11 @@ class AdmissionController:
                 self._loop()
         except BaseException:
             # A typed storage failure mid-run (offline library, retry
-            # budget spent) must not leak per-query leases: quiescence is
+            # budget spent) must not leak the queries' pins: quiescence is
             # part of the contract even on the error path.
             for task in self._tasks:
-                self._release_leases(task)
+                if task.ticket is not None:
+                    task.ticket.release()
             raise
         report = self._report
         report.makespan_s = clock.now - start_s
@@ -368,7 +358,7 @@ class AdmissionController:
         ]
         outputs, report = self.run(specs)
         responses = [
-            _unit_response(unit, task.mdd, cells, query_report, shared=False)
+            _unit_response(unit, task.unit.mdd, cells, query_report, shared=False)
             for unit, task, cells, query_report in zip(
                 units, self._tasks, outputs, report.queries
             )
@@ -381,7 +371,7 @@ class AdmissionController:
             self._admit_arrivals(clock.now)
             for task in self._order:
                 if task.admitted and not task.done and not task.pending:
-                    self._step(task)
+                    self._assemble(task)
             if all(task.done for task in self._tasks):
                 return
             if any(
@@ -403,60 +393,67 @@ class AdmissionController:
                 )
 
     def _admit_arrivals(self, now: float) -> None:
-        """Prime the task generator of every query that has arrived."""
+        """Enqueue every query that has arrived; one that needs no staging
+        assembles at once."""
         for task in self._order:
             if not task.admitted and task.spec.arrival_s <= now:
                 task.admitted = True
-                task.gen = self._query_body(task)
-                self._step(task)  # runs the enqueue phase
+                self._enqueue(task)
+                if not task.pending:
+                    self._assemble(task)
 
-    def _step(self, task: _QueryTask) -> None:
-        assert task.gen is not None
-        try:
-            next(task.gen)
-        except StopIteration:
-            task.done = True
+    # ------------------------------------------------------------------ query life
 
-    # ------------------------------------------------------------------ task body
-
-    def _query_body(self, task: _QueryTask) -> Generator[str, None, None]:
-        """The cooperative life of one query: enqueue -> wait -> assemble."""
+    def _enqueue(self, task: _QueryTask) -> None:
+        """Resolve the query's unit, collect its needs once, and post one
+        staging demand per tape segment."""
         heaven = self.heaven
-        clock = heaven.clock
         spec = task.spec
-        unit = heaven._resolve_unit(
+        unit = task.unit = heaven._resolve_unit(
             spec.collection, spec.object_name, spec.region, spec.tile_ids
         )
-        task.mdd = unit.mdd
-        needs = heaven.collect_needs([(unit.mdd, unit.cover)], task.tile_pins)
-        task.enqueued_s = clock.now
-        for key, need in sorted(needs.items()):
+        task.ticket = StagingTicket(
+            cache=heaven.disk_cache, memory=heaven.memory_cache
+        )
+        task.needs = heaven.collect_needs(
+            [(unit.mdd, unit.cover)], task.ticket.tile_pins
+        )
+        task.enqueued_s = heaven.clock.now
+        for key, need in sorted(task.needs.items()):
             medium_id, _segment = heaven.library.segment(key)
             task.demands[key] = _Demand(
                 key=key,
                 medium_id=medium_id,
-                tile_ids=sorted(need.tile_ids),
                 run=heaven._required_run(need.super_tile, need.tile_ids),
-                enqueued_s=clock.now,
+                enqueued_s=task.enqueued_s,
             )
         task.pending = set(task.demands)
-        while task.pending:
-            yield "waiting"
-        # Assemble.  Everything charged between the cursor and the end of
-        # the read belongs to this query alone (restage fallbacks, memory
-        # cache misses re-staged from tape, ...).
+
+    def _assemble(self, task: _QueryTask) -> None:
+        """Assemble the query's unit with its ticket active, release the
+        ticket and seal the query's report.
+
+        Everything charged between the cursor and the end of the read
+        belongs to this query alone (restage fallbacks, memory cache misses
+        re-staged from tape, ...), and so do the pins a restage takes.
+        """
+        heaven = self.heaven
+        clock = heaven.clock
+        spec = task.spec
+        unit, ticket = task.unit, task.ticket
+        assert unit is not None and ticket is not None
         cursor = clock.log.cursor()
-        with heaven.tracer.span(
-            "admission.assemble", query=task.qid, object=spec.object_name
-        ) as span:
-            task.cells = heaven._assemble_unit(unit)
+        with heaven._holding(ticket):
+            with heaven.tracer.span(
+                "admission.assemble", query=task.qid, object=spec.object_name
+            ) as span:
+                task.cells = heaven._assemble_unit(unit)
         heaven._observe_assemble_wall(span)
-        self._release_leases(task)
         window = clock.log.window(cursor)
         task.finished_s = clock.now
         # Not Heaven._report_from_span: this query's tape bytes are its
         # attributed share of fused sweeps plus its own assembly window,
-        # its pins are leases, and its latency runs from its arrival.
+        # and its latency runs from its arrival.
         task.report = RetrievalReport(
             object_name=spec.label,
             region=str(spec.region),
@@ -467,22 +464,10 @@ class AdmissionController:
             exchanges=sum(1 for e in window if e.kind == "load"),
             virtual_seconds=clock.now - spec.arrival_s,
             restages=sum(1 for e in window if e.kind == "restage"),
-            pins=task.lease_count,
+            pins=ticket.pins,
             waves=task.sweeps,
         )
         task.done = True
-        yield "done"
-
-    def _release_leases(self, task: _QueryTask) -> None:
-        tiles, task.tile_pins = task.tile_pins, []
-        for key in tiles:
-            self.heaven.memory_cache.unpin(*key)
-        held, task.leases = task.leases, []
-        for key in held:
-            try:
-                self.heaven.disk_cache.release_lease(key, task.owner)
-            except CacheError:  # pragma: no cover - defensive
-                pass
 
     # ------------------------------------------------------------------ scheduling
 
@@ -600,22 +585,19 @@ class AdmissionController:
         heaven = self.heaven
         clock = heaven.clock
         report = self._report
-        # Fuse: union the demanded tiles per segment across queries.
+        # Fuse: union the demanding queries' collected needs per segment.
         by_key: Dict[str, List[Tuple[_QueryTask, _Demand]]] = {}
         for task, demand in chosen:
             by_key.setdefault(demand.key, []).append((task, demand))
         fused: Dict[str, _SegmentNeed] = {}
         for key in sorted(by_key):
-            demanders = by_key[key]
-            task0 = demanders[0][0]
-            assert task0.mdd is not None
-            entry = heaven.archived(task0.mdd.name)
-            tiles = sorted({t for _task, d in demanders for t in d.tile_ids})
+            needs = [task.needs[key] for task, _d in by_key[key]]
             fused[key] = _SegmentNeed(
-                super_tile=entry.super_tile_of(tiles[0]),
-                entry=entry,
-                mdd=task0.mdd,
-                tile_ids=tiles,
+                super_tile=needs[0].super_tile,
+                entry=needs[0].entry,
+                mdd=needs[0].mdd,
+                tile_ids=sorted({t for need in needs for t in need.tile_ids}),
+                query_ids=tuple(sorted({task.qid for task, _d in by_key[key]})),
             )
         demanded_unions = {
             key: heaven._required_run(need.super_tile, need.tile_ids)
@@ -623,41 +605,21 @@ class AdmissionController:
         }
         sweep_start = clock.now
         cursor = clock.log.cursor()
-        # An empty batch yields the empty ticket this sweep fills itself:
-        # its needs are fused per medium, not per (object, tiles) pair.
-        with heaven._staged([]) as ticket:
-            with heaven.tracer.span(
-                "admission.sweep",
-                always=True,
-                medium=medium_id,
-                media=len({demand.medium_id for _t, demand in chosen}),
-                segments=len(fused),
-                queries=len({task.qid for task, _d in chosen}),
-            ):
-                requests = heaven.plan_requests(fused, ticket)
-                requests = [
-                    replace(
-                        request,
-                        query_id=min(
-                            (t.qid for t, _d in by_key.get(request.key, [])),
-                            default=0,
-                        ),
-                        query_ids=tuple(
-                            sorted(
-                                {t.qid for t, _d in by_key.get(request.key, [])}
-                            )
-                        ),
-                    )
-                    for request in requests
-                ]
-                if requests:
-                    heaven.execute_staging(requests, fused, ticket)
-            self._hand_over_pins(fused, by_key, ticket.tile_pins)
+        with heaven.tracer.span(
+            "admission.sweep",
+            always=True,
+            medium=medium_id,
+            media=len({demand.medium_id for _t, demand in chosen}),
+            segments=len(fused),
+            queries=len({task.qid for task, _d in chosen}),
+        ):
+            with heaven._staged((), needs=fused) as ticket:
+                self._hand_over_pins(by_key, ticket.tile_pins)
         self._settle_sweep(
             by_key,
             fused,
             demanded_unions,
-            requests,
+            ticket.requests,
             sweep_elapsed=clock.now - sweep_start,
             window_bytes=_drive_read_bytes(clock.log.window(cursor)),
         )
@@ -667,46 +629,39 @@ class AdmissionController:
 
     def _hand_over_pins(
         self,
-        fused: Dict[str, _SegmentNeed],
         by_key: Dict[str, List[Tuple[_QueryTask, _Demand]]],
         drained: Sequence[Tuple[str, int]],
     ) -> None:
-        """Pin what the sweep staged for each demanding query until it
-        assembled.
+        """Pin what the sweep staged onto each demanding query's ticket.
 
-        One lease per demanding query per disk-cached fused segment, and
-        one memory-cache pin per demanding query per tile in *drained*
-        whose segment left the disk cache: the tiles non-final waves
-        drained (or a fully-pinned disk cache salvaged) into the memory
-        tile cache.  The sweep's own ticket pins those only until the sweep
-        ends, and a query still waiting on another sweep would otherwise
-        find them evicted and restage.  A drained segment still on disk is
-        leased instead, which leaves the memory cache room for later
-        sweeps.
+        One disk-cache pin per demanding query per fused segment still in
+        the disk cache, and one memory-cache pin per demanding query per
+        tile in *drained* whose segment left the disk cache: the tiles
+        non-final waves drained (or a fully-pinned disk cache salvaged)
+        into the memory tile cache.  The sweep's own ticket pins those only
+        until the sweep ends, and a query still waiting on another sweep
+        would otherwise find them evicted and restage.  A drained segment
+        still on disk is held instead, which leaves the memory cache room
+        for later sweeps.  Sequential-prefetch segments are in no demand,
+        so nobody holds them.
         """
         heaven = self.heaven
-        cache = heaven.disk_cache
-        # plan_requests may have grown *fused* with sequential-prefetch
-        # segments; nobody demanded those, so nobody leases them.
-        leased = [key for key in sorted(fused) if key in by_key and key in cache]
-        for key in leased:
+        held = [key for key in sorted(by_key) if key in heaven.disk_cache]
+        for key in held:
             for task, _demand in by_key[key]:
-                cache.acquire_lease(key, task.owner)
-                task.leases.append(key)
-                task.lease_count += 1
+                task.ticket.hold(key)
         demanders: Dict[Tuple[str, int], List[_QueryTask]] = {}
         for key, pairs in by_key.items():
-            if key in leased:
+            if key in held:
                 continue
-            for task, demand in pairs:
-                for tile_id in demand.tile_ids:
-                    demanders.setdefault(
-                        (fused[key].mdd.name, tile_id), []
-                    ).append(task)
+            for task, _demand in pairs:
+                need = task.needs[key]
+                for tile_id in need.tile_ids:
+                    demanders.setdefault((need.mdd.name, tile_id), []).append(task)
         for tile_key in drained:
             for task in demanders.get(tile_key, ()):
                 heaven.memory_cache.pin(*tile_key)
-                task.tile_pins.append(tile_key)
+                task.ticket.tile_pins.append(tile_key)
 
     def _settle_sweep(
         self,

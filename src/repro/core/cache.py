@@ -243,9 +243,6 @@ class CacheStats:
     unpins: int = 0
     #: victim nominations skipped because the candidate was pinned
     pin_evictions_blocked: int = 0
-    #: owner-tagged lease acquisitions/releases (lifetime)
-    leases: int = 0
-    lease_releases: int = 0
     #: puts refused by the memory tile cache's admission rule
     rejections: int = 0
 
@@ -294,8 +291,6 @@ class DiskCache:
         self.on_evict = on_evict
         self._entries: Dict[str, _DiskEntry] = {}
         self._pins: Dict[str, int] = {}
-        #: owner-tagged pin references: key -> owner -> lease count
-        self._leases: Dict[str, Dict[str, int]] = {}
         self.stats = CacheStats()
 
     @property
@@ -341,58 +336,6 @@ class DiskCache:
 
     def pinned_keys(self) -> List[str]:
         return list(self._pins)
-
-    # -- per-owner leases ------------------------------------------------------
-    #
-    # A lease is a pin tagged with the holder's identity (e.g. a query id).
-    # Two queries sharing one staged segment each hold their own lease on
-    # it, so one query finishing its assembly can only ever drop *its own*
-    # reference — releasing someone else's lease is a typed error, not a
-    # silent double-unpin that would expose the other query's bytes to
-    # eviction mid-assembly.
-
-    def acquire_lease(self, key: str, owner: str) -> None:
-        """Take an owner-tagged pin on *key* for *owner*."""
-        self.pin(key)
-        owners = self._leases.setdefault(key, {})
-        owners[owner] = owners.get(owner, 0) + 1
-        self.stats.leases += 1
-
-    def release_lease(self, key: str, owner: str) -> None:
-        """Drop one of *owner*'s leases on *key*.
-
-        Raises :class:`~repro.errors.CacheError` when *owner* holds no
-        lease on *key* — the guard that keeps one query's release from
-        consuming another query's reference.  Releasing a lease whose
-        entry was invalidated while held is a no-op (the pins died with
-        the entry).
-        """
-        owners = self._leases.get(key)
-        if owners is None or owner not in owners:
-            if key not in self._entries:
-                return  # invalidated while leased: references already gone
-            raise CacheError(
-                f"{owner!r} holds no lease on cache entry {key!r}"
-            )
-        if owners[owner] <= 1:
-            del owners[owner]
-            if not owners:
-                del self._leases[key]
-        else:
-            owners[owner] -= 1
-        self.stats.lease_releases += 1
-        self.unpin(key)
-
-    def lease_count(self, key: str, owner: Optional[str] = None) -> int:
-        """Leases held on *key* (by *owner*, or by everyone when None)."""
-        owners = self._leases.get(key, {})
-        if owner is not None:
-            return owners.get(owner, 0)
-        return sum(owners.values())
-
-    def lease_owners(self, key: str) -> List[str]:
-        """Owners currently holding at least one lease on *key*."""
-        return sorted(self._leases.get(key, {}))
 
     def lookup(self, key: str) -> bool:
         """Probe the cache; updates policy state and hit statistics."""
@@ -511,7 +454,6 @@ class DiskCache:
             return False
         self.policy.remove(key)
         self._pins.pop(key, None)
-        self._leases.pop(key, None)
         return True
 
     def read(self, key: str, offset: int, length: int) -> Optional[memoryview]:

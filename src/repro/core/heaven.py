@@ -139,10 +139,16 @@ class StagingTicket:
     staging for, and tiles it drained or salvaged.  The caller releases the
     ticket once the tiles were assembled; until then no insertion (even of
     the same batch) can evict those bytes.  ``release`` is idempotent.
+
+    An admission query owns one ticket from enqueue to assembly: each sweep
+    that serves it pins the query's segments (:meth:`hold`) and drained
+    tiles onto it before the sweep's own ticket is released.
     """
 
     cache: DiskCache
     memory: Optional[MemoryTileCache] = None
+    #: tape requests the batch planned, in plan order (prefetch included)
+    requests: List[TapeRequest] = field(default_factory=list)
     #: super-tile runs streamed from tape for this batch
     staged: int = 0
     #: bytes those runs moved off tape
@@ -155,6 +161,12 @@ class StagingTicket:
     pinned: List[str] = field(default_factory=list)
     #: ``(object, tile)`` keys pinned in the memory tile cache
     tile_pins: List[Tuple[str, int]] = field(default_factory=list)
+
+    def hold(self, key: str) -> None:
+        """Take one more pin reference on cached segment *key*."""
+        self.cache.pin(key)
+        self.pinned.append(key)
+        self.pins += 1
 
     def release(self) -> None:
         """Drop every pin still held by this ticket."""
@@ -197,6 +209,9 @@ class _SegmentNeed:
     run: Tuple[int, int] = (0, 0)
     #: opportunistic sequential prefetch: never pinned, droppable
     prefetch: bool = False
+    #: admission queries demanding this segment (sorted); their ids are
+    #: stamped on its tape request for byte attribution
+    query_ids: Tuple[int, ...] = ()
 
 
 class Heaven:
@@ -316,7 +331,7 @@ class Heaven:
         #: straight into the result array.  Any increment marks a
         #: defensive-copy fallback that re-appeared.
         self.assembly_bytes_copied = 0
-        #: ticket of the :meth:`_staged` body currently running.  The
+        #: ticket of the :meth:`_holding` body currently running.  The
         #: resolver's restage fallback adds the pins it takes onto it, so a
         #: report counts exactly the pins its read caused (a global
         #: ``stats.pins`` delta would charge it for any query's pins).
@@ -767,13 +782,25 @@ class Heaven:
 
     @contextmanager
     def _staged(
-        self, pairs: Sequence[Tuple[MDD, Sequence[int]]]
+        self,
+        pairs: Sequence[Tuple[MDD, Sequence[int]]],
+        needs: Optional[Dict[str, _SegmentNeed]] = None,
     ) -> Iterator[StagingTicket]:
         """Stage *pairs* in one scheduled pass and hold their pins for the
         ``with`` body — the one staging protocol of every read, mutation
-        and admission sweep.  The body runs with the batch's ticket active.
+        and admission sweep.  A sweep passes the *needs* its queries
+        already collected, merged per segment, instead of *pairs*.
         """
-        ticket = self._stage_many(pairs)
+        with self._holding(self._stage_many(pairs, needs)) as ticket:
+            yield ticket
+
+    @contextmanager
+    def _holding(self, ticket: StagingTicket) -> Iterator[StagingTicket]:
+        """Run the ``with`` body with *ticket* active, then release it.
+
+        The resolver's restage fallback adds the pins it takes onto the
+        active ticket, so they are charged to the read being assembled.
+        """
         outer, self._active_ticket = self._active_ticket, ticket
         try:
             yield ticket
@@ -782,7 +809,9 @@ class Heaven:
             ticket.release()
 
     def _stage_many(
-        self, pairs: Sequence[Tuple[MDD, Sequence[int]]]
+        self,
+        pairs: Sequence[Tuple[MDD, Sequence[int]]],
+        needs: Optional[Dict[str, _SegmentNeed]] = None,
     ) -> StagingTicket:
         """Batch-stage tiles of several objects in one scheduled tape pass.
 
@@ -807,10 +836,11 @@ class Heaven:
         try:
             with self.tracer.span("heaven.stage") as stage_span:
                 with self.tracer.span("cache.lookup"):
-                    needs = self.collect_needs(pairs, ticket.tile_pins)
-                    requests = self.plan_requests(needs, ticket)
-                if requests:
-                    self.execute_staging(requests, needs, ticket)
+                    if needs is None:
+                        needs = self.collect_needs(pairs, ticket.tile_pins)
+                    ticket.requests = self.plan_requests(needs, ticket)
+                if ticket.requests:
+                    self.execute_staging(ticket.requests, needs, ticket)
                 stage_span.set(
                     super_tiles=ticket.staged,
                     bytes_from_tape=ticket.bytes_from_tape,
@@ -824,11 +854,10 @@ class Heaven:
             raise
         return ticket
 
-    # The three resumable staging units below used to be one private
-    # pipeline inside ``_stage_many``.  They are public so the admission
-    # layer (:mod:`repro.core.admission`) can collect demands per query,
-    # fuse them across queries, and only then plan + execute one shared
-    # sweep — without duplicating the pin/wave machinery.
+    # The three staging units below are the stages of ``_stage_many``.  The
+    # admission layer (:mod:`repro.core.admission`) calls ``collect_needs``
+    # itself, once per query at enqueue, and hands the merged needs of a
+    # sweep back to ``_staged``; per-layer profilers wrap all three.
 
     def collect_needs(
         self,
@@ -898,9 +927,7 @@ class Heaven:
                 if cached is not None and self._covers(cached, run):
                     # Hit: pin it so later insertions of this very batch
                     # cannot evict it before its tiles are assembled.
-                    self.disk_cache.pin(key)
-                    ticket.pinned.append(key)
-                    ticket.pins += 1
+                    ticket.hold(key)
                     need.run = cached
                     continue
                 # Cached run too small: restage the contiguous union of
@@ -919,6 +946,8 @@ class Heaven:
                     medium_id=medium_id,
                     offset=segment.offset + run[0],
                     length=run[1],
+                    query_id=min(need.query_ids, default=0),
+                    query_ids=need.query_ids,
                 )
             )
         if self.config.prefetch == "sequential":
@@ -935,9 +964,8 @@ class Heaven:
 
         The execution half of the staging pipeline: scheduler ordering
         (elevator sweeps per medium) followed by pinned wave admission.
-        Callers that fused demands across queries pass the merged *needs*
-        here unchanged; per-query attribution of the shared bytes happens
-        on their side via
+        Requests of needs fused across queries carry the demanding query
+        ids, so the admission layer splits their bytes afterwards with
         :func:`~repro.core.scheduler.attribute_request_bytes`.
 
         Waves cut the ordered request stream greedily at the cache's free

@@ -7,8 +7,8 @@ worker task drains the queue in **batches**, so sub-reads from many
 concurrent tenants that land while the node is busy are answered in one
 fused staging pass through
 :meth:`~repro.core.admission.AdmissionController.run_units` — per-unit
-leases and EXACT per-unit tape-byte attribution (no cross-tenant
-leakage).
+staging tickets and EXACT per-unit tape-byte attribution (no
+cross-tenant leakage).
 
 Every response round-trips through the binary wire format before being
 handed back — the local dispatch exercises the exact bytes a remote

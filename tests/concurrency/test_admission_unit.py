@@ -1,7 +1,7 @@
 """Unit tests for the admission layer's building blocks.
 
 Covers the exact shared-byte split, the weighted-fair medium picker and
-its aging escalation, per-query lease accounting, and the single-query
+its aging escalation, per-query pin accounting, and the single-query
 degenerate case (admission must cost the same as a plain read).
 """
 
@@ -84,8 +84,8 @@ def _task(qid: int, *, weight: float, service: float) -> _QueryTask:
 
 
 def _demand(medium: str, enqueued: float) -> _Demand:
-    return _Demand(key=f"seg-{medium}", medium_id=medium, tile_ids=[0],
-                   run=(0, 1024), enqueued_s=enqueued)
+    return _Demand(key=f"seg-{medium}", medium_id=medium, run=(0, 1024),
+                   enqueued_s=enqueued)
 
 
 class TestMediumPicker:
@@ -188,8 +188,10 @@ class TestSingleQuery:
             MInterval.of((0, 63), (0, 63)),
             MInterval.of((0, 63), (0, 63)),
         ]
-        heaven, _outputs, _report = run_concurrent(regions)
+        heaven, _outputs, report = run_concurrent(regions)
         stats = heaven.disk_cache.stats
-        assert stats.leases > 0
-        assert stats.leases == stats.lease_releases
+        # The sweeps handed segment pins to the queries' tickets, and every
+        # pin taken was dropped again.
+        assert sum(query.pins for query in report.queries) > 0
+        assert stats.pins == stats.unpins
         heaven.assert_quiescent()

@@ -4,10 +4,10 @@
 prefetch is enabled (``_add_prefetch`` appends neighbour segments that no
 query demanded).  The controller passes its fused-demand dict as *needs*,
 so after planning it can contain segments with no demanding query.  The
-original bug: ``_grant_leases`` and the fusion-audit loop indexed
+original bug: the pin hand-over and the fusion-audit loop indexed
 ``by_key[key]`` for those prefetch keys and crashed with ``KeyError``
 (first seen as simtest seed 13).  These tests pin the fixed behaviour:
-prefetched bytes stay unattributed, no leases are taken for them, and
+prefetched bytes stay unattributed, no query holds a pin on them, and
 the audit only covers demanded segments.
 """
 
@@ -63,10 +63,11 @@ def test_prefetched_bytes_stay_unattributed_and_reconcile():
 def test_prefetch_segments_get_no_leases_or_audit_rows():
     heaven, _outputs, report = run_concurrent(REGIONS, config=CONFIG)
     stats = heaven.disk_cache.stats
-    # Every lease taken by the sweeps was released at assembly time --
-    # prefetch-only segments never enter the lease ledger at all.
-    assert stats.leases == stats.lease_releases
+    # Every pin the sweeps handed to the queries' tickets was released at
+    # assembly time -- prefetch-only segments are never pinned at all.
+    assert stats.pins == stats.unpins
     assert heaven.disk_cache.pinned_keys() == []
+    heaven.assert_quiescent()
     # Audit rows exist only for demanded segments, and each one was
     # demanded by at least one query.
     assert report.audit

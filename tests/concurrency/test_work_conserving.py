@@ -156,8 +156,8 @@ class TestAgingEscalationServesOneMedium:
             task.admitted = True
             key = heaven.archived(name).super_tiles[-1].segment_name
             task.demands[key] = _Demand(
-                key=key, medium_id=_medium_of(heaven, name), tile_ids=[0],
-                run=(0, 1024), enqueued_s=enqueued,
+                key=key, medium_id=_medium_of(heaven, name), run=(0, 1024),
+                enqueued_s=enqueued,
             )
             task.pending = {key}
             tasks.append(task)
@@ -215,7 +215,7 @@ class TestDrainedPinsOutliveTheSweep:
     # query's first row).  Without the handoff the next sweep's drained or
     # salvaged tiles evicted the first sweep's and "big" restaged them:
     # 20 restages and 104 KB off tape on the first layout, 8 and 56 KB on
-    # the second.  Pinning tiles whose segment stayed leased on disk as
+    # the second.  Pinning tiles whose segment stayed pinned on disk as
     # well starved the first layout's second sweep of memory: 8 restages.
     @pytest.mark.parametrize(
         "big_rows, media_kb, first_medium, tail_row",

@@ -4,8 +4,9 @@
 arguments to units and run the same stage → assemble → report function,
 so a read is a batch of one: on twin instances the three entry points
 return the same cells, the same cost numbers and the same event log.
-The admission layer resolves units through the same code, so a rejected
-unit leaves no trace whichever way it came in.
+The admission layer resolves and stages units through the same code: an
+admission run of one query is the same read, and a rejected unit leaves
+no trace whichever way it came in.
 """
 
 import copy
@@ -15,7 +16,7 @@ import pytest
 
 from repro.arrays import DOUBLE, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
-from repro.core.admission import AdmissionController
+from repro.core.admission import AdmissionController, QuerySpec
 from repro.core.units import SubReadRequest
 from repro.errors import HeavenError
 
@@ -31,14 +32,15 @@ STAT_FIELDS = (
 REPORT_FIELDS = STAT_FIELDS + ("tiles_needed", "pins", "waves")
 
 
-def make_twin() -> Heaven:
-    """Archived zlib object four times the disk cache: waves and evictions."""
+def make_twin(disk_cache_bytes: int = 32 * 1024) -> Heaven:
+    """Archived zlib object four times the default disk cache: waves and
+    evictions."""
     heaven = Heaven(
         HeavenConfig(
             compression="zlib",
             super_tile_bytes=8 * 1024,
             min_super_tile_bytes=4 * 1024,
-            disk_cache_bytes=32 * 1024,
+            disk_cache_bytes=disk_cache_bytes,
             memory_cache_bytes=16 * 1024,
         )
     )
@@ -95,6 +97,34 @@ class TestReadIsABatchOfOne:
         ]
         assert logs[0] == logs[1] == logs[2]
         for heaven in (single, batch, served):
+            heaven.assert_quiescent()
+
+    def test_admission_run_of_one_is_a_direct_read(self):
+        """One query through the admission layer stages in one sweep, the
+        same pass ``read_with_report`` makes: same cells, same events,
+        same tape bytes and exchanges.  The region fits the disk cache: a
+        sweep with capacity waves hands its query drained segments that are
+        still on disk, which a direct read leaves evictable."""
+        direct, admitted = make_twin(256 * 1024), make_twin(256 * 1024)
+        entry = direct.archived("obj")
+        assert len({st.medium_id for st in entry.super_tiles}) == 1
+        cursors = [h.clock.log.cursor() for h in (direct, admitted)]
+
+        cells, report = direct.read_with_report("col", "obj", REGION)
+        (admitted_cells,), multi = AdmissionController(admitted).run(
+            [QuerySpec(collection="col", object_name="obj", region=REGION)]
+        )
+
+        np.testing.assert_array_equal(admitted_cells, cells)
+        assert report.waves == 1 and report.bytes_from_tape > 0
+        assert multi.sweeps == 1
+        (query,) = multi.queries
+        assert query.bytes_from_tape == multi.bytes_from_tape == report.bytes_from_tape
+        # A query's own exchanges are its assembly's; the sweep's mount is
+        # the run's.
+        assert multi.exchanges == report.exchanges == 1
+        assert events_since(admitted, cursors[1]) == events_since(direct, cursors[0])
+        for heaven in (direct, admitted):
             heaven.assert_quiescent()
 
     def test_tile_subset_unit_is_exactly_those_tiles(self):

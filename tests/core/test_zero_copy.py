@@ -93,7 +93,7 @@ class TestRestageCoverageRecheck:
         )
         assert other_offset > tile_offset
 
-        def hostile_stage(pairs):
+        def hostile_stage(pairs, needs=None):
             # Every staging attempt (the read's batch, resolver fallback)
             # lands the same non-covering run and pins nothing.
             if key not in heaven.disk_cache:
@@ -119,7 +119,7 @@ class TestRestageCoverageRecheck:
         assert len(extents) >= 2
         second_offset, second_length = extents[1]
 
-        def hostile_stage(pairs):
+        def hostile_stage(pairs, needs=None):
             # Covers only the second tile's extent; same length as the
             # target's, so the old code read the neighbour's bytes.
             if key not in heaven.disk_cache:
@@ -239,9 +239,10 @@ class TestPinAttribution:
         _cells, report = heaven.read_with_report("col", mdd.name, region)
         assert report.pins == heaven.disk_cache.stats.pins - before
 
-    def test_concurrent_queries_reconcile_lease_counts(self):
-        """Per-query pin (lease) counts across admission sum to the
-        cache's lease traffic: no query is charged another's pins."""
+    def test_concurrent_queries_reconcile_lease_counts(self, monkeypatch):
+        """Per-query pin counts across admission sum to the pins the
+        sweeps handed to the queries' tickets plus the pins their
+        assembly restages took: no query is charged another's pins."""
         heaven = make_heaven(disk_cache_bytes=64 * 1024)
         archive_object(heaven, "o0", seed=0)
         archive_object(heaven, "o1", seed=1)
@@ -251,13 +252,70 @@ class TestPinAttribution:
             ("col", "o1", region),
             ("col", "o0", MInterval.of((0, 15), (0, 15))),
         ]
-        leases_before = heaven.disk_cache.stats.leases
-        _outputs, multi = AdmissionController(heaven, schedule_seed=3).run(
+        stats = heaven.disk_cache.stats
+        controller = AdmissionController(heaven, schedule_seed=3)
+        handed, restaged = [], []
+        hand_over, assemble = controller._hand_over_pins, heaven._assemble_unit
+
+        def counted_hand_over(*args):
+            before = stats.pins
+            hand_over(*args)
+            handed.append(stats.pins - before)
+
+        def counted_assemble(unit):
+            before = stats.pins
+            cells = assemble(unit)
+            restaged.append(stats.pins - before)
+            return cells
+
+        monkeypatch.setattr(controller, "_hand_over_pins", counted_hand_over)
+        monkeypatch.setattr(heaven, "_assemble_unit", counted_assemble)
+        _outputs, multi = controller.run(
             [QuerySpec(collection=c, object_name=o, region=r) for c, o, r in requests]
         )
-        lease_delta = heaven.disk_cache.stats.leases - leases_before
-        assert sum(r.pins for r in multi.queries) == lease_delta
+        assert sum(handed) > 0
+        assert sum(r.pins for r in multi.queries) == sum(handed) + sum(restaged)
         assert all(r.pins >= 0 for r in multi.queries)
+        heaven.assert_quiescent()
+
+    def test_admission_restage_pins_attributed_to_assembling_query(
+        self, monkeypatch
+    ):
+        """Restage pins taken while an admission query assembles belong to
+        that query, as they do for a direct read."""
+        heaven = make_heaven()
+        mdd = archive_object(heaven)
+        region = MInterval.of((0, 15), (0, 15))
+        entry = heaven._archived[mdd.name]
+        stats = heaven.disk_cache.stats
+        seen = {}
+        assemble = heaven._assemble_unit
+
+        def drop_then_assemble(unit):
+            # Kill the query's staged segment and its memory tiles just
+            # before it assembles: the resolver must restage.
+            seen["held"] = sum(
+                heaven.disk_cache.pin_count(key) for key in entry.staged_runs
+            )
+            for key in list(entry.staged_runs):
+                heaven.disk_cache.invalidate(key)
+                entry.staged_runs.pop(key)
+            heaven.memory_cache.invalidate_object(mdd.name)
+            before = stats.pins
+            cells = assemble(unit)
+            seen["fallback"] = stats.pins - before
+            return cells
+
+        monkeypatch.setattr(heaven, "_assemble_unit", drop_then_assemble)
+        (cells,), multi = AdmissionController(heaven).run(
+            [QuerySpec(collection="col", object_name=mdd.name, region=region)]
+        )
+        np.testing.assert_array_equal(cells, expected_cells(mdd, region))
+        (query,) = multi.queries
+        assert query.restages > 0
+        assert seen["held"] > 0 and seen["fallback"] > 0
+        assert query.pins == seen["held"] + seen["fallback"]
+        heaven.assert_quiescent()
 
 
 class TestZeroCopyPipeline:

@@ -3,8 +3,8 @@
 Hold-back windows and fused sweeps must compose with the recovery layer:
 mount failures inside a sweep are retried transparently (byte identity
 still holds), and when the retry budget is spent mid-run the controller
-must release every per-query lease on its way out — quiescence is part
-of the error contract, not just the happy path.
+must release every query's staging ticket on its way out — quiescence
+is part of the error contract, not just the happy path.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class TestAdmissionUnderFaults:
         controller = AdmissionController(heaven, holdback_s=2.0)
         with pytest.raises(StorageError):
             controller.run(specs)
-        # The error path released every per-query lease: nothing pinned.
+        # The error path released every query's ticket: nothing pinned.
         assert heaven.disk_cache.pinned_keys() == []
         heaven.assert_quiescent()
 

@@ -110,11 +110,13 @@ class TestSharedSplitReconciliation:
         assert "unattributed" in message
 
     def test_lease_stats_balance_after_run(self):
-        heaven, _report = run_shared_queries()
+        heaven, report = run_shared_queries()
         stats = heaven.disk_cache.stats
-        assert stats.leases > 0
-        assert stats.lease_releases == stats.leases
+        # Pins handed to the queries' tickets, all dropped again.
+        assert sum(query.pins for query in report.queries) > 0
+        assert stats.pins == stats.unpins
         assert heaven.disk_cache.pinned_keys() == []
+        heaven.assert_quiescent()
 
     def test_split_share_fields_feed_the_report(self):
         """The per-query share is rebuilt from the same split primitive the
