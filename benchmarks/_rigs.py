@@ -15,6 +15,7 @@ from repro.arrays import ArrayStorage, DOUBLE, MDD, MInterval, RegularTiling, Ze
 from repro.core import Heaven, HeavenConfig
 from repro.dbms import Database
 from repro.tertiary import DLT_7000, GB, MB, SimClock, TapeLibrary, scaled_profile
+from repro.workloads import zero_object
 
 #: Laptop-scale medium: mechanics of a DLT-7000, 2 GB capacity.
 BENCH_PROFILE = scaled_profile(DLT_7000, 2 * GB)
@@ -62,25 +63,9 @@ def heaven_rig(
     defaults.update(config_overrides)
     heaven = Heaven(HeavenConfig(**defaults))
     heaven.create_collection("bench")
-    mdd = make_object(object_mb, tile_kb, dims, name=name)
+    mdd = zero_object(object_mb, tile_kb, dims, name=name)
     heaven.insert("bench", mdd)
     return heaven, mdd
-
-
-def make_object(object_mb: int, tile_kb: int = 256, dims: int = 3, name: str = "obj") -> MDD:
-    """A *dims*-dimensional cube of about *object_mb* MB, square-ish tiles."""
-    cells = object_mb * MB // DOUBLE.size_bytes
-    side = max(1, int(round(cells ** (1.0 / dims))))
-    tile_cells = tile_kb * 1024 // DOUBLE.size_bytes
-    tile_side = max(1, int(round(tile_cells ** (1.0 / dims))))
-    tile_side = min(tile_side, side)
-    return MDD(
-        name,
-        MInterval.from_shape((side,) * dims),
-        DOUBLE,
-        tiling=RegularTiling((tile_side,) * dims),
-        source=ZeroSource(),
-    )
 
 
 def poisson_slabs(

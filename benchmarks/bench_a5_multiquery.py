@@ -11,9 +11,9 @@ import pytest
 from repro.bench import ResultTable, speedup
 from repro.core import Heaven, HeavenConfig, Placement, PlacementPolicy
 from repro.tertiary import GB, MB
-from repro.workloads import subcube
+from repro.workloads import subcube, zero_object
 
-from _rigs import BENCH_PROFILE, make_object
+from _rigs import BENCH_PROFILE
 
 OBJECTS = 4
 MEDIA = 4
@@ -50,7 +50,7 @@ def build_heaven():
     stripe = SharedStripe([m.medium_id for m in media])
     objects = []
     for i in range(OBJECTS):
-        mdd = make_object(64, tile_kb=512, dims=3, name=f"o{i}")
+        mdd = zero_object(64, tile_kb=512, dims=3, name=f"o{i}")
         heaven.insert("col", mdd)
         heaven.archive("col", mdd.name, placement=stripe)
         objects.append(mdd)

@@ -14,8 +14,9 @@ from repro.bench import ResultTable
 from repro.core import Heaven, HeavenConfig
 from repro.core.admission import AdmissionController, QuerySpec
 from repro.tertiary import MB
+from repro.workloads import zero_object
 
-from _rigs import make_object, poisson_slabs
+from _rigs import poisson_slabs
 
 OBJECT_MB = 16
 QUERIES = 12
@@ -33,7 +34,7 @@ def build_heaven():
         )
     )
     heaven.create_collection("c")
-    mdd = make_object(OBJECT_MB, tile_kb=256, dims=3)
+    mdd = zero_object(OBJECT_MB, tile_kb=256, dims=3)
     heaven.insert("c", mdd)
     heaven.archive("c", "obj")
     heaven.library.unmount_all()

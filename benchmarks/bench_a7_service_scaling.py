@@ -14,8 +14,9 @@ from repro.bench import ResultTable
 from repro.core import Heaven, HeavenConfig
 from repro.service import ServiceCluster
 from repro.tertiary import DLT_7000, MB, scaled_profile
+from repro.workloads import zero_object
 
-from _rigs import make_object, poisson_slabs
+from _rigs import poisson_slabs
 
 OBJECT_MB = 16
 REQUESTS = 12
@@ -38,7 +39,7 @@ def make_config() -> HeavenConfig:
 
 
 def build_object():
-    return make_object(OBJECT_MB, tile_kb=32, dims=3)
+    return zero_object(OBJECT_MB, tile_kb=32, dims=3)
 
 
 def setup(heaven: Heaven) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench import ResultTable, sparkline
 from repro.core import optimal_super_tile_bytes
-from repro.tertiary import GB, MB
+from repro.tertiary import DISK_ARRAY, GB, MB
 from repro.workloads import subcube
 
 from _rigs import BENCH_PROFILE, heaven_rig
@@ -68,7 +68,7 @@ def _fresh_cache(heaven):
     return DiskCache(
         heaven.config.disk_cache_bytes,
         make_policy(heaven.config.disk_cache_policy),
-        heaven.config.disk_profile,
+        DISK_ARRAY,
         heaven.clock,
         on_evict=heaven._on_cache_evict,
     )

@@ -467,6 +467,7 @@ class AdmissionController:
             pins=ticket.pins,
             waves=task.sweeps,
         )
+        heaven._note_degradation(task.report, [unit.mdd])
         task.done = True
 
     # ------------------------------------------------------------------ scheduling

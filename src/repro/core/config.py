@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..faults import FaultPlan, RetryPolicy
-from ..tertiary.profiles import DISK_ARRAY, DLT_7000, GB, MB, DiskProfile, TapeProfile
+from ..tertiary.profiles import DLT_7000, GB, MB, TapeProfile
 
 __all__ = ["HeavenConfig", "RetryPolicy", "FaultPlan"]
 
@@ -20,6 +20,10 @@ __all__ = ["HeavenConfig", "RetryPolicy", "FaultPlan"]
 @dataclass
 class HeavenConfig:
     """Tuning knobs of the hierarchical storage environment.
+
+    Super-tiles are always partitioned by eSTAR (access-aware axis order,
+    actual-size packing), and the database, disk cache and HSM staging
+    disk all run on the :data:`~repro.tertiary.profiles.DISK_ARRAY` model.
 
     Attributes:
         tape_profile: drive/media technology of the tertiary layer.
@@ -38,10 +42,9 @@ class HeavenConfig:
         super_tile_bytes: target super-tile size; ``None`` lets eSTAR derive
             it from the drive cost model and access statistics
             (Kapitel 3.2.4 — automatische Anpassung der Super-Kachel-Größe).
-        min_super_tile_bytes / max_super_tile_bytes: clamp for the automatic
-            size and guard rails for explicit settings.
-        use_estar: eSTAR grouping (access-aware axis order, actual-size
-            packing) instead of plain STAR.
+        min_super_tile_bytes: lower clamp for the automatic size (the
+            upper clamp is :func:`~repro.core.estar.estar_partition`'s
+            default, 1 GiB).
         intra_clustering: order tiles inside a super-tile by expected access
             order so partial reads cover a short contiguous run.
         inter_clustering: place consecutive super-tiles contiguously on as
@@ -65,7 +68,6 @@ class HeavenConfig:
         compression: per-tile codec for archived data (``"none"`` or
             ``"zlib"``); compressed tiles stream off tape in proportionally
             less time, at ~0.6 estimated ratio in size-only mode.
-        disk_profile: staging/cache disk technology.
         retain_payload: keep real bytes everywhere (end-to-end fidelity);
             switch off for very large virtual experiments.
         event_log_max_events: bound the simulator's event log to this many
@@ -85,8 +87,6 @@ class HeavenConfig:
     attachment: str = "drive"
     super_tile_bytes: Optional[int] = 128 * MB
     min_super_tile_bytes: int = 8 * MB
-    max_super_tile_bytes: int = 1 * GB
-    use_estar: bool = True
     intra_clustering: bool = True
     inter_clustering: bool = True
     scheduling: bool = True
@@ -99,7 +99,6 @@ class HeavenConfig:
     precompute_aggregates: bool = True
     pyramid_factors: Optional[tuple] = None
     compression: str = "none"
-    disk_profile: DiskProfile = DISK_ARRAY
     retain_payload: bool = True
     event_log_max_events: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
@@ -110,8 +109,6 @@ class HeavenConfig:
             raise ValueError(f"unknown attachment mode {self.attachment!r}")
         if self.super_tile_bytes is not None and self.super_tile_bytes <= 0:
             raise ValueError("super_tile_bytes must be positive or None")
-        if self.min_super_tile_bytes > self.max_super_tile_bytes:
-            raise ValueError("min_super_tile_bytes > max_super_tile_bytes")
         if self.prefetch not in ("none", "sequential"):
             raise ValueError(f"unknown prefetch policy {self.prefetch!r}")
         if self.pyramid_factors is not None and any(

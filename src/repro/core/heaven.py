@@ -41,6 +41,7 @@ from ..obs.trace import Span
 from ..tertiary.clock import SimClock
 from ..tertiary.disk import DiskDevice
 from ..tertiary.library import TapeLibrary
+from ..tertiary.profiles import DISK_ARRAY
 from .cache import DiskCache, MemoryTileCache, make_policy
 from .clustering import ClusteredPlacement, Placement, PlacementPolicy, ScatterPlacement
 from .compression import Codec, make_codec
@@ -57,7 +58,9 @@ from .scheduler import (
     Scheduler,
     TapeRequest,
 )
-from .super_tile import SuperTile, star_partition, tiles_to_super_tiles
+# star_partition stays importable here: benchmarks/e2e_layers/tracing.py
+# wraps it by this module path.
+from .super_tile import SuperTile, star_partition, tiles_to_super_tiles  # noqa: F401
 from .units import ObjectDescriptor, SubReadRequest, SubReadResponse, _answer_nbytes, _unit_response
 
 
@@ -235,11 +238,7 @@ class Heaven:
         else:
             self.obs = Observability(enabled=bool(observability), clock=self.clock)
         self.tracer = self.obs.tracer
-        self.db = Database(
-            self.clock,
-            self.config.disk_profile,
-            retain_payload=self.config.retain_payload,
-        )
+        self.db = Database(self.clock, retain_payload=self.config.retain_payload)
         self.storage = ArrayStorage(self.db)
         self.library = TapeLibrary(
             self.config.tape_profile,
@@ -252,7 +251,7 @@ class Heaven:
         self.disk_cache = DiskCache(
             self.config.disk_cache_bytes,
             make_policy(self.config.disk_cache_policy),
-            self.config.disk_profile,
+            DISK_ARRAY,
             self.clock,
             on_evict=self._on_cache_evict,
         )
@@ -260,7 +259,7 @@ class Heaven:
         #: extra staging disk of the HSM when attached through one
         #: (Kapitel 3.1.1); None in direct drive attachment (3.1.2).
         self.hsm_staging = (
-            DiskDevice("hsm-staging", self.config.disk_profile, self.clock)
+            DiskDevice("hsm-staging", DISK_ARRAY, self.clock)
             if self.config.attachment == "hsm"
             else None
         )
@@ -376,8 +375,8 @@ class Heaven:
     ) -> ExportReport:
         """Migrate an object to tertiary storage.
 
-        Pipeline: partition into super-tiles (eSTAR or STAR per config,
-        fed by collected access statistics), order tiles inside each
+        Pipeline: partition into super-tiles (eSTAR, fed by collected
+        access statistics), order tiles inside each
         super-tile (intra clustering), plan media placement (inter
         clustering or the configured baseline), stream via the decoupled
         TCT exporter, register precomputed aggregates, and optionally
@@ -403,19 +402,13 @@ class Heaven:
             if super_tile_bytes is not None
             else self.config.super_tile_bytes
         )
-        if self.config.use_estar:
-            super_tiles = estar_partition(
-                mdd,
-                self.config.tape_profile,
-                stats=stats,
-                target_bytes=target,
-                min_bytes=self.config.min_super_tile_bytes,
-                max_bytes=self.config.max_super_tile_bytes,
-            )
-        else:
-            if target is None:
-                raise HeavenError("plain STAR needs an explicit super_tile_bytes")
-            super_tiles = star_partition(mdd, target)
+        super_tiles = estar_partition(
+            mdd,
+            self.config.tape_profile,
+            stats=stats,
+            target_bytes=target,
+            min_bytes=self.config.min_super_tile_bytes,
+        )
 
         if self.config.intra_clustering:
             for super_tile in super_tiles:

@@ -19,8 +19,8 @@ shrinker deleted its ingest, duplicate archive, ...) are *skipped*, which
 keeps programs closed under deletion.  Operations that fail inside the
 storage stack with a typed error (library offline, retry budget spent)
 are recorded as ``failed-op`` — expected behaviour under fault injection,
-not a violation; mutating ops that fail taint their object so later steps
-don't compare against half-applied state.
+not a violation.  A failed ``update`` or ``archive`` rolls back inside the
+stack, so the oracle keeps the old value and later steps check against it.
 
 Seeded mutations (``mutate="oracle-flip"`` / ``"pin-leak"``) deliberately
 break the stack-vs-oracle contract so the harness can prove it catches
@@ -157,10 +157,6 @@ class SimRunner:
         )
         self.reference = ReferenceModel()
         self._collections: Set[str] = set()
-        #: objects whose last mutating op failed mid-flight; their on-tape
-        #: state may legitimately diverge from the oracle, so they are
-        #: retired from the rest of the run
-        self._tainted: Set[str] = set()
         self._drive_clock: Dict[str, float] = {}
         self._events = hashlib.sha256()
         self._reports = hashlib.sha256()
@@ -260,18 +256,7 @@ class SimRunner:
         except (StorageError, HeavenError) as exc:
             # Typed storage failure (offline library, retry budget spent,
             # unevictable cache, ...) — expected under fault injection.
-            self._taint_if_mutating(op)
             return "failed-op", f"{type(exc).__name__}: {exc}", None, None
-
-    def _taint_if_mutating(self, op: Op) -> None:
-        if op.kind in ("archive", "update", "reimport", "ingest"):
-            name = op.params.get("object")
-            if isinstance(name, str):
-                self._tainted.add(name)
-                self.reference.delete(str(op.params.get("collection", "")), name)
-
-    def _usable(self, collection: str, name: str) -> bool:
-        return name not in self._tainted and self.reference.exists(collection, name)
 
     # Each handler returns (status, detail, report, metrics_before) and may
     # raise typed storage errors (handled by _apply).
@@ -279,7 +264,7 @@ class SimRunner:
     def _op_ingest(self, index: int, p: Dict):
         collection, name = str(p["collection"]), str(p["object"])
         side, tile = int(p["side"]), int(p["tile"])
-        if self.reference.exists(collection, name) or name in self._tainted:
+        if self.reference.exists(collection, name):
             return "skipped", "object already exists", None, None
         if collection not in self._collections:
             self.heaven.create_collection(collection)
@@ -298,7 +283,7 @@ class SimRunner:
 
     def _op_archive(self, index: int, p: Dict):
         collection, name = str(p["collection"]), str(p["object"])
-        if not self._usable(collection, name):
+        if not self.reference.exists(collection, name):
             return "skipped", "object not available", None, None
         if self.heaven.is_archived(name):
             return "skipped", "already archived", None, None
@@ -309,7 +294,7 @@ class SimRunner:
 
     def _op_read(self, index: int, p: Dict):
         collection, name = str(p["collection"]), str(p["object"])
-        if not self._usable(collection, name):
+        if not self.reference.exists(collection, name):
             return "skipped", "object not available", None, None
         region = MInterval.parse(str(p["region"]))
         expected = self.reference.read(collection, name, region)
@@ -323,7 +308,7 @@ class SimRunner:
 
     def _op_frame_read(self, index: int, p: Dict):
         collection, name = str(p["collection"]), str(p["object"])
-        if not self._usable(collection, name):
+        if not self.reference.exists(collection, name):
             return "skipped", "object not available", None, None
         boxes = [MInterval.parse(str(b)) for b in p["boxes"]]
         fill = float(p["fill"])
@@ -346,7 +331,7 @@ class SimRunner:
         requests = [
             (str(c), str(o), MInterval.parse(str(r))) for c, o, r in p["requests"]
         ]
-        if not all(self._usable(c, o) for c, o, _r in requests):
+        if not all(self.reference.exists(c, o) for c, o, _r in requests):
             return "skipped", "some objects not available", None, None
         expected = [
             self.reference.read(c, o, region) for c, o, region in requests
@@ -375,7 +360,7 @@ class SimRunner:
             (str(c), str(o), MInterval.parse(str(r)), float(a), float(w))
             for c, o, r, a, w in p["queries"]
         ]
-        if not all(self._usable(c, o) for c, o, _r, _a, _w in queries):
+        if not all(self.reference.exists(c, o) for c, o, _r, _a, _w in queries):
             return "skipped", "some objects not available", None, None
         expected = [
             self.reference.read(c, o, region)
@@ -434,7 +419,7 @@ class SimRunner:
             (str(c), str(o), MInterval.parse(str(r)))
             for c, o, r in p["queries"]
         ]
-        if not all(self._usable(c, o) for c, o, _r in queries):
+        if not all(self.reference.exists(c, o) for c, o, _r in queries):
             return "skipped", "some objects not available", None, None
         expected = [
             self.reference.read(c, o, region) for c, o, region in queries
@@ -488,19 +473,19 @@ class SimRunner:
 
     def _op_update(self, index: int, p: Dict):
         collection, name = str(p["collection"]), str(p["object"])
-        if not self._usable(collection, name):
+        if not self.reference.exists(collection, name):
             return "skipped", "object not available", None, None
         region = MInterval.parse(str(p["region"]))
         cells = HashedNoiseSource(int(p["value_seed"])).region(region, DOUBLE)
         self.heaven.update(collection, name, region, cells)
         # Mirror into the oracle only after the stack committed; a failed
-        # update taints the object instead (see _taint_if_mutating).
+        # update rolls back, so the oracle keeps the old value.
         self.reference.write(collection, name, region, cells)
         return "ok", str(region), None, None
 
     def _op_reimport(self, index: int, p: Dict):
         collection, name = str(p["collection"]), str(p["object"])
-        if not self._usable(collection, name):
+        if not self.reference.exists(collection, name):
             return "skipped", "object not available", None, None
         if not self.heaven.is_archived(name):
             return "skipped", "not archived", None, None
@@ -513,7 +498,6 @@ class SimRunner:
             return "skipped", "object not available", None, None
         self.heaven.delete(collection, name)
         self.reference.delete(collection, name)
-        self._tainted.discard(name)
         return "ok", "", None, None
 
     def _op_cache_resize(self, index: int, p: Dict):

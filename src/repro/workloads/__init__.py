@@ -17,6 +17,7 @@ from .genetics import (
     diagonal_band_frame,
 )
 from .satellite import SceneGrid, VegetationIndexSource, satellite_object
+from .synthetic import zero_object
 
 __all__ = [
     "AlignmentGrid",
@@ -42,4 +43,5 @@ __all__ = [
     "satellite_object",
     "slice_region",
     "subcube",
+    "zero_object",
 ]

@@ -17,6 +17,7 @@ from repro import (
 )
 from repro.arrays import ArrayStorage
 from repro.core import EXPORT_SEGMENTS_TABLE, ClusteredPlacement, TCTExporter
+from repro.core.admission import AdmissionController, QuerySpec
 from repro.core.clustering import Placement
 from repro.core.super_tile import star_partition
 from repro.dbms import Database
@@ -155,6 +156,23 @@ class TestOfflineDegradation:
         heaven.library.unmount_all()
         plan.set_offline(True)
         cells, report = heaven.read_with_report("c", "t", REGION_A)
+        assert cells.size > 0
+        assert report.degraded is True
+        assert report.bytes_from_tape == 0
+        assert heaven.degraded_reads_served == 1
+
+    def test_warm_cache_admission_read_succeeds_while_offline(self):
+        """The admission twin: a query the caches serve while the library
+        is offline is flagged degraded exactly like a direct read."""
+        plan = FaultPlan()
+        heaven = faulty_heaven(plan)
+        heaven.read("c", "t", REGION_A)  # warm the caches
+        heaven.library.unmount_all()
+        plan.set_offline(True)
+        (cells,), multi = AdmissionController(heaven).run(
+            [QuerySpec(collection="c", object_name="t", region=REGION_A)]
+        )
+        (report,) = multi.queries
         assert cells.size > 0
         assert report.degraded is True
         assert report.bytes_from_tape == 0

@@ -37,6 +37,18 @@ def test_replay_json_matches_direct_run():
     assert replayed.report_digest == direct.report_digest
 
 
+def test_failed_mutation_keeps_its_object_in_play():
+    """A failed mutation rolls back inside the stack, so the oracle keeps
+    the old value and later ops on that object still run and are checked.
+    Seed 2's archive at op 41 exhausts its mount retries; nothing after it
+    is skipped."""
+    result = run_program(generate_program(2, 60))
+    statuses = [step.status for step in result.steps]
+    assert result.ok, "\n".join(v.describe() for v in result.violations)
+    assert statuses.count("ok") == 59
+    assert statuses.count("skipped") == 0
+
+
 def test_virtual_time_advances():
     result = run_program(generate_program(3, 40))
     assert result.final_virtual_seconds > 0

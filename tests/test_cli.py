@@ -159,7 +159,7 @@ class TestCommands:
         assert "aborted" in capsys.readouterr().out
 
     def test_parallel_command_smoke(self, capsys):
-        assert main(["parallel", "--drives", "2"]) == 0
+        assert main(["parallel", "--drives", "4"]) == 0
         out = capsys.readouterr().out
         assert "Parallel staging" in out
         assert "speedup" in out
@@ -260,6 +260,13 @@ class TestScenarioMatrix:
             assert "repro_restages_total 0" in lines
             assert "repro_cache_pinned_bytes 0" in lines
             assert "repro_assembly_bytes_copied_total 0" in lines
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+    def test_profile(self, scenario, capsys):
+        assert main(["profile", scenario, "--mode", "deterministic"]) == 0
+        out = capsys.readouterr().out
+        assert "profiler mode: ticks" in out
+        assert "Host time vs virtual time by span kind" in out
 
     @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
     def test_chaos(self, scenario, capsys):
