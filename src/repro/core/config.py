@@ -66,8 +66,11 @@ class HeavenConfig:
             over archived objects are answered from the matching level
             without touching tape.
         compression: per-tile codec for archived data (``"none"`` or
-            ``"zlib"``); compressed tiles stream off tape in proportionally
-            less time, at ~0.6 estimated ratio in size-only mode.
+            ``"zlib"``: level-1 DEFLATE over the tile's byte planes, one
+            plane per byte of the cell type, or the cells verbatim when that
+            saves less than 1/16); compressed tiles stream off tape in
+            proportionally less time, at ~0.6 estimated ratio in size-only
+            mode.
         retain_payload: keep real bytes everywhere (end-to-end fidelity);
             switch off for very large virtual experiments.
         event_log_max_events: bound the simulator's event log to this many

@@ -512,7 +512,8 @@ class Heaven:
             self.db.blobs.peek(self.storage.blob_oid_of(mdd.oid, tile_id))
             for tile_id in tile_ids
         ]
-        return dict(zip(tile_ids, self.codec.compress_all(raws)))
+        itemsize = mdd.cell_type.dtype.itemsize
+        return dict(zip(tile_ids, self.codec.compress_all(raws, itemsize)))
 
     # ------------------------------------------------------------------ retrieval
     #
@@ -1473,7 +1474,8 @@ class Heaven:
                 np.ascontiguousarray(mdd.tiles[t].payload, dtype=mdd.cell_type.dtype).tobytes()
                 for t in dirty_ids
             ]
-            frames = dict(zip(dirty_ids, self.codec.compress_all(raws)))
+            itemsize = mdd.cell_type.dtype.itemsize
+            frames = dict(zip(dirty_ids, self.codec.compress_all(raws, itemsize)))
         version = entry.version + 1
         written: List[Tuple[SuperTile, str, str, Dict[int, int]]] = []
         try:

@@ -1,7 +1,10 @@
 """Tests for per-tile compression of archived data."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arrays import DOUBLE, ConstantSource, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig, NoneCodec, ZlibCodec, codec_names, make_codec
@@ -42,10 +45,6 @@ class TestCodecs:
         stored = codec.compress(b"x" * 100)
         with pytest.raises(HeavenError):
             codec.decompress(stored, 99)
-
-    def test_zlib_level_validated(self):
-        with pytest.raises(HeavenError):
-            ZlibCodec(level=0)
 
     def test_stored_size_real_vs_estimated(self):
         # real: the frame's length; size-only mode: the 0.6 ratio estimate
@@ -89,6 +88,119 @@ class TestCodecs:
             codec.decompress(b"\x07garbage", 7)
         with pytest.raises(HeavenError):
             codec.decompress(b"", 0)
+
+
+def quantised(n: int) -> bytes:
+    """*n* coherent float32 cells on a 0.25 grid: what DEFLATE frames are for."""
+    walk = np.random.default_rng(0).standard_normal(n).cumsum()
+    return (np.round(walk * 4) / 4).astype(np.float32).tobytes()
+
+
+def planes_of(raw: bytes, itemsize: int) -> bytes:
+    return np.frombuffer(raw, np.uint8).reshape(-1, itemsize).T.tobytes()
+
+
+class TestShuffledFrame:
+    def test_frame_layout(self):
+        # marker, itemsize, then one level-1 DEFLATE stream of byte planes
+        raw = quantised(1024)
+        assert ZlibCodec().compress(raw, 4) == b"\x01\x04" + zlib.compress(
+            planes_of(raw, 4), 1
+        )
+
+    @pytest.mark.parametrize("itemsize", [1, 2, 3, 4, 8])
+    def test_round_trip_per_itemsize(self, itemsize):
+        codec = ZlibCodec()
+        raw = bytes(range(256)) * (3 * itemsize)
+        stored = codec.compress(raw, itemsize)
+        assert stored[:2] == bytes((1, itemsize))
+        assert codec.decompress(stored, len(raw)) == raw
+        out = bytearray(len(raw))
+        assert codec.decompress_into(stored, memoryview(out)) == len(raw)
+        assert bytes(out) == raw
+
+    def test_shuffle_beats_plain_level_6_on_quantised_floats(self):
+        raw = quantised(32**3)
+        assert len(ZlibCodec().compress(raw, 4)) < 1 + len(zlib.compress(raw, 6))
+
+    def test_hashed_noise_doubles_deflate(self):
+        # plain level 6 saves ~5 % on these (a stored frame); the planes'
+        # exponent bytes repeat, so the shuffled frame saves ~12 %
+        cells = HashedNoiseSource(3, 0.0, 50.0).region(MInterval.of((0, 31), (0, 31)), DOUBLE)
+        raw = cells.tobytes()
+        assert len(zlib.compress(raw, 6)) >= len(raw) - (len(raw) >> 4)
+        stored = ZlibCodec().compress(raw, 8)
+        assert stored[0] == 1
+        assert len(stored) < 0.9 * len(raw)
+
+    def test_wide_cells_deflate_as_one_plane(self):
+        codec = ZlibCodec()
+        raw = bytes(512) * 3
+        stored = codec.compress(raw, 512)
+        assert stored[:2] == b"\x01\x01"
+        assert codec.decompress(stored, len(raw)) == raw
+
+    @pytest.mark.parametrize("itemsize", [0, -1, 2])
+    def test_partial_cells_rejected(self, itemsize):
+        with pytest.raises(HeavenError):
+            ZlibCodec().compress(b"abc", itemsize)
+
+
+def decoders(codec):
+    """Every decode path of *codec*, each as ``stored, size -> bytes``."""
+
+    def into(stored, size):
+        out = memoryview(bytearray(size))
+        codec.decompress_into(stored, out)
+        return bytes(out)
+
+    return [
+        codec.decompress,
+        lambda stored, size: bytes(codec.decompress_view(stored, size)),
+        into,
+    ]
+
+
+class TestDamagedFrames:
+    """A damaged frame fails typed on every decode path, never with a
+    stray ``zlib.error`` and never by decoding to something."""
+
+    @pytest.mark.parametrize("stored, size", [
+        pytest.param(b"\x01garbage", 8, id="itemsize-103"),
+        pytest.param(b"\x01\x01garbage", 7, id="bad-header-check"),
+        pytest.param(b"\x01\x00" + zlib.compress(b"a" * 100), 100, id="itemsize-0"),
+        pytest.param(b"\x01\x03" + zlib.compress(b"a" * 100), 100, id="itemsize-not-dividing"),
+        pytest.param(b"\x01\x01" + zlib.compress(b"a" * 100)[:-6], 100, id="truncated"),
+        pytest.param(b"\x01\x01" + zlib.compress(b"a" * 100) + b"xx", 100, id="trailing-bytes"),
+        pytest.param(b"\x01\x01" + zlib.compress(b"a" * 100), 99, id="too-long"),
+        pytest.param(b"\x01\x01" + zlib.compress(b"a" * 100), 101, id="too-short"),
+        pytest.param(b"\x01\x01" + zlib.compress(b"a"), 0, id="nothing-expected"),
+        pytest.param(b"\x01", 4, id="no-header"),
+    ])
+    def test_rejected_typed(self, stored, size):
+        for decode in decoders(ZlibCodec()):
+            with pytest.raises(HeavenError):
+                decode(stored, size)
+
+    @given(
+        itemsize=st.sampled_from([1, 2, 3, 4, 8]),
+        cells=st.integers(64, 600),
+        seed=st.integers(0, 2**16),
+        cut=st.integers(1, 64),
+        tail=st.binary(min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_or_extended_deflate_frames_rejected(
+        self, itemsize, cells, seed, cut, tail
+    ):
+        # two bits of entropy per byte: always a DEFLATE frame
+        raw = np.random.default_rng(seed).integers(0, 4, cells * itemsize, np.uint8).tobytes()
+        stored = ZlibCodec().compress(raw, itemsize)
+        assert stored[0] == 1
+        for damaged in (stored[: max(2, len(stored) - cut)], stored + tail):
+            for decode in decoders(ZlibCodec()):
+                with pytest.raises(HeavenError):
+                    decode(damaged, len(raw))
 
 
 def build_heaven(compression: str, source=None, retain=True):

@@ -68,7 +68,8 @@ def expected_segment(heaven: Heaven, super_tile, oracle: np.ndarray) -> bytes:
     codec = ZlibCodec()
     return b"".join(
         codec.compress(
-            np.ascontiguousarray(oracle[mdd.tiles[t].domain.to_slices(mdd.domain)]).tobytes()
+            np.ascontiguousarray(oracle[mdd.tiles[t].domain.to_slices(mdd.domain)]).tobytes(),
+            oracle.dtype.itemsize,
         )
         for t in super_tile.tile_ids
     )
@@ -80,9 +81,9 @@ def count_compress(monkeypatch):
     calls = []
     original = ZlibCodec.compress
 
-    def counting(self, raw):
+    def counting(self, raw, itemsize=1):
         calls.append(len(raw))
-        return original(self, raw)
+        return original(self, raw, itemsize)
 
     monkeypatch.setattr(ZlibCodec, "compress", counting)
     return calls
@@ -94,6 +95,7 @@ class TestCompressAll:
         raw = bytes(range(256)) * 8
         assert codec.compress_all([]) == []
         assert codec.compress_all([raw]) == [codec.compress(raw)]
+        assert codec.compress_all([raw], 8) == [codec.compress(raw, 8)]
 
     def test_mixed_batch_equals_serial_map(self):
         rng = np.random.default_rng(7)
@@ -101,13 +103,15 @@ class TestCompressAll:
             b"\x00" * 4096,                          # DEFLATE frame
             rng.bytes(4096),                         # stored-frame fallback
             bytes(i % 251 for i in range(3000)),     # DEFLATE frame
-            rng.bytes(17),                           # tiny, stored
+            rng.bytes(16),                           # tiny, stored
             b"",                                     # empty tile body
         ] * 5
         codec = ZlibCodec()
-        frames = codec.compress_all(raws)
-        assert frames == [codec.compress(raw) for raw in raws]
-        assert {frame[0] for frame in frames} == {0, 1}  # both frame kinds
+        for itemsize in (1, 4):
+            frames = codec.compress_all(raws, itemsize)
+            assert frames == [codec.compress(raw, itemsize) for raw in raws]
+            assert {frame[0] for frame in frames} == {0, 1}  # both frame kinds
+            assert {frame[1] for frame in frames if frame[0] == 1} == {itemsize}
 
     def test_batch_runs_every_tile_through_compress(self, count_compress):
         raws = [bytes([i]) * 1000 for i in range(9)]

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
+from repro.arrays import CHAR, DOUBLE, FLOAT, RGB, SHORT, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
 from repro.core.compression import NoneCodec, ZlibCodec
 from repro.errors import HeavenError
@@ -43,45 +43,59 @@ pytestmark = pytest.mark.property
 CODECS = [NoneCodec(), ZlibCodec()]
 
 
+#: 1-, 2-, 4- and 8-byte scalars and a 3-byte struct (RGB)
+ITEMSIZES = [1, 2, 4, 8, 3]
+
+
 @st.composite
 def raw_payloads(draw):
-    n = draw(st.integers(min_value=1, max_value=4096))
-    kind = draw(st.sampled_from(["random", "constant", "ramp"]))
+    """``(raw, itemsize)``: a whole number of cells of one of ITEMSIZES."""
+    itemsize = draw(st.sampled_from(ITEMSIZES))
+    n = itemsize * draw(st.integers(min_value=1, max_value=4096 // itemsize))
+    kind = draw(st.sampled_from(["random", "constant", "ramp", "quantised"]))
     if kind == "random":
         seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-        return np.random.default_rng(seed).bytes(n)
+        return np.random.default_rng(seed).bytes(n), itemsize
     if kind == "constant":
         byte = draw(st.integers(min_value=0, max_value=255))
-        return bytes([byte]) * n
-    return bytes(i % 251 for i in range(n))
+        return bytes([byte]) * n, itemsize
+    if kind == "quantised":
+        # coherent cells whose low bytes vary: a DEFLATE frame for itemsize > 1
+        seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+        walk = np.random.default_rng(seed).integers(-2, 3, n).cumsum()
+        return (walk * 1021).astype(np.int64).astype(np.uint8).tobytes(), itemsize
+    return bytes(i % 251 for i in range(n)), itemsize
 
 
 class TestCodecViewVariants:
-    @given(raw=raw_payloads())
-    @settings(max_examples=40, deadline=None)
-    def test_decompress_view_round_trips_read_only(self, raw):
+    @given(payload=raw_payloads())
+    @settings(max_examples=60, deadline=None)
+    def test_decompress_view_round_trips_read_only(self, payload):
+        raw, itemsize = payload
         for codec in CODECS:
-            stored = codec.compress(raw)
+            stored = codec.compress(raw, itemsize)
             view = codec.decompress_view(stored, len(raw))
             assert isinstance(view, memoryview)
             assert view.readonly
             assert bytes(view) == raw
 
-    @given(raw=raw_payloads())
-    @settings(max_examples=40, deadline=None)
-    def test_decompress_into_fills_exact_buffer(self, raw):
+    @given(payload=raw_payloads())
+    @settings(max_examples=60, deadline=None)
+    def test_decompress_into_fills_exact_buffer(self, payload):
+        raw, itemsize = payload
         for codec in CODECS:
-            stored = codec.compress(raw)
+            stored = codec.compress(raw, itemsize)
             out = memoryview(bytearray(len(raw)))
             n = codec.decompress_into(stored, out)
             assert n == len(raw)
             assert bytes(out) == raw
 
-    @given(raw=raw_payloads())
+    @given(payload=raw_payloads())
     @settings(max_examples=20, deadline=None)
-    def test_decompress_into_rejects_wrong_sized_buffer(self, raw):
+    def test_decompress_into_rejects_wrong_sized_buffer(self, payload):
+        raw, itemsize = payload
         for codec in CODECS:
-            stored = codec.compress(raw)
+            stored = codec.compress(raw, itemsize)
             too_small = memoryview(bytearray(len(raw) - 1)) if len(raw) > 1 else None
             if too_small is not None:
                 with pytest.raises(HeavenError):
@@ -90,23 +104,44 @@ class TestCodecViewVariants:
             with pytest.raises(HeavenError):
                 codec.decompress_into(stored, too_big)
 
-    @given(raw=raw_payloads())
-    @settings(max_examples=20, deadline=None)
-    def test_view_matches_plain_decompress(self, raw):
+    @given(payload=raw_payloads())
+    @settings(max_examples=40, deadline=None)
+    def test_view_matches_plain_decompress(self, payload):
+        raw, itemsize = payload
         for codec in CODECS:
-            stored = codec.compress(raw)
+            stored = codec.compress(raw, itemsize)
             assert bytes(codec.decompress_view(stored, len(raw))) == codec.decompress(
                 stored, len(raw)
             )
 
-    @given(raw=raw_payloads())
+    @given(payload=raw_payloads())
     @settings(max_examples=20, deadline=None)
-    def test_memoryview_input_accepted(self, raw):
+    def test_memoryview_input_accepted(self, payload):
         # The staging pipeline hands codecs memoryview slices of staged
         # runs, not bytes.
+        raw, itemsize = payload
         for codec in CODECS:
-            stored = memoryview(codec.compress(raw))
+            stored = memoryview(codec.compress(raw, itemsize))
             assert bytes(codec.decompress_view(stored, len(raw))) == raw
+
+    @given(payload=raw_payloads())
+    @settings(max_examples=40, deadline=None)
+    def test_only_stored_frames_decode_to_views(self, payload):
+        raw, itemsize = payload
+        codec = ZlibCodec()
+        stored = codec.compress(raw, itemsize)
+        if stored[0] == 1:
+            assert stored[1] == itemsize
+        assert codec.decodes_to_view(stored) == (stored[0] == 0)
+        view = codec.decompress_view(stored, len(raw))
+        assert (view.obj is stored) == codec.decodes_to_view(stored)
+
+    def test_every_itemsize_reaches_a_deflate_frame(self):
+        walk = np.random.default_rng(0).integers(-2, 3, 4096).cumsum()
+        raw = (walk * 1021).astype(np.int64).astype(np.uint8).tobytes()
+        for itemsize in ITEMSIZES:
+            stored = ZlibCodec().compress(raw[: len(raw) // itemsize * itemsize], itemsize)
+            assert stored[:2] == bytes((1, itemsize))
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +153,16 @@ def read_scenarios(draw):
     side = draw(st.integers(min_value=8, max_value=40))
     tile = draw(st.integers(min_value=4, max_value=16))
     compression = draw(st.sampled_from(["none", "zlib"]))
+    cell_type = draw(st.sampled_from([CHAR, SHORT, FLOAT, DOUBLE, RGB]))
     seed = draw(st.integers(min_value=0, max_value=999))
     lo0 = draw(st.integers(min_value=0, max_value=side - 1))
     hi0 = draw(st.integers(min_value=lo0, max_value=side - 1))
     lo1 = draw(st.integers(min_value=0, max_value=side - 1))
     hi1 = draw(st.integers(min_value=lo1, max_value=side - 1))
-    return side, tile, compression, seed, ((lo0, hi0), (lo1, hi1))
+    return side, tile, compression, cell_type, seed, ((lo0, hi0), (lo1, hi1))
 
 
-def build_archived(side, tile, compression, seed):
+def build_archived(side, tile, compression, cell_type, seed):
     heaven = Heaven(
         HeavenConfig(
             super_tile_bytes=8 * 1024,
@@ -139,7 +175,7 @@ def build_archived(side, tile, compression, seed):
     mdd = MDD(
         "obj",
         MInterval.of((0, side - 1), (0, side - 1)),
-        DOUBLE,
+        cell_type,
         tiling=RegularTiling((tile, tile)),
         source=HashedNoiseSource(seed, 0.0, 5.0),
     )
@@ -153,8 +189,8 @@ class TestPipelineProperties:
     @given(scenario=read_scenarios())
     @settings(max_examples=25, deadline=None)
     def test_read_is_byte_identical_to_ground_truth(self, scenario):
-        side, tile, compression, seed, bounds = scenario
-        heaven, mdd = build_archived(side, tile, compression, seed)
+        side, tile, compression, cell_type, seed, bounds = scenario
+        heaven, mdd = build_archived(side, tile, compression, cell_type, seed)
         region = MInterval.of(*bounds)
         cells = heaven.read("col", "obj", region)
         expected = mdd.source.region(region, mdd.cell_type)
@@ -163,8 +199,8 @@ class TestPipelineProperties:
     @given(scenario=read_scenarios())
     @settings(max_examples=15, deadline=None)
     def test_results_never_alias_cache_and_cache_is_frozen(self, scenario):
-        side, tile, compression, seed, bounds = scenario
-        heaven, mdd = build_archived(side, tile, compression, seed)
+        side, tile, compression, cell_type, seed, bounds = scenario
+        heaven, mdd = build_archived(side, tile, compression, cell_type, seed)
         region = MInterval.of(*bounds)
         cells = heaven.read("col", "obj", region)
         assert cells.flags.writeable
@@ -181,8 +217,8 @@ class TestPipelineProperties:
         """A second read over warmed caches returns the same bytes and
         still performs zero redundant assembly copies — cached views stay
         intact across reads."""
-        side, tile, compression, seed, bounds = scenario
-        heaven, mdd = build_archived(side, tile, compression, seed)
+        side, tile, compression, cell_type, seed, bounds = scenario
+        heaven, mdd = build_archived(side, tile, compression, cell_type, seed)
         region = MInterval.of(*bounds)
         first = heaven.read("col", "obj", region).copy()
         second = heaven.read("col", "obj", region)
@@ -195,11 +231,11 @@ class TestPipelineProperties:
         """The caller owns the result array outright: writing to it must
         not leak into cached tiles (the aliasing bug class the pipeline's
         copy discipline exists to prevent)."""
-        side, tile, compression, seed, bounds = scenario
-        heaven, mdd = build_archived(side, tile, compression, seed)
+        side, tile, compression, cell_type, seed, bounds = scenario
+        heaven, mdd = build_archived(side, tile, compression, cell_type, seed)
         region = MInterval.of(*bounds)
         cells = heaven.read("col", "obj", region)
-        cells.fill(-1234.5)
+        cells.view(np.uint8).fill(0xA5)
         again = heaven.read("col", "obj", region)
         expected = mdd.source.region(region, mdd.cell_type)
         assert again.tobytes() == expected.tobytes()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import ZlibCodec
 from repro.simtest import generate_program, replay_json, run_program
 
 pytestmark = pytest.mark.simtest
@@ -66,3 +67,30 @@ def test_faulted_seed_still_clean():
             )
             return
     pytest.fail("no seed in 1..29 drew fault mixins")
+
+
+def test_zlib_seed_reads_inflated_frames(monkeypatch):
+    """Seed 11 draws ``compression="zlib"``.  Its ``HashedNoiseSource``
+    doubles deflate as shuffled frames (a stored frame under plain DEFLATE),
+    so the oracle checks bytes that went through inflate and unshuffle."""
+    program = generate_program(11, 60)
+    assert program.config.compression == "zlib"
+    markers, inflated = [], []
+    compress, decompress_view = ZlibCodec.compress, ZlibCodec.decompress_view
+
+    def counting_compress(self, raw, *itemsize):
+        frame = compress(self, raw, *itemsize)
+        markers.append(frame[0])
+        return frame
+
+    def counting_view(self, stored, expected_size):
+        if not self.decodes_to_view(stored):
+            inflated.append(expected_size)
+        return decompress_view(self, stored, expected_size)
+
+    monkeypatch.setattr(ZlibCodec, "compress", counting_compress)
+    monkeypatch.setattr(ZlibCodec, "decompress_view", counting_view)
+    result = run_program(program)
+    assert result.ok, "\n".join(v.describe() for v in result.violations)
+    assert 1 in markers
+    assert inflated
