@@ -1,9 +1,13 @@
 """Shared experiment rigs for the benchmark suite.
 
-Benchmarks run payload-free (``retain_payload=False``): the simulator
-tracks byte counts and charges device time without holding real buffers,
-so multi-GB virtual objects are cheap on the host.  Correctness of the
-payload path is covered by the test suite.
+Benchmarks run size-only: the rigs build their ``ArrayStorage`` (directly,
+or through ``HeavenConfig``) with ``retain_payload=False``, so tile BLOBs
+hold no bytes and every layer below stores what it is handed, sizes
+only.  The simulator tracks byte counts and charges device time without
+holding real buffers, so multi-GB virtual objects are cheap on the host.
+Either mode gives the same event log without compression
+(``tests/core/test_payload_modes.py``); correctness of the bytes is
+covered by the test suite.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ def export_rig(
     object_mb: int,
     tile_kb: int = 256,
     profile=BENCH_PROFILE,
+    retain_payload: bool = False,
 ) -> Tuple[ArrayStorage, TapeLibrary, MDD]:
     """A persisted 2-D object of *object_mb* MB with square tiles."""
     clock = SimClock()
-    storage = ArrayStorage(Database(clock, retain_payload=False))
-    library = TapeLibrary(profile, clock=clock, retain_payload=False)
+    storage = ArrayStorage(Database(clock), retain_payload=retain_payload)
+    library = TapeLibrary(profile, clock=clock)
     storage.create_collection("bench")
     cells = object_mb * MB // DOUBLE.size_bytes
     side = int(cells**0.5)

@@ -27,7 +27,7 @@ DRIVES = [1, 2, 4, 8]
 
 
 def build_batch(num_drives=1):
-    library = TapeLibrary(BENCH_PROFILE, num_drives=num_drives, retain_payload=False)
+    library = TapeLibrary(BENCH_PROFILE, num_drives=num_drives)
     requests = []
     for m in range(MEDIA):
         library.new_medium(f"m{m}")

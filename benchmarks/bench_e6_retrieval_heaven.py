@@ -21,7 +21,7 @@ SELECTIVITIES = [0.01, 0.02, 0.05, 0.10, 0.25, 0.50, 1.00]
 
 
 def hsm_time(selectivity: float) -> float:
-    hsm = HSMSystem(TapeLibrary(BENCH_PROFILE, retain_payload=False))
+    hsm = HSMSystem(TapeLibrary(BENCH_PROFILE))
     hsm.archive_file("obj", OBJECT_MB * MB)
     start = hsm.clock.now
     hsm.read_file("obj", 0, int(OBJECT_MB * MB * selectivity))

@@ -22,7 +22,7 @@ BATCH_SIZES = [8, 16, 32, 64]
 
 
 def build_library():
-    library = TapeLibrary(BENCH_PROFILE, num_drives=1, retain_payload=False)
+    library = TapeLibrary(BENCH_PROFILE, num_drives=1)
     requests = []
     for m in range(MEDIA):
         library.new_medium(f"m{m}")

@@ -8,7 +8,7 @@ store, charging realistic disk costs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +26,17 @@ TILES_TABLE = "ras_tiles"
 
 
 class ArrayStorage:
-    """Catalog + BLOB persistence of arrays over a :class:`Database`."""
+    """Catalog + BLOB persistence of arrays over a :class:`Database`.
 
-    def __init__(self, db: Database) -> None:
+    *retain_payload* off makes every tile BLOB size-only (reads regenerate
+    cells from the object's source), so multi-GB virtual objects cost no
+    host memory.  This is the one place that choice is made: the layers
+    below store what they are handed, and None bytes mean sizes only.
+    """
+
+    def __init__(self, db: Database, retain_payload: bool = True) -> None:
         self.db = db
+        self.retain_payload = retain_payload
         self._next_oid = 1
         self._ensure_catalog()
         #: cache of open collections (shared MDD instances)
@@ -111,9 +118,9 @@ class ArrayStorage:
         """Persist *mdd* into a collection: catalog rows + one BLOB per tile.
 
         Tile payloads are materialised (from the object's source) and written
-        through the BLOB store.  When the database runs payload-free
-        (``retain_payload=False``), only sizes are stored and later reads
-        fall back to the object's deterministic source.  Returns the oid.
+        through the BLOB store.  A size-only storage (``retain_payload=False``)
+        writes size-only BLOBs, and later reads fall back to the object's
+        deterministic source.  Returns the oid.
         """
         collection = self.collection(collection_name)
         oid = self._next_oid
@@ -132,11 +139,8 @@ class ArrayStorage:
             )
             for tile in mdd.tiles.values():
                 payload: Optional[bytes] = None
-                if self.db.blobs.retain_payload:
-                    cells = mdd.materialize_tile(tile)
-                    payload = np.ascontiguousarray(
-                        cells, dtype=mdd.cell_type.dtype
-                    ).tobytes(order="C")
+                if self.retain_payload:
+                    payload = _cell_bytes(mdd, mdd.materialize_tile(tile))
                 blob_oid = self.db.put_blob(payload, size=tile.size_bytes)
                 self.db.insert(
                     TILES_TABLE,
@@ -154,6 +158,28 @@ class ArrayStorage:
         if mdd.name not in collection:
             collection.add(mdd)
         return oid
+
+    def rewrite_tiles(
+        self, mdd: MDD, tile_ids: Sequence[int], cells_of: Callable[[Tile], np.ndarray]
+    ) -> None:
+        """Replace the BLOBs of persisted tiles *tile_ids* by
+        ``cells_of(tile)`` (size-only BLOBs when this storage keeps sizes
+        only) and free the old BLOBs that still exist."""
+        assert mdd.oid is not None
+        for tile_id in tile_ids:
+            tile = mdd.tiles[tile_id]
+            cells = cells_of(tile)
+            payload = _cell_bytes(mdd, cells) if self.retain_payload else None
+            new_blob = self.db.put_blob(payload, size=tile.size_bytes)
+            found = self.db.table(TILES_TABLE).find_pk(f"{mdd.oid}:{tile_id}")
+            assert found is not None
+            rowid, row = found
+            old_blob = row["blob_oid"]
+            self.db.update(TILES_TABLE, rowid, {"blob_oid": new_blob})
+            # An archived object's BLOBs were released at export; its rows
+            # still name the freed oids.
+            if old_blob in self.db.blobs:
+                self.db.delete_blob(old_blob)
 
     def delete_object(self, collection_name: str, object_name: str) -> None:
         """Remove object catalog rows and its tile BLOBs."""
@@ -240,3 +266,8 @@ class ArrayStorage:
         mdd.oid = row["oid"]
         mdd.resolver = self._make_resolver(row["oid"])
         return mdd
+
+
+def _cell_bytes(mdd: MDD, cells: np.ndarray) -> bytes:
+    """C-order bytes of one tile's cells in the object's cell type."""
+    return np.ascontiguousarray(cells, dtype=mdd.cell_type.dtype).tobytes()

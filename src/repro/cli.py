@@ -676,8 +676,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     )
     for mode in ("coupled", "tct"):
         clock = SimClock()
-        storage = ArrayStorage(Database(clock, retain_payload=False))
-        library = TapeLibrary(profile, clock=clock, retain_payload=False)
+        storage = ArrayStorage(Database(clock), retain_payload=False)
+        library = TapeLibrary(profile, clock=clock)
         storage.create_collection("c")
         mdd = zero_object(args.object_mb, args.tile_kb, args.dims)
         storage.insert_object("c", mdd)

@@ -58,6 +58,7 @@ import numpy as np
 
 from ..arrays.minterval import MInterval
 from ..errors import HeavenError
+from ..obs.reconcile import event_window_bytes
 from .heaven import Heaven, RetrievalReport, StagingTicket, _SegmentNeed, _Unit
 from .scheduler import TapeRequest, attribute_request_bytes
 from .units import SubReadRequest, SubReadResponse, _answer_nbytes, _unit_response
@@ -71,15 +72,6 @@ __all__ = [
 
 #: event-log device name of the admission layer's own charges
 ADMISSION_DEVICE = "admission"
-
-
-def _drive_read_bytes(events) -> int:
-    """Bytes the drives streamed off tape within an event-log window."""
-    return sum(
-        e.bytes
-        for e in events
-        if e.kind == "read" and e.device.startswith("drive")
-    )
 
 
 @dataclass(frozen=True)
@@ -310,7 +302,7 @@ class AdmissionController:
         report.makespan_s = clock.now - start_s
         window = clock.log.window(report.log_cursor_start)
         report.exchanges = sum(1 for e in window if e.kind == "load")
-        report.bytes_from_tape = _drive_read_bytes(window)
+        report.bytes_from_tape = event_window_bytes(clock.log, report.log_cursor_start)
         report.queries = [task.report for task in self._tasks]  # type: ignore[misc]
         # Counted here, not as each query finishes: a run that raises hands
         # out no report, and its units are served (and counted) again.
@@ -459,7 +451,7 @@ class AdmissionController:
             region=str(spec.region),
             tiles_needed=len(unit.cover),
             super_tiles_staged=len(task.demands),
-            bytes_from_tape=task.tape_byte_share + _drive_read_bytes(window),
+            bytes_from_tape=task.tape_byte_share + event_window_bytes(clock.log, cursor),
             bytes_useful=_answer_nbytes(task.cells),
             exchanges=sum(1 for e in window if e.kind == "load"),
             virtual_seconds=clock.now - spec.arrival_s,
@@ -622,7 +614,7 @@ class AdmissionController:
             demanded_unions,
             ticket.requests,
             sweep_elapsed=clock.now - sweep_start,
-            window_bytes=_drive_read_bytes(clock.log.window(cursor)),
+            window_bytes=event_window_bytes(clock.log, cursor),
         )
         report.sweeps += 1
         report.fused_segments += len(demanded_unions)

@@ -6,13 +6,17 @@ a tile stored at ratio r streams in r times the time.  Compression is
 applied **per tile**, so the byte extents inside a super-tile segment stay
 addressable and partial runs keep working.
 
-Codecs implement both paths the simulator needs:
+Codecs serve both kinds of tile the simulator holds:
 
-* real bytes (``retain_payload=True``): actual zlib compression, preserving
-  end-to-end fidelity through compress/decompress round-trips;
-* size-only mode: a deterministic ratio estimate
-  (:meth:`Codec.estimated_size`), so huge virtual experiments still account
-  transfer times correctly.
+* a tile with bytes is really compressed, preserving end-to-end fidelity
+  through compress/decompress round-trips;
+* a size-only tile (no bytes: its object was ingested without them) is
+  accounted at a deterministic ratio estimate
+  (:meth:`Codec.estimated_size`), so huge virtual experiments still
+  account transfer times correctly.
+
+``Heaven._frames`` is the one place that chooses between the two, tile by
+tile, from whether the source bytes are there.
 
 A :class:`ZlibCodec` frame is either the tile's cells verbatim behind a
 ``\\x00`` marker, or ``\\x01``, the cell size in bytes, and one level-1

@@ -71,8 +71,13 @@ class HeavenConfig:
             saves less than 1/16); compressed tiles stream off tape in
             proportionally less time, at ~0.6 estimated ratio in size-only
             mode.
-        retain_payload: keep real bytes everywhere (end-to-end fidelity);
-            switch off for very large virtual experiments.
+        retain_payload: keep real bytes (end-to-end fidelity); switch off
+            for very large virtual experiments.  Decided once, at ingest:
+            ``Heaven`` hands it to its ``ArrayStorage``, which writes
+            size-only tile BLOBs when it is off.  Every layer below stores
+            what it is handed, so tape segments, cached runs and updates of
+            a size-only object stay size-only (compressed sizes then come
+            from the codec's ratio estimate).
         event_log_max_events: bound the simulator's event log to this many
             retained events (oldest dropped in chunks, drop count exposed
             as the ``repro_eventlog_dropped_total`` metric); ``None`` keeps

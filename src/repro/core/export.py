@@ -11,22 +11,23 @@ assembly of super-tile ``i+1`` overlaps the tape write of super-tile ``i``
 (the TCT runs decoupled from query processing), so disk time hides behind
 tape time except for pipeline stalls.
 
-The TCT exporter can journal its segment writes in the base DBMS's
-write-ahead log: a BEGIN/INSERT.../COMMIT sequence under a dedicated
-(negative) transaction id per export.  A fault mid-export then rolls the
-half-written segments back immediately, and a crash mid-export leaves a
-BEGIN without COMMIT that :func:`recover_incomplete_exports` cleans up on
-the next start.
+The TCT exporter journals every segment write in a write-ahead log (the
+base DBMS's, when given): a BEGIN/INSERT.../COMMIT sequence under a
+dedicated (negative) transaction id per :meth:`TCTExporter.journal`
+transaction.  ``TCTExporter.export`` is one such transaction, and so is
+``Heaven.update``'s re-export of its super-tiles.  A fault then rolls the
+half-written segments back immediately, and a crash leaves a BEGIN
+without COMMIT that :func:`recover_incomplete_exports` cleans up on the
+next start.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
 
 from ..arrays.mdd import MDD
 from ..arrays.storage import ArrayStorage
@@ -36,7 +37,7 @@ from ..obs.trace import null_tracer
 from ..tertiary.clock import Stopwatch
 from ..tertiary.library import TapeLibrary
 from .clustering import Placement
-from .super_tile import SuperTile
+from .compression import Buffer
 
 logger = logging.getLogger("repro.core.export")
 
@@ -49,9 +50,10 @@ def recover_incomplete_exports(wal: WriteAheadLog, library: TapeLibrary) -> int:
 
     Scans the WAL for export transactions (negative txn ids on the
     :data:`EXPORT_SEGMENTS_TABLE` marker table) whose BEGIN has no matching
-    COMMIT/ABORT — the crash-mid-export case — deletes every journalled
-    segment still in the library, and appends the missing ABORT so a second
-    recovery pass is a no-op.  Returns the number of segments removed.
+    COMMIT/ABORT — a crash mid-export or mid-update — and rolls each back:
+    every journalled segment still in the library is deleted and the
+    missing ABORT appended, so a second recovery pass is a no-op.  Returns
+    the number of segments removed.
     """
     finished = {
         r.txn_id
@@ -67,18 +69,26 @@ def recover_incomplete_exports(wal: WriteAheadLog, library: TapeLibrary) -> int:
         }
         - finished
     ):
-        for record in wal.records_for(txn_id):
-            if record.kind is not LogKind.INSERT or record.after is None:
-                continue
+        count = _roll_back(wal, library, txn_id)
+        logger.info("recovery: removed %d orphan segment(s) of export txn %d", count, txn_id)
+        removed += count
+    return removed
+
+
+def _roll_back(wal: WriteAheadLog, library: TapeLibrary, txn_id: int) -> int:
+    """Delete the segments journalled under *txn_id* that are still in the
+    library and close the transaction with ABORT; returns how many went.
+
+    The one place that deletes already-written segments on failure.
+    """
+    removed = 0
+    for record in wal.records_for(txn_id):
+        if record.kind is LogKind.INSERT and record.after is not None:
             segment = record.after.get("segment")
             if segment and library.has_segment(segment):
                 library.delete_segment(segment)
                 removed += 1
-                logger.info(
-                    "recovery: removed orphan segment %s of export txn %d",
-                    segment, txn_id,
-                )
-        wal.append(txn_id, LogKind.ABORT)
+    wal.append(txn_id, LogKind.ABORT)
     return removed
 
 
@@ -160,11 +170,13 @@ class CoupledExporter:
 class TCTExporter:
     """Decoupled super-tile streaming export (the E4 HEAVEN path).
 
-    With a *wal*, every export runs as a journalled transaction (negative
-    txn id, marker table :data:`EXPORT_SEGMENTS_TABLE`): an exception
-    mid-export rolls its half-written segments back before re-raising, and
-    a crash leaves enough in the log for
-    :func:`recover_incomplete_exports`.
+    Every segment write runs inside a :meth:`journal` transaction of the
+    write-ahead log (negative txn id, marker table
+    :data:`EXPORT_SEGMENTS_TABLE`): an exception rolls its half-written
+    segments back before re-raising, and a crash leaves enough in the log
+    for :func:`recover_incomplete_exports`.  Pass the base DBMS's *wal* to
+    make the journal recoverable; without one the exporter keeps a private
+    log, so rollback still works.
     """
 
     mode = "tct"
@@ -179,33 +191,77 @@ class TCTExporter:
         self.storage = storage
         self.library = library
         self.tracer = tracer if tracer is not None else null_tracer
-        self.wal = wal
+        self.wal = wal if wal is not None else WriteAheadLog()
         #: export txn ids are negative so they can never collide with the
         #: base DBMS's own (positive) transaction counter
         self._txn_ids = itertools.count(1)
+
+    @contextmanager
+    def journal(self, object_name: str) -> Iterator[Callable[..., str]]:
+        """One journalled transaction of segment writes for *object_name*.
+
+        Appends BEGIN and yields a writer ``write(name, nbytes, payload,
+        medium_id=None) -> medium_id`` that streams one segment and journals
+        it (one INSERT each).  COMMIT is appended when the ``with`` body
+        finishes, so a caller that switches a catalog to the new segments
+        does it inside the body.  An exception rolls every journalled
+        segment back (ABORT) and re-raises; a crash (anything that is not
+        an :class:`Exception`) leaves the transaction open for
+        :func:`recover_incomplete_exports`.
+        """
+        txn_id = -next(self._txn_ids)
+        self.wal.append(txn_id, LogKind.BEGIN)
+
+        def write(
+            name: str,
+            nbytes: int,
+            payload: Optional[bytes],
+            medium_id: Optional[str] = None,
+        ) -> str:
+            medium_id, _segment = self.library.write_segment(
+                name, nbytes, payload=payload, medium_id=medium_id
+            )
+            self.wal.append(
+                txn_id,
+                LogKind.INSERT,
+                table=EXPORT_SEGMENTS_TABLE,
+                after={"segment": name, "medium_id": medium_id, "object": object_name},
+            )
+            return medium_id
+
+        try:
+            yield write
+        except Exception:
+            logger.warning(
+                "export of %s aborted: rolled back %d half-written segment(s)",
+                object_name, _roll_back(self.wal, self.library, txn_id),
+            )
+            raise
+        self.wal.append(txn_id, LogKind.COMMIT)
 
     def export(
         self,
         mdd: MDD,
         placements: Sequence[Placement],
-        pipelined: bool = True,
         stored_sizes: Optional[Dict[int, int]] = None,
-        frames: Optional[Dict[int, bytes]] = None,
+        frames: Optional[Mapping[int, Optional[Buffer]]] = None,
     ) -> ExportReport:
         """Stream each super-tile as one segment per its placement.
+
+        Assembly of the next super-tile overlaps the tape write of the
+        current one (the decoupling): only assembly time exceeding the
+        previous write is charged, as a pipeline stall.
 
         Args:
             mdd: the persisted object whose tiles are being exported.
             placements: write order and media targets (from a
                 :class:`~repro.core.clustering.PlacementPolicy`).
-            pipelined: overlap assembly of the next super-tile with the
-                tape write of the current one (the decoupling); off, every
-                assembly is charged in full (for the ablation).
-            stored_sizes: per-tile on-tape sizes when compression is on
-                (the caller must already have set each super-tile's
-                ``size_bytes`` to the matching sum); None = logical sizes.
-            frames: per-tile encoded bytes, already compressed by the
-                caller (one encode per tile); None = the raw tile BLOBs.
+            stored_sizes: per-tile on-tape sizes (the caller must already
+                have set each super-tile's ``size_bytes`` to the matching
+                sum); None = logical sizes.
+            frames: per-tile encoded bytes, already built by the caller
+                (one encode per tile); None = the raw tile BLOBs.  A tile
+                without bytes (None) makes its segment size-only.
 
         Side effects: fills in each super-tile's ``medium_id``,
         ``segment_name`` and ``tile_extents``.
@@ -218,27 +274,88 @@ class TCTExporter:
         report = ExportReport(object_name=mdd.name, mode=self.mode)
         media_before = {m.medium_id for m in self.library.media() if m.used_bytes}
         blobs = self.storage.db.blobs
+        if frames is None:
+            # The raw tile BLOBs, read with uncharged peeks: the charged
+            # assembly cost is modelled below; reading through the resolver
+            # would count every byte twice.
+            frames = {
+                t: blobs.peek(self.storage.blob_oid_of(mdd.oid, t)) for t in mdd.tiles
+            }
 
-        txn_id: Optional[int] = None
-        if self.wal is not None:
-            txn_id = -next(self._txn_ids)
-            self.wal.append(txn_id, LogKind.BEGIN)
+        previous_write_seconds = 0.0
+        with self.journal(mdd.name) as write, self.tracer.span(
+            "export.tct", object=mdd.name
+        ) as export_span:
+            for position, placement in enumerate(placements):
+                super_tile = placement.super_tile
+                if stored_sizes is not None:
+                    sizes = {t: stored_sizes[t] for t in super_tile.tile_ids}
+                else:
+                    sizes = {t: mdd.tiles[t].size_bytes for t in super_tile.tile_ids}
+                super_tile.assign_extents(sizes)
 
-        try:
-            with self.tracer.span(
-                "export.tct", object=mdd.name, pipelined=pipelined
-            ) as export_span:
-                self._export_segments(
-                    mdd, placements, pipelined, stored_sizes, frames,
-                    report, export_span, txn_id,
+                # --- assembly: N random BLOB reads into the staging buffer --
+                # (reads are of the *logical* tiles; encoding costs no virtual
+                # time, as in a drive that compresses in hardware)
+                assembly_seconds = sum(
+                    blobs.disk.profile.io_time(mdd.tiles[t].size_bytes)
+                    for t in super_tile.tile_ids
                 )
-        except Exception:
-            if txn_id is not None:
-                self._rollback(txn_id, mdd.name)
-            raise
-        if txn_id is not None:
-            assert self.wal is not None
-            self.wal.append(txn_id, LogKind.COMMIT)
+                if position == 0:
+                    clock.charge(
+                        assembly_seconds,
+                        "disk-read",
+                        blobs.disk.name,
+                        detail=f"assemble st{super_tile.index}",
+                        nbytes=super_tile.size_bytes,
+                    )
+                else:
+                    stall = max(0.0, assembly_seconds - previous_write_seconds)
+                    if stall > 0:
+                        clock.charge(
+                            stall,
+                            "pipeline-stall",
+                            blobs.disk.name,
+                            detail=f"assemble st{super_tile.index}",
+                        )
+                        logger.debug(
+                            "pipeline stall of %.3f virtual s assembling st%d "
+                            "(assembly %.3f s > previous write %.3f s)",
+                            stall, super_tile.index,
+                            assembly_seconds, previous_write_seconds,
+                        )
+                    report.stall_seconds += stall
+
+                # --- one streamed segment write ------------------------------
+                write_watch = Stopwatch(clock)
+                segment_name = f"{mdd.oid}/st{super_tile.index}"
+                with self.tracer.span(
+                    "export.segment",
+                    segment=segment_name,
+                    tiles=super_tile.tile_count,
+                    bytes=super_tile.size_bytes,
+                ):
+                    medium_id = write(
+                        segment_name,
+                        super_tile.size_bytes,
+                        join_frames(frames, super_tile.tile_ids),
+                        medium_id=placement.medium_id,
+                    )
+                previous_write_seconds = write_watch.elapsed
+                super_tile.medium_id = medium_id
+                super_tile.segment_name = segment_name
+                logger.debug(
+                    "streamed %s (%d tiles, %d B) to medium %s in %.3f virtual s",
+                    segment_name, super_tile.tile_count, super_tile.size_bytes,
+                    medium_id, previous_write_seconds,
+                )
+                report.segments_written += 1
+                report.bytes_written += super_tile.size_bytes
+                report.tiles_exported += super_tile.tile_count
+            export_span.set(
+                segments=report.segments_written,
+                stall_seconds=round(report.stall_seconds, 6),
+            )
 
         report.virtual_seconds = watch.elapsed
         report.breakdown = _segment_breakdown(self.library, log_start)
@@ -252,147 +369,13 @@ class TCTExporter:
         )
         return report
 
-    def _rollback(self, txn_id: int, object_name: str) -> None:
-        """Undo the journalled segment writes of a failed export."""
-        assert self.wal is not None
-        rolled_back = 0
-        for record in self.wal.records_for(txn_id):
-            if record.kind is not LogKind.INSERT or record.after is None:
-                continue
-            segment = record.after.get("segment")
-            if segment and self.library.has_segment(segment):
-                self.library.delete_segment(segment)
-                rolled_back += 1
-        self.wal.append(txn_id, LogKind.ABORT)
-        logger.warning(
-            "export of %s aborted: rolled back %d half-written segment(s)",
-            object_name, rolled_back,
-        )
 
-    def _export_segments(
-        self,
-        mdd: MDD,
-        placements: Sequence[Placement],
-        pipelined: bool,
-        stored_sizes: Optional[Dict[int, int]],
-        frames: Optional[Dict[int, bytes]],
-        report: ExportReport,
-        export_span,
-        txn_id: Optional[int],
-    ) -> None:
-        clock = self.library.clock
-        blobs = self.storage.db.blobs
-        previous_write_seconds = 0.0
-        for position, placement in enumerate(placements):
-            super_tile = placement.super_tile
-            if stored_sizes is not None:
-                sizes = {t: stored_sizes[t] for t in super_tile.tile_ids}
-            else:
-                sizes = {t: mdd.tiles[t].size_bytes for t in super_tile.tile_ids}
-            super_tile.assign_extents(sizes)
-
-            # --- assembly: N random BLOB reads into the staging buffer ----
-            # (reads are of the *logical* tiles; encoding costs no virtual
-            # time, as in a drive that compresses in hardware)
-            assembly_seconds = sum(
-                blobs.disk.profile.io_time(mdd.tiles[t].size_bytes)
-                for t in super_tile.tile_ids
-            )
-            if position == 0 or not pipelined:
-                clock.charge(
-                    assembly_seconds,
-                    "disk-read",
-                    blobs.disk.name,
-                    detail=f"assemble st{super_tile.index}",
-                    nbytes=super_tile.size_bytes,
-                )
-            else:
-                stall = max(0.0, assembly_seconds - previous_write_seconds)
-                if stall > 0:
-                    clock.charge(
-                        stall,
-                        "pipeline-stall",
-                        blobs.disk.name,
-                        detail=f"assemble st{super_tile.index}",
-                    )
-                    logger.debug(
-                        "pipeline stall of %.3f virtual s assembling st%d "
-                        "(assembly %.3f s > previous write %.3f s)",
-                        stall, super_tile.index,
-                        assembly_seconds, previous_write_seconds,
-                    )
-                report.stall_seconds += stall
-
-            payload = self._assemble_payload(mdd, super_tile, frames)
-
-            # --- one streamed segment write --------------------------------
-            write_watch = Stopwatch(clock)
-            segment_name = f"{mdd.oid}/st{super_tile.index}"
-            with self.tracer.span(
-                "export.segment",
-                segment=segment_name,
-                tiles=super_tile.tile_count,
-                bytes=super_tile.size_bytes,
-            ):
-                medium_id, _segment = self.library.write_segment(
-                    segment_name,
-                    super_tile.size_bytes,
-                    payload=payload,
-                    medium_id=placement.medium_id,
-                )
-            previous_write_seconds = write_watch.elapsed
-            super_tile.medium_id = medium_id
-            super_tile.segment_name = segment_name
-            if txn_id is not None:
-                assert self.wal is not None
-                self.wal.append(
-                    txn_id,
-                    LogKind.INSERT,
-                    table=EXPORT_SEGMENTS_TABLE,
-                    after={
-                        "segment": segment_name,
-                        "medium_id": medium_id,
-                        "object": mdd.name,
-                    },
-                )
-            logger.debug(
-                "streamed %s (%d tiles, %d B) to medium %s in %.3f virtual s",
-                segment_name, super_tile.tile_count, super_tile.size_bytes,
-                medium_id, previous_write_seconds,
-            )
-            report.segments_written += 1
-            report.bytes_written += super_tile.size_bytes
-            report.tiles_exported += super_tile.tile_count
-        export_span.set(
-            segments=report.segments_written,
-            stall_seconds=round(report.stall_seconds, 6),
-        )
-
-    def _assemble_payload(
-        self,
-        mdd: MDD,
-        super_tile: SuperTile,
-        frames: Optional[Dict[int, bytes]] = None,
-    ) -> Optional[bytes]:
-        """Concatenate member tile frames in intra-cluster order.
-
-        The frames are the caller's encoded tiles, or else the raw tile
-        BLOBs, read with uncharged peeks — the charged assembly cost is
-        modelled above (pipelined); double-charging through the resolver
-        would count every byte twice.
-        """
-        blobs = self.storage.db.blobs
-        if not blobs.retain_payload:
-            return None
-        if frames is not None:
-            return b"".join(frames[t] for t in super_tile.tile_ids)
-        parts: List[bytes] = []
-        for tile_id in super_tile.tile_ids:
-            blob_oid = self.storage.blob_oid_of(mdd.oid, tile_id)
-            raw = blobs.peek(blob_oid)
-            if raw is None:
-                tile = mdd.tiles[tile_id]
-                cells = mdd.materialize_tile(tile)
-                raw = np.ascontiguousarray(cells, dtype=mdd.cell_type.dtype).tobytes()
-            parts.append(raw)
-        return b"".join(parts)
+def join_frames(
+    frames: Mapping[int, Optional[Buffer]], tile_ids: Sequence[int]
+) -> Optional[bytes]:
+    """Payload of one segment: the frames of *tile_ids* back to back, or
+    None (a size-only segment) when any of them has no bytes."""
+    parts = [frames[t] for t in tile_ids]
+    if any(part is None for part in parts):
+        return None
+    return b"".join(parts)

@@ -23,7 +23,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -44,10 +44,10 @@ from ..tertiary.library import TapeLibrary
 from ..tertiary.profiles import DISK_ARRAY
 from .cache import DiskCache, MemoryTileCache, make_policy
 from .clustering import ClusteredPlacement, Placement, PlacementPolicy, ScatterPlacement
-from .compression import Codec, make_codec
+from .compression import Buffer, Codec, make_codec
 from .config import HeavenConfig
 from .estar import AccessStatistics, estar_partition, intra_cluster_order
-from .export import ExportReport, TCTExporter
+from .export import ExportReport, TCTExporter, join_frames
 from .framing import Frame, MultiBoxFrame, read_frame as _read_frame, tiles_in_frame
 from .precomputed import PrecomputedCatalog
 from .pyramid import PyramidCatalog
@@ -238,13 +238,12 @@ class Heaven:
         else:
             self.obs = Observability(enabled=bool(observability), clock=self.clock)
         self.tracer = self.obs.tracer
-        self.db = Database(self.clock, retain_payload=self.config.retain_payload)
-        self.storage = ArrayStorage(self.db)
+        self.db = Database(self.clock)
+        self.storage = ArrayStorage(self.db, retain_payload=self.config.retain_payload)
         self.library = TapeLibrary(
             self.config.tape_profile,
             num_drives=self.config.num_drives,
             clock=self.clock,
-            retain_payload=self.config.retain_payload,
             faults=self.config.fault_plan,
             retry=self.config.retry_policy,
         )
@@ -428,21 +427,18 @@ class Heaven:
             # Materialise zoom levels while the tiles are still on disk.
             self.pyramids.build(mdd, self.config.pyramid_factors)
 
-        stored_sizes: Optional[Dict[int, int]] = None
-        frames: Optional[Dict[int, bytes]] = None
-        if self.codec.name != "none":
-            if self.config.retain_payload:
-                frames = self._encode_tiles(mdd)
-                stored_sizes = {t: len(frame) for t, frame in frames.items()}
-            else:
-                stored_sizes = {
-                    t: self.codec.estimated_size(tile.size_bytes)
-                    for t, tile in mdd.tiles.items()
-                }
-            for super_tile in super_tiles:
-                super_tile.size_bytes = sum(
-                    stored_sizes[t] for t in super_tile.tile_ids
-                )
+        # Each tile's frame, encoded from its BLOB (an uncharged peek, as in
+        # the exporter's assembly).
+        stored_sizes, frames = self._frames(
+            mdd,
+            {
+                tile_id: self.db.blobs.peek(self.storage.blob_oid_of(mdd.oid, tile_id))
+                for tile_id in mdd.tiles
+            },
+            kept={},
+        )
+        for super_tile in super_tiles:
+            super_tile.size_bytes = sum(stored_sizes[t] for t in super_tile.tile_ids)
         try:
             with self.tracer.span(
                 "heaven.archive", object=object_name, super_tiles=len(super_tiles)
@@ -451,14 +447,8 @@ class Heaven:
                     mdd, plan, stored_sizes=stored_sizes, frames=frames
                 )
         except Exception:
-            # A failed migration (e.g. out of media) must not leave orphan
-            # segments: the object stays disk-resident and re-archivable.
-            for super_tile in super_tiles:
-                if super_tile.segment_name is not None:
-                    if self.library.has_segment(super_tile.segment_name):
-                        self.library.delete_segment(super_tile.segment_name)
-                    super_tile.segment_name = None
-                    super_tile.medium_id = None
+            # The exporter's journal rolled the written segments back: the
+            # object stays disk-resident and re-archivable.
             self.precomputed.drop_object(object_name)
             self.pyramids.drop_object(object_name)
             raise
@@ -475,7 +465,7 @@ class Heaven:
             collection=collection_name,
             super_tiles=super_tiles,
             tile_to_st=tiles_to_super_tiles(super_tiles),
-            stored_sizes=stored_sizes,
+            stored_sizes=stored_sizes if self.codec.name != "none" else None,
         )
         self._archived[object_name] = entry
         self.super_tiles_built += len(super_tiles)
@@ -503,17 +493,32 @@ class Heaven:
         self.db.delete_rows("ras_collections", lambda r: r["name"] == name)
         self.storage._collections.pop(name, None)
 
-    def _encode_tiles(self, mdd: MDD) -> Dict[int, bytes]:
-        """The on-tape frame of every tile of *mdd*, encoded in one batch
-        from its BLOB (an uncharged peek, as in the exporter's assembly)."""
-        assert mdd.oid is not None
-        tile_ids = list(mdd.tiles)
-        raws = [
-            self.db.blobs.peek(self.storage.blob_oid_of(mdd.oid, tile_id))
-            for tile_id in tile_ids
-        ]
+    def _frames(
+        self,
+        mdd: MDD,
+        raws: Dict[int, Optional[bytes]],
+        kept: Dict[int, Optional[memoryview]],
+    ) -> Tuple[Dict[int, int], Dict[int, Optional[Buffer]]]:
+        """On-tape sizes and frames of tiles: the one frame builder of
+        :meth:`archive` and :meth:`update`.
+
+        Tiles in *raws* are encoded from their cells' bytes, all of them in
+        one :meth:`Codec.compress_all` batch; tiles in *kept* keep the frame
+        they already have on tape, sliced out of the old segment.  A tile
+        whose source bytes are None (a size-only BLOB or segment) has no
+        frame and is accounted at :meth:`Codec.estimated_size`.
+        """
+        frames: Dict[int, Optional[Buffer]] = {**kept, **dict.fromkeys(raws)}
+        encode = [tile_id for tile_id, raw in raws.items() if raw is not None]
         itemsize = mdd.cell_type.dtype.itemsize
-        return dict(zip(tile_ids, self.codec.compress_all(raws, itemsize)))
+        frames.update(zip(encode, self.codec.compress_all([raws[t] for t in encode], itemsize)))
+        sizes = {
+            tile_id: self.codec.estimated_size(mdd.tiles[tile_id].size_bytes)
+            if frame is None
+            else len(frame)
+            for tile_id, frame in frames.items()
+        }
+        return sizes, frames
 
     # ------------------------------------------------------------------ retrieval
     #
@@ -1382,12 +1387,17 @@ class Heaven:
         """Release *entry*'s tape segments, cached runs and tiles."""
         for super_tile in entry.super_tiles:
             if super_tile.segment_name is not None:
-                if super_tile.segment_name in self.disk_cache:
-                    self.disk_cache.invalidate(super_tile.segment_name)
-                self.library.delete_segment(super_tile.segment_name)
+                self._retire_segment(entry, super_tile.segment_name)
                 super_tile.segment_name = None
                 super_tile.medium_id = None
         self.memory_cache.invalidate_object(entry.mdd.name)
+
+    def _retire_segment(self, entry: ArchivedObject, key: str) -> None:
+        """Drop segment *key* of *entry* from the disk cache, the staged-run
+        map and tape."""
+        self.disk_cache.invalidate(key)
+        entry.staged_runs.pop(key, None)
+        self.library.delete_segment(key)
 
     def update(
         self,
@@ -1413,8 +1423,8 @@ class Heaven:
             # Persist the change: a later archive assembles segments from
             # the tile BLOBs, not the in-memory payloads, so an update
             # left only in memory would be silently lost at export time.
-            self._refresh_disk_blobs(
-                mdd, [t.tile_id for t in mdd.tiles_for(region)]
+            self.storage.rewrite_tiles(
+                mdd, [t.tile_id for t in mdd.tiles_for(region)], attrgetter("payload")
             )
             return 0
         affected = {t.tile_id for t in mdd.tiles_for(region)}
@@ -1438,7 +1448,7 @@ class Heaven:
             )
             if entry.disk_copy:
                 # Dual residence: refresh the disk copy's tile BLOBs too.
-                self._refresh_disk_blobs(mdd, tiles_to_load)
+                self.storage.rewrite_tiles(mdd, tiles_to_load, attrgetter("payload"))
             # Pyramid levels over the old cells are stale now.
             self.pyramids.invalidate(object_name)
             # Refresh caches and aggregates.
@@ -1458,101 +1468,59 @@ class Heaven:
     ) -> None:
         """Re-export *super_tiles* of *entry* from their patched payloads.
 
-        Only the *dirty* tiles are encoded, all in one batch; every clean
-        tile's frame is sliced verbatim out of its old segment with the old
-        extents (an uncharged peek: the update paid for that tape read when
-        it staged the super-tile).  Order: write every new segment, then
-        switch the catalog to it, then delete the old one — a failed write
-        deletes the new segments already written and changes nothing else.
+        Only the *dirty* tiles are encoded; every clean tile's frame is
+        sliced verbatim out of its old segment with the old extents (an
+        uncharged peek: the update paid for that tape read when it staged
+        the super-tile).  A size-only old segment gives a size-only new one.
+        The new segments are written, and the catalog switched to them,
+        inside one exporter journal transaction; the old segments are
+        retired only after its COMMIT.  A failed write rolls the journal
+        back and changes nothing else; a crash before COMMIT leaves new
+        segments that :func:`~repro.core.export.recover_incomplete_exports`
+        removes.
         """
         mdd = entry.mdd
-        retain = self.config.retain_payload
-        dirty_ids = [t for st in super_tiles for t in st.tile_ids if t in dirty]
-        frames: Dict[int, Union[bytes, memoryview]] = {}
-        if retain:
-            raws = [
-                np.ascontiguousarray(mdd.tiles[t].payload, dtype=mdd.cell_type.dtype).tobytes()
-                for t in dirty_ids
-            ]
-            itemsize = mdd.cell_type.dtype.itemsize
-            frames = dict(zip(dirty_ids, self.codec.compress_all(raws, itemsize)))
-        version = entry.version + 1
-        written: List[Tuple[SuperTile, str, str, Dict[int, int]]] = []
-        try:
-            for super_tile in super_tiles:
-                old_key = super_tile.segment_name
-                assert old_key is not None and super_tile.medium_id is not None
-                sizes: Dict[int, int] = {}
-                if retain:
-                    old = memoryview(
-                        self.library.medium(super_tile.medium_id).payload(old_key)
-                    )
-                    for tile_id in super_tile.tile_ids:
-                        if tile_id not in dirty:
-                            offset, length = super_tile.tile_extents[tile_id]
-                            frames[tile_id] = old[offset : offset + length]
-                        sizes[tile_id] = len(frames[tile_id])
-                    payload: Optional[bytes] = b"".join(
-                        frames[t] for t in super_tile.tile_ids
-                    )
+        raws: Dict[int, Optional[bytes]] = {}
+        kept: Dict[int, Optional[memoryview]] = {}
+        for super_tile in super_tiles:
+            assert super_tile.segment_name is not None and super_tile.medium_id is not None
+            old = self.library.medium(super_tile.medium_id).payload(super_tile.segment_name)
+            for tile_id in super_tile.tile_ids:
+                if old is None:
+                    kept[tile_id] = None
+                elif tile_id in dirty:
+                    raws[tile_id] = np.ascontiguousarray(
+                        mdd.tiles[tile_id].payload, dtype=mdd.cell_type.dtype
+                    ).tobytes()
                 else:
-                    for tile_id in super_tile.tile_ids:
-                        sizes[tile_id] = (
-                            self.codec.estimated_size(mdd.tiles[tile_id].size_bytes)
-                            if tile_id in dirty
-                            else super_tile.tile_extents[tile_id][1]
-                        )
-                    payload = None
+                    offset, length = super_tile.tile_extents[tile_id]
+                    kept[tile_id] = memoryview(old)[offset : offset + length]
+        sizes, frames = self._frames(mdd, raws, kept)
+        version = entry.version + 1
+        old_keys = [super_tile.segment_name for super_tile in super_tiles]
+        with self.exporter.journal(mdd.name) as write:
+            moved = []
+            for super_tile, old_key in zip(super_tiles, old_keys):
                 # Version the name off the object's monotonic update counter:
                 # stable length, collision-free even with zero elapsed
                 # virtual time between exports.
                 new_key = f"{_VERSION_RE.sub('', old_key)}.v{version}"
-                medium_id, _segment = self.library.write_segment(
-                    new_key, sum(sizes.values()), payload=payload
+                medium_id = write(
+                    new_key,
+                    sum(sizes[t] for t in super_tile.tile_ids),
+                    join_frames(frames, super_tile.tile_ids),
                 )
-                written.append((super_tile, new_key, medium_id, sizes))
-        except BaseException:
-            for _super_tile, new_key, _medium_id, _sizes in written:
-                self.library.delete_segment(new_key)
-            raise
-        entry.version = version
-        for super_tile, new_key, medium_id, sizes in written:
-            old_key = super_tile.segment_name
-            assert old_key is not None
-            super_tile.size_bytes = sum(sizes.values())
-            super_tile.assign_extents(sizes)
-            super_tile.segment_name = new_key
-            super_tile.medium_id = medium_id
+                moved.append((super_tile, new_key, medium_id))
+            for super_tile, new_key, medium_id in moved:
+                super_tile.size_bytes = sum(sizes[t] for t in super_tile.tile_ids)
+                super_tile.assign_extents(sizes)
+                super_tile.segment_name = new_key
+                super_tile.medium_id = medium_id
+            entry.version = version
             if entry.stored_sizes is not None:
                 entry.stored_sizes.update(sizes)
-            if old_key in self.disk_cache:
-                self.disk_cache.invalidate(old_key)
-            entry.staged_runs.pop(old_key, None)
-            self.library.delete_segment(old_key)
-
-    def _refresh_disk_blobs(
-        self,
-        mdd: MDD,
-        tile_ids: Sequence[int],
-        cells_of: Callable[[Tile], np.ndarray] = attrgetter("payload"),
-    ) -> None:
-        """Rewrite the tile BLOBs of *tile_ids* from ``cells_of(tile)``."""
-        assert mdd.oid is not None
-        for tile_id in tile_ids:
-            tile = mdd.tiles[tile_id]
-            cells = cells_of(tile)
-            blob_payload = None
-            if self.db.blobs.retain_payload:
-                blob_payload = np.ascontiguousarray(
-                    cells, dtype=mdd.cell_type.dtype
-                ).tobytes()
-            new_blob = self.db.put_blob(blob_payload, size=tile.size_bytes)
-            row = self.db.table("ras_tiles").find_pk(f"{mdd.oid}:{tile_id}")
-            assert row is not None
-            old_blob = row[1]["blob_oid"]
-            self.db.update("ras_tiles", row[0], {"blob_oid": new_blob})
-            if old_blob in self.db.blobs:
-                self.db.delete_blob(old_blob)
+        for old_key in old_keys:
+            self._retire_segment(entry, old_key)
 
     def reimport(self, collection_name: str, object_name: str) -> int:
         """Bring an archived object fully back to secondary storage.
@@ -1566,7 +1534,7 @@ class Heaven:
         entry = self.archived(object_name)
         all_tiles = sorted(mdd.tiles)
         with self._staged([(mdd, all_tiles)]):
-            self._refresh_disk_blobs(
+            self.storage.rewrite_tiles(
                 mdd, all_tiles, lambda tile: self._resolve_tile(mdd, tile)
             )
         assert mdd.oid is not None

@@ -27,22 +27,18 @@ class BlobInfo:
 
 
 class BlobStore:
-    """Disk-backed BLOB container with size-only or payload storage.
+    """Disk-backed BLOB container.
+
+    A BLOB put without payload bytes is *size-only*: it occupies and
+    charges its declared size, and reads of it return None.
 
     Args:
         clock: shared simulator clock for I/O costing.
         profile: disk the store lives on.
-        retain_payload: keep actual bytes (switch off for huge virtual runs).
     """
 
-    def __init__(
-        self,
-        clock: SimClock,
-        profile: DiskProfile = DISK_ARRAY,
-        retain_payload: bool = True,
-    ) -> None:
+    def __init__(self, clock: SimClock, profile: DiskProfile = DISK_ARRAY) -> None:
         self.disk = DiskDevice("dbms-blobs", profile, clock)
-        self.retain_payload = retain_payload
         self._sizes: Dict[int, int] = {}
         self._payloads: Dict[int, bytes] = {}
         self._oid_counter = itertools.count(1)
@@ -72,12 +68,12 @@ class BlobStore:
         self.disk.write(size, detail=f"blob#{oid}")
         self.disk.reserve(size)
         self._sizes[oid] = size
-        if payload is not None and self.retain_payload:
+        if payload is not None:
             self._payloads[oid] = payload
         return oid
 
     def get(self, oid: int) -> Optional[bytes]:
-        """Read a BLOB (charged); returns bytes when retained, else None."""
+        """Read a BLOB (charged); returns its bytes, None when size-only."""
         size = self._require(oid)
         self.disk.read(size, detail=f"blob#{oid}")
         return self._payloads.get(oid)
@@ -100,7 +96,7 @@ class BlobStore:
             raise ValueError(f"blob oid {oid} already present")
         self.disk.reserve(size)
         self._sizes[oid] = size
-        if payload is not None and self.retain_payload:
+        if payload is not None:
             self._payloads[oid] = payload
 
     def peek(self, oid: int) -> Optional[bytes]:

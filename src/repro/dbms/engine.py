@@ -32,11 +32,10 @@ class Database:
         self,
         clock: Optional[SimClock] = None,
         disk_profile: DiskProfile = DISK_ARRAY,
-        retain_payload: bool = True,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.wal = WriteAheadLog()
-        self.blobs = BlobStore(self.clock, disk_profile, retain_payload=retain_payload)
+        self.blobs = BlobStore(self.clock, disk_profile)
         self._tables: Dict[str, Table] = {}
         self._txn_counter = itertools.count(1)
         self._current: Optional[Transaction] = None

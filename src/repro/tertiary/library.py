@@ -66,7 +66,6 @@ class TapeLibrary:
         profile: drive/media technology for the whole library.
         num_drives: number of read/write stations sharing the robot.
         clock: shared virtual clock; one is created if omitted.
-        retain_payload: keep segment bytes on media (see :class:`Medium`).
         faults: fault-injection plan shared by robot and drives (default:
             the inert :data:`~repro.faults.NO_FAULTS` plan).
         retry: recovery policy for faulted mounts and reads; only engaged
@@ -78,7 +77,6 @@ class TapeLibrary:
         profile: TapeProfile,
         num_drives: int = 1,
         clock: Optional[SimClock] = None,
-        retain_payload: bool = True,
         faults=None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
@@ -88,7 +86,6 @@ class TapeLibrary:
             raise ValueError("a library needs at least one drive")
         self.profile = profile
         self.clock = clock if clock is not None else SimClock()
-        self.retain_payload = retain_payload
         self.faults = faults if faults is not None else NO_FAULTS
         self.faults.bind(self.clock)
         self.retry = retry if retry is not None else RetryPolicy()
@@ -112,7 +109,7 @@ class TapeLibrary:
             medium_id = f"tape-{next(self._id_counter):04d}"
         if medium_id in self._media:
             raise ValueError(f"medium id {medium_id!r} already registered")
-        medium = Medium(medium_id, self.profile, retain_payload=self.retain_payload)
+        medium = Medium(medium_id, self.profile)
         self._media[medium_id] = medium
         self._media_order.append(medium_id)
         return medium

@@ -59,24 +59,18 @@ class Medium:
     tape, does not reclaim space until the medium is reformatted — HEAVEN's
     re-import path relies on this behaviour.
 
+    A segment appended without payload bytes is *size-only*: it occupies
+    its length, and :meth:`payload` returns None for it.
+
     Args:
         medium_id: unique identifier within the library.
         profile: drive technology whose capacity bounds this medium.
-        retain_payload: keep actual segment bytes (needed for end-to-end
-            data fidelity tests).  Large virtual experiments switch this
-            off and track sizes only.
     """
 
-    def __init__(
-        self,
-        medium_id: str,
-        profile: TapeProfile,
-        retain_payload: bool = True,
-    ) -> None:
+    def __init__(self, medium_id: str, profile: TapeProfile) -> None:
         self.medium_id = medium_id
         self.profile = profile
         self.capacity = profile.media_capacity_bytes
-        self.retain_payload = retain_payload
         self.write_position = 0
         self.mount_count = 0
         self._segments: Dict[str, Segment] = {}
@@ -123,7 +117,7 @@ class Medium:
         self._segments[name] = segment
         self._order.append(name)
         self.write_position += length
-        if payload is not None and self.retain_payload:
+        if payload is not None:
             self._payloads[name] = payload
         return segment
 
@@ -148,7 +142,7 @@ class Medium:
         return segment
 
     def payload(self, name: str) -> Optional[bytes]:
-        """Stored bytes of the segment, or None when payloads are dropped."""
+        """Stored bytes of the segment, or None when it is size-only."""
         self.segment(name)  # raise if unknown
         return self._payloads.get(name)
 

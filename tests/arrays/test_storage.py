@@ -81,8 +81,7 @@ class TestInsertObject:
         assert storage.db.clock.now > before
 
     def test_size_only_mode_falls_back_to_source(self):
-        db = Database(retain_payload=False)
-        storage = ArrayStorage(db)
+        storage = ArrayStorage(Database(), retain_payload=False)
         storage.create_collection("c")
         mdd = make_object()
         expected = mdd.source.region(mdd.domain, mdd.cell_type)

@@ -85,7 +85,7 @@ class TestParallelPlanner:
     PROFILE = scaled_profile(DLT_7000, 64 * MB)
 
     def build_requests(self, media=4, per_medium=4):
-        library = TapeLibrary(self.PROFILE, retain_payload=False)
+        library = TapeLibrary(self.PROFILE)
         requests = []
         for m in range(media):
             library.new_medium(f"m{m}")

@@ -59,11 +59,11 @@ class TestCoupledExporter:
 
 
 class TestTCTExporter:
-    def export_tct(self, rig, pipelined=True, target=4):
+    def export_tct(self, rig, target=4):
         storage, library, mdd = rig
         super_tiles = star_partition(mdd, target * 32 * 1024)
         plan = ClusteredPlacement().plan(super_tiles, library)
-        report = TCTExporter(storage, library).export(mdd, plan, pipelined=pipelined)
+        report = TCTExporter(storage, library).export(mdd, plan)
         return report, super_tiles, library, mdd
 
     def test_one_segment_per_super_tile(self, rig):
@@ -112,29 +112,6 @@ class TestTCTExporter:
             return report.virtual_seconds - mount
 
         assert without_mount(report_coupled) / without_mount(report_tct) > 2
-
-    def test_pipelining_hides_disk_time(self, rig):
-        report_piped, _s, _l, _m = self.export_tct(rig, pipelined=True)
-        storage, library, mdd = rig
-        # Fresh rig for the unpipelined run.
-        clock2 = SimClock()
-        storage2 = ArrayStorage(Database(clock2))
-        library2 = TapeLibrary(PROFILE, clock=clock2)
-        storage2.create_collection("c")
-        mdd2 = MDD(
-            "obj",
-            MInterval.from_shape((256, 256)),
-            DOUBLE,
-            tiling=RegularTiling((64, 64)),
-            source=HashedNoiseSource(4),
-        )
-        storage2.insert_object("c", mdd2)
-        super_tiles = star_partition(mdd2, 4 * 32 * 1024)
-        plan = ClusteredPlacement().plan(super_tiles, library2)
-        report_sync = TCTExporter(storage2, library2).export(
-            mdd2, plan, pipelined=False
-        )
-        assert report_piped.virtual_seconds <= report_sync.virtual_seconds
 
     def test_scatter_placement_spreads_media(self, rig):
         storage, library, mdd = rig

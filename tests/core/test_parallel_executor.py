@@ -57,7 +57,7 @@ def request_batches():
 
 
 def build_library(num_drives: int) -> TapeLibrary:
-    library = TapeLibrary(PROFILE, num_drives=num_drives, retain_payload=False)
+    library = TapeLibrary(PROFILE, num_drives=num_drives)
     for m in range(5):
         library.new_medium(f"m{m}")
     return library
@@ -244,7 +244,7 @@ class TestHeavenByteIdentity:
 class TestHSMBatchStaging:
     def build(self, parallel_drives: int) -> HSMSystem:
         library = TapeLibrary(
-            scaled_profile(DLT_7000, 8 * MB), num_drives=2, retain_payload=True
+            scaled_profile(DLT_7000, 8 * MB), num_drives=2
         )
         hsm = HSMSystem(library, parallel_drives=parallel_drives)
         for i in range(6):

@@ -51,10 +51,10 @@ class TestBlobStore:
         with pytest.raises(ValueError):
             store.restore(oid, 1, b"x")
 
-    def test_size_only_mode_drops_payloads(self):
-        store = BlobStore(SimClock(), retain_payload=False)
-        oid = store.put(b"payload")
+    def test_size_only_blob_has_no_payload(self, store):
+        oid = store.put(size=7)
         assert store.peek(oid) is None
+        assert store.get(oid) is None
         assert store.size(oid) == 7
 
     def test_unknown_oid_operations_raise(self, store):

@@ -3,6 +3,7 @@ WAL-backed export cleanup — the tentpole's end-to-end guarantees."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -19,7 +20,7 @@ from repro.arrays import ArrayStorage
 from repro.core import EXPORT_SEGMENTS_TABLE, ClusteredPlacement, TCTExporter
 from repro.core.admission import AdmissionController, QuerySpec
 from repro.core.clustering import Placement
-from repro.core.super_tile import star_partition
+from repro.core.super_tile import SuperTile, star_partition
 from repro.dbms import Database
 from repro.dbms.wal import LogKind, WriteAheadLog
 from repro.arrays import RegularTiling
@@ -293,3 +294,44 @@ class TestExportWAL:
         super_tiles = star_partition(mdd, 4 * MB)
         exporter.export(mdd, ClusteredPlacement().plan(super_tiles, library))
         assert db.wal.appends == appends_before
+
+
+class TestUpdateCrash:
+    def live_segments(self, heaven):
+        return {s.name for m in heaven.library.media() for s in m.segments()}
+
+    def test_recovery_removes_segments_of_a_crashed_update(self, monkeypatch):
+        """A crash between an update's segment writes and its catalog switch
+        leaves its journal open; recovery removes the new ``.vN`` segments
+        and the object still reads its old bytes."""
+        heaven = faulty_heaven(
+            FaultPlan(), super_tile_bytes=256 * 1024, min_super_tile_bytes=64 * 1024
+        )
+        entry = heaven.archived("t")
+        assert len(entry.super_tiles) >= 2
+        domain = entry.mdd.domain
+        old = heaven.read("c", "t", domain).copy()
+        before = self.live_segments(heaven)
+
+        def crash(_super_tile, _sizes):
+            raise SystemExit("crash before the catalog switch")
+
+        monkeypatch.setattr(SuperTile, "assign_extents", crash)
+        with pytest.raises(SystemExit):
+            heaven.update("c", "t", domain, np.zeros(old.shape, old.dtype))
+        monkeypatch.undo()
+        orphans = self.live_segments(heaven) - before
+        assert len(orphans) == len(entry.super_tiles)
+        assert all(name.endswith(".v1") for name in orphans)
+
+        assert recover_incomplete_exports(heaven.db.wal, heaven.library) == len(orphans)
+        assert self.live_segments(heaven) == before
+        assert recover_incomplete_exports(heaven.db.wal, heaven.library) == 0
+        heaven.memory_cache.invalidate_object("t")
+        for key in heaven.disk_cache.keys():
+            heaven.disk_cache.invalidate(key)
+        heaven.library.unmount_all()
+        assert np.array_equal(heaven.read("c", "t", domain), old)
+        # the object stays updatable
+        heaven.update("c", "t", domain, np.zeros(old.shape, old.dtype))
+        assert not heaven.read("c", "t", domain).any()

@@ -25,10 +25,10 @@ class TestAppend:
         medium.append("a", 5, payload=b"hello")
         assert medium.payload("a") == b"hello"
 
-    def test_payload_dropped_when_not_retained(self):
-        medium = Medium("t", SMALL, retain_payload=False)
-        medium.append("a", 5, payload=b"hello")
+    def test_size_only_segment_has_no_payload(self, medium):
+        medium.append("a", 5)
         assert medium.payload("a") is None
+        assert medium.segment("a").length == 5
 
     def test_payload_length_must_match(self, medium):
         with pytest.raises(ValueError):

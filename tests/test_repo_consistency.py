@@ -112,6 +112,25 @@ class TestPublicAPI:
         assert re.match(r"\d+\.\d+\.\d+", repro.__version__)
 
 
+class TestPayloadDecision:
+    #: "sizes only" is decided once, at ingest, by ArrayStorage: config.py
+    #: holds the knob, heaven.py hands it to ArrayStorage, and cli.py picks
+    #: it for its scenario rows and the export command.  Every layer below
+    #: stores what it is handed (None bytes mean sizes only).
+    ALLOWED = {"core/config.py", "core/heaven.py", "arrays/storage.py", "cli.py"}
+
+    def test_retain_payload_stays_at_the_ingest_decision(self):
+        package = os.path.join(REPO_ROOT, "src", "repro")
+        mentions = set()
+        for dirpath, _dirs, files in os.walk(package):
+            for name in files:
+                path = os.path.join(dirpath, name)
+                if name.endswith(".py") and "retain_payload" in read(path):
+                    mentions.add(os.path.relpath(path, package).replace(os.sep, "/"))
+        assert "arrays/storage.py" in mentions
+        assert mentions <= self.ALLOWED, sorted(mentions - self.ALLOWED)
+
+
 class TestDeliverables:
     @pytest.mark.parametrize(
         "path",
