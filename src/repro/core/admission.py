@@ -1,13 +1,19 @@
-"""Admission and scheduling of concurrent queries over one HEAVEN instance.
+"""Admission and scheduling: the one driver of every read.
 
-The paper's inter-query scheduling (Kapitel 3.4.3) merges the tape
-requests of one caller's batch.  This layer takes it to its production
-limit: *independent* queries post their staging demands into a shared
-per-medium queue, and the controller fuses overlapping super-tile runs
-**across queries** into single elevator sweeps.  Every sweep is one
-:meth:`~repro.core.heaven.Heaven._staged` pass, the staging pass of every
-read: admission only decides which demands share a pass.  Four policies
-shape the sweeps:
+The paper's inter-query scheduling (Kapitel 3.4.3) reorders the tape
+requests "of one or many queries".  This layer is where every read
+becomes a query: :meth:`~repro.core.heaven.Heaven.read_with_report`
+submits one query with one unit, :meth:`~repro.core.heaven.Heaven.read_many`
+one query with N units, :meth:`AdmissionController.run_units` (the data
+nodes' path) N queries with one unit each, and :meth:`AdmissionController.run`
+independent queries with open-loop arrivals.  Queries post their staging
+demands into a shared per-medium queue, and the controller fuses
+overlapping super-tile runs **across queries** into single elevator
+sweeps.  Every sweep is one :meth:`~repro.core.heaven.Heaven._staged`
+pass, the staging pass of every read: admission only decides which
+demands share a pass.  A run of one query takes all of its demands in one
+sweep, over every medium in elevator order.  With several queries, four
+policies shape the sweeps:
 
 * **anticipatory hold-back** — a dispatch can wait a bounded virtual-time
   window (``holdback_s``) so queries arriving inside the window
@@ -40,9 +46,14 @@ disk cache, and one on each tile the sweep had to drain into the memory
 tile cache once its segment left the disk cache.  So one query's release
 can never unpin bytes another query still needs, and the pins a restage
 fallback takes while a query assembles are charged to that query.
-Shared tape bytes are split
-across queries without double counting
-(:func:`~repro.core.scheduler.split_shared_bytes`); the sum of the
+
+Every query's :class:`~repro.core.heaven.RetrievalReport` comes from one
+builder (:meth:`AdmissionController._seal`).  Its event counts, staged
+runs, waves and pins cover the sweeps that served it plus its own
+assembly, so a shared sweep's mounts and faults appear on every query
+that demanded it.  Its tape bytes are exact: a sweep one query demanded
+is wholly that query's, a shared one is split without double counting
+(:func:`~repro.core.scheduler.split_shared_bytes`), and the sum of the
 per-query reports plus the explicit unattributed remainder equals the
 event log's drive-read bytes exactly
 (:func:`~repro.obs.reconcile.reconcile_shared_tape_bytes`).
@@ -51,7 +62,9 @@ event log's drive-read bytes exactly
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -140,16 +153,26 @@ class _Demand:
     enqueued_s: float = 0.0
 
 
+#: one unit's answer: region cells, or ``{tile_id: clipped cells}`` for a
+#: tile subset
+Answer = Union[np.ndarray, Dict[int, np.ndarray]]
+
+
 @dataclass
 class _QueryTask:
     """Controller-side state of one query: enqueue -> wait -> assemble."""
 
     qid: int
-    spec: QuerySpec
-    weight: float
+    arrival_s: float = 0.0
+    #: the report's ``(object_name, region)``
+    label: Tuple[str, str] = ("", "")
+    weight: float = 1.0
+    #: a submitted spec, resolved to its one unit on admission; a direct
+    #: read arrives with its units already resolved
+    spec: Optional[QuerySpec] = None
+    units: List[_Unit] = field(default_factory=list)
     admitted: bool = False
     done: bool = False
-    unit: Optional[_Unit] = None
     #: pins held for this query from enqueue until it assembled: resident
     #: tiles it skipped staging for, and what its sweeps handed over
     ticket: Optional[StagingTicket] = None
@@ -159,17 +182,22 @@ class _QueryTask:
     pending: Set[str] = field(default_factory=set)
     #: attributed sweep service (virtual seconds, weighted-fair currency)
     service_s: float = 0.0
-    #: exact share of fused sweep tape bytes (no double counting)
-    tape_byte_share: int = 0
-    #: sweeps this task's demands were part of
-    sweeps: int = 0
+    #: exact share of its sweeps' tape bytes, plus its assembly's
+    tape_bytes: int = 0
+    #: event kinds of its sweeps' windows and its assembly's window
+    events: Counter = field(default_factory=Counter)
+    #: its sweeps' staging tallies: runs streamed, waves, pins taken
+    staged: int = 0
+    waves: int = 0
+    sweep_pins: int = 0
     enqueued_s: float = 0.0
     finished_s: float = 0.0
     max_wait_s: float = 0.0
-    #: the answer: region cells, or ``{tile_id: clipped cells}`` for a
-    #: tile subset
-    cells: Union[None, np.ndarray, Dict[int, np.ndarray]] = None
-    report: Optional[RetrievalReport] = None
+    #: host seconds from enqueue to assembled (``perf_counter()`` at
+    #: enqueue until it assembled)
+    wall_s: float = 0.0
+    #: one answer per unit
+    answers: List[Answer] = field(default_factory=list)
 
 
 @dataclass
@@ -266,58 +294,43 @@ class AdmissionController:
 
     def run(
         self, specs: Sequence[QuerySpec]
-    ) -> Tuple[List[np.ndarray], MultiQueryReport]:
+    ) -> Tuple[List[Answer], MultiQueryReport]:
         """Run *specs* to completion; per-query cells + combined report."""
-        heaven = self.heaven
-        clock = heaven.clock
-        self._report = MultiQueryReport(log_cursor_start=clock.log.cursor())
-        if not specs:
-            return [], self._report
-        self._tasks = [
+        log = self.heaven.clock.log
+        tasks = [
             _QueryTask(
                 qid=index + 1,
-                spec=spec,
+                arrival_s=spec.arrival_s,
+                label=(spec.label, str(spec.region)),
                 weight=1.0 if spec.weight is None else spec.weight,
+                spec=spec,
             )
             for index, spec in enumerate(specs)
         ]
-        self._order = list(self._tasks)
-        if self.schedule_seed is not None:
-            random.Random(self.schedule_seed).shuffle(self._order)
-        start_s = clock.now
-        try:
-            with heaven.tracer.span(
-                "admission.run", always=True, queries=len(specs)
-            ):
-                self._loop()
-        except BaseException:
-            # A typed storage failure mid-run (offline library, retry
-            # budget spent) must not leak the queries' pins: quiescence is
-            # part of the contract even on the error path.
-            for task in self._tasks:
-                if task.ticket is not None:
-                    task.ticket.release()
-            raise
-        report = self._report
-        report.makespan_s = clock.now - start_s
-        window = clock.log.window(report.log_cursor_start)
+        report = self._drive(tasks)
+        window = log.window(report.log_cursor_start)
         report.exchanges = sum(1 for e in window if e.kind == "load")
-        report.bytes_from_tape = event_window_bytes(clock.log, report.log_cursor_start)
-        report.queries = [task.report for task in self._tasks]  # type: ignore[misc]
-        # Counted here, not as each query finishes: a run that raises hands
-        # out no report, and its units are served (and counted) again.
-        for query in report.queries:
-            heaven.read_tiles_needed += query.tiles_needed
-            heaven.read_bytes_useful += query.bytes_useful
-        report.latencies_s = [
-            task.finished_s - task.spec.arrival_s for task in self._tasks
-        ]
-        report.max_wait_s = max(
-            (task.max_wait_s for task in self._tasks), default=0.0
+        report.bytes_from_tape = event_window_bytes(log, report.log_cursor_start)
+        report.latencies_s = [task.finished_s - task.arrival_s for task in tasks]
+        report.max_wait_s = max((task.max_wait_s for task in tasks), default=0.0)
+        return [task.answers[0] for task in tasks], report
+
+    def run_query(
+        self, units: Sequence[_Unit], label: Tuple[str, str]
+    ) -> Tuple[List[Answer], RetrievalReport]:
+        """Answer resolved *units* as ONE query, arriving now: one answer
+        per unit and the query's report, labelled ``(object_name, region)``.
+
+        The direct read path (:meth:`~repro.core.heaven.Heaven.read_with_report`,
+        :meth:`~repro.core.heaven.Heaven.read_many`): a lone query, so its
+        demands on every medium share one sweep and each medium is mounted
+        at most once.
+        """
+        task = _QueryTask(
+            qid=1, arrival_s=self.heaven.clock.now, label=label, units=list(units)
         )
-        outputs = [task.cells for task in self._tasks]
-        assert all(cells is not None for cells in outputs)
-        return outputs, report  # type: ignore[return-value]
+        (report,) = self._drive([task]).queries
+        return task.answers, report
 
     def run_units(
         self, units: Sequence[SubReadRequest]
@@ -326,16 +339,13 @@ class AdmissionController:
 
         The data-node fusion path of the service tier: every unit becomes
         one admission query (tile-subset queries for the sharded form),
-        their staging fuses into shared sweeps, and each response carries
-        that unit's EXACT byte attribution (``tape_byte_share`` — no
-        cross-tenant leakage) in its stats.  Units are admitted at the
-        current clock, so per-unit ``virtual_seconds`` is pure service
-        time; open-loop arrival accounting is the cluster's job.
+        their staging fuses into shared sweeps, and each response's stats
+        are that query's report: exact tape-byte shares (no cross-tenant
+        leakage), and the mounts and faults of every sweep it was part of.
+        Units are admitted at the current clock, so per-unit
+        ``virtual_seconds`` is pure service time; open-loop arrival
+        accounting is the cluster's job.
         """
-        if not units:
-            return [], MultiQueryReport(
-                log_cursor_start=self.heaven.clock.log.cursor()
-            )
         now = self.heaven.clock.now
         specs = [
             QuerySpec(
@@ -350,12 +360,40 @@ class AdmissionController:
         ]
         outputs, report = self.run(specs)
         responses = [
-            _unit_response(unit, task.unit.mdd, cells, query_report, shared=False)
+            _unit_response(unit, task.units[0].mdd, cells, query_report)
             for unit, task, cells, query_report in zip(
                 units, self._tasks, outputs, report.queries
             )
         ]
         return responses, report
+
+    def _drive(self, tasks: List[_QueryTask]) -> MultiQueryReport:
+        """Run *tasks* to completion and seal one report per query."""
+        heaven = self.heaven
+        clock = heaven.clock
+        self._report = MultiQueryReport(log_cursor_start=clock.log.cursor())
+        self._tasks = tasks
+        self._order = list(tasks)
+        if self.schedule_seed is not None:
+            random.Random(self.schedule_seed).shuffle(self._order)
+        start_s = clock.now
+        try:
+            with heaven.tracer.span("admission.run", queries=len(tasks)):
+                self._loop()
+        except BaseException:
+            # A typed storage failure mid-run (offline library, retry
+            # budget spent) must not leak the queries' pins: quiescence is
+            # part of the contract even on the error path.
+            for task in tasks:
+                if task.ticket is not None:
+                    task.ticket.release()
+            raise
+        report = self._report
+        report.makespan_s = clock.now - start_s
+        # Sealed here, not as each query finishes: a run that raises hands
+        # out no report, and its units are served (and counted) again.
+        report.queries = [self._seal(task) for task in tasks]
+        return report
 
     def _loop(self) -> None:
         clock = self.heaven.clock
@@ -371,11 +409,7 @@ class AdmissionController:
             ):
                 self._dispatch_sweep()
                 continue
-            future = [
-                task.spec.arrival_s
-                for task in self._tasks
-                if not task.admitted
-            ]
+            future = [task.arrival_s for task in self._tasks if not task.admitted]
             if not future:  # pragma: no cover - loop invariant
                 raise HeavenError("admission stalled: no runnable task")
             gap = min(future) - clock.now
@@ -388,7 +422,7 @@ class AdmissionController:
         """Enqueue every query that has arrived; one that needs no staging
         assembles at once."""
         for task in self._order:
-            if not task.admitted and task.spec.arrival_s <= now:
+            if not task.admitted and task.arrival_s <= now:
                 task.admitted = True
                 self._enqueue(task)
                 if not task.pending:
@@ -397,70 +431,99 @@ class AdmissionController:
     # ------------------------------------------------------------------ query life
 
     def _enqueue(self, task: _QueryTask) -> None:
-        """Resolve the query's unit, collect its needs once, and post one
-        staging demand per tape segment."""
+        """Resolve a spec's unit, collect the query's needs once, and post
+        one staging demand per tape segment."""
         heaven = self.heaven
         spec = task.spec
-        unit = task.unit = heaven._resolve_unit(
-            spec.collection, spec.object_name, spec.region, spec.tile_ids
-        )
+        if spec is not None:
+            task.units = [
+                heaven._resolve_unit(
+                    spec.collection, spec.object_name, spec.region, spec.tile_ids
+                )
+            ]
         task.ticket = StagingTicket(
             cache=heaven.disk_cache, memory=heaven.memory_cache
         )
         task.needs = heaven.collect_needs(
-            [(unit.mdd, unit.cover)], task.ticket.tile_pins
+            [(unit.mdd, unit.cover) for unit in task.units], task.ticket.tile_pins
         )
         task.enqueued_s = heaven.clock.now
+        task.wall_s = perf_counter()
         for key, need in sorted(task.needs.items()):
-            medium_id, _segment = heaven.library.segment(key)
+            need.query_ids = (task.qid,)
             task.demands[key] = _Demand(
                 key=key,
-                medium_id=medium_id,
-                run=heaven._required_run(need.super_tile, need.tile_ids),
+                medium_id=heaven.library.locate(key),
+                run=need.run,
                 enqueued_s=task.enqueued_s,
             )
         task.pending = set(task.demands)
 
     def _assemble(self, task: _QueryTask) -> None:
-        """Assemble the query's unit with its ticket active, release the
-        ticket and seal the query's report.
+        """Assemble the query's units with its ticket active, then release
+        the ticket.
 
         Everything charged between the cursor and the end of the read
         belongs to this query alone (restage fallbacks, memory cache misses
         re-staged from tape, ...), and so do the pins a restage takes.
         """
         heaven = self.heaven
-        clock = heaven.clock
-        spec = task.spec
-        unit, ticket = task.unit, task.ticket
-        assert unit is not None and ticket is not None
-        cursor = clock.log.cursor()
-        with heaven._holding(ticket):
+        log = heaven.clock.log
+        cursor = log.cursor()
+        assert task.ticket is not None
+        with heaven._holding(task.ticket):
             with heaven.tracer.span(
-                "admission.assemble", query=task.qid, object=spec.object_name
+                "heaven.assemble", query=task.qid, units=len(task.units)
             ) as span:
-                task.cells = heaven._assemble_unit(unit)
-        heaven._observe_assemble_wall(span)
-        window = clock.log.window(cursor)
-        task.finished_s = clock.now
-        # Not Heaven._report_from_span: this query's tape bytes are its
-        # attributed share of fused sweeps plus its own assembly window,
-        # and its latency runs from its arrival.
-        task.report = RetrievalReport(
-            object_name=spec.label,
-            region=str(spec.region),
-            tiles_needed=len(unit.cover),
-            super_tiles_staged=len(task.demands),
-            bytes_from_tape=task.tape_byte_share + event_window_bytes(clock.log, cursor),
-            bytes_useful=_answer_nbytes(task.cells),
-            exchanges=sum(1 for e in window if e.kind == "load"),
-            virtual_seconds=clock.now - spec.arrival_s,
-            restages=sum(1 for e in window if e.kind == "restage"),
-            pins=ticket.pins,
-            waves=task.sweeps,
-        )
-        heaven._note_degradation(task.report, [unit.mdd])
+                task.answers = [heaven._assemble_unit(unit) for unit in task.units]
+        if heaven.instruments is not None and span.enabled:
+            heaven.instruments.observe_assemble_wall(span.wall_elapsed)
+        task.wall_s = perf_counter() - task.wall_s
+        task.events.update(event.kind for event in log.window(cursor))
+        task.tape_bytes += event_window_bytes(log, cursor)
+        task.finished_s = heaven.clock.now
         task.done = True
+
+    def _seal(self, task: _QueryTask) -> RetrievalReport:
+        """The one report builder of every read (see
+        :class:`~repro.core.heaven.RetrievalReport`); its latency runs from
+        its arrival.  The instance's read counters and histograms are fed
+        here, once per query."""
+        heaven = self.heaven
+        events = task.events
+        assert task.ticket is not None
+        report = RetrievalReport(
+            object_name=task.label[0],
+            region=task.label[1],
+            tiles_needed=sum(len(unit.cover) for unit in task.units),
+            super_tiles_staged=task.staged,
+            bytes_from_tape=task.tape_bytes,
+            bytes_useful=sum(_answer_nbytes(answer) for answer in task.answers),
+            exchanges=events["load"],
+            virtual_seconds=task.finished_s - task.arrival_s,
+            faults=events["fault"],
+            backoffs=events["backoff"],
+            restages=events["restage"],
+            pins=task.sweep_pins + task.ticket.pins,
+            pin_evictions_blocked=events["pin-blocked"],
+            waves=task.waves,
+        )
+        heaven.read_tiles_needed += report.tiles_needed
+        heaven.read_bytes_useful += report.bytes_useful
+        if heaven.instruments is not None:
+            heaven.instruments.observe_read(
+                report.virtual_seconds, report.bytes_from_tape, wall_seconds=task.wall_s
+            )
+        # Graceful degradation: a read of a tape-only object the caches
+        # served while the library is offline never reached the robot.
+        if not report.bytes_from_tape and heaven.library.faults.offline and any(
+            not heaven.archived(unit.mdd.name).disk_copy
+            for unit in task.units
+            if heaven.is_archived(unit.mdd.name)
+        ):
+            report.degraded = True
+            heaven.degraded_reads_served += 1
+        return report
 
     # ------------------------------------------------------------------ scheduling
 
@@ -504,7 +567,8 @@ class AdmissionController:
 
     def _dispatch_sweep(self) -> None:
         """Fuse all pending demands on the picked medium, plus the ones on
-        media already in a drive that fit the disk cache, into one sweep."""
+        media already in a drive that fit the disk cache, into one sweep.
+        A lone query's sweep takes all of its demands."""
         heaven = self.heaven
         clock = heaven.clock
         report = self._report
@@ -531,13 +595,19 @@ class AdmissionController:
                 sum(1 for t in self._tasks if t.admitted) - before
             )
             pending = self._pending_demands()
-        chosen = [
-            (task, demand)
-            for task, demand in pending
-            if demand.medium_id == medium_id
-        ]
-        if not escalated:
-            self._add_ride_alongs(medium_id, pending, chosen)
+        if len(self._tasks) == 1:
+            # Nothing to be fair to or to wait for: one pass over every
+            # medium, which the scheduler orders and the parallel executor
+            # spreads over the drives.
+            chosen = pending
+        else:
+            chosen = [
+                (task, demand)
+                for task, demand in pending
+                if demand.medium_id == medium_id
+            ]
+            if not escalated:
+                self._add_ride_alongs(medium_id, pending, chosen)
         self._execute_sweep(medium_id, chosen)
 
     def _add_ride_alongs(
@@ -584,23 +654,26 @@ class AdmissionController:
             by_key.setdefault(demand.key, []).append((task, demand))
         fused: Dict[str, _SegmentNeed] = {}
         for key in sorted(by_key):
-            needs = [task.needs[key] for task, _d in by_key[key]]
+            demanders = by_key[key]
+            needs = [task.needs[key] for task, _d in demanders]
+            if len(needs) == 1:
+                fused[key] = needs[0]
+                continue
+            tile_ids = sorted({t for need in needs for t in need.tile_ids})
             fused[key] = _SegmentNeed(
                 super_tile=needs[0].super_tile,
                 entry=needs[0].entry,
                 mdd=needs[0].mdd,
-                tile_ids=sorted({t for need in needs for t in need.tile_ids}),
-                query_ids=tuple(sorted({task.qid for task, _d in by_key[key]})),
+                tile_ids=tile_ids,
+                run=heaven._required_run(needs[0].super_tile, tile_ids),
+                query_ids=tuple(sorted({task.qid for task, _d in demanders})),
             )
-        demanded_unions = {
-            key: heaven._required_run(need.super_tile, need.tile_ids)
-            for key, need in fused.items()
-        }
+        # Planning widens a need's run to what it stages: keep the demand.
+        demanded_runs = {key: need.run for key, need in fused.items()}
         sweep_start = clock.now
         cursor = clock.log.cursor()
         with heaven.tracer.span(
             "admission.sweep",
-            always=True,
             medium=medium_id,
             media=len({demand.medium_id for _t, demand in chosen}),
             segments=len(fused),
@@ -611,13 +684,14 @@ class AdmissionController:
         self._settle_sweep(
             by_key,
             fused,
-            demanded_unions,
-            ticket.requests,
+            demanded_runs,
+            ticket,
             sweep_elapsed=clock.now - sweep_start,
+            events=Counter(event.kind for event in clock.log.window(cursor)),
             window_bytes=event_window_bytes(clock.log, cursor),
         )
         report.sweeps += 1
-        report.fused_segments += len(demanded_unions)
+        report.fused_segments += len(demanded_runs)
         heaven.admission_sweeps += 1
 
     def _hand_over_pins(
@@ -660,42 +734,48 @@ class AdmissionController:
         self,
         by_key: Dict[str, List[Tuple[_QueryTask, _Demand]]],
         fused: Dict[str, _SegmentNeed],
-        demanded_unions: Dict[str, Tuple[int, int]],
-        requests: Sequence[TapeRequest],
+        demanded_runs: Dict[str, Tuple[int, int]],
+        ticket: StagingTicket,
         *,
         sweep_elapsed: float,
+        events: Counter,
         window_bytes: int,
     ) -> None:
         """Attribute the sweep's cost and mark demands satisfied."""
         heaven = self.heaven
         clock = heaven.clock
         report = self._report
+        requests = ticket.requests
         requested_keys = {r.key for r in requests}
-        # -- byte attribution: exact split of planned request bytes, with
-        # any event-log surplus (fault re-reads, prefetch) kept explicit.
-        # Prefetch requests (keys nobody demanded) go to the unattributed
-        # bucket wholesale.
-        shares = attribute_request_bytes(
-            [r for r in requests if r.key in by_key]
-        )
-        prefetch_bytes = sum(
-            r.length for r in requests if r.key not in by_key
-        )
-        planned_total = sum(r.length for r in requests)
-        surplus = window_bytes - planned_total
-        report.unattributed_tape_bytes += (
-            shares.pop(0, 0) + prefetch_bytes + max(0, surplus)
-        )
         tasks_by_qid = {task.qid: task for task in self._tasks}
-        for qid, share in shares.items():
-            tasks_by_qid[qid].tape_byte_share += share
-        # -- service attribution: sweep seconds split by demanded bytes.
         sweep_tasks: Dict[int, int] = {}
-        for key, demanders in by_key.items():
+        for demanders in by_key.values():
             for task, demand in demanders:
-                sweep_tasks[task.qid] = (
-                    sweep_tasks.get(task.qid, 0) + demand.run[1]
-                )
+                sweep_tasks[task.qid] = sweep_tasks.get(task.qid, 0) + demand.run[1]
+        # -- byte attribution.  A sweep one query demanded is all that
+        # query's, prefetch and fault re-reads included (with a truncated
+        # event log the staged bytes are the floor).  A shared sweep splits
+        # its planned request bytes exactly and keeps any event-log surplus
+        # (fault re-reads) and the prefetch requests (keys nobody demanded)
+        # in the unattributed bucket.
+        if len(sweep_tasks) == 1:
+            (qid,) = sweep_tasks
+            tasks_by_qid[qid].tape_bytes += max(window_bytes, ticket.bytes_from_tape)
+        else:
+            shares = attribute_request_bytes(
+                [r for r in requests if r.key in by_key]
+            )
+            prefetch_bytes = sum(
+                r.length for r in requests if r.key not in by_key
+            )
+            surplus = window_bytes - sum(r.length for r in requests)
+            report.unattributed_tape_bytes += (
+                shares.pop(0, 0) + prefetch_bytes + max(0, surplus)
+            )
+            for qid, share in shares.items():
+                tasks_by_qid[qid].tape_bytes += share
+        # -- service attribution: sweep seconds split by demanded bytes;
+        # the sweep's events and staging tallies go to every query in it.
         total_demand = sum(sweep_tasks.values())
         for qid in sorted(sweep_tasks):
             task = tasks_by_qid[qid]
@@ -705,15 +785,18 @@ class AdmissionController:
                 else 1.0 / len(sweep_tasks)
             )
             task.service_s += sweep_elapsed * fraction
-            task.sweeps += 1
+            task.events.update(events)
+            task.staged += ticket.staged
+            task.waves += ticket.waves
+            task.sweep_pins += ticket.pins
         # -- fusion audit + savings (demanded segments only: prefetch
         # additions to *fused* have no demanders and no audit row).
-        for key in sorted(demanded_unions):
+        for key in sorted(demanded_runs):
             demanders = by_key[key]
             qids = tuple(sorted({task.qid for task, _d in demanders}))
             staged_run = fused[key].run
             cache_hit = key not in requested_keys
-            demanded = demanded_unions[key]
+            demanded = demanded_runs[key]
             audit = FusionAudit(
                 key=key,
                 medium_id=demanders[0][1].medium_id,

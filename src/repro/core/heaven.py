@@ -23,7 +23,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from ..dbms.engine import Database
 from ..errors import CacheError, CachePinnedError, HeavenError
 from ..obs.instruments import HeavenInstruments
 from ..obs.observability import Observability
-from ..obs.trace import Span
 from ..tertiary.clock import SimClock
 from ..tertiary.disk import DiskDevice
 from ..tertiary.library import TapeLibrary
@@ -61,7 +60,10 @@ from .scheduler import (
 # star_partition stays importable here: benchmarks/e2e_layers/tracing.py
 # wraps it by this module path.
 from .super_tile import SuperTile, star_partition, tiles_to_super_tiles  # noqa: F401
-from .units import ObjectDescriptor, SubReadRequest, SubReadResponse, _answer_nbytes, _unit_response
+from .units import ObjectDescriptor, SubReadRequest, SubReadResponse
+
+if TYPE_CHECKING:
+    from .admission import AdmissionController
 
 
 @dataclass
@@ -91,7 +93,12 @@ class ArchivedObject:
 
 @dataclass
 class RetrievalReport:
-    """Cost summary of one hierarchical read."""
+    """Cost summary of one hierarchical read: one admission query.
+
+    Event counts, ``super_tiles_staged``, ``waves`` and ``pins`` cover the
+    sweeps that served it plus its own assembly; ``bytes_from_tape`` is its
+    exact share of those sweeps plus its assembly's reads.
+    """
 
     object_name: str
     region: str
@@ -111,13 +118,13 @@ class RetrievalReport:
     #: per-tile restage fallbacks that fired mid-assemble (0 = healthy:
     #: the batch-staged segments survived until their tiles were read)
     restages: int = 0
-    #: pin references taken while this operation ran — the staging
-    #: ticket's pins plus any re-pins the assembly path took on already
-    #: cached segments, so the count reconciles with the cache-pin metric
+    #: pin references this read owns — its sweeps' tickets', the ones
+    #: handed over to its own ticket and its assembly's restage pins, so a
+    #: lone query's count reconciles with the cache-pin metric
     pins: int = 0
     #: eviction nominations skipped over pinned entries while this ran
     pin_evictions_blocked: int = 0
-    #: capacity-sized admission waves the staging batch was split into
+    #: capacity-sized admission waves of the sweeps that served this read
     waves: int = 0
 
     @property
@@ -208,7 +215,8 @@ class _SegmentNeed:
     mdd: MDD
     #: every tile of the batch that needs this segment (deduplicated)
     tile_ids: List[int] = field(default_factory=list)
-    #: byte run to stage (or the covering cached run, for hits)
+    #: byte run to stage: the run the tiles need when collected, widened
+    #: by planning to the covering cached run (hits) or the restaged union
     run: Tuple[int, int] = (0, 0)
     #: opportunistic sequential prefetch: never pinned, droppable
     prefetch: bool = False
@@ -522,8 +530,9 @@ class Heaven:
 
     # ------------------------------------------------------------------ retrieval
     #
-    # One pipeline serves every read.  Its input is the resolved unit (see
-    # ``_Unit``); ``read_with_report`` is a batch of one.
+    # Every read is an admission query (see :mod:`.admission`) over
+    # resolved units (see ``_Unit``): ``read_with_report`` is a query of
+    # one unit, ``read_many`` a query of N units.
 
     def read(self, collection_name: str, object_name: str, region: MInterval) -> np.ndarray:
         """Read a region across the hierarchy; returns the assembled cells."""
@@ -575,160 +584,47 @@ class Heaven:
             answer[tile_id] = cells
         return answer
 
-    def _read_units(
-        self,
-        units: Sequence[_Unit],
-        span_name: str,
-        label: Optional[Tuple[str, str]] = None,
-        **span_attributes: object,
-    ) -> Tuple[List, RetrievalReport]:
-        """Stage, assemble and report a batch of resolved units.
-
-        Inter-query scheduling (Kapitel 3.4.3): the tape requests of every
-        unit are merged and ordered together, so each medium is exchanged
-        at most once per batch even when the units interleave objects.
-        *label* overrides the report's ``(object_name, region)``.
-        """
-        with self.tracer.span(span_name, always=True, **span_attributes) as span:
-            with self._staged([(u.mdd, u.cover) for u in units]) as ticket:
-                with self.tracer.span(
-                    "heaven.assemble", batch=len(units)
-                ) as assemble_span:
-                    answers = [self._assemble_unit(unit) for unit in units]
-                self._observe_assemble_wall(assemble_span)
-        mdds = [unit.mdd for unit in units]
-        object_name, region = label or (
-            ",".join(sorted({mdd.name for mdd in mdds})),
-            f"batch of {len(units)}",
-        )
-        report = self._report_from_span(
-            span,
-            ticket,
-            object_name=object_name,
-            region=region,
-            tiles_needed=sum(len(unit.cover) for unit in units),
-            bytes_useful=sum(_answer_nbytes(answer) for answer in answers),
-        )
-        self._note_degradation(report, mdds)
-        return answers, report
-
     def read_with_report(
         self, collection_name: str, object_name: str, region: MInterval
     ) -> Tuple[np.ndarray, RetrievalReport]:
         """Like :meth:`read` but also returns the cost report."""
         unit = self._resolve_unit(collection_name, object_name, region)
         label = (object_name, str(region))
-        (cells,), report = self._read_units(
-            [unit], "heaven.read", label, object=object_name, region=str(region)
-        )
+        with self.tracer.span("heaven.read", object=object_name, region=label[1]):
+            (cells,), report = self._admission().run_query([unit], label)
         return cells, report
 
     def read_many(
         self, requests: Sequence[Tuple[str, str, MInterval]]
     ) -> Tuple[List[np.ndarray], RetrievalReport]:
-        """Answer several (collection, object, region) reads as ONE batch.
+        """Answer several (collection, object, region) reads as ONE query:
+        the per-request cell arrays and one combined cost report.
 
-        Returns the per-request cell arrays and one combined cost report.
+        Inter-query scheduling (Kapitel 3.4.3): the tape requests of every
+        read are merged and ordered together, so each medium is exchanged
+        at most once per batch even when the reads interleave objects.
         """
         units = [self._resolve_unit(*request) for request in requests]
-        return self._read_units(units, "heaven.read_many", batch=len(units))
+        label = (
+            ",".join(sorted({unit.mdd.name for unit in units})),
+            f"batch of {len(units)}",
+        )
+        with self.tracer.span("heaven.read_many", batch=len(units)):
+            return self._admission().run_query(units, label)
 
     def serve_sub_reads(
         self, requests: Sequence[SubReadRequest]
     ) -> List[SubReadResponse]:
-        """Answer a batch of sub-read units over ONE scheduled staging pass.
+        """:meth:`AdmissionController.run_units`'s responses, under the name
+        the service benchmark's layer table (``benchmarks/e2e_layers``)
+        traces."""
+        return self._admission().run_units(requests)[0]
 
-        The returned stats carry the batch-wide staging totals on every
-        member (``shared=True`` for batches of more than one unit); exact
-        per-unit attribution is the admission layer's job
-        (:meth:`AdmissionController.run_units`).
-        """
-        units = [
-            self._resolve_unit(
-                r.collection, r.object_name, r.parsed_region(), r.tile_ids
-            )
-            for r in requests
-        ]
-        answers, report = self._read_units(
-            units, "heaven.serve_units", batch=len(units)
-        )
-        return [
-            _unit_response(request, unit.mdd, answer, report, shared=len(units) > 1)
-            for request, unit, answer in zip(requests, units, answers)
-        ]
+    def _admission(self) -> "AdmissionController":
+        """A fresh controller: the one driver of every read."""
+        from .admission import AdmissionController  # imports this module
 
-    def _report_from_span(
-        self,
-        span: Span,
-        ticket: StagingTicket,
-        *,
-        object_name: str,
-        region: str,
-        tiles_needed: int,
-        bytes_useful: int,
-    ) -> RetrievalReport:
-        """Derive a :class:`RetrievalReport` from a finished read span.
-
-        Exchange, tape-byte and thrash accounting come straight off the
-        span's event-log window: one "load" event per media mount, the
-        byte sum of tape "read" events, one "restage"/"pin-blocked" marker
-        per fallback.  The numbers therefore stay exact even when resolver
-        fallbacks or recovery retries fire mid-assemble (the old
-        staging-loop tallies silently missed those).  With a bounded event
-        log the window may have been truncated, so the staged-byte tally
-        serves as a floor.
-        """
-        report = RetrievalReport(
-            object_name=object_name,
-            region=region,
-            tiles_needed=tiles_needed,
-            super_tiles_staged=ticket.staged,
-            bytes_from_tape=max(span.bytes_in("read"), ticket.bytes_from_tape),
-            bytes_useful=bytes_useful,
-            exchanges=span.count("load"),
-            virtual_seconds=span.virtual_elapsed,
-            faults=span.count("fault"),
-            backoffs=span.count("backoff"),
-            restages=span.count("restage"),
-            pins=ticket.pins,
-            pin_evictions_blocked=span.count("pin-blocked"),
-            waves=ticket.waves,
-        )
-        self.read_tiles_needed += tiles_needed
-        self.read_bytes_useful += bytes_useful
-        if self.instruments is not None:
-            self.instruments.observe_read(
-                report.virtual_seconds,
-                report.bytes_from_tape,
-                wall_seconds=span.wall_elapsed,
-            )
-        return report
-
-    def _observe_assemble_wall(self, span: Span) -> None:
-        """Feed a finished assemble span's host latency to the histograms."""
-        if self.instruments is not None and span.enabled:
-            self.instruments.observe_assemble_wall(span.wall_elapsed)
-
-    def _note_degradation(
-        self, report: RetrievalReport, mdds: Sequence[MDD]
-    ) -> None:
-        """Flag a read served without tape while the library is offline.
-
-        Graceful degradation: when the fault plan has taken the library
-        offline, warm-cache reads of archived (tape-only) objects still
-        succeed — they never reach the robot.  Those are counted so
-        operators can see how long the caches carried the workload.
-        """
-        if report.bytes_from_tape:
-            return
-        if not self.library.faults.offline:
-            return
-        for mdd in mdds:
-            entry = self._archived.get(mdd.name)
-            if entry is not None and not entry.disk_copy:
-                report.degraded = True
-                self.degraded_reads_served += 1
-                return
+        return AdmissionController(self)
 
     def read_frame(
         self, collection_name: str, object_name: str, frame: Frame, fill: float = 0.0
@@ -786,9 +682,10 @@ class Heaven:
         needs: Optional[Dict[str, _SegmentNeed]] = None,
     ) -> Iterator[StagingTicket]:
         """Stage *pairs* in one scheduled pass and hold their pins for the
-        ``with`` body — the one staging protocol of every read, mutation
-        and admission sweep.  A sweep passes the *needs* its queries
-        already collected, merged per segment, instead of *pairs*.
+        ``with`` body — the one staging protocol of every admission sweep
+        (every read), framed read, RasQL trim and mutation.  A sweep passes
+        the *needs* its queries already collected, merged per segment,
+        instead of *pairs*.
         """
         with self._holding(self._stage_many(pairs, needs)) as ticket:
             yield ticket
@@ -869,6 +766,9 @@ class Heaven:
         turns a shared super-tile into one covering run even when two
         batch queries need disjoint tiles of it.
 
+        Each returned need carries the byte run its tiles need
+        (``_required_run``, computed here once).
+
         The memory tile cache short-circuits staging only at segment
         granularity: a segment is skipped when *every* needed tile is
         already decoded in memory.  A partially-cached segment keeps all
@@ -898,11 +798,15 @@ class Heaven:
                     need.tile_ids.append(tile_id)
                     if not self.memory_cache.peek(mdd.name, tile_id):
                         stageable.add(key)
+        out: Dict[str, _SegmentNeed] = {}
         for key, need in needs.items():
-            if key not in stageable:
-                for tile_id in need.tile_ids:
-                    self._pin_resident(tile_pins, need.mdd.name, tile_id)
-        return {key: need for key, need in needs.items() if key in stageable}
+            if key in stageable:
+                need.run = self._required_run(need.super_tile, need.tile_ids)
+                out[key] = need
+                continue
+            for tile_id in need.tile_ids:
+                self._pin_resident(tile_pins, need.mdd.name, tile_id)
+        return out
 
     def _pin_resident(
         self, tile_pins: List[Tuple[str, int]], object_name: str, tile_id: int
@@ -920,7 +824,7 @@ class Heaven:
         requests: List[TapeRequest] = []
         for key, need in needs.items():
             entry = need.entry
-            run = self._required_run(need.super_tile, need.tile_ids)
+            run = need.run
             if self.disk_cache.lookup(key):
                 cached = entry.staged_runs.get(key)
                 if cached is not None and self._covers(cached, run):

@@ -19,12 +19,11 @@ decoding hands back zero-copy ``memoryview`` slices of the received
 buffer.  A sub-read can therefore be dispatched to a local task today and
 a remote node tomorrow without changing shape.
 
-:meth:`repro.core.heaven.Heaven.serve_sub_reads` is the executable half:
-it answers a batch of units over one staging pass, and
-:meth:`repro.core.admission.AdmissionController.run_units` answers them
-as concurrent queries with fused sweeps and exact per-unit byte
-attribution.  Both resolve and assemble units through the same code and
-shape their responses with :func:`_unit_response`.
+:meth:`repro.core.admission.AdmissionController.run_units` is the
+executable half (:meth:`repro.core.heaven.Heaven.serve_sub_reads` is the
+same call): every unit is one admission query, the units' staging fuses
+into shared sweeps, and each response is shaped by :func:`_unit_response`
+from that query's answer and report.
 """
 
 from __future__ import annotations
@@ -252,12 +251,15 @@ class TilePayload:
 
 @dataclass
 class SubReadStats:
-    """Storage-cost accounting of serving one response unit.
+    """Storage-cost accounting of serving one response unit: the report
+    of the admission query that answered it.
 
-    When the unit was answered through the admission layer the tape-byte
-    and exchange numbers are that query's exact attributed share of fused
-    sweeps; a batch served via :meth:`Heaven.serve_sub_reads` reports the
-    whole batch's totals on each member (``shared=True``).
+    ``bytes_from_tape`` is the unit's exact share of the sweeps that served
+    it (plus its own assembly's reads): the shares of one batch sum to the
+    node's drive reads, less the node's unattributed remainder.  Event
+    counts (``exchanges``, ``faults``, ``restages``) and
+    ``super_tiles_staged`` cover every sweep the unit was part of, so a
+    shared sweep's mounts and faults appear on every unit that demanded it.
     """
 
     bytes_useful: int = 0
@@ -267,8 +269,6 @@ class SubReadStats:
     faults: int = 0
     restages: int = 0
     super_tiles_staged: int = 0
-    #: the staging numbers above are batch-wide, not per-unit
-    shared: bool = False
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -279,7 +279,6 @@ class SubReadStats:
             "faults": self.faults,
             "restages": self.restages,
             "super_tiles_staged": self.super_tiles_staged,
-            "shared": self.shared,
         }
 
     @classmethod
@@ -292,7 +291,6 @@ class SubReadStats:
             faults=int(data.get("faults", 0)),
             restages=int(data.get("restages", 0)),
             super_tiles_staged=int(data.get("super_tiles_staged", 0)),
-            shared=bool(data.get("shared", False)),
         )
 
 
@@ -402,10 +400,8 @@ def _unit_response(
     mdd: MDD,
     answer: Union[np.ndarray, Dict[int, np.ndarray]],
     report: "RetrievalReport",
-    *,
-    shared: bool,
 ) -> SubReadResponse:
-    """Shape one assembled unit and the cost report covering it as a response.
+    """Shape one assembled unit and its query's report as a response.
 
     A whole-region unit (*answer* is the region's cells) travels as
     ``region_cells``; a tile-subset unit (``{tile_id: clipped cells}``) as
@@ -441,7 +437,6 @@ def _unit_response(
             faults=report.faults,
             restages=report.restages,
             super_tiles_staged=report.super_tiles_staged,
-            shared=shared,
         ),
     )
 

@@ -15,10 +15,9 @@ span's window, and a span's :meth:`Span.self_aggregate` subtracts the
 windows of its children.
 
 The tracer is **zero-cost when disabled**: ``span()`` hands out a shared
-no-op span and records nothing.  Cost-accounting call sites that must work
-even with tracing off (e.g. :class:`~repro.core.heaven.RetrievalReport`)
-pass ``always=True`` to get a real, *unretained* span that still measures
-its clock window.
+no-op span and records nothing.  Cost accounting never depends on it:
+:class:`~repro.core.heaven.RetrievalReport` is built from event-log
+windows directly.
 """
 
 from __future__ import annotations
@@ -247,8 +246,7 @@ class Tracer:
 
     Finished *root* spans are retained (up to ``max_finished``, with a drop
     counter) only while :attr:`enabled` — a disabled tracer allocates
-    nothing per operation except for ``always=True`` measurement spans,
-    which are returned to the caller and never retained.
+    nothing per operation.
     """
 
     def __init__(
@@ -277,16 +275,14 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     @contextmanager
-    def span(self, name: str, always: bool = False, **attributes: Any):
+    def span(self, name: str, **attributes: Any):
         """Open a span around a ``with`` block.
 
         Args:
             name: span name (dotted, e.g. ``"heaven.read"``).
-            always: hand out a real measuring span even when the tracer is
-                disabled (standalone — not retained, no children tracked).
             attributes: static key/value annotations.
         """
-        if not self.enabled and not always:
+        if not self.enabled:
             yield NOOP_SPAN
             return
         span = self._start(name, attributes)
@@ -303,7 +299,7 @@ class Tracer:
     # -- internals -----------------------------------------------------------
 
     def _start(self, name: str, attributes: Dict[str, Any]) -> Span:
-        parent = self._stack[-1] if (self.enabled and self._stack) else None
+        parent = self._stack[-1] if self._stack else None
         span = Span(
             name,
             span_id=next(self._ids),
@@ -313,10 +309,9 @@ class Tracer:
             virtual_start=self.clock.now if self.clock is not None else 0.0,
             log_start=self.clock.log.cursor() if self.clock is not None else 0,
         )
-        if self.enabled:
-            if parent is not None:
-                parent.children.append(span)
-            self._stack.append(span)
+        if parent is not None:
+            parent.children.append(span)
+        self._stack.append(span)
         return span
 
     def _finish(self, span: Span) -> None:

@@ -1,12 +1,11 @@
 """The read path is one pipeline whose only input is the unit.
 
-``read_with_report``, ``read_many`` and ``serve_sub_reads`` resolve their
-arguments to units and run the same stage → assemble → report function,
-so a read is a batch of one: on twin instances the three entry points
-return the same cells, the same cost numbers and the same event log.
-The admission layer resolves and stages units through the same code: an
-admission run of one query is the same read, and a rejected unit leaves
-no trace whichever way it came in.
+Every read is an admission query over resolved units: ``read_with_report``
+and ``read_many`` submit one query, ``serve_sub_reads`` and ``run_units``
+one query per unit.  A query of one unit is the same read whichever way it
+came in: on twin instances the four entry points return the same cells,
+the same cost numbers and the same event log, and a rejected unit leaves
+no trace.
 """
 
 import copy
@@ -32,7 +31,7 @@ STAT_FIELDS = (
 REPORT_FIELDS = STAT_FIELDS + ("tiles_needed", "pins", "waves")
 
 
-def make_twin(disk_cache_bytes: int = 32 * 1024) -> Heaven:
+def make_twin(disk_cache_bytes: int = 32 * 1024, **config) -> Heaven:
     """Archived zlib object four times the default disk cache: waves and
     evictions."""
     heaven = Heaven(
@@ -42,6 +41,7 @@ def make_twin(disk_cache_bytes: int = 32 * 1024) -> Heaven:
             min_super_tile_bytes=4 * 1024,
             disk_cache_bytes=disk_cache_bytes,
             memory_cache_bytes=16 * 1024,
+            **config,
         )
     )
     heaven.create_collection("col")
@@ -69,42 +69,68 @@ def events_since(heaven: Heaven, cursor: int):
     ]
 
 
+#: the twins the entry points are compared on: one medium with capacity
+#: waves and evictions, and super-tiles scattered round-robin over media
+TWINS = {
+    "waves": make_twin,
+    "media": lambda: make_twin(inter_clustering=False),
+}
+
+
 class TestReadIsABatchOfOne:
-    def test_three_entry_points_agree(self):
-        single, batch, served = make_twin(), make_twin(), make_twin()
-        cursors = [h.clock.log.cursor() for h in (single, batch, served)]
+    @pytest.mark.parametrize("twin", sorted(TWINS))
+    def test_four_entry_points_agree(self, twin):
+        single, batch, served, units = (TWINS[twin]() for _ in range(4))
+        heavens = (single, batch, served, units)
+        cursors = [h.clock.log.cursor() for h in heavens]
 
         cells, report = single.read_with_report("col", "obj", REGION)
         (batch_cells,), batch_report = batch.read_many([("col", "obj", REGION)])
         (response,) = served.serve_sub_reads([unit(REGION)])
+        (unit_response,), multi = AdmissionController(units).run_units([unit(REGION)])
 
         np.testing.assert_array_equal(batch_cells, cells)
-        assert not response.tiles
-        np.testing.assert_array_equal(response.assembled(), cells)
+        for answer in (response, unit_response):
+            assert not answer.tiles
+            np.testing.assert_array_equal(answer.assembled(), cells)
 
-        # The scenario really exercises waves and evictions.
-        assert report.waves > 1
-        assert single.disk_cache.stats.evictions > 0
+        entry = single.archived("obj")
+        media = {entry.tile_to_st[t].medium_id for t in single.collection("col").get("obj").tiles}
+        if twin == "waves":
+            # The scenario really exercises waves and evictions.
+            assert report.waves > 1
+            assert single.disk_cache.stats.evictions > 0
+        else:
+            assert len(media) >= 2
+        # A lone query's demands on every medium share one sweep.
+        assert multi.sweeps == 1
         for name in REPORT_FIELDS:
             assert getattr(batch_report, name) == getattr(report, name), name
+            assert getattr(multi.queries[0], name) == getattr(report, name), name
         for name in STAT_FIELDS:
-            assert getattr(response.stats, name) == getattr(report, name), name
-        assert not response.stats.shared
+            for answer in (response, unit_response):
+                assert getattr(answer.stats, name) == getattr(report, name), name
 
-        logs = [
-            events_since(h, cursor)
-            for h, cursor in zip((single, batch, served), cursors)
-        ]
-        assert logs[0] == logs[1] == logs[2]
-        for heaven in (single, batch, served):
+        logs = [events_since(h, cursor) for h, cursor in zip(heavens, cursors)]
+        assert logs[0] == logs[1] == logs[2] == logs[3]
+        for heaven in heavens:
             heaven.assert_quiescent()
+
+    def test_cold_read_keeps_drained_segments(self):
+        """A wave's drained segments that are still on disk are handed to
+        the query's ticket before it assembles, so they cannot be evicted
+        under it: a cold read that needs four disk caches' worth of bytes
+        restages almost nothing."""
+        heaven = make_twin()
+        _cells, report = heaven.read_with_report("col", "obj", REGION)
+        assert report.waves > 1
+        assert report.restages <= 4
+        heaven.assert_quiescent()
 
     def test_admission_run_of_one_is_a_direct_read(self):
         """One query through the admission layer stages in one sweep, the
         same pass ``read_with_report`` makes: same cells, same events,
-        same tape bytes and exchanges.  The region fits the disk cache: a
-        sweep with capacity waves hands its query drained segments that are
-        still on disk, which a direct read leaves evictable."""
+        same tape bytes and exchanges."""
         direct, admitted = make_twin(256 * 1024), make_twin(256 * 1024)
         entry = direct.archived("obj")
         assert len({st.medium_id for st in entry.super_tiles}) == 1
@@ -120,9 +146,7 @@ class TestReadIsABatchOfOne:
         assert multi.sweeps == 1
         (query,) = multi.queries
         assert query.bytes_from_tape == multi.bytes_from_tape == report.bytes_from_tape
-        # A query's own exchanges are its assembly's; the sweep's mount is
-        # the run's.
-        assert multi.exchanges == report.exchanges == 1
+        assert query.exchanges == multi.exchanges == report.exchanges == 1
         assert events_since(admitted, cursors[1]) == events_since(direct, cursors[0])
         for heaven in (direct, admitted):
             heaven.assert_quiescent()

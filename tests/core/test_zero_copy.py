@@ -240,9 +240,10 @@ class TestPinAttribution:
         assert report.pins == heaven.disk_cache.stats.pins - before
 
     def test_concurrent_queries_reconcile_lease_counts(self, monkeypatch):
-        """Per-query pin counts across admission sum to the pins the
-        sweeps handed to the queries' tickets plus the pins their
-        assembly restages took: no query is charged another's pins."""
+        """A query's pins are its sweeps' pins plus its own ticket's, and
+        the queries' own tickets took exactly the pins the sweeps handed
+        over plus the ones their assembly restages took: no query is
+        charged another's hand-over or restage pins."""
         heaven = make_heaven(disk_cache_bytes=64 * 1024)
         archive_object(heaven, "o0", seed=0)
         archive_object(heaven, "o1", seed=1)
@@ -255,7 +256,15 @@ class TestPinAttribution:
         stats = heaven.disk_cache.stats
         controller = AdmissionController(heaven, schedule_seed=3)
         handed, restaged = [], []
+        sweep_pins = {}
         hand_over, assemble = controller._hand_over_pins, heaven._assemble_unit
+        stage_many = heaven._stage_many
+
+        def counted_stage_many(pairs, needs=None):
+            ticket = stage_many(pairs, needs)
+            for qid in {q for need in (needs or {}).values() for q in need.query_ids}:
+                sweep_pins[qid] = sweep_pins.get(qid, 0) + ticket.pins
+            return ticket
 
         def counted_hand_over(*args):
             before = stats.pins
@@ -270,19 +279,24 @@ class TestPinAttribution:
 
         monkeypatch.setattr(controller, "_hand_over_pins", counted_hand_over)
         monkeypatch.setattr(heaven, "_assemble_unit", counted_assemble)
+        monkeypatch.setattr(heaven, "_stage_many", counted_stage_many)
         _outputs, multi = controller.run(
             [QuerySpec(collection=c, object_name=o, region=r) for c, o, r in requests]
         )
+        tasks = controller._tasks
         assert sum(handed) > 0
-        assert sum(r.pins for r in multi.queries) == sum(handed) + sum(restaged)
-        assert all(r.pins >= 0 for r in multi.queries)
+        assert sum(task.ticket.pins for task in tasks) == sum(handed) + sum(restaged)
+        for task, report in zip(tasks, multi.queries):
+            assert report.pins == sweep_pins.get(task.qid, 0) + task.ticket.pins
         heaven.assert_quiescent()
 
     def test_admission_restage_pins_attributed_to_assembling_query(
         self, monkeypatch
     ):
         """Restage pins taken while an admission query assembles belong to
-        that query, as they do for a direct read."""
+        that query, on top of its sweep's pins and the ones the sweep
+        handed it: a lone query's pins are the run's whole pin traffic,
+        as for a direct read."""
         heaven = make_heaven()
         mdd = archive_object(heaven)
         region = MInterval.of((0, 15), (0, 15))
@@ -307,6 +321,7 @@ class TestPinAttribution:
             return cells
 
         monkeypatch.setattr(heaven, "_assemble_unit", drop_then_assemble)
+        before = stats.pins
         (cells,), multi = AdmissionController(heaven).run(
             [QuerySpec(collection="col", object_name=mdd.name, region=region)]
         )
@@ -314,7 +329,8 @@ class TestPinAttribution:
         (query,) = multi.queries
         assert query.restages > 0
         assert seen["held"] > 0 and seen["fallback"] > 0
-        assert query.pins == seen["held"] + seen["fallback"]
+        assert query.pins == stats.pins - before
+        assert query.pins > seen["held"] + seen["fallback"]
         heaven.assert_quiescent()
 
 

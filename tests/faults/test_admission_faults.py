@@ -22,6 +22,7 @@ from repro.arrays import (
 )
 from repro.core import Heaven, HeavenConfig
 from repro.core.admission import AdmissionController, QuerySpec
+from repro.core.units import SubReadRequest
 from repro.errors import StorageError
 from repro.tertiary import MB
 
@@ -123,3 +124,37 @@ class TestAdmissionUnderFaults:
             unattributed=report.unattributed_tape_bytes,
         )
         assert violation is None
+
+
+class TestUnitStatsCoverTheirSweep:
+    """A data-node unit's stats carry the mounts and faults of the sweep
+    that served it, as a direct read's report does."""
+
+    @staticmethod
+    def faulted_heaven() -> Heaven:
+        plan = FaultPlan(seed=11, spec=FaultSpec())
+        heaven = build_heaven(plan)
+        plan.fail_next("mount")
+        return heaven
+
+    @pytest.mark.parametrize("units", [1, 2])
+    def test_mount_fault_appears_on_every_unit(self, units):
+        heaven = self.faulted_heaven()
+        requests = [
+            SubReadRequest(
+                request_id=f"u{index}", tenant="t", collection="col",
+                object_name="o0", region=str(REGIONS[index]),
+            )
+            for index in range(units)
+        ]
+        responses, report = AdmissionController(heaven).run_units(requests)
+        _cells, direct = self.faulted_heaven().read_with_report(
+            "col", "o0", REGIONS[0]
+        )
+        assert (direct.faults, direct.exchanges) == (1, 1)
+        assert report.sweeps == 1
+        for response in responses:
+            assert (response.stats.faults, response.stats.exchanges) == (1, 1)
+        # Tape bytes stay exact shares of the one sweep.
+        assert sum(r.stats.bytes_from_tape for r in responses) == report.bytes_from_tape
+        heaven.assert_quiescent()

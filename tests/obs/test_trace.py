@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.trace import NOOP_SPAN, Span, Tracer, null_tracer
+from repro.obs.trace import NOOP_SPAN, Tracer, null_tracer
 from repro.tertiary import SimClock
 
 
@@ -79,15 +79,6 @@ class TestDisabled:
         assert NOOP_SPAN.count("load") == 0
         assert NOOP_SPAN.aggregate() == {}
         assert list(NOOP_SPAN.walk()) == []
-
-    def test_always_span_measures_but_is_not_retained(self, clock):
-        tracer = Tracer(clock=clock, enabled=False)
-        with tracer.span("measured", always=True) as span:
-            clock.charge(2.5, "read", "drive0", nbytes=100)
-        assert isinstance(span, Span)
-        assert span.virtual_elapsed == pytest.approx(2.5)
-        assert span.count("read") == 1
-        assert tracer.roots == []
 
     def test_null_tracer_is_disabled(self):
         with null_tracer.span("x") as span:

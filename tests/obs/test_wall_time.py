@@ -105,6 +105,24 @@ class TestWallHistograms:
         # wall latencies are real perf_counter deltas: tiny but positive
         assert read_hist.sum > 0.0
 
+    def test_every_admission_query_feeds_the_read_histograms(self):
+        """A direct read and each query of an admission run are reads: one
+        direct read plus a 2-query run observe three."""
+        from repro.core.admission import AdmissionController, QuerySpec
+
+        heaven = _observed_read()
+        AdmissionController(heaven).run([
+            QuerySpec("c", "t", MInterval.of((0, 20), (0, 20), (0, 3), (0, 2))),
+            QuerySpec("c", "t", MInterval.of((40, 80), (20, 40), (4, 7), (3, 5))),
+        ])
+        registry = heaven.obs.metrics
+        for name in (
+            "repro_read_virtual_seconds",
+            "repro_read_tape_bytes",
+            "repro_read_wall_seconds",
+        ):
+            assert registry.get(name).count == 3, name
+
     def test_prometheus_text_exposes_bucket_series(self):
         heaven = _observed_read()
         text = prometheus_text(heaven.obs.metrics)

@@ -131,6 +131,30 @@ class TestPayloadDecision:
         assert mentions <= self.ALLOWED, sorted(mentions - self.ALLOWED)
 
 
+class TestOneReadDriver:
+    """Every read is an admission query, and one builder writes its report."""
+
+    def test_retrieval_report_is_built_in_one_place(self):
+        package = os.path.join(REPO_ROOT, "src", "repro")
+        sites = []
+        for dirpath, _dirs, files in os.walk(package):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                for number, line in enumerate(read(path).splitlines(), 1):
+                    if "RetrievalReport(" in line:
+                        sites.append(f"{os.path.relpath(path, package)}:{number}")
+        assert len(sites) == 1, sites
+
+    def test_sub_read_stats_have_no_shared_flag(self):
+        from dataclasses import fields
+
+        from repro.core.units import SubReadStats
+
+        assert "shared" not in {f.name for f in fields(SubReadStats)}
+
+
 class TestDeliverables:
     @pytest.mark.parametrize(
         "path",
