@@ -31,6 +31,12 @@ of a rewritten super-tile over verbatim from the old segment.  A batch
 ``zlib`` releases the GIL while it deflates, so tiles compress in
 parallel on the host.
 
+Decode inflates through the system's **libdeflate** when it loads
+(:data:`INFLATER` says which backend was picked at import), and through
+the standard ``zlib`` module otherwise.  Encode always uses ``zlib``, so
+the frames are byte-identical either way; only the host's CPU per
+inflated tile differs.
+
 (De)compression CPU time is not charged on the virtual clock, pooled or
 not: the modelled drives compress in hardware at line speed, as DLT/LTO
 drives do.
@@ -38,12 +44,13 @@ drives do.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -146,11 +153,13 @@ class Codec:
     def decompress_into(self, stored: Buffer, out: memoryview) -> int:
         """Decompress *stored* into the writable buffer *out*.
 
-        Returns the number of raw bytes written.  Raises
-        :class:`~repro.errors.HeavenError` when *out* is too small.  The
-        default routes through :meth:`decompress`; codecs with streaming
-        decompressors override this to skip the intermediate allocation.
+        Returns the number of raw bytes written.  *out* is measured in
+        bytes, whatever its item format.  Raises
+        :class:`~repro.errors.HeavenError` when *out* is not the raw size.
+        The default routes through :meth:`decompress`; codecs that can
+        decode in place override this to skip the intermediate allocation.
         """
+        out = memoryview(out).cast("B")
         raw = self.decompress(bytes(stored), len(out))
         if len(raw) > len(out):  # pragma: no cover - decompress validates
             raise HeavenError(
@@ -195,6 +204,7 @@ class NoneCodec(Codec):
         return True
 
     def decompress_into(self, stored: Buffer, out: memoryview) -> int:
+        out = memoryview(out).cast("B")
         if len(stored) != len(out):
             raise HeavenError(
                 f"stored size {len(stored)} != output buffer {len(out)} "
@@ -215,6 +225,111 @@ _LEVEL = 1
 #: wider cells deflate unshuffled, as one plane
 _MAX_ITEMSIZE = 255
 
+# Inflate backends.  Each inflates one zlib stream into a writable buffer
+# and reports the way ``libdeflate_zlib_decompress_ex`` does:
+# ``(status, bytes consumed, bytes produced)``, with the byte counts only
+# meaningful on success.  ZlibCodec._inflate makes every check on that.
+_SUCCESS = 0  # the stream ended; the counts are valid
+_BAD_DATA = 1  # broken or truncated stream, bad header or Adler-32
+_INSUFFICIENT_SPACE = 3  # the stream inflates past the buffer
+Inflate = Callable[[memoryview, memoryview], Tuple[int, int, int]]
+
+#: per-thread decode state: a libdeflate decompressor (not thread-safe)
+#: and the scratch buffer byte planes inflate into before the unshuffle
+_local = threading.local()
+
+
+def _zlib_inflate(src: memoryview, dest: memoryview) -> Tuple[int, int, int]:
+    """The reference backend: the standard ``zlib`` module."""
+    inflater = zlib.decompressobj()
+    try:
+        # one byte past *dest* bounds a hostile stream and still shows it
+        # overflows
+        data = inflater.decompress(src, len(dest) + 1)
+    except zlib.error:
+        return _BAD_DATA, 0, 0
+    if len(data) > len(dest):
+        return _INSUFFICIENT_SPACE, 0, 0
+    if not inflater.eof:
+        return _BAD_DATA, 0, 0
+    dest[: len(data)] = data
+    return _SUCCESS, len(src) - len(inflater.unused_data), len(data)
+
+
+def _address(buffer: memoryview) -> int:
+    # a pointer into *buffer* without copying it, read-only buffers too
+    return np.frombuffer(buffer, np.uint8).ctypes.data
+
+
+def _load_libdeflate() -> Optional[Inflate]:
+    """A backend over the system's libdeflate, or None when it is missing."""
+    for name in ("libdeflate.so.0", "libdeflate.so", "libdeflate.0.dylib"):
+        try:
+            lib = ctypes.CDLL(name)
+            decompress = lib.libdeflate_zlib_decompress_ex
+            alloc = lib.libdeflate_alloc_decompressor
+            free = lib.libdeflate_free_decompressor
+            break
+        except (OSError, AttributeError):
+            continue
+    else:
+        return None
+    size_p = ctypes.POINTER(ctypes.c_size_t)
+    alloc.restype = ctypes.c_void_p
+    alloc.argtypes = []
+    free.restype = None
+    free.argtypes = [ctypes.c_void_p]
+    decompress.restype = ctypes.c_int
+    decompress.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+        ctypes.c_void_p, ctypes.c_size_t, size_p, size_p,
+    ]
+
+    class Decompressor:
+        """One thread's libdeflate decompressor and its two out-counts."""
+
+        def __init__(self) -> None:
+            self.handle = alloc()
+            if not self.handle:
+                raise MemoryError("libdeflate_alloc_decompressor failed")
+            self.consumed = ctypes.c_size_t()
+            self.produced = ctypes.c_size_t()
+
+        def __del__(self) -> None:
+            free(self.handle)
+
+    def inflate(src: memoryview, dest: memoryview) -> Tuple[int, int, int]:
+        state = getattr(_local, "decompressor", None)
+        if state is None:
+            state = _local.decompressor = Decompressor()
+        # ctypes releases the GIL for the call
+        status = decompress(
+            state.handle, _address(src), len(src), _address(dest), len(dest),
+            ctypes.byref(state.consumed), ctypes.byref(state.produced),
+        )
+        return status, state.consumed.value, state.produced.value
+
+    return inflate
+
+
+#: every inflate backend this host has, by name
+_INFLATERS = {"zlib": _zlib_inflate}
+_libdeflate_inflate = _load_libdeflate()
+if _libdeflate_inflate is not None:
+    _INFLATERS["libdeflate"] = _libdeflate_inflate
+#: the backend ZlibCodec decodes with, chosen once at import: "libdeflate"
+#: when the system library loads, else "zlib"
+INFLATER = "libdeflate" if "libdeflate" in _INFLATERS else "zlib"
+_inflate_stream: Inflate = _INFLATERS[INFLATER]
+
+
+def _scratch(size: int) -> memoryview:
+    """This thread's planes buffer, *size* bytes of it (grown, never shrunk)."""
+    buffer = getattr(_local, "scratch", None)
+    if buffer is None or len(buffer) < size:
+        buffer = _local.scratch = np.empty(size, np.uint8)
+    return memoryview(buffer)[:size]
+
 
 class ZlibCodec(Codec):
     """DEFLATE over byte planes (stand-in for the drives' hardware codecs).
@@ -234,9 +349,16 @@ class ZlibCodec(Codec):
       read path intact: :meth:`decompress_view` serves them as read-only
       views straight over the staged frame, no inflate, no copy.
 
-    The frame carries everything decode needs; a damaged frame (bad marker
-    or itemsize, broken or truncated stream, trailing bytes, wrong length)
-    raises :class:`~repro.errors.HeavenError`.
+    Frames are encoded with ``zlib`` and inflated with the module's
+    :data:`INFLATER` — libdeflate when the host has it (about 2x faster
+    per tile, EXPERIMENTS A4), ``zlib`` otherwise.  The frames are the
+    same either way.  Inflate reads the frame in place and writes
+    byte planes into a per-thread scratch buffer, then unshuffles them
+    into the exact-size output; a one-byte cell inflates straight into
+    it.  The frame carries everything decode needs; a damaged frame (bad
+    marker or itemsize, broken or truncated stream, bad Adler-32, trailing
+    bytes, wrong length) raises :class:`~repro.errors.HeavenError` with
+    either backend.
 
     The 0.6 ratio estimate matches typical scientific float rasters with
     spatial coherence; real payloads use the actual compressed size.
@@ -267,36 +389,35 @@ class ZlibCodec(Codec):
         return bytes((_Z_DEFLATE, itemsize)) + packed
 
     @staticmethod
-    def _inflate(body: memoryview, expected_size: int) -> "tuple[int, bytes]":
-        """``(itemsize, byte planes)`` of a DEFLATE frame's *body*."""
+    def _inflate(body: memoryview, out: memoryview) -> None:
+        """Decode a DEFLATE frame's *body* into *out*, exactly the raw size."""
+        size = len(out)
         itemsize = body[0] if len(body) else 0
-        if itemsize == 0 or expected_size % itemsize:
+        if itemsize == 0 or size % itemsize:
             raise HeavenError(
-                f"corrupt zlib frame: itemsize {itemsize} for {expected_size} B"
+                f"corrupt zlib frame: itemsize {itemsize} for {size} B"
             )
-        inflater = zlib.decompressobj()
-        try:
-            # the cap bounds the output of a hostile stream; 0 means none
-            planes = inflater.decompress(body[1:], max(expected_size, 1))
-        except zlib.error as error:
-            raise HeavenError(f"corrupt zlib frame: {error}") from None
-        if not inflater.eof or inflater.unused_data or inflater.unconsumed_tail:
+        stream = body[1:]
+        planes = out if itemsize == 1 else _scratch(size)
+        status, consumed, produced = _inflate_stream(stream, planes)
+        if status == _INSUFFICIENT_SPACE:
+            raise HeavenError(f"corrupt zlib frame: inflates past {size} B")
+        if status != _SUCCESS:
             raise HeavenError(
-                "corrupt zlib frame: stream truncated or followed by "
-                f"trailing bytes (expected {expected_size} B)"
+                "corrupt zlib frame: broken or truncated stream, bad header "
+                "or bad Adler-32"
             )
-        if len(planes) != expected_size:
+        if consumed != len(stream):
             raise HeavenError(
-                f"decompressed to {len(planes)} B, expected {expected_size} B"
+                f"corrupt zlib frame: {len(stream) - consumed} B after the stream"
             )
-        return itemsize, planes
-
-    @staticmethod
-    def _unshuffle_into(planes: bytes, itemsize: int, out: Buffer) -> None:
-        cells = np.frombuffer(out, np.uint8).reshape(-1, itemsize)
-        # one plane per column copy: 4x faster than a transposing copy
-        for k, plane in enumerate(np.frombuffer(planes, np.uint8).reshape(itemsize, -1)):
-            cells[:, k] = plane
+        if produced != size:
+            raise HeavenError(f"decompressed to {produced} B, expected {size} B")
+        if itemsize > 1:
+            cells = np.frombuffer(out, np.uint8).reshape(-1, itemsize)
+            # one plane per column copy: 4x faster than a transposing copy
+            for k, plane in enumerate(np.frombuffer(planes, np.uint8).reshape(itemsize, -1)):
+                cells[:, k] = plane
 
     @staticmethod
     def _stored_body(body: memoryview, expected_size: int) -> memoryview:
@@ -313,26 +434,20 @@ class ZlibCodec(Codec):
         marker, body = self._frame(stored)
         if marker == _Z_STORED:
             return self._stored_body(body, expected_size)
-        itemsize, planes = self._inflate(body, expected_size)
-        if itemsize == 1:
-            return memoryview(planes).toreadonly()
-        out = bytearray(expected_size)
-        self._unshuffle_into(planes, itemsize, out)
-        return memoryview(out).toreadonly()
+        out = memoryview(np.empty(expected_size, np.uint8))
+        self._inflate(body, out)
+        return out.toreadonly()
 
     def decodes_to_view(self, stored: Buffer) -> bool:
         return self._frame(stored)[0] == _Z_STORED
 
     def decompress_into(self, stored: Buffer, out: memoryview) -> int:
+        out = memoryview(out).cast("B")
         marker, body = self._frame(stored)
         if marker == _Z_STORED:
             out[:] = self._stored_body(body, len(out))
-            return len(out)
-        itemsize, planes = self._inflate(body, len(out))
-        if itemsize == 1:
-            out[:] = planes
         else:
-            self._unshuffle_into(planes, itemsize, out)
+            self._inflate(body, out)
         return len(out)
 
 

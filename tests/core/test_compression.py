@@ -1,6 +1,9 @@
 """Tests for per-tile compression of archived data."""
 
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arrays import DOUBLE, ConstantSource, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig, NoneCodec, ZlibCodec, codec_names, make_codec
+from repro.core import compression
 from repro.errors import HeavenError
 from repro.tertiary import MB
 
@@ -114,10 +118,19 @@ class TestShuffledFrame:
         raw = bytes(range(256)) * (3 * itemsize)
         stored = codec.compress(raw, itemsize)
         assert stored[:2] == bytes((1, itemsize))
-        assert codec.decompress(stored, len(raw)) == raw
-        out = bytearray(len(raw))
-        assert codec.decompress_into(stored, memoryview(out)) == len(raw)
-        assert bytes(out) == raw
+        for decode in decoders(codec):
+            assert decode(stored, len(raw)) == raw
+
+    @pytest.mark.parametrize("codec, raw, marker", [
+        pytest.param(ZlibCodec(), np.random.default_rng(5).bytes(4096), 0, id="stored"),
+        pytest.param(NoneCodec(), quantised(1024), None, id="none"),
+    ])
+    def test_round_trip_other_frames(self, codec, raw, marker):
+        stored = codec.compress(raw, 4)
+        if marker is not None:
+            assert stored[0] == marker
+        for decode in decoders(codec):
+            assert decode(stored, len(raw)) == raw
 
     def test_shuffle_beats_plain_level_6_on_quantised_floats(self):
         raw = quantised(32**3)
@@ -151,19 +164,71 @@ def decoders(codec):
 
     def into(stored, size):
         out = memoryview(bytearray(size))
-        codec.decompress_into(stored, out)
+        assert codec.decompress_into(stored, out) == size
         return bytes(out)
+
+    def into_cells(stored, size):
+        # an ndarray of 4-byte cells: *out* is measured in bytes, not items
+        dtype = np.dtype(np.float32 if size % 4 == 0 else np.uint8)
+        out = np.empty(size // dtype.itemsize, dtype)
+        assert codec.decompress_into(stored, memoryview(out)) == size
+        return out.tobytes()
 
     return [
         codec.decompress,
         lambda stored, size: bytes(codec.decompress_view(stored, size)),
         into,
+        into_cells,
     ]
+
+
+@contextmanager
+def inflating_with(name):
+    """Decode through inflate backend *name* for the duration."""
+    saved = compression._inflate_stream
+    compression._inflate_stream = compression._INFLATERS[name]
+    try:
+        yield
+    finally:
+        compression._inflate_stream = saved
+
+
+def last_byte_flipped(data):
+    return data[:-1] + bytes((data[-1] ^ 0xFF,))
+
+
+def bomb(size):
+    """A one-byte-cell DEFLATE frame that inflates to 64 x *size* bytes."""
+    return b"\x01\x01" + zlib.compress(bytes(64 * size))
+
+
+def truncation_cases(check):
+    """*check* as a Hypothesis test.  Each class needs its own wrapper: one
+    Hypothesis test must not run on two classes."""
+    return settings(max_examples=40, deadline=None)(given(
+        itemsize=st.sampled_from([1, 2, 3, 4, 8]),
+        cells=st.integers(64, 600),
+        seed=st.integers(0, 2**16),
+        cut=st.integers(1, 64),
+        tail=st.binary(min_size=1, max_size=8),
+    )(check))
 
 
 class TestDamagedFrames:
     """A damaged frame fails typed on every decode path, never with a
-    stray ``zlib.error`` and never by decoding to something."""
+    stray ``zlib.error`` and never by decoding to something; a good frame
+    decodes the same from any buffer and from any thread.
+
+    These run on the reference ``zlib`` backend; the subclass below runs
+    every case again on libdeflate.
+    """
+
+    inflater = "zlib"
+
+    @pytest.fixture(autouse=True, scope="class")
+    def backend(self, request):
+        with inflating_with(request.cls.inflater):
+            yield
 
     @pytest.mark.parametrize("stored, size", [
         pytest.param(b"\x01garbage", 8, id="itemsize-103"),
@@ -176,23 +241,64 @@ class TestDamagedFrames:
         pytest.param(b"\x01\x01" + zlib.compress(b"a" * 100), 101, id="too-short"),
         pytest.param(b"\x01\x01" + zlib.compress(b"a"), 0, id="nothing-expected"),
         pytest.param(b"\x01", 4, id="no-header"),
+        pytest.param(b"\x01\x01" + last_byte_flipped(zlib.compress(b"a" * 100)), 100, id="adler-32"),
+        pytest.param(bomb(100), 100, id="bomb"),
+        pytest.param(b"\x01\x04" + zlib.compress(bytes(6400)), 100, id="bomb-planes"),
     ])
     def test_rejected_typed(self, stored, size):
         for decode in decoders(ZlibCodec()):
             with pytest.raises(HeavenError):
                 decode(stored, size)
 
-    @given(
-        itemsize=st.sampled_from([1, 2, 3, 4, 8]),
-        cells=st.integers(64, 600),
-        seed=st.integers(0, 2**16),
-        cut=st.integers(1, 64),
-        tail=st.binary(min_size=1, max_size=8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_truncated_or_extended_deflate_frames_rejected(
-        self, itemsize, cells, seed, cut, tail
-    ):
+    def test_decodes_through_its_backend(self):
+        assert compression._inflate_stream is compression._INFLATERS[self.inflater]
+
+    def test_bomb_writes_nothing_past_the_tile(self):
+        buffer = bytearray(b"\xaa" * 300)
+        with pytest.raises(HeavenError):
+            ZlibCodec().decompress_into(bomb(100), memoryview(buffer)[100:200])
+        assert buffer[:100] == buffer[200:] == b"\xaa" * 100
+
+    @pytest.mark.parametrize("itemsize", [1, 4])
+    def test_any_buffer_kind_decodes(self, itemsize):
+        codec = ZlibCodec()
+        raw = quantised(2048)
+        stored = codec.compress(raw, itemsize)
+        assert stored[0] == 1
+        staged = b"\x00" * 7 + stored + b"\x00" * 5  # a frame inside a staged run
+        held = [
+            stored,
+            bytearray(stored),
+            memoryview(staged)[7 : 7 + len(stored)].toreadonly(),
+        ]
+        for frame in held:
+            for decode in decoders(codec):
+                assert decode(frame, len(raw)) == raw
+
+    def test_concurrent_decodes_match_serial(self):
+        codec = ZlibCodec()
+        rng = np.random.default_rng(6)
+        raws = [
+            quantised(int(n)) if k % 2 else rng.integers(0, 4, 4 * int(n), np.uint8).tobytes()
+            for k, n in enumerate(rng.integers(64, 4096, 200))
+        ]
+        frames = [codec.compress(raw, 4 if k % 3 else 1) for k, raw in enumerate(raws)]
+        assert all(frame[0] == 1 for frame in frames)
+
+        def decode(k):
+            return bytes(codec.decompress_view(frames[k], len(raws[k])))
+
+        serial = [decode(k) for k in range(len(frames))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(decode, range(len(frames)), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial == raws
+
+    def check_truncated_or_extended(self, itemsize, cells, seed, cut, tail):
         # two bits of entropy per byte: always a DEFLATE frame
         raw = np.random.default_rng(seed).integers(0, 4, cells * itemsize, np.uint8).tobytes()
         stored = ZlibCodec().compress(raw, itemsize)
@@ -201,6 +307,23 @@ class TestDamagedFrames:
             for decode in decoders(ZlibCodec()):
                 with pytest.raises(HeavenError):
                     decode(damaged, len(raw))
+
+    test_truncated_or_extended_deflate_frames_rejected = truncation_cases(
+        check_truncated_or_extended
+    )
+
+
+@pytest.mark.skipif(
+    "libdeflate" not in compression._INFLATERS,
+    reason="libdeflate is not installed on this host (decode uses zlib)",
+)
+class TestDamagedFramesLibdeflate(TestDamagedFrames):
+    """Every damaged- and good-frame case again, inflated by libdeflate."""
+
+    inflater = "libdeflate"
+    test_truncated_or_extended_deflate_frames_rejected = truncation_cases(
+        TestDamagedFrames.check_truncated_or_extended
+    )
 
 
 def build_heaven(compression: str, source=None, retain=True):

@@ -19,10 +19,13 @@ views, assembled results never alias cache memory, and the
 ``repro_assembly_bytes_copied_total`` counter stays at zero.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
-from repro.core import Heaven, HeavenConfig
+from repro.core import Heaven, HeavenConfig, ZlibCodec, compression
 from repro.core.admission import AdmissionController, QuerySpec
 from repro.core.heaven import StagingTicket
 from repro.tertiary import MB
@@ -386,6 +389,53 @@ class TestZeroCopyPipeline:
         region = MInterval.of((0, 63), (0, 63))
         cells = heaven.read("col", mdd.name, region)
         np.testing.assert_array_equal(cells, expected_cells(mdd, region))
+
+    def test_inflating_read_copies_nothing(self, monkeypatch):
+        inflated = []
+        decode = ZlibCodec.decompress_view
+
+        def counting(codec, stored, size):
+            inflated.append(not codec.decodes_to_view(stored))
+            return decode(codec, stored, size)
+
+        monkeypatch.setattr(ZlibCodec, "decompress_view", counting)
+        heaven = make_heaven(compression="zlib")
+        walk = np.random.default_rng(1).standard_normal((64, 64)).cumsum(axis=1)
+        field = (np.round(walk * 4) / 4).astype(np.float32)  # DEFLATE frames
+        mdd = MDD.from_array("f", field, tiling=RegularTiling((16, 16)))
+        heaven.insert("col", mdd)
+        heaven.archive("col", mdd.name)
+        heaven.library.unmount_all()
+        cells = heaven.read("col", mdd.name, MInterval.of((0, 63), (0, 63)))
+        np.testing.assert_array_equal(cells, field)
+        assert inflated and all(inflated)
+        assert heaven.assembly_bytes_copied == 0
+
+    @pytest.mark.skipif(
+        "libdeflate" not in compression._INFLATERS,
+        reason="libdeflate is not installed on this host (decode uses zlib, "
+        "which allocates the planes it returns)",
+    )
+    def test_inflate_copies_no_frame_body(self, monkeypatch):
+        monkeypatch.setattr(
+            compression, "_inflate_stream", compression._INFLATERS["libdeflate"]
+        )
+        walk = np.random.default_rng(0).standard_normal(32 * 1024).cumsum()
+        raw = (np.round(walk * 4) / 4).astype(np.float32).tobytes()  # 128 KiB
+        codec = ZlibCodec()
+        frame = codec.compress(raw, 4)
+        assert frame[0] == 1
+        run = memoryview(b"\x00" * 3 + frame).toreadonly()[3:]  # a staged run
+        codec.decompress_view(run, len(raw))  # this thread's scratch buffer
+        tracemalloc.start()
+        try:
+            view = codec.decompress_view(run, len(raw))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bytes(view) == raw
+        # the output only: no copy of the body, no fresh planes buffer
+        assert peak < len(raw) + len(frame) // 2
 
     def test_update_after_zero_copy_read(self):
         """update() snapshots the frozen resolver views before patching."""
