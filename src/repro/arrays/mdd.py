@@ -196,8 +196,9 @@ class MDD:
         """The whole object as one array (use only for small objects)."""
         return self.read(self.domain)
 
-    def write(self, region: MInterval, cells: np.ndarray) -> None:
-        """Overwrite the cells of *region* across all affected tiles."""
+    def checked_write(self, region: MInterval, cells: np.ndarray) -> np.ndarray:
+        """The checks of :meth:`write`: *cells* as this object's cell type,
+        or :class:`DomainError`."""
         if not self.domain.contains(region):
             raise DomainError(
                 f"write region {region} outside object domain {self.domain}"
@@ -207,6 +208,11 @@ class MDD:
             raise DomainError(
                 f"write: cells shape {tuple(cells.shape)} != region {region.shape}"
             )
+        return cells
+
+    def write(self, region: MInterval, cells: np.ndarray) -> None:
+        """Overwrite the cells of *region* across all affected tiles."""
+        cells = self.checked_write(region, cells)
         for tile in self.tiles_for(region):
             if tile.payload is None:
                 materialized = self.materialize_tile(tile)

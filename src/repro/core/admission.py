@@ -1,16 +1,18 @@
-"""Admission and scheduling: the one driver of every read.
+"""Admission and scheduling: the one driver of every staging.
 
 The paper's inter-query scheduling (Kapitel 3.4.3) reorders the tape
-requests "of one or many queries".  This layer is where every read
-becomes a query: :meth:`~repro.core.heaven.Heaven.read_with_report`
-submits one query with one unit, :meth:`~repro.core.heaven.Heaven.read_many`
-one query with N units, :meth:`AdmissionController.run_units` (the data
-nodes' path) N queries with one unit each, and :meth:`AdmissionController.run`
+requests "of one or many queries".  This layer is where every staging
+becomes a query of units ``(mdd, cover, answer)``: stage the cover, then
+call the answer.  :meth:`~repro.core.heaven.Heaven.read_many` submits one
+query with N units; every other direct read, framed read, RasQL trim,
+condenser edge reduction and ``update``/``reimport`` tile load one query
+with one unit; :meth:`AdmissionController.run_units` (the data nodes'
+path) N queries with one unit each, and :meth:`AdmissionController.run`
 independent queries with open-loop arrivals.  Queries post their staging
 demands into a shared per-medium queue, and the controller fuses
 overlapping super-tile runs **across queries** into single elevator
-sweeps.  Every sweep is one :meth:`~repro.core.heaven.Heaven._staged`
-pass, the staging pass of every read: admission only decides which
+sweeps.  Every sweep is one :meth:`~repro.core.heaven.Heaven._stage_many`
+pass, the staging pass of every staging: admission only decides which
 demands share a pass.  A run of one query takes all of its demands in one
 sweep, over every medium in elevator order.  With several queries, four
 policies shape the sweeps:
@@ -65,9 +67,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..arrays.minterval import MInterval
 from ..errors import HeavenError
@@ -118,8 +118,7 @@ class QuerySpec:
         return self.name or self.object_name
 
 
-@dataclass(frozen=True)
-class FusionAudit:
+class FusionAudit(NamedTuple):
     """Provenance of one fused segment inside one sweep.
 
     The no-unrequested-bytes property is checked against these entries:
@@ -142,8 +141,7 @@ class FusionAudit:
     absorbed_cached: bool = False
 
 
-@dataclass
-class _Demand:
+class _Demand(NamedTuple):
     """One query's pending staging demand on one tape segment."""
 
     key: str
@@ -151,11 +149,6 @@ class _Demand:
     #: byte run this query alone would stage
     run: Tuple[int, int]
     enqueued_s: float = 0.0
-
-
-#: one unit's answer: region cells, or ``{tile_id: clipped cells}`` for a
-#: tile subset
-Answer = Union[np.ndarray, Dict[int, np.ndarray]]
 
 
 @dataclass
@@ -167,8 +160,7 @@ class _QueryTask:
     #: the report's ``(object_name, region)``
     label: Tuple[str, str] = ("", "")
     weight: float = 1.0
-    #: a submitted spec, resolved to its one unit on admission; a direct
-    #: read arrives with its units already resolved
+    #: a submitted spec, resolved before the run, its access recorded on admission
     spec: Optional[QuerySpec] = None
     units: List[_Unit] = field(default_factory=list)
     admitted: bool = False
@@ -197,7 +189,7 @@ class _QueryTask:
     #: enqueue until it assembled)
     wall_s: float = 0.0
     #: one answer per unit
-    answers: List[Answer] = field(default_factory=list)
+    answers: List[Any] = field(default_factory=list)
 
 
 @dataclass
@@ -294,9 +286,12 @@ class AdmissionController:
 
     def run(
         self, specs: Sequence[QuerySpec]
-    ) -> Tuple[List[Answer], MultiQueryReport]:
-        """Run *specs* to completion; per-query cells + combined report."""
-        log = self.heaven.clock.log
+    ) -> Tuple[List[Any], MultiQueryReport]:
+        """Run *specs* to completion: per-query cells (region cells, or
+        ``{tile_id: clipped cells}`` for a tile subset) + combined report.
+        A rejected spec raises before any is admitted."""
+        heaven = self.heaven
+        log = heaven.clock.log
         tasks = [
             _QueryTask(
                 qid=index + 1,
@@ -304,6 +299,11 @@ class AdmissionController:
                 label=(spec.label, str(spec.region)),
                 weight=1.0 if spec.weight is None else spec.weight,
                 spec=spec,
+                units=[
+                    heaven._resolve_unit(
+                        spec.collection, spec.object_name, spec.region, spec.tile_ids
+                    )
+                ],
             )
             for index, spec in enumerate(specs)
         ]
@@ -317,14 +317,14 @@ class AdmissionController:
 
     def run_query(
         self, units: Sequence[_Unit], label: Tuple[str, str]
-    ) -> Tuple[List[Answer], RetrievalReport]:
-        """Answer resolved *units* as ONE query, arriving now: one answer
-        per unit and the query's report, labelled ``(object_name, region)``.
+    ) -> Tuple[List[Any], RetrievalReport]:
+        """Answer *units* as ONE query, arriving now: one answer per unit
+        and the query's report, labelled ``(object_name, region)``.
 
-        The direct read path (:meth:`~repro.core.heaven.Heaven.read_with_report`,
-        :meth:`~repro.core.heaven.Heaven.read_many`): a lone query, so its
-        demands on every medium share one sweep and each medium is mounted
-        at most once.
+        Every staging outside :meth:`run` and :meth:`run_units` comes here
+        (``Heaven.read_with_report``, ``read_many`` and ``_query_unit``):
+        a lone query, so its demands on every medium share one sweep and
+        each medium is mounted at most once.
         """
         task = _QueryTask(
             qid=1, arrival_s=self.heaven.clock.now, label=label, units=list(units)
@@ -431,16 +431,11 @@ class AdmissionController:
     # ------------------------------------------------------------------ query life
 
     def _enqueue(self, task: _QueryTask) -> None:
-        """Resolve a spec's unit, collect the query's needs once, and post
+        """Record a spec's access, collect the query's needs once, and post
         one staging demand per tape segment."""
         heaven = self.heaven
-        spec = task.spec
-        if spec is not None:
-            task.units = [
-                heaven._resolve_unit(
-                    spec.collection, spec.object_name, spec.region, spec.tile_ids
-                )
-            ]
+        if task.spec is not None:
+            heaven._record_access(task.units[0].mdd, task.spec.region)
         task.ticket = StagingTicket(
             cache=heaven.disk_cache, memory=heaven.memory_cache
         )
@@ -460,7 +455,7 @@ class AdmissionController:
         task.pending = set(task.demands)
 
     def _assemble(self, task: _QueryTask) -> None:
-        """Assemble the query's units with its ticket active, then release
+        """Answer the query's units with its ticket active, then release
         the ticket.
 
         Everything charged between the cursor and the end of the read
@@ -471,11 +466,15 @@ class AdmissionController:
         log = heaven.clock.log
         cursor = log.cursor()
         assert task.ticket is not None
-        with heaven._holding(task.ticket):
+        outer, heaven._active_ticket = heaven._active_ticket, task.ticket
+        try:
             with heaven.tracer.span(
                 "heaven.assemble", query=task.qid, units=len(task.units)
             ) as span:
-                task.answers = [heaven._assemble_unit(unit) for unit in task.units]
+                task.answers = [unit.answer() for unit in task.units]
+        finally:
+            heaven._active_ticket = outer
+            task.ticket.release()
         if heaven.instruments is not None and span.enabled:
             heaven.instruments.observe_assemble_wall(span.wall_elapsed)
         task.wall_s = perf_counter() - task.wall_s
@@ -485,7 +484,7 @@ class AdmissionController:
         task.done = True
 
     def _seal(self, task: _QueryTask) -> RetrievalReport:
-        """The one report builder of every read (see
+        """The one report builder of every query (see
         :class:`~repro.core.heaven.RetrievalReport`); its latency runs from
         its arrival.  The instance's read counters and histograms are fed
         here, once per query."""
@@ -556,14 +555,9 @@ class AdmissionController:
             # Aging escalation: serve the oldest demand's medium next, no
             # matter how much service its query already received.
             return overdue.medium_id
-        best: Optional[Tuple[float, str]] = None
-        for task, demand in pending:
-            need = task.service_s / task.weight
-            candidate = (need, demand.medium_id)
-            if best is None or candidate < best:
-                best = candidate
-        assert best is not None
-        return best[1]
+        return min(
+            (task.service_s / task.weight, demand.medium_id) for task, demand in pending
+        )[1]
 
     def _dispatch_sweep(self) -> None:
         """Fuse all pending demands on the picked medium, plus the ones on
@@ -653,43 +647,41 @@ class AdmissionController:
         for task, demand in chosen:
             by_key.setdefault(demand.key, []).append((task, demand))
         fused: Dict[str, _SegmentNeed] = {}
+        # Planning widens a need's run to what it stages: keep the demand.
+        demanded_runs: Dict[str, Tuple[int, int]] = {}
         for key in sorted(by_key):
             demanders = by_key[key]
-            needs = [task.needs[key] for task, _d in demanders]
-            if len(needs) == 1:
-                fused[key] = needs[0]
-                continue
-            tile_ids = sorted({t for need in needs for t in need.tile_ids})
-            fused[key] = _SegmentNeed(
-                super_tile=needs[0].super_tile,
-                entry=needs[0].entry,
-                mdd=needs[0].mdd,
-                tile_ids=tile_ids,
-                run=heaven._required_run(needs[0].super_tile, tile_ids),
-                query_ids=tuple(sorted({task.qid for task, _d in demanders})),
-            )
-        # Planning widens a need's run to what it stages: keep the demand.
-        demanded_runs = {key: need.run for key, need in fused.items()}
+            if len(demanders) == 1:
+                need = demanders[0][0].needs[key]
+            else:
+                needs = [task.needs[key] for task, _d in demanders]
+                tile_ids = sorted({t for need in needs for t in need.tile_ids})
+                need = _SegmentNeed(
+                    super_tile=needs[0].super_tile,
+                    entry=needs[0].entry,
+                    mdd=needs[0].mdd,
+                    tile_ids=tile_ids,
+                    run=heaven._required_run(needs[0].super_tile, tile_ids),
+                    query_ids=tuple(sorted({task.qid for task, _d in demanders})),
+                )
+            fused[key] = need
+            demanded_runs[key] = need.run
         sweep_start = clock.now
         cursor = clock.log.cursor()
         with heaven.tracer.span(
-            "admission.sweep",
-            medium=medium_id,
-            media=len({demand.medium_id for _t, demand in chosen}),
-            segments=len(fused),
-            queries=len({task.qid for task, _d in chosen}),
-        ):
-            with heaven._staged((), needs=fused) as ticket:
+            "admission.sweep", medium=medium_id, segments=len(fused)
+        ) as span:
+            if span.enabled:
+                span.set(
+                    media=len({demand.medium_id for _t, demand in chosen}),
+                    queries=len({task.qid for task, _d in chosen}),
+                )
+            ticket = heaven._stage_many((), needs=fused)
+            try:
                 self._hand_over_pins(by_key, ticket.tile_pins)
-        self._settle_sweep(
-            by_key,
-            fused,
-            demanded_runs,
-            ticket,
-            sweep_elapsed=clock.now - sweep_start,
-            events=Counter(event.kind for event in clock.log.window(cursor)),
-            window_bytes=event_window_bytes(clock.log, cursor),
-        )
+            finally:
+                ticket.release()
+        self._settle_sweep(by_key, fused, demanded_runs, ticket, sweep_start, cursor)
         report.sweeps += 1
         report.fused_segments += len(demanded_runs)
         heaven.admission_sweeps += 1
@@ -713,10 +705,12 @@ class AdmissionController:
         so nobody holds them.
         """
         heaven = self.heaven
-        held = [key for key in sorted(by_key) if key in heaven.disk_cache]
-        for key in held:
+        held = {key for key in by_key if key in heaven.disk_cache}
+        for key in sorted(held):
             for task, _demand in by_key[key]:
                 task.ticket.hold(key)
+        if not drained:
+            return
         demanders: Dict[Tuple[str, int], List[_QueryTask]] = {}
         for key, pairs in by_key.items():
             if key in held:
@@ -736,22 +730,30 @@ class AdmissionController:
         fused: Dict[str, _SegmentNeed],
         demanded_runs: Dict[str, Tuple[int, int]],
         ticket: StagingTicket,
-        *,
-        sweep_elapsed: float,
-        events: Counter,
-        window_bytes: int,
+        sweep_start: float,
+        cursor: int,
     ) -> None:
         """Attribute the sweep's cost and mark demands satisfied."""
         heaven = self.heaven
         clock = heaven.clock
         report = self._report
         requests = ticket.requests
-        requested_keys = {r.key for r in requests}
-        tasks_by_qid = {task.qid: task for task in self._tasks}
+        sweep_elapsed = clock.now - sweep_start
+        events = Counter(event.kind for event in clock.log.window(cursor))
+        window_bytes = event_window_bytes(clock.log, cursor)
+        tasks_by_qid: Dict[int, _QueryTask] = {}
         sweep_tasks: Dict[int, int] = {}
-        for demanders in by_key.values():
+        # -- demands satisfied: wake the waiting tasks.
+        now = clock.now
+        for key, demanders in by_key.items():
             for task, demand in demanders:
+                tasks_by_qid[task.qid] = task
                 sweep_tasks[task.qid] = sweep_tasks.get(task.qid, 0) + demand.run[1]
+                task.pending.discard(key)
+                wait = now - demand.enqueued_s
+                task.max_wait_s = max(task.max_wait_s, wait)
+                if heaven.instruments is not None:
+                    heaven.instruments.observe_admission_wait(wait)
         # -- byte attribution.  A sweep one query demanded is all that
         # query's, prefetch and fault re-reads included (with a truncated
         # event log the staged bytes are the floor).  A shared sweep splits
@@ -789,36 +791,38 @@ class AdmissionController:
             task.staged += ticket.staged
             task.waves += ticket.waves
             task.sweep_pins += ticket.pins
-        # -- fusion audit + savings (demanded segments only: prefetch
+        # -- fusion audit (demanded segments only, in key order: prefetch
         # additions to *fused* have no demanders and no audit row).
-        for key in sorted(demanded_runs):
-            demanders = by_key[key]
-            qids = tuple(sorted({task.qid for task, _d in demanders}))
-            staged_run = fused[key].run
-            cache_hit = key not in requested_keys
-            demanded = demanded_runs[key]
-            audit = FusionAudit(
-                key=key,
-                medium_id=demanders[0][1].medium_id,
-                demanded_run=demanded,
-                staged_run=staged_run,
-                queries=qids,
-                cache_hit=cache_hit,
-                absorbed_cached=staged_run != demanded,
+        requested_keys = {r.key for r in requests}
+        for key, demanded in demanded_runs.items():
+            need = fused[key]
+            report.audit.append(
+                FusionAudit(
+                    key=key,
+                    medium_id=by_key[key][0][1].medium_id,
+                    demanded_run=demanded,
+                    staged_run=need.run,
+                    queries=need.query_ids,
+                    cache_hit=key not in requested_keys,
+                    absorbed_cached=need.run != demanded,
+                )
             )
-            report.audit.append(audit)
-            if not cache_hit and len(qids) > 1:
-                separate = sum(d.run[1] for _t, d in demanders)
-                saved = max(0, separate - staged_run[1])
-                report.fusion_saved_bytes += saved
-                heaven.admission_fusion_saved_bytes += saved
-        # One exchange saved per extra query on each medium the sweep
-        # streamed from: unfused, each would have mounted it itself.
+        if len(sweep_tasks) == 1:
+            return  # a sweep of one query saves nothing
+        # -- fusion savings: per streamed segment several queries demanded,
+        # their separate runs beyond the one staged; per medium streamed
+        # from, one exchange per extra demanding query (unfused, each would
+        # have mounted it itself).
         streamed_media = {r.medium_id for r in requests}
         media_queries: Dict[str, Set[int]] = {}
-        for demanders in by_key.values():
+        for key, demanders in by_key.items():
             for task, demand in demanders:
                 media_queries.setdefault(demand.medium_id, set()).add(task.qid)
+            if key in requested_keys and len(fused[key].query_ids) > 1:
+                separate = sum(d.run[1] for _t, d in demanders)
+                saved = max(0, separate - fused[key].run[1])
+                report.fusion_saved_bytes += saved
+                heaven.admission_fusion_saved_bytes += saved
         saved_exchanges = sum(
             len(qids) - 1
             for medium_id, qids in media_queries.items()
@@ -826,12 +830,3 @@ class AdmissionController:
         )
         report.fusion_saved_exchanges += saved_exchanges
         heaven.admission_fusion_saved_exchanges += saved_exchanges
-        # -- demands satisfied: wake the waiting tasks.
-        now = clock.now
-        for key, demanders in by_key.items():
-            for task, demand in demanders:
-                task.pending.discard(key)
-                wait = now - demand.enqueued_s
-                task.max_wait_s = max(task.max_wait_s, wait)
-                if heaven.instruments is not None:
-                    heaven.instruments.observe_admission_wait(wait)

@@ -15,15 +15,18 @@ operations:
 
 Queries never mention storage: an archived object answers exactly like a
 disk-resident one, only the simulated clock knows the difference.
+Every staging — reads, frames, RasQL trims, condenser edges, the tile loads
+of ``update`` and ``reimport`` — is one admission query (:mod:`.admission`);
+only the resolver's restage fallback stages bare, inside another query.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from ..arrays.query.executor import MDDRef, MutationHooks, QueryExecutor, QueryR
 from ..arrays.storage import ArrayStorage
 from ..arrays.tile import Tile
 from ..dbms.engine import Database
-from ..errors import CacheError, CachePinnedError, HeavenError
+from ..errors import CacheError, CachePinnedError, DomainError, HeavenError
 from ..obs.instruments import HeavenInstruments
 from ..obs.observability import Observability
 from ..tertiary.clock import SimClock
@@ -195,15 +198,14 @@ class StagingTicket:
 
 
 class _Unit(NamedTuple):
-    """A resolved read unit — the vocabulary of :mod:`.units`."""
+    """One unit of an admission query: stage *cover*, then call *answer*."""
 
     mdd: MDD
-    region: MInterval
     #: tile ids to stage
     cover: List[int]
-    #: answer with the assembled region, or with the cover's tiles one by one
-    #: (the sharded form: the region's other tiles live on other shards)
-    whole: bool
+    #: answers the unit once its cover is staged: region cells, clipped
+    #: tiles, a trim's or a frame's cells, or None (a mutation's body)
+    answer: Callable[[], Any]
 
 
 @dataclass
@@ -327,9 +329,9 @@ class Heaven:
         self.admission_fusion_saved_exchanges = 0
         #: virtual seconds spent inside anticipatory hold-back windows
         self.admission_holdback_seconds = 0.0
-        #: tiles demanded by reported reads (read / read_many), lifetime
+        #: tiles demanded by admission queries (every staging), lifetime
         self.read_tiles_needed = 0
-        #: bytes returned to callers by reported reads, lifetime
+        #: bytes returned to callers by admission queries, lifetime
         self.read_bytes_useful = 0
         #: redundant bytes copied on the decode/assembly path, lifetime.
         #: The zero-copy pipeline keeps this at 0: decoded tiles are
@@ -337,9 +339,9 @@ class Heaven:
         #: straight into the result array.  Any increment marks a
         #: defensive-copy fallback that re-appeared.
         self.assembly_bytes_copied = 0
-        #: ticket of the :meth:`_holding` body currently running.  The
+        #: ticket of the admission query assembling right now.  The
         #: resolver's restage fallback adds the pins it takes onto it, so a
-        #: report counts exactly the pins its read caused (a global
+        #: report counts exactly the pins its query caused (a global
         #: ``stats.pins`` delta would charge it for any query's pins).
         self._active_ticket: Optional[StagingTicket] = None
         #: instrument catalog; installed only when observability is on, so a
@@ -530,9 +532,10 @@ class Heaven:
 
     # ------------------------------------------------------------------ retrieval
     #
-    # Every read is an admission query (see :mod:`.admission`) over
-    # resolved units (see ``_Unit``): ``read_with_report`` is a query of
-    # one unit, ``read_many`` a query of N units.
+    # Every staging is an admission query (see :mod:`.admission`) over
+    # units (see ``_Unit``): ``read_with_report`` is a query of one unit,
+    # ``read_many`` a query of N units, and every other staging caller a
+    # query of one unit through ``_query_unit``.
 
     def read(self, collection_name: str, object_name: str, region: MInterval) -> np.ndarray:
         """Read a region across the hierarchy; returns the assembled cells."""
@@ -546,49 +549,44 @@ class Heaven:
         region: MInterval,
         tile_ids: Optional[Sequence[int]] = None,
     ) -> _Unit:
-        """Look one unit up and validate it, THEN record the access: a
-        rejected unit leaves the access statistics (eSTAR's input) alone."""
+        """Look one read unit up and validate it, recording nothing, so a
+        rejected read stages nothing and leaves the access statistics
+        (eSTAR's input) alone.  It answers with the region's cells, or with
+        ``{tile_id: cells}`` for *tile_ids* (the sharded form), each tile
+        clipped to its overlap with the region."""
         mdd = self.storage.collection(collection_name).get(object_name)
         if tile_ids is None:
+            if not mdd.domain.contains(region):
+                raise DomainError(f"read region {region} outside object domain {mdd.domain}")
             cover = [t.tile_id for t in mdd.tiles_for(region)]
-        else:
-            for tile_id in tile_ids:
-                if tile_id not in mdd.tiles:
-                    raise HeavenError(
-                        f"object {object_name!r} has no tile {tile_id}"
-                    )
-                if not mdd.tiles[tile_id].domain.intersects(region):
-                    raise HeavenError(
-                        f"tile {tile_id} of {object_name!r} does not "
-                        f"intersect {region}"
-                    )
-            cover = sorted(tile_ids)
-        self._record_access(mdd, region)
-        return _Unit(mdd, region, cover, tile_ids is None)
+            return _Unit(mdd, cover, lambda: mdd.read(region))
+        for tile_id in tile_ids:
+            if tile_id not in mdd.tiles:
+                raise HeavenError(f"object {object_name!r} has no tile {tile_id}")
+            if not mdd.tiles[tile_id].domain.intersects(region):
+                raise HeavenError(f"tile {tile_id} of {object_name!r} does not intersect {region}")
+        cover = sorted(tile_ids)
 
-    @staticmethod
-    def _assemble_unit(unit: _Unit) -> Union[np.ndarray, Dict[int, np.ndarray]]:
-        """Answer a staged unit: region cells, or ``{tile_id: cells}`` with
-        each tile clipped to its overlap with the region."""
-        mdd = unit.mdd
-        if unit.whole:
-            return mdd.read(unit.region)
-        answer = {}
-        for tile_id in unit.cover:
-            tile = mdd.tiles[tile_id]
-            cells = mdd.materialize_tile(tile)
-            clip = tile.domain.intersection(unit.region)
-            assert clip is not None  # _resolve_unit rejects disjoint tiles
-            if clip != tile.domain:
-                cells = cells[clip.to_slices(tile.domain)]
-            answer[tile_id] = cells
-        return answer
+        def clipped_tiles() -> Dict[int, np.ndarray]:
+            answer = {}
+            for tile_id in cover:
+                tile = mdd.tiles[tile_id]
+                cells = mdd.materialize_tile(tile)
+                clip = tile.domain.intersection(region)
+                assert clip is not None  # rejected above
+                if clip != tile.domain:
+                    cells = cells[clip.to_slices(tile.domain)]
+                answer[tile_id] = cells
+            return answer
+
+        return _Unit(mdd, cover, clipped_tiles)
 
     def read_with_report(
         self, collection_name: str, object_name: str, region: MInterval
     ) -> Tuple[np.ndarray, RetrievalReport]:
         """Like :meth:`read` but also returns the cost report."""
         unit = self._resolve_unit(collection_name, object_name, region)
+        self._record_access(unit.mdd, region)
         label = (object_name, str(region))
         with self.tracer.span("heaven.read", object=object_name, region=label[1]):
             (cells,), report = self._admission().run_query([unit], label)
@@ -605,10 +603,9 @@ class Heaven:
         at most once per batch even when the reads interleave objects.
         """
         units = [self._resolve_unit(*request) for request in requests]
-        label = (
-            ",".join(sorted({unit.mdd.name for unit in units})),
-            f"batch of {len(units)}",
-        )
+        for unit, (_collection, _name, region) in zip(units, requests):
+            self._record_access(unit.mdd, region)
+        label = (",".join(sorted({unit.mdd.name for unit in units})), f"batch of {len(units)}")
         with self.tracer.span("heaven.read_many", batch=len(units)):
             return self._admission().run_query(units, label)
 
@@ -621,24 +618,40 @@ class Heaven:
         return self._admission().run_units(requests)[0]
 
     def _admission(self) -> "AdmissionController":
-        """A fresh controller: the one driver of every read."""
+        """A fresh controller: the one driver of every staging."""
         from .admission import AdmissionController  # imports this module
 
         return AdmissionController(self)
+
+    def _query_unit(
+        self, mdd: MDD, cover: Sequence[int], answer: Callable[[], Any], label: str
+    ) -> Any:
+        """Stage *cover* of *mdd* and return ``answer()``: one admission
+        query of one unit, reported as ``(mdd.name, label)``."""
+        unit = _Unit(mdd, list(cover), answer)
+        (result,), _report = self._admission().run_query([unit], (mdd.name, label))
+        return result
 
     def read_frame(
         self, collection_name: str, object_name: str, frame: Frame, fill: float = 0.0
     ) -> Tuple[MArray, np.ndarray]:
         """Framed read (Object Framing): fetch only tiles inside the frame."""
         mdd = self.storage.collection(collection_name).get(object_name)
-        needed = tiles_in_frame(mdd, frame)
-        with self.tracer.span(
-            "heaven.read_frame", object=object_name, tiles=len(needed)
-        ):
-            if needed:
-                self._record_access(mdd, frame.bounding_box().intersection(mdd.domain) or mdd.domain)
-            with self._staged([(mdd, [t.tile_id for t in needed])]):
-                return _read_frame(mdd, frame, fill=fill)
+        with self.tracer.span("heaven.read_frame", object=object_name):
+            return self._framed(mdd, frame, fill, record=True)
+
+    def _framed(
+        self, mdd: MDD, frame: Frame, fill: float = 0.0, *, record: bool = False
+    ) -> Tuple[MArray, np.ndarray]:
+        """The one frame path of :meth:`read_frame` and ``frame()``: stage
+        the tiles the frame truly intersects, then read exactly its cells
+        (*record* files the frame's hull in the access statistics)."""
+        needed = [tile.tile_id for tile in tiles_in_frame(mdd, frame)]
+        hull = frame.bounding_box().intersection(mdd.domain) or mdd.domain
+        if record and needed:
+            self._record_access(mdd, hull)
+        framed = lambda: _read_frame(mdd, frame, fill=fill)  # noqa: E731
+        return self._query_unit(mdd, needed, framed, str(hull))
 
     def query(self, text: str) -> List[QueryResult]:
         """Run a RasQL query transparently over the whole hierarchy."""
@@ -675,41 +688,15 @@ class Heaven:
 
     # ------------------------------------------------------------------ staging
 
-    @contextmanager
-    def _staged(
-        self,
-        pairs: Sequence[Tuple[MDD, Sequence[int]]],
-        needs: Optional[Dict[str, _SegmentNeed]] = None,
-    ) -> Iterator[StagingTicket]:
-        """Stage *pairs* in one scheduled pass and hold their pins for the
-        ``with`` body — the one staging protocol of every admission sweep
-        (every read), framed read, RasQL trim and mutation.  A sweep passes
-        the *needs* its queries already collected, merged per segment,
-        instead of *pairs*.
-        """
-        with self._holding(self._stage_many(pairs, needs)) as ticket:
-            yield ticket
-
-    @contextmanager
-    def _holding(self, ticket: StagingTicket) -> Iterator[StagingTicket]:
-        """Run the ``with`` body with *ticket* active, then release it.
-
-        The resolver's restage fallback adds the pins it takes onto the
-        active ticket, so they are charged to the read being assembled.
-        """
-        outer, self._active_ticket = self._active_ticket, ticket
-        try:
-            yield ticket
-        finally:
-            self._active_ticket = outer
-            ticket.release()
-
     def _stage_many(
         self,
         pairs: Sequence[Tuple[MDD, Sequence[int]]],
         needs: Optional[Dict[str, _SegmentNeed]] = None,
     ) -> StagingTicket:
         """Batch-stage tiles of several objects in one scheduled tape pass.
+
+        Its callers: every admission sweep (the *needs* its queries
+        collected, merged per segment) and the resolver's restage fallback.
 
         This is the inter-query scheduling path (Kapitel 3.4.3): requests
         of all queries in the batch are merged and ordered together, so
@@ -753,7 +740,7 @@ class Heaven:
     # The three staging units below are the stages of ``_stage_many``.  The
     # admission layer (:mod:`repro.core.admission`) calls ``collect_needs``
     # itself, once per query at enqueue, and hands the merged needs of a
-    # sweep back to ``_staged``; per-layer profilers wrap all three.
+    # sweep back to ``_stage_many``; per-layer profilers wrap all three.
 
     def collect_needs(
         self,
@@ -1321,17 +1308,17 @@ class Heaven:
         """
         collection = self.storage.collection(collection_name)
         mdd = collection.get(object_name)
+        # Reject a bad write before anything is staged.
+        cells = mdd.checked_write(region, cells)
+        affected = {t.tile_id for t in mdd.tiles_for(region)}
         entry = self._archived.get(object_name)
         if entry is None:
             mdd.write(region, cells)
             # Persist the change: a later archive assembles segments from
             # the tile BLOBs, not the in-memory payloads, so an update
             # left only in memory would be silently lost at export time.
-            self.storage.rewrite_tiles(
-                mdd, [t.tile_id for t in mdd.tiles_for(region)], attrgetter("payload")
-            )
+            self.storage.rewrite_tiles(mdd, sorted(affected), attrgetter("payload"))
             return 0
-        affected = {t.tile_id for t in mdd.tiles_for(region)}
         affected_sts = {entry.super_tile_of(t).index for t in affected}
         # Stage and materialise every tile of the affected super-tiles.
         tiles_to_load = [
@@ -1339,13 +1326,16 @@ class Heaven:
             for st_index in affected_sts
             for tile_id in entry.super_tiles[st_index].tile_ids
         ]
+
+        def load() -> None:
+            for tile_id in tiles_to_load:
+                tile = mdd.tiles[tile_id]
+                # The resolver's arrays are frozen; set_payload snapshots
+                # non-writable input itself, so no defensive copy here.
+                tile.set_payload(self._resolve_tile(mdd, tile))
+
         try:
-            with self._staged([(mdd, tiles_to_load)]):
-                for tile_id in tiles_to_load:
-                    tile = mdd.tiles[tile_id]
-                    # The resolver's arrays are frozen; set_payload snapshots
-                    # non-writable input itself, so no defensive copy here.
-                    tile.set_payload(self._resolve_tile(mdd, tile))
+            self._query_unit(mdd, tiles_to_load, load, str(region))
             mdd.write(region, cells)
             self._rewrite_segments(
                 entry, [entry.super_tiles[i] for i in sorted(affected_sts)], affected
@@ -1437,10 +1427,10 @@ class Heaven:
         mdd = self.storage.collection(collection_name).get(object_name)
         entry = self.archived(object_name)
         all_tiles = sorted(mdd.tiles)
-        with self._staged([(mdd, all_tiles)]):
-            self.storage.rewrite_tiles(
-                mdd, all_tiles, lambda tile: self._resolve_tile(mdd, tile)
-            )
+        rewrite = lambda: self.storage.rewrite_tiles(  # noqa: E731
+            mdd, all_tiles, lambda tile: self._resolve_tile(mdd, tile)
+        )
+        self._query_unit(mdd, all_tiles, rewrite, str(mdd.domain))
         assert mdd.oid is not None
         self._detach_from_tape(entry)
         del self._archived[object_name]
@@ -1465,31 +1455,29 @@ class Heaven:
         return answer
 
     def _condenser_hook(self, name: str, ref: MDDRef):
-        """Query-executor hook: try the precomputed catalog first."""
+        """Query-executor hook: try the precomputed catalog first; its
+        unknown edge tiles are reduced inside one admission query."""
         if not self.is_archived(ref.mdd.name):
             return None
+        region = str(ref.full_region())
         return self.precomputed.try_answer(
-            name, ref, prepare=lambda mdd, tile_ids: self._staged([(mdd, tile_ids)])
+            name, ref, lambda mdd, tiles, reduce: self._query_unit(mdd, tiles, reduce, region)
         )
 
     def _materialize_ref(self, ref: MDDRef) -> MArray:
         """Query-executor hook: read a trim or section of an archived object
-        with its tiles staged in one scheduled pass."""
+        as one admission query."""
         if not self.is_archived(ref.mdd.name):
             return ref.materialize()
-        cover = [t.tile_id for t in ref.mdd.tiles_for(ref.full_region())]
-        with self._staged([(ref.mdd, cover)]):
-            return ref.materialize()
+        region = ref.full_region()
+        cover = [t.tile_id for t in ref.mdd.tiles_for(region)]
+        return self._query_unit(ref.mdd, cover, ref.materialize, str(region))
 
     def _frame_extension(self, _executor: QueryExecutor, args: List) -> MArray:
         """``frame(obj, "lo:hi,lo:hi; lo:hi,lo:hi")`` query function."""
         if len(args) != 2 or not isinstance(args[0], MDDRef) or not isinstance(args[1], str):
             raise HeavenError('frame() expects (object, "box; box; ...")')
-        ref: MDDRef = args[0]
-        frame = MultiBoxFrame.parse(args[1])
-        needed = tiles_in_frame(ref.mdd, frame)
-        with self._staged([(ref.mdd, [t.tile_id for t in needed])]):
-            framed, _mask = _read_frame(ref.mdd, frame)
+        framed, _mask = self._framed(args[0].mdd, MultiBoxFrame.parse(args[1]))
         return framed
 
     # ------------------------------------------------------------------ statistics

@@ -16,9 +16,8 @@ and with the object's (:meth:`PrecomputedCatalog.register_object`,
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -120,7 +119,7 @@ class PrecomputedCatalog:
         self,
         condenser: str,
         ref: MDDRef,
-        prepare=None,
+        prepare: Optional[Callable[..., List[TileAggregate]]] = None,
     ) -> Optional[Scalar]:
         """Answer a condenser over a lazy reference, or None to decline.
 
@@ -128,12 +127,12 @@ class PrecomputedCatalog:
         precomputed partials; edge tiles contribute an aggregate over only
         their overlap — a remembered edge partial when this overlap was
         reduced before, else one computed from the tile's cells and then
-        remembered.  *prepare*, when given, is called once with
-        ``(mdd, edge_tile_ids)`` for the edge tiles still unknown and must
-        return a context manager; the edge reads run inside it, so the
-        storage layer can batch-stage them (one scheduled tape pass instead
-        of one stage per tile) and release its pins on exit — HEAVEN passes
-        its ``_staged``.
+        remembered.  *prepare*, when given, is called once as
+        ``prepare(mdd, edge_tile_ids, reduce)`` with the edge tiles still
+        unknown and must return ``reduce()``; the edge reads run inside
+        *reduce*, so the storage layer can stage those tiles first in one
+        scheduled tape pass instead of one stage per tile.  HEAVEN runs it
+        as one admission query of one unit.
         """
         self.stats.lookups += 1
         entries = self._tiles.get(ref.mdd.name)
@@ -142,11 +141,8 @@ class PrecomputedCatalog:
             return None
         region = ref.full_region()
         mdd = ref.mdd
-        count = 0
-        total = 0.0
-        minimum = float("inf")
-        maximum = float("-inf")
         known = self._edges.get(mdd.name, {})
+        interior: List[TileAggregate] = []
         edges: List[Tuple[Tile, MInterval, Optional[TileAggregate]]] = []
         for tile in mdd.tiles_for(region):
             if region.contains(tile.domain):
@@ -154,10 +150,7 @@ class PrecomputedCatalog:
                 if partial is None:
                     self.stats.declined += 1
                     return None
-                count += partial.count
-                total += partial.total
-                minimum = min(minimum, partial.minimum)
-                maximum = max(maximum, partial.maximum)
+                interior.append(partial)
             else:
                 overlap = tile.domain.intersection(region)
                 assert overlap is not None
@@ -165,19 +158,25 @@ class PrecomputedCatalog:
         missing = [tile.tile_id for tile, _overlap, partial in edges if partial is None]
         self.stats.edge_reused += len(edges) - len(missing)
         self.stats.edge_read += len(missing)
-        staged = (
-            prepare(mdd, missing) if missing and prepare is not None else nullcontext()
+
+        def reduce() -> List[TileAggregate]:
+            return [
+                self._reduce_edge(mdd, tile, overlap) if partial is None else partial
+                for tile, overlap, partial in edges
+            ]
+
+        edge_partials = (
+            prepare(mdd, missing, reduce) if missing and prepare is not None else reduce()
         )
-        with staged:
-            # Interior first, then edges in tile order: the same float
-            # summation order as reducing every edge from its cells.
-            for tile, overlap, partial in edges:
-                if partial is None:
-                    partial = self._reduce_edge(mdd, tile, overlap)
-                count += partial.count
-                total += partial.total
-                minimum = min(minimum, partial.minimum)
-                maximum = max(maximum, partial.maximum)
+        count, total = 0, 0.0
+        minimum, maximum = float("inf"), float("-inf")
+        # Interior first, then edges in tile order: the same float
+        # summation order as reducing every edge from its cells.
+        for partial in interior + edge_partials:
+            count += partial.count
+            total += partial.total
+            minimum = min(minimum, partial.minimum)
+            maximum = max(maximum, partial.maximum)
         if count == 0:
             self.stats.declined += 1
             return None
@@ -185,15 +184,12 @@ class PrecomputedCatalog:
             self.stats.answered_hybrid += 1
         else:
             self.stats.answered_pure += 1
-        if condenser == "add_cells":
-            return total
-        if condenser == "avg_cells":
-            return total / count
-        if condenser == "max_cells":
-            return maximum
-        if condenser == "min_cells":
-            return minimum
-        raise HeavenError(f"unreachable condenser {condenser!r}")
+        return {
+            "add_cells": total,
+            "avg_cells": total / count,
+            "max_cells": maximum,
+            "min_cells": minimum,
+        }[condenser]
 
     def _reduce_edge(self, mdd: MDD, tile: Tile, overlap: MInterval) -> TileAggregate:
         """Aggregate *overlap* from *tile*'s cells and remember the result.

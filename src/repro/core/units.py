@@ -37,6 +37,7 @@ import numpy as np
 from ..arrays.celltype import CellType, lookup as lookup_cell_type
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
+from ..arrays.operations import MArray
 from ..errors import CellTypeError, WireFormatError
 
 if TYPE_CHECKING:
@@ -389,10 +390,16 @@ class SubReadResponse:
         )
 
 
-def _answer_nbytes(answer: Union[np.ndarray, Dict[int, np.ndarray]]) -> int:
-    """Cell bytes of one assembled unit (region cells or per-tile cells)."""
-    parts = answer.values() if isinstance(answer, dict) else (answer,)
-    return sum(int(cells.nbytes) for cells in parts)
+def _answer_nbytes(answer: object) -> int:
+    """Cell bytes a unit's answer returns: region cells, per-tile cells, or
+    a trim's or a frame's ``MArray`` (a frame answers ``(MArray, mask)``).
+    A mutation's body and condenser edge partials return none."""
+    if isinstance(answer, tuple):
+        answer = answer[0]
+    if isinstance(answer, dict):
+        return sum(int(cells.nbytes) for cells in answer.values())
+    cells = answer.cells if isinstance(answer, MArray) else answer
+    return int(cells.nbytes) if isinstance(cells, np.ndarray) else 0
 
 
 def _unit_response(

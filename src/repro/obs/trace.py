@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Union
 
 from ..tertiary.clock import Event, EventLog, KindTotals, SimClock
 
@@ -233,6 +233,12 @@ class _NoopSpan:
     def walk(self) -> Iterator[Span]:
         return iter(())
 
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *_exc: Any) -> None:
+        pass
+
 
 NOOP_SPAN = _NoopSpan()
 
@@ -274,17 +280,18 @@ class Tracer:
         """Innermost active span, if tracing is enabled and one is open."""
         return self._stack[-1] if self._stack else None
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any):
-        """Open a span around a ``with`` block.
+    def span(self, name: str, **attributes: Any) -> ContextManager[Union[Span, _NoopSpan]]:
+        """Open a span around a ``with`` block; a disabled tracer hands out
+        the shared no-op span itself, so it allocates nothing.
 
         Args:
             name: span name (dotted, e.g. ``"heaven.read"``).
             attributes: static key/value annotations.
         """
-        if not self.enabled:
-            yield NOOP_SPAN
-            return
+        return self._span(name, attributes) if self.enabled else NOOP_SPAN
+
+    @contextmanager
+    def _span(self, name: str, attributes: Dict[str, Any]) -> Iterator[Span]:
         span = self._start(name, attributes)
         try:
             yield span

@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from ..core.admission import AdmissionController
 from ..core.heaven import Heaven
 from ..core.units import SubReadRequest, SubReadResponse, WireError
-from ..errors import HeavenError, ServiceError, StorageError
+from ..errors import ReproError, ServiceError
 from ..obs.reconcile import event_window_bytes
 from .faults import ServiceFaultPlan
 
@@ -179,11 +179,11 @@ class DataNode:
     ) -> List[SubReadResponse]:
         try:
             return self._run_units(requests)
-        except (StorageError, HeavenError):
+        except ReproError:
             # A poisoned batch (one unit hitting an exhausted retry
-            # budget, an offline library) must not take down its
-            # neighbours: fall back to serving each unit alone so only
-            # the genuinely failing ones answer typed errors.
+            # budget, an offline library, a region outside its object) must
+            # not take down its neighbours: fall back to serving each unit
+            # alone so only the genuinely failing ones answer typed errors.
             return [self._serve_one(request) for request in requests]
 
     def _run_units(self, requests: List[SubReadRequest]) -> List[SubReadResponse]:
@@ -196,7 +196,7 @@ class DataNode:
             responses, report = AdmissionController(self.heaven).run_units(
                 requests
             )
-        except (StorageError, HeavenError):
+        except ReproError:
             self.unattributed_tape_bytes += event_window_bytes(log, cursor)
             raise
         self.unattributed_tape_bytes += report.unattributed_tape_bytes
@@ -205,7 +205,7 @@ class DataNode:
     def _serve_one(self, request: SubReadRequest) -> SubReadResponse:
         try:
             return self._run_units([request])[0]
-        except (StorageError, HeavenError) as error:
+        except ReproError as error:
             return SubReadResponse(
                 request_id=request.request_id,
                 object_name=request.object_name,

@@ -1,7 +1,5 @@
 """Tests for the precomputed-results catalog."""
 
-from contextlib import contextmanager, nullcontext
-
 import numpy as np
 import pytest
 
@@ -151,9 +149,9 @@ class TestEdgePartials:
     def test_prepare_sees_only_unknown_edges(self, mdd, catalog):
         staged = []
 
-        def prepare(_mdd, tile_ids):
+        def prepare(_mdd, tile_ids, reduce):
             staged.append(list(tile_ids))
-            return nullcontext()
+            return reduce()
 
         # Tiles 0 and 2 share this box's overlaps with UNALIGNED's.
         catalog.try_answer(
@@ -169,11 +167,10 @@ class TestEdgePartials:
     ):
         events = []
 
-        @contextmanager
-        def prepare(_mdd, tile_ids):
+        def prepare(_mdd, tile_ids, reduce):
             events.append(("enter", list(tile_ids)))
             try:
-                yield
+                return reduce()
             finally:
                 events.append(("exit",))
 

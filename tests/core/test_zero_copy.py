@@ -260,7 +260,7 @@ class TestPinAttribution:
         controller = AdmissionController(heaven, schedule_seed=3)
         handed, restaged = [], []
         sweep_pins = {}
-        hand_over, assemble = controller._hand_over_pins, heaven._assemble_unit
+        hand_over, assemble = controller._hand_over_pins, controller._assemble
         stage_many = heaven._stage_many
 
         def counted_stage_many(pairs, needs=None):
@@ -274,14 +274,13 @@ class TestPinAttribution:
             hand_over(*args)
             handed.append(stats.pins - before)
 
-        def counted_assemble(unit):
+        def counted_assemble(task):
             before = stats.pins
-            cells = assemble(unit)
+            assemble(task)
             restaged.append(stats.pins - before)
-            return cells
 
         monkeypatch.setattr(controller, "_hand_over_pins", counted_hand_over)
-        monkeypatch.setattr(heaven, "_assemble_unit", counted_assemble)
+        monkeypatch.setattr(controller, "_assemble", counted_assemble)
         monkeypatch.setattr(heaven, "_stage_many", counted_stage_many)
         _outputs, multi = controller.run(
             [QuerySpec(collection=c, object_name=o, region=r) for c, o, r in requests]
@@ -306,9 +305,10 @@ class TestPinAttribution:
         entry = heaven._archived[mdd.name]
         stats = heaven.disk_cache.stats
         seen = {}
-        assemble = heaven._assemble_unit
+        controller = AdmissionController(heaven)
+        assemble = controller._assemble
 
-        def drop_then_assemble(unit):
+        def drop_then_assemble(task):
             # Kill the query's staged segment and its memory tiles just
             # before it assembles: the resolver must restage.
             seen["held"] = sum(
@@ -319,13 +319,12 @@ class TestPinAttribution:
                 entry.staged_runs.pop(key)
             heaven.memory_cache.invalidate_object(mdd.name)
             before = stats.pins
-            cells = assemble(unit)
+            assemble(task)
             seen["fallback"] = stats.pins - before
-            return cells
 
-        monkeypatch.setattr(heaven, "_assemble_unit", drop_then_assemble)
+        monkeypatch.setattr(controller, "_assemble", drop_then_assemble)
         before = stats.pins
-        (cells,), multi = AdmissionController(heaven).run(
+        (cells,), multi = controller.run(
             [QuerySpec(collection="col", object_name=mdd.name, region=region)]
         )
         np.testing.assert_array_equal(cells, expected_cells(mdd, region))

@@ -155,6 +155,48 @@ class TestOneReadDriver:
         assert "shared" not in {f.name for f in fields(SubReadStats)}
 
 
+class TestOneStagingDriver:
+    """Every staging is an admission query: the sweep is the one staging
+    pass, and the resolver's restage fallback the one bare pass."""
+
+    @staticmethod
+    def calls(name: str):
+        """``file:function`` of every call to an attribute *name* in src/."""
+        package = os.path.join(REPO_ROOT, "src", "repro")
+        sites = []
+        for dirpath, _dirs, files in os.walk(package):
+            for file_name in files:
+                if not file_name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, file_name)
+                tree = ast.parse(read(path))
+                for function in ast.walk(tree):
+                    if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    for node in ast.walk(function):
+                        if (
+                            isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == name
+                        ):
+                            sites.append(f"{file_name}:{function.name}")
+        return sorted(set(sites))
+
+    def test_no_second_staging_entry(self):
+        package = os.path.join(REPO_ROOT, "src", "repro")
+        for dirpath, _dirs, files in os.walk(package):
+            for name in files:
+                if name.endswith(".py"):
+                    text = read(os.path.join(dirpath, name))
+                    assert not re.search(r"\b_staged\(", text), name
+
+    def test_stage_many_has_two_callers(self):
+        assert self.calls("_stage_many") == [
+            "admission.py:_execute_sweep",
+            "heaven.py:_resolve_tile",
+        ]
+
+
 class TestDeliverables:
     @pytest.mark.parametrize(
         "path",
