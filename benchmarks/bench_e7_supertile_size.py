@@ -70,7 +70,7 @@ def _fresh_cache(heaven):
         make_policy(heaven.config.disk_cache_policy),
         DISK_ARRAY,
         heaven.clock,
-        on_evict=heaven._on_cache_evict,
+        on_evict=heaven.disk_cache.on_evict,
     )
 
 

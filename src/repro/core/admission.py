@@ -11,9 +11,9 @@ path) N queries with one unit each, and :meth:`AdmissionController.run`
 independent queries with open-loop arrivals.  Queries post their staging
 demands into a shared per-medium queue, and the controller fuses
 overlapping super-tile runs **across queries** into single elevator
-sweeps.  Every sweep is one :meth:`~repro.core.heaven.Heaven._stage_many`
-pass, the staging pass of every staging: admission only decides which
-demands share a pass.  A run of one query takes all of its demands in one
+sweeps.  Every sweep is one :func:`~repro.core.staging.stage_sweep` pass,
+the staging pass of every staging: admission only decides which demands
+share a pass.  A run of one query takes all of its demands in one
 sweep, over every medium in elevator order.  With several queries, four
 policies shape the sweeps:
 
@@ -41,15 +41,16 @@ Correctness is anchored on three invariants the test layer proves:
 3. a fused sweep never stages a byte no query demanded (audited per
    segment in :class:`FusionAudit` entries).
 
-Each query owns one :class:`~repro.core.heaven.StagingTicket` from
+Each query owns one :class:`~repro.core.staging.StagingTicket` from
 enqueue to assembly.  Before a sweep's own ticket is released, every
 demanding query's ticket takes one pin on each fused segment still in the
 disk cache, and one on each tile the sweep had to drain into the memory
 tile cache once its segment left the disk cache.  So one query's release
-can never unpin bytes another query still needs, and the pins a restage
-fallback takes while a query assembles are charged to that query.
+can never unpin bytes another query still needs.  A tile whose run is gone
+anyway is read straight off tape while its query assembles; that takes no
+pin, and its tape bytes land in the query's own assembly window.
 
-Every query's :class:`~repro.core.heaven.RetrievalReport` comes from one
+Every query's :class:`RetrievalReport` comes from one
 builder (:meth:`AdmissionController._seal`).  Its event counts, staged
 runs, waves and pins cover the sweeps that served it plus its own
 assembly, so a shared sweep's mounts and faults appear on every query
@@ -67,24 +68,85 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Set, Tuple
 
+from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..errors import HeavenError
 from ..obs.reconcile import event_window_bytes
-from .heaven import Heaven, RetrievalReport, StagingTicket, _SegmentNeed, _Unit
-from .scheduler import TapeRequest, attribute_request_bytes
+from . import staging
+from .scheduler import attribute_request_bytes
+from .staging import StagingTicket, _SegmentNeed
 from .units import SubReadRequest, SubReadResponse, _answer_nbytes, _unit_response
+
+if TYPE_CHECKING:
+    from .heaven import Heaven
 
 __all__ = [
     "QuerySpec",
     "FusionAudit",
     "MultiQueryReport",
     "AdmissionController",
+    "RetrievalReport",
 ]
 
 #: event-log device name of the admission layer's own charges
 ADMISSION_DEVICE = "admission"
+
+
+@dataclass
+class RetrievalReport:
+    """Cost summary of one hierarchical read: one admission query.
+
+    Event counts, ``super_tiles_staged``, ``waves`` and ``pins`` cover the
+    sweeps that served it plus its own assembly; ``bytes_from_tape`` is its
+    exact share of those sweeps plus its assembly's reads.
+    """
+
+    object_name: str
+    region: str
+    tiles_needed: int = 0
+    super_tiles_staged: int = 0
+    bytes_from_tape: int = 0
+    bytes_useful: int = 0
+    exchanges: int = 0
+    virtual_seconds: float = 0.0
+    #: injected hardware faults hit while serving this read
+    faults: int = 0
+    #: backoff delays charged by the recovery layer during this read
+    backoffs: int = 0
+    #: read of a tape-resident object served entirely from the cache
+    #: hierarchy while the library was offline (graceful degradation)
+    degraded: bool = False
+    #: tiles its assembly read straight off tape because their staged run
+    #: was gone (0 = healthy: the staged segments survived until read)
+    restages: int = 0
+    #: pin references this read owns — its sweeps' tickets' and the ones
+    #: handed over to its own ticket — so a lone query's count reconciles
+    #: with the cache-pin metric
+    pins: int = 0
+    #: eviction nominations skipped over pinned entries while this ran
+    pin_evictions_blocked: int = 0
+    #: capacity-sized admission waves of the sweeps that served this read
+    waves: int = 0
+
+    @property
+    def useless_ratio(self) -> float:
+        if self.bytes_from_tape == 0:
+            return 0.0
+        return 1.0 - self.bytes_useful / self.bytes_from_tape
+
+
+class _Unit(NamedTuple):
+    """One unit of an admission query: stage *cover*, then call *answer*."""
+
+    mdd: MDD
+    #: tile ids to stage
+    cover: List[int]
+    #: answers the unit once its cover is staged: region cells, clipped
+    #: tiles, a trim's or a frame's cells, or None (a mutation's body)
+    answer: Callable[[], Any]
 
 
 @dataclass(frozen=True)
@@ -455,25 +517,22 @@ class AdmissionController:
         task.pending = set(task.demands)
 
     def _assemble(self, task: _QueryTask) -> None:
-        """Answer the query's units with its ticket active, then release
-        the ticket.
+        """Answer the query's units, then release its ticket.
 
         Everything charged between the cursor and the end of the read
-        belongs to this query alone (restage fallbacks, memory cache misses
-        re-staged from tape, ...), and so do the pins a restage takes.
+        belongs to this query alone (restages of tiles whose staged run is
+        gone, ...).
         """
         heaven = self.heaven
         log = heaven.clock.log
         cursor = log.cursor()
         assert task.ticket is not None
-        outer, heaven._active_ticket = heaven._active_ticket, task.ticket
         try:
             with heaven.tracer.span(
                 "heaven.assemble", query=task.qid, units=len(task.units)
             ) as span:
                 task.answers = [unit.answer() for unit in task.units]
         finally:
-            heaven._active_ticket = outer
             task.ticket.release()
         if heaven.instruments is not None and span.enabled:
             heaven.instruments.observe_assemble_wall(span.wall_elapsed)
@@ -485,7 +544,7 @@ class AdmissionController:
 
     def _seal(self, task: _QueryTask) -> RetrievalReport:
         """The one report builder of every query (see
-        :class:`~repro.core.heaven.RetrievalReport`); its latency runs from
+        :class:`RetrievalReport`); its latency runs from
         its arrival.  The instance's read counters and histograms are fed
         here, once per query."""
         heaven = self.heaven
@@ -642,30 +701,16 @@ class AdmissionController:
         heaven = self.heaven
         clock = heaven.clock
         report = self._report
-        # Fuse: union the demanding queries' collected needs per segment.
         by_key: Dict[str, List[Tuple[_QueryTask, _Demand]]] = {}
         for task, demand in chosen:
             by_key.setdefault(demand.key, []).append((task, demand))
-        fused: Dict[str, _SegmentNeed] = {}
+        holders = {
+            key: [(task.ticket, task.needs[key]) for task, _d in demanders]
+            for key, demanders in by_key.items()
+        }
+        fused = staging.fuse_needs(heaven, holders)
         # Planning widens a need's run to what it stages: keep the demand.
-        demanded_runs: Dict[str, Tuple[int, int]] = {}
-        for key in sorted(by_key):
-            demanders = by_key[key]
-            if len(demanders) == 1:
-                need = demanders[0][0].needs[key]
-            else:
-                needs = [task.needs[key] for task, _d in demanders]
-                tile_ids = sorted({t for need in needs for t in need.tile_ids})
-                need = _SegmentNeed(
-                    super_tile=needs[0].super_tile,
-                    entry=needs[0].entry,
-                    mdd=needs[0].mdd,
-                    tile_ids=tile_ids,
-                    run=heaven._required_run(needs[0].super_tile, tile_ids),
-                    query_ids=tuple(sorted({task.qid for task, _d in demanders})),
-                )
-            fused[key] = need
-            demanded_runs[key] = need.run
+        demanded_runs = {key: need.run for key, need in fused.items()}
         sweep_start = clock.now
         cursor = clock.log.cursor()
         with heaven.tracer.span(
@@ -676,53 +721,11 @@ class AdmissionController:
                     media=len({demand.medium_id for _t, demand in chosen}),
                     queries=len({task.qid for task, _d in chosen}),
                 )
-            ticket = heaven._stage_many((), needs=fused)
-            try:
-                self._hand_over_pins(by_key, ticket.tile_pins)
-            finally:
-                ticket.release()
+            ticket = staging.stage_sweep(heaven, fused, holders)
         self._settle_sweep(by_key, fused, demanded_runs, ticket, sweep_start, cursor)
         report.sweeps += 1
         report.fused_segments += len(demanded_runs)
         heaven.admission_sweeps += 1
-
-    def _hand_over_pins(
-        self,
-        by_key: Dict[str, List[Tuple[_QueryTask, _Demand]]],
-        drained: Sequence[Tuple[str, int]],
-    ) -> None:
-        """Pin what the sweep staged onto each demanding query's ticket.
-
-        One disk-cache pin per demanding query per fused segment still in
-        the disk cache, and one memory-cache pin per demanding query per
-        tile in *drained* whose segment left the disk cache: the tiles
-        non-final waves drained (or a fully-pinned disk cache salvaged)
-        into the memory tile cache.  The sweep's own ticket pins those only
-        until the sweep ends, and a query still waiting on another sweep
-        would otherwise find them evicted and restage.  A drained segment
-        still on disk is held instead, which leaves the memory cache room
-        for later sweeps.  Sequential-prefetch segments are in no demand,
-        so nobody holds them.
-        """
-        heaven = self.heaven
-        held = {key for key in by_key if key in heaven.disk_cache}
-        for key in sorted(held):
-            for task, _demand in by_key[key]:
-                task.ticket.hold(key)
-        if not drained:
-            return
-        demanders: Dict[Tuple[str, int], List[_QueryTask]] = {}
-        for key, pairs in by_key.items():
-            if key in held:
-                continue
-            for task, _demand in pairs:
-                need = task.needs[key]
-                for tile_id in need.tile_ids:
-                    demanders.setdefault((need.mdd.name, tile_id), []).append(task)
-        for tile_key in drained:
-            for task in demanders.get(tile_key, ()):
-                heaven.memory_cache.pin(*tile_key)
-                task.ticket.tile_pins.append(tile_key)
 
     def _settle_sweep(
         self,

@@ -353,13 +353,13 @@ class DiskCache:
         size: int,
         refetch_cost: float,
         payload: Optional[Union[bytes, memoryview]] = None,
-        pin: bool = False,
+        pins: int = 0,
     ) -> None:
         """Add a staged segment, evicting until it fits.
 
-        With ``pin=True`` the entry is inserted already holding one pin
-        reference, so no later insertion of the same batch can evict it
-        before the caller had a chance to pin it.
+        The entry starts with *pins* pin references, which staging carries
+        over from a narrower run of the same segment it restages wider;
+        ``stats.pins`` counted them when they were taken, not again here.
         """
         if key in self._entries:
             raise CacheError(f"cache entry {key!r} already present")
@@ -374,8 +374,8 @@ class DiskCache:
         self.policy.insert(key, size, refetch_cost)
         self.stats.insertions += 1
         self.stats.bytes_inserted += size
-        if pin:
-            self.pin(key)
+        if pins:
+            self._pins[key] = pins
         logger.debug(
             "disk cache insert %s (%d B, refetch %.2f s); used %d/%d B",
             key, size, refetch_cost, self.used_bytes, self.capacity_bytes,

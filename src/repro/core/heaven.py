@@ -17,16 +17,17 @@ Queries never mention storage: an archived object answers exactly like a
 disk-resident one, only the simulated clock knows the difference.
 Every staging — reads, frames, RasQL trims, condenser edges, the tile loads
 of ``update`` and ``reimport`` — is one admission query (:mod:`.admission`);
-only the resolver's restage fallback stages bare, inside another query.
+the staging pass, the tile resolver and the pins live in :mod:`.staging`,
+and this class holds the state both work on.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set
-from typing import Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -35,17 +36,18 @@ from ..arrays.minterval import MInterval
 from ..arrays.operations import MArray
 from ..arrays.query.executor import MDDRef, MutationHooks, QueryExecutor, QueryResult
 from ..arrays.storage import ArrayStorage
-from ..arrays.tile import Tile
 from ..dbms.engine import Database
-from ..errors import CacheError, CachePinnedError, DomainError, HeavenError
+from ..errors import DomainError, HeavenError
 from ..obs.instruments import HeavenInstruments
 from ..obs.observability import Observability
 from ..tertiary.clock import SimClock
 from ..tertiary.disk import DiskDevice
 from ..tertiary.library import TapeLibrary
 from ..tertiary.profiles import DISK_ARRAY
+from . import staging
+from .admission import AdmissionController, RetrievalReport, _Unit
 from .cache import DiskCache, MemoryTileCache, make_policy
-from .clustering import ClusteredPlacement, Placement, PlacementPolicy, ScatterPlacement
+from .clustering import ClusteredPlacement, PlacementPolicy, ScatterPlacement
 from .compression import Buffer, Codec, make_codec
 from .config import HeavenConfig
 from .estar import AccessStatistics, estar_partition, intra_cluster_order
@@ -53,20 +55,12 @@ from .export import ExportReport, TCTExporter, join_frames
 from .framing import Frame, MultiBoxFrame, read_frame as _read_frame, tiles_in_frame
 from .precomputed import PrecomputedCatalog
 from .pyramid import PyramidCatalog
-from .scheduler import (
-    ElevatorScheduler,
-    FIFOScheduler,
-    ParallelExecutor,
-    Scheduler,
-    TapeRequest,
-)
+from .scheduler import ElevatorScheduler, FIFOScheduler, Scheduler, TapeRequest
+from .staging import StagingTicket, _SegmentNeed
 # star_partition stays importable here: benchmarks/e2e_layers/tracing.py
 # wraps it by this module path.
 from .super_tile import SuperTile, star_partition, tiles_to_super_tiles  # noqa: F401
 from .units import ObjectDescriptor, SubReadRequest, SubReadResponse
-
-if TYPE_CHECKING:
-    from .admission import AdmissionController
 
 
 @dataclass
@@ -94,137 +88,8 @@ class ArchivedObject:
             ) from None
 
 
-@dataclass
-class RetrievalReport:
-    """Cost summary of one hierarchical read: one admission query.
-
-    Event counts, ``super_tiles_staged``, ``waves`` and ``pins`` cover the
-    sweeps that served it plus its own assembly; ``bytes_from_tape`` is its
-    exact share of those sweeps plus its assembly's reads.
-    """
-
-    object_name: str
-    region: str
-    tiles_needed: int = 0
-    super_tiles_staged: int = 0
-    bytes_from_tape: int = 0
-    bytes_useful: int = 0
-    exchanges: int = 0
-    virtual_seconds: float = 0.0
-    #: injected hardware faults hit while serving this read
-    faults: int = 0
-    #: backoff delays charged by the recovery layer during this read
-    backoffs: int = 0
-    #: read of a tape-resident object served entirely from the cache
-    #: hierarchy while the library was offline (graceful degradation)
-    degraded: bool = False
-    #: per-tile restage fallbacks that fired mid-assemble (0 = healthy:
-    #: the batch-staged segments survived until their tiles were read)
-    restages: int = 0
-    #: pin references this read owns — its sweeps' tickets', the ones
-    #: handed over to its own ticket and its assembly's restage pins, so a
-    #: lone query's count reconciles with the cache-pin metric
-    pins: int = 0
-    #: eviction nominations skipped over pinned entries while this ran
-    pin_evictions_blocked: int = 0
-    #: capacity-sized admission waves of the sweeps that served this read
-    waves: int = 0
-
-    @property
-    def useless_ratio(self) -> float:
-        if self.bytes_from_tape == 0:
-            return 0.0
-        return 1.0 - self.bytes_useful / self.bytes_from_tape
-
-
 #: trailing version suffix of re-exported segment names (``…/st3.v7``)
 _VERSION_RE = re.compile(r"\.v\d+$")
-
-
-@dataclass
-class StagingTicket:
-    """Pins held on behalf of one staging batch until assembly finished.
-
-    :meth:`Heaven._stage_many` pins every segment a batch needs — cache
-    hits at planning time, fresh insertions at staging time — and hands
-    the pins back in a ticket, together with memory-cache pins on the
-    tiles the batch will assemble from there: resident tiles it skipped
-    staging for, and tiles it drained or salvaged.  The caller releases the
-    ticket once the tiles were assembled; until then no insertion (even of
-    the same batch) can evict those bytes.  ``release`` is idempotent.
-
-    An admission query owns one ticket from enqueue to assembly: each sweep
-    that serves it pins the query's segments (:meth:`hold`) and drained
-    tiles onto it before the sweep's own ticket is released.
-    """
-
-    cache: DiskCache
-    memory: Optional[MemoryTileCache] = None
-    #: tape requests the batch planned, in plan order (prefetch included)
-    requests: List[TapeRequest] = field(default_factory=list)
-    #: super-tile runs streamed from tape for this batch
-    staged: int = 0
-    #: bytes those runs moved off tape
-    bytes_from_tape: int = 0
-    #: pin references taken over the batch's lifetime (incl. released waves)
-    pins: int = 0
-    #: capacity-sized admission waves the batch was split into
-    waves: int = 0
-    #: segment keys still holding a pin reference
-    pinned: List[str] = field(default_factory=list)
-    #: ``(object, tile)`` keys pinned in the memory tile cache
-    tile_pins: List[Tuple[str, int]] = field(default_factory=list)
-
-    def hold(self, key: str) -> None:
-        """Take one more pin reference on cached segment *key*."""
-        self.cache.pin(key)
-        self.pinned.append(key)
-        self.pins += 1
-
-    def release(self) -> None:
-        """Drop every pin still held by this ticket."""
-        tiles, self.tile_pins = self.tile_pins, []
-        for key in tiles:
-            assert self.memory is not None
-            self.memory.unpin(*key)
-        held, self.pinned = self.pinned, []
-        for key in held:
-            try:
-                self.cache.unpin(key)
-            except CacheError:
-                # The entry was invalidated (update/delete) while in
-                # flight; its pin references died with it.
-                pass
-
-
-class _Unit(NamedTuple):
-    """One unit of an admission query: stage *cover*, then call *answer*."""
-
-    mdd: MDD
-    #: tile ids to stage
-    cover: List[int]
-    #: answers the unit once its cover is staged: region cells, clipped
-    #: tiles, a trim's or a frame's cells, or None (a mutation's body)
-    answer: Callable[[], Any]
-
-
-@dataclass
-class _SegmentNeed:
-    """Merged staging demand on one tape segment across a whole batch."""
-
-    super_tile: SuperTile
-    entry: ArchivedObject
-    mdd: MDD
-    #: every tile of the batch that needs this segment (deduplicated)
-    tile_ids: List[int] = field(default_factory=list)
-    #: byte run to stage: the run the tiles need when collected, widened
-    #: by planning to the covering cached run (hits) or the restaged union
-    run: Tuple[int, int] = (0, 0)
-    #: opportunistic sequential prefetch: never pinned, droppable
-    prefetch: bool = False
-    #: admission queries demanding this segment (sorted); their ids are
-    #: stamped on its tape request for byte attribution
-    query_ids: Tuple[int, ...] = ()
 
 
 class Heaven:
@@ -262,7 +127,7 @@ class Heaven:
             make_policy(self.config.disk_cache_policy),
             DISK_ARRAY,
             self.clock,
-            on_evict=self._on_cache_evict,
+            on_evict=partial(staging.on_cache_evict, self),
         )
         self.memory_cache = MemoryTileCache(self.config.memory_cache_bytes)
         #: extra staging disk of the HSM when attached through one
@@ -339,11 +204,6 @@ class Heaven:
         #: straight into the result array.  Any increment marks a
         #: defensive-copy fallback that re-appeared.
         self.assembly_bytes_copied = 0
-        #: ticket of the admission query assembling right now.  The
-        #: resolver's restage fallback adds the pins it takes onto it, so a
-        #: report counts exactly the pins its query caused (a global
-        #: ``stats.pins`` delta would charge it for any query's pins).
-        self._active_ticket: Optional[StagingTicket] = None
         #: instrument catalog; installed only when observability is on, so a
         #: disabled instance allocates nothing per operation.
         self.instruments: Optional[HeavenInstruments] = (
@@ -479,7 +339,7 @@ class Heaven:
         )
         self._archived[object_name] = entry
         self.super_tiles_built += len(super_tiles)
-        mdd.resolver = self._resolve_tile
+        mdd.resolver = partial(staging.resolve_tile, self)
         mdd.drop_payloads()
         if not keep_disk_copy:
             self._release_disk_copy(entry)
@@ -589,7 +449,7 @@ class Heaven:
         self._record_access(unit.mdd, region)
         label = (object_name, str(region))
         with self.tracer.span("heaven.read", object=object_name, region=label[1]):
-            (cells,), report = self._admission().run_query([unit], label)
+            (cells,), report = AdmissionController(self).run_query([unit], label)
         return cells, report
 
     def read_many(
@@ -607,7 +467,7 @@ class Heaven:
             self._record_access(unit.mdd, region)
         label = (",".join(sorted({unit.mdd.name for unit in units})), f"batch of {len(units)}")
         with self.tracer.span("heaven.read_many", batch=len(units)):
-            return self._admission().run_query(units, label)
+            return AdmissionController(self).run_query(units, label)
 
     def serve_sub_reads(
         self, requests: Sequence[SubReadRequest]
@@ -615,13 +475,7 @@ class Heaven:
         """:meth:`AdmissionController.run_units`'s responses, under the name
         the service benchmark's layer table (``benchmarks/e2e_layers``)
         traces."""
-        return self._admission().run_units(requests)[0]
-
-    def _admission(self) -> "AdmissionController":
-        """A fresh controller: the one driver of every staging."""
-        from .admission import AdmissionController  # imports this module
-
-        return AdmissionController(self)
+        return AdmissionController(self).run_units(requests)[0]
 
     def _query_unit(
         self, mdd: MDD, cover: Sequence[int], answer: Callable[[], Any], label: str
@@ -629,7 +483,7 @@ class Heaven:
         """Stage *cover* of *mdd* and return ``answer()``: one admission
         query of one unit, reported as ``(mdd.name, label)``."""
         unit = _Unit(mdd, list(cover), answer)
-        (result,), _report = self._admission().run_query([unit], (mdd.name, label))
+        (result,), _report = AdmissionController(self).run_query([unit], (mdd.name, label))
         return result
 
     def read_frame(
@@ -687,580 +541,19 @@ class Heaven:
         )
 
     # ------------------------------------------------------------------ staging
+    #
+    # Delegates into :mod:`.staging`, kept on the class because the e2e
+    # benchmark's layer table (``benchmarks/e2e_layers/tracing.py``) wraps
+    # them here; the staging pass calls them through ``heaven.``.
 
-    def _stage_many(
-        self,
-        pairs: Sequence[Tuple[MDD, Sequence[int]]],
-        needs: Optional[Dict[str, _SegmentNeed]] = None,
-    ) -> StagingTicket:
-        """Batch-stage tiles of several objects in one scheduled tape pass.
+    def collect_needs(self, pairs, tile_pins) -> Dict[str, _SegmentNeed]:
+        return staging.collect_needs(self, pairs, tile_pins)
 
-        Its callers: every admission sweep (the *needs* its queries
-        collected, merged per segment) and the resolver's restage fallback.
+    def plan_requests(self, needs, ticket: StagingTicket) -> List[TapeRequest]:
+        return staging.plan_requests(self, needs, ticket)
 
-        This is the inter-query scheduling path (Kapitel 3.4.3): requests
-        of all queries in the batch are merged and ordered together, so
-        each medium is exchanged at most once per batch.  Three guarantees
-        keep the batch from defeating itself:
-
-        * required byte runs are **merged per segment across the whole
-          batch** before any request is built, so two queries sharing a
-          super-tile trigger exactly one tape run covering both;
-        * every segment the batch relies on is **pinned** — cache hits at
-          planning time, fresh stages at insertion time — until the caller
-          releases the returned ticket, so a later insertion of the same
-          batch can never evict bytes whose tiles are still unread;
-        * batches larger than the disk cache are admitted in
-          capacity-sized **waves** (stage → materialise into the memory
-          tile cache → unpin) instead of thrashing through per-tile
-          restages.
-        """
-        ticket = StagingTicket(cache=self.disk_cache, memory=self.memory_cache)
-        try:
-            with self.tracer.span("heaven.stage") as stage_span:
-                with self.tracer.span("cache.lookup"):
-                    if needs is None:
-                        needs = self.collect_needs(pairs, ticket.tile_pins)
-                    ticket.requests = self.plan_requests(needs, ticket)
-                if ticket.requests:
-                    self.execute_staging(ticket.requests, needs, ticket)
-                stage_span.set(
-                    super_tiles=ticket.staged,
-                    bytes_from_tape=ticket.bytes_from_tape,
-                    waves=ticket.waves,
-                    pins=ticket.pins,
-                )
-            if self.instruments is not None and stage_span.enabled:
-                self.instruments.observe_stage_wall(stage_span.wall_elapsed)
-        except BaseException:
-            ticket.release()
-            raise
-        return ticket
-
-    # The three staging units below are the stages of ``_stage_many``.  The
-    # admission layer (:mod:`repro.core.admission`) calls ``collect_needs``
-    # itself, once per query at enqueue, and hands the merged needs of a
-    # sweep back to ``_stage_many``; per-layer profilers wrap all three.
-
-    def collect_needs(
-        self,
-        pairs: Sequence[Tuple[MDD, Sequence[int]]],
-        tile_pins: List[Tuple[str, int]],
-    ) -> Dict[str, _SegmentNeed]:
-        """Merge the needed tiles of the whole batch per tape segment.
-
-        Merging *before* planning (instead of first-request-wins) is what
-        turns a shared super-tile into one covering run even when two
-        batch queries need disjoint tiles of it.
-
-        Each returned need carries the byte run its tiles need
-        (``_required_run``, computed here once).
-
-        The memory tile cache short-circuits staging only at segment
-        granularity: a segment is skipped when *every* needed tile is
-        already decoded in memory.  A partially-cached segment keeps all
-        its needed tiles in the merged run — the memory cache is volatile
-        (an eviction mid-assemble would narrow-miss the staged run and
-        defeat the pin guarantee), the pinned disk run is not.  The tiles
-        of a skipped segment are pinned in the memory cache instead and
-        their keys appended to *tile_pins*; the caller unpins them once it
-        assembled them.  The probe is a ``peek``: planning is not an
-        access, so it neither counts in the memory cache's statistics nor
-        raises a tile's rank.
-        """
-        needs: Dict[str, _SegmentNeed] = {}
-        stageable: set = set()
-        for mdd, tile_ids in pairs:
-            entry = self._archived.get(mdd.name)
-            if entry is None or entry.disk_copy:
-                continue  # disk-resident (or dual-resident): nothing to stage
-            for tile_id in tile_ids:
-                super_tile = entry.super_tile_of(tile_id)
-                assert super_tile.segment_name is not None
-                key = super_tile.segment_name
-                need = needs.get(key)
-                if need is None:
-                    need = needs[key] = _SegmentNeed(super_tile, entry, mdd)
-                if tile_id not in need.tile_ids:
-                    need.tile_ids.append(tile_id)
-                    if not self.memory_cache.peek(mdd.name, tile_id):
-                        stageable.add(key)
-        out: Dict[str, _SegmentNeed] = {}
-        for key, need in needs.items():
-            if key in stageable:
-                need.run = self._required_run(need.super_tile, need.tile_ids)
-                out[key] = need
-                continue
-            for tile_id in need.tile_ids:
-                self._pin_resident(tile_pins, need.mdd.name, tile_id)
-        return out
-
-    def _pin_resident(
-        self, tile_pins: List[Tuple[str, int]], object_name: str, tile_id: int
-    ) -> None:
-        """Pin a tile a batch will assemble from the memory cache, recording
-        the key in *tile_pins*; a no-op when the cache did not admit it."""
-        if self.memory_cache.peek(object_name, tile_id):
-            self.memory_cache.pin(object_name, tile_id)
-            tile_pins.append((object_name, tile_id))
-
-    def plan_requests(
-        self, needs: Dict[str, _SegmentNeed], ticket: StagingTicket
-    ) -> List[TapeRequest]:
-        """Turn merged needs into tape requests; pin covering cache hits."""
-        requests: List[TapeRequest] = []
-        for key, need in needs.items():
-            entry = need.entry
-            run = need.run
-            if self.disk_cache.lookup(key):
-                cached = entry.staged_runs.get(key)
-                if cached is not None and self._covers(cached, run):
-                    # Hit: pin it so later insertions of this very batch
-                    # cannot evict it before its tiles are assembled.
-                    ticket.hold(key)
-                    need.run = cached
-                    continue
-                # Cached run too small: restage the contiguous union of
-                # cached and needed (never more than the segment).
-                self.disk_cache.invalidate(key)
-                entry.staged_runs.pop(key, None)
-                if cached is not None:
-                    start = min(cached[0], run[0])
-                    end = max(cached[0] + cached[1], run[0] + run[1])
-                    run = (start, end - start)
-            medium_id, segment = self.library.segment(key)
-            need.run = run
-            requests.append(
-                TapeRequest(
-                    key=key,
-                    medium_id=medium_id,
-                    offset=segment.offset + run[0],
-                    length=run[1],
-                    query_id=min(need.query_ids, default=0),
-                    query_ids=need.query_ids,
-                )
-            )
-        if self.config.prefetch == "sequential":
-            self._add_prefetch(requests, needs)
-        return requests
-
-    def execute_staging(
-        self,
-        requests: Sequence[TapeRequest],
-        needs: Dict[str, _SegmentNeed],
-        ticket: StagingTicket,
-    ) -> None:
-        """Order planned *requests* and stream them in capacity-sized waves.
-
-        The execution half of the staging pipeline: scheduler ordering
-        (elevator sweeps per medium) followed by pinned wave admission.
-        Requests of needs fused across queries carry the demanding query
-        ids, so the admission layer splits their bytes afterwards with
-        :func:`~repro.core.scheduler.attribute_request_bytes`.
-
-        Waves cut the ordered request stream greedily at the cache's free
-        budget (capacity minus currently pinned bytes), preserving the
-        scheduler's order so the mount-once property of the batch
-        survives.  Every non-final wave materialises its tiles into the
-        memory tile cache and unpins before the next wave claims the
-        space; the final wave's pins ride on the ticket until the caller
-        assembled its tiles.
-        """
-        with self.tracer.span("scheduler.plan", requests=len(requests)):
-            ordered = self.scheduler.order(list(requests), self.library)
-        capacity = self.disk_cache.capacity_bytes
-        index, total = 0, len(ordered)
-        with self.tracer.span("library.stage", requests=total):
-            while index < total:
-                budget = max(0, capacity - self.disk_cache.pinned_bytes)
-                wave: List[TapeRequest] = []
-                wave_bytes = 0
-                while index < total:
-                    request = ordered[index]
-                    if wave and wave_bytes + request.length > budget:
-                        break
-                    wave.append(request)
-                    wave_bytes += request.length
-                    index += 1
-                ticket.waves += 1
-                self.staging_waves_admitted += 1
-                staged_keys = self._stage_wave(wave, needs, ticket)
-                if index < total:
-                    self._drain_wave(staged_keys, needs, ticket)
-        ticket.staged = total
-        self.segments_staged += total
-
-    def _stage_wave(
-        self,
-        wave: Sequence[TapeRequest],
-        needs: Dict[str, _SegmentNeed],
-        ticket: StagingTicket,
-    ) -> List[str]:
-        """Stream one wave of requests from tape into the disk cache.
-
-        With ``config.parallel_drives > 1`` (and a library that has the
-        stations) the wave is dispatched through the
-        :class:`~repro.core.scheduler.ParallelExecutor`: one virtual
-        timeline per drive, whole-media sweeps, the robot arm serialised
-        across timelines, and landing (:meth:`_land_staged`) pipelined on
-        the assembly timeline while the drives stream on.  The serial
-        path stays byte-for-byte what it always was.
-        """
-        staged_keys: List[str] = []
-        if self.config.parallel_drives > 1 and len(self.library.drives) > 1:
-            executor = ParallelExecutor(
-                self.library,
-                num_drives=self.config.parallel_drives,
-                tracer=self.tracer,
-            )
-            report = executor.execute(
-                wave,
-                on_staged=lambda request: self._land_staged(
-                    request, needs, ticket, staged_keys
-                ),
-            )
-            self.parallel_batches += 1
-            self.parallel_makespan_seconds += report.makespan_seconds
-            self.parallel_device_seconds += report.serial_device_seconds
-            return staged_keys
-        for request in wave:
-            self.library.read_extent(
-                request.medium_id, request.offset, request.length
-            )
-            self._land_staged(request, needs, ticket, staged_keys)
-        return staged_keys
-
-    def _land_staged(
-        self,
-        request: TapeRequest,
-        needs: Dict[str, _SegmentNeed],
-        ticket: StagingTicket,
-        staged_keys: List[str],
-    ) -> None:
-        """Land one streamed request in the cache hierarchy.
-
-        The post-tape half of staging: the HSM double hop, the disk-cache
-        insertion (pinned) and the bookkeeping.  Serial staging calls it
-        right after ``read_extent``; the parallel executor calls it on the
-        assembly timeline, so the disk/HSM charges below overlap the
-        drive streaming its next run.
-        """
-        need = needs[request.key]
-        run_start, run_length = need.run
-        if self.hsm_staging is not None:
-            # Double hop: the HSM lands the file in its own staging
-            # area before HEAVEN can copy it into the cache hierarchy.
-            self.hsm_staging.write(
-                run_length, detail=f"hsm stage {request.key}"
-            )
-            self.hsm_staging.read(
-                run_length, detail=f"hsm serve {request.key}"
-            )
-        payload = self._segment_payload(request.key, run_start, run_length)
-        refetch = self._refetch_cost(run_length)
-        ticket.bytes_from_tape += request.length
-        if need.prefetch:
-            # Prefetch is opportunistic: never pinned, and simply
-            # dropped when the cache cannot take it (pinned residue
-            # or a run larger than the whole cache).
-            try:
-                self.disk_cache.insert(
-                    request.key, run_length, refetch, payload=payload
-                )
-            except CacheError:
-                return
-            need.entry.staged_runs[request.key] = need.run
-            return
-        try:
-            self.disk_cache.insert(
-                request.key, run_length, refetch, payload=payload, pin=True
-            )
-        except CacheError:
-            # The cache cannot take this run — every byte is pinned by
-            # in-flight batches, or the run alone exceeds the whole
-            # capacity.  It is already streamed, so decode its tiles
-            # straight into the memory cache instead of dropping the
-            # bytes.
-            self._materialize_from_run(need, payload, ticket)
-            return
-        ticket.pinned.append(request.key)
-        ticket.pins += 1
-        need.entry.staged_runs[request.key] = need.run
-        staged_keys.append(request.key)
-
-    def _materialize_from_run(
-        self,
-        need: _SegmentNeed,
-        payload: Optional[Union[bytes, memoryview]],
-        ticket: StagingTicket,
-    ) -> None:
-        """Decode a streamed run's tiles directly into the memory cache.
-
-        Degraded path for a fully-pinned disk cache: the tape bytes were
-        paid for, so the tiles are salvaged even though the segment cannot
-        be cached on disk — force-admitted and pinned on *ticket*, as the
-        memory cache is now their only copy above tape.
-        """
-        run_start, _run_length = need.run
-        for tile_id in need.tile_ids:
-            tile = need.mdd.tiles[tile_id]
-            offset, length = need.super_tile.tile_extents[tile_id]
-            raw = None
-            if payload is not None:
-                raw = payload[offset - run_start : offset - run_start + length]
-            self._decode_and_cache(need.entry, need.mdd, tile, raw, force=True)
-            self._pin_resident(ticket.tile_pins, need.mdd.name, tile_id)
-
-    def _drain_wave(
-        self,
-        staged_keys: Sequence[str],
-        needs: Dict[str, _SegmentNeed],
-        ticket: StagingTicket,
-    ) -> None:
-        """Materialise a finished wave's tiles, then release its pins.
-
-        The tiles are force-admitted to the memory cache and pinned there
-        on *ticket*: once the disk pins are gone, that is where the batch's
-        assembly will look for them.
-        """
-        with self.tracer.span("heaven.drain", segments=len(staged_keys)):
-            for key in staged_keys:
-                need = needs[key]
-                for tile_id in need.tile_ids:
-                    self._resolve_tile(need.mdd, need.mdd.tiles[tile_id], force=True)
-                    self._pin_resident(ticket.tile_pins, need.mdd.name, tile_id)
-                try:
-                    self.disk_cache.unpin(key)
-                except CacheError:
-                    pass  # invalidated while draining (shouldn't happen)
-                if key in ticket.pinned:
-                    ticket.pinned.remove(key)
-
-    def _required_run(
-        self, super_tile: SuperTile, needed: Sequence[int]
-    ) -> Tuple[int, int]:
-        if self.hsm_staging is not None:
-            # HSM attachment: the file is the smallest unit of access.
-            return (0, super_tile.size_bytes)
-        if self.config.partial_super_tile_reads and needed:
-            return super_tile.run_covering(list(needed))
-        return (0, super_tile.size_bytes)
-
-    @staticmethod
-    def _covers(cached: Tuple[int, int], run: Tuple[int, int]) -> bool:
-        return cached[0] <= run[0] and run[0] + run[1] <= cached[0] + cached[1]
-
-    def _add_prefetch(
-        self,
-        requests: List[TapeRequest],
-        needs: Dict[str, _SegmentNeed],
-    ) -> None:
-        """Sequential prefetch: also stage the next super-tile(s) in cluster
-        order when they live on a medium the batch already mounts."""
-        media_in_batch = {r.medium_id for r in requests}
-        extra: List[TapeRequest] = []
-        for request in list(requests):
-            need = needs[request.key]
-            entry = need.entry
-            for step in range(1, self.config.prefetch_depth + 1):
-                next_index = need.super_tile.index + step
-                if next_index >= len(entry.super_tiles):
-                    break
-                neighbour = entry.super_tiles[next_index]
-                key = neighbour.segment_name
-                if key is None or key in needs:
-                    continue
-                if neighbour.medium_id not in media_in_batch:
-                    continue
-                if key in self.disk_cache:
-                    continue
-                medium_id, segment = self.library.segment(key)
-                extra.append(
-                    TapeRequest(
-                        key=key,
-                        medium_id=medium_id,
-                        offset=segment.offset,
-                        length=neighbour.size_bytes,
-                    )
-                )
-                needs[key] = _SegmentNeed(
-                    neighbour,
-                    entry,
-                    need.mdd,
-                    run=(0, neighbour.size_bytes),
-                    prefetch=True,
-                )
-        requests.extend(extra)
-
-    def _segment_payload(
-        self, key: str, run_start: int, run_length: int
-    ) -> Optional[memoryview]:
-        """Read-only view of a segment run's bytes (zero-copy).
-
-        The library keeps segment payloads as immutable ``bytes``; a
-        sliced view of them is what lands in the disk cache, so staging a
-        run never duplicates the streamed bytes in host memory.
-        """
-        medium_id = self.library.locate(key)
-        payload = self.library.medium(medium_id).payload(key)
-        if payload is None:
-            return None
-        return memoryview(payload)[run_start : run_start + run_length].toreadonly()
-
-    def _refetch_cost(self, nbytes: int) -> float:
-        """Estimated tape cost to re-stage *nbytes* (feeds the GDS policy)."""
-        profile = self.config.tape_profile
-        return (
-            profile.full_exchange_time()
-            + profile.avg_seek_time_s / 2.0
-            + profile.transfer_time(nbytes)
-        )
-
-    def _on_cache_evict(self, key: str) -> None:
-        for entry in self._archived.values():
-            entry.staged_runs.pop(key, None)
-
-    # ------------------------------------------------------------------ resolver
-
-    def _resolve_tile(self, mdd: MDD, tile: Tile, force: bool = False) -> np.ndarray:
-        """Tile resolver installed on archived objects.
-
-        Memory cache → (disk copy, when dual-resident) → disk cache →
-        (stage from tape, then disk cache).  A tile it had to build is
-        offered to the memory cache (*force* admits it unconditionally).
-        """
-        cached = self.memory_cache.get(mdd.name, tile.tile_id)
-        if cached is not None:
-            return cached
-        entry = self._archived.get(mdd.name)
-        if entry is None:
-            raise HeavenError(f"resolver called for unarchived object {mdd.name!r}")
-        if entry.disk_copy:
-            # Dual residence (keep_disk_copy=True): the faster copy wins,
-            # read by the storage manager's own BLOB resolver.
-            assert mdd.oid is not None
-            cells = self.storage._make_resolver(mdd.oid)(mdd, tile)
-            return self._cache_tile(mdd, tile, cells, free=False, force=force)
-        super_tile = entry.super_tile_of(tile.tile_id)
-        key = super_tile.segment_name
-        assert key is not None
-        extent = tile_offset, tile_length = super_tile.tile_extents[tile.tile_id]
-
-        def covering_run() -> Optional[Tuple[int, int]]:
-            run = entry.staged_runs.get(key)
-            if key in self.disk_cache and run is not None and self._covers(run, extent):
-                return run
-            return None
-
-        run = covering_run()
-        if run is None:
-            # Fallback: the segment is gone (or its run too narrow) even
-            # though batch staging ran — the thrash class the pinned
-            # pipeline exists to prevent.  Count it and leave a marker
-            # event so span windows and CI can see it.
-            self.restages += 1
-            self.clock.charge(
-                0.0, "restage", "heaven-cache",
-                detail=f"{key}:{tile.tile_id}",
-            )
-            try:
-                restaged = self._stage_many([(mdd, [tile.tile_id])])
-            except CachePinnedError:
-                pass
-            else:
-                # Nothing can insert into the cache between this release
-                # and the read below, so the pins are not held across it;
-                # they were taken on behalf of the batch being assembled.
-                restaged.release()
-                if self._active_ticket is not None:
-                    self._active_ticket.pins += restaged.pins
-            run = covering_run()
-            if run is None:
-                # Either the staging wave degraded (cache fully pinned,
-                # tile materialised straight into the memory cache) or the
-                # re-staged run landed narrower/shifted — e.g. an
-                # interleaved batch re-planned the segment around its own
-                # tiles.  Reading through a non-covering run would compute
-                # a negative in-run offset (CacheError) or, worse, silently
-                # decode the wrong bytes.
-                cached = self.memory_cache.get(mdd.name, tile.tile_id)
-                if cached is not None:
-                    return cached
-                # Last resort: stream just this tile's extent off tape,
-                # bypassing the disk cache entirely.
-                medium_id, _segment = self.library.segment(key)
-                self.library.read_extent(
-                    medium_id, _segment.offset + tile_offset, tile_length
-                )
-                raw = self._segment_payload(key, tile_offset, tile_length)
-                return self._decode_and_cache(entry, mdd, tile, raw, force)
-        raw = self.disk_cache.read(key, tile_offset - run[0], tile_length)
-        return self._decode_and_cache(entry, mdd, tile, raw, force)
-
-    def _decode_and_cache(
-        self,
-        entry: ArchivedObject,
-        mdd: MDD,
-        tile: Tile,
-        raw: Optional[Union[bytes, memoryview]],
-        force: bool,
-    ) -> np.ndarray:
-        """Decode *raw* (see :meth:`_decode_tile`) and offer the cells to
-        the memory cache — as a free tile when they are a view over *raw*."""
-        cells = self._decode_tile(entry, mdd, tile, raw)
-        free = raw is not None and self.codec.decodes_to_view(raw)
-        return self._cache_tile(mdd, tile, cells, free=free, force=force)
-
-    def _cache_tile(
-        self, mdd: MDD, tile: Tile, cells: np.ndarray, *, free: bool, force: bool
-    ) -> np.ndarray:
-        """Offer *cells* to the memory tile cache; return the frozen array.
-
-        The cache owns freezing and admission (see
-        :meth:`MemoryTileCache.put`); when it had to snapshot a writable
-        view to freeze safely, the snapshot — not the caller's writable
-        alias — is what resolver callers must see, and the copied bytes are
-        charged to the zero-copy counter.
-        """
-        stored = self.memory_cache.put(
-            mdd.name, tile.tile_id, cells, free=free, force=force
-        )
-        if stored is not cells:
-            self.assembly_bytes_copied += int(stored.nbytes)
-        return stored
-
-    def _decode_tile(
-        self,
-        entry: ArchivedObject,
-        mdd: MDD,
-        tile: Tile,
-        raw: Optional[Union[bytes, memoryview]],
-    ) -> np.ndarray:
-        """Decode one tile's staged bytes (or regenerate from its source).
-
-        Zero-copy: the returned array is a **read-only view** — over the
-        cache-owned segment bytes for uncompressed payloads, over the
-        codec's freshly-decompressed buffer otherwise.  No defensive copy:
-        the buffers underneath are either immutable (``bytes``/read-only
-        ``memoryview``) or exclusively owned by this decode.
-        """
-        if raw is not None:
-            view: Union[bytes, memoryview]
-            if entry.stored_sizes is not None:
-                view = self.codec.decompress_view(raw, tile.size_bytes)
-            elif isinstance(raw, memoryview):
-                view = raw.toreadonly()
-            else:
-                view = raw  # bytes: immutable already
-            return np.frombuffer(view, dtype=mdd.cell_type.dtype).reshape(
-                tile.domain.shape
-            )
-        if mdd.source is not None:
-            return mdd.source.region(tile.domain, mdd.cell_type)
-        raise HeavenError(
-            f"tile {tile.tile_id} of {mdd.name!r}: payload not retained and "
-            "no source to regenerate from"
-        )
+    def execute_staging(self, requests, needs, ticket: StagingTicket) -> None:
+        staging.execute_staging(self, requests, needs, ticket)
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -1332,7 +625,7 @@ class Heaven:
                 tile = mdd.tiles[tile_id]
                 # The resolver's arrays are frozen; set_payload snapshots
                 # non-writable input itself, so no defensive copy here.
-                tile.set_payload(self._resolve_tile(mdd, tile))
+                tile.set_payload(staging.resolve_tile(self, mdd, tile))
 
         try:
             self._query_unit(mdd, tiles_to_load, load, str(region))
@@ -1428,7 +721,7 @@ class Heaven:
         entry = self.archived(object_name)
         all_tiles = sorted(mdd.tiles)
         rewrite = lambda: self.storage.rewrite_tiles(  # noqa: E731
-            mdd, all_tiles, lambda tile: self._resolve_tile(mdd, tile)
+            mdd, all_tiles, partial(staging.resolve_tile, self, mdd)
         )
         self._query_unit(mdd, all_tiles, rewrite, str(mdd.domain))
         assert mdd.oid is not None
@@ -1544,43 +837,8 @@ class Heaven:
     # ------------------------------------------------------------------ reporting
 
     def assert_quiescent(self) -> None:
-        """Raise :class:`HeavenError` unless the instance is at rest.
-
-        Quiescence means no operation is in flight: every staging pin (disk
-        segment or memory tile) has been released (a leaked pin would
-        silently shrink the evictable cache forever), no parallel-staging
-        timeline is still active on the clock, and neither cache tier holds
-        more bytes than its capacity.  The simulation harness checks this
-        between operations;
-        it is also a useful sanity probe after any synchronous API call.
-        """
-        pinned = self.disk_cache.pinned_keys()
-        if pinned:
-            raise HeavenError(
-                f"not quiescent: {len(pinned)} disk-cache key(s) still "
-                f"pinned: {pinned[:5]}"
-            )
-        if self.memory_cache.pinned_tiles:
-            raise HeavenError(
-                f"not quiescent: {self.memory_cache.pinned_tiles} memory-cache "
-                "tile(s) still pinned"
-            )
-        if self.clock.active_timeline is not None:
-            raise HeavenError(
-                "not quiescent: a parallel-staging timeline is still "
-                "active on the clock"
-            )
-        if self.disk_cache.used_bytes > self.disk_cache.capacity_bytes:
-            raise HeavenError(
-                f"not quiescent: disk cache holds {self.disk_cache.used_bytes} "
-                f"bytes > capacity {self.disk_cache.capacity_bytes}"
-            )
-        if self.memory_cache.used_bytes > self.memory_cache.capacity_bytes:
-            raise HeavenError(
-                f"not quiescent: memory cache holds "
-                f"{self.memory_cache.used_bytes} bytes > capacity "
-                f"{self.memory_cache.capacity_bytes}"
-            )
+        """Raise :class:`HeavenError` unless no operation is in flight."""
+        staging.assert_quiescent(self)
 
     def snapshot(self) -> Dict[str, object]:
         """One-stop status snapshot for reports and examples."""

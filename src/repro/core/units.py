@@ -41,7 +41,7 @@ from ..arrays.operations import MArray
 from ..errors import CellTypeError, WireFormatError
 
 if TYPE_CHECKING:
-    from .heaven import RetrievalReport
+    from .admission import RetrievalReport
 
 __all__ = [
     "SubReadRequest",

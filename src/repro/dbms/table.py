@@ -148,9 +148,6 @@ class Table:
     def get(self, rowid: int) -> Row:
         return dict(self._require(rowid))
 
-    def rowids(self) -> List[int]:
-        return list(self._rows)
-
     def scan(self, predicate: Optional[Predicate] = None) -> Iterator[Tuple[int, Row]]:
         """Full scan yielding (rowid, row-copy), optionally filtered."""
         for rowid, row in list(self._rows.items()):

@@ -2,7 +2,7 @@
 
 Three accounting systems describe every hierarchical read:
 
-* the per-operation :class:`~repro.core.heaven.RetrievalReport`,
+* the per-operation :class:`~repro.core.admission.RetrievalReport`,
 * the lifetime ``repro_*`` instruments in the metrics registry,
 * the raw event log of the simulation clock.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.heaven import RetrievalReport
+    from ..core.admission import RetrievalReport
     from .metrics import MetricsRegistry
 
 #: report field -> (metric series, labelled) for every numeric field of

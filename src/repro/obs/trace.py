@@ -16,7 +16,7 @@ windows of its children.
 
 The tracer is **zero-cost when disabled**: ``span()`` hands out a shared
 no-op span and records nothing.  Cost accounting never depends on it:
-:class:`~repro.core.heaven.RetrievalReport` is built from event-log
+:class:`~repro.core.admission.RetrievalReport` is built from event-log
 windows directly.
 """
 

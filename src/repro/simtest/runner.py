@@ -36,9 +36,10 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..arrays import DOUBLE, MDD, HashedNoiseSource, MInterval, RegularTiling
+from ..core.admission import RetrievalReport
 from ..core.config import HeavenConfig
 from ..core.framing import MultiBoxFrame
-from ..core.heaven import Heaven, RetrievalReport
+from ..core.heaven import Heaven
 from ..errors import HeavenError, StorageError
 from ..faults import FaultPlan, FaultSpec, compose_specs
 from ..obs.reconcile import (

@@ -123,9 +123,6 @@ class DiskProfile:
     avg_access_time_s: float
     transfer_rate_bps: float
 
-    def access_time(self) -> float:
-        return self.avg_access_time_s
-
     def transfer_time(self, nbytes: int) -> float:
         return nbytes / self.transfer_rate_bps
 

@@ -192,7 +192,7 @@ class TestPinnedCache:
 
     def test_insert_raises_when_everything_is_pinned(self):
         cache = self.cache()
-        cache.insert("a", 6 * MB, 1.0, pin=True)
+        cache.insert("a", 6 * MB, 1.0, pins=1)
         with pytest.raises(CachePinnedError):
             cache.insert("b", 6 * MB, 1.0)
         assert cache.stats.pin_evictions_blocked > 0
@@ -200,7 +200,7 @@ class TestPinnedCache:
 
     def test_unpin_makes_entry_evictable_again(self):
         cache = self.cache()
-        cache.insert("a", 6 * MB, 1.0, pin=True)
+        cache.insert("a", 6 * MB, 1.0, pins=1)
         cache.unpin("a")
         cache.insert("b", 6 * MB, 1.0)
         assert "a" not in cache
@@ -208,7 +208,7 @@ class TestPinnedCache:
 
     def test_eviction_skips_pinned_lru_entry(self):
         cache = self.cache()
-        cache.insert("old", 4 * MB, 1.0, pin=True)
+        cache.insert("old", 4 * MB, 1.0, pins=1)
         cache.insert("new", 4 * MB, 1.0)
         cache.insert("newer", 4 * MB, 1.0)  # LRU victim would be "old"
         assert "old" in cache
@@ -237,14 +237,14 @@ class TestPinnedCache:
 
     def test_invalidate_clears_pins(self):
         cache = self.cache()
-        cache.insert("a", 1 * MB, 1.0, pin=True)
+        cache.insert("a", 1 * MB, 1.0, pins=1)
         assert cache.invalidate("a")
         assert not cache.is_pinned("a")
         assert cache.pinned_bytes == 0
 
     def test_pinned_bytes_tracks_pinned_entries_only(self):
         cache = self.cache()
-        cache.insert("a", 2 * MB, 1.0, pin=True)
+        cache.insert("a", 2 * MB, 1.0, pins=1)
         cache.insert("b", 3 * MB, 1.0)
         assert cache.pinned_bytes == 2 * MB
         cache.unpin("a")

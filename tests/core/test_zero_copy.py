@@ -1,18 +1,22 @@
 """Regression tests for the zero-copy read path and its satellite bugfixes.
 
-Three bugs are pinned here (each failed before its fix):
+Four bugs are pinned here (each failed before its fix):
 
-* the restage fallback in ``Heaven._resolve_tile`` trusted whatever run a
-  re-stage landed without re-checking that it covers the tile — a
-  narrower or shifted run (an interleaved batch re-planning the segment)
-  made the disk-cache read raise on a negative offset or return the
-  wrong bytes;
+* the resolver's restage fallback trusted whatever run a re-stage landed
+  without re-checking that it covers the tile — a narrower or shifted run
+  (an interleaved batch re-planning the segment) made the disk-cache read
+  raise on a negative offset or return the wrong bytes.  The fallback is
+  now one direct tape read of the tile's run, which lands nothing in the
+  disk cache;
 * ``MDD.from_array`` stored *views* of the caller's array as tile
   payloads, so a later ``mdd.write`` silently mutated the user's input
   in place (the copy-on-write guard never fired on a writable view);
 * ``read_with_report`` attributed pins via a global ``stats.pins`` delta,
   charging the read for pins other (nested/interleaved) queries took
-  between the two samples.
+  between the two samples;
+* widening a cached run too narrow for a later sweep dropped the pins
+  other queries held on it, so one of them restaged and the cache counted
+  more pins than unpins.
 
 Plus the zero-copy pipeline invariants: decoded tiles are read-only
 views, assembled results never alias cache memory, and the
@@ -26,8 +30,8 @@ import pytest
 
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig, ZlibCodec, compression
+from repro.core import staging
 from repro.core.admission import AdmissionController, QuerySpec
-from repro.core.heaven import StagingTicket
 from repro.tertiary import MB
 
 
@@ -64,7 +68,8 @@ def expected_cells(mdd, region):
 
 
 class TestRestageCoverageRecheck:
-    """Satellite 1: a non-covering re-staged run must not be read through."""
+    """A tile whose staged run is gone, or does not cover it, is read
+    straight off tape: one direct read, nothing cached on disk."""
 
     def _prime_fallback(self, heaven, mdd):
         """Drop the target tile's segment so the resolver must restage."""
@@ -78,67 +83,9 @@ class TestRestageCoverageRecheck:
         heaven.memory_cache.invalidate_object(mdd.name)
         return entry, tile, super_tile, key
 
-    def test_narrow_restage_falls_back_to_direct_stream(self, monkeypatch):
-        """A re-stage that lands a run NOT covering the tile (an
-        interleaved batch re-planned the segment around its own tiles)
-        must fall through to the direct tape stream, not read wrong
-        bytes.  Before the fix this raised CacheError on the negative
-        in-run offset."""
-        heaven = make_heaven()
-        mdd = archive_object(heaven)
-        entry, tile, super_tile, key = self._prime_fallback(heaven, mdd)
-
-        # Target tile 0 sits at run offset 0; the hostile re-stage lands
-        # a run starting past it, so (tile_offset - run[0]) goes negative.
-        tile_offset, tile_length = super_tile.tile_extents[tile.tile_id]
-        other_offset = max(
-            off for off, _len in super_tile.tile_extents.values()
-        )
-        assert other_offset > tile_offset
-
-        def hostile_stage(pairs, needs=None):
-            # Every staging attempt (the read's batch, resolver fallback)
-            # lands the same non-covering run and pins nothing.
-            if key not in heaven.disk_cache:
-                run = (other_offset, super_tile.size_bytes - other_offset)
-                payload = heaven._segment_payload(key, run[0], run[1])
-                heaven.disk_cache.insert(key, run[1], 1.0, payload=payload)
-                entry.staged_runs[key] = run
-            return StagingTicket(cache=heaven.disk_cache)
-
-        monkeypatch.setattr(heaven, "_stage_many", hostile_stage)
-        cells = heaven.read("col", mdd.name, tile.domain)
-        np.testing.assert_array_equal(cells, expected_cells(mdd, tile.domain))
-        assert heaven.restages >= 1
-
-    def test_shifted_restage_does_not_decode_wrong_bytes(self, monkeypatch):
-        """A shifted covering-length-but-wrong-offset run previously
-        decoded the NEIGHBOUR tile's bytes silently."""
-        heaven = make_heaven()
-        mdd = archive_object(heaven)
-        entry, tile, super_tile, key = self._prime_fallback(heaven, mdd)
-
-        extents = sorted(super_tile.tile_extents.values())
-        assert len(extents) >= 2
-        second_offset, second_length = extents[1]
-
-        def hostile_stage(pairs, needs=None):
-            # Covers only the second tile's extent; same length as the
-            # target's, so the old code read the neighbour's bytes.
-            if key not in heaven.disk_cache:
-                run = (second_offset, second_length)
-                payload = heaven._segment_payload(key, run[0], run[1])
-                heaven.disk_cache.insert(key, run[1], 1.0, payload=payload)
-                entry.staged_runs[key] = run
-            return StagingTicket(cache=heaven.disk_cache)
-
-        monkeypatch.setattr(heaven, "_stage_many", hostile_stage)
-        cells = heaven.read("col", mdd.name, tile.domain)
-        np.testing.assert_array_equal(cells, expected_cells(mdd, tile.domain))
-
     def test_organic_restage_with_covering_run_reads_through(self):
-        """The legitimate fallback ladder (resolver restages after an
-        eviction, the run covers) keeps working unchanged."""
+        """The legitimate fallback (the resolver restages after an
+        eviction) returns the right cells."""
         heaven = make_heaven()
         mdd = archive_object(heaven)
         entry, tile, _super_tile, _key = self._prime_fallback(heaven, mdd)
@@ -147,6 +94,26 @@ class TestRestageCoverageRecheck:
         cells = mdd.read(tile.domain)
         np.testing.assert_array_equal(cells, expected_cells(mdd, tile.domain))
         assert heaven.restages >= 1
+
+
+    def test_hsm_restage_reads_the_whole_segment_through_the_hsm(self):
+        """Under HSM attachment the file is the unit of access: a forced
+        fallback streams the whole segment and pays the HSM's double hop
+        (one staging-disk write, one read) for it."""
+        heaven = make_heaven(attachment="hsm")
+        mdd = archive_object(heaven)
+        _entry, tile, super_tile, _key = self._prime_fallback(heaven, mdd)
+        log = heaven.clock.log
+        cursor = log.cursor()
+        cells = mdd.read(tile.domain)
+        np.testing.assert_array_equal(cells, expected_cells(mdd, tile.domain))
+        events = log.window(cursor)
+        drive_reads = [e.bytes for e in events if e.kind == "read" and e.device.startswith("drive")]
+        hsm = [(e.kind, e.bytes) for e in events if e.device == "hsm-staging"]
+        assert heaven.restages == 1
+        assert drive_reads == [super_tile.size_bytes]
+        assert hsm == [("disk-write", super_tile.size_bytes), ("disk-read", super_tile.size_bytes)]
+        assert heaven.disk_cache.keys() == []
 
 
 class TestFromArrayCopiesInput:
@@ -226,7 +193,8 @@ class TestPinAttribution:
 
     def test_restage_fallback_pins_attributed_to_owner(self):
         """Mid-assembly restage pins belong to the read that triggered
-        them."""
+        them (the fallback now takes none, so the read's pins are still
+        exactly the global delta)."""
         heaven = make_heaven()
         mdd = archive_object(heaven)
         region = MInterval.of((0, 15), (0, 15))
@@ -242,63 +210,13 @@ class TestPinAttribution:
         _cells, report = heaven.read_with_report("col", mdd.name, region)
         assert report.pins == heaven.disk_cache.stats.pins - before
 
-    def test_concurrent_queries_reconcile_lease_counts(self, monkeypatch):
-        """A query's pins are its sweeps' pins plus its own ticket's, and
-        the queries' own tickets took exactly the pins the sweeps handed
-        over plus the ones their assembly restages took: no query is
-        charged another's hand-over or restage pins."""
-        heaven = make_heaven(disk_cache_bytes=64 * 1024)
-        archive_object(heaven, "o0", seed=0)
-        archive_object(heaven, "o1", seed=1)
-        region = MInterval.of((0, 63), (0, 63))
-        requests = [
-            ("col", "o0", region),
-            ("col", "o1", region),
-            ("col", "o0", MInterval.of((0, 15), (0, 15))),
-        ]
-        stats = heaven.disk_cache.stats
-        controller = AdmissionController(heaven, schedule_seed=3)
-        handed, restaged = [], []
-        sweep_pins = {}
-        hand_over, assemble = controller._hand_over_pins, controller._assemble
-        stage_many = heaven._stage_many
-
-        def counted_stage_many(pairs, needs=None):
-            ticket = stage_many(pairs, needs)
-            for qid in {q for need in (needs or {}).values() for q in need.query_ids}:
-                sweep_pins[qid] = sweep_pins.get(qid, 0) + ticket.pins
-            return ticket
-
-        def counted_hand_over(*args):
-            before = stats.pins
-            hand_over(*args)
-            handed.append(stats.pins - before)
-
-        def counted_assemble(task):
-            before = stats.pins
-            assemble(task)
-            restaged.append(stats.pins - before)
-
-        monkeypatch.setattr(controller, "_hand_over_pins", counted_hand_over)
-        monkeypatch.setattr(controller, "_assemble", counted_assemble)
-        monkeypatch.setattr(heaven, "_stage_many", counted_stage_many)
-        _outputs, multi = controller.run(
-            [QuerySpec(collection=c, object_name=o, region=r) for c, o, r in requests]
-        )
-        tasks = controller._tasks
-        assert sum(handed) > 0
-        assert sum(task.ticket.pins for task in tasks) == sum(handed) + sum(restaged)
-        for task, report in zip(tasks, multi.queries):
-            assert report.pins == sweep_pins.get(task.qid, 0) + task.ticket.pins
-        heaven.assert_quiescent()
-
     def test_admission_restage_pins_attributed_to_assembling_query(
         self, monkeypatch
     ):
-        """Restage pins taken while an admission query assembles belong to
-        that query, on top of its sweep's pins and the ones the sweep
-        handed it: a lone query's pins are the run's whole pin traffic,
-        as for a direct read."""
+        """A tile whose staged run vanished before its admission query
+        assembled is read straight off tape: right bytes, no pin, no
+        disk-cache entry, and the tape bytes and the run's whole pin
+        traffic land in the assembling query's report."""
         heaven = make_heaven()
         mdd = archive_object(heaven)
         region = MInterval.of((0, 15), (0, 15))
@@ -318,9 +236,12 @@ class TestPinAttribution:
                 heaven.disk_cache.invalidate(key)
                 entry.staged_runs.pop(key)
             heaven.memory_cache.invalidate_object(mdd.name)
-            before = stats.pins
+            seen["keys"] = heaven.disk_cache.keys()
+            seen["pins"] = stats.pins
+            seen["tape"] = heaven.library.stats().bytes_read
             assemble(task)
-            seen["fallback"] = stats.pins - before
+            seen["fallback_pins"] = stats.pins - seen["pins"]
+            seen["fallback_tape"] = heaven.library.stats().bytes_read - seen["tape"]
 
         monkeypatch.setattr(controller, "_assemble", drop_then_assemble)
         before = stats.pins
@@ -329,10 +250,95 @@ class TestPinAttribution:
         )
         np.testing.assert_array_equal(cells, expected_cells(mdd, region))
         (query,) = multi.queries
-        assert query.restages > 0
-        assert seen["held"] > 0 and seen["fallback"] > 0
+        _offset, tile_length = entry.super_tile_of(0).tile_extents[0]
+        assert query.restages == 1
+        assert seen["held"] > 0 and seen["fallback_pins"] == 0
         assert query.pins == stats.pins - before
-        assert query.pins > seen["held"] + seen["fallback"]
+        assert heaven.disk_cache.keys() == seen["keys"]
+        assert seen["fallback_tape"] == tile_length
+        assert query.bytes_from_tape == multi.bytes_from_tape
+        assert query.bytes_from_tape == 2 * tile_length  # its sweep + its restage
+        heaven.assert_quiescent()
+
+    def test_concurrent_queries_reconcile_lease_counts(self, monkeypatch):
+        """A query's pins are its sweeps' pins plus its own ticket's, and
+        the queries' own tickets took exactly the pins the sweeps handed
+        over plus any their assembly took: no query is charged another's
+        hand-over pins."""
+        heaven = make_heaven(disk_cache_bytes=64 * 1024)
+        archive_object(heaven, "o0", seed=0)
+        archive_object(heaven, "o1", seed=1)
+        region = MInterval.of((0, 63), (0, 63))
+        requests = [
+            ("col", "o0", region),
+            ("col", "o1", region),
+            ("col", "o0", MInterval.of((0, 15), (0, 15))),
+        ]
+        stats = heaven.disk_cache.stats
+        controller = AdmissionController(heaven, schedule_seed=3)
+        handed, restaged = [], []
+        sweep_pins = {}
+        hand_over, assemble = staging._hand_over_pins, controller._assemble
+        stage_sweep = staging.stage_sweep
+
+        def counted_stage_sweep(heaven, needs, holders):
+            ticket = stage_sweep(heaven, needs, holders)
+            for qid in {q for need in needs.values() for q in need.query_ids}:
+                sweep_pins[qid] = sweep_pins.get(qid, 0) + ticket.pins
+            return ticket
+
+        def counted_hand_over(*args):
+            before = stats.pins
+            hand_over(*args)
+            handed.append(stats.pins - before)
+
+        def counted_assemble(task):
+            before = stats.pins
+            assemble(task)
+            restaged.append(stats.pins - before)
+
+        monkeypatch.setattr(staging, "_hand_over_pins", counted_hand_over)
+        monkeypatch.setattr(controller, "_assemble", counted_assemble)
+        monkeypatch.setattr(staging, "stage_sweep", counted_stage_sweep)
+        _outputs, multi = controller.run(
+            [QuerySpec(collection=c, object_name=o, region=r) for c, o, r in requests]
+        )
+        tasks = controller._tasks
+        assert sum(handed) > 0
+        assert sum(task.ticket.pins for task in tasks) == sum(handed) + sum(restaged)
+        for task, report in zip(tasks, multi.queries):
+            assert report.pins == sweep_pins.get(task.qid, 0) + task.ticket.pins
+        heaven.assert_quiescent()
+
+    def test_widening_a_pinned_run_carries_its_pins(self):
+        """Query A holds tile 0's run of st0 while it waits for st1; query B
+        then needs tile 3 of st0, so B's sweep restages st0 wider.  A's pin
+        rides onto the wider run: A assembles without a restage, and every
+        pin taken is released (the dropped pin used to leave 7 pins
+        against 6 unpins, 14 336 tape bytes and a 75.6 s makespan)."""
+        heaven = make_heaven(
+            disk_cache_bytes=8 * 1024,
+            memory_cache_bytes=2 * 1024,
+            inter_clustering=False,  # one super-tile per medium
+        )
+        mdd = archive_object(heaven)
+        entry = heaven._archived[mdd.name]
+        assert [st.tile_ids for st in entry.super_tiles[:2]] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        now = heaven.clock.now
+        specs = [
+            QuerySpec(collection="col", object_name=mdd.name,
+                      region=MInterval.of((0, 31), (0, 15)), arrival_s=now),
+            QuerySpec(collection="col", object_name=mdd.name,
+                      region=MInterval.of((0, 15), (48, 63)), arrival_s=now + 1.0),
+        ]
+        outputs, multi = AdmissionController(heaven).run(specs)
+        for spec, cells in zip(specs, outputs):
+            np.testing.assert_array_equal(cells, expected_cells(mdd, spec.region))
+        stats = heaven.disk_cache.stats
+        assert heaven.restages == 0
+        assert stats.pins == stats.unpins == sum(q.pins for q in multi.queries) == 4
+        assert multi.bytes_from_tape == 12 * 1024
+        assert multi.makespan_s < 50.0
         heaven.assert_quiescent()
 
 

@@ -59,15 +59,15 @@ class DiskCacheMachine(RuleBasedStateMachine):
         target=keys,
         key=st.text(alphabet="abcdef", min_size=1, max_size=3),
         size=st.integers(1, 400),
-        pinned=st.booleans(),
+        pins=st.integers(0, 2),
     )
-    def insert(self, key, size, pinned):
+    def insert(self, key, size, pins):
         if key in self.cache:
             return key
         payload = (key * (size // len(key) + 1)).encode()[:size]
         try:
             self.cache.insert(
-                key, size, refetch_cost=1.0, payload=payload, pin=pinned
+                key, size, refetch_cost=1.0, payload=payload, pins=pins
             )
         except CachePinnedError:
             # Only legitimate when the pinned residue leaves no room even
@@ -76,8 +76,8 @@ class DiskCacheMachine(RuleBasedStateMachine):
             assert key not in self.cache
             return key
         self.present[key] = payload
-        if pinned:
-            self.pins[key] = 1
+        if pins:
+            self.pins[key] = pins
         return key
 
     @rule(key=keys)

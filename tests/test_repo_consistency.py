@@ -156,12 +156,15 @@ class TestOneReadDriver:
 
 
 class TestOneStagingDriver:
-    """Every staging is an admission query: the sweep is the one staging
-    pass, and the resolver's restage fallback the one bare pass."""
+    """Every staging is an admission query, the sweep is the one staging
+    pass, and the pass lives in one module, ``core/staging.py``."""
+
+    CORE = os.path.join(REPO_ROOT, "src", "repro", "core")
 
     @staticmethod
     def calls(name: str):
-        """``file:function`` of every call to an attribute *name* in src/."""
+        """``file:function`` of every call to *name* (bare or as an
+        attribute) in src/."""
         package = os.path.join(REPO_ROOT, "src", "repro")
         sites = []
         for dirpath, _dirs, files in os.walk(package):
@@ -174,10 +177,9 @@ class TestOneStagingDriver:
                     if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         continue
                     for node in ast.walk(function):
-                        if (
-                            isinstance(node, ast.Call)
-                            and isinstance(node.func, ast.Attribute)
-                            and node.func.attr == name
+                        if isinstance(node, ast.Call) and name in (
+                            getattr(node.func, "attr", None),
+                            getattr(node.func, "id", None),
                         ):
                             sites.append(f"{file_name}:{function.name}")
         return sorted(set(sites))
@@ -190,11 +192,39 @@ class TestOneStagingDriver:
                     text = read(os.path.join(dirpath, name))
                     assert not re.search(r"\b_staged\(", text), name
 
-    def test_stage_many_has_two_callers(self):
-        assert self.calls("_stage_many") == [
-            "admission.py:_execute_sweep",
-            "heaven.py:_resolve_tile",
-        ]
+    def test_stage_sweep_has_one_caller(self):
+        assert self.calls("stage_sweep") == ["admission.py:_execute_sweep"]
+        assert self.calls("_stage_many") == []
+
+    def test_no_active_ticket(self):
+        package = os.path.join(REPO_ROOT, "src", "repro")
+        for dirpath, _dirs, files in os.walk(package):
+            for name in files:
+                if name.endswith(".py"):
+                    assert "_active_ticket" not in read(os.path.join(dirpath, name)), name
+
+    @pytest.mark.parametrize("module", ["admission.py", "staging.py"])
+    def test_no_run_time_import_of_heaven(self, module):
+        """Both import ``heaven`` for annotations only, under
+        ``TYPE_CHECKING``; ``heaven`` imports them at module top."""
+        tree = ast.parse(read(os.path.join(self.CORE, module)))
+        guarded = {
+            id(node)
+            for block in tree.body
+            if isinstance(block, ast.If) and getattr(block.test, "id", None) == "TYPE_CHECKING"
+            for node in ast.walk(block)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in guarded:
+                modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any(m.endswith("heaven") for m in modules), (module, node.lineno)
+
+    def test_heaven_module_stays_a_facade(self):
+        from repro.core.heaven import Heaven
+
+        with open(os.path.join(self.CORE, "heaven.py")) as handle:
+            assert len(handle.readlines()) < 900
+        assert Heaven.__mro__ == (Heaven, object)
 
 
 class TestDeliverables:
