@@ -33,8 +33,6 @@ def run_variant(with_pyramids: bool):
         heaven.memory_cache.invalidate_object("obj")
         for key in list(heaven.disk_cache.keys()):
             heaven.disk_cache.invalidate(key)
-        for entry in heaven._archived.values():
-            entry.staged_runs.clear()
         start = heaven.clock.now
         tape0 = heaven.library.stats().bytes_read
         heaven.query(f"select scale(c, {factor}, {factor}) from bench as c")

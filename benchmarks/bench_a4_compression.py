@@ -57,8 +57,6 @@ def run_variant(compression: str):
         # Cold caches per query.
         for key in list(heaven.disk_cache.keys()):
             heaven.disk_cache.invalidate(key)
-        for entry in heaven._archived.values():
-            entry.staged_runs.clear()
         region = subcube(obj.domain, SELECTIVITY, rng)
         _cells, report = heaven.read_with_report("col", "obj", region)
         query_seconds += report.virtual_seconds

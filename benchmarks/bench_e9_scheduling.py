@@ -31,7 +31,7 @@ def build_library():
             library.write_segment(name, SEGMENT_MB * MB, medium_id=f"m{m}")
             _mid, segment = library.segment(name)
             requests.append(
-                TapeRequest(name, f"m{m}", segment.offset, segment.length, query_id=s)
+                TapeRequest(name, f"m{m}", segment.offset, segment.length, query_ids=(s,))
             )
     library.unmount_all()
     library.clock.reset()

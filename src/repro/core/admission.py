@@ -774,9 +774,7 @@ class AdmissionController:
                 r.length for r in requests if r.key not in by_key
             )
             surplus = window_bytes - sum(r.length for r in requests)
-            report.unattributed_tape_bytes += (
-                shares.pop(0, 0) + prefetch_bytes + max(0, surplus)
-            )
+            report.unattributed_tape_bytes += prefetch_bytes + max(0, surplus)
             for qid, share in shares.items():
                 tasks_by_qid[qid].tape_bytes += share
         # -- service attribution: sweep seconds split by demanded bytes;

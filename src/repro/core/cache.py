@@ -2,8 +2,9 @@
 
 Two levels above tape:
 
-* a **disk cache** holding super-tile segments staged from tape — the level
-  that turns repeated tape mounts into disk reads;
+* a **disk cache** holding the run of each super-tile segment staged from
+  tape as ``(key, start, length, bytes)`` — the level that turns repeated
+  tape mounts into disk reads;
 * a **memory tile cache** holding decoded tile payloads — the level that
   turns repeated disk reads (and, above all, repeated inflates) into
   pointer lookups.
@@ -253,15 +254,18 @@ class CacheStats:
 
 @dataclass
 class _DiskEntry:
+    #: segment offset of the staged run, which is *size* bytes long
+    start: int
     size: int
     cost: float
-    #: staged segment bytes — ``memoryview`` slices of the library's
+    #: staged run bytes — ``memoryview`` slices of the library's
     #: immutable payloads on the zero-copy staging path
     payload: Optional[Union[bytes, memoryview]]
 
 
 class DiskCache:
-    """Disk-resident cache of staged super-tile segments.
+    """Disk-resident cache of staged super-tile segment runs: an entry is
+    the one record of which byte run of a segment is staged (:meth:`run`).
 
     Insertion charges a disk write; hits are free at this level (the read
     itself is charged when tiles are pulled out via :meth:`read`).
@@ -280,7 +284,6 @@ class DiskCache:
         policy: EvictionPolicy,
         profile: DiskProfile,
         clock: SimClock,
-        on_evict: Optional[callable] = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise CacheError("disk cache capacity must be positive")
@@ -288,7 +291,6 @@ class DiskCache:
         self.policy = policy
         self.disk = DiskDevice("heaven-cache", profile, clock)
         self.clock = clock
-        self.on_evict = on_evict
         self._entries: Dict[str, _DiskEntry] = {}
         self._pins: Dict[str, int] = {}
         self.stats = CacheStats()
@@ -337,6 +339,11 @@ class DiskCache:
     def pinned_keys(self) -> List[str]:
         return list(self._pins)
 
+    def run(self, key: str) -> Optional[Tuple[int, int]]:
+        """``(start, length)`` of segment *key*'s staged run, or None (counts nothing)."""
+        entry = self._entries.get(key)
+        return None if entry is None else (entry.start, entry.size)
+
     def lookup(self, key: str) -> bool:
         """Probe the cache; updates policy state and hit statistics."""
         self.stats.lookups += 1
@@ -354,8 +361,9 @@ class DiskCache:
         refetch_cost: float,
         payload: Optional[Union[bytes, memoryview]] = None,
         pins: int = 0,
+        start: int = 0,
     ) -> None:
-        """Add a staged segment, evicting until it fits.
+        """Add the staged run ``[start, start + size)`` of *key*, evicting until it fits.
 
         The entry starts with *pins* pin references, which staging carries
         over from a narrower run of the same segment it restages wider;
@@ -370,7 +378,7 @@ class DiskCache:
         while self.used_bytes + size > self.capacity_bytes:
             self.evict_one()
         self.disk.write(size, detail=f"stage {key}")
-        self._entries[key] = _DiskEntry(size=size, cost=refetch_cost, payload=payload)
+        self._entries[key] = _DiskEntry(start, size, refetch_cost, payload)
         self.policy.insert(key, size, refetch_cost)
         self.stats.insertions += 1
         self.stats.bytes_inserted += size
@@ -415,8 +423,6 @@ class DiskCache:
             "disk cache evict %s (%d B) by %s policy", victim, entry.size,
             self.policy.name,
         )
-        if self.on_evict is not None:
-            self.on_evict(victim)
         return victim
 
     def resize(self, capacity_bytes: int) -> int:
@@ -457,7 +463,7 @@ class DiskCache:
         return True
 
     def read(self, key: str, offset: int, length: int) -> Optional[memoryview]:
-        """Read a byte range of a cached segment (charged disk read).
+        """Read segment bytes ``[offset, offset + length)`` off the staged run (charged).
 
         Returns a **read-only** ``memoryview`` over the cached payload —
         no bytes are copied; decode builds ``np.frombuffer`` views directly
@@ -469,15 +475,16 @@ class DiskCache:
         entry = self._entries.get(key)
         if entry is None:
             raise CacheError(f"cache entry {key!r} not present")
-        if offset < 0 or offset + length > entry.size:
+        begin = offset - entry.start
+        if begin < 0 or begin + length > entry.size:
             raise CacheError(
-                f"range [{offset}, {offset + length}) outside segment of "
-                f"{entry.size} B"
+                f"range [{offset}, {offset + length}) outside staged run "
+                f"[{entry.start}, {entry.start + entry.size}) of {key!r}"
             )
         self.disk.read(length, detail=f"read {key}")
         if entry.payload is None:
             return None
-        return memoryview(entry.payload)[offset : offset + length].toreadonly()
+        return memoryview(entry.payload)[begin : begin + length].toreadonly()
 
 
 # -- memory tile cache -----------------------------------------------------------------

@@ -263,8 +263,8 @@ class TCTExporter:
                 (one encode per tile); None = the raw tile BLOBs.  A tile
                 without bytes (None) makes its segment size-only.
 
-        Side effects: fills in each super-tile's ``medium_id``,
-        ``segment_name`` and ``tile_extents``.
+        Side effects: fills in each super-tile's ``segment_name`` and
+        ``tile_extents``; the library's directory records the medium.
         """
         if mdd.oid is None:
             raise ExportError(f"object {mdd.name!r} is not persisted; insert it first")
@@ -342,7 +342,6 @@ class TCTExporter:
                         medium_id=placement.medium_id,
                     )
                 previous_write_seconds = write_watch.elapsed
-                super_tile.medium_id = medium_id
                 super_tile.segment_name = segment_name
                 logger.debug(
                     "streamed %s (%d tiles, %d B) to medium %s in %.3f virtual s",

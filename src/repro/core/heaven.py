@@ -24,7 +24,7 @@ and this class holds the state both work on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -65,19 +65,25 @@ from .units import ObjectDescriptor, SubReadRequest, SubReadResponse
 
 @dataclass
 class ArchivedObject:
-    """Bookkeeping of one object migrated to tertiary storage."""
+    """Catalog entry of one object migrated to tertiary storage: durable
+    facts only (a segment's medium is the library's, its staged run the
+    disk cache's, the object's collection the storage catalog's)."""
 
     mdd: MDD
-    collection: str
     super_tiles: List[SuperTile]
     tile_to_st: Dict[int, SuperTile]
     disk_copy: bool = True
-    #: per-tile on-tape sizes when compression is active (None = logical)
-    stored_sizes: Optional[Dict[int, int]] = None
-    #: byte run of each staged segment currently in the disk cache
-    staged_runs: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: monotonic update counter feeding re-exported segment names (``.vN``)
     version: int = 0
+
+    @property
+    def stored_sizes(self) -> Dict[int, int]:
+        """On-tape size of each tile: the length of its extent."""
+        return {
+            tile_id: length
+            for super_tile in self.super_tiles
+            for tile_id, (_offset, length) in super_tile.tile_extents.items()
+        }
 
     def super_tile_of(self, tile_id: int) -> SuperTile:
         try:
@@ -127,7 +133,6 @@ class Heaven:
             make_policy(self.config.disk_cache_policy),
             DISK_ARRAY,
             self.clock,
-            on_evict=partial(staging.on_cache_evict, self),
         )
         self.memory_cache = MemoryTileCache(self.config.memory_cache_bytes)
         #: extra staging disk of the HSM when attached through one
@@ -332,10 +337,8 @@ class Heaven:
 
         entry = ArchivedObject(
             mdd=mdd,
-            collection=collection_name,
             super_tiles=super_tiles,
             tile_to_st=tiles_to_super_tiles(super_tiles),
-            stored_sizes=stored_sizes if self.codec.name != "none" else None,
         )
         self._archived[object_name] = entry
         self.super_tiles_built += len(super_tiles)
@@ -360,8 +363,7 @@ class Heaven:
         collection = self.storage.collection(name)
         for mdd in list(collection):
             self.delete(name, mdd.name)
-        self.db.delete_rows("ras_collections", lambda r: r["name"] == name)
-        self.storage._collections.pop(name, None)
+        self.storage.drop_collection(name)
 
     def _frames(
         self,
@@ -571,16 +573,14 @@ class Heaven:
         """Release *entry*'s tape segments, cached runs and tiles."""
         for super_tile in entry.super_tiles:
             if super_tile.segment_name is not None:
-                self._retire_segment(entry, super_tile.segment_name)
+                self._retire_segment(super_tile.segment_name)
                 super_tile.segment_name = None
-                super_tile.medium_id = None
         self.memory_cache.invalidate_object(entry.mdd.name)
 
-    def _retire_segment(self, entry: ArchivedObject, key: str) -> None:
-        """Drop segment *key* of *entry* from the disk cache, the staged-run
-        map and tape."""
+    def _retire_segment(self, key: str) -> None:
+        """Drop segment *key* from the disk cache (with its staged run) and
+        from tape."""
         self.disk_cache.invalidate(key)
-        entry.staged_runs.pop(key, None)
         self.library.delete_segment(key)
 
     def update(
@@ -670,8 +670,9 @@ class Heaven:
         raws: Dict[int, Optional[bytes]] = {}
         kept: Dict[int, Optional[memoryview]] = {}
         for super_tile in super_tiles:
-            assert super_tile.segment_name is not None and super_tile.medium_id is not None
-            old = self.library.medium(super_tile.medium_id).payload(super_tile.segment_name)
+            key = super_tile.segment_name
+            assert key is not None
+            old = self.library.medium(self.library.locate(key)).payload(key)
             for tile_id in super_tile.tile_ids:
                 if old is None:
                     kept[tile_id] = None
@@ -692,22 +693,19 @@ class Heaven:
                 # stable length, collision-free even with zero elapsed
                 # virtual time between exports.
                 new_key = f"{_VERSION_RE.sub('', old_key)}.v{version}"
-                medium_id = write(
+                write(
                     new_key,
                     sum(sizes[t] for t in super_tile.tile_ids),
                     join_frames(frames, super_tile.tile_ids),
                 )
-                moved.append((super_tile, new_key, medium_id))
-            for super_tile, new_key, medium_id in moved:
+                moved.append((super_tile, new_key))
+            for super_tile, new_key in moved:
                 super_tile.size_bytes = sum(sizes[t] for t in super_tile.tile_ids)
                 super_tile.assign_extents(sizes)
                 super_tile.segment_name = new_key
-                super_tile.medium_id = medium_id
             entry.version = version
-            if entry.stored_sizes is not None:
-                entry.stored_sizes.update(sizes)
         for old_key in old_keys:
-            self._retire_segment(entry, old_key)
+            self._retire_segment(old_key)
 
     def reimport(self, collection_name: str, object_name: str) -> int:
         """Bring an archived object fully back to secondary storage.

@@ -54,24 +54,16 @@ class TapeRequest:
         medium_id: medium holding the segment.
         offset: absolute byte position of the requested run on the medium.
         length: bytes to stream.
-        query_id: originating query (for multi-query batches).
+        query_ids: the queries whose bytes these are — one for a demand of
+            one query, several for a request fused across queries (empty
+            for a prefetch or a request outside any query).
     """
 
     key: str
     medium_id: str
     offset: int
     length: int
-    query_id: int = 0
-    #: every query sharing this fused request (cross-query sweeps); empty
-    #: means the request belongs to ``query_id`` alone
     query_ids: Tuple[int, ...] = ()
-
-    @property
-    def sharing_queries(self) -> Tuple[int, ...]:
-        """Sorted, deduplicated queries this request's bytes belong to."""
-        if self.query_ids:
-            return tuple(sorted(set(self.query_ids)))
-        return (self.query_id,)
 
 
 def split_shared_bytes(length: int, query_ids: Sequence[int]) -> Dict[int, int]:
@@ -95,9 +87,7 @@ def attribute_request_bytes(
     """Per-query byte shares of a (possibly cross-query fused) batch."""
     totals: Dict[int, int] = {}
     for request in requests:
-        for qid, share in split_shared_bytes(
-            request.length, request.sharing_queries
-        ).items():
+        for qid, share in split_shared_bytes(request.length, request.query_ids).items():
             totals[qid] = totals.get(qid, 0) + share
     return totals
 

@@ -5,7 +5,9 @@ The paper sweeps the tape requests "of one or many queries" per medium
 → disk cache → tape (Kapitel 3.6).  This module owns that protocol: needs
 and their fusion, the pass (plan, waves, landing, draining, salvage), the
 pins and their hand-over, and the tile resolver, whose one fallback for a
-tile with no staged run is a direct tape read that takes no pin.  Every
+tile with no staged run is a direct tape read that takes no pin.  A
+segment's staged run is recorded only in its disk-cache entry
+(:meth:`~repro.core.cache.DiskCache.run`).  Every
 function works on the :class:`~repro.core.heaven.Heaven` passed in as
 ``heaven``, which owns the state; admission
 (:class:`~repro.core.admission.AdmissionController`) decides which demands
@@ -29,7 +31,7 @@ from .scheduler import ParallelExecutor, TapeRequest
 from .super_tile import SuperTile
 
 if TYPE_CHECKING:
-    from .heaven import ArchivedObject, Heaven
+    from .heaven import Heaven
 
 
 @dataclass
@@ -90,7 +92,6 @@ class _SegmentNeed:
     """Merged staging demand on one tape segment across a whole batch."""
 
     super_tile: SuperTile
-    entry: ArchivedObject
     mdd: MDD
     #: every tile of the batch that needs this segment (deduplicated)
     tile_ids: List[int] = field(default_factory=list)
@@ -146,7 +147,7 @@ def collect_needs(
             key = super_tile.segment_name
             need = needs.get(key)
             if need is None:
-                need = needs[key] = _SegmentNeed(super_tile, entry, mdd)
+                need = needs[key] = _SegmentNeed(super_tile, mdd)
             if tile_id not in need.tile_ids:
                 need.tile_ids.append(tile_id)
                 if not heaven.memory_cache.peek(mdd.name, tile_id):
@@ -173,7 +174,7 @@ def fuse_needs(heaven: Heaven, holders: Holders) -> Dict[str, _SegmentNeed]:
         if len(needs) > 1:
             tile_ids = sorted({t for n in needs for t in n.tile_ids})
             need = _SegmentNeed(
-                need.super_tile, need.entry, need.mdd, tile_ids,
+                need.super_tile, need.mdd, tile_ids,
                 run=_required_run(heaven, need.super_tile, tile_ids),
                 query_ids=tuple(sorted({q for n in needs for q in n.query_ids})),
             )
@@ -243,11 +244,10 @@ def plan_requests(
     """Turn merged needs into tape requests; pin covering cache hits."""
     requests: List[TapeRequest] = []
     for key, need in needs.items():
-        entry = need.entry
         run = need.run
         if heaven.disk_cache.lookup(key):
-            cached = entry.staged_runs.get(key)
-            if cached is not None and _covers(cached, run):
+            cached = heaven.disk_cache.run(key)
+            if _covers(cached, run):
                 # Hit: pin it so later insertions of this very sweep
                 # cannot evict it before its tiles are assembled.
                 ticket.hold(key)
@@ -258,11 +258,9 @@ def plan_requests(
             # queries still waiting to assemble from it: carry them over.
             need.held = heaven.disk_cache.pin_count(key)
             heaven.disk_cache.invalidate(key)
-            entry.staged_runs.pop(key, None)
-            if cached is not None:
-                start = min(cached[0], run[0])
-                end = max(cached[0] + cached[1], run[0] + run[1])
-                run = (start, end - start)
+            start = min(cached[0], run[0])
+            end = max(cached[0] + cached[1], run[0] + run[1])
+            run = (start, end - start)
         need.run = run
         requests.append(_tape_request(heaven, key, need))
     if heaven.config.prefetch == "sequential":
@@ -279,7 +277,6 @@ def _tape_request(heaven: Heaven, key: str, need: _SegmentNeed) -> TapeRequest:
         medium_id=medium_id,
         offset=segment.offset + need.run[0],
         length=need.run[1],
-        query_id=min(need.query_ids, default=0),
         query_ids=need.query_ids,
     )
 
@@ -392,7 +389,8 @@ def _land_staged(
     ticket.bytes_from_tape += request.length
     try:
         heaven.disk_cache.insert(
-            request.key, run_length, refetch, payload=payload, pins=need.held
+            request.key, run_length, refetch, payload=payload, pins=need.held,
+            start=run_start,
         )
     except CacheError:
         # The cache cannot take this run — every byte is pinned by
@@ -404,7 +402,6 @@ def _land_staged(
         if not need.prefetch:
             _materialize_from_run(heaven, need, payload, ticket)
         return
-    need.entry.staged_runs[request.key] = need.run
     if not need.prefetch:  # a prefetch is never pinned
         ticket.hold(request.key)
         staged_keys.append(request.key)
@@ -438,7 +435,7 @@ def _materialize_from_run(
         raw = None
         if payload is not None:
             raw = payload[offset - run_start : offset - run_start + length]
-        _decode_and_cache(heaven, need.entry, need.mdd, tile, raw, force=True)
+        _decode_and_cache(heaven, need.mdd, tile, raw, force=True)
         _pin_resident(heaven, ticket.tile_pins, need.mdd.name, tile_id)
 
 
@@ -526,7 +523,7 @@ def _add_prefetch(
     extra: List[TapeRequest] = []
     for request in list(requests):
         need = needs[request.key]
-        entry = need.entry
+        entry = heaven._archived[need.mdd.name]
         for step in range(1, heaven.config.prefetch_depth + 1):
             next_index = need.super_tile.index + step
             if next_index >= len(entry.super_tiles):
@@ -535,16 +532,12 @@ def _add_prefetch(
             key = neighbour.segment_name
             if key is None or key in needs:
                 continue
-            if neighbour.medium_id not in media_in_batch:
+            if heaven.library.locate(key) not in media_in_batch:
                 continue
             if key in heaven.disk_cache:
                 continue
             needs[key] = _SegmentNeed(
-                neighbour,
-                entry,
-                need.mdd,
-                run=(0, neighbour.size_bytes),
-                prefetch=True,
+                neighbour, need.mdd, run=(0, neighbour.size_bytes), prefetch=True
             )
             extra.append(_tape_request(heaven, key, needs[key]))
     requests.extend(extra)
@@ -576,12 +569,6 @@ def _refetch_cost(heaven: Heaven, nbytes: int) -> float:
     )
 
 
-def on_cache_evict(heaven: Heaven, key: str) -> None:
-    """Disk-cache eviction hook: the evicted segment has no staged run."""
-    for entry in heaven._archived.values():
-        entry.staged_runs.pop(key, None)
-
-
 def resolve_tile(
     heaven: Heaven, mdd: MDD, tile: Tile, force: bool = False
 ) -> np.ndarray:
@@ -606,13 +593,13 @@ def resolve_tile(
     super_tile = entry.super_tile_of(tile.tile_id)
     key = super_tile.segment_name
     assert key is not None
-    extent = tile_offset, tile_length = super_tile.tile_extents[tile.tile_id]
-    run = entry.staged_runs.get(key)
-    if key in heaven.disk_cache and run is not None and _covers(run, extent):
-        raw = heaven.disk_cache.read(key, tile_offset - run[0], tile_length)
+    extent = super_tile.tile_extents[tile.tile_id]
+    run = heaven.disk_cache.run(key)
+    if run is not None and _covers(run, extent):
+        raw = heaven.disk_cache.read(key, *extent)
     else:
         raw = _restage(heaven, super_tile, tile)
-    return _decode_and_cache(heaven, entry, mdd, tile, raw, force)
+    return _decode_and_cache(heaven, mdd, tile, raw, force)
 
 
 def _restage(
@@ -640,7 +627,6 @@ def _restage(
 
 def _decode_and_cache(
     heaven: Heaven,
-    entry: ArchivedObject,
     mdd: MDD,
     tile: Tile,
     raw: Optional[Union[bytes, memoryview]],
@@ -648,7 +634,7 @@ def _decode_and_cache(
 ) -> np.ndarray:
     """Decode *raw* (see :func:`_decode_tile`) and offer the cells to the
     memory cache — as a free tile when they are a view over *raw*."""
-    cells = _decode_tile(heaven, entry, mdd, tile, raw)
+    cells = _decode_tile(heaven, mdd, tile, raw)
     free = raw is not None and heaven.codec.decodes_to_view(raw)
     return _cache_tile(heaven, mdd, tile, cells, free=free, force=force)
 
@@ -672,27 +658,19 @@ def _cache_tile(
 
 def _decode_tile(
     heaven: Heaven,
-    entry: ArchivedObject,
     mdd: MDD,
     tile: Tile,
     raw: Optional[Union[bytes, memoryview]],
 ) -> np.ndarray:
-    """Decode one tile's staged bytes (or regenerate from its source).
+    """Decode one tile's staged frame (or regenerate from its source).
 
-    Zero-copy: the returned array is a **read-only view** — over the
-    cache-owned segment bytes for uncompressed payloads, over the codec's
-    freshly-decompressed buffer otherwise.  No defensive copy: the buffers
-    underneath are either immutable (``bytes``/read-only ``memoryview``)
-    or exclusively owned by this decode.
+    Zero-copy: the returned array is a **read-only view** over the
+    cache-owned bytes (uncompressed and stored frames) or over the codec's
+    freshly-decompressed buffer — immutable or owned by this decode, so no
+    defensive copy.  Every codec checks the frame's size.
     """
     if raw is not None:
-        view: Union[bytes, memoryview]
-        if entry.stored_sizes is not None:
-            view = heaven.codec.decompress_view(raw, tile.size_bytes)
-        elif isinstance(raw, memoryview):
-            view = raw.toreadonly()
-        else:
-            view = raw  # bytes: immutable already
+        view = heaven.codec.decompress_view(raw, tile.size_bytes)
         return np.frombuffer(view, dtype=mdd.cell_type.dtype).reshape(tile.domain.shape)
     if mdd.source is not None:
         return mdd.source.region(tile.domain, mdd.cell_type)

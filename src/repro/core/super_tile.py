@@ -30,10 +30,10 @@ class SuperTile:
         tile_ids: member tiles in *intra-super-tile cluster order* — the
             byte order inside the tape segment.
         domain: hull of the member tile domains.
-        size_bytes: total payload bytes of all member tiles.
-        medium_id / segment_name: tape placement, set at export.
-        tile_extents: per-tile (offset, length) inside the segment, set at
-            export according to the intra-cluster order.
+        size_bytes: total on-tape bytes of all member tiles.
+        segment_name: tape segment holding them, set at export.
+        tile_extents: per-tile (offset, length) of its frame inside the
+            segment — its on-tape size — set at export in cluster order.
     """
 
     index: int
@@ -41,7 +41,6 @@ class SuperTile:
     tile_ids: List[int]
     domain: MInterval
     size_bytes: int
-    medium_id: Optional[str] = None
     segment_name: Optional[str] = None
     tile_extents: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 

@@ -59,6 +59,9 @@ Payload = Union[bytes, bytearray, memoryview]
 #: wire-format version stamped into every encoded header
 WIRE_VERSION = 1
 
+#: a missing or mistyped header field; decoders re-raise it as WireFormatError
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
 
 # -- framing -------------------------------------------------------------------
 
@@ -89,16 +92,21 @@ def decode_frames(data: Payload) -> Tuple[Dict[str, object], List[memoryview]]:
         raise WireFormatError("message truncated inside the JSON header")
     try:
         header = json.loads(bytes(view[4 : 4 + head_len]).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireFormatError(f"malformed JSON header: {exc}") from None
+    if not isinstance(header, dict):
+        raise WireFormatError(f"JSON header is a {type(header).__name__}, not an object")
     if header.get("_wire") != WIRE_VERSION:
         raise WireFormatError(
             f"unsupported wire version {header.get('_wire')!r}"
         )
+    lengths = header.get("_frames", [])
+    if not isinstance(lengths, list) or any(type(n) is not int or n < 0 for n in lengths):
+        raise WireFormatError(f"frame lengths {lengths!r} are not sizes")
     frames: List[memoryview] = []
     offset = 4 + head_len
-    for length in header.get("_frames", []):
-        end = offset + int(length)
+    for length in lengths:
+        end = offset + length
         if end > len(view):
             raise WireFormatError("message truncated inside a payload frame")
         frames.append(view[offset:end])
@@ -148,7 +156,10 @@ class WireError:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "WireError":
-        return cls(type=str(data["type"]), message=str(data["message"]))
+        try:
+            return cls(type=str(data["type"]), message=str(data["message"]))
+        except _MALFORMED as exc:
+            raise WireFormatError(f"malformed wire error: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -194,17 +205,18 @@ class SubReadRequest:
         if header.get("kind") != "sub_read":
             raise WireFormatError(f"not a sub_read header: {header.get('kind')!r}")
         tile_ids = header.get("tile_ids")
-        return cls(
-            request_id=str(header["request_id"]),
-            tenant=str(header["tenant"]),
-            collection=str(header["collection"]),
-            object_name=str(header["object"]),
-            region=str(header["region"]),
-            tile_ids=(
-                None if tile_ids is None else tuple(int(t) for t in tile_ids)
-            ),
-            arrival_v=float(header.get("arrival_v", 0.0)),
-        )
+        try:
+            return cls(
+                request_id=str(header["request_id"]),
+                tenant=str(header["tenant"]),
+                collection=str(header["collection"]),
+                object_name=str(header["object"]),
+                region=str(header["region"]),
+                tile_ids=None if tile_ids is None else tuple(int(t) for t in tile_ids),
+                arrival_v=float(header.get("arrival_v", 0.0)),
+            )
+        except _MALFORMED as exc:
+            raise WireFormatError(f"malformed sub_read header: {exc!r}") from None
 
     @classmethod
     def decode(cls, data: Payload) -> "SubReadRequest":
@@ -284,15 +296,18 @@ class SubReadStats:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SubReadStats":
-        return cls(
-            bytes_useful=int(data.get("bytes_useful", 0)),
-            bytes_from_tape=int(data.get("bytes_from_tape", 0)),
-            exchanges=int(data.get("exchanges", 0)),
-            virtual_seconds=float(data.get("virtual_seconds", 0.0)),
-            faults=int(data.get("faults", 0)),
-            restages=int(data.get("restages", 0)),
-            super_tiles_staged=int(data.get("super_tiles_staged", 0)),
-        )
+        try:
+            return cls(
+                bytes_useful=int(data.get("bytes_useful", 0)),
+                bytes_from_tape=int(data.get("bytes_from_tape", 0)),
+                exchanges=int(data.get("exchanges", 0)),
+                virtual_seconds=float(data.get("virtual_seconds", 0.0)),
+                faults=int(data.get("faults", 0)),
+                restages=int(data.get("restages", 0)),
+                super_tiles_staged=int(data.get("super_tiles_staged", 0)),
+            )
+        except _MALFORMED as exc:
+            raise WireFormatError(f"malformed sub-read stats: {exc!r}") from None
 
 
 @dataclass
@@ -359,35 +374,36 @@ class SubReadResponse:
             raise WireFormatError(
                 f"not a sub_read_response header: {header.get('kind')!r}"
             )
-        tile_meta = list(header.get("tiles", []))
-        has_region = bool(header.get("has_region_cells"))
-        expected = len(tile_meta) + (1 if has_region else 0)
-        if len(frames) != expected:
-            raise WireFormatError(
-                f"expected {expected} payload frame(s), got {len(frames)}"
+        try:
+            tile_meta = list(header.get("tiles", []))
+            has_region = bool(header.get("has_region_cells"))
+            expected = len(tile_meta) + (1 if has_region else 0)
+            if len(frames) != expected:
+                raise WireFormatError(f"expected {expected} payload frame(s), got {len(frames)}")
+            tiles = [
+                TilePayload(
+                    tile_id=int(meta["tile_id"]),
+                    domain=str(meta["domain"]),
+                    dtype=str(meta["dtype"]),
+                    payload=frame,
+                )
+                for meta, frame in zip(tile_meta, frames)
+            ]
+            error = header.get("error")
+            return cls(
+                request_id=str(header["request_id"]),
+                object_name=str(header["object"]),
+                node_id=str(header.get("node_id", "")),
+                tiles=tiles,
+                region_cells=frames[-1] if has_region else None,
+                region=str(header.get("region", "")),
+                dtype=str(header.get("dtype", "")),
+                stats=SubReadStats.from_dict(dict(header.get("stats", {}))),
+                error=None if error is None else WireError.from_dict(dict(error)),
+                completion_v=float(header.get("completion_v", 0.0)),
             )
-        tiles = [
-            TilePayload(
-                tile_id=int(meta["tile_id"]),
-                domain=str(meta["domain"]),
-                dtype=str(meta["dtype"]),
-                payload=frame,
-            )
-            for meta, frame in zip(tile_meta, frames)
-        ]
-        error = header.get("error")
-        return cls(
-            request_id=str(header["request_id"]),
-            object_name=str(header["object"]),
-            node_id=str(header.get("node_id", "")),
-            tiles=tiles,
-            region_cells=frames[-1] if has_region else None,
-            region=str(header.get("region", "")),
-            dtype=str(header.get("dtype", "")),
-            stats=SubReadStats.from_dict(dict(header.get("stats", {}))),
-            error=None if error is None else WireError.from_dict(dict(error)),
-            completion_v=float(header.get("completion_v", 0.0)),
-        )
+        except _MALFORMED as exc:
+            raise WireFormatError(f"malformed sub_read_response header: {exc!r}") from None
 
 
 def _answer_nbytes(answer: object) -> int:

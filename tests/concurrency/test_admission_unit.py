@@ -56,19 +56,11 @@ class TestSharedByteSplit:
             TapeRequest(key="b", medium_id="m", offset=10, length=7,
                         query_ids=(2,)),
             TapeRequest(key="c", medium_id="m", offset=20, length=5,
-                        query_id=3),
+                        query_ids=(3,)),
         ]
         totals = attribute_request_bytes(requests)
         assert totals == {1: 5, 2: 12, 3: 5}
         assert sum(totals.values()) == 22
-
-    def test_sharing_queries_falls_back_to_query_id(self):
-        solo = TapeRequest(key="a", medium_id="m", offset=0, length=1,
-                           query_id=7)
-        shared = TapeRequest(key="a", medium_id="m", offset=0, length=1,
-                             query_id=1, query_ids=(2, 1, 2))
-        assert solo.sharing_queries == (7,)
-        assert shared.sharing_queries == (1, 2)
 
 
 def _task(qid: int, *, weight: float, service: float) -> _QueryTask:

@@ -50,7 +50,9 @@ def _one_object_per_medium(**overrides) -> Heaven:
 
 
 def _medium_of(heaven: Heaven, name: str) -> str:
-    (medium_id,) = {st.medium_id for st in heaven.archived(name).super_tiles}
+    (medium_id,) = {
+        heaven.library.locate(st.segment_name) for st in heaven.archived(name).super_tiles
+    }
     return medium_id
 
 
@@ -89,7 +91,7 @@ class TestRideAlong:
         assert [q.waves for q in report.queries] == [1, 1]
         # Each audit row names its own segment's medium.
         medium_of_key = {
-            st.segment_name: st.medium_id
+            st.segment_name: heaven.library.locate(st.segment_name)
             for name in ("o0", "o1")
             for st in heaven.archived(name).super_tiles
         }
@@ -225,9 +227,10 @@ class TestDrainedPinsOutliveTheSweep:
         self, big_rows, media_kb, first_medium, tail_row
     ):
         heaven = self._build(big_rows, media_kb)
-        media = [st.medium_id for st in heaven.archived("big").super_tiles]
+        locate = heaven.library.locate
+        media = [locate(st.segment_name) for st in heaven.archived("big").super_tiles]
         assert set(media[:first_medium]) == {media[0]} != {media[first_medium]}
-        assert heaven.archived("hot").super_tiles[0].medium_id == media[first_medium]
+        assert locate(heaven.archived("hot").super_tiles[0].segment_name) == media[first_medium]
         for _ in range(3):
             heaven.read("col", "hot", MInterval.of((0, 31), (0, 31)))
         mdd = heaven.collection("col").get("big")

@@ -119,6 +119,21 @@ class TestDiskCache:
         with pytest.raises(CacheError):
             disk_cache.read("a", 90, 20)
 
+    def test_run_probe_counts_nothing(self, disk_cache):
+        disk_cache.insert("a", 100, 1.0, start=300)
+        assert disk_cache.run("a") == (300, 100)
+        assert disk_cache.run("ghost") is None
+        assert disk_cache.stats.lookups == 0
+
+    def test_read_takes_segment_offsets_inside_the_run(self, disk_cache):
+        payload = bytes(range(100))
+        disk_cache.insert("a", 100, 1.0, payload=payload, start=300)
+        assert disk_cache.read("a", 310, 5) == payload[10:15]
+        assert disk_cache.read("a", 395, 5) == payload[95:]
+        for offset, length in ((299, 2), (396, 5), (0, 10)):
+            with pytest.raises(CacheError):
+                disk_cache.read("a", offset, length)
+
     def test_read_uncached_rejected(self, disk_cache):
         with pytest.raises(CacheError):
             disk_cache.read("ghost", 0, 1)
@@ -129,14 +144,15 @@ class TestDiskCache:
         assert not disk_cache.invalidate("a")
         assert disk_cache.stats.evictions == 0
 
-    def test_on_evict_callback(self):
-        evicted = []
-        cache = DiskCache(
-            1 * MB, LRUPolicy(), DISK_ARRAY, SimClock(), on_evict=evicted.append
-        )
-        cache.insert("a", 600 * 1024, 1.0)
-        cache.insert("b", 600 * 1024, 1.0)
-        assert evicted == ["a"]
+    def test_evicts_in_policy_order(self):
+        cache = DiskCache(1 * MB, LRUPolicy(), DISK_ARRAY, SimClock())
+        for key in "abc":
+            cache.insert(key, 300 * 1024, 1.0)
+        cache.lookup("a")
+        cache.insert("d", 300 * 1024, 1.0)  # evicts b, the least recent
+        assert cache.keys() == ["a", "c", "d"]
+        assert cache.run("b") is None
+        assert cache.stats.evictions == 1
 
     def test_io_charges_clock(self, disk_cache):
         before = disk_cache.disk.clock.now

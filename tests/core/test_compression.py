@@ -414,3 +414,22 @@ class TestCompressedArchive:
     def test_invalid_codec_name_rejected_at_config(self):
         with pytest.raises(HeavenError):
             Heaven(HeavenConfig(compression="lzma"))
+
+
+@pytest.mark.parametrize("codec", ["none", "zlib"])
+def test_damaged_segment_fails_typed(codec):
+    """A segment one byte short fails the read with HeavenError under
+    every codec: every staged frame decodes through the codec, which
+    checks its size (an uncompressed one used to reach numpy unchecked)."""
+    heaven = Heaven(
+        HeavenConfig(compression=codec, super_tile_bytes=64 * 1024, min_super_tile_bytes=1024)
+    )
+    heaven.create_collection("col")
+    cells = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
+    heaven.insert("col", MDD.from_array("obj", cells, tiling=RegularTiling((16, 16))))
+    heaven.archive("col", "obj")
+    key = heaven.archived("obj").super_tiles[-1].segment_name
+    medium = heaven.library.medium(heaven.library.locate(key))
+    medium._payloads[key] = medium._payloads[key][:-1]
+    with pytest.raises(HeavenError):
+        heaven.read("col", "obj", MInterval.of((0, 63), (0, 63)))

@@ -81,7 +81,7 @@ class TestTCTExporter:
     def test_segment_payload_is_tile_concatenation(self, rig):
         _report, super_tiles, library, mdd = self.export_tct(rig)
         st = super_tiles[0]
-        raw = library.medium(st.medium_id).payload(st.segment_name)
+        raw = library.medium(library.locate(st.segment_name)).payload(st.segment_name)
         expect = b"".join(
             mdd.materialize_tile(mdd.tiles[t]).tobytes() for t in st.tile_ids
         )
@@ -118,7 +118,7 @@ class TestTCTExporter:
         super_tiles = star_partition(mdd, 4 * 32 * 1024)
         plan = ScatterPlacement(spread=4).plan(super_tiles, library)
         TCTExporter(storage, library).export(mdd, plan)
-        media = {st.medium_id for st in super_tiles}
+        media = {library.locate(st.segment_name) for st in super_tiles}
         assert len(media) == 4
 
     def test_unpersisted_object_rejected(self, rig):

@@ -46,7 +46,10 @@ class TestArchive:
         heaven_small.create_collection("col")
         heaven_small.insert("col", cube_mdd)
         heaven_small.archive("col", "cube", placement=ScatterPlacement(spread=3))
-        media = {st.medium_id for st in archived_entry(heaven_small).super_tiles}
+        media = {
+            heaven_small.library.locate(st.segment_name)
+            for st in archived_entry(heaven_small).super_tiles
+        }
         assert len(media) == 3
 
 

@@ -95,7 +95,7 @@ class TestReadIsABatchOfOne:
             np.testing.assert_array_equal(answer.assembled(), cells)
 
         entry = single.archived("obj")
-        media = {entry.tile_to_st[t].medium_id for t in single.collection("col").get("obj").tiles}
+        media = {single.library.locate(st.segment_name) for st in entry.super_tiles}
         if twin == "waves":
             # The scenario really exercises waves and evictions.
             assert report.waves > 1
@@ -133,7 +133,7 @@ class TestReadIsABatchOfOne:
         same tape bytes and exchanges."""
         direct, admitted = make_twin(256 * 1024), make_twin(256 * 1024)
         entry = direct.archived("obj")
-        assert len({st.medium_id for st in entry.super_tiles}) == 1
+        assert len({direct.library.locate(st.segment_name) for st in entry.super_tiles}) == 1
         cursors = [h.clock.log.cursor() for h in (direct, admitted)]
 
         cells, report = direct.read_with_report("col", "obj", REGION)

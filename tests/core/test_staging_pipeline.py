@@ -168,7 +168,7 @@ class TestMergedRuns:
             | {t.tile_id for t in mdd.tiles_for(far)}
         )
         expect_offset, expect_length = st.run_covering(union)
-        run = entry.staged_runs[st.segment_name]
+        run = heaven.disk_cache.run(st.segment_name)
         assert run[0] <= expect_offset
         assert run[0] + run[1] >= expect_offset + expect_length
         assert np.array_equal(outputs[0], mdd.source.region(near, DOUBLE))

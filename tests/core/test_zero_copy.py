@@ -79,7 +79,6 @@ class TestRestageCoverageRecheck:
         key = super_tile.segment_name
         if key in heaven.disk_cache:
             heaven.disk_cache.invalidate(key)
-        entry.staged_runs.pop(key, None)
         heaven.memory_cache.invalidate_object(mdd.name)
         return entry, tile, super_tile, key
 
@@ -200,11 +199,8 @@ class TestPinAttribution:
         region = MInterval.of((0, 15), (0, 15))
         heaven.read("col", mdd.name, region)  # warm
         # Kill the staged segment and the memory tiles: next read restages.
-        entry = heaven._archived[mdd.name]
-        for key in list(entry.staged_runs):
-            if key in heaven.disk_cache:
-                heaven.disk_cache.invalidate(key)
-            entry.staged_runs.pop(key, None)
+        for key in heaven.disk_cache.keys():
+            heaven.disk_cache.invalidate(key)
         heaven.memory_cache.invalidate_object(mdd.name)
         before = heaven.disk_cache.stats.pins
         _cells, report = heaven.read_with_report("col", mdd.name, region)
@@ -230,11 +226,10 @@ class TestPinAttribution:
             # Kill the query's staged segment and its memory tiles just
             # before it assembles: the resolver must restage.
             seen["held"] = sum(
-                heaven.disk_cache.pin_count(key) for key in entry.staged_runs
+                heaven.disk_cache.pin_count(key) for key in heaven.disk_cache.keys()
             )
-            for key in list(entry.staged_runs):
+            for key in heaven.disk_cache.keys():
                 heaven.disk_cache.invalidate(key)
-                entry.staged_runs.pop(key)
             heaven.memory_cache.invalidate_object(mdd.name)
             seen["keys"] = heaven.disk_cache.keys()
             seen["pins"] = stats.pins

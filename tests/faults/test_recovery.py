@@ -111,7 +111,7 @@ class TestMediaRecovery:
         plan = FaultPlan()
         heaven = faulty_heaven(plan, retry_policy=FAST_RETRY)
         entry = heaven.archived("t")
-        medium_ids = {st.medium_id for st in entry.super_tiles}
+        medium_ids = {heaven.library.locate(st.segment_name) for st in entry.super_tiles}
         for medium_id in medium_ids:
             medium = heaven.library.medium(medium_id)
             medium.add_bad_spot(0, medium.capacity, transient=False)

@@ -359,7 +359,8 @@ class TestPoisonedBatchAccounting:
             heaven.archive("c", f"o{index}")
         heaven.library.unmount_all()
         media = [
-            {st.medium_id for st in heaven.archived(f"o{index}").super_tiles}
+            {heaven.library.locate(st.segment_name)
+             for st in heaven.archived(f"o{index}").super_tiles}
             for index in range(3)
         ]
         assert all(len(m) == 1 for m in media) and len(set.union(*media)) == 3

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.units import (
@@ -184,3 +184,140 @@ class TestSubReadResponse:
         )
         with pytest.raises(WireFormatError):
             tile.cells()
+
+
+# -- untrusted frames fail typed ------------------------------------------------
+
+REQUEST = SubReadRequest(
+    request_id="q1/dn0", tenant="alice", collection="c", object_name="obj",
+    region="0:2,0:3", tile_ids=(5,), arrival_v=1.5,
+)
+RESPONSE = SubReadResponse(
+    request_id="q1/dn0", object_name="obj", node_id="dn0", region="0:2,0:3",
+    dtype="double",
+    tiles=[TilePayload(tile_id=5, domain="0:2,0:3", dtype="double", payload=bytes(96))],
+    stats=SubReadStats(bytes_useful=96, bytes_from_tape=96),
+)
+ERROR_RESPONSE = SubReadResponse(
+    request_id="q", object_name="obj", error=WireError(type="DataNodeError", message="boom")
+)
+
+
+def _message(head, tail: bytes = b"") -> bytes:
+    """A message whose JSON header is exactly *head* (no fields added)."""
+    text = json.dumps(head).encode()
+    return len(text).to_bytes(4, "big") + text + tail
+
+
+def _edited(encoded: bytes, edit) -> bytes:
+    """*encoded* with *edit* applied to its decoded JSON header."""
+    head_len = int.from_bytes(encoded[:4], "big")
+    head = json.loads(encoded[4 : 4 + head_len])
+    head = edit(head)
+    return _message(head, encoded[4 + head_len :])
+
+
+def _set(key, value):
+    def edit(head):
+        head[key] = value
+        return head
+    return edit
+
+
+def _drop(key):
+    def edit(head):
+        del head[key]
+        return head
+    return edit
+
+
+class TestUntrustedFrames:
+    @pytest.mark.parametrize("decode, data", [
+        pytest.param(SubReadRequest.decode, _edited(REQUEST.encode(), _drop("request_id")),
+                     id="request-without-request_id"),
+        pytest.param(SubReadRequest.decode, _edited(REQUEST.encode(), _set("tile_ids", ["x"])),
+                     id="tile_ids-not-ints"),
+        pytest.param(SubReadRequest.decode, _edited(REQUEST.encode(), _set("tile_ids", 5)),
+                     id="tile_ids-not-a-list"),
+        pytest.param(SubReadRequest.decode, _edited(REQUEST.encode(), _set("arrival_v", "soon")),
+                     id="arrival_v-not-a-number"),
+        pytest.param(SubReadResponse.decode, _edited(RESPONSE.encode(), _drop("object")),
+                     id="response-without-object"),
+        pytest.param(SubReadResponse.decode, _edited(RESPONSE.encode(), _set("tiles", [{}])),
+                     id="empty-tile-meta"),
+        pytest.param(SubReadResponse.decode,
+                     _edited(RESPONSE.encode(), _set("stats", {"bytes_useful": "many"})),
+                     id="stats-not-numbers"),
+        pytest.param(decode_frames, _message(["kind", "sub_read"]), id="header-is-a-list"),
+        pytest.param(decode_frames, _message({"_wire": 1, "_frames": "ab"}),
+                     id="frame-lengths-a-string"),
+    ])
+    def test_probe_raises_wire_format_error(self, decode, data):
+        with pytest.raises(WireFormatError):
+            decode(data)
+
+    def test_negative_frame_length_named(self):
+        data = _message({"_wire": 1, "_frames": [-1]}, b"a")
+        with pytest.raises(WireFormatError, match="frame lengths"):
+            decode_frames(data)
+
+    def test_stats_and_error_dicts_fail_typed(self):
+        with pytest.raises(WireFormatError):
+            SubReadStats.from_dict({"faults": [1]})
+        with pytest.raises(WireFormatError):
+            WireError.from_dict({"type": "x"})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    node[path[0]] = _replace(node[path[0]], path[1:], value)
+    return node
+
+
+@pytest.mark.property
+@settings(max_examples=300, deadline=None)
+@given(
+    sample=st.sampled_from([
+        (SubReadRequest.decode, SubReadRequest(
+            request_id="q", tenant="t", collection="c", object_name="o", region="0:1",
+        ).encode()),
+        (SubReadRequest.decode, REQUEST.encode()),
+        (SubReadResponse.decode, RESPONSE.encode()),
+        (SubReadResponse.decode, ERROR_RESPONSE.encode()),
+    ]),
+    data=st.data(),
+)
+def test_replaced_header_field_decodes_or_fails_typed(sample, data):
+    """Any one position of a valid header replaced by any JSON value:
+    the decoder either accepts the message or raises WireFormatError."""
+    decode, encoded = sample
+    head_len = int.from_bytes(encoded[:4], "big")
+    path = data.draw(st.sampled_from(list(_paths(json.loads(encoded[4 : 4 + head_len])))))
+    value = data.draw(JSON_VALUES)
+    damaged = _edited(encoded, lambda head: _replace(head, path, value))
+    try:
+        decode(damaged)
+    except WireFormatError:
+        pass

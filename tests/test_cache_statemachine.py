@@ -1,8 +1,8 @@
 """Stateful (hypothesis) model checking of both cache levels.
 
 Drives the disk cache through arbitrary insert/lookup/invalidate/pin/unpin
-sequences against a live-membership model (kept in sync through the
-eviction callback), asserting the real cache never disagrees about
+sequences against a live-membership model (kept in sync by diffing the
+cache's keys around every insert, the one operation that evicts), asserting the real cache never disagrees about
 membership, never exceeds capacity, serves exactly the bytes that were
 inserted — and never, under any interleaving, evicts a pinned entry.
 
@@ -36,19 +36,16 @@ class DiskCacheMachine(RuleBasedStateMachine):
         self.present = {}
         #: model of pin reference counts: key -> count (> 0)
         self.pins = {}
-        self.cache = DiskCache(
-            CAPACITY,
-            LRUPolicy(),
-            DISK_ARRAY,
-            SimClock(),
-            on_evict=self._on_evict,
-        )
+        self.cache = DiskCache(CAPACITY, LRUPolicy(), DISK_ARRAY, SimClock())
 
-    def _on_evict(self, key):
+    def _forget_evicted(self, before):
+        """Drop from the model what an insert evicted out of *before*."""
+        evicted = before - set(self.cache.keys())
         # THE staging-pipeline safety property: eviction never touches a
         # pinned entry, no matter what sequence led here.
-        assert key not in self.pins, f"pinned entry {key!r} was evicted"
-        self.present.pop(key, None)
+        assert not evicted & set(self.pins), f"pinned {evicted & set(self.pins)} evicted"
+        for key in evicted:
+            del self.present[key]
 
     def _pinned_bytes(self) -> int:
         return sum(len(self.present[k]) for k in self.pins)
@@ -65,16 +62,20 @@ class DiskCacheMachine(RuleBasedStateMachine):
         if key in self.cache:
             return key
         payload = (key * (size // len(key) + 1)).encode()[:size]
+        before = set(self.cache.keys())
         try:
             self.cache.insert(
                 key, size, refetch_cost=1.0, payload=payload, pins=pins
             )
         except CachePinnedError:
             # Only legitimate when the pinned residue leaves no room even
-            # after evicting every unpinned entry.
+            # after evicting every unpinned entry — which insert may have
+            # done before it gave up.
+            self._forget_evicted(before)
             assert self._pinned_bytes() + size > CAPACITY
             assert key not in self.cache
             return key
+        self._forget_evicted(before)
         self.present[key] = payload
         if pins:
             self.pins[key] = pins

@@ -227,6 +227,46 @@ class TestOneStagingDriver:
         assert Heaven.__mro__ == (Heaven, object)
 
 
+class TestOneOwnerPerFact:
+    """Each catalog or staging fact has one owner: the staged run its
+    disk-cache entry, a tile's on-tape size its extent, a segment's medium
+    the library, a request's queries ``query_ids``, an object's collection
+    the storage catalog."""
+
+    def test_archived_object_holds_only_durable_facts(self):
+        from dataclasses import fields
+
+        from repro.core.heaven import ArchivedObject
+
+        names = [f.name for f in fields(ArchivedObject)]
+        assert names == ["mdd", "super_tiles", "tile_to_st", "disk_copy", "version"]
+
+    def test_no_duplicate_fields(self):
+        from dataclasses import fields
+
+        from repro.core.scheduler import TapeRequest
+        from repro.core.super_tile import SuperTile
+
+        assert "medium_id" not in {f.name for f in fields(SuperTile)}
+        assert "query_id" not in {f.name for f in fields(TapeRequest)}
+
+    def test_disk_cache_has_no_eviction_hook(self):
+        import inspect
+
+        from repro.core.cache import DiskCache
+
+        assert "on_evict" not in inspect.signature(DiskCache.__init__).parameters
+
+    @pytest.mark.parametrize(
+        "name", ["staged_runs", "on_cache_evict", "sharing_queries", "storage._collections"]
+    )
+    def test_copy_is_gone_from_core(self, name):
+        core = os.path.join(REPO_ROOT, "src", "repro", "core")
+        for file_name in sorted(os.listdir(core)):
+            if file_name.endswith(".py"):
+                assert name not in read(os.path.join(core, file_name)), file_name
+
+
 class TestDeliverables:
     @pytest.mark.parametrize(
         "path",
