@@ -3,11 +3,13 @@
 Tape transfer time, not capacity, is the scarce resource, so hardware-rate
 compression speeds up both export and retrieval in proportion to the
 achieved ratio.  Real climate payloads (spatially coherent doubles) are
-compressed with zlib; series: archive bytes/time and retrieval bytes/time
-with compression off and on.  A second table prices the tile frame itself:
-the same climate tiles framed as plain level-6 DEFLATE over the raw cells
-(the codec's frame before byte planes), as the codec's shuffled level-1
-frame, and as shuffled level 6.
+compressed with the ``zlib`` codec; series: archive bytes/time and
+retrieval bytes/time with compression off and on.  A second table prices
+the tile frame itself: the same climate tiles framed as plain level-6
+DEFLATE over the raw cells (the codec's frame before byte planes), as the
+codec's shuffled level-1 frame, and as shuffled level 6.  The codec's
+frames are those of the host's encoder (``compression.DEFLATER``); the
+committed table is a libdeflate host's.
 """
 
 import zlib

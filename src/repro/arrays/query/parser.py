@@ -19,10 +19,19 @@ Grammar (lowercase = nonterminal)::
     dims      : dim (',' dim)*
     dim       : bound [':' bound]        -- single bound = section
     bound     : expr | '*'
+
+Query text is untrusted, so nesting is bounded by :data:`MAX_DEPTH`, past
+which the parser raises :class:`~repro.errors.QuerySyntaxError`.  Two
+depths count: how deep the parser recurses (every bracket, subscript, unary
+operator and call argument), and the height of the finished tree, where each
+operator of a chain (``c+c+...``) adds a level.  Every walk over the tree,
+the executor's included, therefore stays far inside the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import List, Optional
 
 from ...errors import QuerySyntaxError
@@ -47,6 +56,9 @@ from .ast import (
 from .lexer import Token, TokenKind, tokenize
 
 _COMPARISONS = {"<", "<=", ">", ">=", "=", "!="}
+#: deepest nesting a statement may have, in parser recursion and in tree
+#: height; each level costs the parser about nine interpreter frames
+MAX_DEPTH = 50
 
 
 class Parser:
@@ -56,6 +68,7 @@ class Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.position = 0
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -182,11 +195,18 @@ class Parser:
                 return node
 
     def parse_unary(self) -> Node:
+        # every recursive production passes through here
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(f" at position {self.current.position}")
         if self.accept(TokenKind.OP, "-"):
-            return UnaryOp("-", self.parse_unary())
-        if self.accept(TokenKind.KEYWORD, "not"):
-            return UnaryOp("not", self.parse_unary())
-        return self.parse_postfix()
+            node: Node = UnaryOp("-", self.parse_unary())
+        elif self.accept(TokenKind.KEYWORD, "not"):
+            node = UnaryOp("not", self.parse_unary())
+        else:
+            node = self.parse_postfix()
+        self.depth -= 1
+        return node
 
     def parse_postfix(self) -> Node:
         node = self.parse_primary()
@@ -249,9 +269,29 @@ class Parser:
         )
 
 
+def _too_deep(where: str) -> QuerySyntaxError:
+    return QuerySyntaxError(f"expression nested deeper than {MAX_DEPTH} levels{where}")
+
+
+def _bounded(root: Node) -> Node:
+    """*root*, once its tree is checked to be at most MAX_DEPTH levels
+    below it (walked with a stack, not by recursion)."""
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep("")
+        for item in fields(node):
+            value = getattr(node, item.name)
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, Node):
+                    stack.append((child, depth + 1))
+    return root
+
+
 def parse(text: str) -> Statement:
     """Parse a top-level statement (SELECT / CREATE / DROP / DELETE)."""
-    return Parser(text).parse_statement()
+    return _bounded(Parser(text).parse_statement())
 
 
 def parse_expression(text: str) -> Node:
@@ -259,4 +299,4 @@ def parse_expression(text: str) -> Node:
     parser = Parser(text)
     node = parser.parse_expr()
     parser.expect(TokenKind.EOF)
-    return node
+    return _bounded(node)

@@ -28,14 +28,16 @@ encodes every tile in one batch and exports those frames, and ``update``
 re-encodes only the tiles its region touches, carrying the other frames
 of a rewritten super-tile over verbatim from the old segment.  A batch
 (:meth:`Codec.compress_all`) runs on a small module-level thread pool —
-``zlib`` releases the GIL while it deflates, so tiles compress in
+both encoders release the GIL while they deflate, so tiles compress in
 parallel on the host.
 
-Decode inflates through the system's **libdeflate** when it loads
-(:data:`INFLATER` says which backend was picked at import), and through
-the standard ``zlib`` module otherwise.  Encode always uses ``zlib``, so
-the frames are byte-identical either way; only the host's CPU per
-inflated tile differs.
+Both directions run through the system's **libdeflate** when it loads
+(:data:`DEFLATER` and :data:`INFLATER` say which backends were picked at
+import), and through the standard ``zlib`` module otherwise.  The frames
+therefore depend on the host's encoder: libdeflate and ``zlib`` at level 1
+write different (and differently sized) DEFLATE streams of the same tile.
+Decode is portable: every frame is one standard zlib stream, so either
+backend reads frames written by either, and a segment may hold both.
 
 (De)compression CPU time is not charged on the virtual clock, pooled or
 not: the modelled drives compress in hardware at line speed, as DLT/LTO
@@ -233,9 +235,14 @@ _SUCCESS = 0  # the stream ended; the counts are valid
 _BAD_DATA = 1  # broken or truncated stream, bad header or Adler-32
 _INSUFFICIENT_SPACE = 3  # the stream inflates past the buffer
 Inflate = Callable[[memoryview, memoryview], Tuple[int, int, int]]
+# Deflate backends.  Each deflates a buffer at level 1 into one zlib stream
+# of at most *limit* bytes, the way ``libdeflate_zlib_compress`` does, and
+# returns ``b""`` when the stream does not fit.
+Deflate = Callable[[memoryview, int], bytes]
 
-#: per-thread decode state: a libdeflate decompressor (not thread-safe)
-#: and the scratch buffer byte planes inflate into before the unshuffle
+#: per-thread codec state: libdeflate's (de)compressor (neither is
+#: thread-safe) and the scratch buffer byte planes inflate into before the
+#: unshuffle
 _local = threading.local()
 
 
@@ -256,47 +263,75 @@ def _zlib_inflate(src: memoryview, dest: memoryview) -> Tuple[int, int, int]:
     return _SUCCESS, len(src) - len(inflater.unused_data), len(data)
 
 
+def _zlib_deflate(src: memoryview, limit: int) -> bytes:
+    """The fallback encoder: the standard ``zlib`` module."""
+    packed = zlib.compress(src, _LEVEL)
+    return packed if len(packed) <= limit else b""
+
+
 def _address(buffer: memoryview) -> int:
     # a pointer into *buffer* without copying it, read-only buffers too
     return np.frombuffer(buffer, np.uint8).ctypes.data
 
 
-def _load_libdeflate() -> Optional[Inflate]:
-    """A backend over the system's libdeflate, or None when it is missing."""
+def _load_libdeflate() -> Optional[Tuple[Inflate, Deflate]]:
+    """Both backends over the system's libdeflate, or None when it is missing."""
     for name in ("libdeflate.so.0", "libdeflate.so", "libdeflate.0.dylib"):
         try:
             lib = ctypes.CDLL(name)
             decompress = lib.libdeflate_zlib_decompress_ex
-            alloc = lib.libdeflate_alloc_decompressor
-            free = lib.libdeflate_free_decompressor
+            alloc_decompressor = lib.libdeflate_alloc_decompressor
+            free_decompressor = lib.libdeflate_free_decompressor
+            compress = lib.libdeflate_zlib_compress
+            alloc_compressor = lib.libdeflate_alloc_compressor
+            free_compressor = lib.libdeflate_free_compressor
             break
         except (OSError, AttributeError):
             continue
     else:
         return None
     size_p = ctypes.POINTER(ctypes.c_size_t)
-    alloc.restype = ctypes.c_void_p
-    alloc.argtypes = []
-    free.restype = None
-    free.argtypes = [ctypes.c_void_p]
+    alloc_decompressor.restype = ctypes.c_void_p
+    alloc_decompressor.argtypes = []
+    alloc_compressor.restype = ctypes.c_void_p
+    alloc_compressor.argtypes = [ctypes.c_int]
+    for free in (free_decompressor, free_compressor):
+        free.restype = None
+        free.argtypes = [ctypes.c_void_p]
     decompress.restype = ctypes.c_int
     decompress.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
         ctypes.c_void_p, ctypes.c_size_t, size_p, size_p,
+    ]
+    compress.restype = ctypes.c_size_t
+    compress.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+        ctypes.c_void_p, ctypes.c_size_t,
     ]
 
     class Decompressor:
         """One thread's libdeflate decompressor and its two out-counts."""
 
         def __init__(self) -> None:
-            self.handle = alloc()
+            self.handle = alloc_decompressor()
             if not self.handle:
                 raise MemoryError("libdeflate_alloc_decompressor failed")
             self.consumed = ctypes.c_size_t()
             self.produced = ctypes.c_size_t()
 
         def __del__(self) -> None:
-            free(self.handle)
+            free_decompressor(self.handle)
+
+    class Compressor:
+        """One thread's level-1 libdeflate compressor."""
+
+        def __init__(self) -> None:
+            self.handle = alloc_compressor(_LEVEL)
+            if not self.handle:
+                raise MemoryError("libdeflate_alloc_compressor failed")
+
+        def __del__(self) -> None:
+            free_compressor(self.handle)
 
     def inflate(src: memoryview, dest: memoryview) -> Tuple[int, int, int]:
         state = getattr(_local, "decompressor", None)
@@ -309,18 +344,30 @@ def _load_libdeflate() -> Optional[Inflate]:
         )
         return status, state.consumed.value, state.produced.value
 
-    return inflate
+    def deflate(src: memoryview, limit: int) -> bytes:
+        state = getattr(_local, "compressor", None)
+        if state is None:
+            state = _local.compressor = Compressor()
+        out = np.empty(limit, np.uint8)
+        # 0 when the stream does not fit in *limit* bytes; ctypes releases
+        # the GIL for the call
+        size = compress(state.handle, _address(src), len(src), out.ctypes.data, limit)
+        return out[:size].tobytes()
+
+    return inflate, deflate
 
 
-#: every inflate backend this host has, by name
+#: every inflate and deflate backend this host has, by name
 _INFLATERS = {"zlib": _zlib_inflate}
-_libdeflate_inflate = _load_libdeflate()
-if _libdeflate_inflate is not None:
-    _INFLATERS["libdeflate"] = _libdeflate_inflate
-#: the backend ZlibCodec decodes with, chosen once at import: "libdeflate"
-#: when the system library loads, else "zlib"
-INFLATER = "libdeflate" if "libdeflate" in _INFLATERS else "zlib"
+_DEFLATERS = {"zlib": _zlib_deflate}
+_libdeflate = _load_libdeflate()
+if _libdeflate is not None:
+    _INFLATERS["libdeflate"], _DEFLATERS["libdeflate"] = _libdeflate
+#: the backends ZlibCodec decodes and encodes with, chosen once at import:
+#: "libdeflate" when the system library loads, else "zlib"
+INFLATER = DEFLATER = "libdeflate" if _libdeflate is not None else "zlib"
 _inflate_stream: Inflate = _INFLATERS[INFLATER]
+_deflate_stream: Deflate = _DEFLATERS[DEFLATER]
 
 
 def _scratch(size: int) -> memoryview:
@@ -349,10 +396,11 @@ class ZlibCodec(Codec):
       read path intact: :meth:`decompress_view` serves them as read-only
       views straight over the staged frame, no inflate, no copy.
 
-    Frames are encoded with ``zlib`` and inflated with the module's
-    :data:`INFLATER` — libdeflate when the host has it (about 2x faster
-    per tile, EXPERIMENTS A4), ``zlib`` otherwise.  The frames are the
-    same either way.  Inflate reads the frame in place and writes
+    Frames are deflated with the module's :data:`DEFLATER` and inflated
+    with its :data:`INFLATER` — libdeflate when the host has it (faster per
+    tile both ways, EXPERIMENTS A4), ``zlib`` otherwise.  Frame
+    bytes depend on the host's encoder; decode does not: any frame either
+    encoder wrote inflates on either backend.  Inflate reads the frame in place and writes
     byte planes into a per-thread scratch buffer, then unshuffles them
     into the exact-size output; a one-byte cell inflates straight into
     it.  The frame carries everything decode needs; a damaged frame (bad
@@ -383,8 +431,12 @@ class ZlibCodec(Codec):
                 f"{len(raw)} B is not a whole number of {itemsize}-byte cells"
             )
         cells = np.frombuffer(raw, np.uint8).reshape(-1, itemsize)
-        packed = zlib.compress(np.ascontiguousarray(cells.T), _LEVEL)
-        if len(packed) >= len(raw) - (len(raw) >> 4):
+        planes = memoryview(np.ascontiguousarray(cells.T).ravel())
+        # the one place the 1/16 rule is checked: DEFLATE must save more
+        # than 1/16 of the tile, else the stream does not fit and the cells
+        # are stored verbatim
+        packed = _deflate_stream(planes, max(0, len(raw) - (len(raw) >> 4) - 1))
+        if not packed:
             return b"\x00" + raw
         return bytes((_Z_DEFLATE, itemsize)) + packed
 

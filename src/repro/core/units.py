@@ -29,6 +29,7 @@ from that query's answer and report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,7 +39,7 @@ from ..arrays.celltype import CellType, lookup as lookup_cell_type
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..arrays.operations import MArray
-from ..errors import CellTypeError, WireFormatError
+from ..errors import CellTypeError, DomainError, WireFormatError
 
 if TYPE_CHECKING:
     from .admission import RetrievalReport
@@ -139,6 +140,23 @@ def _dtype_for(name: str) -> np.dtype:
             return np.dtype(name)
         except TypeError:
             raise WireFormatError(f"unknown wire dtype {name!r}") from None
+
+
+def _cells(payload: Payload, domain: str, dtype: str) -> np.ndarray:
+    """Read-only ndarray view of a received *payload* as the cells of
+    *domain* (zero-copy); a payload that does not hold exactly those cells
+    raises :class:`WireFormatError`."""
+    try:
+        shape = MInterval.parse(domain).shape
+    except DomainError as exc:
+        raise WireFormatError(f"malformed payload domain: {exc}") from None
+    cell = _dtype_for(dtype)
+    size = memoryview(payload).nbytes
+    if size != cell.itemsize * math.prod(shape):
+        raise WireFormatError(
+            f"{size} B payload does not hold the {dtype} cells of {domain}"
+        )
+    return np.frombuffer(payload, dtype=cell).reshape(shape)
 
 
 # -- units ---------------------------------------------------------------------
@@ -252,10 +270,7 @@ class TilePayload:
 
     def cells(self) -> np.ndarray:
         """Read-only ndarray view over the payload bytes (zero-copy)."""
-        shape = MInterval.parse(self.domain).shape
-        return np.frombuffer(self.payload, dtype=_dtype_for(self.dtype)).reshape(
-            shape
-        )
+        return _cells(self.payload, self.domain, self.dtype)
 
     @property
     def nbytes(self) -> int:
@@ -340,10 +355,7 @@ class SubReadResponse:
         """Region cells as a read-only ndarray, when pre-assembled."""
         if self.region_cells is None:
             return None
-        shape = MInterval.parse(self.region).shape
-        return np.frombuffer(
-            self.region_cells, dtype=_dtype_for(self.dtype)
-        ).reshape(shape)
+        return _cells(self.region_cells, self.region, self.dtype)
 
     def encode(self) -> bytes:
         payloads: List[Payload] = [tile.payload for tile in self.tiles]

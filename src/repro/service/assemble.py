@@ -14,6 +14,7 @@ copied straight into the region array.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -127,6 +128,11 @@ class ShadowObject:
                 raise WireFormatError(
                     f"tile {tile.tile_id} of {self.descriptor.name!r} arrived "
                     f"as {payload.domain}, expected its overlap {clip}"
+                )
+            elif payload.nbytes != dtype.itemsize * math.prod(shape):
+                raise WireFormatError(
+                    f"tile {tile.tile_id} of {self.descriptor.name!r} arrived "
+                    f"with {payload.nbytes} B for its {clip} cells"
                 )
             else:
                 out[tuple(window)] = np.frombuffer(

@@ -10,6 +10,7 @@ from repro.arrays.query import (
     DropCollection,
     parse,
 )
+from repro.arrays.query.parser import MAX_DEPTH
 from repro.core import Heaven, HeavenConfig
 from repro.errors import QueryError, QuerySyntaxError
 from repro.tertiary import MB
@@ -110,6 +111,39 @@ class TestStatementExecution:
         executor = QueryExecutor(lambda n: Collection(n))
         with pytest.raises(QueryError):
             executor.execute("create collection x")
+
+
+#: nested query text of *k* levels, and what each of its cells is in
+#: terms of the object's cells
+NESTINGS = {
+    "parentheses": (lambda k: "(" * k + "r" + ")" * k, lambda cells, k: cells),
+    "unary-minus": (lambda k: "-" * k + "r", lambda cells, k: (-1) ** k * cells),
+    "binary-chain": (lambda k: "r+" * k + "r", lambda cells, k: summed(cells, k + 1)),
+}
+
+
+def summed(cells, count):
+    """*count* copies of *cells* added left to right, as ``r+r+...`` is."""
+    total = cells
+    for _ in range(count - 1):
+        total = total + cells
+    return total
+
+
+class TestNestingBound:
+    """Untrusted query text nested past the parser's bound fails typed,
+    never with a stray ``RecursionError``; one level less runs."""
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_under_the_bound_runs_and_past_it_fails_typed(self, heaven, kind):
+        nest, expect = NESTINGS[kind]
+        query = 'select {} from runs as r where name(r) = "run-1"'
+        result = heaven.query(query.format(nest(MAX_DEPTH - 1)))
+        cells = heaven.read("runs", "run-1", MInterval.of((0, 31), (0, 31)))
+        assert np.array_equal(result[0].value.cells, expect(cells, MAX_DEPTH - 1))
+        for depth in (MAX_DEPTH, 200, 2000):
+            with pytest.raises(QuerySyntaxError):
+                heaven.query(query.format(nest(depth)))
 
 
 class TestOverlay:

@@ -106,11 +106,45 @@ def planes_of(raw: bytes, itemsize: int) -> bytes:
 
 class TestShuffledFrame:
     def test_frame_layout(self):
-        # marker, itemsize, then one level-1 DEFLATE stream of byte planes
+        # marker, itemsize, then one zlib stream of the byte planes; the
+        # stream's bytes are the encoder's
         raw = quantised(1024)
-        assert ZlibCodec().compress(raw, 4) == b"\x01\x04" + zlib.compress(
-            planes_of(raw, 4), 1
-        )
+        for deflater in compression._DEFLATERS:
+            with deflating_with(deflater):
+                frame = ZlibCodec().compress(raw, 4)
+            assert frame[:2] == b"\x01\x04"
+            assert zlib.decompress(frame[2:]) == planes_of(raw, 4)
+            if deflater == "zlib":  # a host without libdeflate writes what it always did
+                assert frame[2:] == zlib.compress(planes_of(raw, 4), 1)
+
+    @pytest.mark.parametrize("deflater", sorted(compression._DEFLATERS))
+    @pytest.mark.parametrize("inflater", sorted(compression._INFLATERS))
+    @pytest.mark.parametrize("itemsize", [1, 4, 8])
+    def test_round_trip_across_backends(self, deflater, inflater, itemsize):
+        codec = ZlibCodec()
+        raw = quantised(2048)
+        with deflating_with(deflater):
+            stored = codec.compress(raw, itemsize)
+        assert stored[0] == 1
+        with inflating_with(inflater):
+            for decode in decoders(codec):
+                assert decode(stored, len(raw)) == raw
+
+    @pytest.mark.parametrize("raw, itemsize", [
+        pytest.param(quantised(32**3), 4, id="quantised"),
+        pytest.param(np.random.default_rng(7).bytes(4 * 32**3), 4, id="incompressible"),
+    ])
+    def test_backends_agree_on_stored_frames(self, raw, itemsize):
+        markers = set()
+        for deflater in compression._DEFLATERS:
+            with deflating_with(deflater):
+                frame = ZlibCodec().compress(raw, itemsize)
+            markers.add(frame[0])
+            if frame[0] == 0:
+                assert frame == b"\x00" + raw
+            else:
+                assert len(frame) < len(raw) - (len(raw) >> 4) + 2
+        assert len(markers) == 1
 
     @pytest.mark.parametrize("itemsize", [1, 2, 3, 4, 8])
     def test_round_trip_per_itemsize(self, itemsize):
@@ -131,6 +165,27 @@ class TestShuffledFrame:
             assert stored[0] == marker
         for decode in decoders(codec):
             assert decode(stored, len(raw)) == raw
+
+    @pytest.mark.parametrize("deflater", sorted(compression._DEFLATERS))
+    def test_concurrent_encodes_match_serial(self, deflater):
+        # one compressor per thread: threads never share encoder state
+        codec = ZlibCodec()
+        rng = np.random.default_rng(9)
+        raws = [
+            quantised(int(n)) if k % 2 else rng.integers(0, 4, 4 * int(n), np.uint8).tobytes()
+            for k, n in enumerate(rng.integers(64, 4096, 200))
+        ]
+        with deflating_with(deflater):
+            serial = [codec.compress(raw, 4) for raw in raws]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    threaded = list(pool.map(codec.compress, raws, [4] * len(raws), timeout=60))
+            finally:
+                sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert all(codec.decompress(frame, len(raw)) == raw for frame, raw in zip(serial, raws))
 
     def test_shuffle_beats_plain_level_6_on_quantised_floats(self):
         raw = quantised(32**3)
@@ -191,6 +246,17 @@ def inflating_with(name):
         yield
     finally:
         compression._inflate_stream = saved
+
+
+@contextmanager
+def deflating_with(name):
+    """Encode through deflate backend *name* for the duration."""
+    saved = compression._deflate_stream
+    compression._deflate_stream = compression._DEFLATERS[name]
+    try:
+        yield
+    finally:
+        compression._deflate_stream = saved
 
 
 def last_byte_flipped(data):
@@ -389,6 +455,47 @@ class TestCompressedArchive:
         assert np.array_equal(
             heaven.read("col", "obj", other), source.region(other, DOUBLE)
         )
+
+    @pytest.mark.skipif(
+        "libdeflate" not in compression._DEFLATERS,
+        reason="libdeflate is not installed on this host (encode uses zlib)",
+    )
+    def test_update_mixes_encoders_in_one_segment(self):
+        """Archived under ``zlib``, updated under libdeflate: the rewritten
+        segment carries old ``zlib`` frames verbatim next to new libdeflate
+        ones, and warm and cold reads match the oracle."""
+        source = HashedNoiseSource(5, 0.0, 9.0)
+        with deflating_with("zlib"):
+            heaven, mdd = build_heaven("zlib", source=source)
+        region = MInterval.of((0, 31), (0, 31))
+        patch = np.arange(1024, dtype=np.float64).reshape(32, 32)
+        with deflating_with("libdeflate"):
+            heaven.update("col", "obj", region, patch)
+        oracle = source.region(mdd.domain, DOUBLE)
+        oracle[0:32, 0:32] = patch
+
+        entry = heaven.archived("obj")
+        patched = next(t for t in mdd.tiles.values() if t.domain == region)
+        super_tile = entry.tile_to_st[patched.tile_id]
+        key = super_tile.segment_name
+        segment = heaven.library.medium(heaven.library.locate(key))._payloads[key]
+        writers = set()
+        for tile_id, (offset, length) in super_tile.tile_extents.items():
+            frame = segment[offset : offset + length]
+            cells = oracle[mdd.tiles[tile_id].domain.to_slices(mdd.domain)].tobytes()
+            for name in compression._DEFLATERS:
+                with deflating_with(name):
+                    if ZlibCodec().compress(cells, 8) == frame:
+                        writers.add((tile_id == patched.tile_id, name))
+        assert writers == {(True, "libdeflate"), (False, "zlib")}
+
+        assert np.array_equal(heaven.read("col", "obj", mdd.domain), oracle)
+        heaven.memory_cache.invalidate_object("obj")
+        for key in heaven.disk_cache.keys():
+            heaven.disk_cache.invalidate(key)
+        cells, report = heaven.read_with_report("col", "obj", mdd.domain)
+        assert report.bytes_from_tape > 0
+        assert np.array_equal(cells, oracle)
 
     def test_size_only_mode_uses_estimate(self):
         heaven, mdd = build_heaven("zlib", retain=False)

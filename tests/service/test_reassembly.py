@@ -172,6 +172,22 @@ class TestShadowObject:
         with pytest.raises(WireFormatError, match=f"tile {first} "):
             shadow.assemble(region, payloads)
 
+    def test_clip_of_the_wrong_size_is_rejected(self, reference):
+        # the right box, but a payload one cell short of it: what a damaged
+        # frame that still decodes delivers
+        shadow = ShadowObject(self._descriptor(reference))
+        region = MInterval.parse("5:40,9:20")
+        payloads = self._clips(reference, region)
+        first = sorted(payloads)[0]
+        clip = payloads[first]
+        payloads[first] = TilePayload(
+            first, clip.domain, clip.dtype, memoryview(clip.payload)[8:]
+        )
+        with pytest.raises(WireFormatError, match=f"tile {first} "):
+            shadow.assemble(region, payloads)
+        with pytest.raises(WireFormatError):
+            payloads[first].cells()
+
     def test_missing_fill_degrades_instead(self, reference):
         shadow = ShadowObject(self._descriptor(reference))
         cells = shadow.assemble(

@@ -178,6 +178,22 @@ class TestSubReadResponse:
         assert back.error.message == "boom"
         assert back.tiles == []
 
+    @pytest.mark.parametrize("domain, payload", [
+        pytest.param("0:2,0:3", bytes(95), id="short"),
+        pytest.param("0:2,0:3", bytes(97), id="long"),
+        pytest.param("0:2,0:9999999999999", bytes(96), id="huge-domain"),
+        pytest.param("0:2;0:3", bytes(96), id="unparsable-domain"),
+    ])
+    def test_payload_not_the_domain_rejected_at_cells(self, domain, payload):
+        tile = TilePayload(tile_id=0, domain=domain, dtype="double", payload=payload)
+        response = SubReadResponse(
+            request_id="q", object_name="o", region=domain, dtype="double",
+            region_cells=payload,
+        )
+        for view in (tile.cells, response.assembled):
+            with pytest.raises(WireFormatError):
+                view()
+
     def test_unknown_dtype_rejected_at_cells(self):
         tile = TilePayload(
             tile_id=0, domain="0:0", dtype="antimatter", payload=b"\x00" * 8
@@ -321,3 +337,55 @@ def test_replaced_header_field_decodes_or_fails_typed(sample, data):
         decode(damaged)
     except WireFormatError:
         pass
+
+
+MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0), st.integers(1, 255)),
+    st.tuples(st.just("insert"), st.integers(0), st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("delete"), st.integers(0), st.integers(1, 4)),
+)
+
+
+def _mutated(encoded: bytes, mutations) -> bytes:
+    """*encoded* with each (kind, position, argument) byte edit applied."""
+    data = bytearray(encoded)
+    for kind, position, argument in mutations:
+        at = position % (len(data) + 1)
+        if kind == "flip" and at < len(data):
+            data[at] ^= argument
+        elif kind == "insert":
+            data[at:at] = argument
+        elif kind == "delete":
+            del data[at : at + argument]
+    return bytes(data)
+
+
+@pytest.mark.property
+@settings(max_examples=400, deadline=None)
+@given(
+    sample=st.sampled_from([
+        (SubReadRequest.decode, REQUEST.encode()),
+        (SubReadRequest.decode, SubReadRequest(
+            request_id="q", tenant="t", collection="c", object_name="o", region="0:1",
+        ).encode()),
+        (SubReadResponse.decode, RESPONSE.encode()),
+        (SubReadResponse.decode, ERROR_RESPONSE.encode()),
+    ]),
+    mutations=st.lists(MUTATION, min_size=1, max_size=3),
+)
+def test_byte_mutated_frame_decodes_or_fails_typed(sample, mutations):
+    """Bytes flipped, inserted or deleted anywhere in a valid frame (length
+    prefix, JSON header or payload): the decoder either accepts the
+    message or raises WireFormatError, and so do the cell views of an
+    accepted response."""
+    decode, encoded = sample
+    try:
+        unit = decode(_mutated(encoded, mutations))
+    except WireFormatError:
+        return
+    if isinstance(unit, SubReadResponse):
+        for view in [unit.assembled, *(tile.cells for tile in unit.tiles)]:
+            try:
+                view()
+            except WireFormatError:
+                pass
