@@ -37,12 +37,9 @@ from .operations import (
     cast,
     condense,
     condenser_names,
-    extend,
     induced_binary,
     induced_unary,
-    region_aggregate,
     scale_down,
-    section,
     shift,
     trim,
 )
@@ -99,17 +96,14 @@ __all__ = [
     "cast",
     "condense",
     "condenser_names",
-    "extend",
     "induced_binary",
     "induced_unary",
     "known_types",
     "lookup",
     "parse",
     "parse_expression",
-    "region_aggregate",
     "register",
     "scale_down",
-    "section",
     "shift",
     "struct_type",
     "trim",

@@ -177,16 +177,6 @@ class RTreeIndex(TileIndex):
     def all_ids(self) -> List[int]:
         return sorted(self._domains)
 
-    @property
-    def height(self) -> int:
-        """Tree height (leaf = 1), for structural tests."""
-        height = 1
-        node = self._root
-        while not node.leaf:
-            node = node.children[0]
-            height += 1
-        return height
-
     # -- internals ----------------------------------------------------------------
 
     def _search(self, node: _Node, region: MInterval, found: List[int]) -> None:

@@ -1,5 +1,5 @@
-"""Array operations (Kapitel 2.5.5): trimming, sections, induced ops,
-condensers and scaling.
+"""Array operations (Kapitel 2.5.5): trimming, induced ops, condensers
+and scaling.
 
 Operations work on :class:`MArray` values — a spatial domain plus the
 materialised cells of exactly that region.  The query executor reads the
@@ -11,7 +11,7 @@ operation semantics are testable without any storage attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -57,40 +57,9 @@ def trim(value: MArray, region: MInterval) -> MArray:
     return MArray(clipped, value.cells[clipped.to_slices(value.domain)])
 
 
-def section(value: MArray, axis: int, position: int) -> MArray:
-    """Fix one dimension to *position*, reducing dimensionality by one.
-
-    A section through the last remaining axis yields a 1-D array of one
-    cell rather than a true scalar — callers use :meth:`MArray.scalar`.
-    """
-    if not 0 <= axis < value.dimension:
-        raise DomainError(f"section axis {axis} out of range")
-    if not value.domain[axis].contains(position):
-        raise DomainError(
-            f"section position {position} outside axis {value.domain[axis]}"
-        )
-    slices = [slice(None)] * value.dimension
-    slices[axis] = value.domain[axis].lo * 0 + (position - value.domain[axis].lo)
-    cells = value.cells[tuple(slices)]
-    remaining = [a for i, a in enumerate(value.domain.axes) if i != axis]
-    if not remaining:
-        remaining = [SInterval(0, 0)]
-        cells = cells.reshape((1,))
-    return MArray(MInterval(remaining), cells)
-
-
 def shift(value: MArray, offsets: Sequence[int]) -> MArray:
     """Translate the domain (cells unchanged)."""
     return MArray(value.domain.translate(offsets), value.cells)
-
-
-def extend(value: MArray, region: MInterval, fill: float = 0.0) -> MArray:
-    """Grow the domain to *region*, filling new cells with *fill*."""
-    if not region.contains(value.domain):
-        raise DomainError(f"extend target {region} does not contain {value.domain}")
-    cells = np.full(region.shape, fill, dtype=value.cells.dtype)
-    cells[value.domain.to_slices(region)] = value.cells
-    return MArray(region, cells)
 
 
 # -- induced operations -------------------------------------------------------
@@ -231,29 +200,3 @@ def scale_down(value: MArray, factors: Sequence[int]) -> MArray:
         work = work.reshape(shape).mean(axis=dim + 1)
     return MArray(MInterval(new_axes), work.astype(value.cells.dtype))
 
-
-# -- the general condenser (marray-style reductions over regions) -----------------
-
-
-def region_aggregate(
-    value: MArray,
-    op: str,
-    axis: Optional[int] = None,
-) -> Union[MArray, int, float, bool]:
-    """Aggregate along one axis (or fully when *axis* is None).
-
-    Supported ops: ``sum``, ``avg``, ``max``, ``min``.
-    """
-    np_ops: dict = {"sum": np.sum, "avg": np.mean, "max": np.max, "min": np.min}
-    if op not in np_ops:
-        raise QueryError(f"unknown aggregate {op!r}")
-    if axis is None:
-        return np_ops[op](value.cells).item()
-    if not 0 <= axis < value.dimension:
-        raise DomainError(f"aggregate axis {axis} out of range")
-    cells = np_ops[op](value.cells, axis=axis)
-    remaining = [a for i, a in enumerate(value.domain.axes) if i != axis]
-    if not remaining:
-        remaining = [SInterval(0, 0)]
-        cells = cells.reshape((1,))
-    return MArray(MInterval(remaining), cells)

@@ -103,7 +103,7 @@ class ArrayStorage:
         return collection
 
     def collection_names(self) -> List[str]:
-        return [r["name"] for r in self.db.select(COLLECTIONS_TABLE, order_by="name")]
+        return sorted(row["name"] for _rid, row in self.db.table(COLLECTIONS_TABLE).scan())
 
     def drop_collection(self, name: str) -> None:
         collection = self.collection(name)

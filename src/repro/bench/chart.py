@@ -8,7 +8,7 @@ dependencies.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 BAR = "#"
 
@@ -34,34 +34,6 @@ def bar_chart(
         bar = BAR * max(length, 1 if value > 0 else 0)
         lines.append(f"{text.rjust(label_width)} | {bar} {value:g}{unit}")
     return "\n".join(lines)
-
-
-def series_chart(
-    title: str,
-    series: Sequence[Tuple[str, Sequence[float]]],
-    labels: Sequence[object],
-    width: int = 48,
-    unit: str = "",
-) -> str:
-    """Several named series over shared x labels, as grouped bars."""
-    lines = [title, "-" * len(title)]
-    peak = max(
-        (value for _name, values in series for value in values), default=0.0
-    )
-    label_texts = [str(label) for label in labels]
-    label_width = max(len(t) for t in label_texts) if label_texts else 0
-    name_width = max(len(name) for name, _values in series)
-    for position, label in enumerate(label_texts):
-        for name, values in series:
-            value = values[position]
-            length = 0 if peak <= 0 else int(round(width * value / peak))
-            bar = BAR * max(length, 1 if value > 0 else 0)
-            lines.append(
-                f"{label.rjust(label_width)} {name.ljust(name_width)} | "
-                f"{bar} {value:g}{unit}"
-            )
-        lines.append("")
-    return "\n".join(lines).rstrip()
 
 
 def sparkline(values: Sequence[float]) -> str:

@@ -9,7 +9,7 @@ directly in the pytest-benchmark output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, List
 
 
 @dataclass
@@ -30,10 +30,6 @@ class ResultTable:
 
     def note(self, text: str) -> None:
         self.notes.append(text)
-
-    def column(self, name: str) -> List[Any]:
-        index = self.columns.index(name)
-        return [row[index] for row in self.rows]
 
     def render(self) -> str:
         """ASCII-render the table with aligned columns."""
@@ -76,12 +72,3 @@ def speedup(baseline: float, improved: float) -> float:
         return float("inf")
     return baseline / improved
 
-
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))

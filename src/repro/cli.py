@@ -605,9 +605,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(prometheus_text(heaven.obs.metrics), end="")
     # Trailer: human-readable state the raw series don't make obvious, kept
     # as comments so the output stays valid Prometheus exposition text.
-    log = heaven.clock.log
-    print(f"# eventlog: {len(log)} events retained, "
-          f"{log.dropped} dropped (bounded mode)")
+    print(f"# eventlog: {len(heaven.clock.log)} events retained")
     print(f"# metrics registry: {len(heaven.obs.metrics)} instruments")
     return 0
 

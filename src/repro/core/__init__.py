@@ -28,11 +28,9 @@ from .cache import (
 )
 from .clustering import (
     ClusteredPlacement,
-    InterleavedObjectPlacement,
     Placement,
     PlacementPolicy,
     ScatterPlacement,
-    interleave_round_robin,
 )
 from .compression import Codec, NoneCodec, ZlibCodec, codec_names, make_codec
 from .config import FaultPlan, HeavenConfig, RetryPolicy
@@ -118,7 +116,6 @@ __all__ = [
     "HalfSpaceFrame",
     "Heaven",
     "HeavenConfig",
-    "InterleavedObjectPlacement",
     "LFUPolicy",
     "LRUPolicy",
     "MaskFrame",
@@ -156,7 +153,6 @@ __all__ = [
     "codec_names",
     "execute_batch",
     "grid_block_shape",
-    "interleave_round_robin",
     "intra_cluster_order",
     "make_codec",
     "make_policy",

@@ -11,7 +11,7 @@ what the clustering experiment (E8) compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import HeavenError
 from ..tertiary.library import TapeLibrary
@@ -102,39 +102,3 @@ class ScatterPlacement(PlacementPolicy):
             placements.append(Placement(super_tile, media[target].medium_id))
         return placements
 
-
-class InterleavedObjectPlacement(PlacementPolicy):
-    """Baseline for multi-object archives: strict arrival-order interleaving.
-
-    Models the paper's "Generierungsordnung": data lands on tape in the
-    order the HPC jobs emitted it, interleaving objects that are later read
-    separately.  For a single object this equals clustered placement; its
-    effect shows when several objects are exported together.
-    """
-
-    name = "interleaved"
-
-    def plan(
-        self, super_tiles: Sequence[SuperTile], library: TapeLibrary
-    ) -> List[Placement]:
-        return [Placement(st, None) for st in super_tiles]
-
-
-def interleave_round_robin(
-    per_object: Sequence[Sequence[SuperTile]],
-) -> List[SuperTile]:
-    """Interleave several objects' super-tile streams round-robin.
-
-    Produces the generation-order write sequence the
-    :class:`InterleavedObjectPlacement` baseline expects.
-    """
-    out: List[SuperTile] = []
-    cursors = [0] * len(per_object)
-    remaining = sum(len(seq) for seq in per_object)
-    while remaining:
-        for which, seq in enumerate(per_object):
-            if cursors[which] < len(seq):
-                out.append(seq[cursors[which]])
-                cursors[which] += 1
-                remaining -= 1
-    return out

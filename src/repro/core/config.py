@@ -78,10 +78,6 @@ class HeavenConfig:
             what it is handed, so tape segments, cached runs and updates of
             a size-only object stay size-only (compressed sizes then come
             from the codec's ratio estimate).
-        event_log_max_events: bound the simulator's event log to this many
-            retained events (oldest dropped in chunks, drop count exposed
-            as the ``repro_eventlog_dropped_total`` metric); ``None`` keeps
-            every event (exact full-history breakdowns).
         fault_plan: seeded fault-injection plan wired into the tape
             library's robot and drives (``None`` — the default — injects
             nothing and leaves every simulated cost byte-identical).
@@ -108,7 +104,6 @@ class HeavenConfig:
     pyramid_factors: Optional[tuple] = None
     compression: str = "none"
     retain_payload: bool = True
-    event_log_max_events: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
 
@@ -123,8 +118,6 @@ class HeavenConfig:
             int(f) < 2 for f in self.pyramid_factors
         ):
             raise ValueError(f"pyramid factors must be >= 2: {self.pyramid_factors}")
-        if self.event_log_max_events is not None and self.event_log_max_events < 1:
-            raise ValueError("event_log_max_events must be positive or None")
         if self.num_drives < 1:
             raise ValueError("num_drives must be >= 1")
         if self.parallel_drives < 1:

@@ -107,7 +107,7 @@ class Heaven:
         observability: Union[None, bool, Observability] = None,
     ) -> None:
         self.config = config if config is not None else HeavenConfig()
-        self.clock = SimClock(max_events=self.config.event_log_max_events)
+        self.clock = SimClock()
         # Observability knob: None follows REPRO_TRACE, a bool switches it
         # explicitly, a prebuilt Observability is adopted (rebound to this
         # instance's clock).  Disabled, every span below is a shared no-op.
@@ -813,7 +813,7 @@ class Heaven:
         if self.STATS_TABLE not in self.db.tables():
             return 0
         restored = 0
-        for row in self.db.select(self.STATS_TABLE):
+        for _rid, row in self.db.table(self.STATS_TABLE).scan():
             fractions = [float(f) for f in row["fractions"].split(",") if f]
             stats = AccessStatistics(
                 dimension=len(fractions),

@@ -91,9 +91,6 @@ class PyramidCatalog:
     def has_object(self, object_name: str) -> bool:
         return object_name in self._levels
 
-    def levels_of(self, object_name: str) -> List[int]:
-        return sorted(self._levels.get(object_name, {}))
-
     def total_bytes(self, object_name: str) -> int:
         return sum(
             level.size_bytes for level in self._levels.get(object_name, {}).values()

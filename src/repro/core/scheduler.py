@@ -256,12 +256,6 @@ class ParallelPlan:
     #: planned total seconds drives spend waiting on the robot arm
     robot_wait_seconds: float = 0.0
 
-    @property
-    def speedup(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 1.0
-        return self.serial_seconds / self.makespan_seconds
-
 
 # -- shared cost/dispatch core (planner and executor run the same loop) ------
 

@@ -45,10 +45,6 @@ class SuperTile:
     tile_extents: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     @property
-    def exported(self) -> bool:
-        return self.segment_name is not None
-
-    @property
     def tile_count(self) -> int:
         return len(self.tile_ids)
 

@@ -499,36 +499,3 @@ class ObjectDescriptor:
         if segment is not None:
             return segment
         return f"{self.collection}/{self.name}/t{tile_id}"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "collection": self.collection,
-                "name": self.name,
-                "domain": self.domain,
-                "dtype": self.dtype,
-                "tile_domains": list(self.tile_domains),
-                "tile_segments": {
-                    str(tile_id): key
-                    for tile_id, key in sorted(self.tile_segments.items())
-                },
-                "archived": self.archived,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ObjectDescriptor":
-        data = json.loads(text)
-        return cls(
-            collection=str(data["collection"]),
-            name=str(data["name"]),
-            domain=str(data["domain"]),
-            dtype=str(data["dtype"]),
-            tile_domains=tuple(str(d) for d in data["tile_domains"]),
-            tile_segments={
-                int(tile_id): str(key)
-                for tile_id, key in data.get("tile_segments", {}).items()
-            },
-            archived=bool(data.get("archived", False)),
-        )

@@ -194,31 +194,6 @@ class Database:
         if auto:
             self.commit()
 
-    # -- queries ------------------------------------------------------------------------
-
-    def select(
-        self,
-        table_name: str,
-        predicate: Optional[Predicate] = None,
-        columns: Optional[List[str]] = None,
-        order_by: Optional[str] = None,
-    ) -> List[Row]:
-        """Filtered projection over one table.
-
-        Equality predicates on indexed columns should use
-        :meth:`Table.find_by` directly; this convenience path always scans.
-        """
-        table = self.table(table_name)
-        rows = [row for _rid, row in table.scan(predicate)]
-        if order_by is not None:
-            table.schema.column(order_by)
-            rows.sort(key=lambda r: r[order_by])
-        if columns is not None:
-            for column in columns:
-                table.schema.column(column)
-            rows = [{c: r[c] for c in columns} for r in rows]
-        return rows
-
 
 class _TransactionContext:
     """``with db.transaction():`` — commit on success, rollback on error."""

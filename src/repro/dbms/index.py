@@ -1,13 +1,13 @@
 """Ordered secondary index used by the base DBMS.
 
 A thin sorted-list index (bisect-based) standing in for the B-tree of a real
-RDBMS: logarithmic point lookup, ordered range scans, duplicate keys allowed.
+RDBMS: logarithmic point lookup, duplicate keys allowed.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List
 
 
 class OrderedIndex:
@@ -46,32 +46,3 @@ class OrderedIndex:
         lo = bisect.bisect_left(self._keys, key)
         hi = bisect.bisect_right(self._keys, key)
         return self._rowids[lo:hi]
-
-    def range(
-        self,
-        low: Optional[Any] = None,
-        high: Optional[Any] = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[Tuple[Any, int]]:
-        """Yield (key, rowid) pairs with low <= key <= high in key order."""
-        if low is None:
-            lo = 0
-        elif include_low:
-            lo = bisect.bisect_left(self._keys, low)
-        else:
-            lo = bisect.bisect_right(self._keys, low)
-        if high is None:
-            hi = len(self._keys)
-        elif include_high:
-            hi = bisect.bisect_right(self._keys, high)
-        else:
-            hi = bisect.bisect_left(self._keys, high)
-        for position in range(lo, hi):
-            yield self._keys[position], self._rowids[position]
-
-    def min_key(self) -> Optional[Any]:
-        return self._keys[0] if self._keys else None
-
-    def max_key(self) -> Optional[Any]:
-        return self._keys[-1] if self._keys else None

@@ -93,9 +93,6 @@ class Table:
         self._indexes[column] = index
         return index
 
-    def index_on(self, column: str) -> Optional[OrderedIndex]:
-        return self._indexes.get(column)
-
     # -- mutation --------------------------------------------------------------
 
     def insert(self, values: Row) -> int:

@@ -14,7 +14,6 @@ name                            kind    meaning
 =============================== ======= ====================================
 virtual_seconds                 gauge   SimClock.now
 eventlog_events_total           counter events ever appended to the clock log
-eventlog_dropped_total          counter events discarded by bounded mode
 tape_exchanges_total            counter robot media exchanges (mounts)
 tape_seeks_total                counter drive positioning operations
 tape_bytes_read_total           counter bytes streamed off media
@@ -103,10 +102,6 @@ class HeavenInstruments:
         )
         self.eventlog_events: Counter = registry.counter(
             "repro_eventlog_events_total", "events appended to the clock log"
-        )
-        self.eventlog_dropped: Counter = registry.counter(
-            "repro_eventlog_dropped_total",
-            "events discarded by the bounded event log",
         )
         self.tape_exchanges: Counter = registry.counter(
             "repro_tape_exchanges_total", "robot media exchanges"
@@ -325,8 +320,7 @@ class HeavenInstruments:
         heaven = self._heaven
         log = heaven.clock.log
         self.virtual_seconds.set(heaven.clock.now)
-        self.eventlog_events.set(log.total_appended)
-        self.eventlog_dropped.set(log.dropped)
+        self.eventlog_events.set(len(log))
 
         library = heaven.library.stats()
         self.tape_exchanges.set(library.exchanges)

@@ -9,15 +9,15 @@ and are locked down by the property suite:
 * **total, deterministic routing** — every key maps to exactly one node,
   identically on every service node (the ring is pure data, no state);
 * **minimal disruption** — adding a node only moves keys *to* the new
-  node, removing one only moves *its* keys; everything else stays put
-  (expected movement ≈ K/N of the keyspace).
+  node; everything else stays put (expected movement ≈ K/N of the
+  keyspace).
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..errors import ServiceError
 
@@ -36,41 +36,16 @@ class HashRing:
             raise ServiceError("replicas must be >= 1")
         self.replicas = replicas
         self._points: List[Tuple[int, str]] = []
-        self._nodes: Dict[str, List[int]] = {}
+        self._nodes: Set[str] = set()
         for node in nodes:
             self.add_node(node)
-
-    @property
-    def nodes(self) -> List[str]:
-        return sorted(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._nodes
 
     def add_node(self, node: str) -> None:
         if node in self._nodes:
             raise ServiceError(f"node {node!r} already on the ring")
-        points = [
-            _hash(f"{node}#{replica}") for replica in range(self.replicas)
-        ]
-        self._nodes[node] = points
-        for point in points:
-            bisect.insort(self._points, (point, node))
-
-    def remove_node(self, node: str) -> None:
-        try:
-            points = self._nodes.pop(node)
-        except KeyError:
-            raise ServiceError(f"node {node!r} not on the ring") from None
-        drop = set(points)
-        self._points = [
-            (point, owner)
-            for point, owner in self._points
-            if owner != node or point not in drop
-        ]
+        self._nodes.add(node)
+        for replica in range(self.replicas):
+            bisect.insort(self._points, (_hash(f"{node}#{replica}"), node))
 
     def node_for(self, key: str) -> str:
         """The node owning *key* (first ring point at or after its hash)."""
@@ -81,6 +56,3 @@ class HashRing:
             index = 0
         return self._points[index][1]
 
-    def assignment(self, keys: Sequence[str]) -> Dict[str, str]:
-        """Route every key; convenience for tests and rebalancing audits."""
-        return {key: self.node_for(key) for key in keys}

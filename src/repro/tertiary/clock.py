@@ -7,11 +7,9 @@ tape activity run in milliseconds of host time.  The clock also keeps an
 seek and transfer components — the quantities the HEAVEN paper optimises.
 
 The event log is the *sink* of the observability layer (:mod:`repro.obs`):
-spans remember absolute log cursors at enter/exit and attribute every charged
-virtual second to the span that was active when it was charged.  Cursors are
-**absolute** append indices, so they stay valid in bounded mode, where the
-log keeps only the newest ``max_events`` events and counts the rest as
-dropped (week-long simulated runs must not grow memory without bound).
+spans remember log cursors (append indices) at enter/exit and attribute
+every charged virtual second to the span that was active when it was
+charged.
 """
 
 from __future__ import annotations
@@ -59,52 +57,14 @@ class KindTotals:
 class EventLog:
     """Record of simulator events with per-kind aggregation.
 
-    Unbounded by default.  With ``max_events`` set, only the newest events
-    are retained: once the cap is reached, the oldest half is dropped in one
-    chunk (amortised O(1) appends) and counted in :attr:`dropped`.
-
-    Positions in the log are expressed as *absolute cursors* — the total
-    number of events ever appended — so a cursor taken before a drop still
-    addresses the right window afterwards (clamped to what is retained).
+    Positions in the log are *cursors*: the number of events appended
+    before them, so ``[start, end)`` cursor pairs address windows.
     """
 
-    def __init__(self, max_events: Optional[int] = None) -> None:
-        if max_events is not None and max_events < 2:
-            raise ValueError("max_events must be >= 2 (or None for unbounded)")
+    def __init__(self) -> None:
         self._events: List[Event] = []
-        self._max_events = max_events
-        #: absolute cursor of the oldest retained event
-        self._base = 0
-
-    @property
-    def max_events(self) -> Optional[int]:
-        return self._max_events
-
-    def set_limit(self, max_events: Optional[int]) -> None:
-        """(Re)configure bounded mode; drops oldest events if over the cap."""
-        if max_events is not None and max_events < 2:
-            raise ValueError("max_events must be >= 2 (or None for unbounded)")
-        self._max_events = max_events
-        if max_events is not None and len(self._events) > max_events:
-            drop = len(self._events) - max_events
-            del self._events[:drop]
-            self._base += drop
-
-    @property
-    def dropped(self) -> int:
-        """Events discarded by bounded mode so far."""
-        return self._base
-
-    @property
-    def total_appended(self) -> int:
-        """Events ever appended (retained + dropped)."""
-        return self._base + len(self._events)
 
     def append(self, event: Event) -> None:
-        if self._max_events is not None and len(self._events) >= self._max_events:
-            drop = max(1, self._max_events // 2)
-            del self._events[:drop]
-            self._base += drop
         self._events.append(event)
 
     def __len__(self) -> int:
@@ -116,16 +76,15 @@ class EventLog:
     # -- windows -------------------------------------------------------------
 
     def cursor(self) -> int:
-        """Absolute position after the newest event (use as window start)."""
-        return self.total_appended
+        """Position after the newest event (use as window start)."""
+        return len(self._events)
 
     def window(self, start: int, end: Optional[int] = None) -> List[Event]:
-        """Retained events with absolute cursor in ``[start, end)``."""
-        stop = len(self._events) if end is None else max(0, end - self._base)
-        return self._events[max(0, start - self._base) : stop]
+        """Events with cursor in ``[start, end)``."""
+        return self._events[start:end]
 
     def since(self, cursor: int) -> List[Event]:
-        """Retained events appended at or after the absolute *cursor*."""
+        """Events appended at or after *cursor*."""
         return self.window(cursor)
 
     def aggregate(
@@ -143,21 +102,21 @@ class EventLog:
     # -- whole-log queries ----------------------------------------------------
 
     def events(self, kind: Optional[str] = None) -> List[Event]:
-        """Return all retained events, optionally filtered by *kind*."""
+        """Return all events, optionally filtered by *kind*."""
         if kind is None:
             return list(self._events)
         return [e for e in self._events if e.kind == kind]
 
     def count(self, kind: str) -> int:
-        """Number of retained events of the given *kind*."""
+        """Number of events of the given *kind*."""
         return sum(1 for e in self._events if e.kind == kind)
 
     def time_in(self, kind: str) -> float:
-        """Total virtual seconds spent in retained events of *kind*."""
+        """Total virtual seconds spent in events of *kind*."""
         return sum(e.duration for e in self._events if e.kind == kind)
 
     def bytes_in(self, kind: str) -> int:
-        """Total bytes moved by retained events of *kind*."""
+        """Total bytes moved by events of *kind*."""
         return sum(e.bytes for e in self._events if e.kind == kind)
 
     def breakdown(
@@ -171,7 +130,6 @@ class EventLog:
 
     def clear(self) -> None:
         self._events.clear()
-        self._base = 0
 
 
 @dataclass
@@ -235,15 +193,11 @@ class SimClock:
     timeline is a what-if lane; global time catches up once at
     :meth:`sync_to`), so time-driven layers never observe the same span
     twice.
-
-    Args:
-        max_events: bound for the attached :class:`EventLog` (None keeps
-            every event — the default, matching benchmark expectations).
     """
 
-    def __init__(self, max_events: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self.log = EventLog(max_events=max_events)
+        self.log = EventLog()
         self._listeners: List[Callable[[float, float], None]] = []
         self._timelines: List[Timeline] = []
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from ..errors import FaultError, HSMError, RetryExhaustedError
 from ..faults import RetryPolicy
@@ -48,12 +48,6 @@ class HSMStats:
     stage_faults: int = 0
     stage_retries: int = 0
 
-    @property
-    def hit_ratio(self) -> float:
-        if not self.stage_requests:
-            return 0.0
-        return self.stage_hits / self.stage_requests
-
 
 class HSMSystem:
     """Whole-file migrate/stage/purge manager over a tape library.
@@ -67,9 +61,6 @@ class HSMSystem:
             library's plan, so one seeded plan drives the whole stack).
         retry: recovery policy for transient staging faults (defaults to
             the library's policy).
-        parallel_drives: drives :meth:`stage_files` may run concurrently
-            (capped at the library's stations); ``1`` keeps batch staging
-            serial.
     """
 
     def __init__(
@@ -79,15 +70,11 @@ class HSMSystem:
         staging_capacity_bytes: Optional[int] = None,
         faults=None,
         retry: Optional[RetryPolicy] = None,
-        parallel_drives: int = 1,
     ) -> None:
-        if parallel_drives < 1:
-            raise HSMError("parallel_drives must be >= 1")
         self.library = library
         self.clock: SimClock = library.clock
         self.faults = faults if faults is not None else library.faults
         self.retry = retry if retry is not None else library.retry
-        self.parallel_drives = parallel_drives
         self.disk = DiskDevice("hsm-staging", staging_profile, self.clock)
         self.staging_capacity = (
             staging_capacity_bytes
@@ -120,14 +107,6 @@ class HSMSystem:
         self._catalog[name] = entry
         return entry
 
-    def delete_file(self, name: str) -> None:
-        """Remove a file from tape catalog and staging area."""
-        entry = self._require(name)
-        self.library.delete_segment(f"hsm/{name}")
-        self.purge(name)
-        del self._catalog[name]
-        del entry  # explicit: entry is gone
-
     def files(self) -> Dict[str, HSMFile]:
         return dict(self._catalog)
 
@@ -141,9 +120,7 @@ class HSMSystem:
 
         A staged file costs one disk access; an unstaged file costs a full
         tape mount + seek + stream of *all* its bytes plus a staging-disk
-        write — the file-granularity penalty HEAVEN removes.  Batches of
-        files are better staged via :meth:`stage_files`, which can spread
-        the misses over several drives.
+        write — the file-granularity penalty HEAVEN removes.
         """
         entry = self._require(name)
         self.stats.stage_requests += 1
@@ -161,65 +138,6 @@ class HSMSystem:
         payload = self._staged_read(name, entry)
         self._land(name, entry, payload)
         return entry
-
-    def stage_files(self, names: Sequence[str]) -> List[HSMFile]:
-        """Stage a batch of files, spreading misses over several drives.
-
-        With ``parallel_drives > 1`` (and a multi-drive library) the
-        missing files become one tape-request batch dispatched through the
-        :class:`~repro.core.scheduler.ParallelExecutor`: whole-media
-        sweeps on per-drive timelines, the robot arm serialised between
-        them, and each file landed on the staging disk via the assembly
-        timeline while the drives stream on.  Otherwise the misses are
-        staged serially, byte-identical to repeated :meth:`stage_file`
-        calls.  Hits are LRU-refreshed either way.
-        """
-        entries = [self._require(name) for name in names]
-        misses: List[HSMFile] = []
-        for name, entry in zip(names, entries):
-            self.stats.stage_requests += 1
-            if name in self._staged:
-                self._staged.move_to_end(name)
-                self.stats.stage_hits += 1
-                continue
-            self.stats.stage_misses += 1
-            if entry not in misses:
-                misses.append(entry)
-        if not misses:
-            return entries
-        if self.parallel_drives <= 1 or len(self.library.drives) <= 1:
-            for entry in misses:
-                self._make_room(entry.size)
-                payload = self._staged_read(entry.name, entry)
-                self._land(entry.name, entry, payload)
-            return entries
-        # Imported lazily: the executor lives in the core layer, which
-        # itself imports the tertiary package.
-        from ..core.scheduler import ParallelExecutor, TapeRequest
-
-        requests = []
-        by_key: Dict[str, HSMFile] = {}
-        for entry in misses:
-            key = f"hsm/{entry.name}"
-            # The HSM-level fault gate fires per file before dispatch —
-            # request-level failures are the HSM's own, not the drives'.
-            self._retry_stage(entry.name, lambda: None)
-            _mid, segment = self.library.segment(key)
-            by_key[key] = entry
-            requests.append(
-                TapeRequest(key, entry.medium_id, segment.offset, segment.length)
-            )
-
-        def land(request) -> None:
-            entry = by_key[request.key]
-            payload = self.library.medium(request.medium_id).payload(request.key)
-            self._make_room(entry.size)
-            self._land(entry.name, entry, payload)
-
-        ParallelExecutor(
-            self.library, num_drives=self.parallel_drives
-        ).execute(requests, on_staged=land)
-        return entries
 
     def _land(self, name: str, entry: HSMFile, payload: Optional[bytes]) -> None:
         """Write one streamed file to the staging disk and catalog it."""
@@ -252,16 +170,6 @@ class HSMSystem:
         if payload is None:
             return None
         return payload[offset : offset + length]
-
-    def purge(self, name: str) -> bool:
-        """Drop a file from the staging area (tape copy remains)."""
-        size = self._staged.pop(name, None)
-        self._payloads.pop(name, None)
-        if size is None:
-            return False
-        self.disk.release(size)
-        logger.debug("purged %s (%d B) from staging area", name, size)
-        return True
 
     def _staged_read(self, name: str, entry: HSMFile) -> Optional[bytes]:
         """Tape read of one file, retrying transient staging faults."""

@@ -44,10 +44,6 @@ class LibraryStats:
     #: seconds drives spent waiting on the robot arm (parallel batches)
     time_robot_wait_s: float = 0.0
 
-    @property
-    def total_device_time_s(self) -> float:
-        return self.time_exchanging_s + self.time_seeking_s + self.time_transferring_s
-
 
 @dataclass
 class RecoveryStats:

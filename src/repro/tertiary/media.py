@@ -213,7 +213,3 @@ class MediumStats:
             capacity=medium.capacity,
             mount_count=medium.mount_count,
         )
-
-    @property
-    def fill_ratio(self) -> float:
-        return self.used_bytes / self.capacity if self.capacity else 0.0

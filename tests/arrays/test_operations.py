@@ -1,4 +1,4 @@
-"""Tests for array operations: trim, section, induced, condense, scale."""
+"""Tests for array operations: trim, shift, induced, condense, scale."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,9 @@ from repro.arrays import (
     MArray,
     MInterval,
     condense,
-    extend,
     induced_binary,
     induced_unary,
-    region_aggregate,
     scale_down,
-    section,
     shift,
     trim,
     cast,
@@ -50,38 +47,10 @@ class TestTrimSectionShiftExtend:
         with pytest.raises(DomainError):
             trim(grid, MInterval.of((50, 60), (20, 25)))
 
-    def test_section_reduces_dimension(self, grid):
-        line = section(grid, axis=0, position=12)
-        assert line.domain == MInterval.of((20, 25))
-        assert np.array_equal(line.cells, grid.cells[2])
-
-    def test_section_last_axis(self, grid):
-        column = section(grid, axis=1, position=20)
-        assert column.domain == MInterval.of((10, 13))
-        assert np.array_equal(column.cells, grid.cells[:, 0])
-
-    def test_section_to_pseudo_scalar(self):
-        value = MArray(MInterval.of((5, 5)), np.array([3.0]))
-        result = section(value, 0, 5)
-        assert result.scalar() == 3.0
-
-    def test_section_outside_axis_rejected(self, grid):
-        with pytest.raises(DomainError):
-            section(grid, 0, 99)
-
     def test_shift(self, grid):
         moved = shift(grid, [-10, -20])
         assert moved.domain == MInterval.of((0, 3), (0, 5))
         assert np.array_equal(moved.cells, grid.cells)
-
-    def test_extend_fills(self, grid):
-        big = extend(grid, MInterval.of((10, 15), (20, 25)), fill=-1.0)
-        assert big.cells[5, 0] == -1.0
-        assert np.array_equal(big.cells[:4], grid.cells)
-
-    def test_extend_must_contain(self, grid):
-        with pytest.raises(DomainError):
-            extend(grid, MInterval.of((11, 12), (20, 25)))
 
 
 class TestInduced:
@@ -179,15 +148,3 @@ class TestScaleAndAggregate:
         value = MArray(MInterval.of((0, 1)), np.arange(2, dtype=np.float64))
         with pytest.raises(DomainError):
             scale_down(value, [3])
-
-    def test_region_aggregate_axis(self, grid):
-        out = region_aggregate(grid, "avg", axis=1)
-        assert out.domain == MInterval.of((10, 13))
-        assert np.allclose(out.cells, grid.cells.mean(axis=1))
-
-    def test_region_aggregate_full(self, grid):
-        assert region_aggregate(grid, "max") == 23.0
-
-    def test_region_aggregate_unknown_rejected(self, grid):
-        with pytest.raises(QueryError):
-            region_aggregate(grid, "median")

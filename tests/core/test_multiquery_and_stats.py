@@ -152,7 +152,7 @@ class TestStatsPersistence:
         heaven.persist_access_statistics()
         heaven.read("col", "o0", MInterval.of((0, 5), (0, 5)))
         heaven.persist_access_statistics()
-        rows = heaven.db.select(Heaven.STATS_TABLE)
+        rows = [row for _rid, row in heaven.db.table(Heaven.STATS_TABLE).scan()]
         assert len(rows) == 1
         assert rows[0]["queries"] == 2
 

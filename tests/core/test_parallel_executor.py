@@ -13,8 +13,6 @@ The executor's claims are checked on *executed* batches, not estimates:
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +28,6 @@ from repro.core import (
 )
 from repro.errors import HeavenError, StorageError
 from repro.tertiary import DLT_7000, MB, TapeLibrary, Timeline, scaled_profile
-from repro.tertiary.hsm import HSMSystem
 
 PROFILE = scaled_profile(DLT_7000, 256 * MB)
 
@@ -239,50 +236,3 @@ class TestHeavenByteIdentity:
         t1 = parallel.clock.now
         parallel.read_many(batch)
         assert parallel.clock.now - t1 <= serial.clock.now - t0 + 1e-9
-
-
-class TestHSMBatchStaging:
-    def build(self, parallel_drives: int) -> HSMSystem:
-        library = TapeLibrary(
-            scaled_profile(DLT_7000, 8 * MB), num_drives=2
-        )
-        hsm = HSMSystem(library, parallel_drives=parallel_drives)
-        for i in range(6):
-            payload = hashlib.sha256(str(i).encode()).digest() * 100_000
-            hsm.archive_file(f"f{i}", len(payload), payload=payload)
-        library.unmount_all()
-        return hsm
-
-    def test_batch_staging_is_payload_identical(self):
-        names = [f"f{i}" for i in range(6)]
-        serial, parallel = self.build(1), self.build(2)
-        serial.stage_files(names)
-        parallel.stage_files(names)
-        for name in names:
-            assert serial.read_file(name, 64, 128) == parallel.read_file(
-                name, 64, 128
-            )
-        assert (
-            serial.stats.bytes_staged_from_tape
-            == parallel.stats.bytes_staged_from_tape
-        )
-
-    def test_batch_staging_faster_on_two_drives(self):
-        names = [f"f{i}" for i in range(6)]
-        serial, parallel = self.build(1), self.build(2)
-        t0 = serial.clock.now
-        serial.stage_files(names)
-        serial_cost = serial.clock.now - t0
-        t1 = parallel.clock.now
-        parallel.stage_files(names)
-        parallel_cost = parallel.clock.now - t1
-        assert parallel_cost < serial_cost
-
-    def test_restage_of_staged_batch_is_all_hits(self):
-        names = [f"f{i}" for i in range(6)]
-        hsm = self.build(2)
-        hsm.stage_files(names)
-        misses = hsm.stats.stage_misses
-        hsm.stage_files(names)
-        assert hsm.stats.stage_misses == misses
-        assert hsm.stats.stage_hits >= len(names)

@@ -31,7 +31,7 @@ def catalog(mdd):
 class TestBuild:
     def test_levels_registered(self, mdd, catalog):
         assert catalog.has_object("m")
-        assert catalog.levels_of("m") == [2, 4]
+        assert sorted(catalog._levels["m"]) == [2, 4]
 
     def test_level_cells_are_block_means(self, mdd, catalog):
         base = mdd.read_all()

@@ -1,4 +1,4 @@
-"""Tests for the engine: transactions, WAL, BLOBs, select."""
+"""Tests for the engine: transactions, WAL, BLOBs."""
 
 import pytest
 
@@ -8,6 +8,10 @@ from repro.errors import (
     SchemaError,
     TransactionError,
 )
+
+
+def rows(db, table_name):
+    return [row for _rid, row in db.table(table_name).scan()]
 
 
 @pytest.fixture
@@ -44,14 +48,14 @@ class TestTransactions:
     def test_commit_persists(self, db):
         with db.transaction():
             db.insert("t", {"id": 1, "name": "a"})
-        assert db.select("t") == [{"id": 1, "name": "a"}]
+        assert rows(db, "t") == [{"id": 1, "name": "a"}]
 
     def test_rollback_on_exception(self, db):
         with pytest.raises(RuntimeError):
             with db.transaction():
                 db.insert("t", {"id": 1})
                 raise RuntimeError("boom")
-        assert db.select("t") == []
+        assert rows(db, "t") == []
 
     def test_rollback_restores_updates_and_deletes(self, db):
         db.insert("t", {"id": 1, "name": "a"})
@@ -61,8 +65,8 @@ class TestTransactions:
         db.update("t", rid, {"name": "z"})
         db.delete_rows("t", lambda r: r["id"] == 2)
         db.rollback()
-        rows = db.select("t", order_by="id")
-        assert rows == [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
+        assert sorted(rows(db, "t"), key=lambda r: r["id"]) == [
+            {"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
 
     def test_nested_begin_rejected(self, db):
         db.begin()
@@ -77,7 +81,7 @@ class TestTransactions:
     def test_autocommit_outside_txn(self, db):
         db.insert("t", {"id": 5})
         assert not db.in_transaction
-        assert len(db.select("t")) == 1
+        assert len(rows(db, "t")) == 1
 
     def test_wal_records_lifecycle(self, db):
         with db.transaction():
@@ -131,21 +135,3 @@ class TestBlobs:
     def test_put_needs_payload_or_size(self, db):
         with pytest.raises(ValueError):
             db.put_blob()
-
-
-class TestSelect:
-    def test_projection_and_order(self, db):
-        db.insert("t", {"id": 2, "name": "b"})
-        db.insert("t", {"id": 1, "name": "a"})
-        rows = db.select("t", columns=["id"], order_by="id")
-        assert rows == [{"id": 1}, {"id": 2}]
-
-    def test_predicate(self, db):
-        for i in range(4):
-            db.insert("t", {"id": i})
-        rows = db.select("t", predicate=lambda r: r["id"] % 2 == 0)
-        assert {r["id"] for r in rows} == {0, 2}
-
-    def test_unknown_projection_column_rejected(self, db):
-        with pytest.raises(SchemaError):
-            db.select("t", columns=["ghost"])

@@ -144,10 +144,10 @@ class TestTableLookups:
 
     def test_index_maintained_on_update_and_delete(self):
         table = make_table()
-        table.create_index("name")
+        index = table.create_index("name")
         rowid = table.insert({"id": 1, "name": "x"})
         table.update(rowid, {"name": "y"})
-        assert table.index_on("name").lookup("x") == []
-        assert table.index_on("name").lookup("y") == [rowid]
+        assert index.lookup("x") == []
+        assert index.lookup("y") == [rowid]
         table.delete(rowid)
-        assert table.index_on("name").lookup("y") == []
+        assert index.lookup("y") == []

@@ -48,28 +48,6 @@ class TestOrderedIndex:
         with pytest.raises(KeyError):
             index.insert(1, 11)
 
-    def test_range_scan_inclusive(self):
-        index = OrderedIndex("i")
-        for key in [1, 3, 5, 7, 9]:
-            index.insert(key, key * 10)
-        keys = [k for k, _ in index.range(3, 7)]
-        assert keys == [3, 5, 7]
-
-    def test_range_scan_exclusive_bounds(self):
-        index = OrderedIndex("i")
-        for key in [1, 3, 5, 7]:
-            index.insert(key, key)
-        keys = [k for k, _ in index.range(1, 7, include_low=False, include_high=False)]
-        assert keys == [3, 5]
-
-    def test_range_open_ended(self):
-        index = OrderedIndex("i")
-        for key in [2, 4, 6]:
-            index.insert(key, key)
-        assert [k for k, _ in index.range(low=4)] == [4, 6]
-        assert [k for k, _ in index.range(high=4)] == [2, 4]
-        assert [k for k, _ in index.range()] == [2, 4, 6]
-
     def test_remove_specific_entry(self):
         index = OrderedIndex("i")
         index.insert(1, 10)
@@ -82,11 +60,3 @@ class TestOrderedIndex:
         index.insert(1, 10)
         with pytest.raises(KeyError):
             index.remove(1, 99)
-
-    def test_min_max(self):
-        index = OrderedIndex("i")
-        assert index.min_key() is None
-        index.insert(5, 1)
-        index.insert(2, 2)
-        assert index.min_key() == 2
-        assert index.max_key() == 5

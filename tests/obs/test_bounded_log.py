@@ -1,4 +1,4 @@
-"""Tests for the bounded event log and absolute-cursor windows."""
+"""Tests for event-log cursor windows."""
 
 import pytest
 
@@ -10,73 +10,12 @@ def _event(kind: str = "seek", duration: float = 1.0) -> Event:
     return Event(time=0.0, duration=duration, kind=kind, device="d0")
 
 
-class TestBoundedMode:
-    def test_unbounded_by_default(self):
-        log = EventLog()
-        for _ in range(1000):
-            log.append(_event())
-        assert len(log) == 1000
-        assert log.dropped == 0
-
-    def test_cap_never_exceeded_and_drops_counted(self):
-        log = EventLog(max_events=10)
-        for _ in range(100):
-            log.append(_event())
-            assert len(log) <= 10
-        assert log.dropped == 100 - len(log)
-        assert log.total_appended == 100
-
-    def test_oldest_chunk_dropped_first(self):
-        log = EventLog(max_events=4)
-        for index in range(5):
-            log.append(_event(kind=f"k{index}"))
-        kinds = [e.kind for e in log]
-        assert kinds[-1] == "k4"
-        assert "k0" not in kinds  # chunk drop removed the oldest half
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            EventLog(max_events=1)
-        with pytest.raises(ValueError):
-            EventLog(max_events=0)
-
-    def test_set_limit_trims_immediately(self):
-        log = EventLog()
-        for _ in range(10):
-            log.append(_event())
-        log.set_limit(4)
-        assert len(log) == 4
-        assert log.dropped == 6
-
-    def test_clear_resets_base(self):
-        log = EventLog(max_events=4)
-        for _ in range(10):
-            log.append(_event())
-        log.clear()
-        assert len(log) == 0
-        assert log.dropped == 0
-        assert log.total_appended == 0
-
-
 class TestAbsoluteCursors:
     def test_cursor_is_total_appended(self):
-        log = EventLog(max_events=4)
+        log = EventLog()
         for _ in range(10):
             log.append(_event())
         assert log.cursor() == 10
-
-    def test_window_survives_drops(self):
-        log = EventLog(max_events=6)
-        for index in range(4):
-            log.append(_event(kind=f"k{index}"))
-        cursor = log.cursor()
-        for index in range(4, 10):
-            log.append(_event(kind=f"k{index}"))
-        kinds = [e.kind for e in log.window(cursor)]
-        # Cursor 4 onwards: events k4..k9, minus whatever bounded mode
-        # discarded — never events *before* the cursor.
-        assert kinds == [e.kind for e in log][-len(kinds):]
-        assert all(int(k[1:]) >= 4 for k in kinds)
 
     def test_aggregate_over_window(self):
         log = EventLog()
@@ -100,14 +39,6 @@ class TestAbsoluteCursors:
 
 
 class TestSimClockIntegration:
-    def test_clock_passes_cap_through(self):
-        clock = SimClock(max_events=4)
-        for _ in range(10):
-            clock.charge(1.0, "seek", "d0")
-        assert clock.log.max_events == 4
-        assert clock.log.dropped == 10 - len(clock.log)
-        assert clock.now == pytest.approx(10.0)  # time unaffected by drops
-
     def test_charge_totals_equal_clock_now_when_unbounded(self):
         clock = SimClock()
         clock.charge(1.5, "seek", "d0")

@@ -180,19 +180,3 @@ class TestInstruments:
             heaven.clock.now
         )
         assert snapshot["repro_read_virtual_seconds_count"][""] >= 1
-
-    def test_bounded_event_log_dropped_metric(self):
-        config = HeavenConfig(
-            super_tile_bytes=512 * KB,
-            disk_cache_bytes=16 * MB,
-            event_log_max_events=16,
-        )
-        heaven = Heaven(config, observability=True)
-        _load_object(heaven)
-        heaven.read("climate", "temp", REGION)
-        assert len(heaven.clock.log) <= 16
-        snapshot = heaven.obs.metrics.snapshot()
-        assert snapshot["repro_eventlog_dropped_total"][""] == (
-            heaven.clock.log.dropped
-        )
-        assert snapshot["repro_eventlog_dropped_total"][""] > 0

@@ -129,7 +129,7 @@ class TestStats:
         assert stats.exchanges >= 1
         assert stats.bytes_written == MB
         assert stats.bytes_read == MB
-        assert stats.total_device_time_s > 0
+        assert stats.time_exchanging_s + stats.time_seeking_s + stats.time_transferring_s > 0
 
     def test_media_stats(self, library):
         library.write_segment("a", MB)

@@ -82,5 +82,5 @@ class TestStats:
     def test_fill_ratio(self, medium):
         medium.append("a", medium.capacity // 2)
         stats = MediumStats.of(medium)
-        assert stats.fill_ratio == pytest.approx(0.5)
+        assert stats.used_bytes / stats.capacity == pytest.approx(0.5)
         assert stats.segments == 1

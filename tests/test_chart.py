@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import bar_chart, series_chart, sparkline
+from repro.bench import bar_chart, sparkline
 
 
 class TestBarChart:
@@ -27,27 +27,6 @@ class TestBarChart:
 
     def test_empty(self):
         assert bar_chart("T", [], []) == "T"
-
-
-class TestSeriesChart:
-    def test_grouped_rows(self):
-        chart = series_chart(
-            "T",
-            [("fifo", [4.0, 8.0]), ("sched", [2.0, 3.0])],
-            labels=[8, 16],
-            width=8,
-        )
-        lines = [l for l in chart.splitlines() if "|" in l]
-        assert len(lines) == 4
-        assert "fifo" in lines[0] and "sched" in lines[1]
-
-    def test_scaling_shared_across_series(self):
-        chart = series_chart(
-            "T", [("a", [10.0]), ("b", [5.0])], labels=["x"], width=10
-        )
-        lines = [l for l in chart.splitlines() if "|" in l]
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
 
 
 class TestSparkline:

@@ -177,8 +177,8 @@ class TestRobustness:
             heaven.storage.insert_object("c", obj)
         db.put_blob = original_put
         assert len(db.blobs) == 0
-        assert db.select("ras_mddobjects") == []
-        assert db.select("ras_tiles") == []
+        assert list(db.table("ras_mddobjects").scan()) == []
+        assert list(db.table("ras_tiles").scan()) == []
         assert not db.in_transaction
 
     def test_everything_raises_repro_errors(self):

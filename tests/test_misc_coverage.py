@@ -12,13 +12,8 @@ from repro.arrays import (
     QuantizedSource,
     RegularTiling,
 )
-from repro.bench import ResultTable, geometric_mean, speedup
-from repro.core import (
-    InterleavedObjectPlacement,
-    ScatterPlacement,
-    interleave_round_robin,
-    star_partition,
-)
+from repro.bench import ResultTable, speedup
+from repro.core import ScatterPlacement, star_partition
 from repro.dbms import LogKind, WriteAheadLog
 from repro.errors import HeavenError
 from repro.tertiary import DLT_7000, MB, TapeLibrary, scaled_profile
@@ -68,41 +63,6 @@ class TestQuantizedSource:
 class TestInterleavedPlacement:
     PROFILE = scaled_profile(DLT_7000, 64 * MB)
 
-    def make_objects(self, count=3):
-        return [
-            MDD(
-                f"o{i}",
-                MInterval.from_shape((64, 64)),
-                DOUBLE,
-                tiling=RegularTiling((32, 32)),
-            )
-            for i in range(count)
-        ]
-
-    def test_round_robin_interleaving(self):
-        objects = self.make_objects(2)
-        per_object = [star_partition(o, 8 * 1024) for o in objects]
-        merged = interleave_round_robin(per_object)
-        assert len(merged) == sum(len(s) for s in per_object)
-        names = [st.object_name for st in merged[:4]]
-        assert names == ["o0", "o1", "o0", "o1"]
-
-    def test_uneven_streams(self):
-        objects = self.make_objects(2)
-        short = star_partition(objects[0], 10**9)  # one super-tile
-        long = star_partition(objects[1], 8 * 1024)
-        merged = interleave_round_robin([short, long])
-        assert len(merged) == len(short) + len(long)
-        assert {st.object_name for st in merged} == {"o0", "o1"}
-
-    def test_policy_plan_preserves_order(self):
-        library = TapeLibrary(self.PROFILE)
-        objects = self.make_objects(1)
-        sts = star_partition(objects[0], 8 * 1024)
-        plan = InterleavedObjectPlacement().plan(sts, library)
-        assert [p.super_tile for p in plan] == sts
-        assert all(p.medium_id is None for p in plan)
-
     def test_scatter_spill_grows_media_set(self):
         library = TapeLibrary(self.PROFILE)
         obj = MDD(
@@ -136,12 +96,6 @@ class TestResultTable:
         with pytest.raises(ValueError):
             table.add(1, 2)
 
-    def test_column_access(self):
-        table = ResultTable("T", ["a", "b"])
-        table.add(1, "x")
-        table.add(2, "y")
-        assert table.column("b") == ["x", "y"]
-
     def test_notes_rendered(self):
         table = ResultTable("T", ["a"])
         table.add(1)
@@ -160,8 +114,6 @@ class TestResultTable:
     def test_speedup_and_geomean(self):
         assert speedup(10.0, 2.0) == 5.0
         assert speedup(10.0, 0.0) == float("inf")
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
 
 
 class TestWALUtilities:

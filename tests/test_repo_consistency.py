@@ -275,3 +275,52 @@ class TestDeliverables:
     )
     def test_file_exists(self, path):
         assert os.path.exists(os.path.join(REPO_ROOT, path)), path
+
+
+def _load_reach():
+    """``scripts/reach.py`` as a module (it is a script, not a package)."""
+    import importlib.util
+
+    path = os.path.join(REPO_ROOT, "scripts", "reach.py")
+    spec = importlib.util.spec_from_file_location("reach", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReachAudit:
+    """The reach audit's lists stay in step with the tree.  Nothing here
+    runs a harness: ``python scripts/reach.py --check`` does (CI's
+    ``reach`` job)."""
+
+    def test_allowlist_entries_name_functions_and_give_reasons(self):
+        reach = _load_reach()
+        functions = reach.functions()
+        entries = list(reach.allowlist_entries())
+        assert entries
+        for _group, entry, reason in entries:
+            assert reason.strip(), f"allowlist entry {entry} has no reason"
+            assert any(reach.covers(entry, function) for function in functions), (
+                f"allowlist entry {entry} names no function in src/repro"
+            )
+
+    def test_harness_paths_exist(self):
+        reach = _load_reach()
+        paths = [arg for _label, argv in reach.HARNESSES for arg in argv
+                 if arg.endswith(".py") or arg == "benchmarks"]
+        assert "scripts/simtest_digests.py" in paths
+        assert "benchmarks/e2e_layers/run.py" in paths
+        for path in paths:
+            assert os.path.exists(os.path.join(REPO_ROOT, path)), path
+
+    def test_every_example_and_cli_command_is_a_harness(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        reach = _load_reach()
+        examples = os.listdir(os.path.join(REPO_ROOT, "examples"))
+        assert sorted(reach.EXAMPLES) == sorted(n for n in examples if n.endswith(".py"))
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(reach.CLI_COMMANDS) == sorted(commands)
