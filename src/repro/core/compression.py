@@ -19,40 +19,37 @@ Codecs serve both kinds of tile the simulator holds:
 tile, from whether the source bytes are there.
 
 A :class:`ZlibCodec` frame is either the tile's cells verbatim behind a
-``\\x00`` marker, or ``\\x01``, the cell size in bytes, and one level-1
-DEFLATE stream of the tile's byte planes (see the class for why).  The
+``\\x00`` marker, or a marker naming the entropy coder, the cell size in
+bytes, and one level-1 stream of the tile's byte planes: ``\\x02`` for a
+zstd frame, ``\\x01`` for a DEFLATE stream (see the class for why).  The
 frame is self-describing: decode needs only the frame and the tile's size.
 
 Each tile frame is encoded **once per content version**: ``archive``
 encodes every tile in one batch and exports those frames, and ``update``
 re-encodes only the tiles its region touches, carrying the other frames
 of a rewritten super-tile over verbatim from the old segment.  A batch
-(:meth:`Codec.compress_all`) runs on a small module-level thread pool —
-both encoders release the GIL while they deflate, so tiles compress in
-parallel on the host.
+(:meth:`Codec.compress_all`) encodes on the calling thread: under zstd a
+thread pool was worth no measurable ``ingest_update`` throughput on a
+2-vCPU host (ROADMAP, parked).
 
-Both directions run through the system's **libdeflate** when it loads
-(:data:`DEFLATER` and :data:`INFLATER` say which backends were picked at
-import), and through the standard ``zlib`` module otherwise.  The frames
-therefore depend on the host's encoder: libdeflate and ``zlib`` at level 1
-write different (and differently sized) DEFLATE streams of the same tile.
-Decode is portable: every frame is one standard zlib stream, so either
-backend reads frames written by either, and a segment may hold both.
+New frames are written through the system's **libzstd** when it loads
+(:data:`ENCODER` names the encoder picked at import), and as DEFLATE
+through the standard ``zlib`` module otherwise, so the frames depend on
+the host.  Decode dispatches on the marker: a DEFLATE frame inflates
+through ``zlib`` on every host, and a zstd frame decodes through libzstd,
+failing with :class:`~repro.errors.HeavenError` on a host without it.  A
+segment may hold both kinds.
 
-(De)compression CPU time is not charged on the virtual clock, pooled or
-not: the modelled drives compress in hardware at line speed, as DLT/LTO
-drives do.
+(De)compression CPU time is not charged on the virtual clock: the
+modelled drives compress in hardware at line speed, as DLT/LTO drives do.
 """
 
 from __future__ import annotations
 
 import ctypes
-import itertools
-import os
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,43 +59,12 @@ from ..errors import HeavenError
 #: or a ``memoryview`` slice of them (no intermediate ``bytes`` copies).
 Buffer = Union[bytes, bytearray, memoryview]
 
-#: upper bound on encode threads: enough to use a small host's cores,
-#: few enough that a batch never floods a shared machine
-_MAX_ENCODE_WORKERS = 4
-_encode_executor: Optional[ThreadPoolExecutor] = None
-_encode_lock = threading.Lock()
-
-
-def _encode_pool() -> Optional[ThreadPoolExecutor]:
-    """The shared encode pool, created on first use; None on one-CPU hosts."""
-    global _encode_executor
-    workers = min(_MAX_ENCODE_WORKERS, os.cpu_count() or 1)
-    if workers < 2:
-        return None
-    with _encode_lock:
-        if _encode_executor is None:
-            _encode_executor = ThreadPoolExecutor(
-                workers, thread_name_prefix="repro-encode"
-            )
-        return _encode_executor
-
-
-def _forget_encode_pool() -> None:
-    # A forked child inherits the pool object but none of its threads, and
-    # the lock in whatever state another thread left it.
-    global _encode_executor, _encode_lock
-    _encode_executor = None
-    _encode_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_encode_pool)
-
 
 class Codec:
     """Compression codec interface.
 
-    Besides the classic ``compress``/``decompress`` pair, codecs expose
-    two zero-copy entry points:
+    Besides :meth:`compress`, codecs expose two zero-copy decode entry
+    points:
 
     * :meth:`decompress_view` — a **read-only view** of the raw cells,
       avoiding any materialisation the codec does not strictly require
@@ -117,35 +83,22 @@ class Codec:
         raise NotImplementedError
 
     def compress_all(self, raws: Sequence[bytes], itemsize: int = 1) -> List[bytes]:
-        """Frames of *raws* in input order.
-
-        Byte-identical to ``[self.compress(raw, itemsize) for raw in raws]``;
-        batches of two or more map :meth:`compress` over the shared encode
-        pool.
-        """
-        pool = _encode_pool() if len(raws) > 1 else None
-        if pool is None:
-            return [self.compress(raw, itemsize) for raw in raws]
-        return list(pool.map(self.compress, raws, itertools.repeat(itemsize)))
+        """Frames of *raws* in input order, one :meth:`compress` each."""
+        return [self.compress(raw, itemsize) for raw in raws]
 
     def estimated_size(self, logical_size: int) -> int:
         """Size-only accounting: bytes a tile of *logical_size* occupies on
         tape (never zero)."""
         return max(1, int(logical_size * self.estimated_ratio))
 
-    def decompress(self, stored: bytes, expected_size: int) -> bytes:
-        raise NotImplementedError
-
     def decompress_view(self, stored: Buffer, expected_size: int) -> memoryview:
         """Read-only view of the raw bytes behind *stored*.
 
-        The default materialises via :meth:`decompress`; codecs that can
-        serve the raw cells without copying override this (see
+        Codecs that can serve the raw cells without copying do (see
         :class:`NoneCodec`).  The returned view is always read-only, so
         ``np.frombuffer`` over it yields a non-writable array.
         """
-        raw = self.decompress(bytes(stored), expected_size)
-        return memoryview(raw).toreadonly()
+        raise NotImplementedError
 
     def decodes_to_view(self, stored: Buffer) -> bool:
         """Whether :meth:`decompress_view` serves *stored* as a view over
@@ -158,18 +111,8 @@ class Codec:
         Returns the number of raw bytes written.  *out* is measured in
         bytes, whatever its item format.  Raises
         :class:`~repro.errors.HeavenError` when *out* is not the raw size.
-        The default routes through :meth:`decompress`; codecs that can
-        decode in place override this to skip the intermediate allocation.
         """
-        out = memoryview(out).cast("B")
-        raw = self.decompress(bytes(stored), len(out))
-        if len(raw) > len(out):  # pragma: no cover - decompress validates
-            raise HeavenError(
-                f"decompressed {len(raw)} B exceed output buffer of "
-                f"{len(out)} B"
-            )
-        out[: len(raw)] = raw
-        return len(raw)
+        raise NotImplementedError
 
 
 class NoneCodec(Codec):
@@ -180,17 +123,6 @@ class NoneCodec(Codec):
 
     def compress(self, raw: bytes, itemsize: int = 1) -> bytes:
         return raw
-
-    def compress_all(self, raws: Sequence[bytes], itemsize: int = 1) -> List[bytes]:
-        return list(raws)  # nothing to parallelise
-
-    def decompress(self, stored: bytes, expected_size: int) -> bytes:
-        if len(stored) != expected_size:
-            raise HeavenError(
-                f"stored size {len(stored)} != expected {expected_size} "
-                "for uncompressed data"
-            )
-        return stored
 
     def decompress_view(self, stored: Buffer, expected_size: int) -> memoryview:
         # Identity codec: the stored bytes ARE the raw cells — serve a
@@ -219,54 +151,57 @@ class NoneCodec(Codec):
 #: ZlibCodec frame markers — the first stored byte.
 _Z_STORED = 0
 _Z_DEFLATE = 1
-#: DEFLATE level of every shuffled frame: on byte planes, level 1 beats
-#: level 6 on the interleaved cells in ratio and encodes ~7x faster
-#: (EXPERIMENTS A4)
+_Z_ZSTD = 2
+#: level of every compressed frame, zstd or DEFLATE: over byte planes a
+#: fast level archives no more than DEFLATE-6 over the interleaved cells,
+#: at a fraction of the encode time (EXPERIMENTS A4)
 _LEVEL = 1
 #: widest cell split into byte planes (the frame header holds one byte);
-#: wider cells deflate unshuffled, as one plane
+#: wider cells compress unshuffled, as one plane
 _MAX_ITEMSIZE = 255
 
-# Inflate backends.  Each inflates one zlib stream into a writable buffer
-# and reports the way ``libdeflate_zlib_decompress_ex`` does:
-# ``(status, bytes consumed, bytes produced)``, with the byte counts only
-# meaningful on success.  ZlibCodec._inflate makes every check on that.
-_SUCCESS = 0  # the stream ended; the counts are valid
-_BAD_DATA = 1  # broken or truncated stream, bad header or Adler-32
-_INSUFFICIENT_SPACE = 3  # the stream inflates past the buffer
-Inflate = Callable[[memoryview, memoryview], Tuple[int, int, int]]
-# Deflate backends.  Each deflates a buffer at level 1 into one zlib stream
-# of at most *limit* bytes, the way ``libdeflate_zlib_compress`` does, and
-# returns ``b""`` when the stream does not fit.
-Deflate = Callable[[memoryview, int], bytes]
+# Encoders compress a buffer at level 1 into one stream of at most *limit*
+# bytes and return ``b""`` when it does not fit.  Decoders fill *dest*
+# from one stream, exactly, or raise HeavenError: a broken, truncated or
+# trailing-bytes stream, a failed check, or one that decodes to any other
+# size.
+Encode = Callable[[memoryview, int], bytes]
+Decode = Callable[[memoryview, memoryview], None]
 
-#: per-thread codec state: libdeflate's (de)compressor (neither is
-#: thread-safe) and the scratch buffer byte planes inflate into before the
+#: per-thread codec state: libzstd's (de)compression contexts (neither is
+#: thread-safe) and the scratch buffer byte planes decode into before the
 #: unshuffle
 _local = threading.local()
 
 
-def _zlib_inflate(src: memoryview, dest: memoryview) -> Tuple[int, int, int]:
-    """The reference backend: the standard ``zlib`` module."""
+def _zlib_deflate(src: memoryview, limit: int) -> bytes:
+    """The fallback encoder: one level-1 zlib stream."""
+    packed = zlib.compress(src, _LEVEL)
+    return packed if len(packed) <= limit else b""
+
+
+def _zlib_inflate(src: memoryview, dest: memoryview) -> None:
+    """Every DEFLATE frame's decoder: the standard ``zlib`` module."""
     inflater = zlib.decompressobj()
     try:
         # one byte past *dest* bounds a hostile stream and still shows it
         # overflows
         data = inflater.decompress(src, len(dest) + 1)
     except zlib.error:
-        return _BAD_DATA, 0, 0
+        raise HeavenError(
+            "corrupt DEFLATE stream: broken, bad header or bad Adler-32"
+        ) from None
     if len(data) > len(dest):
-        return _INSUFFICIENT_SPACE, 0, 0
+        raise HeavenError(f"corrupt DEFLATE stream: inflates past {len(dest)} B")
     if not inflater.eof:
-        return _BAD_DATA, 0, 0
-    dest[: len(data)] = data
-    return _SUCCESS, len(src) - len(inflater.unused_data), len(data)
-
-
-def _zlib_deflate(src: memoryview, limit: int) -> bytes:
-    """The fallback encoder: the standard ``zlib`` module."""
-    packed = zlib.compress(src, _LEVEL)
-    return packed if len(packed) <= limit else b""
+        raise HeavenError("corrupt DEFLATE stream: truncated")
+    if inflater.unused_data:
+        raise HeavenError(
+            f"corrupt DEFLATE stream: {len(inflater.unused_data)} B after the stream"
+        )
+    if len(data) != len(dest):
+        raise HeavenError(f"decompressed to {len(data)} B, expected {len(dest)} B")
+    dest[:] = data
 
 
 def _address(buffer: memoryview) -> int:
@@ -274,100 +209,140 @@ def _address(buffer: memoryview) -> int:
     return np.frombuffer(buffer, np.uint8).ctypes.data
 
 
-def _load_libdeflate() -> Optional[Tuple[Inflate, Deflate]]:
-    """Both backends over the system's libdeflate, or None when it is missing."""
-    for name in ("libdeflate.so.0", "libdeflate.so", "libdeflate.0.dylib"):
+#: the zstd frame magic number, little-endian (RFC 8878, 3.1.1)
+_ZSTD_MAGIC = b"\x28\xb5\x2f\xfd"
+#: Content_Checksum_flag in the frame header descriptor, the byte after
+#: the magic number
+_ZSTD_CHECKSUM_FLAG = 0x04
+#: ``ZSTD_cParameter`` values of the stable API
+_ZSTD_C_LEVEL = 100
+_ZSTD_C_CHECKSUM = 201
+
+
+def _load_libzstd() -> Optional[Tuple[Decode, Encode]]:
+    """Both directions over the system's libzstd, or None when it is missing."""
+    for name in ("libzstd.so.1", "libzstd.so", "libzstd.1.dylib"):
         try:
             lib = ctypes.CDLL(name)
-            decompress = lib.libdeflate_zlib_decompress_ex
-            alloc_decompressor = lib.libdeflate_alloc_decompressor
-            free_decompressor = lib.libdeflate_free_decompressor
-            compress = lib.libdeflate_zlib_compress
-            alloc_compressor = lib.libdeflate_alloc_compressor
-            free_compressor = lib.libdeflate_free_compressor
+            version = lib.ZSTD_versionNumber
+            create_cctx, free_cctx = lib.ZSTD_createCCtx, lib.ZSTD_freeCCtx
+            create_dctx, free_dctx = lib.ZSTD_createDCtx, lib.ZSTD_freeDCtx
+            set_parameter = lib.ZSTD_CCtx_setParameter
+            compress = lib.ZSTD_compress2
+            decompress = lib.ZSTD_decompressDCtx
+            content_size = lib.ZSTD_getFrameContentSize
+            frame_size = lib.ZSTD_findFrameCompressedSize
+            is_error = lib.ZSTD_isError
+            error_name = lib.ZSTD_getErrorName
             break
         except (OSError, AttributeError):
             continue
     else:
         return None
-    size_p = ctypes.POINTER(ctypes.c_size_t)
-    alloc_decompressor.restype = ctypes.c_void_p
-    alloc_decompressor.argtypes = []
-    alloc_compressor.restype = ctypes.c_void_p
-    alloc_compressor.argtypes = [ctypes.c_int]
-    for free in (free_decompressor, free_compressor):
-        free.restype = None
+    version.restype = ctypes.c_uint
+    version.argtypes = []
+    if version() < 10400:  # ZSTD_compress2 and its parameters are stable from 1.4.0
+        return None
+    for create, free in ((create_cctx, free_cctx), (create_dctx, free_dctx)):
+        create.restype = ctypes.c_void_p
+        create.argtypes = []
+        free.restype = ctypes.c_size_t
         free.argtypes = [ctypes.c_void_p]
-    decompress.restype = ctypes.c_int
-    decompress.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
-        ctypes.c_void_p, ctypes.c_size_t, size_p, size_p,
-    ]
-    compress.restype = ctypes.c_size_t
-    compress.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
-        ctypes.c_void_p, ctypes.c_size_t,
-    ]
+    set_parameter.restype = ctypes.c_size_t
+    set_parameter.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
+    for call in (compress, decompress):
+        call.restype = ctypes.c_size_t
+        call.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+            ctypes.c_void_p, ctypes.c_size_t,
+        ]
+    content_size.restype = ctypes.c_ulonglong
+    frame_size.restype = ctypes.c_size_t
+    for probe in (content_size, frame_size):
+        probe.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
+    is_error.restype = ctypes.c_uint
+    is_error.argtypes = [ctypes.c_size_t]
+    error_name.restype = ctypes.c_char_p
+    error_name.argtypes = [ctypes.c_size_t]
 
-    class Decompressor:
-        """One thread's libdeflate decompressor and its two out-counts."""
+    class Context:
+        """One thread's zstd (de)compression context."""
 
-        def __init__(self) -> None:
-            self.handle = alloc_decompressor()
+        def __init__(self, create, free) -> None:
+            self.free = free  # before the check: freeing NULL is a no-op
+            self.handle = create()
             if not self.handle:
-                raise MemoryError("libdeflate_alloc_decompressor failed")
-            self.consumed = ctypes.c_size_t()
-            self.produced = ctypes.c_size_t()
+                raise MemoryError("libzstd could not allocate a context")
 
         def __del__(self) -> None:
-            free_decompressor(self.handle)
+            self.free(self.handle)
 
-    class Compressor:
-        """One thread's level-1 libdeflate compressor."""
+    def compressor() -> int:
+        context = getattr(_local, "cctx", None)
+        if context is None:
+            context = Context(create_cctx, free_cctx)
+            for parameter, value in ((_ZSTD_C_LEVEL, _LEVEL), (_ZSTD_C_CHECKSUM, 1)):
+                if is_error(set_parameter(context.handle, parameter, value)):
+                    raise HeavenError(f"libzstd rejected parameter {parameter}={value}")
+            _local.cctx = context
+        return context.handle
 
-        def __init__(self) -> None:
-            self.handle = alloc_compressor(_LEVEL)
-            if not self.handle:
-                raise MemoryError("libdeflate_alloc_compressor failed")
+    def decompressor() -> int:
+        context = getattr(_local, "dctx", None)
+        if context is None:
+            context = _local.dctx = Context(create_dctx, free_dctx)
+        return context.handle
 
-        def __del__(self) -> None:
-            free_compressor(self.handle)
-
-    def inflate(src: memoryview, dest: memoryview) -> Tuple[int, int, int]:
-        state = getattr(_local, "decompressor", None)
-        if state is None:
-            state = _local.decompressor = Decompressor()
-        # ctypes releases the GIL for the call
-        status = decompress(
-            state.handle, _address(src), len(src), _address(dest), len(dest),
-            ctypes.byref(state.consumed), ctypes.byref(state.produced),
-        )
-        return status, state.consumed.value, state.produced.value
-
-    def deflate(src: memoryview, limit: int) -> bytes:
-        state = getattr(_local, "compressor", None)
-        if state is None:
-            state = _local.compressor = Compressor()
+    def encode(src: memoryview, limit: int) -> bytes:
         out = np.empty(limit, np.uint8)
-        # 0 when the stream does not fit in *limit* bytes; ctypes releases
-        # the GIL for the call
-        size = compress(state.handle, _address(src), len(src), out.ctypes.data, limit)
-        return out[:size].tobytes()
+        # an error (dstSize_tooSmall above all) when the frame does not fit
+        # in *limit* bytes; ctypes releases the GIL for the call
+        size = compress(compressor(), out.ctypes.data, limit, _address(src), len(src))
+        return b"" if is_error(size) else out[:size].tobytes()
 
-    return inflate, deflate
+    def decode(src: memoryview, dest: memoryview) -> None:
+        if len(src) < 5 or bytes(src[:4]) != _ZSTD_MAGIC:
+            raise HeavenError("corrupt zstd frame: bad magic number")
+        if not src[4] & _ZSTD_CHECKSUM_FLAG:
+            raise HeavenError("corrupt zstd frame: no content checksum")
+        address = _address(src)
+        declared = content_size(address, len(src))
+        if declared != len(dest):
+            # also the two error values, both far above any tile's size
+            raise HeavenError(
+                f"corrupt zstd frame: content size {declared}, expected {len(dest)} B"
+            )
+        framed = frame_size(address, len(src))
+        if is_error(framed):
+            raise HeavenError("corrupt zstd frame: truncated or broken")
+        if framed != len(src):
+            raise HeavenError(
+                f"corrupt zstd frame: {len(src) - framed} B after the frame"
+            )
+        # checks the content size and the checksum; ctypes releases the GIL
+        produced = decompress(decompressor(), _address(dest), len(dest), address, len(src))
+        if is_error(produced):
+            raise HeavenError(
+                f"corrupt zstd frame: {error_name(produced).decode(errors='replace')}"
+            )
+        if produced != len(dest):  # pragma: no cover - the content size is checked
+            raise HeavenError(f"decompressed to {produced} B, expected {len(dest)} B")
+
+    return decode, encode
 
 
-#: every inflate and deflate backend this host has, by name
-_INFLATERS = {"zlib": _zlib_inflate}
-_DEFLATERS = {"zlib": _zlib_deflate}
-_libdeflate = _load_libdeflate()
-if _libdeflate is not None:
-    _INFLATERS["libdeflate"], _DEFLATERS["libdeflate"] = _libdeflate
-#: the backends ZlibCodec decodes and encodes with, chosen once at import:
-#: "libdeflate" when the system library loads, else "zlib"
-INFLATER = DEFLATER = "libdeflate" if _libdeflate is not None else "zlib"
-_inflate_stream: Inflate = _INFLATERS[INFLATER]
-_deflate_stream: Deflate = _DEFLATERS[DEFLATER]
+#: every encoder this host has, by name: (frame marker, encoder)
+_ENCODERS: Dict[str, Tuple[int, Encode]] = {"zlib": (_Z_DEFLATE, _zlib_deflate)}
+#: the decoder of each compressed frame this host reads, by marker
+_DECODERS: Dict[int, Decode] = {_Z_DEFLATE: _zlib_inflate}
+_libzstd = _load_libzstd()
+if _libzstd is not None:
+    _DECODERS[_Z_ZSTD], _zstd_encode = _libzstd
+    _ENCODERS["zstd"] = (_Z_ZSTD, _zstd_encode)
+#: the encoder ZlibCodec writes new frames with, chosen once at import:
+#: "zstd" when the system libzstd loads, else "zlib"
+ENCODER = "zstd" if _libzstd is not None else "zlib"
+_encoder: Tuple[int, Encode] = _ENCODERS[ENCODER]
 
 
 def _scratch(size: int) -> memoryview:
@@ -379,34 +354,37 @@ def _scratch(size: int) -> memoryview:
 
 
 class ZlibCodec(Codec):
-    """DEFLATE over byte planes (stand-in for the drives' hardware codecs).
+    """Byte planes + an entropy coder (stand-in for the drives' hardware codecs).
 
-    A tile of *n* cells of *itemsize* bytes is stored as one of two frames,
-    told apart by the first byte:
+    The configuration name ``"zlib"`` (and this class's name) denotes the
+    compressed codec, not its backend.  A tile of *n* cells of *itemsize*
+    bytes is stored as one of three frames, told apart by the first byte:
 
-    * ``\\x01`` + ``itemsize`` (one byte) + one DEFLATE stream (level 1) of
-      the tile's **byte planes**: byte 0 of every cell, then byte 1 of every
-      cell, and so on.  Sign/exponent bytes of coherent rasters repeat
-      plane-long, so level 1 over the planes compresses better than level
-      6 over the interleaved cells, at a fraction of the encode time;
-    * ``\\x00`` + the raw cells verbatim, when DEFLATE saves less than
+    * ``\\x02`` + ``itemsize`` (one byte) + one zstd frame (level 1, with
+      the content size and checksum) of the tile's **byte planes**: byte 0
+      of every cell, then byte 1 of every cell, and so on.  Sign/exponent
+      bytes of coherent rasters repeat plane-long, so a fast level over
+      the planes compresses better than a slow one over the interleaved
+      cells, at a fraction of the encode time;
+    * ``\\x01`` + ``itemsize`` + one level-1 DEFLATE stream of the planes:
+      what a host without libzstd writes;
+    * ``\\x00`` + the raw cells verbatim, when compression saves less than
       1/16 of the tile — the same fallback the zstd and LZ4 frame formats
-      make: paying a full inflate on every read to save a few percent of
+      make: paying a full decode on every read to save a few percent of
       tape transfer is a bad trade.  Stored tiles also keep the zero-copy
       read path intact: :meth:`decompress_view` serves them as read-only
-      views straight over the staged frame, no inflate, no copy.
+      views straight over the staged frame, no decode, no copy.
 
-    Frames are deflated with the module's :data:`DEFLATER` and inflated
-    with its :data:`INFLATER` — libdeflate when the host has it (faster per
-    tile both ways, EXPERIMENTS A4), ``zlib`` otherwise.  Frame
-    bytes depend on the host's encoder; decode does not: any frame either
-    encoder wrote inflates on either backend.  Inflate reads the frame in place and writes
+    New frames are written with the module's :data:`ENCODER`: zstd when the
+    host's libzstd loads (faster per tile both ways, EXPERIMENTS A4), else
+    DEFLATE through ``zlib``.  Decode reads the frame in place and writes
     byte planes into a per-thread scratch buffer, then unshuffles them
-    into the exact-size output; a one-byte cell inflates straight into
+    into the exact-size output; a one-byte cell decodes straight into
     it.  The frame carries everything decode needs; a damaged frame (bad
-    marker or itemsize, broken or truncated stream, bad Adler-32, trailing
-    bytes, wrong length) raises :class:`~repro.errors.HeavenError` with
-    either backend.
+    marker or itemsize, broken or truncated stream, failed checksum,
+    missing checksum or content size, trailing bytes, wrong length) raises
+    :class:`~repro.errors.HeavenError`, and so does a zstd frame on a host
+    without libzstd.
 
     The 0.6 ratio estimate matches typical scientific float rasters with
     spatial coherence; real payloads use the actual compressed size.
@@ -418,9 +396,9 @@ class ZlibCodec(Codec):
     @staticmethod
     def _frame(stored: Buffer) -> "tuple[int, memoryview]":
         view = memoryview(stored).cast("B")
-        if len(view) == 0 or view[0] not in (_Z_STORED, _Z_DEFLATE):
+        if len(view) == 0 or view[0] not in (_Z_STORED, _Z_DEFLATE, _Z_ZSTD):
             marker = view[0] if len(view) else None
-            raise HeavenError(f"corrupt zlib frame: bad marker {marker!r}")
+            raise HeavenError(f"corrupt tile frame: bad marker {marker!r}")
         return view[0], view[1:]
 
     def compress(self, raw: bytes, itemsize: int = 1) -> bytes:
@@ -432,39 +410,29 @@ class ZlibCodec(Codec):
             )
         cells = np.frombuffer(raw, np.uint8).reshape(-1, itemsize)
         planes = memoryview(np.ascontiguousarray(cells.T).ravel())
-        # the one place the 1/16 rule is checked: DEFLATE must save more
-        # than 1/16 of the tile, else the stream does not fit and the cells
-        # are stored verbatim
-        packed = _deflate_stream(planes, max(0, len(raw) - (len(raw) >> 4) - 1))
+        marker, encode = _encoder
+        # the one place the 1/16 rule is checked: compression must save
+        # more than 1/16 of the tile, else the stream does not fit and the
+        # cells are stored verbatim
+        packed = encode(planes, max(0, len(raw) - (len(raw) >> 4) - 1))
         if not packed:
             return b"\x00" + raw
-        return bytes((_Z_DEFLATE, itemsize)) + packed
+        return bytes((marker, itemsize)) + packed
 
     @staticmethod
-    def _inflate(body: memoryview, out: memoryview) -> None:
-        """Decode a DEFLATE frame's *body* into *out*, exactly the raw size."""
+    def _decode(marker: int, body: memoryview, out: memoryview) -> None:
+        """Decode a compressed frame's *body* into *out*, exactly the raw size."""
+        decode = _DECODERS.get(marker)
+        if decode is None:
+            raise HeavenError("zstd tile frame, but libzstd is not loaded on this host")
         size = len(out)
         itemsize = body[0] if len(body) else 0
         if itemsize == 0 or size % itemsize:
             raise HeavenError(
-                f"corrupt zlib frame: itemsize {itemsize} for {size} B"
+                f"corrupt tile frame: itemsize {itemsize} for {size} B"
             )
-        stream = body[1:]
         planes = out if itemsize == 1 else _scratch(size)
-        status, consumed, produced = _inflate_stream(stream, planes)
-        if status == _INSUFFICIENT_SPACE:
-            raise HeavenError(f"corrupt zlib frame: inflates past {size} B")
-        if status != _SUCCESS:
-            raise HeavenError(
-                "corrupt zlib frame: broken or truncated stream, bad header "
-                "or bad Adler-32"
-            )
-        if consumed != len(stream):
-            raise HeavenError(
-                f"corrupt zlib frame: {len(stream) - consumed} B after the stream"
-            )
-        if produced != size:
-            raise HeavenError(f"decompressed to {produced} B, expected {size} B")
+        decode(body[1:], planes)
         if itemsize > 1:
             cells = np.frombuffer(out, np.uint8).reshape(-1, itemsize)
             # one plane per column copy: 4x faster than a transposing copy
@@ -479,15 +447,12 @@ class ZlibCodec(Codec):
             )
         return body.toreadonly()
 
-    def decompress(self, stored: bytes, expected_size: int) -> bytes:
-        return bytes(self.decompress_view(stored, expected_size))
-
     def decompress_view(self, stored: Buffer, expected_size: int) -> memoryview:
         marker, body = self._frame(stored)
         if marker == _Z_STORED:
             return self._stored_body(body, expected_size)
         out = memoryview(np.empty(expected_size, np.uint8))
-        self._inflate(body, out)
+        self._decode(marker, body, out)
         return out.toreadonly()
 
     def decodes_to_view(self, stored: Buffer) -> bool:
@@ -495,11 +460,13 @@ class ZlibCodec(Codec):
 
     def decompress_into(self, stored: Buffer, out: memoryview) -> int:
         out = memoryview(out).cast("B")
+        if out.readonly:  # libzstd would write through the pointer regardless
+            raise TypeError("cannot decode into read-only memory")
         marker, body = self._frame(stored)
         if marker == _Z_STORED:
             out[:] = self._stored_body(body, len(out))
         else:
-            self._inflate(body, out)
+            self._decode(marker, body, out)
         return len(out)
 
 

@@ -66,9 +66,11 @@ class HeavenConfig:
             over archived objects are answered from the matching level
             without touching tape.
         compression: per-tile codec for archived data (``"none"`` or
-            ``"zlib"``: level-1 DEFLATE over the tile's byte planes, one
-            plane per byte of the cell type, or the cells verbatim when that
-            saves less than 1/16); compressed tiles stream off tape in
+            ``"zlib"``: the compressed codec, whatever its backend — zstd
+            level 1 over the tile's byte planes, one plane per byte of the
+            cell type, through the system libzstd, else level-1 DEFLATE
+            through ``zlib``, or the cells verbatim when that saves less
+            than 1/16); compressed tiles stream off tape in
             proportionally less time, at ~0.6 estimated ratio in size-only
             mode.
         retain_payload: keep real bytes (end-to-end fidelity); switch off

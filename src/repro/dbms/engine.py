@@ -8,16 +8,15 @@ DBMS's catalogs and tile BLOBs.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import SchemaError, TransactionError
 from ..tertiary.clock import SimClock
 from ..tertiary.profiles import DISK_ARRAY, DiskProfile
 from .blob import BlobStore
 from .table import Column, Predicate, Row, Schema, Table
-from .transaction import Transaction, TxnState
-from .types import ColumnType
-from .wal import LogKind, WriteAheadLog
+from .transaction import Transaction
+from .wal import WriteAheadLog
 
 
 class Database:

@@ -15,6 +15,11 @@ from repro.core import compression
 from repro.errors import HeavenError
 from repro.tertiary import MB
 
+needs_libzstd = pytest.mark.skipif(
+    "zstd" not in compression._ENCODERS,
+    reason="libzstd is not installed on this host (frames are DEFLATE frames)",
+)
+
 
 class TestCodecs:
     def test_names(self):
@@ -27,17 +32,17 @@ class TestCodecs:
     def test_none_roundtrip(self):
         codec = NoneCodec()
         raw = b"abcdef"
-        assert codec.decompress(codec.compress(raw), 6) == raw
+        assert bytes(codec.decompress_view(codec.compress(raw), 6)) == raw
 
     def test_none_size_mismatch_rejected(self):
         with pytest.raises(HeavenError):
-            NoneCodec().decompress(b"abc", 5)
+            NoneCodec().decompress_view(b"abc", 5)
 
     def test_zlib_roundtrip(self):
         codec = ZlibCodec()
         raw = bytes(range(256)) * 16
         stored = codec.compress(raw)
-        assert codec.decompress(stored, len(raw)) == raw
+        assert bytes(codec.decompress_view(stored, len(raw))) == raw
 
     def test_zlib_compresses_redundant_data(self):
         codec = ZlibCodec()
@@ -48,7 +53,7 @@ class TestCodecs:
         codec = ZlibCodec()
         stored = codec.compress(b"x" * 100)
         with pytest.raises(HeavenError):
-            codec.decompress(stored, 99)
+            codec.decompress_view(stored, 99)
 
     def test_stored_size_real_vs_estimated(self):
         # real: the frame's length; size-only mode: the 0.6 ratio estimate
@@ -62,13 +67,13 @@ class TestCodecs:
         assert ZlibCodec().estimated_size(0) == 1
 
     def test_incompressible_data_takes_stored_frame(self):
-        # DEFLATE saves < 1/16 on high-entropy bytes -> raw is stored
-        # verbatim behind a one-byte marker instead of inflating forever.
+        # compression saves < 1/16 on high-entropy bytes -> raw is stored
+        # verbatim behind a one-byte marker instead of decoding forever.
         codec = ZlibCodec()
         raw = np.random.default_rng(1).bytes(4096)
         stored = codec.compress(raw)
         assert stored == b"\x00" + raw
-        assert codec.decompress(stored, 4096) == raw
+        assert bytes(codec.decompress_view(stored, 4096)) == raw
 
     def test_stored_frame_view_is_zero_copy(self):
         codec = ZlibCodec()
@@ -82,20 +87,20 @@ class TestCodecs:
         codec = ZlibCodec()
         stored = codec.compress(np.random.default_rng(3).bytes(512))
         with pytest.raises(HeavenError):
-            codec.decompress(stored, 511)
+            bytes(codec.decompress_view(stored, 511))
         with pytest.raises(HeavenError):
             codec.decompress_view(stored, 513)
 
     def test_corrupt_frame_marker_rejected(self):
         codec = ZlibCodec()
         with pytest.raises(HeavenError):
-            codec.decompress(b"\x07garbage", 7)
+            codec.decompress_view(b"\x07garbage", 7)
         with pytest.raises(HeavenError):
-            codec.decompress(b"", 0)
+            codec.decompress_view(b"", 0)
 
 
 def quantised(n: int) -> bytes:
-    """*n* coherent float32 cells on a 0.25 grid: what DEFLATE frames are for."""
+    """*n* coherent float32 cells on a 0.25 grid: what compressed frames are for."""
     walk = np.random.default_rng(0).standard_normal(n).cumsum()
     return (np.round(walk * 4) / 4).astype(np.float32).tobytes()
 
@@ -104,54 +109,77 @@ def planes_of(raw: bytes, itemsize: int) -> bytes:
     return np.frombuffer(raw, np.uint8).reshape(-1, itemsize).T.tobytes()
 
 
+def zstd_stream(data: bytes) -> bytes:
+    """One zstd frame of *data*, as the codec's encoder writes it."""
+    return compression._ENCODERS["zstd"][1](memoryview(data), 1 << 24)
+
+
+def marker_of(encoder: str) -> int:
+    return compression._ENCODERS[encoder][0]
+
+
 class TestShuffledFrame:
     def test_frame_layout(self):
-        # marker, itemsize, then one zlib stream of the byte planes; the
+        # marker, itemsize, then one stream of the byte planes; the
         # stream's bytes are the encoder's
         raw = quantised(1024)
-        for deflater in compression._DEFLATERS:
-            with deflating_with(deflater):
+        for encoder in compression._ENCODERS:
+            with encoding_with(encoder):
                 frame = ZlibCodec().compress(raw, 4)
-            assert frame[:2] == b"\x01\x04"
-            assert zlib.decompress(frame[2:]) == planes_of(raw, 4)
-            if deflater == "zlib":  # a host without libdeflate writes what it always did
+            assert frame[:2] == bytes((marker_of(encoder), 4))
+            if encoder == "zlib":  # a host without libzstd writes what it always did
                 assert frame[2:] == zlib.compress(planes_of(raw, 4), 1)
+            else:
+                # one checksummed zstd frame that declares the planes' size
+                assert frame[2:6] == b"\x28\xb5\x2f\xfd"
+                assert frame[6] & 0x04
+                planes = memoryview(bytearray(len(raw)))
+                compression._DECODERS[marker_of(encoder)](memoryview(frame)[2:], planes)
+                assert bytes(planes) == planes_of(raw, 4)
 
-    @pytest.mark.parametrize("deflater", sorted(compression._DEFLATERS))
-    @pytest.mark.parametrize("inflater", sorted(compression._INFLATERS))
+    @pytest.mark.parametrize("encoder", sorted(compression._ENCODERS))
+    @pytest.mark.parametrize("host", sorted(compression._ENCODERS))
     @pytest.mark.parametrize("itemsize", [1, 4, 8])
-    def test_round_trip_across_backends(self, deflater, inflater, itemsize):
+    def test_round_trip_across_backends(self, encoder, host, itemsize):
+        """Frames written by *encoder*, read on a host whose encoder is
+        *host*: a ``zlib`` host has no libzstd, so it reads DEFLATE frames
+        and rejects zstd frames typed."""
         codec = ZlibCodec()
         raw = quantised(2048)
-        with deflating_with(deflater):
+        with encoding_with(encoder):
             stored = codec.compress(raw, itemsize)
-        assert stored[0] == 1
-        with inflating_with(inflater):
+        assert stored[0] == marker_of(encoder)
+        with decoding_on(host):
             for decode in decoders(codec):
-                assert decode(stored, len(raw)) == raw
+                if encoder == "zstd" and host == "zlib":
+                    with pytest.raises(HeavenError):
+                        decode(stored, len(raw))
+                else:
+                    assert decode(stored, len(raw)) == raw
 
     @pytest.mark.parametrize("raw, itemsize", [
         pytest.param(quantised(32**3), 4, id="quantised"),
         pytest.param(np.random.default_rng(7).bytes(4 * 32**3), 4, id="incompressible"),
     ])
     def test_backends_agree_on_stored_frames(self, raw, itemsize):
-        markers = set()
-        for deflater in compression._DEFLATERS:
-            with deflating_with(deflater):
+        stored = set()
+        for encoder in compression._ENCODERS:
+            with encoding_with(encoder):
                 frame = ZlibCodec().compress(raw, itemsize)
-            markers.add(frame[0])
+            stored.add(frame[0] == 0)
             if frame[0] == 0:
                 assert frame == b"\x00" + raw
             else:
+                assert frame[0] == marker_of(encoder)
                 assert len(frame) < len(raw) - (len(raw) >> 4) + 2
-        assert len(markers) == 1
+        assert len(stored) == 1
 
     @pytest.mark.parametrize("itemsize", [1, 2, 3, 4, 8])
     def test_round_trip_per_itemsize(self, itemsize):
         codec = ZlibCodec()
         raw = bytes(range(256)) * (3 * itemsize)
         stored = codec.compress(raw, itemsize)
-        assert stored[:2] == bytes((1, itemsize))
+        assert stored[:2] == bytes((marker_of(compression.ENCODER), itemsize))
         for decode in decoders(codec):
             assert decode(stored, len(raw)) == raw
 
@@ -166,8 +194,8 @@ class TestShuffledFrame:
         for decode in decoders(codec):
             assert decode(stored, len(raw)) == raw
 
-    @pytest.mark.parametrize("deflater", sorted(compression._DEFLATERS))
-    def test_concurrent_encodes_match_serial(self, deflater):
+    @pytest.mark.parametrize("encoder", sorted(compression._ENCODERS))
+    def test_concurrent_encodes_match_serial(self, encoder):
         # one compressor per thread: threads never share encoder state
         codec = ZlibCodec()
         rng = np.random.default_rng(9)
@@ -175,7 +203,7 @@ class TestShuffledFrame:
             quantised(int(n)) if k % 2 else rng.integers(0, 4, 4 * int(n), np.uint8).tobytes()
             for k, n in enumerate(rng.integers(64, 4096, 200))
         ]
-        with deflating_with(deflater):
+        with encoding_with(encoder):
             serial = [codec.compress(raw, 4) for raw in raws]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
@@ -185,28 +213,37 @@ class TestShuffledFrame:
             finally:
                 sys.setswitchinterval(interval)
         assert threaded == serial
-        assert all(codec.decompress(frame, len(raw)) == raw for frame, raw in zip(serial, raws))
+        assert all(
+            bytes(codec.decompress_view(frame, len(raw))) == raw
+            for frame, raw in zip(serial, raws)
+        )
 
     def test_shuffle_beats_plain_level_6_on_quantised_floats(self):
         raw = quantised(32**3)
-        assert len(ZlibCodec().compress(raw, 4)) < 1 + len(zlib.compress(raw, 6))
+        with encoding_with("zlib"):
+            assert len(ZlibCodec().compress(raw, 4)) < 1 + len(zlib.compress(raw, 6))
+        if "zstd" in compression._ENCODERS:
+            # zstd level 1 does not beat DEFLATE-6 on these cells (39 435 B
+            # against 39 035), but the planes still beat zstd on the cells
+            with encoding_with("zstd"):
+                assert len(ZlibCodec().compress(raw, 4)) < 1 + len(zstd_stream(raw))
 
     def test_hashed_noise_doubles_deflate(self):
         # plain level 6 saves ~5 % on these (a stored frame); the planes'
-        # exponent bytes repeat, so the shuffled frame saves ~12 %
+        # exponent bytes repeat, so the shuffled frame saves ~11 %
         cells = HashedNoiseSource(3, 0.0, 50.0).region(MInterval.of((0, 31), (0, 31)), DOUBLE)
         raw = cells.tobytes()
         assert len(zlib.compress(raw, 6)) >= len(raw) - (len(raw) >> 4)
         stored = ZlibCodec().compress(raw, 8)
-        assert stored[0] == 1
+        assert stored[0] == marker_of(compression.ENCODER)
         assert len(stored) < 0.9 * len(raw)
 
     def test_wide_cells_deflate_as_one_plane(self):
         codec = ZlibCodec()
         raw = bytes(512) * 3
         stored = codec.compress(raw, 512)
-        assert stored[:2] == b"\x01\x01"
-        assert codec.decompress(stored, len(raw)) == raw
+        assert stored[:2] == bytes((marker_of(compression.ENCODER), 1))
+        assert bytes(codec.decompress_view(stored, len(raw))) == raw
 
     @pytest.mark.parametrize("itemsize", [0, -1, 2])
     def test_partial_cells_rejected(self, itemsize):
@@ -230,7 +267,6 @@ def decoders(codec):
         return out.tobytes()
 
     return [
-        codec.decompress,
         lambda stored, size: bytes(codec.decompress_view(stored, size)),
         into,
         into_cells,
@@ -238,25 +274,28 @@ def decoders(codec):
 
 
 @contextmanager
-def inflating_with(name):
-    """Decode through inflate backend *name* for the duration."""
-    saved = compression._inflate_stream
-    compression._inflate_stream = compression._INFLATERS[name]
+def encoding_with(name):
+    """Write new frames through encoder *name* for the duration."""
+    saved = compression._encoder
+    compression._encoder = compression._ENCODERS[name]
     try:
         yield
     finally:
-        compression._inflate_stream = saved
+        compression._encoder = saved
 
 
 @contextmanager
-def deflating_with(name):
-    """Encode through deflate backend *name* for the duration."""
-    saved = compression._deflate_stream
-    compression._deflate_stream = compression._DEFLATERS[name]
+def decoding_on(host):
+    """Decode with the decoders of a host whose encoder is *host*: a
+    ``zlib`` host is one where libzstd does not load."""
+    saved = dict(compression._DECODERS)
+    if host == "zlib":
+        compression._DECODERS.pop(compression._Z_ZSTD, None)
     try:
         yield
     finally:
-        compression._deflate_stream = saved
+        compression._DECODERS.clear()
+        compression._DECODERS.update(saved)
 
 
 def last_byte_flipped(data):
@@ -268,12 +307,31 @@ def bomb(size):
     return b"\x01\x01" + zlib.compress(bytes(64 * size))
 
 
-def truncation_cases(check):
+def zstd_bomb(size):
+    """A one-byte-cell zstd frame that decodes to 64 x *size* bytes."""
+    return b"\x02\x01" + zstd_stream(bytes(64 * size))
+
+
+def without_checksum(frame):
+    """*frame*, a checksummed zstd frame, rewritten as a valid frame
+    without the checksum: the descriptor's flag cleared, the 4 bytes cut."""
+    descriptor = frame[4] & ~0x04
+    return frame[:4] + bytes((descriptor,)) + frame[5:-4]
+
+
+def payload_byte_flipped(frame):
+    """*frame* with one byte of its raw block flipped: the block still
+    parses, so only the content checksum can tell."""
+    middle = len(frame) // 2
+    return frame[:middle] + bytes((frame[middle] ^ 0x01,)) + frame[middle + 1:]
+
+
+def truncation_cases(check, min_cells=64):
     """*check* as a Hypothesis test.  Each class needs its own wrapper: one
     Hypothesis test must not run on two classes."""
     return settings(max_examples=40, deadline=None)(given(
         itemsize=st.sampled_from([1, 2, 3, 4, 8]),
-        cells=st.integers(64, 600),
+        cells=st.integers(min_cells, 600),
         seed=st.integers(0, 2**16),
         cut=st.integers(1, 64),
         tail=st.binary(min_size=1, max_size=8),
@@ -285,16 +343,19 @@ class TestDamagedFrames:
     stray ``zlib.error`` and never by decoding to something; a good frame
     decodes the same from any buffer and from any thread.
 
-    These run on the reference ``zlib`` backend; the subclass below runs
-    every case again on libdeflate.
+    These run on DEFLATE frames (``zlib``'s encoder); the subclass below
+    runs every case again on zstd frames.
     """
 
-    inflater = "zlib"
+    encoder = "zlib"
 
     @pytest.fixture(autouse=True, scope="class")
     def backend(self, request):
-        with inflating_with(request.cls.inflater):
+        with encoding_with(request.cls.encoder):
             yield
+
+    def bomb_frame(self, size):
+        return bomb(size)
 
     @pytest.mark.parametrize("stored, size", [
         pytest.param(b"\x01garbage", 8, id="itemsize-103"),
@@ -317,20 +378,30 @@ class TestDamagedFrames:
                 decode(stored, size)
 
     def test_decodes_through_its_backend(self):
-        assert compression._inflate_stream is compression._INFLATERS[self.inflater]
+        frame = ZlibCodec().compress(quantised(1024), 4)
+        assert frame[0] == marker_of(self.encoder)
+        assert frame[0] in compression._DECODERS
 
     def test_bomb_writes_nothing_past_the_tile(self):
         buffer = bytearray(b"\xaa" * 300)
         with pytest.raises(HeavenError):
-            ZlibCodec().decompress_into(bomb(100), memoryview(buffer)[100:200])
+            ZlibCodec().decompress_into(self.bomb_frame(100), memoryview(buffer)[100:200])
         assert buffer[:100] == buffer[200:] == b"\xaa" * 100
+
+    def test_read_only_output_refused(self):
+        raw = quantised(1024)
+        stored = ZlibCodec().compress(raw, 4)
+        held = bytes(len(raw))
+        with pytest.raises(TypeError):
+            ZlibCodec().decompress_into(stored, memoryview(held))
+        assert held == bytes(len(raw))
 
     @pytest.mark.parametrize("itemsize", [1, 4])
     def test_any_buffer_kind_decodes(self, itemsize):
         codec = ZlibCodec()
         raw = quantised(2048)
         stored = codec.compress(raw, itemsize)
-        assert stored[0] == 1
+        assert stored[0] == marker_of(self.encoder)
         staged = b"\x00" * 7 + stored + b"\x00" * 5  # a frame inside a staged run
         held = [
             stored,
@@ -349,7 +420,7 @@ class TestDamagedFrames:
             for k, n in enumerate(rng.integers(64, 4096, 200))
         ]
         frames = [codec.compress(raw, 4 if k % 3 else 1) for k, raw in enumerate(raws)]
-        assert all(frame[0] == 1 for frame in frames)
+        assert all(frame[0] == marker_of(self.encoder) for frame in frames)
 
         def decode(k):
             return bytes(codec.decompress_view(frames[k], len(raws[k])))
@@ -365,10 +436,11 @@ class TestDamagedFrames:
         assert threaded == serial == raws
 
     def check_truncated_or_extended(self, itemsize, cells, seed, cut, tail):
-        # two bits of entropy per byte: always a DEFLATE frame
+        # two bits of entropy per byte: always a compressed frame
         raw = np.random.default_rng(seed).integers(0, 4, cells * itemsize, np.uint8).tobytes()
-        stored = ZlibCodec().compress(raw, itemsize)
-        assert stored[0] == 1
+        with encoding_with(self.encoder):
+            stored = ZlibCodec().compress(raw, itemsize)
+        assert stored[0] == marker_of(self.encoder)
         for damaged in (stored[: max(2, len(stored) - cut)], stored + tail):
             for decode in decoders(ZlibCodec()):
                 with pytest.raises(HeavenError):
@@ -379,16 +451,73 @@ class TestDamagedFrames:
     )
 
 
-@pytest.mark.skipif(
-    "libdeflate" not in compression._INFLATERS,
-    reason="libdeflate is not installed on this host (decode uses zlib)",
-)
-class TestDamagedFramesLibdeflate(TestDamagedFrames):
-    """Every damaged- and good-frame case again, inflated by libdeflate."""
+#: damaged zstd frames, each built lazily (libzstd may be missing) as
+#: ``stored, size``
+ZSTD_DAMAGE = [
+    pytest.param(lambda: (b"\x03\x01" + zstd_stream(b"a" * 100), 100), id="bad-marker"),
+    pytest.param(lambda: (b"\x02garbage", 8), id="itemsize-103"),
+    pytest.param(lambda: (b"\x02\x00" + zstd_stream(b"a" * 100), 100), id="itemsize-0"),
+    pytest.param(lambda: (b"\x02\x03" + zstd_stream(b"a" * 100), 100),
+                 id="itemsize-not-dividing"),
+    pytest.param(lambda: (b"\x02", 4), id="no-header"),
+    pytest.param(lambda: (b"\x02\x01garbage", 7), id="bad-magic"),
+    pytest.param(lambda: (b"\x02\x01" + zlib.compress(b"a" * 100), 100), id="deflate-stream"),
+    pytest.param(lambda: (b"\x02\x01" + zstd_stream(b"a" * 100)[:-6], 100), id="truncated"),
+    pytest.param(lambda: (b"\x02\x01" + zstd_stream(b"a" * 100)[:-2], 100),
+                 id="truncated-checksum"),
+    pytest.param(lambda: (b"\x02\x01" + zstd_stream(b"a" * 100)[:5], 100), id="header-only"),
+    pytest.param(lambda: (b"\x02\x01" + zstd_stream(b"a" * 100) + b"xx", 100),
+                 id="trailing-bytes"),
+    # an empty second frame: libzstd alone would decode both, to 100 B
+    pytest.param(lambda: (b"\x02\x01" + zstd_stream(b"a" * 100) + zstd_stream(b""), 100),
+                 id="trailing-frame"),
+    pytest.param(lambda: (b"\x02\x01" + zstd_stream(b"a" * 100), 99), id="too-long"),
+    pytest.param(lambda: (b"\x02\x01" + zstd_stream(b"a" * 100), 101), id="too-short"),
+    pytest.param(lambda: (b"\x02\x01" + zstd_stream(b"a"), 0), id="nothing-expected"),
+    pytest.param(lambda: (b"\x02\x01" + last_byte_flipped(zstd_stream(b"a" * 100)), 100),
+                 id="checksum-bytes"),
+    pytest.param(lambda: (b"\x02\x01" + payload_byte_flipped(
+        zstd_stream(np.random.default_rng(4).bytes(1000))), 1000), id="payload-byte"),
+    pytest.param(lambda: (b"\x02\x01" + without_checksum(zstd_stream(b"a" * 100)), 100),
+                 id="no-checksum"),
+    pytest.param(lambda: (zstd_bomb(100), 100), id="bomb"),
+    pytest.param(lambda: (b"\x02\x04" + zstd_stream(bytes(6400)), 100), id="bomb-planes"),
+]
 
-    inflater = "libdeflate"
+
+@needs_libzstd
+class TestDamagedFramesZstd(TestDamagedFrames):
+    """Every damaged- and good-frame case again, on zstd frames."""
+
+    encoder = "zstd"
+
+    def bomb_frame(self, size):
+        return zstd_bomb(size)
+
+    @pytest.mark.parametrize("damage", ZSTD_DAMAGE)
+    def test_rejected_typed(self, damage):
+        stored, size = damage()
+        for decode in decoders(ZlibCodec()):
+            with pytest.raises(HeavenError):
+                decode(stored, size)
+
+    def test_damage_cases_are_one_flaw_each(self):
+        # the hand-made frames differ from good ones by just their flaw
+        data = np.random.default_rng(4).bytes(1000)
+        intact = zstd_stream(data)
+        assert bytes(ZlibCodec().decompress_view(b"\x02\x01" + intact, 1000)) == data
+        assert len(intact) > 1000  # a raw block: every payload byte is a cell
+        flipped = payload_byte_flipped(intact)
+        assert sum(a != b for a, b in zip(flipped, intact)) == 1
+        checked = zstd_stream(b"a" * 100)
+        bare = without_checksum(checked)
+        assert checked[4] & 0x04 and not bare[4] & 0x04
+        assert bare[5:] == checked[5:-4]
+
+    # a zstd frame's fixed cost (header, block header, checksum) does not
+    # save 1/16 of some 64-byte tiles, which are then stored verbatim
     test_truncated_or_extended_deflate_frames_rejected = truncation_cases(
-        TestDamagedFrames.check_truncated_or_extended
+        TestDamagedFrames.check_truncated_or_extended, min_cells=128
     )
 
 
@@ -413,6 +542,13 @@ def build_heaven(compression: str, source=None, retain=True):
     heaven.insert("col", mdd)
     heaven.archive("col", "obj")
     return heaven, mdd
+
+
+def cold(heaven):
+    """Drop every decoded tile and staged run: the next read goes to tape."""
+    heaven.memory_cache.invalidate_object("obj")
+    for key in heaven.disk_cache.keys():
+        heaven.disk_cache.invalidate(key)
 
 
 class TestCompressedArchive:
@@ -456,20 +592,17 @@ class TestCompressedArchive:
             heaven.read("col", "obj", other), source.region(other, DOUBLE)
         )
 
-    @pytest.mark.skipif(
-        "libdeflate" not in compression._DEFLATERS,
-        reason="libdeflate is not installed on this host (encode uses zlib)",
-    )
+    @needs_libzstd
     def test_update_mixes_encoders_in_one_segment(self):
-        """Archived under ``zlib``, updated under libdeflate: the rewritten
-        segment carries old ``zlib`` frames verbatim next to new libdeflate
+        """Archived under ``zlib``, updated under zstd: the rewritten
+        segment carries old DEFLATE frames verbatim next to new zstd
         ones, and warm and cold reads match the oracle."""
         source = HashedNoiseSource(5, 0.0, 9.0)
-        with deflating_with("zlib"):
+        with encoding_with("zlib"):
             heaven, mdd = build_heaven("zlib", source=source)
         region = MInterval.of((0, 31), (0, 31))
         patch = np.arange(1024, dtype=np.float64).reshape(32, 32)
-        with deflating_with("libdeflate"):
+        with encoding_with("zstd"):
             heaven.update("col", "obj", region, patch)
         oracle = source.region(mdd.domain, DOUBLE)
         oracle[0:32, 0:32] = patch
@@ -483,19 +616,35 @@ class TestCompressedArchive:
         for tile_id, (offset, length) in super_tile.tile_extents.items():
             frame = segment[offset : offset + length]
             cells = oracle[mdd.tiles[tile_id].domain.to_slices(mdd.domain)].tobytes()
-            for name in compression._DEFLATERS:
-                with deflating_with(name):
+            for name in compression._ENCODERS:
+                with encoding_with(name):
                     if ZlibCodec().compress(cells, 8) == frame:
                         writers.add((tile_id == patched.tile_id, name))
-        assert writers == {(True, "libdeflate"), (False, "zlib")}
+        assert writers == {(True, "zstd"), (False, "zlib")}
 
         assert np.array_equal(heaven.read("col", "obj", mdd.domain), oracle)
-        heaven.memory_cache.invalidate_object("obj")
-        for key in heaven.disk_cache.keys():
-            heaven.disk_cache.invalidate(key)
+        cold(heaven)
         cells, report = heaven.read_with_report("col", "obj", mdd.domain)
         assert report.bytes_from_tape > 0
         assert np.array_equal(cells, oracle)
+
+    @needs_libzstd
+    def test_zstd_archive_without_libzstd_fails_typed(self):
+        """A cold read of zstd frames on a host where libzstd does not
+        load fails with HeavenError; DEFLATE frames next to them still
+        read."""
+        source = HashedNoiseSource(5, 0.0, 9.0)
+        heaven, mdd = build_heaven("zlib", source=source)
+        cold(heaven)
+        with decoding_on("zlib"), pytest.raises(HeavenError, match="libzstd"):
+            heaven.read("col", "obj", mdd.domain)
+        with encoding_with("zlib"):
+            deflated, _ = build_heaven("zlib", source=source)
+        cold(deflated)
+        with decoding_on("zlib"):
+            assert np.array_equal(
+                deflated.read("col", "obj", mdd.domain), source.region(mdd.domain, DOUBLE)
+            )
 
     def test_size_only_mode_uses_estimate(self):
         heaven, mdd = build_heaven("zlib", retain=False)

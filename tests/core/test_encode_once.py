@@ -77,7 +77,7 @@ def expected_segment(heaven: Heaven, super_tile, oracle: np.ndarray) -> bytes:
 
 @pytest.fixture
 def count_compress(monkeypatch):
-    """Count ``ZlibCodec.compress`` calls, including the pool's."""
+    """Count ``ZlibCodec.compress`` calls."""
     calls = []
     original = ZlibCodec.compress
 
@@ -100,9 +100,9 @@ class TestCompressAll:
     def test_mixed_batch_equals_serial_map(self):
         rng = np.random.default_rng(7)
         raws = [
-            b"\x00" * 4096,                          # DEFLATE frame
+            b"\x00" * 4096,                          # compressed frame
             rng.bytes(4096),                         # stored-frame fallback
-            bytes(i % 251 for i in range(3000)),     # DEFLATE frame
+            bytes(i % 251 for i in range(3000)),     # compressed frame
             rng.bytes(16),                           # tiny, stored
             b"",                                     # empty tile body
         ] * 5
@@ -110,23 +110,23 @@ class TestCompressAll:
         for itemsize in (1, 4):
             frames = codec.compress_all(raws, itemsize)
             assert frames == [codec.compress(raw, itemsize) for raw in raws]
-            assert {frame[0] for frame in frames} == {0, 1}  # both frame kinds
-            assert {frame[1] for frame in frames if frame[0] == 1} == {itemsize}
+            marker = compression._encoder[0]
+            assert {frame[0] for frame in frames} == {0, marker}  # both frame kinds
+            assert {frame[1] for frame in frames if frame[0] == marker} == {itemsize}
 
     def test_batch_runs_every_tile_through_compress(self, count_compress):
         raws = [bytes([i]) * 1000 for i in range(9)]
         ZlibCodec().compress_all(raws)
         assert sorted(count_compress) == [1000] * 9
 
-    def test_concurrent_batches_share_one_pool(self, monkeypatch):
-        monkeypatch.setattr(compression, "_encode_executor", None)
+    def test_concurrent_batches_match_serial(self):
+        # each thread encodes with its own encoder state
         codec = ZlibCodec()
         raws = [bytes([i % 7]) * 2048 + bytes(range(i)) for i in range(24)]
         expected = [codec.compress(raw) for raw in raws]
-        results, pools = [], []
+        results = []
 
         def batch():
-            pools.append(compression._encode_pool())
             results.append(codec.compress_all(raws))
 
         threads = [threading.Thread(target=batch) for _ in range(6)]
@@ -139,11 +139,8 @@ class TestCompressAll:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            if compression._encode_executor is not None:
-                compression._encode_executor.shutdown()
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * len(threads)
-        assert len({id(pool) for pool in pools}) == 1
 
 
 class TestEncodeCounts:

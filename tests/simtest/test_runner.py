@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ZlibCodec
+from repro.core import ZlibCodec, compression
 from repro.simtest import generate_program, replay_json, run_program
 
 pytestmark = pytest.mark.simtest
@@ -71,8 +71,8 @@ def test_faulted_seed_still_clean():
 
 def test_zlib_seed_reads_inflated_frames(monkeypatch):
     """Seed 11 draws ``compression="zlib"``.  Its ``HashedNoiseSource``
-    doubles deflate as shuffled frames (a stored frame under plain DEFLATE),
-    so the oracle checks bytes that went through inflate and unshuffle."""
+    doubles compress as shuffled frames (a stored frame under plain DEFLATE),
+    so the oracle checks bytes that went through decode and unshuffle."""
     program = generate_program(11, 60)
     assert program.config.compression == "zlib"
     markers, inflated = [], []
@@ -92,5 +92,5 @@ def test_zlib_seed_reads_inflated_frames(monkeypatch):
     monkeypatch.setattr(ZlibCodec, "decompress_view", counting_view)
     result = run_program(program)
     assert result.ok, "\n".join(v.describe() for v in result.violations)
-    assert 1 in markers
+    assert compression._encoder[0] in markers
     assert inflated
