@@ -23,7 +23,7 @@ prints:
 Usage::
 
     python scripts/ab.py --parent TREE --change TREE --workload W --pairs N [--seed S]
-        [--seconds S] [--out FILE]
+        [--out FILE]
 
 A tree is a checkout of this repository (``git clone`` the parent into a
 scratch directory).  An A/A check passes the same tree twice: its wall
@@ -53,13 +53,11 @@ def cpu_seconds() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> Dict[str, float]:
-    """One untraced run of *tree*: its end-to-end metrics, ``cpu_s`` and
-    ``failed``."""
+def run_once(tree: str, workload: str, seed: int) -> Dict[str, float]:
+    """One untraced run of *tree*, at the runner's own length: its
+    end-to-end metrics, ``cpu_s`` and ``failed``."""
     command = [sys.executable, os.path.join(tree, RUNNER), "--workload", workload,
                "--seed", str(seed), "--trace", "0"]
-    if seconds:
-        command += ["--seconds", str(seconds)]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     before = cpu_seconds()
     done = subprocess.run(command, env=env, capture_output=True, text=True, cwd=tree)
@@ -151,15 +149,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20040314, help="workload seed")
-    parser.add_argument("--seconds", type=float, default=0.0,
-                        help="timed seconds per run (default: run.py's own)")
     parser.add_argument("--out", help="write every run's values and the summary as JSON")
     args = parser.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     pairs = []
     for index in range(args.pairs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        got = {side: run_once(trees[side], args.workload, args.seed, args.seconds)
+        got = {side: run_once(trees[side], args.workload, args.seed)
                for side in order}
         pairs.append((got["parent"], got["change"]))
         print(f"pair {index + 1}/{args.pairs} ({order[0]} first): wall_mb_s "

@@ -67,9 +67,9 @@ class HeavenConfig:
             without touching tape.
         compression: per-tile codec for archived data (``"none"`` or
             ``"zlib"``: the compressed codec, whatever its backend — zstd
-            level 1 over the tile's byte planes, one plane per byte of the
-            cell type, through the system libzstd, else level-1 DEFLATE
-            through ``zlib``, or the cells verbatim when that saves less
+            level 1 (double-fast, two blocks) over the tile's byte planes,
+            one plane per byte of the cell type, through the system
+            libzstd, else level-1 DEFLATE through ``zlib``, or the cells verbatim when that saves less
             than 1/16); compressed tiles stream off tape in
             proportionally less time, at ~0.6 estimated ratio in size-only
             mode.

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.arrays import DOUBLE, ConstantSource, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig, NoneCodec, ZlibCodec, codec_names, make_codec
@@ -110,8 +110,9 @@ def planes_of(raw: bytes, itemsize: int) -> bytes:
 
 
 def zstd_stream(data: bytes) -> bytes:
-    """One zstd frame of *data*, as the codec's encoder writes it."""
-    return compression._ENCODERS["zstd"][1](memoryview(data), 1 << 24)
+    """One zstd frame of *data* as one byte plane, as the codec's encoder
+    writes it."""
+    return compression._ENCODERS["zstd"][1](np.frombuffer(data, np.uint8).reshape(1, -1), 1 << 24)
 
 
 def marker_of(encoder: str) -> int:
@@ -220,13 +221,11 @@ class TestShuffledFrame:
 
     def test_shuffle_beats_plain_level_6_on_quantised_floats(self):
         raw = quantised(32**3)
-        with encoding_with("zlib"):
-            assert len(ZlibCodec().compress(raw, 4)) < 1 + len(zlib.compress(raw, 6))
-        if "zstd" in compression._ENCODERS:
-            # zstd level 1 does not beat DEFLATE-6 on these cells (39 435 B
-            # against 39 035), but the planes still beat zstd on the cells
-            with encoding_with("zstd"):
-                assert len(ZlibCodec().compress(raw, 4)) < 1 + len(zstd_stream(raw))
+        assert len(ZlibCodec().compress(raw, 4)) < 1 + len(zlib.compress(raw, 6))
+        # and the encoder of a host with or without libzstd
+        for encoder in compression._ENCODERS:
+            with encoding_with(encoder):
+                assert len(ZlibCodec().compress(raw, 4)) < 1 + len(zlib.compress(raw, 6))
 
     def test_hashed_noise_doubles_deflate(self):
         # plain level 6 saves ~5 % on these (a stored frame); the planes'
@@ -326,12 +325,12 @@ def payload_byte_flipped(frame):
     return frame[:middle] + bytes((frame[middle] ^ 0x01,)) + frame[middle + 1:]
 
 
-def truncation_cases(check, min_cells=64):
+def truncation_cases(check):
     """*check* as a Hypothesis test.  Each class needs its own wrapper: one
     Hypothesis test must not run on two classes."""
     return settings(max_examples=40, deadline=None)(given(
         itemsize=st.sampled_from([1, 2, 3, 4, 8]),
-        cells=st.integers(min_cells, 600),
+        cells=st.integers(64, 600),
         seed=st.integers(0, 2**16),
         cut=st.integers(1, 64),
         tail=st.binary(min_size=1, max_size=8),
@@ -436,11 +435,15 @@ class TestDamagedFrames:
         assert threaded == serial == raws
 
     def check_truncated_or_extended(self, itemsize, cells, seed, cut, tail):
-        # two bits of entropy per byte: always a compressed frame
+        # two bits of entropy per byte: a compressed frame, but for some
+        # small tiles a zstd frame's fixed cost (header, block headers,
+        # checksum) does not save 1/16 and the tile is stored verbatim
         raw = np.random.default_rng(seed).integers(0, 4, cells * itemsize, np.uint8).tobytes()
         with encoding_with(self.encoder):
             stored = ZlibCodec().compress(raw, itemsize)
-        assert stored[0] == marker_of(self.encoder)
+        if self.encoder == "zlib":
+            assert stored[0] == marker_of(self.encoder)
+        assume(stored[0] == marker_of(self.encoder))
         for damaged in (stored[: max(2, len(stored) - cut)], stored + tail):
             for decode in decoders(ZlibCodec()):
                 with pytest.raises(HeavenError):
@@ -514,10 +517,8 @@ class TestDamagedFramesZstd(TestDamagedFrames):
         assert checked[4] & 0x04 and not bare[4] & 0x04
         assert bare[5:] == checked[5:-4]
 
-    # a zstd frame's fixed cost (header, block header, checksum) does not
-    # save 1/16 of some 64-byte tiles, which are then stored verbatim
     test_truncated_or_extended_deflate_frames_rejected = truncation_cases(
-        TestDamagedFrames.check_truncated_or_extended, min_cells=128
+        TestDamagedFrames.check_truncated_or_extended
     )
 
 
