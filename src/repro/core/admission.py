@@ -400,8 +400,8 @@ class AdmissionController:
         """Answer serializable sub-read units as concurrent queries.
 
         The data-node fusion path of the service tier: every unit becomes
-        one admission query (tile-subset queries for the sharded form),
-        their staging fuses into shared sweeps, and each response's stats
+        one admission query over its tile subset, their staging fuses
+        into shared sweeps, and each response's stats
         are that query's report: exact tape-byte shares (no cross-tenant
         leakage), and the mounts and faults of every sweep it was part of.
         Units are admitted at the current clock, so per-unit

@@ -417,9 +417,9 @@ class Heaven:
         ``{tile_id: cells}`` for *tile_ids* (the sharded form), each tile
         clipped to its overlap with the region."""
         mdd = self.storage.collection(collection_name).get(object_name)
+        if not mdd.domain.contains(region):
+            raise DomainError(f"read region {region} outside object domain {mdd.domain}")
         if tile_ids is None:
-            if not mdd.domain.contains(region):
-                raise DomainError(f"read region {region} outside object domain {mdd.domain}")
             cover = [t.tile_id for t in mdd.tiles_for(region)]
             return _Unit(mdd, cover, lambda: mdd.read(region))
         for tile_id in tile_ids:
@@ -533,11 +533,9 @@ class Heaven:
         return ObjectDescriptor(
             collection=collection_name,
             name=object_name,
-            domain=str(mdd.domain),
-            dtype=mdd.cell_type.name,
-            tile_domains=tuple(
-                str(mdd.tiles[tile_id].domain) for tile_id in sorted(mdd.tiles)
-            ),
+            domain=mdd.domain,
+            cell_type=mdd.cell_type,
+            tiling=mdd.tiling,
             tile_segments=tile_segments,
             archived=entry is not None,
         )

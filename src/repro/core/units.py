@@ -4,15 +4,16 @@ The service tier (:mod:`repro.service`) splits one logical read across
 data nodes that each own a consistent-hash shard of the super-tile space.
 The currency of that split is defined here:
 
-* :class:`SubReadRequest` — "give me these tiles (or this region) of that
-  object", small enough to route to whichever node owns the shard;
+* :class:`SubReadRequest` — "give me these tiles of that object, clipped
+  to this region", small enough to route to whichever node owns the shard;
 * :class:`SubReadResponse` — the decoded tile payloads plus the
   storage-cost stats of serving them;
 * :class:`ObjectDescriptor` — the metadata a service node needs to split
-  a region into per-shard sub-reads without holding the data itself.
+  a region into per-shard sub-reads without holding the data itself: the
+  object's own tiling, so both tiers see the same tile ids.
 
-Every unit is a plain dataclass whose state round-trips through an
-explicit wire format: a JSON header line followed by length-prefixed
+Both request and response are plain dataclasses whose state round-trips
+through an explicit wire format: a JSON header line followed by length-prefixed
 binary payload frames (:func:`encode_frames` / :func:`decode_frames`).
 Cell bytes never pass through JSON — they ride in the binary frames, and
 decoding hands back zero-copy ``memoryview`` slices of the received
@@ -39,6 +40,7 @@ from ..arrays.celltype import CellType, lookup as lookup_cell_type
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..arrays.operations import MArray
+from ..arrays.tiling import TilingScheme
 from ..errors import CellTypeError, DomainError, WireFormatError
 
 if TYPE_CHECKING:
@@ -142,21 +144,18 @@ def _dtype_for(name: str) -> np.dtype:
             raise WireFormatError(f"unknown wire dtype {name!r}") from None
 
 
-def _cells(payload: Payload, domain: str, dtype: str) -> np.ndarray:
-    """Read-only ndarray view of a received *payload* as the cells of
-    *domain* (zero-copy); a payload that does not hold exactly those cells
-    raises :class:`WireFormatError`."""
-    try:
-        shape = MInterval.parse(domain).shape
-    except DomainError as exc:
-        raise WireFormatError(f"malformed payload domain: {exc}") from None
-    cell = _dtype_for(dtype)
-    size = memoryview(payload).nbytes
-    if size != cell.itemsize * math.prod(shape):
+def _cells(tile: "TilePayload", dtype: np.dtype, shape: Tuple[int, ...]) -> np.ndarray:
+    """Read-only ndarray view of a received *tile*'s payload as *shape*
+    cells of *dtype* (zero-copy): the one decoder of tile payloads.  A
+    payload that does not hold exactly those cells raises
+    :class:`WireFormatError`."""
+    size = memoryview(tile.payload).nbytes
+    if size != dtype.itemsize * math.prod(shape):
         raise WireFormatError(
-            f"{size} B payload does not hold the {dtype} cells of {domain}"
+            f"tile {tile.tile_id} arrived with {size} B for its {tile.domain} "
+            f"cells of {dtype}"
         )
-    return np.frombuffer(payload, dtype=cell).reshape(shape)
+    return np.frombuffer(tile.payload, dtype=dtype).reshape(shape)
 
 
 # -- units ---------------------------------------------------------------------
@@ -182,13 +181,12 @@ class WireError:
 
 @dataclass(frozen=True)
 class SubReadRequest:
-    """One routable sub-read: tiles (or a whole region) of one object.
+    """One routable sub-read: a tile subset of one object.
 
-    ``tile_ids=None`` means "every tile intersecting *region*" — the form
-    a single-node deployment or an admission-level query uses.  A service
-    node sends the sharded form: the explicit tile subset its hash ring
-    assigned to the addressed data node, each of which must intersect
-    *region*; the node answers every tile clipped to that overlap.
+    *tile_ids* is the subset a service node's hash ring assigned to the
+    addressed data node; each tile must intersect *region*, which lies
+    inside the object's domain, and the node answers every tile clipped to
+    that overlap.
     """
 
     request_id: str
@@ -196,7 +194,7 @@ class SubReadRequest:
     collection: str
     object_name: str
     region: str
-    tile_ids: Optional[Tuple[int, ...]] = None
+    tile_ids: Tuple[int, ...]
     #: virtual arrival time on the cluster timeline (open-loop clients)
     arrival_v: float = 0.0
 
@@ -211,7 +209,7 @@ class SubReadRequest:
             "collection": self.collection,
             "object": self.object_name,
             "region": self.region,
-            "tile_ids": None if self.tile_ids is None else list(self.tile_ids),
+            "tile_ids": list(self.tile_ids),
             "arrival_v": self.arrival_v,
         }
 
@@ -222,7 +220,6 @@ class SubReadRequest:
     def from_header(cls, header: Dict[str, object]) -> "SubReadRequest":
         if header.get("kind") != "sub_read":
             raise WireFormatError(f"not a sub_read header: {header.get('kind')!r}")
-        tile_ids = header.get("tile_ids")
         try:
             return cls(
                 request_id=str(header["request_id"]),
@@ -230,7 +227,7 @@ class SubReadRequest:
                 collection=str(header["collection"]),
                 object_name=str(header["object"]),
                 region=str(header["region"]),
-                tile_ids=None if tile_ids is None else tuple(int(t) for t in tile_ids),
+                tile_ids=tuple(int(t) for t in header["tile_ids"]),
                 arrival_v=float(header.get("arrival_v", 0.0)),
             )
         except _MALFORMED as exc:
@@ -270,7 +267,11 @@ class TilePayload:
 
     def cells(self) -> np.ndarray:
         """Read-only ndarray view over the payload bytes (zero-copy)."""
-        return _cells(self.payload, self.domain, self.dtype)
+        try:
+            shape = MInterval.parse(self.domain).shape
+        except DomainError as exc:
+            raise WireFormatError(f"malformed payload domain: {exc}") from None
+        return _cells(self, _dtype_for(self.dtype), shape)
 
     @property
     def nbytes(self) -> int:
@@ -330,18 +331,14 @@ class SubReadResponse:
     """The answer to one :class:`SubReadRequest`.
 
     Either ``error`` is set (typed failure inside the serving node) or the
-    unit carries its answer: the tiles of a tile-subset request, or the
-    pre-assembled region cells of a region-form one (``tile_ids=None``).
+    unit carries its answer: the requested tiles, each clipped to the
+    request's region.
     """
 
     request_id: str
     object_name: str
     node_id: str = ""
     tiles: List[TilePayload] = field(default_factory=list)
-    #: pre-assembled cells of the request's region (region-form units)
-    region_cells: Optional[Payload] = None
-    region: str = ""
-    dtype: str = ""
     stats: SubReadStats = field(default_factory=SubReadStats)
     error: Optional[WireError] = None
     #: virtual completion time on the serving node's cluster timeline
@@ -351,12 +348,6 @@ class SubReadResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def assembled(self) -> Optional[np.ndarray]:
-        """Region cells as a read-only ndarray, when pre-assembled."""
-        if self.region_cells is None:
-            return None
-        return _cells(self.region_cells, self.region, self.dtype)
-
     def encode(self) -> bytes:
         payloads: List[Payload] = [tile.payload for tile in self.tiles]
         header: Dict[str, object] = {
@@ -364,19 +355,14 @@ class SubReadResponse:
             "request_id": self.request_id,
             "object": self.object_name,
             "node_id": self.node_id,
-            "region": self.region,
-            "dtype": self.dtype,
             "tiles": [
                 {"tile_id": t.tile_id, "domain": t.domain, "dtype": t.dtype}
                 for t in self.tiles
             ],
-            "has_region_cells": self.region_cells is not None,
             "stats": self.stats.to_dict(),
             "error": None if self.error is None else self.error.to_dict(),
             "completion_v": self.completion_v,
         }
-        if self.region_cells is not None:
-            payloads.append(self.region_cells)
         return encode_frames(header, payloads)
 
     @classmethod
@@ -388,10 +374,10 @@ class SubReadResponse:
             )
         try:
             tile_meta = list(header.get("tiles", []))
-            has_region = bool(header.get("has_region_cells"))
-            expected = len(tile_meta) + (1 if has_region else 0)
-            if len(frames) != expected:
-                raise WireFormatError(f"expected {expected} payload frame(s), got {len(frames)}")
+            if len(frames) != len(tile_meta):
+                raise WireFormatError(
+                    f"expected {len(tile_meta)} payload frame(s), got {len(frames)}"
+                )
             tiles = [
                 TilePayload(
                     tile_id=int(meta["tile_id"]),
@@ -407,9 +393,6 @@ class SubReadResponse:
                 object_name=str(header["object"]),
                 node_id=str(header.get("node_id", "")),
                 tiles=tiles,
-                region_cells=frames[-1] if has_region else None,
-                region=str(header.get("region", "")),
-                dtype=str(header.get("dtype", "")),
                 stats=SubReadStats.from_dict(dict(header.get("stats", {}))),
                 error=None if error is None else WireError.from_dict(dict(error)),
                 completion_v=float(header.get("completion_v", 0.0)),
@@ -433,37 +416,25 @@ def _answer_nbytes(answer: object) -> int:
 def _unit_response(
     request: SubReadRequest,
     mdd: MDD,
-    answer: Union[np.ndarray, Dict[int, np.ndarray]],
+    answer: Dict[int, np.ndarray],
     report: "RetrievalReport",
 ) -> SubReadResponse:
-    """Shape one assembled unit and its query's report as a response.
-
-    A whole-region unit (*answer* is the region's cells) travels as
-    ``region_cells``; a tile-subset unit (``{tile_id: clipped cells}``) as
-    tiles whose domains are the clip boxes.
-    """
-    tiles: List[TilePayload] = []
-    region_cells = None
-    if isinstance(answer, dict):
-        region = request.parsed_region()
-        tiles = [
-            TilePayload.from_cells(
-                tile_id,
-                mdd.tiles[tile_id].domain.intersection(region),
-                mdd.cell_type,
-                cells,
-            )
-            for tile_id, cells in sorted(answer.items())
-        ]
-    else:
-        region_cells = _as_payload(answer)
+    """Shape one answered unit (``{tile_id: clipped cells}``) and its
+    query's report as a response: tiles whose domains are the clip boxes."""
+    region = request.parsed_region()
+    tiles = [
+        TilePayload.from_cells(
+            tile_id,
+            mdd.tiles[tile_id].domain.intersection(region),
+            mdd.cell_type,
+            cells,
+        )
+        for tile_id, cells in sorted(answer.items())
+    ]
     return SubReadResponse(
         request_id=request.request_id,
         object_name=request.object_name,
-        region=request.region,
-        dtype=mdd.cell_type.name,
         tiles=tiles,
-        region_cells=region_cells,
         stats=SubReadStats(
             bytes_useful=_answer_nbytes(answer),
             bytes_from_tape=report.bytes_from_tape,
@@ -480,17 +451,19 @@ def _unit_response(
 class ObjectDescriptor:
     """Shardable metadata of one object: what a service node routes by.
 
-    ``tile_domains`` is indexed by tile id; ``tile_segments`` maps each
-    tile to its super-tile segment key once archived — the consistent-hash
-    shard key, so every tile of one super-tile lands on the same node.
-    Disk-resident objects shard per tile under a synthetic key.
+    *tiling* and *cell_type* are the object's own, so a service node that
+    tiles *domain* with them gets the data nodes' tile ids and index.
+    ``tile_segments`` maps each tile to its super-tile segment key once
+    archived — the consistent-hash shard key, so every tile of one
+    super-tile lands on the same node.  Disk-resident objects shard per
+    tile under a synthetic key.
     """
 
     collection: str
     name: str
-    domain: str
-    dtype: str
-    tile_domains: Tuple[str, ...]
+    domain: MInterval
+    cell_type: CellType
+    tiling: TilingScheme
     tile_segments: Dict[int, str] = field(default_factory=dict)
     archived: bool = False
 

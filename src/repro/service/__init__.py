@@ -21,7 +21,7 @@ from ..core.units import (
     decode_frames,
     encode_frames,
 )
-from .assemble import ExplicitTiling, ShadowObject
+from .assemble import ShadowObject
 from .auth import Tenant, TenantRegistry, TenantUsage
 from .cluster import ServiceCluster
 from .faults import SERVICE_FAULT_SITES, ServiceFaultPlan, ServiceFaultSpec
@@ -32,7 +32,6 @@ from .sn import ServiceNode, ServiceReadResult
 __all__ = [
     "SERVICE_FAULT_SITES",
     "DataNode",
-    "ExplicitTiling",
     "HashRing",
     "ObjectDescriptor",
     "ServiceCluster",

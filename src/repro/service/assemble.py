@@ -2,52 +2,29 @@
 
 A service node holds no cells — only :class:`~repro.core.units
 .ObjectDescriptor` catalog entries.  For each object it builds a
-*shadow MDD*: same domain, same cell type, and — via
-:class:`ExplicitTiling` — the exact tile geometry of the data nodes'
-object, so tile ids line up with the descriptor's ``tile_domains``
-order.  Data nodes answer each tile clipped to its overlap with the
-query region (:class:`~repro.core.units.TilePayload` ``domain`` is that
-clip box), so reassembly is one paste per tile: the shadow's tile index
-names the clip box each tile must cover, and the received byte view is
-copied straight into the region array.
+*shadow MDD* from the descriptor's domain, cell type and tiling, which are
+the data nodes' own: the shadow has their tile ids and their tile index
+(a ``GridIndex`` for a regular tiling).  Data nodes answer each tile
+clipped to its overlap with the query region
+(:class:`~repro.core.units.TilePayload` ``domain`` is that clip box), so
+reassembly is one paste per tile: the shadow's tile index names the clip
+box each tile must cover, and the received byte view is decoded by the
+wire's one tile decoder and copied straight into the region array.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..arrays.celltype import CellType
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..arrays.tile import Tile
-from ..arrays.tiling import TilingScheme
-from ..core.units import ObjectDescriptor, TilePayload, _dtype_for
-from ..errors import DomainError, ShardUnavailableError, WireFormatError
+from ..core.units import ObjectDescriptor, TilePayload, _cells
+from ..errors import ShardUnavailableError, WireFormatError
 
-__all__ = ["ExplicitTiling", "ShadowObject"]
-
-
-class ExplicitTiling(TilingScheme):
-    """A fixed, pre-computed tile-domain list (descriptor-driven tiling).
-
-    Tile ids are positional, so feeding a descriptor's ``tile_domains``
-    (which are listed in tile-id order) reproduces the data nodes' ids
-    exactly — the invariant shard routing depends on.
-    """
-
-    def __init__(self, domains: List[MInterval]) -> None:
-        self._domains = list(domains)
-
-    def tile_domains(
-        self, domain: MInterval, cell_type: CellType
-    ) -> List[MInterval]:
-        return list(self._domains)
-
-    def describe(self) -> str:
-        return f"explicit({len(self._domains)} tiles)"
+__all__ = ["ShadowObject"]
 
 
 class ShadowObject:
@@ -55,15 +32,11 @@ class ShadowObject:
 
     def __init__(self, descriptor: ObjectDescriptor) -> None:
         self.descriptor = descriptor
-        dtype = _dtype_for(descriptor.dtype)
-        cell_type = CellType(name=descriptor.dtype, dtype=dtype)
         self.mdd = MDD(
             descriptor.name,
-            MInterval.parse(descriptor.domain),
-            cell_type,
-            tiling=ExplicitTiling(
-                [MInterval.parse(d) for d in descriptor.tile_domains]
-            ),
+            descriptor.domain,
+            descriptor.cell_type,
+            tiling=descriptor.tiling,
         )
         # No local cells, ever: only geometry.
         self.mdd.source = None
@@ -92,6 +65,8 @@ class ShadowObject:
         """Paste the received tile clips into one region array.
 
         Args:
+            region: the read's region, inside the object's domain (the
+                service node checks it before it charges the read).
             payloads: tile id -> received payload covering that tile's
                 overlap with *region* (byte views decode to read-only cell
                 arrays, zero-copy).
@@ -100,10 +75,6 @@ class ShadowObject:
                 fills such tiles instead — the degraded partial-result
                 mode.
         """
-        if not self.domain.contains(region):
-            raise DomainError(
-                f"read region {region} outside object domain {self.domain}"
-            )
         dtype = self.mdd.cell_type.dtype
         out = np.empty(region.shape, dtype=dtype)
         bounds = [(axis.lo, axis.hi) for axis in region.axes]
@@ -129,13 +100,6 @@ class ShadowObject:
                     f"tile {tile.tile_id} of {self.descriptor.name!r} arrived "
                     f"as {payload.domain}, expected its overlap {clip}"
                 )
-            elif payload.nbytes != dtype.itemsize * math.prod(shape):
-                raise WireFormatError(
-                    f"tile {tile.tile_id} of {self.descriptor.name!r} arrived "
-                    f"with {payload.nbytes} B for its {clip} cells"
-                )
             else:
-                out[tuple(window)] = np.frombuffer(
-                    payload.payload, dtype=dtype
-                ).reshape(shape)
+                out[tuple(window)] = _cells(payload, dtype, tuple(shape))
         return out

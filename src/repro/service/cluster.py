@@ -49,14 +49,13 @@ class ServiceCluster:
         timeout_s: float = 30.0,
         retries: int = 1,
         partial_results: bool = False,
-        replicas: int = 64,
     ) -> None:
         if not heavens:
             raise ServiceError("a service cluster needs at least one data node")
         self.heavens = list(heavens)
         self.fault_plan = fault_plan
         self.tenants = TenantRegistry()
-        self.ring = HashRing(replicas=replicas)
+        self.ring = HashRing()
         self.nodes: Dict[str, DataNode] = {}
         for index, heaven in enumerate(self.heavens):
             node_id = f"dn{index}"

@@ -1,7 +1,7 @@
 """Consistent hashing of super-tile shard keys onto data nodes.
 
 The service tier partitions the super-tile space with a classic
-virtual-node consistent-hash ring: each data node claims ``replicas``
+virtual-node consistent-hash ring: each data node claims :data:`REPLICAS`
 pseudo-random points on a 160-bit circle, and a shard key is owned by the
 first node point at or after the key's own hash.  Two properties matter
 and are locked down by the property suite:
@@ -24,6 +24,10 @@ from ..errors import ServiceError
 __all__ = ["HashRing"]
 
 
+#: ring points per data node
+REPLICAS = 64
+
+
 def _hash(key: str) -> int:
     return int.from_bytes(hashlib.sha1(key.encode("utf-8")).digest(), "big")
 
@@ -31,10 +35,7 @@ def _hash(key: str) -> int:
 class HashRing:
     """Virtual-node consistent-hash ring mapping shard keys to node ids."""
 
-    def __init__(self, nodes: Sequence[str] = (), replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ServiceError("replicas must be >= 1")
-        self.replicas = replicas
+    def __init__(self, nodes: Sequence[str] = ()) -> None:
         self._points: List[Tuple[int, str]] = []
         self._nodes: Set[str] = set()
         for node in nodes:
@@ -44,7 +45,7 @@ class HashRing:
         if node in self._nodes:
             raise ServiceError(f"node {node!r} already on the ring")
         self._nodes.add(node)
-        for replica in range(self.replicas):
+        for replica in range(REPLICAS):
             bisect.insort(self._points, (_hash(f"{node}#{replica}"), node))
 
     def node_for(self, key: str) -> str:

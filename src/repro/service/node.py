@@ -110,7 +110,6 @@ class DataNode:
                     request_id=request.request_id,
                     object_name=request.object_name,
                     node_id=self.node_id,
-                    region=request.region,
                     error=WireError(
                         type="DataNodeError",
                         message=(
@@ -210,7 +209,6 @@ class DataNode:
                 request_id=request.request_id,
                 object_name=request.object_name,
                 node_id=self.node_id,
-                region=request.region,
                 error=WireError(
                     type=type(error).__name__, message=str(error)
                 ),

@@ -5,7 +5,9 @@ A :class:`ServiceNode` holds no cells — a catalog of
 :class:`~repro.service.hashring.HashRing`, the tenant registry and
 handles to the data nodes.  One read runs the full service pipeline:
 
-1. **authenticate** the bearer token (401 on unknown/disabled tenants);
+1. **authenticate** the bearer token (401 on unknown/disabled tenants)
+   and check that the region lies inside the object's domain (a typed
+   :class:`~repro.errors.DomainError`, before any charge or dispatch);
 2. **pre-charge** the tenant's quota with the region's estimated byte
    volume (429-style :class:`~repro.errors.QuotaExceededError` — a
    rejected query never reaches a data node);
@@ -19,7 +21,8 @@ handles to the data nodes.  One read runs the full service pipeline:
    flagged);
 5. **reassemble** the shard payloads (each tile clipped to its overlap
    with the region) through the shadow object and settle the quota to the
-   bytes returned, which equal the pre-charge when nothing is missing.
+   bytes returned, which equal the pre-charge when nothing is missing.  A
+   query that fails typed after its pre-charge settles it to zero.
 
 Per-tenant served bytes, requests, rejections and retries are reported
 through ``repro.obs`` metrics; the fault suite reconciles those series
@@ -38,7 +41,9 @@ import numpy as np
 from ..core.units import ObjectDescriptor, SubReadRequest, SubReadResponse, TilePayload
 from ..errors import (
     DataNodeError,
+    DomainError,
     HeavenError,
+    ReproError,
     ServiceError,
     ShardUnavailableError,
 )
@@ -91,7 +96,6 @@ class ServiceNode:
         timeout_s: float = 30.0,
         retries: int = 1,
         partial_results: bool = False,
-        degraded_fill: float = 0.0,
     ) -> None:
         self.name = name
         self.catalog = catalog
@@ -102,7 +106,6 @@ class ServiceNode:
         self.timeout_s = timeout_s
         self.retries = retries
         self.partial_results = partial_results
-        self.degraded_fill = degraded_fill
         self._shadows: Dict[Tuple[str, str], ShadowObject] = {}
         self._next_request = 0
         self._requests_total = self.metrics.counter(
@@ -170,6 +173,10 @@ class ServiceNode:
             raise
         shadow = self.shadow(collection, object_name)
         parsed = MInterval.parse(region)
+        if not shadow.domain.contains(parsed):
+            raise DomainError(
+                f"read region {parsed} outside object domain {shadow.domain}"
+            )
         estimated = shadow.estimated_read_bytes(parsed)
         try:
             self.tenants.charge(tenant.name, estimated)
@@ -179,65 +186,64 @@ class ServiceNode:
         self._requests_total.inc(tenant=tenant.name)
         self._next_request += 1
         request_id = f"{self.name}-{self._next_request}"
-        descriptor = shadow.descriptor
-        by_node: Dict[str, List[int]] = {}
-        for tile in shadow.tiles_for(parsed):
-            owner = self.ring.node_for(descriptor.shard_key(tile.tile_id))
-            by_node.setdefault(owner, []).append(tile.tile_id)
-        sub_requests = [
-            (
-                node_id,
-                SubReadRequest(
-                    request_id=f"{request_id}/{node_id}",
-                    tenant=tenant.name,
-                    collection=collection,
-                    object_name=object_name,
-                    region=region,
-                    tile_ids=tuple(tile_ids),
-                    arrival_v=arrival_v,
-                ),
-            )
-            for node_id, tile_ids in sorted(by_node.items())
-        ]
         result = ServiceReadResult(
             request_id=request_id,
             tenant=tenant.name,
             cells=np.empty(0),
         )
         try:
+            descriptor = shadow.descriptor
+            by_node: Dict[str, List[int]] = {}
+            for tile in shadow.tiles_for(parsed):
+                owner = self.ring.node_for(descriptor.shard_key(tile.tile_id))
+                by_node.setdefault(owner, []).append(tile.tile_id)
+            sub_requests = [
+                (
+                    node_id,
+                    SubReadRequest(
+                        request_id=f"{request_id}/{node_id}",
+                        tenant=tenant.name,
+                        collection=collection,
+                        object_name=object_name,
+                        region=region,
+                        tile_ids=tuple(tile_ids),
+                        arrival_v=arrival_v,
+                    ),
+                )
+                for node_id, tile_ids in sorted(by_node.items())
+            ]
             gathered = await asyncio.gather(
                 *(
                     self._dispatch(node_id, request, result)
                     for node_id, request in sub_requests
                 )
             )
-        except ServiceError:
-            # The query dies typed; its pre-charge settles to zero so a
-            # failed read does not burn the tenant's byte budget.
+            payloads: Dict[int, TilePayload] = {}
+            requested: set = set()
+            for (_node_id, request), response in zip(sub_requests, gathered):
+                requested.update(request.tile_ids)
+                if response is None:
+                    continue
+                result.shards.append(response.node_id)
+                result.bytes_from_tape += response.stats.bytes_from_tape
+                result.completion_v = max(
+                    result.completion_v, response.completion_v
+                )
+                for tile in response.tiles:
+                    payloads[tile.tile_id] = tile
+            result.cells = shadow.assemble(
+                parsed, payloads, missing_fill=0.0 if self.partial_results else None
+            )
+            result.missing_tiles = sorted(requested - set(payloads))
+            if result.missing_tiles:
+                result.degraded = True
+                self._degraded_total.inc(tenant=tenant.name)
+        except ReproError:
+            # The query dies typed (a dark shard, a damaged payload, ...);
+            # its pre-charge settles to zero so a failed read does not burn
+            # the tenant's byte budget.
             self.tenants.settle(tenant.name, estimated, 0)
             raise
-        payloads: Dict[int, TilePayload] = {}
-        requested: set = set()
-        for (_node_id, request), response in zip(sub_requests, gathered):
-            requested.update(request.tile_ids or ())
-            if response is None:
-                continue
-            result.shards.append(response.node_id)
-            result.bytes_from_tape += response.stats.bytes_from_tape
-            result.completion_v = max(
-                result.completion_v, response.completion_v
-            )
-            for tile in response.tiles:
-                payloads[tile.tile_id] = tile
-        result.missing_tiles = sorted(requested - set(payloads))
-        if result.missing_tiles:
-            result.degraded = True
-            self._degraded_total.inc(tenant=tenant.name)
-        result.cells = shadow.assemble(
-            parsed,
-            payloads,
-            missing_fill=self.degraded_fill if result.degraded else None,
-        )
         result.bytes_useful = sum(p.nbytes for p in payloads.values())
         result.latency_v = max(0.0, result.completion_v - arrival_v)
         self.tenants.settle(tenant.name, estimated, result.bytes_useful)

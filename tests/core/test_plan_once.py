@@ -77,16 +77,30 @@ def read_many(heaven):
     return cells, [oracle(r) for r in regions]
 
 
+def cover(heaven, region: MInterval):
+    """The tile ids of *region*'s cover, in tile-id order."""
+    return tuple(t.tile_id for t in heaven.collection("col").get("obj").tiles_for(region))
+
+
+def clips(region: MInterval):
+    """The oracle's cells of each tile of *region*'s cover, clipped to it."""
+    mdd = MDD.from_array("obj", CELLS, tiling=RegularTiling((16, 16)))
+    return [
+        CELLS[tile.domain.intersection(region).to_slices(DOMAIN)]
+        for tile in mdd.tiles_for(region)
+    ]
+
+
 def serve_sub_reads(heaven):
     (response,) = heaven.serve_sub_reads(
         [
             SubReadRequest(
                 request_id="u", tenant="t", collection="col",
-                object_name="obj", region=str(REGION),
+                object_name="obj", region=str(REGION), tile_ids=cover(heaven, REGION),
             )
         ]
     )
-    return [response.assembled()], [oracle(REGION)]
+    return [tile.cells() for tile in response.tiles], clips(REGION)
 
 
 def read_frame(heaven):
@@ -206,7 +220,7 @@ def serve_units(heaven, regions):
         [
             SubReadRequest(
                 request_id=f"u{index}", tenant="t", collection="col",
-                object_name="obj", region=region,
+                object_name="obj", region=str(region), tile_ids=cover(heaven, region),
             )
             for index, region in enumerate(regions)
         ]
@@ -239,13 +253,14 @@ def rejected_update_region(heaven):
 
 def rejected_data_node_unit(heaven):
     """The bad unit answers a typed error, the good one its cells."""
-    good, bad = serve_units(heaven, [str(REGION), str(BAD_READ)])
-    np.testing.assert_array_equal(good.assembled(), oracle(REGION))
+    good, bad = serve_units(heaven, [REGION, BAD_READ])
+    for tile, want in zip(good.tiles, clips(REGION), strict=True):
+        np.testing.assert_array_equal(tile.cells(), want)
     assert bad.error is not None and bad.error.type == "DomainError"
 
 
 def served_data_node_unit(heaven):
-    (good,) = serve_units(heaven, [str(REGION)])
+    (good,) = serve_units(heaven, [REGION])
     assert good.ok
 
 

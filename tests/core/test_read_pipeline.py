@@ -55,11 +55,23 @@ def make_twin(disk_cache_bytes: int = 32 * 1024, **config) -> Heaven:
     return heaven
 
 
-def unit(region: MInterval, tile_ids=None) -> SubReadRequest:
+def unit(heaven: Heaven, region: MInterval, tile_ids=None) -> SubReadRequest:
+    """A data-node unit for *tile_ids*, by default the region's tile cover."""
+    if tile_ids is None:
+        mdd = heaven.collection("col").get("obj")
+        tile_ids = tuple(t.tile_id for t in mdd.tiles_for(region))
     return SubReadRequest(
         request_id="u", tenant="t", collection="col", object_name="obj",
         region=str(region), tile_ids=tile_ids,
     )
+
+
+def pasted(response, region: MInterval) -> np.ndarray:
+    """The region's cells from a unit's tiles, each clipped to the region."""
+    cells = np.full(region.shape, np.nan)
+    for tile in response.tiles:
+        cells[MInterval.parse(tile.domain).to_slices(region)] = tile.cells()
+    return cells
 
 
 def events_since(heaven: Heaven, cursor: int):
@@ -86,13 +98,16 @@ class TestReadIsABatchOfOne:
 
         cells, report = single.read_with_report("col", "obj", REGION)
         (batch_cells,), batch_report = batch.read_many([("col", "obj", REGION)])
-        (response,) = served.serve_sub_reads([unit(REGION)])
-        (unit_response,), multi = AdmissionController(units).run_units([unit(REGION)])
+        (response,) = served.serve_sub_reads([unit(served, REGION)])
+        (unit_response,), multi = AdmissionController(units).run_units(
+            [unit(units, REGION)]
+        )
 
         np.testing.assert_array_equal(batch_cells, cells)
+        cover = [t.tile_id for t in single.collection("col").get("obj").tiles_for(REGION)]
         for answer in (response, unit_response):
-            assert not answer.tiles
-            np.testing.assert_array_equal(answer.assembled(), cells)
+            assert [t.tile_id for t in answer.tiles] == cover
+            np.testing.assert_array_equal(pasted(answer, REGION), cells)
 
         entry = single.archived("obj")
         media = {single.library.locate(st.segment_name) for st in entry.super_tiles}
@@ -156,8 +171,7 @@ class TestReadIsABatchOfOne:
         mdd = heaven.collection("col").get("obj")
         wanted = tuple(t.tile_id for t in mdd.tiles_for(REGION))[1::3]
         # Unsorted on purpose: the resolver sorts the subset.
-        (response,) = heaven.serve_sub_reads([unit(REGION, wanted[::-1])])
-        assert response.region_cells is None
+        (response,) = heaven.serve_sub_reads([unit(heaven, REGION, wanted[::-1])])
         assert [t.tile_id for t in response.tiles] == sorted(wanted)
         # Each tile travels clipped to its overlap with the region: the
         # payload's domain is the clip box, its cells the tile's cells there.
@@ -191,7 +205,7 @@ class TestReadIsABatchOfOne:
             t for t in mdd.tiles.values() if not t.domain.intersects(corner)
         )
         with pytest.raises(HeavenError, match="does not intersect"):
-            heaven.serve_sub_reads([unit(corner, (outside.tile_id,))])
+            heaven.serve_sub_reads([unit(heaven, corner, (outside.tile_id,))])
 
 
 class TestRejectedUnitLeavesNoTrace:
@@ -205,7 +219,7 @@ class TestRejectedUnitLeavesNoTrace:
         now, cursor = heaven.clock.now, heaven.clock.log.cursor()
         counters = (heaven.read_tiles_needed, heaven.read_bytes_useful)
 
-        bad = unit(REGION, (0, 9999))
+        bad = unit(heaven, REGION, (0, 9999))
         with pytest.raises(HeavenError, match="no tile 9999"):
             if via == "serve_sub_reads":
                 heaven.serve_sub_reads([bad])

@@ -140,10 +140,12 @@ class TestUnitStatsCoverTheirSweep:
     @pytest.mark.parametrize("units", [1, 2])
     def test_mount_fault_appears_on_every_unit(self, units):
         heaven = self.faulted_heaven()
+        mdd = heaven.collection("col").get("o0")
         requests = [
             SubReadRequest(
                 request_id=f"u{index}", tenant="t", collection="col",
                 object_name="o0", region=str(REGIONS[index]),
+                tile_ids=tuple(t.tile_id for t in mdd.tiles_for(REGIONS[index])),
             )
             for index in range(units)
         ]

@@ -373,11 +373,15 @@ class TestPoisonedBatchAccounting:
         node = DataNode("dn0", heaven)
         tiles_before = heaven.read_tiles_needed
         bytes_before = heaven.read_bytes_useful
+        cover = tuple(
+            t.tile_id
+            for t in heaven.collection("c").get("o0").tiles_for(MInterval.parse(FULL))
+        )
         responses = node._serve_requests(
             [
                 SubReadRequest(
                     request_id=f"r{index}", tenant="t", collection="c",
-                    object_name=f"o{index}", region=FULL,
+                    object_name=f"o{index}", region=FULL, tile_ids=cover,
                 )
                 for index in range(3)
             ]

@@ -4,8 +4,17 @@ import pytest
 
 from repro.arrays import DOUBLE, MDD, HashedNoiseSource, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
-from repro.errors import AuthError, QuotaExceededError, ServiceError
-from repro.service import ServiceCluster, TenantRegistry
+from repro.core.units import TilePayload
+from repro.errors import (
+    AuthError,
+    DomainError,
+    QuotaExceededError,
+    ServiceError,
+    ShardUnavailableError,
+    WireFormatError,
+)
+from repro.obs.reconcile import event_window_bytes
+from repro.service import DataNode, ServiceCluster, TenantRegistry
 from repro.tertiary import MB
 
 
@@ -146,3 +155,63 @@ class TestServiceQuotaEnforcement:
             cluster.read("token-bob", "c", "obj", "0:15,0:15")
         rejected = cluster.sn.metrics.get("repro_service_rejected_total")
         assert rejected.value(tenant="bob", reason="429") == 1.0
+
+
+class TestFailedReadsCostNothing:
+    """A read that fails typed leaves the tenant's books as they were."""
+
+    def test_region_outside_the_domain_is_refused_before_the_charge(self):
+        cluster = ServiceCluster.build(
+            _make_config, _setup, nodes=2, objects=[("c", "obj")]
+        )
+        cluster.register_tenant("t")
+        cluster.read("token-t", "c", "obj", "0:15,0:15")
+        served = cluster.sn.metrics.get("repro_service_tenant_bytes_total")
+        usage = cluster.tenants.usage("t")
+        before = (usage.requests, usage.bytes_charged, served.value(tenant="t"))
+        cursors = [heaven.clock.log.cursor() for heaven in cluster.heavens]
+        calls = [node.requests_served + node.requests_failed
+                 for node in cluster.nodes.values()]
+
+        with pytest.raises(DomainError, match="outside object domain"):
+            cluster.read("token-t", "c", "obj", "40:80,0:15")
+
+        usage = cluster.tenants.usage("t")
+        assert (usage.requests, usage.bytes_charged, served.value(tenant="t")) == before
+        assert [
+            event_window_bytes(heaven.clock.log, cursor)
+            for heaven, cursor in zip(cluster.heavens, cursors)
+        ] == [0, 0]
+        assert [node.requests_served + node.requests_failed
+                for node in cluster.nodes.values()] == calls
+
+    @pytest.mark.parametrize("damage, error", [
+        pytest.param(
+            lambda tiles: [
+                TilePayload(t.tile_id, t.domain, t.dtype, memoryview(t.payload)[8:])
+                for t in tiles
+            ],
+            WireFormatError, id="short-payload",
+        ),
+        pytest.param(lambda tiles: tiles[1:], ShardUnavailableError, id="dropped-tile"),
+    ])
+    def test_failure_after_the_charge_settles_it_to_zero(
+        self, monkeypatch, damage, error
+    ):
+        """A data node's answer that fails the paste, a damaged payload or
+        a tile left out, fails the read typed and settles its pre-charge."""
+        cluster = ServiceCluster.build(
+            _make_config, _setup, nodes=2, objects=[("c", "obj")]
+        )
+        cluster.register_tenant("t")
+        call = DataNode.call
+
+        async def damaged_call(node, request):
+            response = await call(node, request)
+            response.tiles = damage(response.tiles)
+            return response
+
+        monkeypatch.setattr(DataNode, "call", damaged_call)
+        with pytest.raises(error):
+            cluster.read("token-t", "c", "obj", "0:31,0:31")
+        assert cluster.tenants.usage("t").bytes_charged == 0

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arrays import DOUBLE, MInterval, RegularTiling
 from repro.core.units import (
+    ObjectDescriptor,
     SubReadRequest,
     SubReadResponse,
     SubReadStats,
@@ -17,6 +19,7 @@ from repro.core.units import (
     encode_frames,
 )
 from repro.errors import WireFormatError
+from repro.service import ShadowObject
 
 
 class TestFraming:
@@ -110,13 +113,14 @@ class TestSubReadRequest:
             collection="c",
             object_name="o",
             region="0:9,3:7",
+            tile_ids=(0,),
         )
         assert request.parsed_region().shape == (10, 5)
 
     def test_payload_frames_rejected(self):
         request = SubReadRequest(
             request_id="q", tenant="t", collection="c",
-            object_name="o", region="0:1",
+            object_name="o", region="0:1", tile_ids=(0,),
         )
         header, _frames = decode_frames(request.encode())
         with pytest.raises(WireFormatError):
@@ -137,8 +141,6 @@ class TestSubReadResponse:
             object_name="obj",
             node_id="dn0",
             tiles=[tile],
-            region="0:2,0:3",
-            dtype="double",
             stats=SubReadStats(bytes_useful=96, bytes_from_tape=96),
             completion_v=4.25,
         )
@@ -178,21 +180,27 @@ class TestSubReadResponse:
         assert back.error.message == "boom"
         assert back.tiles == []
 
-    @pytest.mark.parametrize("domain, payload", [
-        pytest.param("0:2,0:3", bytes(95), id="short"),
-        pytest.param("0:2,0:3", bytes(97), id="long"),
-        pytest.param("0:2,0:9999999999999", bytes(96), id="huge-domain"),
-        pytest.param("0:2;0:3", bytes(96), id="unparsable-domain"),
+    @pytest.mark.parametrize("domain, payload, at_cells, at_paste", [
+        pytest.param("0:2,0:3", bytes(95), "arrived with 95 B", "arrived with 95 B",
+                     id="short"),
+        pytest.param("0:2,0:3", bytes(97), "arrived with 97 B", "arrived with 97 B",
+                     id="long"),
+        pytest.param("0:2,0:9999999999999", bytes(96), "arrived with 96 B",
+                     "expected its overlap", id="huge-domain"),
+        pytest.param("0:2;0:3", bytes(96), "malformed payload domain",
+                     "expected its overlap", id="unparsable-domain"),
     ])
-    def test_payload_not_the_domain_rejected_at_cells(self, domain, payload):
+    def test_payload_not_the_domain_rejected_at_cells(
+        self, domain, payload, at_cells, at_paste
+    ):
+        """A tile's cell view and the service node's paste of it share one
+        decoder: a payload of the wrong size fails there on both paths; a
+        payload of another box fails the paste's routing check first."""
         tile = TilePayload(tile_id=0, domain=domain, dtype="double", payload=payload)
-        response = SubReadResponse(
-            request_id="q", object_name="o", region=domain, dtype="double",
-            region_cells=payload,
-        )
-        for view in (tile.cells, response.assembled):
-            with pytest.raises(WireFormatError):
-                view()
+        with pytest.raises(WireFormatError, match=at_cells):
+            tile.cells()
+        with pytest.raises(WireFormatError, match=at_paste):
+            SHADOW.assemble(MInterval.parse("0:2,0:3"), {0: tile})
 
     def test_unknown_dtype_rejected_at_cells(self):
         tile = TilePayload(
@@ -202,6 +210,15 @@ class TestSubReadResponse:
             tile.cells()
 
 
+#: a service node's view of a 3x4 double object of one tile
+SHADOW = ShadowObject(
+    ObjectDescriptor(
+        collection="c", name="o", domain=MInterval.parse("0:2,0:3"),
+        cell_type=DOUBLE, tiling=RegularTiling((3, 4)),
+    )
+)
+
+
 # -- untrusted frames fail typed ------------------------------------------------
 
 REQUEST = SubReadRequest(
@@ -209,8 +226,7 @@ REQUEST = SubReadRequest(
     region="0:2,0:3", tile_ids=(5,), arrival_v=1.5,
 )
 RESPONSE = SubReadResponse(
-    request_id="q1/dn0", object_name="obj", node_id="dn0", region="0:2,0:3",
-    dtype="double",
+    request_id="q1/dn0", object_name="obj", node_id="dn0",
     tiles=[TilePayload(tile_id=5, domain="0:2,0:3", dtype="double", payload=bytes(96))],
     stats=SubReadStats(bytes_useful=96, bytes_from_tape=96),
 )
@@ -255,6 +271,10 @@ class TestUntrustedFrames:
                      id="tile_ids-not-ints"),
         pytest.param(SubReadRequest.decode, _edited(REQUEST.encode(), _set("tile_ids", 5)),
                      id="tile_ids-not-a-list"),
+        pytest.param(SubReadRequest.decode, _edited(REQUEST.encode(), _set("tile_ids", None)),
+                     id="tile_ids-null"),
+        pytest.param(SubReadRequest.decode, _edited(REQUEST.encode(), _drop("tile_ids")),
+                     id="request-without-tile_ids"),
         pytest.param(SubReadRequest.decode, _edited(REQUEST.encode(), _set("arrival_v", "soon")),
                      id="arrival_v-not-a-number"),
         pytest.param(SubReadResponse.decode, _edited(RESPONSE.encode(), _drop("object")),
@@ -318,6 +338,7 @@ def _replace(node, path, value):
     sample=st.sampled_from([
         (SubReadRequest.decode, SubReadRequest(
             request_id="q", tenant="t", collection="c", object_name="o", region="0:1",
+            tile_ids=(),
         ).encode()),
         (SubReadRequest.decode, REQUEST.encode()),
         (SubReadResponse.decode, RESPONSE.encode()),
@@ -367,6 +388,7 @@ def _mutated(encoded: bytes, mutations) -> bytes:
         (SubReadRequest.decode, REQUEST.encode()),
         (SubReadRequest.decode, SubReadRequest(
             request_id="q", tenant="t", collection="c", object_name="o", region="0:1",
+            tile_ids=(),
         ).encode()),
         (SubReadResponse.decode, RESPONSE.encode()),
         (SubReadResponse.decode, ERROR_RESPONSE.encode()),
@@ -384,8 +406,8 @@ def test_byte_mutated_frame_decodes_or_fails_typed(sample, mutations):
     except WireFormatError:
         return
     if isinstance(unit, SubReadResponse):
-        for view in [unit.assembled, *(tile.cells for tile in unit.tiles)]:
+        for tile in unit.tiles:
             try:
-                view()
+                tile.cells()
             except WireFormatError:
                 pass

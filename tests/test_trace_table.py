@@ -1,11 +1,12 @@
-"""The e2e benchmark's staging rows stay live.
+"""The e2e benchmark's staging and service rows stay live.
 
 ``benchmarks/e2e_layers/tracing.py:TABLE`` wraps callables by owner and
 name, and its files are frozen: a callable the code stops reaching keeps
 its row, which then silently reads zero.  This test installs the table's
 ``Recorder`` (loaded read-only from its file) around a tiny archive →
-read → framed read → update → reimport run and checks that every row the
-read and write paths must feed counted calls.
+read → framed read → update → reimport run, then one read through a
+2-node service cluster, and checks that every row the read, write and
+service paths must feed counted calls.
 """
 
 import importlib.util
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import BoxFrame, Heaven, HeavenConfig
+from repro.service import ServiceCluster
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -35,6 +37,16 @@ LIVE = [
     ("repro.core.heaven", "tiles_in_frame"),
     ("repro.core.heaven", "estar_partition"),
     ("repro.arrays:MDD", "materialize_tile"),
+    ("repro.service:ServiceNode", "read"),
+    ("repro.service:DataNode", "call"),
+    ("repro.service:SubReadResponse", "encode"),
+    ("repro.service:SubReadResponse", "decode"),
+    ("repro.service:ShadowObject", "assemble"),
+    ("repro.core:AdmissionController", "run_units"),
+    ("repro.service:HashRing", "node_for"),
+    ("repro.service:TenantRegistry", "authenticate"),
+    ("repro.service:TenantRegistry", "charge"),
+    ("repro.service:TenantRegistry", "settle"),
 ]
 
 
@@ -71,6 +83,11 @@ def exercise():
     heaven.read_frame("col", "o0", BoxFrame(MInterval.of((16, 47), (16, 47))))
     heaven.update("col", "o0", MInterval.of((0, 7), (0, 7)), np.zeros((8, 8)))
     heaven.reimport("col", "o0")
+    heaven.assert_quiescent()
+    cluster = ServiceCluster.over(heaven, nodes=2, objects=[("col", "o0")])
+    cluster.register_tenant("t")
+    result = cluster.read("token-t", "col", "o0", str(region))
+    np.testing.assert_array_equal(result.cells, heaven.read("col", "o0", region))
     heaven.assert_quiescent()
 
 
