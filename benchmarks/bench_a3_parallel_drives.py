@@ -3,10 +3,11 @@
 
 A batched workload whose requests spread over many media is **executed**
 across 1/2/4/8 drives by the discrete-event :class:`ParallelExecutor`:
-per-drive virtual timelines, whole-media elevator sweeps assigned
-longest-first with work stealing, and the robot arm serialised between
-the timelines.  Series: executed makespan and speedup (device work over
-makespan, measured from the event log) next to the planner's estimate —
+the batch's serial schedule (elevator order, each medium on the drive the
+serial loop would pick: its holder, else a free drive, else the least
+recently used one), overlapped on per-drive virtual timelines, with the
+robot arm serving exchanges in schedule order.  Series: executed makespan
+and speedup (device work over makespan) next to the planner's estimate —
 the two must agree within the executor's validation tolerance.
 """
 
@@ -74,8 +75,9 @@ def build_table(rows) -> ResultTable:
             report.exchanges,
         )
     table.note(
-        "executed on per-drive timelines; speedup = event-log device work "
-        "/ makespan; media are indivisible, the robot arm is shared"
+        "executed on per-drive timelines; speedup = device work (every charged "
+        "second but robot-arm waits) / makespan; media are indivisible, the "
+        "robot arm is shared"
     )
     return table
 

@@ -54,7 +54,7 @@ DEFAULT_DUMPS = os.path.join(REPO_ROOT, ".reach")
 
 #: most function lines that may stay unreached outside ``ALLOWLIST``
 #: (the measured remainder; lower it with every sweep)
-LIMIT = 345
+LIMIT = 342
 
 E2E_WORKLOADS = ("archive_read", "service_read", "query_hot", "ingest_update")
 EXAMPLES = ("cache_tuning.py", "climate_archive.py", "genome_browser.py",

@@ -270,11 +270,12 @@ class Parallel(Thrash):
     """The thrash row's slab batch, bigger, staged by several drives: small
     media force it across many tapes.
 
-    With ``parallel_drives > 1`` each admission wave runs through the
-    discrete-event :class:`~repro.core.scheduler.ParallelExecutor` — one
-    virtual timeline per drive, the robot arm serialised between them —
-    so the batch's staging makespan shrinks with the drive count while
-    the streamed bytes stay identical.
+    With more than one drive each admission wave runs through the
+    discrete-event :class:`~repro.core.scheduler.ParallelExecutor`: the
+    serial loop's mounts, seeks and reads, overlapped across the drives on
+    one virtual timeline each, the robot arm serialised between them — so
+    the batch's staging makespan shrinks with the drive count while the
+    streamed bytes stay identical.
     """
 
     command, help = "parallel", "stage one batch at several drive counts"
@@ -287,7 +288,6 @@ class Parallel(Thrash):
         return HeavenConfig(
             tape_profile=scaled_profile(TAPE_PROFILES["DLT-7000"], 48 * MB),
             num_drives=params.drives,
-            parallel_drives=params.drives,
             super_tile_bytes=8 * MB,
             disk_cache_bytes=1 * GB,
             retain_payload=False,

@@ -27,12 +27,11 @@ class HeavenConfig:
 
     Attributes:
         tape_profile: drive/media technology of the tertiary layer.
-        num_drives: read/write stations in the library.
-        parallel_drives: drives the staging path may run concurrently
-            (Kapitel 3.7.3).  ``1`` keeps staging serial; higher values
-            dispatch each admission wave through the
-            :class:`~repro.core.scheduler.ParallelExecutor` with one
-            virtual timeline per drive (capped at ``num_drives``).
+        num_drives: read/write stations in the library.  With more than
+            one, every admission wave stages through the
+            :class:`~repro.core.scheduler.ParallelExecutor` (Kapitel
+            3.7.3): the serial loop's mounts, seeks and reads, overlapped
+            across the drives on one virtual timeline each.
         attachment: how HEAVEN is coupled to tertiary storage
             (Kapitel 3.1).  ``"drive"`` talks to the library directly
             (segment-level access, partial super-tile runs possible);
@@ -89,7 +88,6 @@ class HeavenConfig:
 
     tape_profile: TapeProfile = DLT_7000
     num_drives: int = 1
-    parallel_drives: int = 1
     attachment: str = "drive"
     super_tile_bytes: Optional[int] = 128 * MB
     min_super_tile_bytes: int = 8 * MB
@@ -122,5 +120,3 @@ class HeavenConfig:
             raise ValueError(f"pyramid factors must be >= 2: {self.pyramid_factors}")
         if self.num_drives < 1:
             raise ValueError("num_drives must be >= 1")
-        if self.parallel_drives < 1:
-            raise ValueError("parallel_drives must be >= 1")

@@ -13,19 +13,21 @@ Tape requests of one or many queries are reordered before execution:
 The FIFO scheduler executes requests in arrival order — the baseline the
 scheduling experiment (E9) compares against.
 
-Multi-drive batches run through the :class:`ParallelExecutor`: whole-media
-elevator sweeps are dispatched onto per-drive :class:`~repro.tertiary.clock.
-Timeline`\\ s (longest-processing-time-first, with idle drives stealing the
-next-heaviest medium), the robot arm serialises one exchange at a time, and
-the global clock advances once, to the max of the device timelines — the
-batch makespan.  :func:`plan_parallel` runs the *same* dispatch loop over
-the same cost model without touching devices, so its estimate and the
-executed makespan agree by construction (validated per medium after every
-parallel batch).
+Multi-drive batches run through the :class:`ParallelExecutor`: the serial
+schedule, overlapped.  Each medium visit goes to the drive the serial loop
+would use and each drive makes the serial loop's moves in its order, but on
+its own :class:`~repro.tertiary.clock.Timeline`; the robot arm serves one
+exchange at a time, in schedule order, and the global clock advances once,
+to the max of the device timelines — the batch makespan.
+:func:`plan_parallel` makes the *same* moves over the same cost model
+without touching devices, so its estimate and the executed makespan agree
+by construction; the executor checks every visit's executed service time
+against that cost model.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
@@ -41,7 +43,7 @@ from ..errors import HeavenError
 from ..obs.trace import null_tracer
 from ..tertiary.clock import Stopwatch, Timeline
 from ..tertiary.drive import Drive
-from ..tertiary.library import TapeLibrary
+from ..tertiary.library import TapeLibrary, pick_drive
 from ..tertiary.profiles import TapeProfile
 
 
@@ -236,48 +238,51 @@ class DrivePlan:
 class ParallelPlan:
     """Makespan analysis of a batch spread over several drives.
 
-    Media are indivisible (a medium can only be in one drive), so the plan
-    assigns whole media to drives by longest-processing-time-first and
-    executes each drive's share as an elevator sweep.  ``makespan`` is the
-    longest drive timeline — the wall-clock of the parallel batch.
-
-    The plan is produced by running the :class:`ParallelExecutor`'s own
-    dispatch loop over the profile's cost model (exchange, load, seeks
-    including the rewind before every stow, transfers, robot-arm
-    serialisation) without touching any device, so on a fault-free run the
-    executed makespan matches the plan exactly.
+    The plan runs the serial schedule — the batch in scheduler order, each
+    medium visit on the drive :meth:`TapeLibrary.mount` would pick — over
+    the profile's cost model (exchange, load, seeks including the rewind
+    before every stow, transfers) with one timeline per drive and the robot
+    arm serving exchanges in schedule order, without touching any device.
+    On a fault-free run the :class:`ParallelExecutor` makes exactly these
+    moves, so its makespan matches the plan.  ``serial_seconds`` is the
+    same schedule run one operation at a time (the sum of the service
+    seconds); ``makespan_seconds`` the longest drive timeline.
     """
 
     drives: List[DrivePlan]
     serial_seconds: float
     makespan_seconds: float
-    #: planned service seconds per medium (exchange+load+sweep; no waits)
-    medium_seconds: Dict[str, float] = field(default_factory=dict)
     #: planned total seconds drives spend waiting on the robot arm
     robot_wait_seconds: float = 0.0
 
 
-# -- shared cost/dispatch core (planner and executor run the same loop) ------
+# -- shared cost model (planner and executor make the same moves) ------------
 
 
-@dataclass(frozen=True)
-class _MediumJob:
-    """One medium's share of a batch: its coalesced elevator sweep."""
+def _visits(ordered: Sequence[TapeRequest]) -> List[Tuple[str, List[TapeRequest]]]:
+    """The schedule's medium visits: runs of consecutive same-medium requests.
 
-    medium_id: str
-    runs: Tuple[CoalescedRun, ...]
-    requests: Tuple[TapeRequest, ...]  # elevator (ascending-offset) order
+    An elevator order visits each medium once; a FIFO order may come back.
+    """
+    visits: List[Tuple[str, List[TapeRequest]]] = []
+    for request in ordered:
+        if visits and visits[-1][0] == request.medium_id:
+            visits[-1][1].append(request)
+        else:
+            visits.append((request.medium_id, [request]))
+    return visits
 
 
 def _sweep_seconds(
-    profile: TapeProfile, runs: Sequence[CoalescedRun], head: int
+    profile: TapeProfile, requests: Sequence[TapeRequest], head: int
 ) -> Tuple[float, int]:
-    """Seconds for a coalesced sweep starting at *head*; returns end head."""
+    """Seconds to stream *requests* in order starting at *head*; returns the
+    end head.  One seek+stream per request, as the drive charges them."""
     seconds = 0.0
-    for run in runs:
-        seconds += profile.seek_time(abs(run.offset - head))
-        seconds += profile.transfer_time(run.length)
-        head = run.end
+    for request in requests:
+        seconds += profile.seek_time(abs(request.offset - head))
+        seconds += profile.transfer_time(request.length)
+        head = request.offset + request.length
     return seconds, head
 
 
@@ -300,151 +305,36 @@ def _mount_seconds(
     return seconds
 
 
-def _select_drives(
-    library: TapeLibrary, num_drives: int, media_ids: AbstractSet[str]
-) -> List[Drive]:
-    """The drives a batch runs on: holders of requested media first.
-
-    A medium that already sits in a drive must be served by that drive
-    (media are indivisible), so holders join the set first and the rest
-    fills up in drive order.
-    """
-    chosen: List[Drive] = [
-        d
-        for d in library.drives
-        if d.medium is not None and d.medium.medium_id in media_ids
-    ][:num_drives]
-    for drive in library.drives:
-        if len(chosen) >= num_drives:
-            break
-        if drive not in chosen:
-            chosen.append(drive)
-    return chosen
+def _visit_seconds(
+    profile: TapeProfile, drive: Drive, medium_id: str, requests: Sequence[TapeRequest]
+) -> float:
+    """Service seconds the cost model expects for *drive* to serve a visit
+    of *requests* on *medium_id* from its current state (no waits)."""
+    loaded = drive.medium.medium_id if drive.medium is not None else None
+    if loaded == medium_id:
+        return _sweep_seconds(profile, requests, drive.head_position)[0]
+    return (
+        _mount_seconds(profile, loaded, drive.head_position)
+        + _sweep_seconds(profile, requests, 0)[0]
+    )
 
 
-def _prepare_batch(
-    requests: Sequence[TapeRequest],
-    library: TapeLibrary,
-    num_drives: int,
-) -> Tuple[List[Drive], List[List[str]], List[str], Dict[str, _MediumJob]]:
-    """Split a batch into per-medium jobs and seed the dispatch queues.
-
-    Returns ``(drives, preassigned, remaining, jobs)``: the participating
-    drives (physical ones; the planner pads with hypothetical empty drives
-    beyond that), per-drive queues of media already mounted in them, and
-    the shared queue of remaining media in descending-cost (LPT) order —
-    the queue idle drives steal from.
-    """
-    by_medium: Dict[str, List[TapeRequest]] = {}
-    for request in requests:
-        by_medium.setdefault(request.medium_id, []).append(request)
-    jobs: Dict[str, _MediumJob] = {}
-    for medium_id, medium_requests in by_medium.items():
-        ordered = sorted(medium_requests, key=lambda r: (r.offset, r.key))
-        jobs[medium_id] = _MediumJob(
-            medium_id=medium_id,
-            runs=tuple(coalesce_requests(ordered)),
-            requests=tuple(ordered),
-        )
-    drives = _select_drives(library, num_drives, set(by_medium))
-    preassigned: List[List[str]] = [[] for _ in range(num_drives)]
-    taken = set()
-    for i, drive in enumerate(drives):
-        if drive.medium is not None and drive.medium.medium_id in jobs:
-            preassigned[i].append(drive.medium.medium_id)
-            taken.add(drive.medium.medium_id)
-    profile = library.profile
-    cold = {
-        medium_id: profile.full_exchange_time()
-        + _sweep_seconds(profile, job.runs, 0)[0]
-        for medium_id, job in jobs.items()
-        if medium_id not in taken
-    }
-    remaining = sorted(cold, key=lambda m: (-cold[m], m))
-    return drives, preassigned, remaining, jobs
-
-
-def _next_dispatch(
-    nows: Sequence[float],
-    preassigned: List[List[str]],
-    remaining: List[str],
-) -> Optional[Tuple[int, str]]:
-    """Pick the next (drive index, medium) to serve, or None when drained.
-
-    The drive whose timeline is furthest behind goes next (ties broken by
-    index), which keeps robot-arm reservations in chronological order —
-    the property that makes ``free_at`` bookkeeping a correct
-    discrete-event treatment of the shared arm.  A drive serves media
-    already mounted in it first, then steals from the shared LPT queue.
-    """
-    candidates = [
-        i for i in range(len(nows)) if preassigned[i] or remaining
-    ]
-    if not candidates:
-        return None
-    i = min(candidates, key=lambda i: (nows[i], i))
-    medium_id = preassigned[i].pop(0) if preassigned[i] else remaining.pop(0)
-    return i, medium_id
-
-
-@dataclass
+@dataclass(eq=False)
 class _SimDrive:
     """Planner-side mirror of one drive's state and timeline."""
 
-    loaded: Optional[str]
+    medium: Optional[str]
     head: int
     now: float
+    last_used: int
     busy: float = 0.0
     wait: float = 0.0
     media: List[str] = field(default_factory=list)
+    requests: List[TapeRequest] = field(default_factory=list)
 
-
-def _simulate_dispatch(
-    profile: TapeProfile,
-    states: List[_SimDrive],
-    preassigned: List[List[str]],
-    remaining: List[str],
-    jobs: Dict[str, _MediumJob],
-    robot_free: float,
-    start: float,
-) -> Tuple[float, Dict[str, float]]:
-    """Run the dispatch loop over the cost model (no devices touched).
-
-    Mutates *states*; returns ``(makespan, service seconds per medium)``.
-    """
-    pre = [list(queue) for queue in preassigned]
-    rem = list(remaining)
-    medium_seconds: Dict[str, float] = {}
-    while True:
-        pick = _next_dispatch([s.now for s in states], pre, rem)
-        if pick is None:
-            break
-        index, medium_id = pick
-        state = states[index]
-        job = jobs[medium_id]
-        service = 0.0
-        if state.loaded != medium_id:
-            arm_at = max(state.now, robot_free)
-            state.wait += arm_at - state.now
-            mount = _mount_seconds(profile, state.loaded, state.head)
-            # The arm is released once the cartridge is in the drive's
-            # mouth; the drive threads (loads) it on its own time.
-            robot_free = arm_at + mount - profile.load_time_s
-            state.now = arm_at + mount
-            service += mount
-            head = 0
-        else:
-            head = state.head
-        sweep, head = _sweep_seconds(profile, job.runs, head)
-        state.now += sweep
-        service += sweep
-        state.busy += service
-        state.head = head
-        state.loaded = medium_id
-        state.media.append(medium_id)
-        medium_seconds[medium_id] = service
-    makespan = max((s.now for s in states), default=start) - start
-    return makespan, medium_seconds
+    @property
+    def loaded(self) -> bool:
+        return self.medium is not None
 
 
 def plan_parallel(
@@ -452,15 +342,15 @@ def plan_parallel(
     library: TapeLibrary,
     num_drives: int,
 ) -> ParallelPlan:
-    """Partition a batch across *num_drives* drives and compute the makespan.
+    """Plan a batch on *num_drives* drives and compute its makespan.
 
-    The plan runs the executor's own dispatch loop over the profile's cost
-    model: whole media assigned longest-first, idle drives stealing from
-    the shared queue, one robot-arm exchange at a time.  ``num_drives`` may
-    exceed the library's physical drives — extra drives are simulated as
-    empty stations (a what-if analysis); the :class:`ParallelExecutor`
-    itself is capped by the hardware.  ``serial_seconds`` is the same
-    simulation on a single drive.
+    The batch is ordered as the :class:`ParallelExecutor` orders it (by the
+    :class:`ElevatorScheduler`), then its serial schedule is run over the
+    cost model with one timeline per drive.  The stations are the library's
+    first *num_drives* drives, then free what-if stations beyond the
+    hardware (the executor itself is capped by it).  A medium already in a
+    drive is served there; any other goes to the first free station, else
+    to the least recently used one — :meth:`TapeLibrary.mount`'s pick.
     """
     if num_drives < 1:
         raise HeavenError("need at least one drive")
@@ -469,55 +359,56 @@ def plan_parallel(
     # A reset clock can leave the arm horizon in the "future"; physically
     # the arm is idle before the batch starts.
     robot_free = min(library.robot.free_at, start)
-
-    def states_for(drives: List[Drive], count: int) -> List[_SimDrive]:
-        states = [
-            _SimDrive(
-                loaded=d.medium.medium_id if d.medium is not None else None,
-                head=d.head_position,
-                now=start,
-            )
-            for d in drives
-        ]
-        while len(states) < count:  # hypothetical empty stations
-            states.append(_SimDrive(loaded=None, head=0, now=start))
-        return states
-
-    drives, preassigned, remaining, jobs = _prepare_batch(
-        requests, library, num_drives
-    )
-    states = states_for(drives, num_drives)
-    makespan, medium_seconds = _simulate_dispatch(
-        profile, states, preassigned, remaining, jobs, robot_free, start
-    )
-
-    serial_drives, serial_pre, serial_rem, _ = _prepare_batch(
-        requests, library, 1
-    )
-    serial_states = states_for(serial_drives, 1)
-    serial, _serial_media = _simulate_dispatch(
-        profile, serial_states, serial_pre, serial_rem, jobs, robot_free, start
-    )
-
-    plans = []
-    for index, state in enumerate(states):
-        plans.append(
+    states = [
+        _SimDrive(
+            medium=d.medium.medium_id if d.medium is not None else None,
+            head=d.head_position,
+            now=start,
+            last_used=d.last_used,
+        )
+        for d in library.drives
+    ]
+    stations = states[:num_drives]
+    while len(stations) < num_drives:  # hypothetical empty stations
+        stations.append(_SimDrive(medium=None, head=0, now=start, last_used=0))
+    uses = itertools.count(max(s.last_used for s in states) + 1)
+    holders = {s.medium: s for s in states if s.medium is not None}
+    for medium_id, visit in _visits(ElevatorScheduler().order(requests, library)):
+        state = holders.get(medium_id)
+        if state is None:
+            state = pick_drive(stations)
+            arm_at = max(state.now, robot_free)
+            state.wait += arm_at - state.now
+            mount = _mount_seconds(profile, state.medium, state.head)
+            # The arm is released once the cartridge is in the drive's
+            # mouth; the drive threads (loads) it on its own time.
+            robot_free = arm_at + mount - profile.load_time_s
+            state.now = arm_at + mount
+            state.busy += mount
+            holders.pop(state.medium, None)
+            holders[medium_id] = state
+            state.medium, state.head = medium_id, 0
+        sweep, state.head = _sweep_seconds(profile, visit, state.head)
+        state.now += sweep
+        state.busy += sweep
+        state.last_used = next(uses)
+        state.media.append(medium_id)
+        state.requests.extend(visit)
+    used = stations + [s for s in states if s.media and s not in stations]
+    return ParallelPlan(
+        drives=[
             DrivePlan(
                 drive_index=index,
-                media=list(state.media),
-                requests=[
-                    r for medium in state.media for r in jobs[medium].requests
-                ],
+                media=state.media,
+                requests=state.requests,
                 busy_seconds=state.busy,
                 wait_seconds=state.wait,
             )
-        )
-    return ParallelPlan(
-        drives=plans,
-        serial_seconds=serial,
-        makespan_seconds=makespan,
-        medium_seconds=medium_seconds,
-        robot_wait_seconds=sum(s.wait for s in states),
+            for index, state in enumerate(used)
+        ],
+        serial_seconds=sum(s.busy for s in used),
+        makespan_seconds=max(s.now for s in used) - start,
+        robot_wait_seconds=sum(s.wait for s in used),
     )
 
 
@@ -526,15 +417,6 @@ ESTIMATE_TOLERANCE = 0.10
 
 #: event kinds that mark a window as fault-afflicted (estimates don't apply)
 _FAULT_KINDS = frozenset({"fault", "backoff"})
-
-
-def _window_device_seconds(events, devices: AbstractSet[str]) -> float:
-    """Charged service seconds of *devices* in an event window (no waits)."""
-    return sum(
-        e.duration
-        for e in events
-        if e.device in devices and e.kind != "robot-wait"
-    )
 
 
 def _check_estimate(
@@ -551,9 +433,14 @@ def _check_estimate(
     :data:`ESTIMATE_TOLERANCE`: a bad estimate silently skews every
     plan-driven decision, so drifting is a bug, not a warning.
     """
-    if planned <= 0 or any(e.kind in _FAULT_KINDS for e in events):
+    if planned <= 0:
         return None
-    actual = _window_device_seconds(events, devices)
+    actual = 0.0  # charged service seconds of *devices* (no waits)
+    for event in events:
+        if event.kind in _FAULT_KINDS:
+            return None
+        if event.device in devices and event.kind != "robot-wait":
+            actual += event.duration
     drift = abs(actual - planned) / planned
     if drift > ESTIMATE_TOLERANCE:
         raise HeavenError(
@@ -612,7 +499,6 @@ def execute_batch(
         order=[r.key for r in ordered],
     )
 
-
 # -- parallel execution (Kapitel 3.7.3) --------------------------------------
 
 
@@ -633,15 +519,14 @@ class ParallelReport(ScheduleReport):
 
     Extends :class:`ScheduleReport`: ``virtual_seconds`` is the batch
     makespan (the global clock advances by exactly that much),
-    ``serial_device_seconds`` the total device work, and their ratio the
-    *executed* speedup — measured from the event log, not estimated.
+    ``serial_device_seconds`` the total device work (every charged second
+    but robot-arm waits), and their ratio the *executed* speedup.
     """
 
     media: int = 0
     drives: List[DriveShare] = field(default_factory=list)
     robot_wait_seconds: float = 0.0
     assembly_seconds: float = 0.0
-    planned_makespan_seconds: float = 0.0
     estimate_drift: float = 0.0
 
     @property
@@ -657,24 +542,31 @@ class ParallelReport(ScheduleReport):
 
 
 class ParallelExecutor:
-    """Discrete-event execution of a batch across several real drives.
+    """Discrete-event execution of a batch across several real drives: the
+    serial schedule, overlapped.
 
-    Each participating drive gets its own :class:`Timeline`; whole-media
-    elevator sweeps are dispatched longest-first with idle drives stealing
-    from the shared queue, and the robot arm serialises exchanges across
-    timelines via its ``free_at`` horizon.  After the last sweep the global
-    clock advances once, to the max of the timelines — so to the rest of
-    the system the batch took its makespan, while the event log carries
-    true per-device start times throughout.
+    The batch runs in its scheduler's order, and every medium visit goes
+    to the drive the serial loop would use (:meth:`TapeLibrary.drive_for`:
+    the holder, else a free drive, else the least recently used one), so
+    the drives make exactly the mounts, seeks and reads of
+    ``library.read_extent`` called request by request.  Only the timing
+    differs: each drive charges its own :class:`Timeline`, the robot arm
+    serves exchanges in schedule order via its ``free_at`` horizon, and
+    after the batch the global clock advances once, to the max of the
+    timelines — the batch makespan.  Every operation ends no later than it
+    would in the serial loop.
 
-    ``on_staged(request)`` pipelines stage with assembly: it runs on a
-    separate assembly timeline seeded at each run's completion instant, so
-    decoding/landing staged segments overlaps the drive streaming the next
-    run (the overlap E4 shows dominating TCT export, now on the read path).
+    ``on_staged(request)`` lands each streamed request on a separate
+    assembly timeline, in request order, each no earlier than its drive
+    finished streaming it — so the disk cache sees the serial loop's
+    insertions, while landing overlaps the drives streaming on.
 
-    Every medium's executed service time is validated against the plan's
-    estimate (fault windows excluded); drift beyond
-    :data:`ESTIMATE_TOLERANCE` raises.
+    ``num_drives`` below the hardware's count is a what-if: only the first
+    that many drives take new media.  Every visit's executed service time
+    is validated against the cost model's estimate for it, made from the
+    drive's state just before the visit — the per-visit cost the planner
+    sums (fault windows excluded); drift beyond :data:`ESTIMATE_TOLERANCE`
+    raises.
     """
 
     def __init__(
@@ -682,6 +574,7 @@ class ParallelExecutor:
         library: TapeLibrary,
         num_drives: Optional[int] = None,
         tracer=None,
+        scheduler: Optional[Scheduler] = None,
     ) -> None:
         available = len(library.drives)
         wanted = num_drives if num_drives is not None else available
@@ -690,6 +583,9 @@ class ParallelExecutor:
         self.library = library
         self.num_drives = min(wanted, available)
         self.tracer = tracer if tracer is not None else null_tracer
+        self.scheduler = scheduler if scheduler is not None else ElevatorScheduler()
+        #: drives that take no new media (a what-if below the hardware)
+        self._excluded = frozenset(d.drive_id for d in library.drives[self.num_drives:])
 
     def execute(
         self,
@@ -699,124 +595,131 @@ class ParallelExecutor:
         """Serve *requests* across the drives; returns the executed report."""
         if not requests:
             return ParallelReport()
-        clock = self.library.clock
+        library = self.library
+        clock = library.clock
         if clock.active_timeline is not None:
             raise HeavenError("parallel batches cannot nest inside a timeline")
         # The global clock is monotone, so at batch start the arm cannot be
         # busy in the future; a stale horizon (clock reset since the last
         # exchange) would otherwise charge phantom waits on the timelines.
-        robot = self.library.robot
+        robot = library.robot
         if robot.free_at > clock.now:
             robot.free_at = clock.now
-        plan = plan_parallel(requests, self.library, self.num_drives)
-        drives, preassigned, remaining, jobs = _prepare_batch(
-            requests, self.library, self.num_drives
-        )
+        visits = _visits(self.scheduler.order(requests, library))
         start = clock.now
-        timelines = [drive.timeline_at(start) for drive in drives]
+        timelines = {d.drive_id: d.timeline_at(start) for d in library.drives}
         assembly = Timeline.at("assembly", start)
-        stats_before = self.library.stats()
-        log_start = clock.log.cursor()
+        before = _tape_counters(library)
         order: List[str] = []
-        shares = {
-            drive.drive_id: DriveShare(drive_id=drive.drive_id)
-            for drive in drives
-        }
+        shares: Dict[str, DriveShare] = {}
         drift = 0.0
         with self.tracer.span(
             "scheduler.parallel",
-            drives=len(drives),
-            media=len(jobs),
+            drives=self.num_drives,
+            media=len(visits),
             requests=len(requests),
         ):
             try:
-                while True:
-                    pick = _next_dispatch(
-                        [t.now for t in timelines], preassigned, remaining
+                for medium_id, visit in visits:
+                    drive, visit_drift = self._serve(
+                        medium_id, visit, timelines, assembly, on_staged
                     )
-                    if pick is None:
-                        break
-                    index, medium_id = pick
-                    medium_drift = self._serve_medium(
-                        drives[index],
-                        timelines[index],
-                        jobs[medium_id],
-                        plan.medium_seconds.get(medium_id, 0.0),
-                        assembly,
-                        on_staged,
-                        order,
-                        shares[drives[index].drive_id],
-                    )
-                    if medium_drift is not None:
-                        drift = max(drift, medium_drift)
+                    order.extend(request.key for request in visit)
+                    share = shares.get(drive.drive_id)
+                    if share is None:
+                        share = shares[drive.drive_id] = DriveShare(drive.drive_id)
+                    share.media.append(medium_id)
+                    share.requests += len(visit)
+                    if visit_drift is not None and visit_drift > drift:
+                        drift = visit_drift
             finally:
                 # The batch is over when the slowest timeline finishes —
                 # including the assembly tail still landing staged data.
-                clock.sync_to(timelines + [assembly])
-        stats_after = self.library.stats()
-        for timeline, drive in zip(timelines, drives):
-            share = shares[drive.drive_id]
-            share.busy_seconds = timeline.busy_seconds
-            share.wait_seconds = timeline.wait_seconds
-        window = clock.log.window(log_start, clock.log.cursor())
+                clock.sync_to([*timelines.values(), assembly])
+        exchanges, seeks, distance, bytes_read, robot_wait = (
+            after - prior for after, prior in zip(_tape_counters(library), before)
+        )
+        for drive_id, share in shares.items():
+            share.busy_seconds = timelines[drive_id].busy_seconds
+            share.wait_seconds = timelines[drive_id].wait_seconds
         return ParallelReport(
             requests=len(requests),
-            exchanges=stats_after.exchanges - stats_before.exchanges,
-            seeks=stats_after.seeks - stats_before.seeks,
-            seek_distance_bytes=(
-                stats_after.seek_distance_bytes
-                - stats_before.seek_distance_bytes
-            ),
-            bytes_read=stats_after.bytes_read - stats_before.bytes_read,
+            exchanges=exchanges,
+            seeks=seeks,
+            seek_distance_bytes=distance,
+            bytes_read=bytes_read,
             virtual_seconds=clock.now - start,
-            serial_device_seconds=sum(
-                e.duration for e in window if e.kind != "robot-wait"
+            serial_device_seconds=(
+                sum(t.busy_seconds for t in timelines.values())
+                + assembly.busy_seconds
             ),
             order=order,
-            media=len(jobs),
-            drives=[shares[d.drive_id] for d in drives],
-            robot_wait_seconds=(
-                stats_after.time_robot_wait_s - stats_before.time_robot_wait_s
-            ),
+            media=len({medium_id for medium_id, _visit in visits}),
+            drives=[shares[d.drive_id] for d in library.drives if d.drive_id in shares],
+            robot_wait_seconds=robot_wait,
             assembly_seconds=assembly.elapsed,
-            planned_makespan_seconds=plan.makespan_seconds,
             estimate_drift=drift,
         )
 
-    def _serve_medium(
+    def _serve(
         self,
-        drive: Drive,
-        timeline: Timeline,
-        job: _MediumJob,
-        planned: float,
+        medium_id: str,
+        visit: Sequence[TapeRequest],
+        timelines: Dict[str, Timeline],
         assembly: Timeline,
         on_staged: Optional[Callable[[TapeRequest], None]],
-        order: List[str],
-        share: DriveShare,
-    ) -> Optional[float]:
-        """Mount and sweep one whole medium on *drive*'s timeline."""
-        clock = self.library.clock
+    ) -> Tuple[Drive, Optional[float]]:
+        """Mount *medium_id* where the serial loop would, then stream and
+        land *visit* request by request on that drive's timeline.
+
+        Returns the drive and the visit's estimate drift: its service
+        seconds against the cost model's, estimated from the drive's state
+        just before the visit (see :func:`_check_estimate`).
+        """
+        library, clock = self.library, self.library.clock
+        drive = library.drive_for(medium_id, self._excluded)
+        planned = _visit_seconds(library.profile, drive, medium_id, visit)
+        window_start = clock.log.cursor()
+        timeline = timelines[drive.drive_id]
         with clock.timeline(timeline):
-            window_start = clock.log.cursor()
-            self.library.mount_on(job.medium_id, drive)
-            for run in job.runs:
-                self.library.read_extent_on(drive, run.offset, run.length)
-                order.extend(r.key for r in run.requests)
+            took = library.mount(medium_id, drive)
+        if took is not drive:  # the load failed over: go on where it landed
+            drive = took
+            _catch_up(timelines[drive.drive_id], timeline.now)
+            timeline = timelines[drive.drive_id]
+        with clock.timeline(timeline):
+            for request in visit:
+                library.read_extent_on(drive, request.offset, request.length)
                 if on_staged is not None:
-                    # Assembly picks the run up the instant the drive is
-                    # done streaming it (or as soon as it drains earlier
-                    # runs) and proceeds while the drive seeks on.
-                    if assembly.now < timeline.now:
-                        assembly.now = timeline.now
+                    # The run lands the instant its drive finished streaming
+                    # it (or once earlier runs have landed) while the drive
+                    # seeks on.
+                    _catch_up(assembly, timeline.now)
                     with clock.timeline(assembly):
-                        for request in run.requests:
-                            on_staged(request)
-            window_end = clock.log.cursor()
-        share.media.append(job.medium_id)
-        share.requests += len(job.requests)
-        return _check_estimate(
-            job.medium_id,
+                        on_staged(request)
+        return drive, _check_estimate(
+            medium_id,
             planned,
-            clock.log.window(window_start, window_end),
-            {drive.drive_id, self.library.robot.robot_id},
+            clock.log.window(window_start, clock.log.cursor()),
+            {drive.drive_id, library.robot.robot_id},
         )
+
+
+def _tape_counters(library: TapeLibrary) -> Tuple[int, int, int, int, float]:
+    """Exchanges, seeks, seek distance, bytes read and robot-wait seconds so
+    far: the counters a :class:`ParallelReport` reports the deltas of."""
+    seeks = distance = bytes_read = 0
+    for drive in library.drives:
+        seeks += drive.stats.seeks
+        distance += drive.stats.seek_distance_bytes
+        bytes_read += drive.stats.bytes_read
+    robot = library.robot.stats
+    return robot.exchanges, seeks, distance, bytes_read, robot.wait_s
+
+
+def _catch_up(timeline: Timeline, now: float) -> None:
+    """Hold *timeline* until *now*: the idle span counts as waiting, so its
+    ``busy_seconds`` stay the seconds charged on it."""
+    if timeline.now < now:
+        timeline.wait_seconds += now - timeline.now
+        timeline.now = now

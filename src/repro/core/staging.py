@@ -27,7 +27,7 @@ from ..arrays.mdd import MDD
 from ..arrays.tile import Tile
 from ..errors import CacheError, HeavenError
 from .cache import DiskCache, MemoryTileCache
-from .scheduler import ParallelExecutor, TapeRequest
+from .scheduler import FIFOScheduler, ParallelExecutor, TapeRequest
 from .super_tile import SuperTile
 
 if TYPE_CHECKING:
@@ -335,20 +335,18 @@ def _stage_wave(
 ) -> List[str]:
     """Stream one wave of requests from tape into the disk cache.
 
-    With ``config.parallel_drives > 1`` (and a library that has the
-    stations) the wave is dispatched through the
-    :class:`~repro.core.scheduler.ParallelExecutor`: one virtual timeline
-    per drive, whole-media sweeps, the robot arm serialised across
-    timelines, and landing (:func:`_land_staged`) pipelined on the assembly
-    timeline while the drives stream on.  The serial path stays
-    byte-for-byte what it always was.
+    A library with several drives runs the wave through the
+    :class:`~repro.core.scheduler.ParallelExecutor`: the serial loop's
+    mounts, seeks and reads, each drive on its own virtual timeline, the
+    robot arm serialised across them, and landing (:func:`_land_staged`) in
+    request order on the assembly timeline while the drives stream on.  The
+    wave is already in the scheduler's order, so it runs as given.  With one
+    drive there is nothing to overlap, and the wave streams serially.
     """
     staged_keys: List[str] = []
-    if heaven.config.parallel_drives > 1 and len(heaven.library.drives) > 1:
+    if len(heaven.library.drives) > 1:
         executor = ParallelExecutor(
-            heaven.library,
-            num_drives=heaven.config.parallel_drives,
-            tracer=heaven.tracer,
+            heaven.library, tracer=heaven.tracer, scheduler=FIFOScheduler()
         )
         report = executor.execute(
             wave,

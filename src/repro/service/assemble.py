@@ -8,13 +8,14 @@ the data nodes' own: the shadow has their tile ids and their tile index
 clipped to its overlap with the query region
 (:class:`~repro.core.units.TilePayload` ``domain`` is that clip box), so
 reassembly is one paste per tile: the shadow's tile index names the clip
-box each tile must cover, and the received byte view is decoded by the
-wire's one tile decoder and copied straight into the region array.
+box each tile must cover, the payload must name the object's cell type,
+and the received byte view is decoded by the wire's one tile decoder and
+copied straight into the region array.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +61,7 @@ class ShadowObject:
         region: MInterval,
         payloads: Dict[int, TilePayload],
         *,
+        tiles: Optional[Sequence[Tile]] = None,
         missing_fill: Optional[float] = None,
     ) -> np.ndarray:
         """Paste the received tile clips into one region array.
@@ -69,16 +71,21 @@ class ShadowObject:
                 service node checks it before it charges the read).
             payloads: tile id -> received payload covering that tile's
                 overlap with *region* (byte views decode to read-only cell
-                arrays, zero-copy).
+                arrays, zero-copy).  A payload whose clip box or cell type
+                is not the one expected raises :class:`WireFormatError`.
+            tiles: *region*'s tile cover, ``tiles_for(region)``, when the
+                caller already has it (the service node split the read by
+                it); looked up here otherwise.
             missing_fill: with ``None`` (default) a tile no shard
                 delivered raises :class:`ShardUnavailableError`; a float
                 fills such tiles instead — the degraded partial-result
                 mode.
         """
-        dtype = self.mdd.cell_type.dtype
+        cell_type = self.mdd.cell_type
+        dtype = cell_type.dtype
         out = np.empty(region.shape, dtype=dtype)
         bounds = [(axis.lo, axis.hi) for axis in region.axes]
-        for tile in self.tiles_for(region):
+        for tile in self.tiles_for(region) if tiles is None else tiles:
             # The tile's overlap with the region, by integer arithmetic.
             window, shape, box = [], [], []
             for (r_lo, r_hi), axis in zip(bounds, tile.domain.axes):
@@ -99,6 +106,11 @@ class ShadowObject:
                 raise WireFormatError(
                     f"tile {tile.tile_id} of {self.descriptor.name!r} arrived "
                     f"as {payload.domain}, expected its overlap {clip}"
+                )
+            elif payload.dtype != cell_type.name:
+                raise WireFormatError(
+                    f"tile {tile.tile_id} of {self.descriptor.name!r} arrived "
+                    f"as {payload.dtype} cells, expected {cell_type.name}"
                 )
             else:
                 out[tuple(window)] = _cells(payload, dtype, tuple(shape))

@@ -194,7 +194,8 @@ class ServiceNode:
         try:
             descriptor = shadow.descriptor
             by_node: Dict[str, List[int]] = {}
-            for tile in shadow.tiles_for(parsed):
+            cover = shadow.tiles_for(parsed)
+            for tile in cover:
                 owner = self.ring.node_for(descriptor.shard_key(tile.tile_id))
                 by_node.setdefault(owner, []).append(tile.tile_id)
             sub_requests = [
@@ -232,7 +233,10 @@ class ServiceNode:
                 for tile in response.tiles:
                     payloads[tile.tile_id] = tile
             result.cells = shadow.assemble(
-                parsed, payloads, missing_fill=0.0 if self.partial_results else None
+                parsed,
+                payloads,
+                tiles=cover,
+                missing_fill=0.0 if self.partial_results else None,
             )
             result.missing_tiles = sorted(requested - set(payloads))
             if result.missing_tiles:

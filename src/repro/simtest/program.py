@@ -79,7 +79,6 @@ class SimConfig:
     """Environment knobs of one simulated run (all JSON-able scalars)."""
 
     num_drives: int = 2
-    parallel_drives: int = 2
     media_kb: int = 128
     super_tile_kb: int = 24
     disk_cache_kb: int = 96
@@ -160,7 +159,6 @@ def _draw_config(rng: random.Random) -> SimConfig:
     drives = rng.choice([1, 1, 2, 2, 4, 8])
     return SimConfig(
         num_drives=drives,
-        parallel_drives=drives,
         media_kb=rng.choice([96, 128, 256]),
         super_tile_kb=rng.choice([16, 24, 32]),
         disk_cache_kb=rng.choice([64, 96, 160, 256]),

@@ -143,7 +143,6 @@ class SimRunner:
             HeavenConfig(
                 tape_profile=scaled_profile(DLT_7000, cfg.media_kb * KB),
                 num_drives=cfg.num_drives,
-                parallel_drives=cfg.parallel_drives,
                 super_tile_bytes=cfg.super_tile_kb * KB,
                 disk_cache_bytes=cfg.disk_cache_kb * KB,
                 disk_cache_policy=cfg.policy,

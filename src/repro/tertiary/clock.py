@@ -14,14 +14,13 @@ charged.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class Event:
-    """One timed simulator event.
+class Event(NamedTuple):
+    """One timed simulator event (immutable; a named tuple, because every
+    charged second makes one).
 
     Attributes:
         time: virtual time at which the event *started* (seconds).
@@ -82,10 +81,6 @@ class EventLog:
     def window(self, start: int, end: Optional[int] = None) -> List[Event]:
         """Events with cursor in ``[start, end)``."""
         return self._events[start:end]
-
-    def since(self, cursor: int) -> List[Event]:
-        """Events appended at or after *cursor*."""
-        return self.window(cursor)
 
     def aggregate(
         self, start: int = 0, end: Optional[int] = None
@@ -244,31 +239,18 @@ class SimClock:
         nbytes: int = 0,
     ) -> Event:
         """Advance time by *seconds* and record an :class:`Event` for it."""
-        event = Event(
-            time=self.now,
-            duration=seconds,
-            kind=kind,
-            device=device,
-            detail=detail,
-            bytes=nbytes,
-        )
+        event = Event(self.now, seconds, kind, device, detail, nbytes)
         self.advance(seconds)
         self.log.append(event)
         return event
 
-    @contextmanager
-    def timeline(self, timeline: Timeline):
-        """Route charges to *timeline* for the duration of the block.
+    def timeline(self, timeline: Timeline) -> "_Lane":
+        """Route charges to *timeline* for the duration of a ``with`` block.
 
         Nestable: an inner ``with`` (e.g. the assembly lane inside a drive
         sweep) shadows the outer timeline and restores it on exit.
         """
-        self._timelines.append(timeline)
-        try:
-            yield timeline
-        finally:
-            popped = self._timelines.pop()
-            assert popped is timeline, "timeline stack corrupted"
+        return _Lane(self._timelines, timeline)
 
     def sync_to(self, timelines: Sequence[Timeline]) -> float:
         """Advance global time to the latest timeline end; returns new now.
@@ -293,6 +275,25 @@ class SimClock:
         self._now = 0.0
         self._timelines.clear()
         self.log.clear()
+
+
+class _Lane:
+    """The ``with`` block of :meth:`SimClock.timeline` (a plain class: the
+    parallel executor enters one per streamed run)."""
+
+    __slots__ = ("stack", "timeline")
+
+    def __init__(self, stack: List[Timeline], timeline: Timeline) -> None:
+        self.stack = stack
+        self.timeline = timeline
+
+    def __enter__(self) -> Timeline:
+        self.stack.append(self.timeline)
+        return self.timeline
+
+    def __exit__(self, *_exc) -> None:
+        popped = self.stack.pop()
+        assert popped is self.timeline, "timeline stack corrupted"
 
 
 @dataclass

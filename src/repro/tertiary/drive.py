@@ -8,8 +8,9 @@ benchmarks can attribute total time to mounts, seeks and transfers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..errors import SegmentNotFoundError, StorageError
 from ..faults import NO_FAULTS
@@ -52,6 +53,7 @@ class Drive:
         profile: TapeProfile,
         clock: SimClock,
         faults=NO_FAULTS,
+        uses: Optional[Iterator[int]] = None,
     ) -> None:
         self.drive_id = drive_id
         self.profile = profile
@@ -60,8 +62,12 @@ class Drive:
         self.medium: Optional[Medium] = None
         self.head_position = 0
         self.stats = DriveStats()
-        #: virtual time of the last completed operation (for LRU drive pick)
-        self.last_used = 0.0
+        #: operation counter shared by the library's drives
+        self._uses = uses if uses is not None else itertools.count(1)
+        #: the counter's value at this drive's last operation (0: never
+        #: used); the LRU drive pick ranks by it, so recency follows the
+        #: order operations were issued in, not the timelines they ran on
+        self.last_used = 0
         #: private timeline used by the parallel executor (lazily created)
         self.timeline: Optional[Timeline] = None
 
@@ -100,7 +106,7 @@ class Drive:
         medium.mount_count += 1
         self.stats.loads += 1
         self.stats.time_loading_s += cost
-        self.last_used = self.clock.now
+        self.last_used = next(self._uses)
 
     def unload(self) -> Medium:
         """Eject the loaded medium, rewinding first if the profile needs it."""
@@ -109,7 +115,7 @@ class Drive:
             self._seek_to(0, reason="rewind")
         self.medium = None
         self.stats.unloads += 1
-        self.last_used = self.clock.now
+        self.last_used = next(self._uses)
         return medium
 
     # -- positioning and transfer -------------------------------------------
@@ -182,7 +188,7 @@ class Drive:
         self.stats.seeks += 1
         self.stats.seek_distance_bytes += distance
         self.stats.time_seeking_s += cost
-        self.last_used = self.clock.now
+        self.last_used = next(self._uses)
         return cost
 
     def _transfer(self, nbytes: int, writing: bool, detail: str) -> float:
@@ -198,7 +204,7 @@ class Drive:
         else:
             self.stats.bytes_read += nbytes
         self.stats.time_transferring_s += cost
-        self.last_used = self.clock.now
+        self.last_used = next(self._uses)
         return cost
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import (
     DriveFaultError,
@@ -55,6 +55,19 @@ class RecoveryStats:
     exhausted: int = 0
 
 
+_D = TypeVar("_D")
+
+
+def pick_drive(candidates: Sequence[_D]) -> _D:
+    """The first free drive of *candidates*, else the least recently used.
+
+    Works on anything with ``loaded`` and ``last_used`` (the parallel
+    planner passes its simulated drives), so plan and library pick alike.
+    """
+    free = next((d for d in candidates if not d.loaded), None)
+    return free if free is not None else min(candidates, key=lambda d: d.last_used)
+
+
 class TapeLibrary:
     """An automated tertiary-storage system with one robot and N drives.
 
@@ -86,8 +99,9 @@ class TapeLibrary:
         self.faults.bind(self.clock)
         self.retry = retry if retry is not None else RetryPolicy()
         self.recovery = RecoveryStats()
+        uses = itertools.count(1)
         self.drives: List[Drive] = [
-            Drive(f"drive-{i}", profile, self.clock, faults=self.faults)
+            Drive(f"drive-{i}", profile, self.clock, faults=self.faults, uses=uses)
             for i in range(num_drives)
         ]
         self.robot = Robot("robot-0", profile, self.clock, faults=self.faults)
@@ -146,26 +160,38 @@ class TapeLibrary:
                 return drive
         return None
 
-    def mount(self, medium_id: str) -> Drive:
+    def mount(self, medium_id: str, drive: Optional[Drive] = None) -> Drive:
         """Ensure the medium is in a drive; returns that drive.
 
-        A free drive is used when available, otherwise the least-recently
-        used drive is recycled (its medium is exchanged by the robot).
+        The medium goes to *drive* when one is named, else to a free drive,
+        else to the least recently used one (:meth:`drive_for`); a loaded
+        drive has its medium exchanged by the robot.  A medium already in a
+        drive stays there: naming a *different* drive for it raises
+        :class:`~repro.errors.StorageError` (media are indivisible).
 
         Injected faults engage the recovery layer: a failed attempt backs
         off per the :class:`~repro.faults.RetryPolicy` and is retried; a
         drive that rejected the load (mount failure) is excluded so the
-        retry *fails over* to another drive.  When the retry budget is
-        spent the last fault escalates to :class:`RetryExhaustedError`.
+        retry *fails over* to another drive — the returned drive is the one
+        that took the medium.  When the retry budget is spent the last
+        fault escalates to :class:`RetryExhaustedError`.
         """
         medium = self.medium(medium_id)
-        drive = self.mounted_drive(medium_id)
-        if drive is not None:
-            return drive
+        holder = self.mounted_drive(medium_id)
+        if holder is not None:
+            if drive is None or holder is drive:
+                return holder
+            raise StorageError(
+                f"medium {medium_id} is mounted in {holder.drive_id}, "
+                f"cannot mount into {drive.drive_id}"
+            )
         attempt = 0
         excluded: set = set()
         while True:
-            target = self._pick_drive(excluded)
+            if drive is not None and drive.drive_id not in excluded:
+                target = drive
+            else:
+                target = self._pick_drive(excluded)
             try:
                 self.robot.mount(medium, target)
                 return target
@@ -185,47 +211,17 @@ class TapeLibrary:
                     ) from fault
                 self._backoff(attempt, f"mount {medium_id}")
 
-    def mount_on(self, medium_id: str, drive: Drive) -> Drive:
-        """Mount *medium_id* into the designated *drive*; returns that drive.
-
-        Used by the parallel executor, which owns the drive assignment:
-        unlike :meth:`mount` there is no free/LRU drive selection and no
-        failover — faulted mounts back off and retry on the same drive
-        until the retry budget is spent.  Raises
-        :class:`~repro.errors.StorageError` if the medium currently sits in
-        a *different* drive (media are indivisible across timelines).
-        """
-        medium = self.medium(medium_id)
+    def drive_for(self, medium_id: str, excluded: AbstractSet[str] = frozenset()) -> Drive:
+        """The drive :meth:`mount` puts *medium_id* in: the drive holding it,
+        else a free drive, else the least recently used one.  Drives whose
+        ids are in *excluded* are not picked while another one is left."""
         holder = self.mounted_drive(medium_id)
-        if holder is not None:
-            if holder is drive:
-                return drive
-            raise StorageError(
-                f"medium {medium_id} is mounted in {holder.drive_id}, "
-                f"cannot mount into {drive.drive_id}"
-            )
-        attempt = 0
-        while True:
-            try:
-                self.robot.mount(medium, drive)
-                return drive
-            except FaultError as fault:
-                attempt += 1
-                if attempt >= self.retry.max_attempts:
-                    self.recovery.exhausted += 1
-                    raise RetryExhaustedError(
-                        f"mount of {medium_id} on {drive.drive_id} failed "
-                        f"after {attempt} attempts: {fault}"
-                    ) from fault
-                self._backoff(attempt, f"mount {medium_id} on {drive.drive_id}")
+        return holder if holder is not None else self._pick_drive(excluded)
 
-    def _pick_drive(self, excluded: set) -> Drive:
+    def _pick_drive(self, excluded: AbstractSet[str]) -> Drive:
         """Mount target: free drive first, then LRU; honours failover bans."""
         candidates = [d for d in self.drives if d.drive_id not in excluded]
-        if not candidates:
-            candidates = self.drives
-        free = next((d for d in candidates if not d.loaded), None)
-        return free if free is not None else min(candidates, key=lambda d: d.last_used)
+        return pick_drive(candidates or self.drives)
 
     def _backoff(self, attempt: int, detail: str) -> None:
         """Charge one exponential-backoff delay before retry *attempt*."""
@@ -308,10 +304,9 @@ class TapeLibrary:
     def read_extent_on(self, drive: Drive, offset: int, length: int) -> None:
         """Stream a raw extent on a specific, already-mounted drive.
 
-        The parallel executor pins media to drives itself (via
-        :meth:`mount_on`), so reads must not re-enter the free/LRU drive
-        selection of :meth:`read_extent`.  Transient faults retry with
-        backoff exactly like the medium-addressed path.
+        The parallel executor mounts media into the drives it chose (via
+        :meth:`mount`) and streams on that drive's timeline.  Transient
+        faults retry with backoff exactly like the medium-addressed path.
         """
         self._with_read_retry(
             lambda: drive.read_extent(offset, length),

@@ -7,8 +7,13 @@ The executor's claims are checked on *executed* batches, not estimates:
 * every request of a batch is served exactly once;
 * the event-log window decomposes exactly into per-drive busy time plus
   robot-wait time (nothing double-charged, nothing lost);
-* a fixed-seed workload returns byte-identical arrays whether staging
-  runs serial or parallel.
+* the executor is the serial loop overlapped: against ``read_extent``
+  called request by request on a twin library it makes the same mounts,
+  exchanges, reads and seeks, lands in the same order, leaves the drives
+  in the same state and never takes longer;
+* a fixed-seed workload returns byte-identical arrays from a two-drive
+  library staging through the executor, the same library staging
+  serially, and a one-drive library.
 """
 
 from __future__ import annotations
@@ -19,14 +24,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import (
+    ElevatorScheduler,
+    FIFOScheduler,
     Heaven,
     HeavenConfig,
     ParallelExecutor,
     TapeRequest,
     coalesce_requests,
     plan_parallel,
+    staging,
 )
 from repro.errors import HeavenError, StorageError
+from repro.faults import FaultPlan
 from repro.tertiary import DLT_7000, MB, TapeLibrary, Timeline, scaled_profile
 
 PROFILE = scaled_profile(DLT_7000, 256 * MB)
@@ -164,13 +173,14 @@ class TestTimelineMechanics:
             with pytest.raises(RuntimeError):
                 clock.sync_to([timeline])
 
-    def test_mount_on_rejects_medium_held_elsewhere(self):
+    def test_mount_rejects_medium_held_elsewhere(self):
         library = build_library(2)
         first, second = library.drives
-        library.mount_on("m0", first)
+        assert library.mount("m0", second) is second
         with pytest.raises(StorageError):
-            library.mount_on("m0", second)
-        assert library.mount_on("m0", first) is first  # idempotent holder
+            library.mount("m0", first)
+        assert library.mount("m0", second) is second  # idempotent holder
+        assert library.mount("m0") is second
 
     def test_executor_rejects_nested_batches(self):
         library = build_library(2)
@@ -181,6 +191,129 @@ class TestTimelineMechanics:
                 executor.execute([TapeRequest("r0", "m0", 0, 1024)])
 
 
+def drive_state(library: TapeLibrary):
+    """Every drive's medium and head, and the drives by recency (LRU first)."""
+    held = [
+        (d.medium.medium_id if d.medium else None, d.head_position)
+        for d in library.drives
+    ]
+    recency = [d.drive_id for d in sorted(library.drives, key=lambda d: d.last_used)]
+    return held, recency
+
+
+def fetches(library: TapeLibrary, start: int):
+    """``(medium, drive)`` of every robot fetch since log cursor *start*."""
+    return [
+        tuple(e.detail[len("fetch "):].split(" -> "))
+        for e in library.clock.log.window(start)
+        if e.kind == "exchange" and e.detail.startswith("fetch ")
+    ]
+
+
+@st.composite
+def twin_setups(draw):
+    """A 2-3 drive library's initial mounts and head positions, and a batch."""
+    drives = draw(st.integers(2, 3))
+    media = draw(st.permutations(range(5)))
+    mounts = [
+        (index, media[index], draw(st.integers(0, 400)) * 1024)
+        for index in range(drives)
+        if draw(st.booleans())
+    ]
+    return drives, mounts, draw(request_batches())
+
+
+def build_twin(drives, mounts) -> TapeLibrary:
+    library = build_library(drives)
+    for index, medium, head in mounts:
+        drive = library.mount(f"m{medium}", library.drives[index])
+        library.read_extent_on(drive, head, 1024)
+    return library
+
+
+class TestSerialEquivalence:
+    """The executor against the serial loop it overlaps, on twin libraries."""
+
+    @given(twin_setups(), st.sampled_from([ElevatorScheduler, FIFOScheduler]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_moves_same_landing_order_never_slower(self, setup, scheduler):
+        drives, mounts, batch = setup
+        oracle, library = build_twin(drives, mounts), build_twin(drives, mounts)
+        ordered = scheduler().order(batch, oracle)
+        assert drive_state(oracle) == drive_state(library)
+
+        oracle_start, oracle_t0 = oracle.clock.log.cursor(), oracle.clock.now
+        oracle_before = oracle.stats()
+        oracle_landed = []
+        for request in ordered:
+            oracle.read_extent(request.medium_id, request.offset, request.length)
+            oracle.clock.charge(0.25, "write", "disk", nbytes=request.length)
+            oracle_landed.append(request.key)
+        oracle_after = oracle.stats()
+        oracle_elapsed = oracle.clock.now - oracle_t0
+
+        start, before = library.clock.log.cursor(), library.stats()
+        landed, landed_at = [], []
+
+        def land(request):
+            landed_at.append(library.clock.now)
+            library.clock.charge(0.25, "write", "disk", nbytes=request.length)
+            landed.append(request.key)
+
+        report = ParallelExecutor(library, scheduler=scheduler()).execute(
+            batch, on_staged=land
+        )
+        after = library.stats()
+
+        assert fetches(library, start) == fetches(oracle, oracle_start)
+        for counter in ("exchanges", "bytes_read", "seeks", "seek_distance_bytes"):
+            assert (
+                getattr(after, counter) - getattr(before, counter)
+                == getattr(oracle_after, counter) - getattr(oracle_before, counter)
+            ), counter
+        assert report.exchanges == oracle_after.exchanges - oracle_before.exchanges
+        assert landed == oracle_landed
+        # each run lands no earlier than its drive finished streaming it
+        streamed = [
+            e.time + e.duration
+            for e in library.clock.log.window(start)
+            if e.kind == "read"
+        ]
+        assert all(at >= end - 1e-9 for at, end in zip(landed_at, streamed))
+        assert landed_at == sorted(landed_at)
+        assert drive_state(library) == drive_state(oracle)
+        assert report.makespan_seconds <= oracle_elapsed + 1e-9
+        assert report.serial_device_seconds == pytest.approx(oracle_elapsed)
+
+
+class TestFailover:
+    def test_rejected_load_continues_on_the_drive_that_took_it(self):
+        plan = FaultPlan(seed=1)
+        library = TapeLibrary(PROFILE, num_drives=2, faults=plan)
+        for m in range(2):
+            library.new_medium(f"m{m}")
+        batch = [TapeRequest(f"r{i}", f"m{i % 2}", i * 4096, 2048) for i in range(6)]
+        # drive-0 rejects the first load: m0 fails over to drive-1
+        plan.fail_next("mount", device="drive-0")
+        landed = []
+        report = ParallelExecutor(library).execute(batch, on_staged=landed.append)
+        assert library.recovery.failovers == 1
+        assert library.mounted_drive("m0").drive_id == "drive-1"
+        assert sorted(r.key for r in landed) == sorted(r.key for r in batch)
+        assert report.bytes_read == sum(r.length for r in batch)
+        assert report.makespan_seconds > 0
+
+
+def serial_wave(heaven, wave, needs, ticket):
+    """The serial staging loop, whatever the drive count: each request
+    streamed by ``library.read_extent`` and landed before the next."""
+    staged_keys = []
+    for request in wave:
+        heaven.library.read_extent(request.medium_id, request.offset, request.length)
+        staging._land_staged(heaven, request, needs, ticket, staged_keys)
+    return staged_keys
+
+
 class TestHeavenByteIdentity:
     REGIONS = [
         MInterval.of((0, 100), (0, 100)),
@@ -188,12 +321,11 @@ class TestHeavenByteIdentity:
         MInterval.of((0, 31), (0, 127)),
     ]
 
-    def build(self, parallel_drives: int) -> Heaven:
+    def build(self, num_drives: int) -> Heaven:
         heaven = Heaven(
             HeavenConfig(
                 tape_profile=scaled_profile(DLT_7000, 512 * 1024),
-                num_drives=2,
-                parallel_drives=parallel_drives,
+                num_drives=num_drives,
                 super_tile_bytes=256 * 1024,
                 disk_cache_bytes=32 * MB,
                 memory_cache_bytes=8 * MB,
@@ -213,26 +345,44 @@ class TestHeavenByteIdentity:
         heaven.library.unmount_all()
         return heaven
 
-    def test_serial_and_parallel_staging_return_identical_bytes(self):
-        serial = self.build(1)
-        parallel = self.build(2)
+    def run(self, monkeypatch, batch):
+        """``read_many(batch)`` on a two-drive library staging through the
+        executor, on its twin staging serially, and on a one-drive library;
+        returns ``(heaven, cells, virtual seconds)`` per run."""
+        runs = []
+        for drives, serial in ((2, False), (2, True), (1, False)):
+            heaven = self.build(drives)
+            with monkeypatch.context() as patch:
+                if serial:
+                    patch.setattr(staging, "_stage_wave", serial_wave)
+                t0 = heaven.clock.now
+                cells, _report = heaven.read_many(batch)
+            runs.append((heaven, cells, heaven.clock.now - t0))
+        return runs
+
+    def test_serial_and_parallel_staging_return_identical_bytes(self, monkeypatch):
         batch = [
             ("col", f"obj{i}", region)
             for i in range(3)
             for region in self.REGIONS
         ]
-        serial_cells, _sr = serial.read_many(batch)
-        parallel_cells, _pr = parallel.read_many(batch)
-        for a, b in zip(serial_cells, parallel_cells):
+        (parallel, cells, _t), (serial, serial_cells, _ts), (one, one_cells, _to) = (
+            self.run(monkeypatch, batch)
+        )
+        for a, b, c in zip(cells, serial_cells, one_cells):
             assert np.array_equal(a, b)
+            assert np.array_equal(a, c)
         assert parallel.parallel_batches > 0  # the parallel path really ran
+        assert serial.parallel_batches == one.parallel_batches == 0
+        stats, serial_stats = parallel.library.stats(), serial.library.stats()
+        assert stats.exchanges == serial_stats.exchanges
+        assert stats.bytes_read == serial_stats.bytes_read == one.library.stats().bytes_read
+        assert stats.seek_distance_bytes == serial_stats.seek_distance_bytes
 
-    def test_parallel_staging_not_slower_than_serial(self):
-        serial = self.build(1)
-        parallel = self.build(2)
+    def test_parallel_staging_not_slower_than_serial(self, monkeypatch):
         batch = [("col", f"obj{i}", self.REGIONS[0]) for i in range(3)]
-        t0 = serial.clock.now
-        serial.read_many(batch)
-        t1 = parallel.clock.now
-        parallel.read_many(batch)
-        assert parallel.clock.now - t1 <= serial.clock.now - t0 + 1e-9
+        (_p, _c, parallel_s), (_s, _sc, serial_s), (_o, _oc, one_s) = self.run(
+            monkeypatch, batch
+        )
+        assert parallel_s <= serial_s + 1e-9
+        assert parallel_s <= one_s + 1e-9

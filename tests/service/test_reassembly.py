@@ -188,6 +188,19 @@ class TestShadowObject:
         with pytest.raises(WireFormatError):
             payloads[first].cells()
 
+    def test_clip_of_another_cell_type_is_rejected(self, reference):
+        # twice as many 4-byte longs as the clip has doubles: the right byte
+        # count, so only the payload's cell type name tells them apart
+        shadow = ShadowObject(self._descriptor(reference))
+        region = MInterval.parse("5:40,9:20")
+        payloads = self._clips(reference, region)
+        first = sorted(payloads)[0]
+        clip = payloads[first]
+        longs = np.arange(2 * clip.cells().size, dtype=np.int32)
+        payloads[first] = TilePayload(first, clip.domain, "long", longs.tobytes())
+        with pytest.raises(WireFormatError, match=f"tile {first} .*long"):
+            shadow.assemble(region, payloads)
+
     def test_missing_fill_degrades_instead(self, reference):
         shadow = ShadowObject(self._descriptor(reference))
         cells = shadow.assemble(

@@ -52,7 +52,6 @@ def test_config_fields_stay_in_generator_ranges():
     for seed in range(40):
         config = generate_program(seed, 1).config
         assert config.num_drives in (1, 2, 4, 8)
-        assert 1 <= config.parallel_drives <= config.num_drives
         assert config.policy in ("lru", "fifo", "lfu", "size", "gds")
         assert config.compression in ("none", "zlib")
         assert all(mixin in FAULT_MIXINS for mixin in config.fault_mixins)

@@ -4,9 +4,10 @@
 name, and its files are frozen: a callable the code stops reaching keeps
 its row, which then silently reads zero.  This test installs the table's
 ``Recorder`` (loaded read-only from its file) around a tiny archive →
-read → framed read → update → reimport run, then one read through a
-2-node service cluster, and checks that every row the read, write and
-service paths must feed counted calls.
+read → framed read → update → reimport run, one read through a 2-node
+service cluster, and an archive and cold read on a two-drive library
+(whose staging waves run through the parallel executor), and checks that
+every row the read, write and service paths must feed counted calls.
 """
 
 import importlib.util
@@ -47,6 +48,9 @@ LIVE = [
     ("repro.service:TenantRegistry", "authenticate"),
     ("repro.service:TenantRegistry", "charge"),
     ("repro.service:TenantRegistry", "settle"),
+    ("repro.tertiary:TapeLibrary", "mount"),
+    ("repro.tertiary:TapeLibrary", "read_extent_on"),
+    ("repro.tertiary:TapeLibrary", "write_segment"),
 ]
 
 
@@ -62,9 +66,11 @@ def load_tracing():
     return sys.modules[name]
 
 
-def exercise():
+def archived(num_drives):
     heaven = Heaven(
-        HeavenConfig(super_tile_bytes=8 * 1024, disk_cache_bytes=16 * 1024, num_drives=1),
+        HeavenConfig(
+            super_tile_bytes=8 * 1024, disk_cache_bytes=16 * 1024, num_drives=num_drives
+        ),
         observability=False,
     )
     heaven.create_collection("col")
@@ -77,6 +83,11 @@ def exercise():
     )
     heaven.insert("col", mdd)
     heaven.archive("col", "o0")
+    return heaven, mdd
+
+
+def exercise():
+    heaven, mdd = archived(num_drives=1)
     region = MInterval.of((0, 31), (0, 31))
     cells, _report = heaven.read_with_report("col", "o0", region)
     np.testing.assert_array_equal(cells, mdd.source.region(region, DOUBLE))
@@ -89,6 +100,13 @@ def exercise():
     result = cluster.read("token-t", "col", "o0", str(region))
     np.testing.assert_array_equal(result.cells, heaven.read("col", "o0", region))
     heaven.assert_quiescent()
+    two, mdd = archived(num_drives=2)
+    two.library.unmount_all()
+    np.testing.assert_array_equal(
+        two.read("col", "o0", mdd.domain), mdd.source.region(mdd.domain, DOUBLE)
+    )
+    assert two.parallel_batches > 0
+    two.assert_quiescent()
 
 
 def test_staging_rows_of_the_layer_table_count_calls():
