@@ -29,7 +29,7 @@ from .cellsource import (
     QuantizedSource,
     ZeroSource,
 )
-from .index import GridIndex, RTreeIndex, TileIndex, build_index
+from .index import GridIndex
 from .mdd import MDD, Collection, TileResolver
 from .minterval import MInterval, SInterval
 from .operations import (
@@ -46,17 +46,9 @@ from .operations import (
 from .query import MDDRef, QueryExecutor, QueryResult, parse, parse_expression
 from .storage import ArrayStorage
 from .tile import Tile
-from .tiling import (
-    AlignedTiling,
-    DirectionalTiling,
-    RegularTiling,
-    SizeBoundedTiling,
-    TilingScheme,
-    validate_tiling,
-)
+from .tiling import RegularTiling
 
 __all__ = [
-    "AlignedTiling",
     "ArrayStorage",
     "BOOL",
     "CHAR",
@@ -65,7 +57,6 @@ __all__ = [
     "Collection",
     "ConstantSource",
     "DOUBLE",
-    "DirectionalTiling",
     "FLOAT",
     "FunctionSource",
     "GridIndex",
@@ -80,19 +71,14 @@ __all__ = [
     "QueryExecutor",
     "QueryResult",
     "RGB",
-    "RTreeIndex",
     "RegularTiling",
     "SHORT",
     "SInterval",
-    "SizeBoundedTiling",
     "Tile",
-    "TileIndex",
     "TileResolver",
-    "TilingScheme",
     "ULONG",
     "USHORT",
     "ZeroSource",
-    "build_index",
     "cast",
     "condense",
     "condenser_names",
@@ -107,5 +93,4 @@ __all__ = [
     "shift",
     "struct_type",
     "trim",
-    "validate_tiling",
 ]

@@ -22,10 +22,10 @@ import numpy as np
 from ..errors import DomainError, TilingError
 from .celltype import CellType, DOUBLE
 from .cellsource import CellSource, ZeroSource
-from .index import GridIndex, TileIndex, build_index
+from .index import GridIndex
 from .minterval import MInterval
 from .tile import Tile
-from .tiling import RegularTiling, TilingScheme, validate_tiling
+from .tiling import RegularTiling
 
 #: Resolver installed by storage layers: materialises one tile's cells.
 TileResolver = Callable[["MDD", Tile], np.ndarray]
@@ -38,7 +38,7 @@ class MDD:
         name: object name, unique within its collection.
         domain: spatial domain (inclusive bounds per axis).
         cell_type: cell base type.
-        tiling: tiling scheme; default regular tiles of 64 cells per axis.
+        tiling: regular tiling; default tiles of 64 cells per axis.
         source: lazy cell source; defaults to zeros.
     """
 
@@ -47,7 +47,7 @@ class MDD:
         name: str,
         domain: MInterval,
         cell_type: CellType = DOUBLE,
-        tiling: Optional[TilingScheme] = None,
+        tiling: Optional[RegularTiling] = None,
         source: Optional[CellSource] = None,
     ) -> None:
         self.name = name
@@ -61,17 +61,11 @@ class MDD:
         #: set by the storage manager when the object is persisted
         self.oid: Optional[int] = None
 
-        tile_domains = self.tiling.tile_domains(domain, cell_type)
         self.tiles: Dict[int, Tile] = {
             tile_id: Tile(tile_id, tile_domain, cell_type)
-            for tile_id, tile_domain in enumerate(tile_domains)
+            for tile_id, tile_domain in enumerate(self.tiling.tile_domains(domain))
         }
-        tile_shape = (
-            tuple(self.tiling.tile_shape)  # type: ignore[attr-defined]
-            if isinstance(self.tiling, RegularTiling)
-            else None
-        )
-        self.index: TileIndex = build_index(domain, tile_domains, tile_shape)
+        self.index = GridIndex(domain, self.tiling.tile_shape)
 
     # -- constructors ---------------------------------------------------------
 
@@ -82,7 +76,7 @@ class MDD:
         cells: np.ndarray,
         origin: Optional[Sequence[int]] = None,
         cell_type: Optional[CellType] = None,
-        tiling: Optional[TilingScheme] = None,
+        tiling: Optional[RegularTiling] = None,
     ) -> "MDD":
         """Wrap a concrete numpy array as a fully materialised MDD."""
         if cell_type is None:
@@ -121,10 +115,6 @@ class MDD:
         if clipped is None:
             return []
         return [self.tiles[tile_id] for tile_id in self.index.intersecting(clipped)]
-
-    def validate(self) -> None:
-        """Self-check: tiles exactly cover the domain without overlap."""
-        validate_tiling(self.domain, [t.domain for t in self.tiles.values()])
 
     # -- cell access -----------------------------------------------------------------
 

@@ -248,13 +248,12 @@ class ArrayStorage:
         domain = MInterval.parse(row["domain"])
         cell_type = lookup_cell_type(row["cell_type"])
         tiling_text = row["tiling"]
-        tiling = None
-        if tiling_text.startswith("regular("):
-            shape = tuple(
-                int(p) for p in tiling_text[len("regular(") : -1].split(",") if p.strip()
-            )
-            tiling = RegularTiling(shape)
-        mdd = MDD(row["name"], domain, cell_type, tiling=tiling)
+        if not (tiling_text.startswith("regular(") and tiling_text.endswith(")")):
+            raise ArrayError(f"catalog tiling {tiling_text!r} is not regular(...)")
+        shape = tuple(
+            int(p) for p in tiling_text[len("regular(") : -1].split(",") if p.strip()
+        )
+        mdd = MDD(row["name"], domain, cell_type, tiling=RegularTiling(shape))
         expected = {t.tile_id: t.domain for t in mdd.tiles.values()}
         for tile_row in self.tile_rows(row["oid"]):
             stored_domain = MInterval.parse(tile_row["domain"])

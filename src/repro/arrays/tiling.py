@@ -1,37 +1,25 @@
-"""Tiling strategies: how an MDD's domain is cut into storage tiles.
+"""Regular tiling: how an MDD's domain is cut into storage tiles.
 
 RasDaMan's physical data model (Kapitel 2.5.3) stores an MDD as a set of
 non-overlapping rectangular *tiles*, each persisted as one BLOB.  The tiling
 determines everything HEAVEN later optimises: tiles are the atoms that STAR
 groups into super-tiles, and tile geometry decides how many tiles a given
-query box touches.
+query box touches.  Every object is tiled by one fixed tile shape, so its
+tiles form a grid and tile lookup is arithmetic (:class:`~repro.arrays
+.index.GridIndex`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..errors import TilingError
-from .celltype import CellType
-from .minterval import MInterval, SInterval
-
-
-class TilingScheme:
-    """Strategy object producing the tile domains of an object domain."""
-
-    def tile_domains(self, domain: MInterval, cell_type: CellType) -> List[MInterval]:
-        """Partition *domain* into disjoint covering boxes (row-major order)."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Human-readable parameterisation for catalogs and reports."""
-        raise NotImplementedError
+from .minterval import MInterval
 
 
 @dataclass(frozen=True)
-class RegularTiling(TilingScheme):
+class RegularTiling:
     """Fixed tile shape, the common RasDaMan default.
 
     Attributes:
@@ -41,7 +29,8 @@ class RegularTiling(TilingScheme):
 
     tile_shape: Sequence[int]
 
-    def tile_domains(self, domain: MInterval, cell_type: CellType) -> List[MInterval]:
+    def tile_domains(self, domain: MInterval) -> List[MInterval]:
+        """Partition *domain* into disjoint covering boxes (row-major order)."""
         if len(self.tile_shape) != domain.dimension:
             raise TilingError(
                 f"tile shape {tuple(self.tile_shape)} does not match "
@@ -52,139 +41,5 @@ class RegularTiling(TilingScheme):
         return domain.grid(list(self.tile_shape))
 
     def describe(self) -> str:
+        """Catalog text, ``regular(…)``; the storage layer parses it back."""
         return f"regular{tuple(self.tile_shape)}"
-
-
-@dataclass(frozen=True)
-class SizeBoundedTiling(TilingScheme):
-    """Near-cubic tiles bounded by a byte budget (RasDaMan's size tiling).
-
-    The per-axis extent is the largest ``e`` with
-    ``e**dim * cell_size <= max_tile_bytes``, clipped to the domain — giving
-    compact tiles of roughly the requested size without the caller knowing
-    the dimensionality.
-    """
-
-    max_tile_bytes: int
-
-    def tile_domains(self, domain: MInterval, cell_type: CellType) -> List[MInterval]:
-        if self.max_tile_bytes < cell_type.size_bytes:
-            raise TilingError(
-                f"max_tile_bytes {self.max_tile_bytes} smaller than one cell "
-                f"({cell_type.size_bytes} B)"
-            )
-        cells_budget = self.max_tile_bytes // cell_type.size_bytes
-        extent = max(1, int(math.floor(cells_budget ** (1.0 / domain.dimension))))
-        shape = [min(extent, axis.extent) for axis in domain.axes]
-        return domain.grid(shape)
-
-    def describe(self) -> str:
-        return f"size({self.max_tile_bytes}B)"
-
-
-@dataclass(frozen=True)
-class DirectionalTiling(TilingScheme):
-    """Explicit split points per axis (RasDaMan's directional tiling).
-
-    Attributes:
-        split_points: for each dimension, the interior coordinates at which
-            the axis is cut.  A dimension with no split points stays whole —
-            the tiling users pick when accesses always slice particular axes.
-    """
-
-    split_points: Sequence[Sequence[int]]
-
-    def tile_domains(self, domain: MInterval, cell_type: CellType) -> List[MInterval]:
-        if len(self.split_points) != domain.dimension:
-            raise TilingError("split_points must list one sequence per dimension")
-        per_axis: List[List[SInterval]] = []
-        for axis, points in zip(domain.axes, self.split_points):
-            cuts = sorted(set(int(p) for p in points))
-            for cut in cuts:
-                if not (axis.lo < cut <= axis.hi):
-                    raise TilingError(
-                        f"split point {cut} outside axis {axis} interior"
-                    )
-            bounds = [axis.lo] + cuts + [axis.hi + 1]
-            per_axis.append(
-                [SInterval(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
-            )
-        boxes: List[MInterval] = []
-
-        def recurse(dim: int, chosen: List[SInterval]) -> None:
-            if dim == len(per_axis):
-                boxes.append(MInterval(list(chosen)))
-                return
-            for part in per_axis[dim]:
-                chosen.append(part)
-                recurse(dim + 1, chosen)
-                chosen.pop()
-
-        recurse(0, [])
-        return boxes
-
-    def describe(self) -> str:
-        return f"directional({[list(p) for p in self.split_points]})"
-
-
-@dataclass(frozen=True)
-class AlignedTiling(TilingScheme):
-    """Byte-budgeted tiles stretched along preferred access axes.
-
-    Attributes:
-        max_tile_bytes: byte budget per tile.
-        preferred_axes: axes (by position) that dominate the access pattern;
-            tiles extend fully along them and the budget is spent on the
-            remaining axes.  With all axes preferred this degenerates to one
-            tile per object.
-    """
-
-    max_tile_bytes: int
-    preferred_axes: Sequence[int] = ()
-
-    def tile_domains(self, domain: MInterval, cell_type: CellType) -> List[MInterval]:
-        preferred = set(self.preferred_axes)
-        for axis_index in preferred:
-            if not 0 <= axis_index < domain.dimension:
-                raise TilingError(f"preferred axis {axis_index} out of range")
-        budget_cells = max(1, self.max_tile_bytes // cell_type.size_bytes)
-        fixed_cells = 1
-        for axis_index in preferred:
-            fixed_cells *= domain.axes[axis_index].extent
-        remaining_axes = [i for i in range(domain.dimension) if i not in preferred]
-        shape = [0] * domain.dimension
-        for axis_index in preferred:
-            shape[axis_index] = domain.axes[axis_index].extent
-        if remaining_axes:
-            per_axis_budget = max(1, budget_cells // max(1, fixed_cells))
-            extent = max(
-                1, int(math.floor(per_axis_budget ** (1.0 / len(remaining_axes))))
-            )
-            for axis_index in remaining_axes:
-                shape[axis_index] = min(extent, domain.axes[axis_index].extent)
-        return domain.grid(shape)
-
-    def describe(self) -> str:
-        return f"aligned({self.max_tile_bytes}B, axes={tuple(self.preferred_axes)})"
-
-
-def validate_tiling(domain: MInterval, tiles: List[MInterval]) -> None:
-    """Assert the tile set is a disjoint exact cover of *domain*.
-
-    Used by property tests and the storage layer's self-checks.
-
-    Raises:
-        TilingError: coverage or disjointness is violated.
-    """
-    total = 0
-    for i, tile in enumerate(tiles):
-        if not domain.contains(tile):
-            raise TilingError(f"tile {tile} leaks outside domain {domain}")
-        total += tile.cell_count
-        for other in tiles[i + 1 :]:
-            if tile.intersects(other):
-                raise TilingError(f"tiles {tile} and {other} overlap")
-    if total != domain.cell_count:
-        raise TilingError(
-            f"tiles cover {total} cells, domain has {domain.cell_count}"
-        )

@@ -85,7 +85,6 @@ from .scheduler import (
 from .super_tile import (
     SuperTile,
     grid_block_shape,
-    run_pack_partition,
     star_partition,
     tiles_to_super_tiles,
 )
@@ -161,7 +160,6 @@ __all__ = [
     "policy_names",
     "read_frame",
     "recover_incomplete_exports",
-    "run_pack_partition",
     "star_partition",
     "tiles_in_frame",
     "tiles_to_super_tiles",

@@ -57,7 +57,6 @@ class HeavenConfig:
             ``size``, ``gds``).
         memory_cache_bytes: capacity of the in-memory tile cache.
         prefetch: staging prefetch policy (``none``, ``sequential``).
-        prefetch_depth: super-tiles prefetched ahead per staged super-tile.
         precompute_aggregates: record per-tile aggregates at export time and
             answer condenser queries from them when possible.
         pyramid_factors: isotropic zoom factors materialised as scaling
@@ -99,7 +98,6 @@ class HeavenConfig:
     disk_cache_policy: str = "lru"
     memory_cache_bytes: int = 256 * MB
     prefetch: str = "none"
-    prefetch_depth: int = 1
     precompute_aggregates: bool = True
     pyramid_factors: Optional[tuple] = None
     compression: str = "none"

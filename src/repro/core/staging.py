@@ -515,29 +515,28 @@ def _covers(cached: Tuple[int, int], run: Tuple[int, int]) -> bool:
 def _add_prefetch(
     heaven: Heaven, requests: List[TapeRequest], needs: Dict[str, _SegmentNeed]
 ) -> None:
-    """Sequential prefetch: also stage the next super-tile(s) in cluster
-    order when they live on a medium the sweep already mounts."""
+    """Sequential prefetch: also stage the next super-tile in cluster
+    order when it lives on a medium the sweep already mounts."""
     media_in_batch = {r.medium_id for r in requests}
     extra: List[TapeRequest] = []
     for request in list(requests):
         need = needs[request.key]
         entry = heaven._archived[need.mdd.name]
-        for step in range(1, heaven.config.prefetch_depth + 1):
-            next_index = need.super_tile.index + step
-            if next_index >= len(entry.super_tiles):
-                break
-            neighbour = entry.super_tiles[next_index]
-            key = neighbour.segment_name
-            if key is None or key in needs:
-                continue
-            if heaven.library.locate(key) not in media_in_batch:
-                continue
-            if key in heaven.disk_cache:
-                continue
-            needs[key] = _SegmentNeed(
-                neighbour, need.mdd, run=(0, neighbour.size_bytes), prefetch=True
-            )
-            extra.append(_tape_request(heaven, key, needs[key]))
+        next_index = need.super_tile.index + 1
+        if next_index >= len(entry.super_tiles):
+            continue
+        neighbour = entry.super_tiles[next_index]
+        key = neighbour.segment_name
+        if key is None or key in needs:
+            continue
+        if heaven.library.locate(key) not in media_in_batch:
+            continue
+        if key in heaven.disk_cache:
+            continue
+        needs[key] = _SegmentNeed(
+            neighbour, need.mdd, run=(0, neighbour.size_bytes), prefetch=True
+        )
+        extra.append(_tape_request(heaven, key, needs[key]))
     requests.extend(extra)
 
 

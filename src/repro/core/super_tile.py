@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..arrays.index import GridIndex
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..errors import HeavenError
@@ -111,8 +110,7 @@ def star_partition(
     The object's tile grid is cut into blocks of
     ``grid_block_shape(...)`` tiles; each block becomes one super-tile whose
     member tiles are listed in row-major order within the block (the default
-    intra order; eSTAR may reorder them).  Objects without a regular grid
-    index fall back to :func:`run_pack_partition`.
+    intra order; eSTAR may reorder them).
 
     Args:
         mdd: the object to partition.
@@ -126,8 +124,6 @@ def star_partition(
     if target_bytes <= 0:
         raise HeavenError(f"target super-tile size must be positive: {target_bytes}")
     index = mdd.index
-    if not isinstance(index, GridIndex):
-        return run_pack_partition(mdd, target_bytes)
     counts = index.grid_counts
     dimension = len(counts)
     if axis_order is None:
@@ -155,33 +151,6 @@ def star_partition(
             tile_ids.append(index.tile_id_at(grid_coords))
         tile_ids.sort()
         super_tiles.append(_build_super_tile(mdd, st_index, tile_ids))
-    _validate_partition(mdd, super_tiles)
-    return super_tiles
-
-
-def run_pack_partition(mdd: MDD, target_bytes: int) -> List[SuperTile]:
-    """Fallback grouping for irregular tilings: greedy packing in id order.
-
-    Tiles are taken in tile-id (generation) order and packed into
-    super-tiles until the target size would be exceeded.  Spatial locality
-    is whatever the generation order provides — this is also the model of a
-    naive archive, used as a baseline in the clustering experiments.
-    """
-    if target_bytes <= 0:
-        raise HeavenError(f"target super-tile size must be positive: {target_bytes}")
-    super_tiles: List[SuperTile] = []
-    current: List[int] = []
-    current_bytes = 0
-    for tile_id in sorted(mdd.tiles):
-        tile_bytes = mdd.tiles[tile_id].size_bytes
-        if current and current_bytes + tile_bytes > target_bytes:
-            super_tiles.append(_build_super_tile(mdd, len(super_tiles), current))
-            current = []
-            current_bytes = 0
-        current.append(tile_id)
-        current_bytes += tile_bytes
-    if current:
-        super_tiles.append(_build_super_tile(mdd, len(super_tiles), current))
     _validate_partition(mdd, super_tiles)
     return super_tiles
 

@@ -40,7 +40,7 @@ from ..arrays.celltype import CellType, lookup as lookup_cell_type
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..arrays.operations import MArray
-from ..arrays.tiling import TilingScheme
+from ..arrays.tiling import RegularTiling
 from ..errors import CellTypeError, DomainError, WireFormatError
 
 if TYPE_CHECKING:
@@ -463,7 +463,7 @@ class ObjectDescriptor:
     name: str
     domain: MInterval
     cell_type: CellType
-    tiling: TilingScheme
+    tiling: RegularTiling
     tile_segments: Dict[int, str] = field(default_factory=dict)
     archived: bool = False
 

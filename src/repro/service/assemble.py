@@ -2,13 +2,13 @@
 
 A service node holds no cells — only :class:`~repro.core.units
 .ObjectDescriptor` catalog entries.  For each object it builds a
-*shadow MDD* from the descriptor's domain, cell type and tiling, which are
-the data nodes' own: the shadow has their tile ids and their tile index
-(a ``GridIndex`` for a regular tiling).  Data nodes answer each tile
-clipped to its overlap with the query region
-(:class:`~repro.core.units.TilePayload` ``domain`` is that clip box), so
-reassembly is one paste per tile: the shadow's tile index names the clip
-box each tile must cover, the payload must name the object's cell type,
+*shadow MDD* from the descriptor's domain, cell type and regular tiling,
+which are the data nodes' own: the shadow has their tile ids and their
+grid index.  Data nodes answer each tile clipped to its overlap with the
+query region (:class:`~repro.core.units.TilePayload` ``domain`` is that
+clip box), so reassembly is one paste per tile: the shadow's grid index
+names the clip box each tile must cover, the payload must name the
+object's cell type,
 and the received byte view is decoded by the wire's one tile decoder and
 copied straight into the region array.
 """

@@ -19,7 +19,7 @@ from ..arrays.celltype import CellType, lookup, struct_type
 from ..arrays.cellsource import CellSource, HashedNoiseSource
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
-from ..arrays.tiling import RegularTiling, TilingScheme
+from ..arrays.tiling import RegularTiling
 from ..errors import CellTypeError
 
 
@@ -81,7 +81,7 @@ def cfd_object(
     name: str,
     grid: Optional[FlowGrid] = None,
     seed: int = 0,
-    tiling: Optional[TilingScheme] = None,
+    tiling: Optional[RegularTiling] = None,
 ) -> MDD:
     """An MDD holding one channel-flow snapshot (struct cells)."""
     grid = grid if grid is not None else FlowGrid()

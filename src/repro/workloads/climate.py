@@ -18,7 +18,7 @@ from ..arrays.celltype import DOUBLE, FLOAT, CellType
 from ..arrays.cellsource import CellSource, FunctionSource, HashedNoiseSource
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
-from ..arrays.tiling import RegularTiling, TilingScheme
+from ..arrays.tiling import RegularTiling
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def climate_object(
     grid: Optional[ClimateGrid] = None,
     seed: int = 0,
     cell_type: CellType = DOUBLE,
-    tiling: Optional[TilingScheme] = None,
+    tiling: Optional[RegularTiling] = None,
 ) -> MDD:
     """An MDD holding one climate-model output field."""
     grid = grid if grid is not None else ClimateGrid()

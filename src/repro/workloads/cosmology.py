@@ -17,7 +17,7 @@ from ..arrays.celltype import DOUBLE, FLOAT, CellType
 from ..arrays.cellsource import CellSource, HashedNoiseSource
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
-from ..arrays.tiling import RegularTiling, TilingScheme
+from ..arrays.tiling import RegularTiling
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def cosmology_object(
     box: Optional[SimulationBox] = None,
     seed: int = 0,
     cell_type: CellType = FLOAT,
-    tiling: Optional[TilingScheme] = None,
+    tiling: Optional[RegularTiling] = None,
 ) -> MDD:
     """An MDD holding one density snapshot."""
     box = box if box is not None else SimulationBox()

@@ -18,7 +18,7 @@ from ..arrays.celltype import CellType, FLOAT
 from ..arrays.cellsource import CellSource, HashedNoiseSource
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
-from ..arrays.tiling import RegularTiling, TilingScheme
+from ..arrays.tiling import RegularTiling
 from ..core.framing import HalfSpaceFrame, Frame
 
 
@@ -67,7 +67,7 @@ def alignment_object(
     grid: Optional[AlignmentGrid] = None,
     seed: int = 0,
     cell_type: CellType = FLOAT,
-    tiling: Optional[TilingScheme] = None,
+    tiling: Optional[RegularTiling] = None,
 ) -> MDD:
     """An MDD holding one similarity matrix."""
     grid = grid if grid is not None else AlignmentGrid()

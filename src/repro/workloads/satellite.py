@@ -16,7 +16,7 @@ from ..arrays.celltype import CHAR, USHORT, CellType, RGB
 from ..arrays.cellsource import CellSource, HashedNoiseSource
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
-from ..arrays.tiling import RegularTiling, TilingScheme
+from ..arrays.tiling import RegularTiling
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def satellite_object(
     grid: Optional[SceneGrid] = None,
     seed: int = 0,
     cell_type: CellType = CHAR,
-    tiling: Optional[TilingScheme] = None,
+    tiling: Optional[RegularTiling] = None,
 ) -> MDD:
     """An MDD holding one mosaic (vegetation index by default)."""
     grid = grid if grid is not None else SceneGrid()

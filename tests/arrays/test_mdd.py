@@ -20,6 +20,7 @@ from repro.arrays import (
     lookup,
 )
 from repro.errors import CellTypeError, DomainError
+from tests.conftest import assert_exact_cover
 
 
 class TestCellSources:
@@ -121,7 +122,7 @@ class TestMDD:
         assert small_mdd.size_bytes == 96 * 96 * 8
 
     def test_validate_passes(self, small_mdd):
-        small_mdd.validate()
+        assert_exact_cover(small_mdd.domain, [t.domain for t in small_mdd.tiles.values()])
 
     def test_from_array_roundtrip(self):
         cells = np.arange(24, dtype=np.float64).reshape(4, 6)

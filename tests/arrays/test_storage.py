@@ -11,6 +11,7 @@ from repro.arrays import (
     MInterval,
     RegularTiling,
 )
+from repro.arrays.storage import OBJECTS_TABLE
 from repro.dbms import Database
 from repro.errors import ArrayError
 
@@ -113,15 +114,40 @@ class TestDeleteObject:
 class TestRebuild:
     def test_collection_reload_from_catalog(self, storage):
         storage.create_collection("c")
-        mdd = make_object()
-        before = mdd.read_all().copy()
-        storage.insert_object("c", mdd)
+        objects = [
+            make_object(),
+            # describe() is "regular(7,)": a one-element tuple's comma
+            MDD("line", MInterval.of((3, 40)), DOUBLE,
+                tiling=RegularTiling((7,)), source=HashedNoiseSource(2)),
+            # no extent divides its axis: clipped edge tiles on every axis
+            MDD("cube", MInterval.of((0, 10), (-4, 8), (5, 14)), DOUBLE,
+                tiling=RegularTiling((4, 5, 3)), source=HashedNoiseSource(3)),
+        ]
+        before = [mdd.read_all().copy() for mdd in objects]
+        for mdd in objects:
+            storage.insert_object("c", mdd)
         # Simulate a fresh session: drop the in-memory collection cache.
         storage._collections.clear()
-        reloaded = storage.collection("c").get("obj")
-        assert reloaded is not mdd
-        assert reloaded.domain == mdd.domain
-        assert np.array_equal(reloaded.read_all(), before)
+        for mdd, cells in zip(objects, before):
+            reloaded = storage.collection("c").get(mdd.name)
+            assert reloaded is not mdd
+            assert reloaded.domain == mdd.domain
+            assert {i: t.domain for i, t in reloaded.tiles.items()} == {
+                i: t.domain for i, t in mdd.tiles.items()
+            }
+            assert np.array_equal(reloaded.read_all(), cells)
+
+    def test_non_regular_catalog_tiling_rejected(self, storage):
+        # The default tiling: a rebuild that fell back to it would match
+        # the stored tile rows and load silently.
+        mdd = MDD("obj", MInterval.of((0, 39), (0, 39)), DOUBLE)
+        storage.create_collection("c")
+        oid = storage.insert_object("c", mdd)
+        rowid, _row = storage.db.table(OBJECTS_TABLE).find_pk(oid)
+        storage.db.update(OBJECTS_TABLE, rowid, {"tiling": "size(8192B)"})
+        storage._collections.clear()
+        with pytest.raises(ArrayError):
+            storage.collection("c")
 
     def test_blob_oid_lookup(self, storage):
         storage.create_collection("c")

@@ -66,6 +66,19 @@ def pytest_collection_modifyitems(
                 item.add_marker(getattr(pytest.mark, marker))
 
 
+def assert_exact_cover(domain: MInterval, tiles: list[MInterval]) -> None:
+    """Assert *tiles* are a disjoint exact cover of *domain*."""
+    total = 0
+    for i, tile in enumerate(tiles):
+        assert domain.contains(tile), f"tile {tile} leaks outside domain {domain}"
+        total += tile.cell_count
+        for other in tiles[i + 1 :]:
+            assert not tile.intersects(other), f"tiles {tile} and {other} overlap"
+    assert total == domain.cell_count, (
+        f"tiles cover {total} cells, domain has {domain.cell_count}"
+    )
+
+
 @pytest.fixture
 def clock() -> SimClock:
     return SimClock()

@@ -192,7 +192,7 @@ class TestReimport:
 
 class TestPrefetch:
     def test_sequential_prefetch_stages_neighbours(self):
-        heaven, mdd = build_heaven(prefetch="sequential", prefetch_depth=1)
+        heaven, mdd = build_heaven(prefetch="sequential")
         entry = heaven.archived("obj")
         first_st = entry.super_tiles[0]
         region = first_st.domain
@@ -202,7 +202,7 @@ class TestPrefetch:
         assert neighbour.segment_name in heaven.disk_cache
 
     def test_prefetched_neighbour_read_is_cache_hit(self):
-        heaven, mdd = build_heaven(prefetch="sequential", prefetch_depth=1)
+        heaven, mdd = build_heaven(prefetch="sequential")
         entry = heaven.archived("obj")
         heaven.read("col", "obj", entry.super_tiles[0].domain)
         _c, report = heaven.read_with_report(

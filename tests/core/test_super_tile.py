@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.arrays import DOUBLE, MDD, MInterval, RegularTiling, SizeBoundedTiling
+from repro.arrays import DOUBLE, MDD, MInterval, RegularTiling
 from repro.core import (
     SuperTile,
     grid_block_shape,
-    run_pack_partition,
     star_partition,
     tiles_to_super_tiles,
 )
@@ -85,19 +84,6 @@ class TestStarPartition:
         assert default[0].domain.shape == (32, 128)
         assert transposed[0].domain.shape == (128, 32)
 
-    def test_irregular_tiling_falls_back_to_run_packing(self):
-        mdd = MDD(
-            "irr",
-            MInterval.from_shape((100, 100)),
-            DOUBLE,
-            tiling=SizeBoundedTiling(8 * KB),
-        )
-        # SizeBoundedTiling builds a grid but the MDD uses an R-tree index
-        # only for non-regular schemes; size tiling is regular under the
-        # hood, so force the fallback path directly:
-        super_tiles = run_pack_partition(mdd, 32 * KB)
-        assert sum(st.tile_count for st in super_tiles) == mdd.tile_count()
-
     def test_3d_partition(self):
         mdd = MDD(
             "cube",
@@ -108,18 +94,6 @@ class TestStarPartition:
         super_tiles = star_partition(mdd, 4 * 32 * 32 * 32 * 8)
         assert len(super_tiles) == 2
         assert all(st.tile_count == 4 for st in super_tiles)
-
-
-class TestRunPackPartition:
-    def test_respects_target(self):
-        mdd = grid_object()
-        super_tiles = run_pack_partition(mdd, 24 * KB)  # 3 tiles of 8 KB fit
-        assert all(st.size_bytes <= 24 * KB for st in super_tiles)
-
-    def test_single_oversized_tile_gets_own_super_tile(self):
-        mdd = grid_object()
-        super_tiles = run_pack_partition(mdd, 4 * KB)  # smaller than one tile
-        assert len(super_tiles) == 16
 
 
 class TestSuperTileExtents:

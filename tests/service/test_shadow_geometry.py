@@ -9,16 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arrays import (
-    DOUBLE,
-    MDD,
-    AlignedTiling,
-    DirectionalTiling,
-    MInterval,
-    RegularTiling,
-    SizeBoundedTiling,
-)
-from repro.arrays.index import GridIndex
+from repro.arrays import DOUBLE, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
 from repro.service import ShadowObject
 
@@ -37,26 +28,10 @@ def domains(draw):
 
 @st.composite
 def tilings(draw, domain):
-    """Each tiling scheme, regular ones with clipped edge tiles."""
-    kind = draw(st.sampled_from(["regular", "size", "directional", "aligned"]))
-    if kind == "regular":
-        # extents that do not divide the axis leave clipped edge tiles
-        return RegularTiling(
-            tuple(draw(st.integers(1, max(1, axis.extent))) for axis in domain.axes)
-        )
-    if kind == "size":
-        return SizeBoundedTiling(draw(st.integers(8, 8 * 64)))
-    if kind == "directional":
-        return DirectionalTiling(
-            [
-                draw(st.lists(st.integers(axis.lo + 1, axis.hi), max_size=3))
-                if axis.extent > 1 else []
-                for axis in domain.axes
-            ]
-        )
-    return AlignedTiling(
-        draw(st.integers(8, 8 * 64)),
-        tuple(draw(st.sets(st.integers(0, domain.dimension - 1), max_size=1))),
+    """A regular tiling; extents that do not divide an axis leave clipped
+    edge tiles."""
+    return RegularTiling(
+        tuple(draw(st.integers(1, max(1, axis.extent))) for axis in domain.axes)
     )
 
 
@@ -93,9 +68,7 @@ def test_shadow_has_the_data_nodes_tiles(drawn):
     assert sorted(shadow.mdd.tiles) == sorted(mdd.tiles)
     for tile_id, tile in mdd.tiles.items():
         assert shadow.mdd.tiles[tile_id].domain == tile.domain
-    assert type(shadow.mdd.index) is type(mdd.index)
-    if isinstance(tiling, RegularTiling):
-        assert isinstance(shadow.mdd.index, GridIndex)
+    assert shadow.mdd.index.grid_counts == mdd.index.grid_counts
     for region in boxes:
         assert [t.tile_id for t in shadow.tiles_for(region)] == [
             t.tile_id for t in mdd.tiles_for(region)

@@ -17,10 +17,8 @@ from repro.arrays import (
     HashedNoiseSource,
     MDD,
     MInterval,
-    RTreeIndex,
     RegularTiling,
     SInterval,
-    validate_tiling,
 )
 from repro.core import (
     LRUPolicy,
@@ -30,6 +28,7 @@ from repro.core import (
 )
 from repro.core.cache import DiskCache
 from repro.tertiary import DISK_ARRAY, SimClock
+from tests.conftest import assert_exact_cover
 
 
 # -- strategies ----------------------------------------------------------------
@@ -107,8 +106,8 @@ class TestTilingProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_regular_tiling_exact_cover(self, domain, tile_w, tile_h):
-        tiles = RegularTiling((tile_w, tile_h)).tile_domains(domain, DOUBLE)
-        validate_tiling(domain, tiles)
+        tiles = RegularTiling((tile_w, tile_h)).tile_domains(domain)
+        assert_exact_cover(domain, tiles)
 
     @given(
         domains_2d(max_extent=30),
@@ -118,10 +117,8 @@ class TestTilingProperties:
     )
     @settings(max_examples=40)
     def test_grid_index_matches_bruteforce(self, domain, tile_w, tile_h, data):
-        tiles = RegularTiling((tile_w, tile_h)).tile_domains(domain, DOUBLE)
+        tiles = RegularTiling((tile_w, tile_h)).tile_domains(domain)
         index = GridIndex(domain, (tile_w, tile_h))
-        for tile_id, tile in enumerate(tiles):
-            index.insert(tile_id, tile)
         lo0 = data.draw(st.integers(domain[0].lo, domain[0].hi))
         lo1 = data.draw(st.integers(domain[1].lo, domain[1].hi))
         hi0 = data.draw(st.integers(lo0, domain[0].hi))
@@ -129,25 +126,6 @@ class TestTilingProperties:
         region = MInterval.of((lo0, hi0), (lo1, hi1))
         expect = sorted(i for i, t in enumerate(tiles) if t.intersects(region))
         assert index.intersecting(region) == expect
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 300), st.integers(0, 300)),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    @settings(max_examples=30)
-    def test_rtree_finds_every_inserted_box(self, origins):
-        rtree = RTreeIndex(max_entries=4)
-        boxes = []
-        for i, (x, y) in enumerate(origins):
-            box = MInterval.of((x, x + 4), (y, y + 4))
-            boxes.append(box)
-            rtree.insert(i, box)
-        for i, box in enumerate(boxes):
-            assert i in rtree.intersecting(box)
-        assert rtree.all_ids() == list(range(len(boxes)))
 
 
 # -- STAR partition ------------------------------------------------------------------
