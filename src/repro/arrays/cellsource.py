@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

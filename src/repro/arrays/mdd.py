@@ -111,10 +111,7 @@ class MDD:
 
     def tiles_for(self, region: MInterval) -> List[Tile]:
         """Tiles intersecting *region*, in tile-id order."""
-        clipped = self.domain.intersection(region)
-        if clipped is None:
-            return []
-        return [self.tiles[tile_id] for tile_id in self.index.intersecting(clipped)]
+        return [self.tiles[tile_id] for tile_id in self.index.intersecting(region)]
 
     # -- cell access -----------------------------------------------------------------
 

@@ -36,10 +36,8 @@ from .ast import (
     BinaryOp,
     CreateCollection,
     DeleteFrom,
-    DimSpec,
     DropCollection,
     FieldAccess,
-    FromItem,
     FuncCall,
     Node,
     NumberLit,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..dbms import Column, ColumnType, Database
 from ..errors import ArrayError, DomainError
-from .celltype import CellType, lookup as lookup_cell_type
+from .celltype import lookup as lookup_cell_type
 from .mdd import MDD, Collection
 from .minterval import MInterval
 from .tile import Tile

@@ -57,10 +57,12 @@ from .precomputed import PrecomputedCatalog
 from .pyramid import PyramidCatalog
 from .scheduler import ElevatorScheduler, FIFOScheduler, Scheduler, TapeRequest
 from .staging import StagingTicket, _SegmentNeed
+from .super_tile import SuperTile, star_partition, tiles_to_super_tiles
+from .units import ObjectDescriptor, SubReadRequest, SubReadResponse
+
 # star_partition stays importable here: benchmarks/e2e_layers/tracing.py
 # wraps it by this module path.
-from .super_tile import SuperTile, star_partition, tiles_to_super_tiles  # noqa: F401
-from .units import ObjectDescriptor, SubReadRequest, SubReadResponse
+__all__ = ["ArchivedObject", "Heaven", "star_partition"]
 
 
 @dataclass

@@ -14,9 +14,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
-    Optional,
     Sequence,
     Tuple,
 )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import ReproError
 

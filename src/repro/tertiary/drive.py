@@ -9,10 +9,10 @@ benchmarks can attribute total time to mounts, seeks and transfers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..errors import SegmentNotFoundError, StorageError
+from ..errors import StorageError
 from ..faults import NO_FAULTS
 from .clock import SimClock, Timeline
 from .media import Medium, Segment

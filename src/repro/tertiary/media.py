@@ -8,7 +8,7 @@ reads can be costed by their physical position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from ..errors import MediumFullError, SegmentNotFoundError

@@ -19,7 +19,7 @@ mean access time for magnetic tapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 KB = 1024

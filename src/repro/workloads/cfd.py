@@ -9,7 +9,6 @@ pyramids) — exactly the trade the visualisation partners lived with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..arrays.celltype import DOUBLE, FLOAT, CellType
-from ..arrays.cellsource import CellSource, FunctionSource, HashedNoiseSource
+from ..arrays.celltype import DOUBLE, CellType
+from ..arrays.cellsource import CellSource, HashedNoiseSource
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..arrays.tiling import RegularTiling

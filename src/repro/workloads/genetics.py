@@ -10,7 +10,7 @@ makes this the show-case for Object Framing's half-space frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..arrays.celltype import CHAR, USHORT, CellType, RGB
+from ..arrays.celltype import CHAR, CellType
 from ..arrays.cellsource import CellSource, HashedNoiseSource
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval

@@ -1,10 +1,12 @@
 """Work-conserving fused sweeps and drained-tile pin handoff.
 
-A sweep for the weighted-fair pick also serves the pending demands on
-media already sitting in a drive (those cost no exchange), except under
-aging escalation.  Tiles a sweep drains out of the disk cache stay pinned
-for every query that demanded them until it assembled, so a query still
-waiting on another medium does not restage them.
+A sweep for the weighted-fair pick also takes the next-fairest media,
+whole, until it holds one medium per drive, and then serves the pending
+demands on media already sitting in a drive (those cost no exchange), all
+within the disk cache's free bytes and never under aging escalation.
+Tiles a sweep drains out of the disk cache stay pinned for every query
+that demanded them until it assembled, so a query still waiting on
+another medium does not restage them.
 """
 
 from __future__ import annotations
@@ -137,6 +139,64 @@ class TestRideAlong:
             QuerySpec("col", "o1", O1_TAIL, arrival_s=now),
         ])
         assert report.sweeps == 2
+        assert heaven.restages == 0
+        heaven.assert_quiescent()
+
+
+class TestOneMediumPerDrive:
+    """Nothing mounted; a scan of o0 and o1's tail arrive together."""
+
+    def _run(self, **overrides):
+        heaven = _one_object_per_medium(**overrides)
+        now = heaven.clock.now
+        outputs, report = AdmissionController(heaven).run([
+            QuerySpec("col", "o0", WHOLE, arrival_s=now, name="scan"),
+            QuerySpec("col", "o1", O1_TAIL, arrival_s=now, name="tail"),
+        ])
+        return heaven, outputs, report
+
+    def test_two_drives_stream_both_media_in_one_sweep(self):
+        heaven, outputs, report = self._run()
+        assert report.sweeps == 1
+        assert report.sweep_media == [2]
+        # The exchanges and bytes of two one-medium sweeps, but the two
+        # media load side by side: 33.36 s against 41.38 s in series.
+        assert report.exchanges == 2
+        assert report.bytes_from_tape == 49_152
+        assert report.makespan_s == pytest.approx(33.36, abs=0.01)
+        oracle = _one_object_per_medium()
+        np.testing.assert_array_equal(outputs[0], oracle.read("col", "o0", WHOLE))
+        np.testing.assert_array_equal(outputs[1], oracle.read("col", "o1", O1_TAIL))
+        assert reconcile_shared_tape_bytes(
+            report.queries,
+            heaven.clock.log,
+            report.log_cursor_start,
+            unattributed=report.unattributed_tape_bytes,
+        ) is None
+        heaven.assert_quiescent()
+
+    def test_one_drive_serves_one_medium_per_sweep(self):
+        _heaven, _outputs, report = self._run(num_drives=1)
+        assert report.sweeps == 2
+        assert report.sweep_media == [1, 1]
+        assert [round(s, 2) for s in report.latencies_s] == [20.12, 48.59]
+
+    def test_a_medium_that_does_not_fit_waits_whole(self):
+        # Room for the scan plus half of o1's demands: one of them alone
+        # would fit, but o1's medium joins whole or not at all.
+        heaven = _one_object_per_medium(disk_cache_bytes=WHOLE.cell_count * 8 * 3 // 2)
+        now = heaven.clock.now
+        o1_head = MInterval.of((0, 31), (0, SIDE - 1))
+        _outputs, report = AdmissionController(heaven).run([
+            QuerySpec("col", "o0", WHOLE, arrival_s=now),
+            QuerySpec("col", "o1", O1_TAIL, arrival_s=now),
+            QuerySpec("col", "o1", o1_head, arrival_s=now),
+        ])
+        # Per-demand first fit would have streamed one o1 demand with the
+        # scan: [2, 1].
+        assert report.sweep_media == [1, 1]
+        scan, tail, head = report.latencies_s
+        assert scan < min(tail, head)
         assert heaven.restages == 0
         heaven.assert_quiescent()
 
