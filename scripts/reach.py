@@ -73,7 +73,7 @@ HARNESSES: List[Tuple[str, List[str]]] = [
       for workload in E2E_WORKLOADS for trace in (0, 1)),
     ("simtest-sweep", ["scripts/simtest_digests.py", "--seeds", "1-25", "--ops", "60"]),
     ("simtest-determinism", ["scripts/simtest_digests.py", "--determinism",
-                             "7,10,11,59", "--ops", "200"]),
+                             "7,10,11,17,59", "--ops", "200"]),
     *((f"example-{name[:-3]}", [f"examples/{name}"]) for name in EXAMPLES),
     *((f"cli-{command}", ["-m", "repro", command]) for command in CLI_COMMANDS),
 ]

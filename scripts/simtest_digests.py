@@ -10,7 +10,7 @@ running this against both and diffing::
     PYTHONPATH=<parent checkout>/src python scripts/simtest_digests.py > parent.txt
     diff parent.txt change.txt
 
-By default it sweeps seeds 1-25 at 60 ops.  ``--determinism 7,10,11,59
+By default it sweeps seeds 1-25 at 60 ops.  ``--determinism 7,10,11,17,59
 --ops 200`` instead runs each listed seed twice and requires identical
 digests (the line is printed once, for the first run).  Exits 1 when any
 run found a violation or any determinism pair diverged.

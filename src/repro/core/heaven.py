@@ -627,8 +627,14 @@ class Heaven:
                 # non-writable input itself, so no defensive copy here.
                 tile.set_payload(staging.resolve_tile(self, mdd, tile))
 
+        # Stage around the medium the rewrite will append to, so the staging
+        # does not stow it only for the write to fetch it straight back.
+        append_to = self.library.append_target(
+            max(entry.super_tiles[i].size_bytes for i in affected_sts)
+        )
         try:
-            self._query_unit(mdd, tiles_to_load, load, str(region))
+            with self.library.keep_mounted(append_to):
+                self._query_unit(mdd, tiles_to_load, load, str(region))
             mdd.write(region, cells)
             self._rewrite_segments(
                 entry, [entry.super_tiles[i] for i in sorted(affected_sts)], affected

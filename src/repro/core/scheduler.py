@@ -350,7 +350,9 @@ def plan_parallel(
     first *num_drives* drives, then free what-if stations beyond the
     hardware (the executor itself is capped by it).  A medium already in a
     drive is served there; any other goes to the first free station, else
-    to the least recently used one — :meth:`TapeLibrary.mount`'s pick.
+    to the least recently used one — :meth:`TapeLibrary.mount`'s pick
+    outside :meth:`TapeLibrary.keep_mounted` (only an update's staging
+    keeps a medium, and nothing plans it).
     """
     if num_drives < 1:
         raise HeavenError("need at least one drive")
@@ -547,7 +549,8 @@ class ParallelExecutor:
 
     The batch runs in its scheduler's order, and every medium visit goes
     to the drive the serial loop would use (:meth:`TapeLibrary.drive_for`:
-    the holder, else a free drive, else the least recently used one), so
+    the holder, else a free drive, else the least recently used one, never
+    the kept append medium's drive while another is loaded), so
     the drives make exactly the mounts, seeks and reads of
     ``library.read_extent`` called request by request.  Only the timing
     differs: each drive charges its own :class:`Timeline`, the robot arm

@@ -8,8 +8,9 @@ profiles in :mod:`repro.tertiary.profiles`.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import (
     DriveFaultError,
@@ -43,6 +44,8 @@ class LibraryStats:
     time_transferring_s: float
     #: seconds drives spent waiting on the robot arm (parallel batches)
     time_robot_wait_s: float = 0.0
+    #: LRU picks diverted off the drive holding a kept medium
+    kept_mounts: int = 0
 
 
 @dataclass
@@ -110,6 +113,9 @@ class TapeLibrary:
         self._id_counter = itertools.count()
         #: global directory segment name -> medium id (one copy per segment)
         self._directory: Dict[str, str] = {}
+        #: medium whose drive mounts avoid while another is loaded
+        self._kept: Optional[str] = None
+        self._kept_mounts = 0
 
     # -- media management ----------------------------------------------------
 
@@ -134,16 +140,20 @@ class TapeLibrary:
         """All registered media in registration order."""
         return [self._media[m] for m in self._media_order]
 
-    def allocate_medium(self, nbytes: int) -> Medium:
-        """Medium with >= *nbytes* free, preferring the current fill target.
+    def append_target(self, nbytes: int) -> Optional[str]:
+        """The medium :meth:`allocate_medium` would append *nbytes* to, or
+        None when none fits (it would register a new one).  Pure: media are
+        filled in registration order (the natural archive append pattern)."""
+        return next(
+            (m for m in self._media_order if self._media[m].fits(nbytes)), None
+        )
 
-        Media are filled in registration order (the natural archive append
-        pattern); a new medium is created when nothing fits.
-        """
-        for medium_id in self._media_order:
-            medium = self._media[medium_id]
-            if medium.fits(nbytes):
-                return medium
+    def allocate_medium(self, nbytes: int) -> Medium:
+        """Medium with >= *nbytes* free: :meth:`append_target`, else a
+        new medium."""
+        medium_id = self.append_target(nbytes)
+        if medium_id is not None:
+            return self._media[medium_id]
         if nbytes > self.profile.media_capacity_bytes:
             raise MediumFullError(
                 f"segment of {nbytes} B exceeds media capacity "
@@ -163,11 +173,13 @@ class TapeLibrary:
     def mount(self, medium_id: str, drive: Optional[Drive] = None) -> Drive:
         """Ensure the medium is in a drive; returns that drive.
 
-        The medium goes to *drive* when one is named, else to a free drive,
-        else to the least recently used one (:meth:`drive_for`); a loaded
-        drive has its medium exchanged by the robot.  A medium already in a
-        drive stays there: naming a *different* drive for it raises
-        :class:`~repro.errors.StorageError` (media are indivisible).
+        The medium goes to *drive* when one is named, else to the drive
+        :meth:`drive_for` picks (a free drive, else the least recently used
+        one, never the drive holding the :meth:`keep_mounted` medium while
+        another is loaded); a loaded drive has its medium exchanged by the
+        robot.  A medium already in a drive stays there: naming a
+        *different* drive for it raises :class:`~repro.errors.StorageError`
+        (media are indivisible).
 
         Injected faults engage the recovery layer: a failed attempt backs
         off per the :class:`~repro.faults.RetryPolicy` and is retried; a
@@ -213,15 +225,39 @@ class TapeLibrary:
 
     def drive_for(self, medium_id: str, excluded: AbstractSet[str] = frozenset()) -> Drive:
         """The drive :meth:`mount` puts *medium_id* in: the drive holding it,
-        else a free drive, else the least recently used one.  Drives whose
-        ids are in *excluded* are not picked while another one is left."""
+        else a free drive, else the least recently used one, never the kept
+        append medium's drive while another is loaded.  Drives whose ids are
+        in *excluded* are not picked while another one is left."""
         holder = self.mounted_drive(medium_id)
         return holder if holder is not None else self._pick_drive(excluded)
 
+    @contextmanager
+    def keep_mounted(self, medium_id: Optional[str]) -> Iterator[None]:
+        """While active, mounts leave *medium_id*'s drive alone as long as
+        another candidate drive is loaded: a preference, never a block (one
+        drive, a medium on the shelf, or failover bans leaving only its
+        drive all pick as without it).  Reads of the medium itself still go
+        to its drive.  None keeps nothing."""
+        previous, self._kept = self._kept, medium_id
+        try:
+            yield
+        finally:
+            self._kept = previous
+
     def _pick_drive(self, excluded: AbstractSet[str]) -> Drive:
-        """Mount target: free drive first, then LRU; honours failover bans."""
-        candidates = [d for d in self.drives if d.drive_id not in excluded]
-        return pick_drive(candidates or self.drives)
+        """Mount target: free drive first, then LRU, diverted off the kept
+        medium's drive; honours failover bans."""
+        candidates = [d for d in self.drives if d.drive_id not in excluded] or self.drives
+        choice = pick_drive(candidates)
+        if (
+            len(candidates) > 1
+            and choice.medium is not None
+            and choice.medium.medium_id == self._kept
+        ):
+            # No free candidate is left, so every other one is loaded.
+            self._kept_mounts += 1
+            return pick_drive([d for d in candidates if d is not choice])
+        return choice
 
     def _backoff(self, attempt: int, detail: str) -> None:
         """Charge one exponential-backoff delay before retry *attempt*."""
@@ -350,6 +386,7 @@ class TapeLibrary:
             time_seeking_s=sum(d.stats.time_seeking_s for d in self.drives),
             time_transferring_s=sum(d.stats.time_transferring_s for d in self.drives),
             time_robot_wait_s=self.robot.stats.wait_s,
+            kept_mounts=self._kept_mounts,
         )
 
     def media_stats(self) -> List[MediumStats]:

@@ -1,13 +1,16 @@
 """Tests for archive lifecycle: delete, update, re-import, prefetch."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro import FaultPlan, RetryExhaustedError
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
+from repro.core.clustering import Placement, PlacementPolicy
 from repro.errors import HeavenError
-from repro.tertiary import MB
+from repro.tertiary import DLT_7000, MB, scaled_profile
 
 
 def build_heaven(**overrides):
@@ -97,6 +100,70 @@ class TestUpdate:
         assert np.array_equal(
             heaven.read("d", "plain", MInterval.of((0, 3), (0, 3))), np.ones((4, 4))
         )
+
+
+class OnePerMedium(PlacementPolicy):
+    """Super-tile *i* goes to the *i*-th named medium."""
+
+    def __init__(self, media):
+        self.media = media
+
+    def plan(self, super_tiles, library):
+        return [Placement(st, m) for st, m in zip(super_tiles, self.media)]
+
+
+class TestUpdateKeepsAppendMedium:
+    """A two-drive update stages super-tiles from two shelved media while
+    its append medium sits in a drive: the staging works around that drive
+    instead of stowing the medium the rewrite then fetches back."""
+
+    @pytest.mark.parametrize("keep, exchanges, kept_mounts", [(True, 2, 1), (False, 3, 0)])
+    def test_staging_leaves_the_append_medium_mounted(self, keep, exchanges, kept_mounts):
+        heaven = Heaven(HeavenConfig(
+            tape_profile=scaled_profile(DLT_7000, 96 * 1024),
+            num_drives=2,
+            super_tile_bytes=32 * 1024,
+            disk_cache_bytes=16 * MB,
+            memory_cache_bytes=4 * MB,
+        ))
+        library = heaven.library
+        for medium_id in ("a", "b", "c"):
+            library.new_medium(medium_id)
+        heaven.create_collection("col")
+        domain = MInterval.of((0, 63), (0, 127))
+        heaven.insert("col", MDD(
+            "obj", domain, DOUBLE,
+            tiling=RegularTiling((32, 32)),
+            source=HashedNoiseSource(5, 0.0, 50.0),
+        ))
+        expected = heaven.read("col", "obj", domain).copy()
+        heaven.archive("col", "obj", placement=OnePerMedium(["a", "b"]))
+        super_tiles = heaven.archived("obj").super_tiles
+        assert [library.locate(st.segment_name) for st in super_tiles] == ["a", "b"]
+        size = max(st.size_bytes for st in super_tiles)
+        for medium_id in ("a", "b"):  # leave no room for a rewrite
+            filler = library.medium(medium_id).free_bytes - size + 1
+            library.write_segment(f"fill-{medium_id}", filler, medium_id=medium_id)
+        assert library.append_target(size) == "c"
+        library.unmount_all()
+        library.mount("c", library.drives[0])
+        if not keep:  # plain holder / free / LRU drive choice
+            library.keep_mounted = lambda medium_id: contextlib.nullcontext()
+        before = library.stats()
+
+        region = MInterval.of((1, 62), (1, 126))  # every tile of both super-tiles
+        patch = np.arange(62 * 126, dtype=np.float64).reshape(62, 126)
+        assert heaven.update("col", "obj", region, patch) == 2
+
+        after = library.stats()
+        assert after.exchanges - before.exchanges == exchanges
+        assert after.kept_mounts - before.kept_mounts == kept_mounts
+        assert [library.locate(st.segment_name) for st in super_tiles] == ["c", "c"]
+        expected[1:63, 1:127] = patch
+        heaven.memory_cache.invalidate_object("obj")
+        for key in heaven.disk_cache.keys():
+            heaven.disk_cache.invalidate(key)
+        assert heaven.read("col", "obj", domain).tobytes() == expected.tobytes()
 
 
 #: Unaligned in both axes: 10 edge tiles around 2 interior tiles.

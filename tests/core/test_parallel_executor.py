@@ -212,7 +212,8 @@ def fetches(library: TapeLibrary, start: int):
 
 @st.composite
 def twin_setups(draw):
-    """A 2-3 drive library's initial mounts and head positions, and a batch."""
+    """A 2-3 drive library's initial mounts and head positions, a batch, and
+    an optional medium to keep mounted (one the mounts or the batch use)."""
     drives = draw(st.integers(2, 3))
     media = draw(st.permutations(range(5)))
     mounts = [
@@ -220,7 +221,9 @@ def twin_setups(draw):
         for index in range(drives)
         if draw(st.booleans())
     ]
-    return drives, mounts, draw(request_batches())
+    batch = draw(request_batches())
+    used = sorted({f"m{m}" for _i, m, _h in mounts} | {r.medium_id for r in batch})
+    return drives, mounts, batch, draw(st.none() | st.sampled_from(used))
 
 
 def build_twin(drives, mounts) -> TapeLibrary:
@@ -237,7 +240,9 @@ class TestSerialEquivalence:
     @given(twin_setups(), st.sampled_from([ElevatorScheduler, FIFOScheduler]))
     @settings(max_examples=60, deadline=None)
     def test_same_moves_same_landing_order_never_slower(self, setup, scheduler):
-        drives, mounts, batch = setup
+        # *kept*: an optional medium both twins keep mounted (an update's
+        # append medium), so the diverted LRU picks must match too.
+        drives, mounts, batch, kept = setup
         oracle, library = build_twin(drives, mounts), build_twin(drives, mounts)
         ordered = scheduler().order(batch, oracle)
         assert drive_state(oracle) == drive_state(library)
@@ -245,10 +250,11 @@ class TestSerialEquivalence:
         oracle_start, oracle_t0 = oracle.clock.log.cursor(), oracle.clock.now
         oracle_before = oracle.stats()
         oracle_landed = []
-        for request in ordered:
-            oracle.read_extent(request.medium_id, request.offset, request.length)
-            oracle.clock.charge(0.25, "write", "disk", nbytes=request.length)
-            oracle_landed.append(request.key)
+        with oracle.keep_mounted(kept):
+            for request in ordered:
+                oracle.read_extent(request.medium_id, request.offset, request.length)
+                oracle.clock.charge(0.25, "write", "disk", nbytes=request.length)
+                oracle_landed.append(request.key)
         oracle_after = oracle.stats()
         oracle_elapsed = oracle.clock.now - oracle_t0
 
@@ -260,13 +266,16 @@ class TestSerialEquivalence:
             library.clock.charge(0.25, "write", "disk", nbytes=request.length)
             landed.append(request.key)
 
-        report = ParallelExecutor(library, scheduler=scheduler()).execute(
-            batch, on_staged=land
-        )
+        with library.keep_mounted(kept):
+            report = ParallelExecutor(library, scheduler=scheduler()).execute(
+                batch, on_staged=land
+            )
         after = library.stats()
 
         assert fetches(library, start) == fetches(oracle, oracle_start)
-        for counter in ("exchanges", "bytes_read", "seeks", "seek_distance_bytes"):
+        for counter in (
+            "exchanges", "bytes_read", "seeks", "seek_distance_bytes", "kept_mounts"
+        ):
             assert (
                 getattr(after, counter) - getattr(before, counter)
                 == getattr(oracle_after, counter) - getattr(oracle_before, counter)
