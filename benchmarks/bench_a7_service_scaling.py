@@ -1,11 +1,15 @@
 """A7 (ablation) — service-tier scaling: virtual q/s vs data-node count.
 
 The same seeded open-loop request stream is served through the SN/DN
-tier at 1, 2 and 4 data nodes, each node a fresh HEAVEN owning a
-hash-ring shard of the super-tile space.  Series: virtual throughput,
-p95 sojourn and makespan per node count.  The object is spread over
-eight small media and a node only mounts the media its shard lives on,
-so the mount bill — the dominant cost — shrinks with the node count.
+tier at 1, 2 and 4 data nodes, each node a fresh HEAVEN holding a full
+copy of the archive.  Series: virtual throughput, p95 sojourn and
+makespan per node count.  The object is spread over eight small media,
+dealt round-robin over the nodes; the service node routes each tile to
+its medium's node, so every medium is mounted exactly once in the run,
+on one node only, and the mount bill — the dominant cost — splits N
+ways.  Throughput scales slightly above linearly because a node's first
+mount finds its drive empty and stows nothing: four nodes make four such
+mounts where one node makes one.
 """
 
 import numpy as np
@@ -25,7 +29,9 @@ SEED = 23
 #: arrivals an order of magnitude faster than the single-node service
 #: rate: the makespan is work-dominated and the node count is what moves it
 OFFERED_QPS = 4.0
-MIN_SPEEDUP_4V1 = 1.4
+#: committed scaling floors (measured 2.047 and 4.297)
+MIN_SPEEDUP_2V1 = 2.0
+MIN_SPEEDUP_4V1 = 4.2
 
 
 def make_config() -> HeavenConfig:
@@ -93,5 +99,6 @@ def test_a7_service_scaling(benchmark, report_table):
     qps = [row[1] for row in rows]
     # Shape: throughput grows with every doubling of the data nodes ...
     assert qps == sorted(qps)
-    # ... and four nodes clear the committed scaling floor.
-    assert qps[-1] / qps[0] >= MIN_SPEEDUP_4V1
+    # ... and two and four nodes clear the committed scaling floors.
+    assert qps[1] / qps[0] >= MIN_SPEEDUP_2V1
+    assert qps[2] / qps[0] >= MIN_SPEEDUP_4V1

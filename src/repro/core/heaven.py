@@ -518,27 +518,29 @@ class Heaven:
     def describe_object(
         self, collection_name: str, object_name: str
     ) -> ObjectDescriptor:
-        """Shardable metadata of one object for the SN/DN service tier.
+        """Routable metadata of one object for the SN/DN service tier.
 
         A service node routes tiles by :meth:`ObjectDescriptor.shard_key`:
-        archived tiles hash by their super-tile segment name (so a whole
-        super-tile lands on one data node and its tape run is never split),
-        disk-resident tiles by a synthetic per-tile key.
+        archived tiles by the medium their super-tile segment lives on (so
+        a medium is mounted by one data node only, and a super-tile's tape
+        run is never split), disk-resident tiles by a synthetic per-tile key.
         """
         mdd = self.storage.collection(collection_name).get(object_name)
         entry = self._archived.get(object_name)
-        tile_segments: Dict[int, str] = {}
+        tile_media: Dict[int, str] = {}
         if entry is not None:
             for tile_id, super_tile in entry.tile_to_st.items():
                 if super_tile.segment_name is not None:
-                    tile_segments[tile_id] = super_tile.segment_name
+                    tile_media[tile_id] = self.library.locate(
+                        super_tile.segment_name
+                    )
         return ObjectDescriptor(
             collection=collection_name,
             name=object_name,
             domain=mdd.domain,
             cell_type=mdd.cell_type,
             tiling=mdd.tiling,
-            tile_segments=tile_segments,
+            tile_media=tile_media,
             archived=entry is not None,
         )
 

@@ -1,11 +1,11 @@
 """Serializable request/response units of the hierarchical read path.
 
 The service tier (:mod:`repro.service`) splits one logical read across
-data nodes that each own a consistent-hash shard of the super-tile space.
+data nodes, routing each tile by the tape medium it lives on.
 The currency of that split is defined here:
 
 * :class:`SubReadRequest` — "give me these tiles of that object, clipped
-  to this region", small enough to route to whichever node owns the shard;
+  to this region", small enough to route to whichever node owns their media;
 * :class:`SubReadResponse` — the decoded tile payloads plus the
   storage-cost stats of serving them;
 * :class:`ObjectDescriptor` — the metadata a service node needs to split
@@ -449,14 +449,14 @@ def _unit_response(
 
 @dataclass(frozen=True)
 class ObjectDescriptor:
-    """Shardable metadata of one object: what a service node routes by.
+    """Routable metadata of one object: what a service node routes by.
 
     *tiling* and *cell_type* are the object's own, so a service node that
     tiles *domain* with them gets the data nodes' tile ids and index.
-    ``tile_segments`` maps each tile to its super-tile segment key once
-    archived — the consistent-hash shard key, so every tile of one
-    super-tile lands on the same node.  Disk-resident objects shard per
-    tile under a synthetic key.
+    ``tile_media`` maps each archived tile to the medium its super-tile
+    segment lives on — the shard key, so every tile of one medium lands
+    on the same node and that medium is mounted there only.
+    Disk-resident tiles route per tile under a synthetic key.
     """
 
     collection: str
@@ -464,11 +464,11 @@ class ObjectDescriptor:
     domain: MInterval
     cell_type: CellType
     tiling: RegularTiling
-    tile_segments: Dict[int, str] = field(default_factory=dict)
+    tile_media: Dict[int, str] = field(default_factory=dict)
     archived: bool = False
 
     def shard_key(self, tile_id: int) -> str:
-        segment = self.tile_segments.get(tile_id)
-        if segment is not None:
-            return segment
+        medium = self.tile_media.get(tile_id)
+        if medium is not None:
+            return medium
         return f"{self.collection}/{self.name}/t{tile_id}"

@@ -1,14 +1,15 @@
 """Async multi-tenant SN/DN service tier over sharded HEAVEN data nodes.
 
 Service nodes (:class:`~repro.service.sn.ServiceNode`) parse and
-authenticate tenant reads, split them by a consistent-hash ring into
-per-shard sub-read units, and paste the shard responses (tiles clipped
-to the query region) into the answer.  Data nodes
-(:class:`~repro.service.node.DataNode`) each own a shard of the
-super-tile space backed by their own :class:`~repro.core.heaven.Heaven`
-instance and serve drained request batches fused through the admission
-layer.  :class:`~repro.service.cluster.ServiceCluster` wires N of them
-together in-process.  See ``docs/SERVICE.md``.
+authenticate tenant reads, split them by tape medium into per-node
+sub-read units (:class:`~repro.service.hashring.HashRing`), and paste
+the shard responses (tiles clipped to the query region) into the
+answer.  Data nodes (:class:`~repro.service.node.DataNode`) each own the
+media dealt to them, backed by their own
+:class:`~repro.core.heaven.Heaven` instance, and serve drained request
+batches fused through the admission layer.
+:class:`~repro.service.cluster.ServiceCluster` wires N of them together
+in-process.  See ``docs/SERVICE.md``.
 """
 
 from ..core.units import (

@@ -5,9 +5,11 @@ Two construction modes:
 * :meth:`ServiceCluster.build` — the *scaling* shape: every data node
   gets its **own fresh** :class:`~repro.core.heaven.Heaven` built by
   ``config_factory()`` and populated by running ``setup(heaven)``
-  identically on each.  The hash ring then partitions the super-tile
-  space, so each node's cache and drive pool only ever works its shard —
-  this is where adding nodes buys virtual-time throughput.
+  identically on each (a full copy of the archive per node).  The
+  cluster deals the media round-robin over the nodes and routes each
+  tile to its medium's node, so a medium is mounted on one node only and
+  the cluster's drives work as one pool — this is where adding nodes
+  buys virtual-time throughput.
 * :meth:`ServiceCluster.over` — the *oracle* shape: all data nodes
   share ONE existing Heaven.  Used by simtest, where reads through the
   service tier must observe exactly the state the oracle tracked.
@@ -37,7 +39,16 @@ __all__ = ["ServiceCluster"]
 
 
 class ServiceCluster:
-    """N shard-owning data nodes, one hash ring, one service node."""
+    """N data nodes, one routing ring, one service node.
+
+    The ring deals ``heavens[0].library.media()`` once, here, after the
+    nodes join: the media in registration order, round-robin over the
+    nodes in sorted node-id order.  Tiles on a dealt medium go to its
+    node; unarchived tiles and media registered later fall back to the
+    ring's consistent hash.  Routing is a locality hint only — every
+    data node can serve every tile, so a stale catalog changes cost,
+    never bytes.
+    """
 
     def __init__(
         self,
@@ -61,6 +72,7 @@ class ServiceCluster:
             node_id = f"dn{index}"
             self.ring.add_node(node_id)
             self.nodes[node_id] = DataNode(node_id, heaven, fault_plan=fault_plan)
+        self.ring.deal([m.medium_id for m in self.heavens[0].library.media()])
         # Every data node holds the same schema (build mode runs the same
         # setup everywhere; over mode shares one instance), so any node
         # can describe the catalog.

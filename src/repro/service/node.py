@@ -1,7 +1,7 @@
 """Data node: one shard owner serving sub-read units over asyncio.
 
-A :class:`DataNode` owns a consistent-hash shard of the super-tile space
-and a whole :class:`~repro.core.heaven.Heaven` instance (its own clock,
+A :class:`DataNode` owns the tape media the cluster dealt to it (the
+service node routes each tile by its medium) and a whole :class:`~repro.core.heaven.Heaven` instance (its own clock,
 disk cache, drive pool).  Requests arrive through an inbox queue; the
 worker task drains the queue in **batches**, so sub-reads from many
 concurrent tenants that land while the node is busy are answered in one

@@ -11,7 +11,8 @@ handles to the data nodes.  One read runs the full service pipeline:
 2. **pre-charge** the tenant's quota with the region's estimated byte
    volume (429-style :class:`~repro.errors.QuotaExceededError` — a
    rejected query never reaches a data node);
-3. **split** the region's tile cover by the hash ring into one
+3. **split** the region's tile cover by the ring (each tile goes to
+   the node its medium was dealt to) into one
    :class:`~repro.core.units.SubReadRequest` per owning data node;
 4. **dispatch** concurrently with a per-shard ``asyncio.wait_for``
    timeout guard and bounded retry; a shard that stays dark past the

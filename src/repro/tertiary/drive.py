@@ -208,5 +208,5 @@ class Drive:
         return cost
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        held = self.medium.medium_id if self.medium else "-"
+        held = self.medium.medium_id if self.medium is not None else "-"
         return f"Drive({self.drive_id!r}, medium={held}, head={self.head_position})"

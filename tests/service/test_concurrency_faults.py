@@ -37,13 +37,15 @@ NO_HANG_S = 30.0
 
 
 def _make_config(**extra) -> HeavenConfig:
-    # 8 KB super-tiles: several segments, so the ring splits the object
-    return HeavenConfig(
+    # 8 KB super-tiles on 16 KiB media: the object spans two media, and a
+    # 2-node cluster routes one to each node
+    settings = dict(
+        tape_profile=scaled_profile(DLT_7000, 16 * 1024),
         super_tile_bytes=8 * 1024,
         disk_cache_bytes=16 * MB,
         memory_cache_bytes=8 * MB,
-        **extra,
     )
+    return HeavenConfig(**{**settings, **extra})
 
 
 def _setup(heaven: Heaven) -> None:

@@ -10,16 +10,21 @@ from repro.core import Heaven, HeavenConfig
 from repro.core.units import TilePayload
 from repro.errors import HeavenError, ShardUnavailableError, WireFormatError
 from repro.service import ServiceCluster, ShadowObject
-from repro.tertiary import MB
+from repro.tertiary import DLT_7000, MB, scaled_profile
 
 SIDE = 96
 TILE = 16
 
 
+#: 16 KiB media: the 72 KiB object spans 5 of them
+MEDIA_BYTES = 16 * 1024
+
+
 def _make_config() -> HeavenConfig:
-    # 8 KB super-tiles (4 tiles each): ~9 segments, so a 4-node hash
-    # ring reliably splits the object across several shards.
+    # 8 KB super-tiles (4 tiles each) on 16 KiB media: 5 media dealt over
+    # a 4-node cluster, so a full read splits across every data node.
     return HeavenConfig(
+        tape_profile=scaled_profile(DLT_7000, MEDIA_BYTES),
         super_tile_bytes=8 * 1024,
         disk_cache_bytes=16 * MB,
         memory_cache_bytes=8 * MB,
@@ -70,11 +75,16 @@ class TestByteIdentity:
         np.testing.assert_array_equal(result.cells, expected)
         assert result.bytes_useful > 0
 
-    def test_multi_shard_read_reports_shards(self, cluster):
+    def test_multi_shard_read_reports_shards(self, cluster, reference):
         region = f"0:{SIDE - 1},0:{SIDE - 1}"
+        media = set(cluster.catalog["c", "obj"].tile_media.values())
+        assert len(media) >= 2
         result = cluster.read("token-alice", "c", "obj", region)
-        # 36 tiles over a 4-node ring: statistically certain to split
+        # each medium routes to one node: the object's media reach them all
         assert len(set(result.shards)) > 1
+        assert sorted(result.shards) == sorted(cluster.nodes)
+        expected = reference.read("c", "obj", MInterval.parse(region))
+        np.testing.assert_array_equal(result.cells, expected)
 
     @pytest.mark.property
     @given(window=windows)

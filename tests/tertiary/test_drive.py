@@ -23,6 +23,15 @@ def medium():
     return Medium("t0", PROFILE)
 
 
+class TestRepr:
+    def test_fresh_medium_is_named(self, drive, medium):
+        # a medium with no segments has len() 0 but is still loaded
+        assert repr(drive) == "Drive('d0', medium=-, head=0)"
+        drive.load(medium)
+        assert len(medium) == 0
+        assert repr(drive) == "Drive('d0', medium=t0, head=0)"
+
+
 class TestLoadUnload:
     def test_load_charges_load_time(self, drive, medium, clock):
         drive.load(medium)
