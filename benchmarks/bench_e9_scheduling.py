@@ -2,15 +2,16 @@
 
 Multi-query batches whose super-tile requests interleave several media.
 FIFO execution exchanges media on almost every request; HEAVEN's scheduler
-groups requests per medium and sweeps forward.  Series over batch size:
-media exchanges and total time for both schedulers.
+groups requests per medium and sweeps forward.  Both orders run through
+the :class:`ParallelExecutor` on a one-drive library.  Series over batch
+size: media exchanges and total time for both schedulers.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench import ResultTable, speedup
-from repro.core import ElevatorScheduler, FIFOScheduler, TapeRequest, execute_batch
+from repro.core import ElevatorScheduler, FIFOScheduler, ParallelExecutor, TapeRequest
 from repro.tertiary import GB, MB, TapeLibrary
 
 from _rigs import BENCH_PROFILE
@@ -38,6 +39,11 @@ def build_library():
     return library, requests
 
 
+def execute(batch, library, scheduler):
+    """Run *batch* in *scheduler*'s order; returns the executed report."""
+    return ParallelExecutor(library).execute(scheduler.order(batch, library))
+
+
 def run_sweep():
     rows = []
     rng = np.random.default_rng(5)
@@ -46,10 +52,10 @@ def run_sweep():
         batch = list(rng.choice(len(requests), size=batch_size, replace=False))
         batch = [requests[i] for i in batch]
 
-        fifo = execute_batch(batch, library, FIFOScheduler())
+        fifo = execute(batch, library, FIFOScheduler())
         library.unmount_all()
         library.clock.reset()
-        elevator = execute_batch(batch, library, ElevatorScheduler())
+        elevator = execute(batch, library, ElevatorScheduler())
         rows.append((batch_size, fifo, elevator))
     return rows
 

@@ -4,14 +4,18 @@
 A *harness* is a way the system is driven as a whole, not a unit test:
 the experiments, the end-to-end workloads, the simtest sweeps, the
 examples and every CLI command at its defaults (``HARNESSES`` below).
-``run`` starts each in a fresh subprocess with a ``sys.setprofile`` hook
+``run`` starts each in a fresh subprocess with a ``sys.settrace`` hook
 loaded through a temporary ``sitecustomize`` directory; at exit each
 child dumps the ``(file, first line, name)`` of every ``src/repro`` code
-object that ran.  ``report`` maps the dumps onto an ``ast`` walk of
-``src/repro`` (a code object's first line is its first decorator line)
-and prints every function no harness reached, per module, with its line
-count (``def`` line through last line; nested functions count on their
-own too).
+object that ran (a call event: a ``def`` line runs at import, so line
+hits say nothing about reach) and the lines those code objects ran.
+``report`` maps the dumps onto an ``ast`` walk of ``src/repro`` (a code
+object's first line is its first decorator line) and prints every
+function no harness reached, per module, with its line count (``def``
+line through last line; nested functions count on their own too).
+``report --lines`` also lists, per reached function, the statements no
+harness ran, as line ranges: modes and branches inside live code.  The
+line listing is a report only; ``--check`` does not gate on it.
 
 A function that nothing reaches is deleted, or named in ``ALLOWLIST``
 with a one-line reason (and the ROADMAP item it waits on, if any).
@@ -27,8 +31,8 @@ nests; a class covers its methods) or a bare module (covers all of it).
 Usage::
 
     python scripts/reach.py run [--dumps DIR]
-    python scripts/reach.py report [--dumps DIR]
-    python scripts/reach.py --check [--dumps DIR]
+    python scripts/reach.py report [--lines] [--dumps DIR]
+    python scripts/reach.py --check [--lines] [--dumps DIR]
 
 Stdlib only; the harnesses themselves need numpy, pytest and
 pytest-benchmark.  About 2 minutes on 2 vCPUs (two harnesses at a time).
@@ -46,7 +50,7 @@ import tempfile
 import time
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
@@ -64,7 +68,7 @@ CLI_COMMANDS = ("info", "demo", "retrieval", "parallel", "multiquery", "serve",
 
 #: (label, argv after ``python``), each run from the repo root
 HARNESSES: List[Tuple[str, List[str]]] = [
-    # pytest-benchmark switches the profile hook off inside timed calls
+    # pytest-benchmark switches the trace hook off inside timed calls
     ("experiments", ["-m", "pytest", "benchmarks", "--ignore=benchmarks/e2e_layers",
                      "--benchmark-disable", "-q", "-p", "no:cacheprovider"]),
     *((f"e2e-{workload}-trace{trace}",
@@ -202,29 +206,45 @@ ALLOWLIST: Dict[str, Dict[str, str]] = {
 HOOK = '''\
 import atexit, json, os, sys, threading
 
-_codes = {}
+_root = os.environ["REACH_SRC"] + os.sep
+_codes = {}  # id(code) -> every code object that ran (kept, so ids stay unique)
+_lines = {}  # id(code) -> the lines it ran, for src/repro code objects only
+
+
+def _reach_lines(frame, event, arg):
+    if event == "line":
+        _lines[id(frame.f_code)].add(frame.f_lineno)
+    return _reach_lines
 
 
 def _reach_hook(frame, event, arg):
-    if event == "call":
-        code = frame.f_code
-        _codes[id(code)] = code
+    code = frame.f_code
+    key = id(code)
+    if key not in _codes:
+        _codes[key] = code
+        if code.co_filename.startswith(_root):
+            _lines[key] = set()
+    return _reach_lines if key in _lines else None
 
 
 def _reach_dump():
-    sys.setprofile(None)
-    root = os.environ["REACH_SRC"] + os.sep
-    reached = sorted({(code.co_filename[len(root):], code.co_firstlineno, code.co_name)
-                      for code in list(_codes.values())
-                      if code.co_filename.startswith(root)})
+    sys.settrace(None)
+    threading.settrace(None)
+    reached, lines = set(), {}
+    for key, hits in list(_lines.items()):
+        code = _codes[key]
+        path = code.co_filename[len(_root):]
+        reached.add((path, code.co_firstlineno, code.co_name))
+        lines.setdefault(path, set()).update(hits)
     name = "%s.%d.json" % (os.environ["REACH_LABEL"], os.getpid())
     with open(os.path.join(os.environ["REACH_DUMPS"], name), "w") as handle:
-        json.dump(reached, handle)
+        json.dump({"functions": sorted(reached),
+                   "lines": {path: sorted(hits) for path, hits in lines.items()}}, handle)
 
 
 atexit.register(_reach_dump)
-threading.setprofile(_reach_hook)
-sys.setprofile(_reach_hook)
+threading.settrace(_reach_hook)
+sys.settrace(_reach_hook)
 '''
 
 
@@ -235,6 +255,7 @@ class Function(NamedTuple):
     first: int  # first decorator line (a code object's ``co_firstlineno``)
     name: str
     lines: int  # ``def`` line through last line
+    body: Tuple[ast.stmt, ...]  # its own statements (``report --lines``)
 
 
 def functions() -> List[Function]:
@@ -258,14 +279,61 @@ def _walk(node: ast.AST, module: str, path: str, prefix: str) -> Iterator[Functi
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = prefix + child.name
-            first = min([d.lineno for d in child.decorator_list] + [child.lineno])
-            yield Function(module, qualname, path, first, child.name,
-                           child.end_lineno - child.lineno + 1)
+            yield Function(module, qualname, path, _first_line(child), child.name,
+                           child.end_lineno - child.lineno + 1, tuple(child.body))
             yield from _walk(child, module, path, qualname + ".")
         elif isinstance(child, ast.ClassDef):
             yield from _walk(child, module, path, prefix + child.name + ".")
         else:
             yield from _walk(child, module, path, prefix)
+
+
+def _first_line(node: ast.AST) -> int:
+    """A statement's first line: its first decorator line, if it has any."""
+    return min([d.lineno for d in getattr(node, "decorator_list", ())] + [node.lineno])
+
+
+def _bodies(node: ast.AST) -> List[List[ast.AST]]:
+    """The statement lists *node* holds (an ``except`` clause counts as a
+    statement of its ``try``); a nested function's body is its own."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return []
+    return [getattr(node, field) for field in ("body", "handlers", "orelse", "finalbody")
+            if getattr(node, field, None)]
+
+
+def _ran(node: ast.AST, hits: Set[int]) -> bool:
+    """Whether a harness ran *node*: a line of its header (the whole
+    statement for a simple one) was hit, or a statement it holds ran."""
+    first, last = _first_line(node), node.end_lineno
+    if isinstance(getattr(node, "body", None), list):  # compound: its header lines
+        last = max(first, node.body[0].lineno - 1)
+    return any(line in hits for line in range(first, last + 1)) or any(
+        _ran(child, hits) for body in _bodies(node) for child in body)
+
+
+def unrun(body: Sequence[ast.AST], hits: Set[int]) -> List[Tuple[int, int]]:
+    """``(first, last)`` line ranges of the statements in *body* that no
+    harness ran: each maximal run of unrun neighbours is one range, and
+    what an unrun statement holds is not listed again.  String statements
+    (docstrings) and ``global``/``nonlocal`` run no code and are skipped."""
+    ranges: List[Tuple[int, int]] = []
+    extend = False  # the previous statement was unrun: grow its range
+    for node in body:
+        if isinstance(node, (ast.Global, ast.Nonlocal)) or (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            continue
+        if _ran(node, hits):
+            extend = False
+            for inner in _bodies(node):
+                ranges.extend(unrun(inner, hits))
+        elif extend:
+            ranges[-1] = (ranges[-1][0], node.end_lineno)
+        else:
+            ranges.append((_first_line(node), node.end_lineno))
+            extend = True
+    return ranges
 
 
 def covers(entry: str, function: Function) -> bool:
@@ -315,23 +383,56 @@ def run(dumps: str) -> int:
     return 1 if failed else 0
 
 
-def reached(dumps: str) -> Set[Tuple[str, int, str]]:
-    seen: Set[Tuple[str, int, str]] = set()
+class Reach(NamedTuple):
+    functions: Set[Tuple[str, int, str]]  # ``(path, first line, name)`` that ran
+    lines: Dict[str, Set[int]]  # path -> the lines that ran
+
+
+def reached(dumps: str) -> Reach:
+    seen = Reach(set(), defaultdict(set))
     for name in sorted(os.listdir(dumps)):
         if name.endswith(".json"):
             with open(os.path.join(dumps, name)) as handle:
-                seen.update((path, first, code) for path, first, code in json.load(handle))
+                dump = json.load(handle)
+            seen.functions.update((path, first, code) for path, first, code in dump["functions"])
+            for path, lines in dump["lines"].items():
+                seen.lines[path].update(lines)
     return seen
 
 
-def report(dumps: str) -> int:
-    """Print the unreached functions; 1 if the ``--check`` conditions fail."""
+def report_lines(every: Sequence[Function], unreached: Set[Function],
+                 lines: Dict[str, Set[int]]) -> None:
+    """Print, per reached function, the line ranges of its statements that
+    no harness ran (nested functions are listed on their own)."""
+    by_module: Dict[str, List[Tuple[Function, List[Tuple[int, int]]]]] = defaultdict(list)
+    for function in every:
+        if function not in unreached:
+            ranges = unrun(function.body, lines.get(function.path, set()))
+            if ranges:
+                by_module[function.path].append((function, ranges))
+    rows = [row for path in sorted(by_module) for row in by_module[path]]
+    total = sum(last - first + 1 for _function, ranges in rows for first, last in ranges)
+    print()
+    print(f"statements no harness ran inside reached functions: {len(rows)} functions, "
+          f"{total} lines")
+    for path in sorted(by_module):
+        print(path)
+        for function, ranges in by_module[path]:
+            spans = ", ".join(str(first) if first == last else f"{first}-{last}"
+                              for first, last in ranges)
+            count = sum(last - first + 1 for first, last in ranges)
+            print(f"  {count:4d}  {function.qualname}  (line {function.first}): {spans}")
+
+
+def report(dumps: str, lines: bool = False) -> int:
+    """Print the unreached functions (and with *lines* the unrun statements
+    of reached ones); 1 if the ``--check`` conditions fail."""
     every = functions()
     seen = reached(dumps)
-    if not seen:
+    if not seen.functions:
         print(f"no dumps in {dumps}: run `reach.py run` first", file=sys.stderr)
         return 1
-    unreached = [f for f in every if (f.path, f.first, f.name) not in seen]
+    unreached = [f for f in every if (f.path, f.first, f.name) not in seen.functions]
     missed = set(unreached)
     excused: Set[Function] = set()
     group_lines: Dict[str, int] = defaultdict(int)
@@ -372,6 +473,8 @@ def report(dumps: str) -> int:
         for function in rows:
             mark = "*" if function in excused else " "
             print(f"  {mark} {function.lines:4d}  {function.qualname}  (line {function.first})")
+    if lines:
+        report_lines(every, missed, seen.lines)
     if outside_lines > LIMIT:
         errors.append(f"{outside_lines} unreached lines outside the allowlist > LIMIT {LIMIT}")
     for error in errors:
@@ -384,15 +487,17 @@ def main(argv=None) -> int:
     parser.add_argument("command", nargs="?", choices=("run", "report"))
     parser.add_argument("--check", action="store_true",
                         help="run, then report; exit 1 on a failed harness or condition")
+    parser.add_argument("--lines", action="store_true",
+                        help="also list the statements no harness ran in reached functions")
     parser.add_argument("--dumps", default=DEFAULT_DUMPS,
                         help="directory of the per-process dumps (default: .reach/)")
     args = parser.parse_args(argv)
     if args.check:
-        return run(args.dumps) | report(args.dumps)
+        return run(args.dumps) | report(args.dumps, args.lines)
     if args.command == "run":
         return run(args.dumps)
     if args.command == "report":
-        return report(args.dumps)
+        return report(args.dumps, args.lines)
     parser.error("give `run`, `report` or --check")
     return 2
 

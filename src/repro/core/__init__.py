@@ -65,21 +65,14 @@ from .precomputed import (
 )
 from .pyramid import PyramidCatalog, PyramidLevel, PyramidStats
 from .scheduler import (
-    CoalescedRun,
-    DrivePlan,
     DriveShare,
     ElevatorScheduler,
     FIFOScheduler,
     ParallelExecutor,
-    ParallelPlan,
     ParallelReport,
-    ScheduleReport,
     Scheduler,
     TapeRequest,
     attribute_request_bytes,
-    coalesce_requests,
-    execute_batch,
-    plan_parallel,
     split_shared_bytes,
 )
 from .super_tile import (
@@ -130,16 +123,11 @@ __all__ = [
     "PyramidLevel",
     "PyramidStats",
     "ParallelExecutor",
-    "ParallelPlan",
     "ParallelReport",
-    "DrivePlan",
     "DriveShare",
-    "CoalescedRun",
-    "coalesce_requests",
     "RetrievalReport",
     "RetryPolicy",
     "ScatterPlacement",
-    "ScheduleReport",
     "Scheduler",
     "SizePolicy",
     "SuperTile",
@@ -150,13 +138,11 @@ __all__ = [
     "split_shared_bytes",
     "estar_partition",
     "codec_names",
-    "execute_batch",
     "grid_block_shape",
     "intra_cluster_order",
     "make_codec",
     "make_policy",
     "optimal_super_tile_bytes",
-    "plan_parallel",
     "policy_names",
     "read_frame",
     "recover_incomplete_exports",

@@ -30,8 +30,9 @@ class HeavenConfig:
         num_drives: read/write stations in the library.  With more than
             one, every admission wave stages through the
             :class:`~repro.core.scheduler.ParallelExecutor` (Kapitel
-            3.7.3): the serial loop's mounts, seeks and reads, overlapped
-            across the drives on one virtual timeline each.
+            3.7.3), the one runner of a tape batch: the serial loop's
+            mounts, seeks and reads, overlapped across the drives on one
+            virtual timeline each.  With one, a wave streams serially.
         attachment: how HEAVEN is coupled to tertiary storage
             (Kapitel 3.1).  ``"drive"`` talks to the library directly
             (segment-level access, partial super-tile runs possible);

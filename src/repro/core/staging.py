@@ -27,7 +27,7 @@ from ..arrays.mdd import MDD
 from ..arrays.tile import Tile
 from ..errors import CacheError, HeavenError
 from .cache import DiskCache, MemoryTileCache
-from .scheduler import FIFOScheduler, ParallelExecutor, TapeRequest
+from .scheduler import ParallelExecutor, TapeRequest
 from .super_tile import SuperTile
 
 if TYPE_CHECKING:
@@ -336,19 +336,19 @@ def _stage_wave(
     """Stream one wave of requests from tape into the disk cache.
 
     A library with several drives runs the wave through the
-    :class:`~repro.core.scheduler.ParallelExecutor`: the serial loop's
-    mounts, seeks and reads, each drive on its own virtual timeline, the
-    robot arm serialised across them, and landing (:func:`_land_staged`) in
-    request order on the assembly timeline while the drives stream on.  The
-    wave is already in the scheduler's order, so it runs as given.  With one
-    drive there is nothing to overlap, and the wave streams serially.
+    :class:`~repro.core.scheduler.ParallelExecutor`, the one runner of a
+    tape batch: the serial loop's mounts, seeks and reads in the wave's
+    order (already the scheduler's), each drive on its own virtual
+    timeline, the robot arm serialised across them, and landing
+    (:func:`_land_staged`) in request order on the assembly timeline while
+    the drives stream on.  With one drive the wave streams serially, each
+    run landed before the next is read: the executor would overlap landing
+    with streaming there, which changes the timing the single-drive
+    experiments measure.
     """
     staged_keys: List[str] = []
     if len(heaven.library.drives) > 1:
-        executor = ParallelExecutor(
-            heaven.library, tracer=heaven.tracer, scheduler=FIFOScheduler()
-        )
-        report = executor.execute(
+        report = ParallelExecutor(heaven.library, tracer=heaven.tracer).execute(
             wave,
             on_staged=lambda request: _land_staged(
                 heaven, request, needs, ticket, staged_keys

@@ -5,7 +5,7 @@ the same for *host* time.  A :class:`WallProfiler` samples the interpreter
 stack while a workload runs and aggregates the samples three ways:
 
 * **pipeline phases** — each sample is attributed to one of the phases the
-  tracer already names (``stage`` / ``coalesce`` / ``decode`` / ``assemble``
+  tracer already names (``stage`` / ``plan`` / ``decode`` / ``assemble``
   / ``cache`` / ``metadata``), via the innermost active span at sample time
   plus a frame-name override for the decode kernels that run inside wider
   spans;
@@ -44,7 +44,7 @@ from .trace import Span, Tracer
 #: the pipeline phases host time is attributed to (matching the span names
 #: the tracer emits along the read path)
 PHASES: Tuple[str, ...] = (
-    "stage", "coalesce", "decode", "assemble", "cache", "metadata", "other",
+    "stage", "plan", "decode", "assemble", "cache", "metadata", "other",
 )
 
 #: span name -> phase; the *innermost* active span at sample time decides
@@ -54,7 +54,7 @@ SPAN_PHASES: Dict[str, str] = {
     "heaven.archive": "stage",
     "export.coupled": "stage",
     "export.tct": "stage",
-    "scheduler.plan": "coalesce",
+    "scheduler.plan": "plan",
     "heaven.drain": "decode",
     "heaven.assemble": "assemble",
     "cache.lookup": "cache",

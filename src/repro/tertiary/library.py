@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import (
     DriveFaultError,
@@ -56,19 +56,6 @@ class RecoveryStats:
     failovers: int = 0
     backoff_seconds: float = 0.0
     exhausted: int = 0
-
-
-_D = TypeVar("_D")
-
-
-def pick_drive(candidates: Sequence[_D]) -> _D:
-    """The first free drive of *candidates*, else the least recently used.
-
-    Works on anything with ``loaded`` and ``last_used`` (the parallel
-    planner passes its simulated drives), so plan and library pick alike.
-    """
-    free = next((d for d in candidates if not d.loaded), None)
-    return free if free is not None else min(candidates, key=lambda d: d.last_used)
 
 
 class TapeLibrary:
@@ -183,10 +170,11 @@ class TapeLibrary:
 
         Injected faults engage the recovery layer: a failed attempt backs
         off per the :class:`~repro.faults.RetryPolicy` and is retried; a
-        drive that rejected the load (mount failure) is excluded so the
-        retry *fails over* to another drive — the returned drive is the one
-        that took the medium.  When the retry budget is spent the last
-        fault escalates to :class:`RetryExhaustedError`.
+        drive that rejected the load (mount failure) is banned for the rest
+        of this mount, so the retry *fails over* to another drive — the
+        returned drive is the one that took the medium.  When the retry
+        budget is spent the last fault escalates to
+        :class:`RetryExhaustedError`.
         """
         medium = self.medium(medium_id)
         holder = self.mounted_drive(medium_id)
@@ -223,13 +211,14 @@ class TapeLibrary:
                     ) from fault
                 self._backoff(attempt, f"mount {medium_id}")
 
-    def drive_for(self, medium_id: str, excluded: AbstractSet[str] = frozenset()) -> Drive:
+    def drive_for(self, medium_id: str) -> Drive:
         """The drive :meth:`mount` puts *medium_id* in: the drive holding it,
         else a free drive, else the least recently used one, never the kept
-        append medium's drive while another is loaded.  Drives whose ids are
-        in *excluded* are not picked while another one is left."""
+        append medium's drive while another is loaded.  The
+        :class:`~repro.core.scheduler.ParallelExecutor` asks it before each
+        visit, so its drives make the serial loop's moves."""
         holder = self.mounted_drive(medium_id)
-        return holder if holder is not None else self._pick_drive(excluded)
+        return holder if holder is not None else self._pick_drive()
 
     @contextmanager
     def keep_mounted(self, medium_id: Optional[str]) -> Iterator[None]:
@@ -244,19 +233,20 @@ class TapeLibrary:
         finally:
             self._kept = previous
 
-    def _pick_drive(self, excluded: AbstractSet[str]) -> Drive:
-        """Mount target: free drive first, then LRU, diverted off the kept
-        medium's drive; honours failover bans."""
+    def _pick_drive(self, excluded: AbstractSet[str] = frozenset()) -> Drive:
+        """Mount target: the first free drive, else the least recently used
+        one, diverted off the kept medium's drive.  Drives in *excluded*
+        (the bans of :meth:`mount`'s failover) are skipped while another
+        one is left."""
         candidates = [d for d in self.drives if d.drive_id not in excluded] or self.drives
-        choice = pick_drive(candidates)
-        if (
-            len(candidates) > 1
-            and choice.medium is not None
-            and choice.medium.medium_id == self._kept
-        ):
+        free = next((d for d in candidates if not d.loaded), None)
+        if free is not None:
+            return free
+        choice = min(candidates, key=lambda d: d.last_used)
+        if len(candidates) > 1 and choice.medium.medium_id == self._kept:
             # No free candidate is left, so every other one is loaded.
             self._kept_mounts += 1
-            return pick_drive([d for d in candidates if d is not choice])
+            return min((d for d in candidates if d is not choice), key=lambda d: d.last_used)
         return choice
 
     def _backoff(self, attempt: int, detail: str) -> None:

@@ -1,11 +1,10 @@
-"""Tests for the HSM attachment mode and the parallel-drive planner."""
+"""Tests for the HSM attachment mode and multi-drive batch execution."""
 
 import numpy as np
 import pytest
 
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
-from repro.core import Heaven, HeavenConfig, TapeRequest, plan_parallel
-from repro.errors import HeavenError
+from repro.core import ElevatorScheduler, Heaven, HeavenConfig, ParallelExecutor, TapeRequest
 from repro.tertiary import DLT_7000, MB, TapeLibrary, scaled_profile
 
 
@@ -78,11 +77,14 @@ class TestHSMAttachment:
         assert heaven.hsm_staging.stats.bytes_written >= mdd.size_bytes
 
 
-class TestParallelPlanner:
+class TestParallelDrives:
+    """Multi-drive dispatch, executed by the :class:`ParallelExecutor` on
+    real N-drive libraries over an elevator-ordered batch."""
+
     PROFILE = scaled_profile(DLT_7000, 64 * MB)
 
-    def build_requests(self, media=4, per_medium=4):
-        library = TapeLibrary(self.PROFILE)
+    def build_requests(self, media=4, per_medium=4, drives=1):
+        library = TapeLibrary(self.PROFILE, num_drives=drives)
         requests = []
         for m in range(media):
             library.new_medium(f"m{m}")
@@ -95,76 +97,66 @@ class TestParallelPlanner:
                 )
         return library, requests
 
+    def run(self, requests, library):
+        ordered = ElevatorScheduler().order(requests, library)
+        return ParallelExecutor(library).execute(ordered)
+
+    def cold_run(self, drives, **batch):
+        """The batch on a fresh *drives*-drive library, every medium shelved."""
+        library, requests = self.build_requests(drives=drives, **batch)
+        library.unmount_all()
+        return self.run(requests, library)
+
     def test_single_drive_makespan_equals_serial(self):
         library, requests = self.build_requests()
-        plan = plan_parallel(requests, library, 1)
-        assert plan.makespan_seconds == pytest.approx(plan.serial_seconds)
-        assert plan.serial_seconds / plan.makespan_seconds == pytest.approx(1.0)
+        report = self.run(requests, library)
+        assert report.makespan_seconds == pytest.approx(report.serial_device_seconds)
+        assert report.speedup == pytest.approx(1.0)
 
     def test_speedup_grows_with_drives(self):
-        library, requests = self.build_requests(media=8)
-        plans = [plan_parallel(requests, library, d) for d in (1, 2, 4)]
-        speedups = [plan.serial_seconds / plan.makespan_seconds for plan in plans]
+        speedups = [self.cold_run(d, media=8).speedup for d in (1, 2, 4)]
         assert speedups[0] < speedups[1] < speedups[2]
 
     def test_speedup_bounded_by_drives_and_media(self):
-        library, requests = self.build_requests(media=4)
-        plan = plan_parallel(requests, library, 8)
+        report = self.cold_run(8, media=4)
         # media are indivisible
-        assert plan.serial_seconds / plan.makespan_seconds <= 4.001
+        assert report.speedup <= 4.001
 
     def test_media_never_split_across_drives(self):
-        library, requests = self.build_requests(media=5)
-        plan = plan_parallel(requests, library, 3)
+        report = self.cold_run(3, media=5)
         seen = {}
-        for drive in plan.drives:
-            for medium in drive.media:
+        for share in report.drives:
+            for medium in share.media:
                 assert medium not in seen
-                seen[medium] = drive.drive_index
+                seen[medium] = share.drive_id
         assert len(seen) == 5
 
     def test_all_requests_assigned(self):
-        library, requests = self.build_requests(media=3, per_medium=5)
-        plan = plan_parallel(requests, library, 2)
-        assigned = sum(len(d.requests) for d in plan.drives)
-        assert assigned == len(requests)
-
-    def test_balanced_load(self):
-        library, requests = self.build_requests(media=8, per_medium=2)
-        # Uniform per-medium costs: return the write path's leftover mount
-        # to the shelf, otherwise one medium is legitimately cheaper.
-        library.unmount_all()
-        plan = plan_parallel(requests, library, 4)
-        busy = [d.busy_seconds for d in plan.drives]
-        assert max(busy) <= min(busy) * 1.5  # LPT keeps it roughly even
+        library, requests = self.build_requests(media=3, per_medium=5, drives=2)
+        report = self.run(requests, library)
+        assert sum(share.requests for share in report.drives) == len(requests)
 
     def test_mounted_medium_skips_exchange_cost(self):
-        library, requests = self.build_requests(media=3, per_medium=1)
-        holders = [d for d in library.drives if d.medium is not None]
+        warm_library, requests = self.build_requests(media=3, per_medium=1)
+        holders = [d for d in warm_library.drives if d.medium is not None]
         assert holders  # the write path left the last medium in a drive
-        # The warm plan serves the mounted medium in place: it skips the
+        # The warm run serves the mounted medium in place: it skips the
         # exchange+load but must wind the head back from where the write
-        # path left it (the cold plan starts at 0 after loading), so the
+        # path left it (the cold run starts at 0 after loading), so the
         # saving is the full exchange minus that repositioning seek.
         expected = sum(
-            library.profile.full_exchange_time()
-            - library.profile.seek_time(d.head_position)
+            warm_library.profile.full_exchange_time()
+            - warm_library.profile.seek_time(d.head_position)
             for d in holders
         )
-        warm = plan_parallel(requests, library, 1)
-        library.unmount_all()
-        cold = plan_parallel(requests, library, 1)
-        assert cold.serial_seconds - warm.serial_seconds == pytest.approx(
+        warm = self.run(requests, warm_library)
+        cold = self.cold_run(1, media=3, per_medium=1)
+        assert cold.serial_device_seconds - warm.serial_device_seconds == pytest.approx(
             expected
         )
-        assert warm.serial_seconds < cold.serial_seconds
-
-    def test_zero_drives_rejected(self):
-        library, requests = self.build_requests(media=1)
-        with pytest.raises(HeavenError):
-            plan_parallel(requests, library, 0)
+        assert warm.serial_device_seconds < cold.serial_device_seconds
 
     def test_empty_batch(self):
-        library, _ = self.build_requests(media=1)
-        plan = plan_parallel([], library, 2)
-        assert plan.makespan_seconds == 0.0
+        library, _ = self.build_requests(media=1, drives=2)
+        report = self.run([], library)
+        assert report.makespan_seconds == 0.0

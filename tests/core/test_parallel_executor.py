@@ -3,7 +3,8 @@
 The executor's claims are checked on *executed* batches, not estimates:
 
 * makespan is bracketed by the device work:
-  ``makespan <= serial_device_seconds <= drives * makespan``;
+  ``makespan <= serial_device_seconds <= drives * makespan``, and every
+  visit's executed cost stays within the cost model's tolerance;
 * every request of a batch is served exactly once;
 * the event-log window decomposes exactly into per-drive busy time plus
   robot-wait time (nothing double-charged, nothing lost);
@@ -11,6 +12,8 @@ The executor's claims are checked on *executed* batches, not estimates:
   called request by request on a twin library it makes the same mounts,
   exchanges, reads and seeks, lands in the same order, leaves the drives
   in the same state and never takes longer;
+* a visit whose executed cost disagrees with the cost model raises,
+  unless a fault fell inside it;
 * a fixed-seed workload returns byte-identical arrays from a two-drive
   library staging through the executor, the same library staging
   serially, and a one-drive library.
@@ -30,8 +33,7 @@ from repro.core import (
     HeavenConfig,
     ParallelExecutor,
     TapeRequest,
-    coalesce_requests,
-    plan_parallel,
+    scheduler,
     staging,
 )
 from repro.errors import HeavenError, StorageError
@@ -73,28 +75,30 @@ class TestExecutorProperties:
     @given(request_batches(), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_makespan_bracketed_by_device_work(self, batch, drives):
-        library = build_library(4)
-        report = ParallelExecutor(library, num_drives=drives).execute(batch)
+        library = build_library(drives)
+        # The executor always validates: per-visit drift beyond 10 % raises.
+        report = ParallelExecutor(library).execute(batch)
         makespan = report.makespan_seconds
         work = report.serial_device_seconds
         assert makespan <= work + 1e-9
         assert work <= drives * makespan + 1e-9
+        assert report.estimate_drift <= scheduler.ESTIMATE_TOLERANCE
 
     @given(request_batches(), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_every_request_served_exactly_once(self, batch, drives):
-        library = build_library(4)
-        report = ParallelExecutor(library, num_drives=drives).execute(batch)
+        library = build_library(drives)
+        report = ParallelExecutor(library).execute(batch)
         assert sorted(report.order) == sorted(r.key for r in batch)
         assert report.requests == len(batch)
 
     @given(request_batches(), st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_event_window_decomposes_into_busy_plus_wait(self, batch, drives):
-        library = build_library(4)
+        library = build_library(drives)
         log = library.clock.log
         start = log.cursor()
-        report = ParallelExecutor(library, num_drives=drives).execute(batch)
+        report = ParallelExecutor(library).execute(batch)
         window = log.window(start, log.cursor())
         busy = sum(share.busy_seconds for share in report.drives)
         wait = sum(share.wait_seconds for share in report.drives)
@@ -102,55 +106,49 @@ class TestExecutorProperties:
         assert report.robot_wait_seconds == pytest.approx(wait)
         assert sum(e.duration for e in window) == pytest.approx(busy + wait)
 
-    @given(request_batches(), st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_executed_matches_plan_within_tolerance(self, batch, drives):
-        library = build_library(4)
-        plan = plan_parallel(batch, library, drives)
-        # The executor always validates: per-medium drift beyond 10 % raises.
-        report = ParallelExecutor(library, num_drives=drives).execute(batch)
-        assert report.estimate_drift <= 0.10
-        assert report.makespan_seconds == pytest.approx(
-            plan.makespan_seconds, rel=0.10
-        )
-
     @given(request_batches())
     @settings(max_examples=40, deadline=None)
     def test_single_drive_has_no_robot_wait(self, batch):
         library = build_library(1)
-        report = ParallelExecutor(library, num_drives=1).execute(batch)
+        report = ParallelExecutor(library).execute(batch)
         assert report.robot_wait_seconds == 0.0
         assert report.makespan_seconds == pytest.approx(
             report.serial_device_seconds
         )
 
 
-class TestCoalescing:
-    def reqs(self, *extents):
-        return [
-            TapeRequest(f"r{i}", "m0", offset, length)
-            for i, (offset, length) in enumerate(extents)
-        ]
+class TestCostModelGuard:
+    """``_check_estimate`` on executed visits: the cost model's per-visit
+    estimate is the executor's reference, so a disagreement raises."""
 
-    def test_adjacent_requests_merge(self):
-        runs = coalesce_requests(self.reqs((0, 10), (10, 10), (20, 5)))
-        assert len(runs) == 1
-        assert (runs[0].offset, runs[0].length) == (0, 25)
-        assert [r.key for r in runs[0].requests] == ["r0", "r1", "r2"]
+    BATCH = [TapeRequest(f"r{i}", "m0", i * 4096, 2048) for i in range(3)]
 
-    def test_overlapping_requests_merge_without_double_read(self):
-        runs = coalesce_requests(self.reqs((0, 20), (10, 20)))
-        assert len(runs) == 1
-        assert (runs[0].offset, runs[0].length) == (0, 30)
+    @pytest.fixture
+    def doubled_estimate(self, monkeypatch):
+        """A cost model that expects twice what the devices charge."""
+        estimate = scheduler._visit_seconds
+        monkeypatch.setattr(
+            scheduler, "_visit_seconds", lambda *args: 2 * estimate(*args)
+        )
 
-    def test_gap_splits_runs(self):
-        runs = coalesce_requests(self.reqs((0, 10), (20, 10)))
-        assert [(r.offset, r.length) for r in runs] == [(0, 10), (20, 10)]
+    def test_disagreeing_cost_model_raises_naming_the_medium(self, doubled_estimate):
+        library = build_library(2)
+        with pytest.raises(HeavenError, match="drifted 50.0% on m0"):
+            ParallelExecutor(library).execute(self.BATCH)
 
-    def test_backward_request_is_not_merged(self):
-        # Forward-only: a FIFO batch sweeping backwards keeps its seeks.
-        runs = coalesce_requests(self.reqs((50, 10), (0, 10)))
-        assert [(r.offset, r.length) for r in runs] == [(50, 10), (0, 10)]
+    def test_visit_with_a_fault_is_exempt(self, doubled_estimate):
+        plan = FaultPlan(seed=1)
+        library = TapeLibrary(PROFILE, num_drives=2, faults=plan)
+        library.new_medium("m0")
+        plan.fail_next("media", device="drive-0")  # one transient read error
+        start = library.clock.log.cursor()
+        report = ParallelExecutor(library).execute(self.BATCH)
+        window = library.clock.log.window(start)
+        assert [e.kind for e in window].count("fault") == 1
+        assert report.estimate_drift == 0.0  # the one visit compared nothing
+        assert report.bytes_read == sum(r.length for r in self.BATCH)
+        devices = {"drive-0", library.robot.robot_id}
+        assert scheduler._check_estimate("m0", 1.0, window, devices) is None
 
 
 class TestTimelineMechanics:
@@ -185,7 +183,7 @@ class TestTimelineMechanics:
     def test_executor_rejects_nested_batches(self):
         library = build_library(2)
         timeline = Timeline.at("t", 0.0)
-        executor = ParallelExecutor(library, num_drives=2)
+        executor = ParallelExecutor(library)
         with library.clock.timeline(timeline):
             with pytest.raises(HeavenError):
                 executor.execute([TapeRequest("r0", "m0", 0, 1024)])
@@ -239,12 +237,12 @@ class TestSerialEquivalence:
 
     @given(twin_setups(), st.sampled_from([ElevatorScheduler, FIFOScheduler]))
     @settings(max_examples=60, deadline=None)
-    def test_same_moves_same_landing_order_never_slower(self, setup, scheduler):
+    def test_same_moves_same_landing_order_never_slower(self, setup, order_with):
         # *kept*: an optional medium both twins keep mounted (an update's
         # append medium), so the diverted LRU picks must match too.
         drives, mounts, batch, kept = setup
         oracle, library = build_twin(drives, mounts), build_twin(drives, mounts)
-        ordered = scheduler().order(batch, oracle)
+        ordered = order_with().order(batch, oracle)
         assert drive_state(oracle) == drive_state(library)
 
         oracle_start, oracle_t0 = oracle.clock.log.cursor(), oracle.clock.now
@@ -267,9 +265,7 @@ class TestSerialEquivalence:
             landed.append(request.key)
 
         with library.keep_mounted(kept):
-            report = ParallelExecutor(library, scheduler=scheduler()).execute(
-                batch, on_staged=land
-            )
+            report = ParallelExecutor(library).execute(ordered, on_staged=land)
         after = library.stats()
 
         assert fetches(library, start) == fetches(oracle, oracle_start)
@@ -305,7 +301,8 @@ class TestFailover:
         # drive-0 rejects the first load: m0 fails over to drive-1
         plan.fail_next("mount", device="drive-0")
         landed = []
-        report = ParallelExecutor(library).execute(batch, on_staged=landed.append)
+        ordered = ElevatorScheduler().order(batch, library)
+        report = ParallelExecutor(library).execute(ordered, on_staged=landed.append)
         assert library.recovery.failovers == 1
         assert library.mounted_drive("m0").drive_id == "drive-1"
         assert sorted(r.key for r in landed) == sorted(r.key for r in batch)

@@ -139,7 +139,14 @@ class TestReadIsABatchOfOne:
         heaven = make_twin()
         _cells, report = heaven.read_with_report("col", "obj", REGION)
         assert report.waves > 1
-        assert report.restages <= 4
+        # The count is a step function of the frame bytes the codec
+        # writes, so a failure prints them next to the cache they fill.
+        sizes = [st.size_bytes for st in heaven.archived("obj").super_tiles]
+        assert report.restages <= 4, (
+            f"{report.restages} restages; super-tile size_bytes {sizes} "
+            f"(sum {sum(sizes)}) against disk_cache.capacity_bytes "
+            f"{heaven.disk_cache.capacity_bytes}"
+        )
         heaven.assert_quiescent()
 
     def test_admission_run_of_one_is_a_direct_read(self):

