@@ -35,7 +35,6 @@ def run_variant(intra: bool, scatter: bool, stats_seed: bool):
         super_tile_bytes=SUPER_TILE_MB * MB,
         disk_cache_bytes=2 * GB,
         intra_clustering=intra,
-        inter_clustering=not scatter,
         num_drives=1,
     )
     if stats_seed:

@@ -15,8 +15,8 @@ Codecs serve both kinds of tile the simulator holds:
   (:meth:`Codec.estimated_size`), so huge virtual experiments still
   account transfer times correctly.
 
-``Heaven._frames`` is the one place that chooses between the two, tile by
-tile, from whether the source bytes are there.
+:func:`repro.core.rewrite.frames` is the one place that chooses between
+the two, tile by tile, from whether the source bytes are there.
 
 A :class:`ZlibCodec` frame is either the tile's cells verbatim behind a
 ``\\x00`` marker, or a marker naming the entropy coder, the cell size in

@@ -47,8 +47,6 @@ class HeavenConfig:
             default, 1 GiB).
         intra_clustering: order tiles inside a super-tile by expected access
             order so partial reads cover a short contiguous run.
-        inter_clustering: place consecutive super-tiles contiguously on as
-            few media as possible (off = round-robin scatter baseline).
         scheduling: reorder tape requests (group by medium, elevator sweep)
             instead of FIFO execution.
         partial_super_tile_reads: read only the contiguous run of needed
@@ -63,7 +61,9 @@ class HeavenConfig:
         pyramid_factors: isotropic zoom factors materialised as scaling
             pyramids at archive time (``None`` disables); ``scale()`` calls
             over archived objects are answered from the matching level
-            without touching tape.
+            without touching tape.  Both derived catalogs are dropped when
+            the object leaves tape, by ``delete`` or ``reimport`` (the one
+            detach of :mod:`~repro.core.rewrite`).
         compression: per-tile codec for archived data (``"none"`` or
             ``"zlib"``: the compressed codec, whatever its backend — zstd
             level 1 (double-fast, two blocks) over the tile's byte planes,
@@ -92,7 +92,6 @@ class HeavenConfig:
     super_tile_bytes: Optional[int] = 128 * MB
     min_super_tile_bytes: int = 8 * MB
     intra_clustering: bool = True
-    inter_clustering: bool = True
     scheduling: bool = True
     partial_super_tile_reads: bool = True
     disk_cache_bytes: int = 4 * GB

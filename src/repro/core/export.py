@@ -15,7 +15,8 @@ The TCT exporter journals every segment write in a write-ahead log (the
 base DBMS's, when given): a BEGIN/INSERT.../COMMIT sequence under a
 dedicated (negative) transaction id per :meth:`TCTExporter.journal`
 transaction.  ``TCTExporter.export`` is one such transaction, and so is
-``Heaven.update``'s re-export of its super-tiles.  A fault then rolls the
+an update's re-export of its super-tiles (:mod:`repro.core.rewrite`, which
+owns what happens inside that transaction).  A fault then rolls the
 half-written segments back immediately, and a crash leaves a BEGIN
 without COMMIT that :func:`recover_incomplete_exports` cleans up on the
 next start.
@@ -27,7 +28,7 @@ import itertools
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from ..arrays.mdd import MDD
 from ..arrays.storage import ArrayStorage
@@ -113,9 +114,29 @@ class ExportReport:
         return self.bytes_written / self.virtual_seconds / (1024 * 1024)
 
 
-def _segment_breakdown(library: TapeLibrary, since: int) -> Dict[str, float]:
-    """Per-kind virtual seconds of events appended after cursor *since*."""
-    return library.clock.log.breakdown(start=since)
+@contextmanager
+def _reported(exporter: Union[CoupledExporter, TCTExporter], mdd: MDD) -> Iterator[ExportReport]:
+    """The report of one export run of *mdd*: the body fills in what it
+    wrote; time, event breakdown and media used are measured around it.
+    Raises :class:`ExportError` unless *mdd* is persisted."""
+    if mdd.oid is None:
+        raise ExportError(f"object {mdd.name!r} is not persisted; insert it first")
+    library = exporter.library
+    watch = Stopwatch(library.clock)
+    log_start = library.clock.log.cursor()
+    report = ExportReport(object_name=mdd.name, mode=exporter.mode)
+    media_before = {m.medium_id for m in library.media() if m.used_bytes}
+    yield report
+    report.virtual_seconds = watch.elapsed
+    report.breakdown = library.clock.log.breakdown(start=log_start)
+    media_after = {m.medium_id for m in library.media() if m.used_bytes}
+    report.media_used = len(media_after - media_before) or len(media_after)
+    logger.info(
+        "%s export of %s: %d segments, %d B in %.1f virtual s "
+        "(%.1f s pipeline stalls)",
+        report.mode, mdd.name, report.segments_written, report.bytes_written,
+        report.virtual_seconds, report.stall_seconds,
+    )
 
 
 class CoupledExporter:
@@ -123,12 +144,9 @@ class CoupledExporter:
 
     mode = "coupled"
 
-    def __init__(
-        self, storage: ArrayStorage, library: TapeLibrary, tracer=None
-    ) -> None:
+    def __init__(self, storage: ArrayStorage, library: TapeLibrary) -> None:
         self.storage = storage
         self.library = library
-        self.tracer = tracer if tracer is not None else null_tracer
 
     def export(self, mdd: MDD) -> ExportReport:
         """Write every tile as its own tape segment, in generation order.
@@ -137,14 +155,7 @@ class CoupledExporter:
             Report with the full cost breakdown; segments are named
             ``{oid}/t{tile_id}``.
         """
-        if mdd.oid is None:
-            raise ExportError(f"object {mdd.name!r} is not persisted; insert it first")
-        clock = self.library.clock
-        watch = Stopwatch(clock)
-        log_start = clock.log.cursor()
-        report = ExportReport(object_name=mdd.name, mode=self.mode)
-        media_before = {m.medium_id for m in self.library.media() if m.used_bytes}
-        with self.tracer.span("export.coupled", object=mdd.name):
+        with _reported(self, mdd) as report:
             for tile_id in sorted(mdd.tiles):
                 tile = mdd.tiles[tile_id]
                 blob_oid = self.storage.blob_oid_of(mdd.oid, tile_id)
@@ -155,15 +166,6 @@ class CoupledExporter:
                 report.segments_written += 1
                 report.bytes_written += tile.size_bytes
                 report.tiles_exported += 1
-        report.virtual_seconds = watch.elapsed
-        report.breakdown = _segment_breakdown(self.library, log_start)
-        media_after = {m.medium_id for m in self.library.media() if m.used_bytes}
-        report.media_used = len(media_after - media_before) or len(media_after)
-        logger.info(
-            "coupled export of %s: %d segments, %d B in %.1f virtual s",
-            mdd.name, report.segments_written, report.bytes_written,
-            report.virtual_seconds,
-        )
         return report
 
 
@@ -256,43 +258,34 @@ class TCTExporter:
             mdd: the persisted object whose tiles are being exported.
             placements: write order and media targets (from a
                 :class:`~repro.core.clustering.PlacementPolicy`).
-            stored_sizes: per-tile on-tape sizes (the caller must already
-                have set each super-tile's ``size_bytes`` to the matching
-                sum); None = logical sizes.
+            stored_sizes: per-tile on-tape sizes (a super-tile's
+                ``size_bytes`` is set to its tiles' sum); None = logical sizes.
             frames: per-tile encoded bytes, already built by the caller
                 (one encode per tile); None = the raw tile BLOBs.  A tile
                 without bytes (None) makes its segment size-only.
 
-        Side effects: fills in each super-tile's ``segment_name`` and
-        ``tile_extents``; the library's directory records the medium.
+        Side effects: fills in each super-tile's ``size_bytes``,
+        ``segment_name`` and ``tile_extents``; the library's directory records the medium.
         """
-        if mdd.oid is None:
-            raise ExportError(f"object {mdd.name!r} is not persisted; insert it first")
         clock = self.library.clock
-        watch = Stopwatch(clock)
-        log_start = clock.log.cursor()
-        report = ExportReport(object_name=mdd.name, mode=self.mode)
-        media_before = {m.medium_id for m in self.library.media() if m.used_bytes}
         blobs = self.storage.db.blobs
-        if frames is None:
-            # The raw tile BLOBs, read with uncharged peeks: the charged
-            # assembly cost is modelled below; reading through the resolver
-            # would count every byte twice.
-            frames = {
-                t: blobs.peek(self.storage.blob_oid_of(mdd.oid, t)) for t in mdd.tiles
-            }
-
         previous_write_seconds = 0.0
-        with self.journal(mdd.name) as write, self.tracer.span(
-            "export.tct", object=mdd.name
-        ) as export_span:
+        with _reported(self, mdd) as report, self.journal(
+            mdd.name
+        ) as write, self.tracer.span("export.tct", object=mdd.name) as export_span:
+            if frames is None:
+                # The raw tile BLOBs, read with uncharged peeks: the charged
+                # assembly cost is modelled below; reading through the
+                # resolver would count every byte twice.
+                frames = {
+                    t: blobs.peek(self.storage.blob_oid_of(mdd.oid, t)) for t in mdd.tiles
+                }
+            if stored_sizes is None:
+                stored_sizes = {t: tile.size_bytes for t, tile in mdd.tiles.items()}
             for position, placement in enumerate(placements):
                 super_tile = placement.super_tile
-                if stored_sizes is not None:
-                    sizes = {t: stored_sizes[t] for t in super_tile.tile_ids}
-                else:
-                    sizes = {t: mdd.tiles[t].size_bytes for t in super_tile.tile_ids}
-                super_tile.assign_extents(sizes)
+                super_tile.size_bytes = sum(stored_sizes[t] for t in super_tile.tile_ids)
+                super_tile.assign_extents(stored_sizes)
 
                 # --- assembly: N random BLOB reads into the staging buffer --
                 # (reads are of the *logical* tiles; encoding costs no virtual
@@ -355,17 +348,6 @@ class TCTExporter:
                 segments=report.segments_written,
                 stall_seconds=round(report.stall_seconds, 6),
             )
-
-        report.virtual_seconds = watch.elapsed
-        report.breakdown = _segment_breakdown(self.library, log_start)
-        media_after = {m.medium_id for m in self.library.media() if m.used_bytes}
-        report.media_used = len(media_after - media_before) or len(media_after)
-        logger.info(
-            "tct export of %s: %d segments, %d B in %.1f virtual s "
-            "(%.1f s pipeline stalls)",
-            mdd.name, report.segments_written, report.bytes_written,
-            report.virtual_seconds, report.stall_seconds,
-        )
         return report
 
 

@@ -11,23 +11,22 @@ operations:
 * ``read`` / ``read_frame`` / ``query`` — transparent retrieval across the
   whole hierarchy (memory cache → disk cache → scheduled tape access),
 * ``delete`` / ``update`` / ``reimport`` — the archive lifecycle
-  (Kapitel 3.5).
+  (Kapitel 3.5), delegates into :mod:`.rewrite`.
 
 Queries never mention storage: an archived object answers exactly like a
 disk-resident one, only the simulated clock knows the difference.
 Every staging — reads, frames, RasQL trims, condenser edges, the tile loads
 of ``update`` and ``reimport`` — is one admission query (:mod:`.admission`);
 the staging pass, the tile resolver and the pins live in :mod:`.staging`,
-and this class holds the state both work on.
+the write order and the frame builder in :mod:`.rewrite`, and this class
+holds the state they work on.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,14 +43,14 @@ from ..tertiary.clock import SimClock
 from ..tertiary.disk import DiskDevice
 from ..tertiary.library import TapeLibrary
 from ..tertiary.profiles import DISK_ARRAY
-from . import staging
+from . import rewrite, staging
 from .admission import AdmissionController, RetrievalReport, _Unit
 from .cache import DiskCache, MemoryTileCache, make_policy
-from .clustering import ClusteredPlacement, PlacementPolicy, ScatterPlacement
-from .compression import Buffer, Codec, make_codec
+from .clustering import ClusteredPlacement, PlacementPolicy
+from .compression import Codec, make_codec
 from .config import HeavenConfig
 from .estar import AccessStatistics, estar_partition, intra_cluster_order
-from .export import ExportReport, TCTExporter, join_frames
+from .export import ExportReport, TCTExporter
 from .framing import Frame, MultiBoxFrame, read_frame as _read_frame, tiles_in_frame
 from .precomputed import PrecomputedCatalog
 from .pyramid import PyramidCatalog
@@ -94,10 +93,6 @@ class ArchivedObject:
             raise HeavenError(
                 f"tile {tile_id} of {self.mdd.name!r} has no super-tile"
             ) from None
-
-
-#: trailing version suffix of re-exported segment names (``…/st3.v7``)
-_VERSION_RE = re.compile(r"\.v\d+$")
 
 
 class Heaven:
@@ -247,42 +242,31 @@ class Heaven:
         object_name: str,
         placement: Optional[PlacementPolicy] = None,
         keep_disk_copy: bool = False,
-        super_tile_bytes: Optional[int] = None,
     ) -> ExportReport:
         """Migrate an object to tertiary storage.
 
         Pipeline: partition into super-tiles (eSTAR, fed by collected
         access statistics), order tiles inside each
-        super-tile (intra clustering), plan media placement (inter
-        clustering or the configured baseline), stream via the decoupled
+        super-tile (intra clustering), plan media placement (*placement*,
+        by default inter clustering, or a baseline such as
+        :class:`~repro.core.clustering.ScatterPlacement`), build every
+        tile's frame (:func:`.rewrite.frames`), stream via the decoupled
         TCT exporter, register precomputed aggregates, and optionally
-        release the disk copy.
-
-        Args:
-            placement: override the placement policy (default: clustered
-                when ``config.inter_clustering``, scatter otherwise).
-            keep_disk_copy: keep tile BLOBs on secondary storage (dual
-                residence) instead of freeing them after export.
-            super_tile_bytes: explicit super-tile size for this object.
+        release the disk copy (*keep_disk_copy* keeps the tile BLOBs on
+        secondary storage: dual residence).
         """
-        collection = self.storage.collection(collection_name)
-        mdd = collection.get(object_name)
+        mdd = self.storage.collection(collection_name).get(object_name)
         if mdd.oid is None:
             raise HeavenError(f"object {object_name!r} must be inserted before archive")
         if object_name in self._archived:
             raise HeavenError(f"object {object_name!r} is already archived")
 
         stats = self.access_stats.get(object_name)
-        target = (
-            super_tile_bytes
-            if super_tile_bytes is not None
-            else self.config.super_tile_bytes
-        )
         super_tiles = estar_partition(
             mdd,
             self.config.tape_profile,
             stats=stats,
-            target_bytes=target,
+            target_bytes=self.config.super_tile_bytes,
             min_bytes=self.config.min_super_tile_bytes,
         )
 
@@ -290,13 +274,7 @@ class Heaven:
             for super_tile in super_tiles:
                 super_tile.tile_ids = intra_cluster_order(super_tile, mdd, stats)
 
-        if placement is None:
-            placement = (
-                ClusteredPlacement()
-                if self.config.inter_clustering
-                else ScatterPlacement()
-            )
-        plan = placement.plan(super_tiles, self.library)
+        plan = (placement or ClusteredPlacement()).plan(super_tiles, self.library)
 
         if self.config.precompute_aggregates and mdd.cell_type.dtype.fields is None:
             self.precomputed.register_object(mdd)
@@ -306,7 +284,8 @@ class Heaven:
 
         # Each tile's frame, encoded from its BLOB (an uncharged peek, as in
         # the exporter's assembly).
-        stored_sizes, frames = self._frames(
+        stored_sizes, frames = rewrite.frames(
+            self,
             mdd,
             {
                 tile_id: self.db.blobs.peek(self.storage.blob_oid_of(mdd.oid, tile_id))
@@ -314,8 +293,6 @@ class Heaven:
             },
             kept={},
         )
-        for super_tile in super_tiles:
-            super_tile.size_bytes = sum(stored_sizes[t] for t in super_tile.tile_ids)
         try:
             with self.tracer.span(
                 "heaven.archive", object=object_name, super_tiles=len(super_tiles)
@@ -324,7 +301,7 @@ class Heaven:
                     mdd, plan, stored_sizes=stored_sizes, frames=frames
                 )
         except Exception:
-            # The exporter's journal rolled the written segments back: the
+            # The exporter rolled the written segments back: the
             # object stays disk-resident and re-archivable.
             self.precomputed.drop_object(object_name)
             self.pyramids.drop_object(object_name)
@@ -366,33 +343,6 @@ class Heaven:
         for mdd in list(collection):
             self.delete(name, mdd.name)
         self.storage.drop_collection(name)
-
-    def _frames(
-        self,
-        mdd: MDD,
-        raws: Dict[int, Optional[bytes]],
-        kept: Dict[int, Optional[memoryview]],
-    ) -> Tuple[Dict[int, int], Dict[int, Optional[Buffer]]]:
-        """On-tape sizes and frames of tiles: the one frame builder of
-        :meth:`archive` and :meth:`update`.
-
-        Tiles in *raws* are encoded from their cells' bytes, all of them in
-        one :meth:`Codec.compress_all` batch; tiles in *kept* keep the frame
-        they already have on tape, sliced out of the old segment.  A tile
-        whose source bytes are None (a size-only BLOB or segment) has no
-        frame and is accounted at :meth:`Codec.estimated_size`.
-        """
-        frames: Dict[int, Optional[Buffer]] = {**kept, **dict.fromkeys(raws)}
-        encode = [tile_id for tile_id, raw in raws.items() if raw is not None]
-        itemsize = mdd.cell_type.dtype.itemsize
-        frames.update(zip(encode, self.codec.compress_all([raws[t] for t in encode], itemsize)))
-        sizes = {
-            tile_id: self.codec.estimated_size(mdd.tiles[tile_id].size_bytes)
-            if frame is None
-            else len(frame)
-            for tile_id, frame in frames.items()
-        }
-        return sizes, frames
 
     # ------------------------------------------------------------------ retrieval
     #
@@ -560,181 +510,20 @@ class Heaven:
         staging.execute_staging(self, requests, needs, ticket)
 
     # ------------------------------------------------------------------ lifecycle
+    #
+    # Delegates into :mod:`.rewrite`; the e2e layer table wraps them here.
 
     def delete(self, collection_name: str, object_name: str) -> None:
         """Delete an object everywhere: caches, tape segments, catalogs."""
-        entry = self._archived.pop(object_name, None)
-        if entry is not None:
-            self._detach_from_tape(entry)
-            self.precomputed.drop_object(object_name)
-            self.pyramids.drop_object(object_name)
-            entry.mdd.resolver = None
-        self.storage.delete_object(collection_name, object_name)
+        rewrite.delete(self, collection_name, object_name)
 
-    def _detach_from_tape(self, entry: ArchivedObject) -> None:
-        """Release *entry*'s tape segments, cached runs and tiles."""
-        for super_tile in entry.super_tiles:
-            if super_tile.segment_name is not None:
-                self._retire_segment(super_tile.segment_name)
-                super_tile.segment_name = None
-        self.memory_cache.invalidate_object(entry.mdd.name)
-
-    def _retire_segment(self, key: str) -> None:
-        """Drop segment *key* from the disk cache (with its staged run) and
-        from tape."""
-        self.disk_cache.invalidate(key)
-        self.library.delete_segment(key)
-
-    def update(
-        self,
-        collection_name: str,
-        object_name: str,
-        region: MInterval,
-        cells: np.ndarray,
-    ) -> int:
-        """Update a region of an archived object; returns re-exported count.
-
-        Affected super-tiles are staged, patched in memory and re-exported
-        as fresh segments (tape is append-only; old segments become dead
-        space) by :meth:`_rewrite_segments`.  A failure anywhere leaves the
-        object readable with its old bytes: in-memory payloads are dropped
-        either way, and the caches, aggregates and pyramids refresh only
-        after every new segment is on tape.
-        """
-        collection = self.storage.collection(collection_name)
-        mdd = collection.get(object_name)
-        # Reject a bad write before anything is staged.
-        cells = mdd.checked_write(region, cells)
-        affected = {t.tile_id for t in mdd.tiles_for(region)}
-        entry = self._archived.get(object_name)
-        if entry is None:
-            mdd.write(region, cells)
-            # Persist the change: a later archive assembles segments from
-            # the tile BLOBs, not the in-memory payloads, so an update
-            # left only in memory would be silently lost at export time.
-            self.storage.rewrite_tiles(mdd, sorted(affected), attrgetter("payload"))
-            return 0
-        affected_sts = {entry.super_tile_of(t).index for t in affected}
-        # Stage and materialise every tile of the affected super-tiles.
-        tiles_to_load = [
-            tile_id
-            for st_index in affected_sts
-            for tile_id in entry.super_tiles[st_index].tile_ids
-        ]
-
-        def load() -> None:
-            for tile_id in tiles_to_load:
-                tile = mdd.tiles[tile_id]
-                # The resolver's arrays are frozen; set_payload snapshots
-                # non-writable input itself, so no defensive copy here.
-                tile.set_payload(staging.resolve_tile(self, mdd, tile))
-
-        # Stage around the medium the rewrite will append to, so the staging
-        # does not stow it only for the write to fetch it straight back.
-        append_to = self.library.append_target(
-            max(entry.super_tiles[i].size_bytes for i in affected_sts)
-        )
-        try:
-            with self.library.keep_mounted(append_to):
-                self._query_unit(mdd, tiles_to_load, load, str(region))
-            mdd.write(region, cells)
-            self._rewrite_segments(
-                entry, [entry.super_tiles[i] for i in sorted(affected_sts)], affected
-            )
-            if entry.disk_copy:
-                # Dual residence: refresh the disk copy's tile BLOBs too.
-                self.storage.rewrite_tiles(mdd, tiles_to_load, attrgetter("payload"))
-            # Pyramid levels over the old cells are stale now.
-            self.pyramids.invalidate(object_name)
-            # Refresh caches and aggregates.
-            for tile_id in tiles_to_load:
-                self.memory_cache.put(
-                    mdd.name, tile_id, mdd.tiles[tile_id].payload
-                )
-                if self.config.precompute_aggregates and mdd.cell_type.dtype.fields is None:
-                    self.precomputed.refresh_tile(mdd, tile_id)
-        finally:
-            for tile_id in tiles_to_load:
-                mdd.tiles[tile_id].drop_payload()
-        return len(affected_sts)
-
-    def _rewrite_segments(
-        self, entry: ArchivedObject, super_tiles: List[SuperTile], dirty: Set[int]
-    ) -> None:
-        """Re-export *super_tiles* of *entry* from their patched payloads.
-
-        Only the *dirty* tiles are encoded; every clean tile's frame is
-        sliced verbatim out of its old segment with the old extents (an
-        uncharged peek: the update paid for that tape read when it staged
-        the super-tile).  A size-only old segment gives a size-only new one.
-        The new segments are written, and the catalog switched to them,
-        inside one exporter journal transaction; the old segments are
-        retired only after its COMMIT.  A failed write rolls the journal
-        back and changes nothing else; a crash before COMMIT leaves new
-        segments that :func:`~repro.core.export.recover_incomplete_exports`
-        removes.
-        """
-        mdd = entry.mdd
-        raws: Dict[int, Optional[bytes]] = {}
-        kept: Dict[int, Optional[memoryview]] = {}
-        for super_tile in super_tiles:
-            key = super_tile.segment_name
-            assert key is not None
-            old = self.library.medium(self.library.locate(key)).payload(key)
-            for tile_id in super_tile.tile_ids:
-                if old is None:
-                    kept[tile_id] = None
-                elif tile_id in dirty:
-                    raws[tile_id] = np.ascontiguousarray(
-                        mdd.tiles[tile_id].payload, dtype=mdd.cell_type.dtype
-                    ).tobytes()
-                else:
-                    offset, length = super_tile.tile_extents[tile_id]
-                    kept[tile_id] = memoryview(old)[offset : offset + length]
-        sizes, frames = self._frames(mdd, raws, kept)
-        version = entry.version + 1
-        old_keys = [super_tile.segment_name for super_tile in super_tiles]
-        with self.exporter.journal(mdd.name) as write:
-            moved = []
-            for super_tile, old_key in zip(super_tiles, old_keys):
-                # Version the name off the object's monotonic update counter:
-                # stable length, collision-free even with zero elapsed
-                # virtual time between exports.
-                new_key = f"{_VERSION_RE.sub('', old_key)}.v{version}"
-                write(
-                    new_key,
-                    sum(sizes[t] for t in super_tile.tile_ids),
-                    join_frames(frames, super_tile.tile_ids),
-                )
-                moved.append((super_tile, new_key))
-            for super_tile, new_key in moved:
-                super_tile.size_bytes = sum(sizes[t] for t in super_tile.tile_ids)
-                super_tile.assign_extents(sizes)
-                super_tile.segment_name = new_key
-            entry.version = version
-        for old_key in old_keys:
-            self._retire_segment(old_key)
+    def update(self, collection_name: str, object_name: str, region: MInterval, cells) -> int:
+        """Update a region; returns the count of re-exported super-tiles."""
+        return rewrite.update(self, collection_name, object_name, region, cells)
 
     def reimport(self, collection_name: str, object_name: str) -> int:
-        """Bring an archived object fully back to secondary storage.
-
-        Stages every super-tile (scheduled), rewrites the tile BLOBs,
-        releases the tape segments, and detaches the object from the tape
-        hierarchy — so it can later be re-archived (possibly with fresher
-        access statistics).  Returns the number of tiles re-imported.
-        """
-        mdd = self.storage.collection(collection_name).get(object_name)
-        entry = self.archived(object_name)
-        all_tiles = sorted(mdd.tiles)
-        rewrite = lambda: self.storage.rewrite_tiles(  # noqa: E731
-            mdd, all_tiles, partial(staging.resolve_tile, self, mdd)
-        )
-        self._query_unit(mdd, all_tiles, rewrite, str(mdd.domain))
-        assert mdd.oid is not None
-        self._detach_from_tape(entry)
-        del self._archived[object_name]
-        mdd.resolver = self.storage._make_resolver(mdd.oid)
-        return len(all_tiles)
+        """Bring an archived object back to disk; returns its tile count."""
+        return rewrite.reimport(self, collection_name, object_name)
 
     # ------------------------------------------------------------------ hooks
 

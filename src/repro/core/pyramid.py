@@ -84,10 +84,6 @@ class PyramidCatalog:
     def drop_object(self, object_name: str) -> None:
         self._levels.pop(object_name, None)
 
-    def invalidate(self, object_name: str) -> None:
-        """Remove levels after an update (rebuild on next archive)."""
-        self.drop_object(object_name)
-
     def has_object(self, object_name: str) -> bool:
         return object_name in self._levels
 

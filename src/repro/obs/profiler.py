@@ -52,7 +52,6 @@ SPAN_PHASES: Dict[str, str] = {
     "heaven.stage": "stage",
     "library.stage": "stage",
     "heaven.archive": "stage",
-    "export.coupled": "stage",
     "export.tct": "stage",
     "scheduler.plan": "plan",
     "heaven.drain": "decode",

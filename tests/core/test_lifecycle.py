@@ -250,6 +250,21 @@ class TestReimport:
         assert np.array_equal(got, whole)
         assert heaven.library.stats().bytes_read == tape_before
 
+    def test_reimport_drops_derived_catalogs(self):
+        """Reimport detaches like delete: the object's aggregates and
+        pyramid levels leave with its segments, so a later disk-resident
+        update and delete leave nothing behind in either catalog."""
+        heaven, _ = build_heaven(pyramid_factors=(2,))
+        assert heaven.precomputed.has_object("obj")
+        assert heaven.pyramids.has_object("obj")
+        heaven.reimport("col", "obj")
+        assert not heaven.precomputed.has_object("obj")
+        assert not heaven.pyramids.has_object("obj")
+        heaven.update("col", "obj", MInterval.of((0, 3), (0, 3)), np.ones((4, 4)))
+        heaven.delete("col", "obj")
+        assert heaven.precomputed._tiles == {} and heaven.precomputed._edges == {}
+        assert heaven.pyramids._levels == {}
+
     def test_reimport_unarchived_rejected(self):
         heaven, _ = build_heaven()
         heaven.reimport("col", "obj")

@@ -181,7 +181,7 @@ class TestArchiveFailureCleanup:
         segments_before = sum(len(m) for m in heaven.library.media())
         with pytest.raises(RuntimeError):
             # 4 super-tiles; the 3rd write faults after 2 succeeded.
-            heaven.archive("col", "doomed", super_tile_bytes=8 * 1024)
+            heaven.archive("col", "doomed")
         heaven.library.write_segment = original
         assert sum(len(m) for m in heaven.library.media()) == segments_before
         assert not heaven.is_archived("doomed")

@@ -56,7 +56,7 @@ class TestBuild:
             PyramidCatalog().build(mdd, [2])
 
     def test_drop_and_invalidate(self, catalog):
-        catalog.invalidate("m")
+        catalog.drop_object("m")
         assert not catalog.has_object("m")
 
 

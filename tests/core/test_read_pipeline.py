@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import DOUBLE, MDD, MInterval, RegularTiling
-from repro.core import Heaven, HeavenConfig
+from repro.core import Heaven, HeavenConfig, ScatterPlacement
 from repro.core.admission import AdmissionController, QuerySpec
 from repro.core.units import SubReadRequest
 from repro.errors import HeavenError
@@ -31,9 +31,9 @@ STAT_FIELDS = (
 REPORT_FIELDS = STAT_FIELDS + ("tiles_needed", "pins", "waves")
 
 
-def make_twin(disk_cache_bytes: int = 32 * 1024, **config) -> Heaven:
+def make_twin(disk_cache_bytes: int = 32 * 1024, placement=None, **config) -> Heaven:
     """Archived zlib object four times the default disk cache: waves and
-    evictions."""
+    evictions (*placement*: the archive's media placement)."""
     heaven = Heaven(
         HeavenConfig(
             compression="zlib",
@@ -50,7 +50,7 @@ def make_twin(disk_cache_bytes: int = 32 * 1024, **config) -> Heaven:
     heaven.insert(
         "col", MDD.from_array("obj", cells, tiling=RegularTiling((16, 16)))
     )
-    heaven.archive("col", "obj")
+    heaven.archive("col", "obj", placement=placement)
     heaven.library.unmount_all()
     return heaven
 
@@ -85,7 +85,7 @@ def events_since(heaven: Heaven, cursor: int):
 #: waves and evictions, and super-tiles scattered round-robin over media
 TWINS = {
     "waves": make_twin,
-    "media": lambda: make_twin(inter_clustering=False),
+    "media": lambda: make_twin(placement=ScatterPlacement()),
 }
 
 

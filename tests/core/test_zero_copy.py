@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
-from repro.core import Heaven, HeavenConfig, ZlibCodec, compression
+from repro.core import Heaven, HeavenConfig, ScatterPlacement, ZlibCodec, compression
 from repro.core import staging
 from repro.core.admission import AdmissionController, QuerySpec
 from repro.tertiary import MB
@@ -49,7 +49,7 @@ def make_heaven(observability=False, **overrides):
     return heaven
 
 
-def archive_object(heaven, name="o0", side=64, seed=0):
+def archive_object(heaven, name="o0", side=64, seed=0, placement=None):
     mdd = MDD(
         name,
         MInterval.of((0, side - 1), (0, side - 1)),
@@ -58,7 +58,7 @@ def archive_object(heaven, name="o0", side=64, seed=0):
         source=HashedNoiseSource(seed, 0.0, 5.0),
     )
     heaven.insert("col", mdd)
-    heaven.archive("col", mdd.name)
+    heaven.archive("col", mdd.name, placement=placement)
     heaven.library.unmount_all()
     return mdd
 
@@ -314,9 +314,8 @@ class TestPinAttribution:
         heaven = make_heaven(
             disk_cache_bytes=8 * 1024,
             memory_cache_bytes=2 * 1024,
-            inter_clustering=False,  # one super-tile per medium
         )
-        mdd = archive_object(heaven)
+        mdd = archive_object(heaven, placement=ScatterPlacement())  # one super-tile per medium
         entry = heaven._archived[mdd.name]
         assert [st.tile_ids for st in entry.super_tiles[:2]] == [[0, 1, 2, 3], [4, 5, 6, 7]]
         now = heaven.clock.now
