@@ -20,10 +20,17 @@ prints:
 * a verdict: ``better`` or ``worse`` when the interval excludes 1.0,
   ``same`` when every pair reads exactly equal, else ``unresolved``.
 
+With ``--seeds A-B`` pair *i* runs workload seed *i* on both trees
+(``--pairs`` is then the seed count).  A virtual-clock metric is exact, so
+ten pairs of one seed only repeat one ratio; over a seed range the same
+columns give its per-seed ratio distribution, the seeds the change won and
+an interval of the median ratio.
+
 Usage::
 
     python scripts/ab.py --parent TREE --change TREE --workload W --pairs N [--seed S]
         [--out FILE]
+    python scripts/ab.py --parent TREE --change TREE --workload W --seeds A-B [--out FILE]
 
 A tree is a checkout of this repository (``git clone`` the parent into a
 scratch directory).  An A/A check passes the same tree twice: its wall
@@ -142,6 +149,15 @@ def print_rows(rows: List[dict]) -> None:
               f"{'yes' if row['gate'] else 'no':>8}  {row['verdict']}")
 
 
+def seed_range(text: str) -> List[int]:
+    """``"A-B"`` -> the seeds A..B, both included (``"A"`` -> [A])."""
+    low, _, high = text.partition("-")
+    seeds = list(range(int(low), int(high or low) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="source tree A (the baseline)")
@@ -149,22 +165,28 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20040314, help="workload seed")
+    parser.add_argument("--seeds", type=seed_range, metavar="A-B",
+                        help="pair i runs seed i on both trees (overrides --pairs, --seed)")
     parser.add_argument("--out", help="write every run's values and the summary as JSON")
     args = parser.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    seeds = args.seeds or [args.seed] * args.pairs
+    args.pairs = len(seeds)
     pairs = []
-    for index in range(args.pairs):
+    for index, seed in enumerate(seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        got = {side: run_once(trees[side], args.workload, args.seed)
-               for side in order}
+        got = {side: run_once(trees[side], args.workload, seed) for side in order}
         pairs.append((got["parent"], got["change"]))
-        print(f"pair {index + 1}/{args.pairs} ({order[0]} first): wall_mb_s "
+        print(f"pair {index + 1}/{args.pairs} (seed {seed}, {order[0]} first): wall_mb_s "
               f"{got['parent']['wall_mb_s']:.2f} -> {got['change']['wall_mb_s']:.2f}, "
+              f"virtual_makespan_s {got['parent']['virtual_makespan_s']:.1f} -> "
+              f"{got['change']['virtual_makespan_s']:.1f}, "
               f"cpu_s {got['parent']['cpu_s']:.1f} -> {got['change']['cpu_s']:.1f}",
               flush=True)
     failed = {"parent": sum(p["failed"] for p, _ in pairs),
               "change": sum(c["failed"] for _, c in pairs)}
-    print(f"\nab: {args.workload}, seed {args.seed}, {args.pairs} pairs; "
+    seed_text = f"seeds {seeds[0]}-{seeds[-1]}" if args.seeds else f"seed {args.seed}"
+    print(f"\nab: {args.workload}, {seed_text}, {args.pairs} pairs; "
           f"parent {trees['parent']}, change {trees['change']}; "
           f"failed ops parent {failed['parent']}, change {failed['change']}")
     rows = summarise(pairs, args.seed)

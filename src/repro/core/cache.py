@@ -246,6 +246,10 @@ class CacheStats:
     pin_evictions_blocked: int = 0
     #: puts refused by the memory tile cache's admission rule
     rejections: int = 0
+    #: of the insertions, fresh segments an update wrote through to the
+    #: disk cache (not staged from tape), and their bytes
+    written_through: int = 0
+    bytes_written_through: int = 0
 
     @property
     def hit_ratio(self) -> float:

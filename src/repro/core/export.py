@@ -102,7 +102,6 @@ class ExportReport:
     segments_written: int = 0
     bytes_written: int = 0
     tiles_exported: int = 0
-    media_used: int = 0
     virtual_seconds: float = 0.0
     stall_seconds: float = 0.0
     breakdown: Dict[str, float] = field(default_factory=dict)
@@ -117,7 +116,7 @@ class ExportReport:
 @contextmanager
 def _reported(exporter: Union[CoupledExporter, TCTExporter], mdd: MDD) -> Iterator[ExportReport]:
     """The report of one export run of *mdd*: the body fills in what it
-    wrote; time, event breakdown and media used are measured around it.
+    wrote; time and event breakdown are measured around it.
     Raises :class:`ExportError` unless *mdd* is persisted."""
     if mdd.oid is None:
         raise ExportError(f"object {mdd.name!r} is not persisted; insert it first")
@@ -125,12 +124,9 @@ def _reported(exporter: Union[CoupledExporter, TCTExporter], mdd: MDD) -> Iterat
     watch = Stopwatch(library.clock)
     log_start = library.clock.log.cursor()
     report = ExportReport(object_name=mdd.name, mode=exporter.mode)
-    media_before = {m.medium_id for m in library.media() if m.used_bytes}
     yield report
     report.virtual_seconds = watch.elapsed
     report.breakdown = library.clock.log.breakdown(start=log_start)
-    media_after = {m.medium_id for m in library.media() if m.used_bytes}
-    report.media_used = len(media_after - media_before) or len(media_after)
     logger.info(
         "%s export of %s: %d segments, %d B in %.1f virtual s "
         "(%.1f s pipeline stalls)",

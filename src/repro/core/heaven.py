@@ -246,14 +246,14 @@ class Heaven:
         """Migrate an object to tertiary storage.
 
         Pipeline: partition into super-tiles (eSTAR, fed by collected
-        access statistics), order tiles inside each
-        super-tile (intra clustering), plan media placement (*placement*,
-        by default inter clustering, or a baseline such as
-        :class:`~repro.core.clustering.ScatterPlacement`), build every
-        tile's frame (:func:`.rewrite.frames`), stream via the decoupled
-        TCT exporter, register precomputed aggregates, and optionally
-        release the disk copy (*keep_disk_copy* keeps the tile BLOBs on
-        secondary storage: dual residence).
+        access statistics), order tiles inside each super-tile (intra
+        clustering), build every tile's frame (:func:`.rewrite.frames`;
+        each super-tile is sized on its on-tape bytes), plan media
+        placement (*placement*, by default inter clustering, or a baseline
+        such as :class:`~repro.core.clustering.ScatterPlacement`), stream
+        via the decoupled TCT exporter, register precomputed aggregates,
+        and optionally release the disk copy (*keep_disk_copy* keeps the
+        tile BLOBs on secondary storage: dual residence).
         """
         mdd = self.storage.collection(collection_name).get(object_name)
         if mdd.oid is None:
@@ -274,16 +274,9 @@ class Heaven:
             for super_tile in super_tiles:
                 super_tile.tile_ids = intra_cluster_order(super_tile, mdd, stats)
 
-        plan = (placement or ClusteredPlacement()).plan(super_tiles, self.library)
-
-        if self.config.precompute_aggregates and mdd.cell_type.dtype.fields is None:
-            self.precomputed.register_object(mdd)
-        if self.config.pyramid_factors and mdd.cell_type.dtype.fields is None:
-            # Materialise zoom levels while the tiles are still on disk.
-            self.pyramids.build(mdd, self.config.pyramid_factors)
-
         # Each tile's frame, encoded from its BLOB (an uncharged peek, as in
-        # the exporter's assembly).
+        # the exporter's assembly); placement sizes media on these on-tape
+        # bytes, not on the logical ones.
         stored_sizes, frames = rewrite.frames(
             self,
             mdd,
@@ -293,6 +286,16 @@ class Heaven:
             },
             kept={},
         )
+        for super_tile in super_tiles:
+            super_tile.size_bytes = sum(stored_sizes[t] for t in super_tile.tile_ids)
+        plan = (placement or ClusteredPlacement()).plan(super_tiles, self.library)
+
+        if self.config.precompute_aggregates and mdd.cell_type.dtype.fields is None:
+            self.precomputed.register_object(mdd)
+        if self.config.pyramid_factors and mdd.cell_type.dtype.fields is None:
+            # Materialise zoom levels while the tiles are still on disk.
+            self.pyramids.build(mdd, self.config.pyramid_factors)
+
         try:
             with self.tracer.span(
                 "heaven.archive", object=object_name, super_tiles=len(super_tiles)

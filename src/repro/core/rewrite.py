@@ -21,6 +21,7 @@ import numpy as np
 from ..arrays.mdd import MDD
 from ..arrays.minterval import MInterval
 from ..arrays.storage import _cell_bytes
+from ..errors import CacheError
 from . import staging
 from .compression import Buffer
 from .export import join_frames
@@ -66,7 +67,9 @@ def update(
     A disk-resident object is patched in its tile BLOBs.  An archived
     object's affected super-tiles are staged, patched in memory and
     re-exported as fresh segments (tape is append-only; old segments
-    become dead space) by :func:`_rewrite_segments`.  A failure anywhere
+    become dead space) by :func:`_rewrite_segments`, on the medium the
+    staging kept mounted, and kept staged in the disk cache
+    (:func:`_write_through`).  A failure anywhere
     leaves the object readable with its old bytes: in-memory payloads are
     dropped either way, and the caches, aggregates and pyramids refresh
     only after every new segment is on tape.
@@ -98,18 +101,19 @@ def update(
             # non-writable input itself, so no defensive copy here.
             tile.set_payload(staging.resolve_tile(heaven, mdd, tile))
 
-    # Stage around the medium the rewrite will append to, so the staging
-    # does not stow it only for the write to fetch it straight back.
-    append_to = heaven.library.append_target(
-        max(entry.super_tiles[i].size_bytes for i in affected_sts)
-    )
+    # Stage around the medium the rewrite will append to, and write there:
+    # the staging does not stow it only for the write to fetch it straight
+    # back, and the write goes to the medium the staging left alone.
+    sizes = [entry.super_tiles[i].size_bytes for i in affected_sts]
+    library = heaven.library
+    append_to = library.append_target(sum(sizes)) or library.append_target(max(sizes))
     try:
-        with heaven.library.keep_mounted(append_to):
+        with library.keep_mounted(append_to):
             heaven._query_unit(mdd, tiles_to_load, load, str(region))
-        mdd.write(region, cells)
-        _rewrite_segments(
-            heaven, entry, [entry.super_tiles[i] for i in sorted(affected_sts)], affected
-        )
+            mdd.write(region, cells)
+            _rewrite_segments(
+                heaven, entry, [entry.super_tiles[i] for i in sorted(affected_sts)], affected
+            )
         if entry.disk_copy:
             # Dual residence: refresh the disk copy's tile BLOBs too.
             heaven.storage.rewrite_tiles(mdd, tiles_to_load, attrgetter("payload"))
@@ -137,7 +141,8 @@ def _rewrite_segments(
     the super-tile).  A size-only old segment gives a size-only new one.
     The new segments are written, and the catalog switched to them,
     inside one exporter journal transaction; the old segments are
-    retired only after its COMMIT.  A failed write rolls the journal
+    retired only after its COMMIT, and then each new segment is written
+    through to the disk cache.  A failed write rolls the journal
     back and changes nothing else; a crash before COMMIT leaves new
     segments that :func:`~repro.core.export.recover_incomplete_exports`
     removes.
@@ -180,6 +185,27 @@ def _rewrite_segments(
         entry.version = version
     for old_key in old_keys:
         _retire_segment(heaven, old_key)
+    if not entry.disk_copy:  # a dual-resident object never reads the disk cache
+        for super_tile, new_key in moved:
+            _write_through(heaven, new_key, super_tile.size_bytes)
+
+
+def _write_through(heaven: Heaven, key: str, size: int) -> None:
+    """Keep freshly written segment *key* staged: its whole run goes into
+    the disk cache (a zero-copy view of the library payload; the insert
+    charges the disk write), so the next update or read of the super-tile
+    stages nothing from tape.  A size-only segment goes in size-only, as
+    staging inserts it, so the virtual clock does not depend on whether
+    payloads are kept.  A segment the cache cannot take (every entry
+    pinned, or larger than the cache) is skipped."""
+    cache = heaven.disk_cache
+    payload = staging._segment_payload(heaven, key, 0, size)
+    try:
+        cache.insert(key, size, staging._refetch_cost(heaven, size), payload=payload)
+    except CacheError:
+        return
+    cache.stats.written_through += 1
+    cache.stats.bytes_written_through += size
 
 
 def reimport(heaven: Heaven, collection_name: str, object_name: str) -> int:

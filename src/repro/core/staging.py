@@ -683,8 +683,10 @@ def assert_quiescent(heaven: Heaven) -> None:
     Quiescence means no operation is in flight: every staging pin (disk
     segment or memory tile) has been released (a leaked pin would silently
     shrink the evictable cache forever), no parallel-staging timeline is
-    still active on the clock, and neither cache tier holds more bytes than
-    its capacity.  The simulation harness checks this between operations;
+    still active on the clock, neither cache tier holds more bytes than
+    its capacity, and every disk-cache key names a live library segment
+    (an entry that outlived its segment would serve dead bytes).  The
+    simulation harness checks this between operations;
     it is also a useful sanity probe after any synchronous API call.
     """
     pinned = heaven.disk_cache.pinned_keys()
@@ -692,6 +694,12 @@ def assert_quiescent(heaven: Heaven) -> None:
         raise HeavenError(
             f"not quiescent: {len(pinned)} disk-cache key(s) still "
             f"pinned: {pinned[:5]}"
+        )
+    orphans = [key for key in heaven.disk_cache.keys() if not heaven.library.has_segment(key)]
+    if orphans:
+        raise HeavenError(
+            f"not quiescent: {len(orphans)} disk-cache key(s) name no live "
+            f"library segment: {orphans[:5]}"
         )
     if heaven.memory_cache.pinned_tiles:
         raise HeavenError(

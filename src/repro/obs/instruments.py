@@ -31,6 +31,8 @@ cache_used_bytes                gauge   bytes resident {tier}
 cache_pins_total                counter disk-cache pin references taken
 cache_pinned_bytes              gauge   disk-cache bytes currently pinned
 cache_pin_evictions_blocked_total counter victim nominations skipped (pinned)
+cache_written_through_total     counter fresh update segments inserted into the disk cache
+cache_written_through_bytes_total counter bytes of those write-through insertions
 restages_total                  counter per-tile restage fallbacks (thrash)
 staging_waves_total             counter capacity-sized staging admission waves
 segments_staged_total           counter super-tile segment runs staged from tape
@@ -167,6 +169,15 @@ class HeavenInstruments:
         self.cache_pin_evictions_blocked: Counter = registry.counter(
             "repro_cache_pin_evictions_blocked_total",
             "eviction nominations skipped because the candidate was pinned",
+        )
+        self.cache_written_through: Counter = registry.counter(
+            "repro_cache_written_through_total",
+            "fresh segments an update wrote through to the disk cache",
+        )
+        self.cache_written_through_bytes: Counter = registry.counter(
+            "repro_cache_written_through_bytes_total",
+            "bytes an update wrote through to the disk cache (not staged from tape)",
+            "B",
         )
         self.restages: Counter = registry.counter(
             "repro_restages_total",
@@ -343,7 +354,7 @@ class HeavenInstruments:
 
         disk = heaven.disk_cache.stats
         memory = heaven.memory_cache.stats
-        self.tape_bytes_staged.set(disk.bytes_inserted)
+        self.tape_bytes_staged.set(disk.bytes_inserted - disk.bytes_written_through)
         self.cache_lookups.set(disk.lookups, tier="disk")
         self.cache_lookups.set(memory.lookups, tier="memory")
         self.cache_hits.set(disk.hits, tier="disk")
@@ -356,6 +367,8 @@ class HeavenInstruments:
         self.cache_pins.set(disk.pins)
         self.cache_pinned_bytes.set(heaven.disk_cache.pinned_bytes)
         self.cache_pin_evictions_blocked.set(disk.pin_evictions_blocked)
+        self.cache_written_through.set(disk.written_through)
+        self.cache_written_through_bytes.set(disk.bytes_written_through)
         self.restages.set(heaven.restages)
         self.staging_waves.set(heaven.staging_waves_admitted)
         self.segments_staged.set(heaven.segments_staged)

@@ -44,7 +44,8 @@ def oracle_mismatch(
 
 
 def check_quiescent(heaven) -> Optional[str]:
-    """Pin refcounts zero, no active timeline, caches within capacity."""
+    """Pin refcounts zero, no active timeline, caches within capacity, every
+    disk-cache key a live library segment."""
     try:
         heaven.assert_quiescent()
     except HeavenError as exc:

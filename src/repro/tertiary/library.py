@@ -129,11 +129,18 @@ class TapeLibrary:
 
     def append_target(self, nbytes: int) -> Optional[str]:
         """The medium :meth:`allocate_medium` would append *nbytes* to, or
-        None when none fits (it would register a new one).  Pure: media are
-        filled in registration order (the natural archive append pattern)."""
-        return next(
-            (m for m in self._media_order if self._media[m].fits(nbytes)), None
-        )
+        None when none fits (it would register a new one).  Pure.
+
+        The :meth:`keep_mounted` medium if it fits, else the first loaded
+        medium that fits, else the first that fits, each in registration
+        order: an append never pays an exchange to fill a shelved medium's
+        tail while a mounted one has room.  A sequential archive on an
+        empty library still fills media in registration order."""
+        fitting = [m for m in self._media_order if self._media[m].fits(nbytes)]
+        if self._kept in fitting:
+            return self._kept
+        loaded = {d.medium.medium_id for d in self.drives if d.medium is not None}
+        return next((m for m in fitting if m in loaded), fitting[0] if fitting else None)
 
     def allocate_medium(self, nbytes: int) -> Medium:
         """Medium with >= *nbytes* free: :meth:`append_target`, else a
@@ -226,7 +233,8 @@ class TapeLibrary:
         another candidate drive is loaded: a preference, never a block (one
         drive, a medium on the shelf, or failover bans leaving only its
         drive all pick as without it).  Reads of the medium itself still go
-        to its drive.  None keeps nothing."""
+        to its drive, and :meth:`append_target` names it while it fits.
+        None keeps nothing."""
         previous, self._kept = self._kept, medium_id
         try:
             yield

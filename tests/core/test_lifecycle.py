@@ -8,18 +8,19 @@ import pytest
 from repro import FaultPlan, RetryExhaustedError
 from repro.arrays import DOUBLE, HashedNoiseSource, MDD, MInterval, RegularTiling
 from repro.core import Heaven, HeavenConfig
+from repro.core import rewrite
 from repro.core.clustering import Placement, PlacementPolicy
-from repro.errors import HeavenError
+from repro.errors import DriveFaultError, HeavenError
 from repro.tertiary import DLT_7000, MB, scaled_profile
 
 
 def build_heaven(**overrides):
-    config = HeavenConfig(
-        super_tile_bytes=32 * 1024,  # 4 tiles per super-tile -> 4 super-tiles
-        disk_cache_bytes=16 * MB,
-        memory_cache_bytes=4 * MB,
+    config = HeavenConfig(**{
+        "super_tile_bytes": 32 * 1024,  # 4 tiles per super-tile -> 4 super-tiles
+        "disk_cache_bytes": 16 * MB,
+        "memory_cache_bytes": 4 * MB,
         **overrides,
-    )
+    })
     heaven = Heaven(config)
     heaven.create_collection("col")
     mdd = MDD(
@@ -164,6 +165,206 @@ class TestUpdateKeepsAppendMedium:
         for key in heaven.disk_cache.keys():
             heaven.disk_cache.invalidate(key)
         assert heaven.read("col", "obj", domain).tobytes() == expected.tobytes()
+
+    def test_the_rewrite_appends_to_the_kept_medium(self):
+        """The keep holds through the write: the new segments go to the
+        medium staging left alone, not to a loaded medium registered before
+        it that has room too."""
+        heaven = Heaven(HeavenConfig(
+            tape_profile=scaled_profile(DLT_7000, 192 * 1024),
+            num_drives=2,
+            super_tile_bytes=32 * 1024,
+            disk_cache_bytes=16 * MB,
+            memory_cache_bytes=4 * MB,
+        ))
+        library = heaven.library
+        for medium_id in ("a", "b", "c"):
+            library.new_medium(medium_id)
+        heaven.create_collection("col")
+        domain = MInterval.of((0, 63), (0, 127))
+        heaven.insert("col", MDD(
+            "obj", domain, DOUBLE,
+            tiling=RegularTiling((32, 32)),
+            source=HashedNoiseSource(5, 0.0, 50.0),
+        ))
+        expected = heaven.read("col", "obj", domain).copy()
+        heaven.archive("col", "obj", placement=OnePerMedium(["a", "b"]))
+        super_tiles = heaven.archived("obj").super_tiles
+        library.unmount_all()
+        library.mount("c", library.drives[0])
+        size = sum(st.size_bytes for st in super_tiles)
+        assert library.append_target(size) == "c"  # loaded first
+
+        region = MInterval.of((1, 62), (1, 126))
+        patch = np.arange(62 * 126, dtype=np.float64).reshape(62, 126)
+        assert heaven.update("col", "obj", region, patch) == 2
+
+        # staging left one of a, b loaded next to c, and both have room
+        loaded = {d.medium.medium_id for d in library.drives}
+        assert "c" in loaded and loaded & {"a", "b"}
+        assert all(library.medium(m).fits(size) for m in ("a", "b"))
+        assert [library.locate(st.segment_name) for st in super_tiles] == ["c", "c"]
+        expected[1:63, 1:127] = patch
+        heaven.memory_cache.invalidate_object("obj")
+        assert heaven.read("col", "obj", domain).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spare, media", [(True, ["d", "d"]), (False, ["c", "new"])])
+    def test_the_keep_is_sized_on_the_whole_rewrite(self, spare, media):
+        """The append medium fits every new segment, else the largest one:
+        a mounted medium with room for one super-tile only is kept just
+        when no medium has room for both."""
+        heaven = Heaven(HeavenConfig(
+            tape_profile=scaled_profile(DLT_7000, 192 * 1024),
+            num_drives=2,
+            super_tile_bytes=32 * 1024,
+            disk_cache_bytes=16 * MB,
+            memory_cache_bytes=4 * MB,
+        ))
+        library = heaven.library
+        for medium_id in ("a", "b", "c") + (("d",) if spare else ()):
+            library.new_medium(medium_id)
+        heaven.create_collection("col")
+        domain = MInterval.of((0, 63), (0, 127))
+        heaven.insert("col", MDD(
+            "obj", domain, DOUBLE,
+            tiling=RegularTiling((32, 32)),
+            source=HashedNoiseSource(5, 0.0, 50.0),
+        ))
+        heaven.archive("col", "obj", placement=OnePerMedium(["a", "b"]))
+        super_tiles = heaven.archived("obj").super_tiles
+        largest = max(st.size_bytes for st in super_tiles)
+        for medium_id, room in (("a", 0), ("b", 0), ("c", largest + 1024)):
+            filler = library.medium(medium_id).free_bytes - room
+            library.write_segment(f"fill-{medium_id}", filler, medium_id=medium_id)
+        library.unmount_all()
+        library.mount("c", library.drives[0])
+        before = library.stats().exchanges
+
+        region = MInterval.of((1, 62), (1, 126))
+        heaven.update("col", "obj", region, np.zeros(region.shape))
+
+        # a and b staged, then one mount for the write: of d, or of the new
+        # medium once c (kept in its drive) is full
+        assert library.stats().exchanges - before == 3
+        located = [library.locate(st.segment_name) for st in super_tiles]
+        assert [m if m in "abcd" else "new" for m in located] == media
+
+
+class TestWriteThrough:
+    """An update leaves its fresh segments staged in the disk cache, after
+    COMMIT and only then."""
+
+    DOMAIN = MInterval.of((0, 127), (0, 127))
+    #: inside super-tile 0 (tile row 0)
+    REGION = MInterval.of((4, 11), (40, 51))
+
+    def oracle(self, heaven):
+        return heaven.read("col", "obj", self.DOMAIN).copy()
+
+    def test_a_second_update_of_the_super_tile_stages_nothing(self):
+        heaven, _ = build_heaven()
+        expected = self.oracle(heaven)
+        heaven.library.unmount_all()
+        heaven.memory_cache.invalidate_object("obj")
+        for key in heaven.disk_cache.keys():
+            heaven.disk_cache.invalidate(key)
+        heaven.update("col", "obj", self.REGION, np.full(self.REGION.shape, 7.0))
+        new_key = heaven.archived("obj").super_tiles[0].segment_name
+        stats = heaven.disk_cache.stats
+        assert new_key in heaven.disk_cache and heaven.disk_cache.run(new_key) == (
+            0, heaven.archived("obj").super_tiles[0].size_bytes)
+        assert (stats.written_through, stats.bytes_written_through) == (
+            1, heaven.archived("obj").super_tiles[0].size_bytes)
+        # The memory tier forgets the tiles, as under memory pressure: only
+        # the written-through run can spare the tape now.
+        heaven.memory_cache.invalidate_object("obj")
+        before = heaven.library.stats()
+        heaven.update("col", "obj", self.REGION, np.full(self.REGION.shape, 9.0))
+        after = heaven.library.stats()
+        assert after.bytes_read == before.bytes_read
+        assert after.exchanges == before.exchanges
+        expected[4:12, 40:52] = 9.0
+        assert heaven.read("col", "obj", self.REGION).tobytes() == expected[4:12, 40:52].tobytes()
+        assert heaven.read("col", "obj", self.DOMAIN).tobytes() == expected.tobytes()
+        heaven.assert_quiescent()
+
+    def test_without_write_through_the_second_update_restages(self, monkeypatch):
+        monkeypatch.setattr(rewrite, "_write_through", lambda heaven, key, size: None)
+        heaven, _ = build_heaven()
+        heaven.update("col", "obj", self.REGION, np.full(self.REGION.shape, 7.0))
+        heaven.memory_cache.invalidate_object("obj")
+        before = heaven.library.stats()
+        heaven.update("col", "obj", self.REGION, np.full(self.REGION.shape, 9.0))
+        assert heaven.library.stats().bytes_read > before.bytes_read
+
+    def test_skipped_when_every_cache_entry_is_pinned(self):
+        # room for one super-tile run (32 KiB) only
+        heaven, _ = build_heaven(disk_cache_bytes=40 * 1024)
+        expected = self.oracle(heaven)
+        pinned = heaven.archived("obj").super_tiles[3].segment_name
+        heaven.read("col", "obj", MInterval.of((100, 103), (0, 127)))
+        assert heaven.disk_cache.keys() == [pinned]
+        heaven.disk_cache.pin(pinned)
+        heaven.memory_cache.invalidate_object("obj")
+        assert heaven.update("col", "obj", self.REGION, np.full(self.REGION.shape, 7.0)) == 1
+        assert heaven.disk_cache.keys() == [pinned]
+        assert heaven.disk_cache.stats.written_through == 0
+        heaven.disk_cache.unpin(pinned)
+        heaven.assert_quiescent()
+        expected[4:12, 40:52] = 7.0
+        assert heaven.read("col", "obj", self.DOMAIN).tobytes() == expected.tobytes()
+
+    def test_skipped_when_the_segment_exceeds_the_cache(self):
+        heaven, _ = build_heaven(disk_cache_bytes=16 * 1024)
+        expected = self.oracle(heaven)
+        heaven.memory_cache.invalidate_object("obj")
+        assert heaven.update("col", "obj", self.REGION, np.full(self.REGION.shape, 7.0)) == 1
+        assert heaven.disk_cache.keys() == []
+        assert heaven.disk_cache.stats.written_through == 0
+        heaven.assert_quiescent()
+        expected[4:12, 40:52] = 7.0
+        assert heaven.read("col", "obj", self.DOMAIN).tobytes() == expected.tobytes()
+
+    def test_a_fault_on_the_second_write_rolls_back_and_caches_nothing(self, monkeypatch):
+        heaven, _ = build_heaven()
+        expected = self.oracle(heaven)
+        entry = heaven.archived("obj")
+        old_keys = [st.segment_name for st in entry.super_tiles]
+        library = heaven.library
+        write_segment, written = library.write_segment, []
+
+        def faulty_write(name, *args, **kwargs):
+            written.append(name)
+            if len(written) == 2:
+                raise DriveFaultError(f"injected fault writing {name}")
+            return write_segment(name, *args, **kwargs)
+
+        monkeypatch.setattr(library, "write_segment", faulty_write)
+        region = MInterval.of((30, 33), (0, 5))  # super-tiles 0 and 1
+        with pytest.raises(DriveFaultError):
+            heaven.update("col", "obj", region, np.zeros(region.shape))
+        monkeypatch.undo()
+        assert written == ["1/st0.v1", "1/st1.v1"]
+        assert heaven.exporter.wal.records()[-1].kind.name == "ABORT"
+        for key in written:
+            assert not library.has_segment(key)
+            assert key not in heaven.disk_cache
+        assert [st.segment_name for st in entry.super_tiles] == old_keys
+        assert heaven.disk_cache.stats.written_through == 0
+        heaven.assert_quiescent()
+        heaven.memory_cache.invalidate_object("obj")
+        assert heaven.read("col", "obj", self.DOMAIN).tobytes() == expected.tobytes()
+
+
+class TestQuiescenceSeesOrphanedCacheKeys:
+    def test_a_cache_key_without_a_library_segment_is_not_quiescent(self):
+        heaven, _ = build_heaven()
+        heaven.read("col", "obj", MInterval.of((0, 3), (0, 3)))
+        heaven.assert_quiescent()
+        (key,) = heaven.disk_cache.keys()
+        heaven.library.delete_segment(key)  # behind the cache's back
+        with pytest.raises(HeavenError, match="no live library segment"):
+            heaven.assert_quiescent()
 
 
 #: Unaligned in both axes: 10 edge tiles around 2 interior tiles.

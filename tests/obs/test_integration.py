@@ -1,5 +1,6 @@
 """End-to-end observability: span trees over real HEAVEN scenarios."""
 
+import numpy as np
 import pytest
 
 from repro import Heaven, HeavenConfig, MInterval
@@ -180,3 +181,17 @@ class TestInstruments:
             heaven.clock.now
         )
         assert snapshot["repro_read_virtual_seconds_count"][""] >= 1
+
+    def test_write_through_is_counted_apart_from_tape_staging(self):
+        heaven = _make_heaven(observability=True)
+        _load_object(heaven)
+        heaven.read("climate", "temp", REGION)
+        region = MInterval.of((0, 1), (0, 1), (0, 0), (0, 0))
+        heaven.update("climate", "temp", region, np.zeros(region.shape))
+        stats = heaven.disk_cache.stats
+        assert stats.written_through == 1 and stats.bytes_written_through > 0
+        snapshot = heaven.obs.metrics.snapshot()
+        assert snapshot["repro_cache_written_through_total"][""] == 1
+        assert snapshot["repro_cache_written_through_bytes_total"][""] == stats.bytes_written_through
+        # Every byte staged came off tape; the written-through run did not.
+        assert snapshot["repro_tape_bytes_staged_total"][""] == heaven.library.stats().bytes_read

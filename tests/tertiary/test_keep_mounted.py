@@ -39,6 +39,70 @@ class TestAppendTarget:
         assert library.allocate_medium(10 * MB).medium_id != "a"
 
 
+def fill(library, medium_id, nbytes=45 * MB):
+    """Use up *medium_id* without mounting it."""
+    library.medium(medium_id).append(f"fill-{medium_id}", nbytes)
+
+
+def agrees_with_allocate(library, nbytes):
+    """``allocate_medium`` picks ``append_target``'s medium, or a new one."""
+    target = library.append_target(nbytes)
+    known = {m.medium_id for m in library.media()}
+    allocated = library.allocate_medium(nbytes).medium_id
+    return allocated == target if target is not None else allocated not in known
+
+
+class TestAppendTargetOrder:
+    """Kept medium, else the first loaded one, else the first that fits,
+    else None; registration order breaks every tie."""
+
+    def four_media(self):
+        library = library_with(2, "a", "b", "c", "d")
+        library.mount("d")  # drive-0
+        library.mount("c")  # drive-1
+        return library
+
+    def test_kept_then_loaded_then_first_fit_then_none(self):
+        library = self.four_media()
+        with library.keep_mounted("d"):
+            assert library.append_target(10 * MB) == "d"
+        with library.keep_mounted("b"):  # kept wins even on the shelf
+            assert library.append_target(10 * MB) == "b"
+        # c registered before d: the first loaded medium in registration order
+        assert library.append_target(10 * MB) == "c"
+        fill(library, "c")
+        assert library.append_target(10 * MB) == "d"
+        fill(library, "d")
+        with library.keep_mounted("d"):  # a kept medium that is full is passed over
+            assert library.append_target(10 * MB) == "a"
+        assert library.append_target(10 * MB) == "a"
+        assert library.append_target(1 * MB) == "c"  # loaded again once it fits
+        fill(library, "a")
+        fill(library, "b")
+        assert library.append_target(10 * MB) is None
+
+    def test_is_pure(self):
+        library = self.four_media()
+        fill(library, "c")
+        before = (library.stats(), list(library.clock.log), holders(library),
+                  [m.medium_id for m in library.media()])
+        for nbytes in (1 * MB, 10 * MB, 60 * MB):
+            library.append_target(nbytes)
+            with library.keep_mounted("b"):
+                library.append_target(nbytes)
+        assert (library.stats(), list(library.clock.log), holders(library),
+                [m.medium_id for m in library.media()]) == before
+
+    @pytest.mark.parametrize("keep", [None, "d", "b"])
+    def test_allocate_medium_agrees_at_every_step(self, keep):
+        library = self.four_media()
+        with library.keep_mounted(keep):
+            for medium_id in ("c", "d", "a", "b"):
+                assert agrees_with_allocate(library, 10 * MB)
+                fill(library, medium_id)
+            assert agrees_with_allocate(library, 10 * MB)
+
+
 class TestKeepMounted:
     def test_lru_pick_is_diverted_off_the_kept_drive(self):
         library = library_with(2, "k", "x", "y")
