@@ -297,11 +297,13 @@ class DiskCache:
         self.clock = clock
         self._entries: Dict[str, _DiskEntry] = {}
         self._pins: Dict[str, int] = {}
+        #: resident bytes, kept by insert, evict_one and invalidate
+        self._used = 0
         self.stats = CacheStats()
 
     @property
     def used_bytes(self) -> int:
-        return sum(e.size for e in self._entries.values())
+        return self._used
 
     @property
     def pinned_bytes(self) -> int:
@@ -383,6 +385,7 @@ class DiskCache:
             self.evict_one()
         self.disk.write(size, detail=f"stage {key}")
         self._entries[key] = _DiskEntry(start, size, refetch_cost, payload)
+        self._used += size
         self.policy.insert(key, size, refetch_cost)
         self.stats.insertions += 1
         self.stats.bytes_inserted += size
@@ -420,6 +423,7 @@ class DiskCache:
             self.stats.pin_evictions_blocked += 1
             self.clock.charge(0.0, "pin-blocked", "heaven-cache", detail=victim)
         entry = self._entries.pop(victim)
+        self._used -= entry.size
         self.policy.remove(victim)
         self.stats.evictions += 1
         self.stats.bytes_evicted += entry.size
@@ -462,6 +466,7 @@ class DiskCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
+        self._used -= entry.size
         self.policy.remove(key)
         self._pins.pop(key, None)
         return True

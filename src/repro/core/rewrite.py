@@ -67,7 +67,8 @@ def update(
     A disk-resident object is patched in its tile BLOBs.  An archived
     object's affected super-tiles are staged, patched in memory and
     re-exported as fresh segments (tape is append-only; old segments
-    become dead space) by :func:`_rewrite_segments`, on the medium the
+    become dead space until their medium empties and the library erases
+    it) by :func:`_rewrite_segments`, on the medium the
     staging kept mounted, and kept staged in the disk cache
     (:func:`_write_through`).  A failure anywhere
     leaves the object readable with its old bytes: in-memory payloads are

@@ -684,10 +684,12 @@ def assert_quiescent(heaven: Heaven) -> None:
     segment or memory tile) has been released (a leaked pin would silently
     shrink the evictable cache forever), no parallel-staging timeline is
     still active on the clock, neither cache tier holds more bytes than
-    its capacity, and every disk-cache key names a live library segment
-    (an entry that outlived its segment would serve dead bytes).  The
-    simulation harness checks this between operations;
-    it is also a useful sanity probe after any synchronous API call.
+    its capacity, its running byte total equals the sum of its runs, every
+    disk-cache key names a live library segment (an entry that outlived
+    its segment would serve dead bytes), and every medium's layout is sound
+    (:meth:`~repro.tertiary.library.TapeLibrary.layout_fault`).  The
+    simulation harness checks this between operations; it is also a useful
+    sanity probe after any synchronous API call.
     """
     pinned = heaven.disk_cache.pinned_keys()
     if pinned:
@@ -711,6 +713,16 @@ def assert_quiescent(heaven: Heaven) -> None:
             "not quiescent: a parallel-staging timeline is still "
             "active on the clock"
         )
+    cache = heaven.disk_cache
+    resident = sum(cache.run(key)[1] for key in cache.keys())
+    if cache.used_bytes != resident:
+        raise HeavenError(
+            f"not quiescent: disk cache counts {cache.used_bytes} bytes "
+            f"but its runs hold {resident}"
+        )
+    fault = heaven.library.layout_fault()
+    if fault is not None:
+        raise HeavenError(f"not quiescent: {fault}")
     if heaven.disk_cache.used_bytes > heaven.disk_cache.capacity_bytes:
         raise HeavenError(
             f"not quiescent: disk cache holds {heaven.disk_cache.used_bytes} "

@@ -20,6 +20,8 @@ tape_bytes_read_total           counter bytes streamed off media
 tape_bytes_written_total        counter bytes streamed onto media
 tape_time_seconds_total         counter seconds per phase {phase=exchange|seek|transfer}
 tape_bytes_staged_total         counter bytes landed in the disk cache from tape
+tape_media_erased_total         counter media erased when their last live segment was deleted
+tape_bytes_reclaimed_total      counter dead media bytes those erasures gave back
 drive_busy_seconds              gauge   per-drive device time {drive} (load+seek+transfer)
 robot_wait_seconds              gauge   seconds drives waited for the shared arm
 parallel_speedup                gauge   executed speedup of parallel staging (device work / makespan)
@@ -125,6 +127,15 @@ class HeavenInstruments:
         self.tape_bytes_staged: Counter = registry.counter(
             "repro_tape_bytes_staged_total",
             "bytes landed in the disk cache from tape",
+            "B",
+        )
+        self.tape_media_erased: Counter = registry.counter(
+            "repro_tape_media_erased_total",
+            "media erased when their last live segment was deleted",
+        )
+        self.tape_bytes_reclaimed: Counter = registry.counter(
+            "repro_tape_bytes_reclaimed_total",
+            "dead media bytes given back by erasing emptied media",
             "B",
         )
         self.drive_busy_seconds: Gauge = registry.gauge(
@@ -341,6 +352,8 @@ class HeavenInstruments:
         self.tape_time.set(library.time_exchanging_s, phase="exchange")
         self.tape_time.set(library.time_seeking_s, phase="seek")
         self.tape_time.set(library.time_transferring_s, phase="transfer")
+        self.tape_media_erased.set(library.media_erased)
+        self.tape_bytes_reclaimed.set(library.bytes_reclaimed)
         for drive in heaven.library.drives:
             self.drive_busy_seconds.set(
                 drive.stats.busy_time_s, drive=drive.drive_id

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import (
@@ -46,6 +47,10 @@ class LibraryStats:
     time_robot_wait_s: float = 0.0
     #: LRU picks diverted off the drive holding a kept medium
     kept_mounts: int = 0
+    #: media erased because their last live segment was deleted
+    media_erased: int = 0
+    #: dead bytes those erasures gave back (write positions at erasure)
+    bytes_reclaimed: int = 0
 
 
 @dataclass
@@ -103,6 +108,8 @@ class TapeLibrary:
         #: medium whose drive mounts avoid while another is loaded
         self._kept: Optional[str] = None
         self._kept_mounts = 0
+        self._media_erased = 0
+        self._bytes_reclaimed = 0
 
     # -- media management ----------------------------------------------------
 
@@ -348,10 +355,35 @@ class TapeLibrary:
         )
 
     def delete_segment(self, name: str) -> None:
-        """Drop a segment from its medium's map and the directory."""
-        medium_id = self.locate(name)
-        self.medium(medium_id).delete(name)
+        """Drop a segment from its medium's map and the directory; a
+        medium left without a live segment is erased (:meth:`Medium.erase`),
+        so its dead space takes the next append instead of a new medium."""
+        medium = self.medium(self.locate(name))
+        medium.delete(name)
         del self._directory[name]
+        if not len(medium):
+            self._media_erased += 1
+            self._bytes_reclaimed += medium.write_position
+            medium.erase()
+
+    def layout_fault(self) -> Optional[str]:
+        """What is wrong with a medium's layout, or None: two live segments
+        overlap, a live segment ends past the write position (an erase
+        under live data), or a medium without a live segment still counts
+        used bytes (an emptied medium left unerased)."""
+        for medium in self.media():
+            segments = sorted(medium.segments(), key=attrgetter("offset"))
+            if not segments and medium.used_bytes:
+                return f"medium {medium.medium_id} holds no live segment but uses {medium.used_bytes} B"
+            for before, after in zip(segments, segments[1:]):
+                if before.end > after.offset:
+                    return f"segments {before.name!r} and {after.name!r} overlap on {medium.medium_id}"
+            if segments and segments[-1].end > medium.write_position:
+                return (
+                    f"segment {segments[-1].name!r} ends at {segments[-1].end}, past "
+                    f"{medium.medium_id}'s write position {medium.write_position}"
+                )
+        return None
 
     def locate(self, name: str) -> str:
         """Medium id holding segment *name*."""
@@ -385,6 +417,8 @@ class TapeLibrary:
             time_transferring_s=sum(d.stats.time_transferring_s for d in self.drives),
             time_robot_wait_s=self.robot.stats.wait_s,
             kept_mounts=self._kept_mounts,
+            media_erased=self._media_erased,
+            bytes_reclaimed=self._bytes_reclaimed,
         )
 
     def media_stats(self) -> List[MediumStats]:

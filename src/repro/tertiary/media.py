@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from ..errors import MediumFullError, SegmentNotFoundError
+from ..errors import MediumFullError, SegmentNotFoundError, StorageError
 from .profiles import TapeProfile
 
 
@@ -56,8 +56,9 @@ class Medium:
 
     Data is append-only: segments are written at ``write_position`` which
     only moves forward.  Deleting a segment frees its name but, as on real
-    tape, does not reclaim space until the medium is reformatted — HEAVEN's
-    re-import path relies on this behaviour.
+    tape, does not reclaim its space: it stays dead until the whole medium
+    is erased (:meth:`erase` moves ``write_position`` back to 0), which the
+    library does as soon as the medium's last live segment is deleted.
 
     A segment appended without payload bytes is *size-only*: it occupies
     its length, and :meth:`payload` returns None for it.
@@ -140,6 +141,24 @@ class Medium:
         self._order.remove(name)
         self._payloads.pop(name, None)
         return segment
+
+    def erase(self) -> None:
+        """Reformat an emptied medium: the next append writes at BOT.
+
+        The medium keeps its identity, its ``mount_count`` and its bad
+        spots (those are physical damage).  Erasing costs no virtual time:
+        the next append seeks back to offset 0 and writes a new end of data
+        there, which the drive already charges.
+
+        Raises:
+            StorageError: a live segment is still on the medium.
+        """
+        if self._segments:
+            raise StorageError(
+                f"cannot erase medium {self.medium_id}: {len(self._segments)} "
+                f"live segment(s) remain"
+            )
+        self.write_position = 0
 
     def payload(self, name: str) -> Optional[bytes]:
         """Stored bytes of the segment, or None when it is size-only."""

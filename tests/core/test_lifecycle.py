@@ -12,6 +12,7 @@ from repro.core import rewrite
 from repro.core.clustering import Placement, PlacementPolicy
 from repro.errors import DriveFaultError, HeavenError
 from repro.tertiary import DLT_7000, MB, scaled_profile
+from repro.tertiary.media import Segment
 
 
 def build_heaven(**overrides):
@@ -250,6 +251,87 @@ class TestUpdateKeepsAppendMedium:
         assert [m if m in "abcd" else "new" for m in located] == media
 
 
+class TestEmptiedMediaAreErased:
+    """A medium whose last live segment an update, delete or reimport
+    retires is erased, and the next segments written there read back
+    byte-identical to the oracle."""
+
+    DOMAIN = MInterval.of((0, 63), (0, 127))
+
+    def build(self):
+        heaven = Heaven(HeavenConfig(
+            tape_profile=scaled_profile(DLT_7000, 192 * 1024),
+            num_drives=2,
+            super_tile_bytes=32 * 1024,
+            disk_cache_bytes=16 * MB,
+            memory_cache_bytes=4 * MB,
+        ))
+        for medium_id in ("a", "b", "c"):
+            heaven.library.new_medium(medium_id)
+        heaven.create_collection("col")
+        self.insert(heaven, "obj", seed=5)
+        expected = heaven.read("col", "obj", self.DOMAIN).copy()
+        heaven.archive("col", "obj", placement=OnePerMedium(["a", "b"]))
+        return heaven, expected
+
+    def insert(self, heaven, name, seed):
+        heaven.insert("col", MDD(
+            name, self.DOMAIN, DOUBLE,
+            tiling=RegularTiling((32, 32)),
+            source=HashedNoiseSource(seed, 0.0, 50.0),
+        ))
+
+    def cold_read(self, heaven, name):
+        heaven.library.unmount_all()
+        heaven.memory_cache.invalidate_object(name)
+        for key in heaven.disk_cache.keys():
+            heaven.disk_cache.invalidate(key)
+        return heaven.read("col", name, self.DOMAIN)
+
+    def test_an_update_that_moves_the_last_segment_erases_its_medium(self):
+        heaven, expected = self.build()
+        library = heaven.library
+        library.unmount_all()
+        library.mount("c", library.drives[0])  # the rewrite appends to c
+        region = MInterval.of((1, 30), (1, 62))  # super-tile 0 only, on a
+        patch = np.arange(30 * 62, dtype=np.float64).reshape(30, 62)
+        assert heaven.update("col", "obj", region, patch) == 1
+        expected[1:31, 1:63] = patch
+
+        a = library.medium("a")
+        assert len(a) == 0 and a.write_position == 0
+        assert library.medium("b").write_position > 0
+        assert library.stats().media_erased == 1
+        heaven.assert_quiescent()
+        # The erased medium takes the next object from BOT.
+        self.insert(heaven, "next", seed=9)
+        following = heaven.read("col", "next", self.DOMAIN).copy()
+        heaven.archive("col", "next", placement=OnePerMedium(["a", "a"]))
+        segments = library.medium("a").segments()
+        assert segments[0].offset == 0 and len(segments) == 2
+        assert self.cold_read(heaven, "obj").tobytes() == expected.tobytes()
+        assert self.cold_read(heaven, "next").tobytes() == following.tobytes()
+        heaven.assert_quiescent()
+
+    @pytest.mark.parametrize("detach", ["delete", "reimport"])
+    def test_delete_and_reimport_erase_the_media_they_empty(self, detach):
+        heaven, expected = self.build()
+        library = heaven.library
+        getattr(heaven, detach)("col", "obj")
+        assert all(m.write_position == 0 for m in library.media())
+        assert library.stats().media_erased == 2
+        heaven.assert_quiescent()
+        if detach == "delete":
+            self.insert(heaven, "obj", seed=7)
+            expected = heaven.read("col", "obj", self.DOMAIN).copy()
+        heaven.archive("col", "obj", placement=OnePerMedium(["b", "a"]))
+        super_tiles = heaven.archived("obj").super_tiles
+        placed = [library.segment(st.segment_name) for st in super_tiles]
+        assert [(medium_id, extent.offset) for medium_id, extent in placed] == [("b", 0), ("a", 0)]
+        assert self.cold_read(heaven, "obj").tobytes() == expected.tobytes()
+        heaven.assert_quiescent()
+
+
 class TestWriteThrough:
     """An update leaves its fresh segments staged in the disk cache, after
     COMMIT and only then."""
@@ -364,6 +446,44 @@ class TestQuiescenceSeesOrphanedCacheKeys:
         (key,) = heaven.disk_cache.keys()
         heaven.library.delete_segment(key)  # behind the cache's back
         with pytest.raises(HeavenError, match="no live library segment"):
+            heaven.assert_quiescent()
+
+
+class TestQuiescenceSeesMediaLayout:
+    """``assert_quiescent`` checks every medium's layout and the disk
+    cache's running byte total."""
+
+    def medium_of_two(self):
+        heaven, _ = build_heaven()
+        heaven.assert_quiescent()
+        medium = next(m for m in heaven.library.media() if len(m) >= 2)
+        return heaven, medium
+
+    def test_an_erase_under_a_live_segment_is_not_quiescent(self):
+        heaven, medium = self.medium_of_two()
+        medium.write_position = 0  # what an unguarded erase would leave
+        with pytest.raises(HeavenError, match="past .* write position"):
+            heaven.assert_quiescent()
+
+    def test_overlapping_live_segments_are_not_quiescent(self):
+        heaven, medium = self.medium_of_two()
+        first, second = medium.segments()[:2]
+        medium._segments[second.name] = Segment(second.name, first.offset + 1, second.length)
+        with pytest.raises(HeavenError, match="overlap"):
+            heaven.assert_quiescent()
+
+    def test_an_emptied_medium_left_unerased_is_not_quiescent(self):
+        heaven, medium = self.medium_of_two()
+        for segment in medium.segments():
+            medium.delete(segment.name)  # behind the library's back
+        with pytest.raises(HeavenError, match="holds no live segment"):
+            heaven.assert_quiescent()
+
+    def test_a_drifted_cache_byte_total_is_not_quiescent(self):
+        heaven, _ = build_heaven()
+        heaven.read("col", "obj", MInterval.of((0, 3), (0, 3)))
+        heaven.disk_cache._used += 1
+        with pytest.raises(HeavenError, match="runs hold"):
             heaven.assert_quiescent()
 
 

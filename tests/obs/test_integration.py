@@ -195,3 +195,16 @@ class TestInstruments:
         assert snapshot["repro_cache_written_through_bytes_total"][""] == stats.bytes_written_through
         # Every byte staged came off tape; the written-through run did not.
         assert snapshot["repro_tape_bytes_staged_total"][""] == heaven.library.stats().bytes_read
+
+    def test_erasing_an_emptied_medium_is_counted(self):
+        heaven = _make_heaven(observability=True)
+        _load_object(heaven)
+        written = heaven.library.stats().bytes_written
+        heaven.delete("climate", "temp")
+        stats = heaven.library.stats()
+        assert stats.media_erased == len(heaven.library.media()) >= 1
+        assert stats.bytes_reclaimed == written
+        assert all(m.used_bytes == 0 for m in heaven.library.media())
+        snapshot = heaven.obs.metrics.snapshot()
+        assert snapshot["repro_tape_media_erased_total"][""] == stats.media_erased
+        assert snapshot["repro_tape_bytes_reclaimed_total"][""] == written
